@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test smoke lint plandiff constopt compile fleet fmt bench telemetry trace frontier clean
+.PHONY: all build test smoke lint plandiff constopt fleet fmt bench telemetry trace frontier clean
 
 all: build
 
@@ -73,17 +73,10 @@ plandiff:
 # unaffected oracles.  Writes BENCH_constopt.json.
 constopt:
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300
-	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 --backend compiled
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_null_and
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_affinity_cmp
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_not_null_true
 	$(DUNE) exec bench/main.exe -- quick constopt
-
-# Execution-backend gate: the same campaign under the interpreted and the
-# compiled backend (interleaved minima), asserting identical report sets
-# and a >=2x rounds/sec speedup on sqlite.  Writes BENCH_compile.json.
-compile:
-	$(DUNE) exec bench/main.exe -- quick compile
 
 # Fleet observability gate: scaling (per-core efficiency >= 0.8 at 4
 # workers, core-aware so single-core CI is interpretable), exact merge

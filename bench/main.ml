@@ -213,8 +213,6 @@ let run_target b = function
       Experiments.Plandiff_bench.run ~databases:(b.throughput_queries / 3) ()
   | "constopt" ->
       Experiments.Constopt_bench.run ~databases:(b.throughput_queries / 3) ()
-  | "compile" ->
-      Experiments.Compile_bench.run ~databases:(b.throughput_queries / 10) ()
   | "fleet" ->
       Experiments.Fleet_bench.run ~workers:4
         ~databases:(b.throughput_queries / 8) ()
@@ -231,7 +229,7 @@ let all_targets =
   [
     "table1"; "table2"; "table3"; "table4"; "figure2"; "figure3"; "perf";
     "campaign"; "telemetry"; "trace"; "frontier"; "plandiff"; "constopt";
-    "compile"; "fleet";
+    "fleet";
     "baselines";
     "ablations";
     "metamorphic"; "micro";

@@ -35,26 +35,6 @@ let dialect_arg =
     & opt dialect_conv Sqlval.Dialect.Sqlite_like
     & info [ "d"; "dialect" ] ~docv:"DIALECT" ~doc:"sqlite, mysql or postgres")
 
-let backend_conv =
-  let parse s =
-    match Engine.Exec_backend.of_name s with
-    | Ok k -> Ok k
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    (parse, fun fmt k -> Format.pp_print_string fmt (Engine.Exec_backend.name k))
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Engine.Exec_backend.Interpreted
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "execution backend for the test sessions: $(b,interpreted) \
-           (tree-walking reference) or $(b,compiled) (closure-compiling, \
-           batched); findings are always confirmed against the interpreted \
-           engine")
-
 (* every optional oracle contributes one flag, derived from the registry
    so a new oracle needs no CLI edit *)
 let oracle_flags =
@@ -226,7 +206,7 @@ let write_metrics tele = function
       Telemetry.write_file tele path;
       Printf.printf "metrics written to %s\n" path
 
-let run dialect seed queries all_bugs extra_oracles backend metrics bundles
+let run dialect seed queries all_bugs extra_oracles metrics bundles
     trace_sample =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
@@ -237,7 +217,7 @@ let run dialect seed queries all_bugs extra_oracles backend metrics bundles
     if metrics = None then Telemetry.noop else Telemetry.create ()
   in
   let config =
-    Pqs.Runner.Config.make ~seed ~bugs ~oracles ~telemetry ~backend
+    Pqs.Runner.Config.make ~seed ~bugs ~oracles ~telemetry
       ?bundle_dir:bundles ~trace_sample dialect
   in
   let stats = Pqs.Runner.run ~max_queries:queries config in
@@ -257,7 +237,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"run the PQS loop and report findings")
     Term.(
       const run $ dialect_arg $ seed_arg $ queries_arg $ all_bugs
-      $ oracle_flags $ backend_arg $ metrics_arg $ bundles_arg
+      $ oracle_flags $ metrics_arg $ bundles_arg
       $ trace_sample_arg)
 
 (* ---- campaign ---- *)
@@ -332,7 +312,7 @@ let funnel_line tele cov (c : Pqs.Campaign.t) =
     *. Frontier.fraction ~universe c.Pqs.Campaign.stats.Pqs.Stats.frontier)
 
 let campaign_run dialect seed databases domains trace chrome_trace all_bugs
-    extra_oracles backend metrics metrics_every bundles trace_sample guided
+    extra_oracles metrics metrics_every bundles trace_sample guided
     frontier_json =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
@@ -344,7 +324,7 @@ let campaign_run dialect seed databases domains trace chrome_trace all_bugs
   let telemetry = Telemetry.create () in
   let coverage = Engine.Coverage.create () in
   let config =
-    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~coverage ~backend
+    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~coverage
       ~guided ?bundle_dir:bundles ~trace_sample dialect
   in
   let c =
@@ -381,11 +361,11 @@ let campaign_run dialect seed databases domains trace chrome_trace all_bugs
   if Pqs.Campaign.reports c = [] then 0 else 1
 
 let campaign dialect seed databases domains trace chrome_trace all_bugs
-    extra_oracles backend metrics metrics_every bundles trace_sample guided
+    extra_oracles metrics metrics_every bundles trace_sample guided
     frontier_json =
   try
     campaign_run dialect seed databases domains trace chrome_trace all_bugs
-      extra_oracles backend metrics metrics_every bundles trace_sample guided
+      extra_oracles metrics metrics_every bundles trace_sample guided
       frontier_json
   with Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -463,7 +443,7 @@ let campaign_cmd =
           merge the results deterministically")
     Term.(
       const campaign $ dialect_arg $ seed_arg $ databases $ domains $ trace
-      $ chrome_trace $ all_bugs $ oracle_flags $ backend_arg $ metrics_arg
+      $ chrome_trace $ all_bugs $ oracle_flags $ metrics_arg
       $ metrics_every $ bundles_arg $ trace_sample_arg $ guided
       $ frontier_json)
 
@@ -486,7 +466,7 @@ let print_fleet_findings agg =
         findings
 
 let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
-    export_every dir all_bugs extra_oracles backend bundles trace_sample
+    export_every dir all_bugs extra_oracles bundles trace_sample
     guided quiet chaos =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
@@ -497,7 +477,7 @@ let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
      heartbeats; the supervisor merges them into the fleet export *)
   let telemetry = Telemetry.create () in
   let config =
-    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~backend ~guided
+    Pqs.Runner.Config.make ~bugs ~oracles ~telemetry ~guided
       ?bundle_dir:bundles ~trace_sample dialect
   in
   let fc =
@@ -549,11 +529,11 @@ let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
   if Fleet.Aggregate.distinct_reports agg = 0 then 0 else 1
 
 let fleet dialect seed databases workers chunk heartbeat_every stall_after
-    export_every dir all_bugs extra_oracles backend bundles trace_sample
+    export_every dir all_bugs extra_oracles bundles trace_sample
     guided quiet chaos =
   try
     fleet_run dialect seed databases workers chunk heartbeat_every stall_after
-      export_every dir all_bugs extra_oracles backend bundles trace_sample
+      export_every dir all_bugs extra_oracles bundles trace_sample
       guided quiet chaos
   with Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -645,7 +625,7 @@ let fleet_cmd =
     Term.(
       const fleet $ dialect_arg $ seed_arg $ databases $ workers $ chunk
       $ heartbeat_every $ stall_after $ export_every $ dir $ all_bugs
-      $ oracle_flags $ backend_arg $ bundles_arg $ trace_sample_arg $ guided
+      $ oracle_flags $ bundles_arg $ trace_sample_arg $ guided
       $ quiet $ chaos)
 
 (* ---- top ---- *)
@@ -967,14 +947,14 @@ let plan_diff_cmd =
 
 (* ---- const-opt ---- *)
 
-let const_opt dialect seed databases queries_per_seed backend bug =
+let const_opt dialect seed databases queries_per_seed bug =
   let bugs =
     match bug with
     | Some b -> Engine.Bug.set_of_list [ b ]
     | None -> Engine.Bug.empty_set
   in
   let r =
-    Pqs.Const_opt.sweep ~queries_per_seed ~bugs ~backend ~seed_lo:seed
+    Pqs.Const_opt.sweep ~queries_per_seed ~bugs ~seed_lo:seed
       ~seed_hi:(seed + databases - 1) dialect
   in
   Printf.printf
@@ -1023,7 +1003,7 @@ let const_opt_cmd =
           constants, the simplified variant re-executed and cross-checked")
     Term.(
       const const_opt $ dialect_arg $ seed_arg $ databases $ queries_per_seed
-      $ backend_arg $ bug)
+      $ bug)
 
 (* ---- metamorphic ---- *)
 

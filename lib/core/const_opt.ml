@@ -282,16 +282,15 @@ let directed_probes (ti : Schema_info.table_info) (row : Value.t array) :
       in
       (probe_a :: probe_c :: Option.to_list probe_b)
 
-let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set)
-    ?(backend = Engine.Exec_backend.Interpreted) ~seed_lo ~seed_hi dialect :
-    sweep_result =
+let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set) ~seed_lo
+    ~seed_hi dialect : sweep_result =
   let seeds = ref 0 and queries = ref 0 in
   let checks = ref 0 and rewrites = ref 0 in
   let divergences = ref [] in
   for seed = seed_lo to seed_hi do
     incr seeds;
     let rng = Rng.make ~seed in
-    let session = Engine.Session.create ~seed ~bugs ~backend dialect in
+    let session = Engine.Session.create ~seed ~bugs dialect in
     let gen_cfg =
       Gen_db.Config.(
         make dialect |> with_rng rng |> with_max_rows 5

@@ -64,13 +64,10 @@ type sweep_result = {
     directed constant-folding probes through the oracle's check, and
     collect every divergence.  With [bugs] empty this must return no
     divergences (the soundness gate); with one of the constant-folding
-    bugs injected it must find them.  [backend] selects the execution
-    backend (default interpreted), so the soundness gate runs against
-    both. *)
+    bugs injected it must find them. *)
 val sweep :
   ?queries_per_seed:int ->
   ?bugs:Engine.Bug.set ->
-  ?backend:Engine.Exec_backend.kind ->
   seed_lo:int ->
   seed_hi:int ->
   Dialect.t ->

@@ -11,8 +11,7 @@ type t = {
 }
 
 let synthesize ?(rectify = true) ?(target = Tvl.True)
-    ?(telemetry = Telemetry.noop)
-    ?(exec_backend = Engine.Exec_backend.Interpreted) ?shape ?pred ~rng
+    ?(telemetry = Telemetry.noop) ?shape ?pred ~rng
     ~dialect ~pivot ~case_sensitive_like ~max_depth ~check_expressions () =
   (* derived-table wrapping (FROM (SELECT * FROM t) AS t): the subquery's
      columns are untyped and binary-collated, so the pivot's column
@@ -86,7 +85,7 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
         | Tvl.False -> Rectify.rectify_to_false
         | Tvl.True | Tvl.Unknown -> Rectify.rectify
       in
-      let* c, t = rectifier ~telemetry ~backend:exec_backend env raw in
+      let* c, t = rectifier ~telemetry env raw in
       truths := t :: !truths;
       prov := (raw, t, c) :: !prov;
       Ok c

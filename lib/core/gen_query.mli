@@ -30,11 +30,6 @@ type t = {
     interpreter cannot evaluate a generated expression (the caller retries
     with a fresh expression).
 
-    [exec_backend] (default [Interpreted]) is forwarded to the rectifier:
-    under [Compiled] each condition is translated once and its
-    rectification re-check reuses the memoized evaluation
-    ({!Rectify.rectify}).
-
     [shape] (coverage-guided mode) overrides the random clause-shape
     decisions: derived-table wrapping, WHERE conjunct count, join kind,
     DISTINCT/ORDER BY/GROUP BY flags, and — when [sh_pred] is set — aims
@@ -54,7 +49,6 @@ val synthesize :
   ?rectify:bool ->
   ?target:Tvl.t ->
   ?telemetry:Telemetry.t ->
-  ?exec_backend:Engine.Exec_backend.kind ->
   ?shape:Gen_bias.shape ->
   ?pred:Rng.t * string ->
   rng:Rng.t ->

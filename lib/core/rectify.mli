@@ -11,18 +11,16 @@
     rectification-rate statistics), or an error when the oracle
     interpreter cannot evaluate [e].  With an enabled [?telemetry]
     registry the call is timed into [pqs_phase_seconds{phase="rectify"}]
-    (its interpreter calls also into [phase="interp"]), and postcondition
+    (its interpreter evaluations count there, not under
+    [phase="interp"]), and postcondition
     failures bump [pqs_rectify_postcondition_failures_total].
 
-    [backend] (default [Interpreted]) selects how the pivot containment
-    check evaluates: the tree walker re-walks the expression for the
-    postcondition re-check, while [Compiled] translates it once
-    ({!Interp.Compiled}) and derives the re-check from the memoized
-    value.  Both produce the identical rectified AST and truth value;
-    the postcondition check runs either way. *)
+    The expression is translated once ({!Interp.Compiled}); the
+    postcondition re-check — the rectified expression must evaluate to
+    the target — is derived from the memoized value instead of another
+    walk of the AST. *)
 val rectify :
   ?telemetry:Telemetry.t ->
-  ?backend:Engine.Exec_backend.kind ->
   Interp.env ->
   Sqlast.Ast.expr ->
   (Sqlast.Ast.expr * Sqlval.Tvl.t, string) result
@@ -32,7 +30,6 @@ val rectify :
     Used by the ablation experiments. *)
 val rectify_to_false :
   ?telemetry:Telemetry.t ->
-  ?backend:Engine.Exec_backend.kind ->
   Interp.env ->
   Sqlast.Ast.expr ->
   (Sqlast.Ast.expr * Sqlval.Tvl.t, string) result

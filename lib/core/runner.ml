@@ -26,9 +26,6 @@ module Config = struct
     trace_sample : int;
         (** also dump full traces of every Nth healthy round (0 = off);
             requires [bundle_dir] *)
-    backend : Engine.Exec_backend.kind;
-        (** execution backend of the campaign's test sessions; ground-truth
-            confirmation always re-runs on the interpreted reference *)
     guided : bool;
         (** coverage-guided generation: bias query shapes toward the cold
             points of the accumulated frontier *)
@@ -40,8 +37,7 @@ module Config = struct
       ?(verify_ground_truth = true) ?(rectify = true) ?coverage
       ?(check_non_containment = true) ?(oracles = Oracle.defaults)
       ?(telemetry = Telemetry.noop) ?(trace = false) ?(trace_capacity = 1024)
-      ?bundle_dir ?(trace_sample = 0)
-      ?(backend = Engine.Exec_backend.Interpreted) ?(guided = false) dialect =
+      ?bundle_dir ?(trace_sample = 0) ?(guided = false) dialect =
     {
       dialect;
       bugs;
@@ -63,13 +59,10 @@ module Config = struct
       trace_capacity;
       bundle_dir;
       trace_sample;
-      backend;
       guided;
     }
 
-  let with_seed seed t = { t with seed }
   let with_guided guided t = { t with guided }
-  let with_backend backend t = { t with backend }
   let with_oracles oracles t = { t with oracles }
   let with_coverage coverage t = { t with coverage }
   let with_telemetry telemetry t = { t with telemetry }
@@ -171,8 +164,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
   Trace.begin_round recorder ~seed:db_seed ~dialect:config.dialect;
   let session =
     Engine.Session.create ~seed:db_seed ~bugs:config.bugs
-      ?coverage:config.coverage ~telemetry:tele ~recorder
-      ~backend:config.backend config.dialect
+      ?coverage:config.coverage ~telemetry:tele ~recorder config.dialect
   in
   let ctx =
     {
@@ -511,8 +503,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                           else
                             match
                               Gen_query.synthesize ~rectify:config.rectify
-                                ~target ~telemetry:tele
-                                ~exec_backend:config.backend ?shape:qshape
+                                ~target ~telemetry:tele ?shape:qshape
                                 ?pred:qpred ~rng:qrng
                                 ~dialect:config.dialect ~pivot:qpivot
                                 ~case_sensitive_like:csl
@@ -786,21 +777,3 @@ let run ?(stop_on_first = false) ~max_queries config =
 let hunt config ~max_queries =
   let stats = run ~stop_on_first:true ~max_queries config in
   match stats.Stats.reports with r :: _ -> Some r | [] -> None
-
-(* ------------------------------------------------------------------ *)
-(* Parallel hunting (paper Section 3.4: one worker per database)       *)
-
-let run_parallel ?(stop_on_first = false) ~workers ~max_queries config =
-  let workers = max 1 workers in
-  let per_worker = max 1 (max_queries / workers) in
-  let domains =
-    List.init workers (fun i ->
-        Domain.spawn (fun () ->
-            (* each worker gets its own seed stream and databases, like the
-               paper's thread-per-database parallelization *)
-            let config =
-              Config.with_seed (config.Config.seed + (i * 104729)) config
-            in
-            run ~stop_on_first ~max_queries:per_worker config))
-  in
-  Stats.merge_all (List.map Domain.join domains)

@@ -59,13 +59,6 @@ module Config : sig
         (** with [bundle_dir]: also write [round-<seed>-trace.json] for
             every Nth healthy round (0 = off) — baseline traces to compare
             failing rounds against *)
-    backend : Engine.Exec_backend.kind;
-        (** execution backend of the campaign's test sessions (default
-            [Interpreted]); also forwarded to the rectifier, so under
-            [Compiled] pivot containment checks compile each condition
-            once.  Ground-truth confirmation always re-runs findings on
-            the interpreted reference engine, keeping the two backends
-            mutually checking. *)
     guided : bool;
         (** coverage-guided generation: each pivot's queries aim at a cold
             point of the accumulated frontier ({!Gen_bias.plan}) instead of
@@ -94,19 +87,12 @@ module Config : sig
     ?trace_capacity:int ->
     ?bundle_dir:string ->
     ?trace_sample:int ->
-    ?backend:Engine.Exec_backend.kind ->
     ?guided:bool ->
     Sqlval.Dialect.t ->
     t
 
-  (** Rebind the base seed (e.g. per worker). *)
-  val with_seed : int -> t -> t
-
   (** Toggle coverage-guided generation. *)
   val with_guided : bool -> t -> t
-
-  (** Select the execution backend. *)
-  val with_backend : Engine.Exec_backend.kind -> t -> t
 
   (** Swap the oracle set. *)
   val with_oracles : Oracle.t list -> t -> t
@@ -168,11 +154,3 @@ val run : ?stop_on_first:bool -> max_queries:int -> config -> Stats.t
 (** Convenience for the evaluation: hunt for the first finding within a
     query budget. *)
 val hunt : config -> max_queries:int -> Bug_report.t option
-
-(** Budget-splitting parallel variant of {!run}: [workers] domains, each
-    hunting on its own databases with an independent seed stream.  Results
-    are merged with {!Stats.merge} in worker order (deterministic).  For
-    seed-range sharding with per-seed accounting and traces, prefer
-    {!Campaign.run}. *)
-val run_parallel :
-  ?stop_on_first:bool -> workers:int -> max_queries:int -> config -> Stats.t

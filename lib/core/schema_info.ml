@@ -63,7 +63,7 @@ let views_of_session session =
       | Some v -> (
           (* derive output column names by running the view query *)
           match
-            Engine.Executor.run_query
+            Engine.Compile.run_query
               (Engine.Session.ctx session)
               v.Storage.Catalog.view_query
           with
@@ -101,7 +101,7 @@ let view_pivot_sources session =
       | None -> None
       | Some v -> (
           match
-            Engine.Executor.run_query
+            Engine.Compile.run_query
               (Engine.Session.ctx session)
               v.Storage.Catalog.view_query
           with

@@ -1,31 +1,21 @@
-(* The compiled execution backend: queries become OCaml closures.
+(* The query executor: queries become OCaml closures.
 
-   A supported query is translated once into a tree of closures over a
-   mutable current-row slot, then the operator pipeline (scan, filter,
-   project, sort, distinct, limit) drives those closures over fixed-size
-   row blocks instead of re-walking the expression AST per row.  All
-   value-level semantics — every dialect quirk and injected bug — come
-   from Eval's shared operator bodies, so the compiled backend detects
-   exactly the bugs the interpreter does; the closures only replicate
-   the interpreter's control flow (evaluation order, short circuits,
-   coverage points) and pre-resolve what is static (column slots,
-   dialect checks, structural bug folds).
-
-   Shapes outside the compiler's reach (views, aggregation) delegate to
-   Executor.run_query, so the backend is total and never changes
-   observable behaviour — only how fast it happens. *)
+   A query is translated once into a tree of closures over a mutable
+   current-row slot, then the operator pipeline (scan, filter, project,
+   aggregate, distinct, sort, limit) drives those closures over
+   fixed-size row blocks instead of re-walking the expression AST per
+   row.  All value-level semantics — every dialect quirk and injected
+   bug — come from Eval's shared operator bodies; the closures follow
+   Eval.eval's control flow (evaluation order, short circuits, coverage
+   points) and pre-resolve what is static (column slots, dialect checks,
+   structural bug folds). *)
 
 open Sqlval
 module A = Sqlast.Ast
 
 let ( let* ) = Result.bind
-
-(* Rows per operator block.  Small enough to stay cache-resident over
-   the widest generated tables, large enough to amortize the per-block
-   bookkeeping. *)
-let block_size = 64
-
-let batches_of n = Stdlib.max 1 ((n + block_size - 1) / block_size)
+let block_size = Executor.block_size
+let batches_of = Executor.batches_of
 
 (* ------------------------------------------------------------------ *)
 (* Compilation environment                                             *)
@@ -34,61 +24,17 @@ let batches_of n = Stdlib.max 1 ((n + block_size - 1) / block_size)
    [cur].  Compilation resolves column references to value-array slots
    up front; the closures share one Eval.env whose resolver reads the
    current row, so Eval's metadata-driven helpers (collation, affinity,
-   LIKE column checks) see exactly what the interpreter's per-tuple
-   environment shows them. *)
+   LIKE column checks) see the current tuple's column metadata. *)
 type thunk = unit -> (Value.t, Errors.t) result
 
 (* The row under evaluation is a tuple: one value array per FROM-clause
-   binding, in binding order — the compiled mirror of the interpreter's
-   [Executor.binding list] tuples, with the (identical-per-source)
-   metadata hoisted out into the static [layout]. *)
+   binding, in binding order, with the (identical-per-source) metadata
+   hoisted out into the static [layout]. *)
 type cenv = {
   env : Eval.env;
   layout : Executor.binding list;  (* null-valued; static metadata *)
   cur : Value.t array array ref;  (* per-binding values of the tuple *)
 }
-
-(* Slot resolution replicates Executor.resolve_in (same lookup rules,
-   same error messages) but yields binding and column indices instead of
-   a value. *)
-let resolve_slot (bindings : Executor.binding list) ~table ~column :
-    (int * int * Datatype.t * Collation.t, Errors.t) result =
-  let col = String.lowercase_ascii column in
-  let lookup bi (b : Executor.binding) =
-    let rec go i =
-      if i >= Array.length b.Executor.b_columns then None
-      else
-        let name, dt, coll = b.Executor.b_columns.(i) in
-        if name = col then Some (bi, i, dt, coll) else go (i + 1)
-    in
-    go 0
-  in
-  match table with
-  | Some t -> (
-      let t = String.lowercase_ascii t in
-      let rec find bi = function
-        | [] -> None
-        | b :: rest ->
-            if b.Executor.b_alias = t then Some (bi, b) else find (bi + 1) rest
-      in
-      match find 0 bindings with
-      | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
-      | Some (bi, b) -> (
-          match lookup bi b with
-          | Some r -> Ok r
-          | None ->
-              Error
-                (Errors.makef Errors.No_such_column "no such column: %s.%s" t
-                   column)))
-  | None -> (
-      match List.filter_map Fun.id (List.mapi lookup bindings) with
-      | [ r ] -> Ok r
-      | [] ->
-          Error (Errors.makef Errors.No_such_column "no such column: %s" column)
-      | _ :: _ ->
-          Error
-            (Errors.makef Errors.Ambiguous_column "ambiguous column name: %s"
-               column))
 
 let null_values_of (b : Executor.binding) =
   Array.map (fun _ -> Value.Null) b.Executor.b_values
@@ -102,7 +48,7 @@ let make_cenv ctx (layout : Executor.binding list) : cenv =
     match Hashtbl.find_opt cache (table, column) with
     | Some r -> r
     | None ->
-        let r = resolve_slot layout ~table ~column in
+        let r = Executor.resolve_slot layout ~table ~column in
         Hashtbl.add cache (table, column) r;
         r
   in
@@ -137,7 +83,7 @@ let rec compile_expr (c : cenv) (e : A.expr) : thunk =
   match e with
   | A.Lit v -> fun () -> Ok v
   | A.Col { table; column } -> (
-      match resolve_slot c.layout ~table ~column with
+      match Executor.resolve_slot c.layout ~table ~column with
       | Ok (bi, i, _, _) ->
           let cur = c.cur in
           fun () -> Ok (!cur).(bi).(i)
@@ -155,7 +101,7 @@ let rec compile_expr (c : cenv) (e : A.expr) : thunk =
         when Dialect.equal dialect Dialect.Mysql_like
              && Bug.on env.Eval.bugs Bug.My_double_negation_fold ->
           (* mysql Listing 13 class: NOT(NOT x) folded away; the inner
-             NOT's coverage point is skipped, like the interpreter *)
+             NOT's coverage point is skipped, like Eval *)
           let cg = compile_expr c grandchild in
           fun () ->
             cov env "unop.not";
@@ -362,8 +308,7 @@ and compile_binary c op a b : thunk =
          && Dialect.equal dialect Dialect.Sqlite_like
          && Bug.on env.Eval.bugs Bug.Sq_fold_null_and ->
       (* constant folder rewrites `NULL AND x` to NULL without checking
-         whether x is FALSE; operand thunks are skipped, like the
-         interpreter *)
+         whether x is FALSE; operand thunks are skipped, like Eval *)
       fun () ->
         cov env "binop.and";
         Ok (Eval.bool_value dialect Tvl.Unknown)
@@ -389,7 +334,7 @@ and compile_binary c op a b : thunk =
           Ok (Eval.bool_value dialect (Tvl.or_ ta tb))
   | A.Concat when Dialect.equal dialect Dialect.Mysql_like ->
       (* mysql: || is logical OR by default; both coverage points fire,
-         like the interpreter's delegation *)
+         like Eval's delegation *)
       let c_or = compile_binary c A.Or a b in
       fun () ->
         cov env "binop.concat";
@@ -515,6 +460,7 @@ and compile_is c ~negated arg rhs : thunk =
           let* t = Eval.value_tvl env r in
           Eval.is_finish env ~negated (Tvl.not_ t)
 
+
 (* ------------------------------------------------------------------ *)
 (* Projection                                                          *)
 
@@ -563,29 +509,11 @@ let project (tuple : Value.t array array) projs :
   in
   go [] projs
 
-(* ------------------------------------------------------------------ *)
-(* Supported shapes                                                    *)
-
-(* Everything except aggregation (GROUP BY / aggregate items / aggregate
-   HAVING) and view expansion compiles; both fall back.  An [F_table]
-   naming neither a table nor anything also falls back, so the "no such
-   table" error comes from the one interpreted code path. *)
-let rec query_supported ctx = function
-  | A.Q_values _ -> true
-  | A.Q_compound (_, qa, qb) ->
-      query_supported ctx qa && query_supported ctx qb
-  | A.Q_select s -> select_supported ctx s
-
-and select_supported ctx (s : A.select) =
-  (not (Executor.select_has_agg s))
-  && List.for_all (from_item_supported ctx) s.A.sel_from
-
-and from_item_supported ctx = function
-  | A.F_table { name; _ } ->
-      Option.is_some (Storage.Catalog.find_table ctx.Executor.catalog name)
-  | A.F_sub { sub; _ } -> query_supported ctx sub
-  | A.F_join { left; right; _ } ->
-      from_item_supported ctx left && from_item_supported ctx right
+let rec eval_all acc = function
+  | [] -> Ok (List.rev acc)
+  | (t : thunk) :: rest ->
+      let* v = t () in
+      eval_all (v :: acc) rest
 
 (* ------------------------------------------------------------------ *)
 (* The batched pipeline                                                *)
@@ -640,14 +568,121 @@ let filter_rows ctx (c : cenv) pred (rows : Value.t array array array) :
               ~batches:(Stdlib.max 1 !batches) ~t0:filter_t0 ();
           Ok filtered)
 
+(* GROUP BY / aggregate items / HAVING over the filtered tuples, through
+   Executor's aggregation operator.  Group keys and aggregate arguments
+   run as closures compiled once per expression; each group's HAVING,
+   items and ORDER BY keys are compiled after its aggregates are
+   substituted by their values, and evaluated against the group's first
+   tuple.  The implicit single group over no rows has no representative
+   tuple, so its column references fail to resolve. *)
+let aggregate ctx (c : cenv) (s : A.select) filtered :
+    ((Value.t array * Value.t list) list, Errors.t) result =
+  cov_ctx ctx "exec.group_by";
+  let agg_t0 = Executor.op_clock ctx in
+  let compiled = ref [] in
+  let eval tuple e =
+    let t =
+      match List.assq_opt e !compiled with
+      | Some t -> t
+      | None ->
+          let t = compile_expr c e in
+          compiled := (e, t) :: !compiled;
+          t
+    in
+    c.cur := tuple;
+    t ()
+  in
+  let substitute group e = Executor.substitute_aggs ctx ~eval group e in
+  let* groups = Executor.group_tuples ctx ~eval s filtered in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | group :: rest ->
+        let gc, rep =
+          match group with
+          | t :: _ -> (c, t)
+          | [] -> (make_cenv ctx [], [||])
+        in
+        let at_rep e =
+          let t = compile_expr gc e in
+          gc.cur := rep;
+          t ()
+        in
+        let* keep =
+          match s.A.sel_having with
+          | None -> Ok true
+          | Some h ->
+              cov_ctx ctx "exec.having";
+              let* h' = substitute group h in
+              let* v = at_rep h' in
+              let* t = Eval.value_tvl gc.env v in
+              Ok (Tvl.equal t Tvl.True)
+        in
+        if not keep then go acc rest
+        else
+          let* items =
+            let rec sub acc = function
+              | [] -> Ok (List.rev acc)
+              | A.Sel_expr (e, a) :: more ->
+                  let* e' = substitute group e in
+                  sub (A.Sel_expr (e', a) :: acc) more
+              | it :: more -> sub (it :: acc) more
+            in
+            sub [] s.A.sel_items
+          in
+          let projs = compile_items gc items in
+          gc.cur := rep;
+          let* row = project rep projs in
+          let* keys =
+            let rec keys acc = function
+              | [] -> Ok (List.rev acc)
+              | (e, _) :: more ->
+                  let* e' = substitute group e in
+                  let* v = at_rep e' in
+                  keys (v :: acc) more
+            in
+            keys [] s.A.sel_order_by
+          in
+          go ((row, keys) :: acc) rest
+  in
+  let* out = go [] groups in
+  if Executor.tracing ctx then
+    Executor.op_event ctx ~op:"AGGREGATE"
+      ~detail:(if s.A.sel_group_by = [] then "" else "GROUP BY")
+      ~rows_in:(List.length filtered) ~rows_out:(List.length out)
+      ~batches:(batches_of (List.length filtered))
+      ~t0:agg_t0 ();
+  Ok out
+
+(* A derived row source (view or FROM subquery): one binding whose
+   columns are untyped and binary-collated. *)
+let derived_source ~alias columns rows =
+  let columns =
+    Array.of_list
+      (List.map
+         (fun cname ->
+           (String.lowercase_ascii cname, Datatype.Any, Collation.Binary))
+         columns)
+  in
+  {
+    src_layout =
+      [
+        {
+          Executor.b_alias = String.lowercase_ascii alias;
+          b_columns = columns;
+          b_values = Array.map (fun _ -> Value.Null) columns;
+        };
+      ];
+    src_tuples = List.map (fun row -> [| row |]) rows;
+  }
+
 (* One compiled-and-executed SELECT. *)
 let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
   let where = s.A.sel_where in
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
-       DISTINCT/ORDER BY/LIMIT do not apply, like the interpreter *)
+       DISTINCT/ORDER BY/LIMIT do not apply *)
     let c = make_cenv ctx [] in
-    let* columns = Executor.output_columns ctx [] s.A.sel_items in
+    let* columns = Executor.output_columns [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
     let* row = project [||] projs in
     let* rows =
@@ -693,9 +728,9 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
         distinct = s.A.sel_distinct;
       }
     in
-    (* FROM: materialize each comma item, then the cross product, in
-       the interpreter's order (scans and their flight-recorder events
-       happen in textual order even under a forced join swap) *)
+    (* FROM: materialize each comma item, then the cross product (scans
+       and their flight-recorder events happen in textual order even
+       under a forced join swap) *)
     let* sources =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
@@ -762,9 +797,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
               let rows = List.rev !acc in
               if Executor.tracing ctx then
                 Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
-                  ~rows_out:(List.length rows)
-                  ~batches:
-                    (Stdlib.max 1 ((n + block_size - 1) / block_size))
+                  ~rows_out:(List.length rows) ~batches:(batches_of n)
                   ~t0:filter_t0 ();
               Ok (rows, n > 0))
       | _ ->
@@ -795,28 +828,24 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
        the FROM produced tuples, nothing when it was empty (observable:
        [*] over an empty product has no columns) *)
     let sample = if product_nonempty then c.layout else [] in
-    let* columns = Executor.output_columns ctx sample s.A.sel_items in
-    (* projection + ORDER BY keys, block at a time *)
-    let projs = compile_items c s.A.sel_items in
-    let order_thunks =
-      List.map (fun (e, _) -> compile_expr c e) s.A.sel_order_by
-    in
+    let* columns = Executor.output_columns sample s.A.sel_items in
+    (* projection + ORDER BY keys, or the aggregation operator *)
     let* out_rows_with_keys =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | values :: rest ->
-            c.cur := values;
-            let* row = project values projs in
-            let rec keys acc' = function
-              | [] -> Ok (List.rev acc')
-              | t :: more ->
-                  let* v = t () in
-                  keys (v :: acc') more
-            in
-            let* ks = keys [] order_thunks in
-            go ((row, ks) :: acc) rest
-      in
-      go [] filtered
+      if Executor.select_has_agg s then aggregate ctx c s filtered
+      else
+        let projs = compile_items c s.A.sel_items in
+        let order_thunks =
+          List.map (fun (e, _) -> compile_expr c e) s.A.sel_order_by
+        in
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | values :: rest ->
+              c.cur := values;
+              let* row = project values projs in
+              let* ks = eval_all [] order_thunks in
+              go ((row, ks) :: acc) rest
+        in
+        go [] filtered
     in
     (* DISTINCT *)
     let out_rows_with_keys =
@@ -826,16 +855,9 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
         let n_in =
           if Executor.tracing ctx then List.length out_rows_with_keys else 0
         in
-        let seen = Hashtbl.create 16 in
         let deduped =
-          List.filter
-            (fun (row, _) ->
-              let k = Executor.row_key row in
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.replace seen k ();
-                true
-              end)
+          Executor.dedup_by
+            ~key:(fun (row, _) -> Executor.row_key row)
             out_rows_with_keys
         in
         if Executor.tracing ctx then
@@ -855,9 +877,8 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
       else begin
         cov_ctx ctx "exec.order_by";
         let sort_t0 = Executor.op_clock ctx in
-        (* per-key collations from the static layout env: identical to
-           the interpreter's sample tuple whenever any row exists, and
-           irrelevant when none does *)
+        (* sort keys are compared under each ORDER BY expression's
+           collation (explicit COLLATE or the column's), like sqlite *)
         let dirs_and_colls =
           List.map
             (fun (e, dir) ->
@@ -927,120 +948,106 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
 (* Queries                                                             *)
 
 and run_query ctx (q : A.query) : (Executor.result_set, Errors.t) result =
-  (* corruption gates every read, like the interpreter *)
+  (* corruption gates every read (paper: 'malformed database' is always an
+     unexpected error) *)
   match Storage.Catalog.corruption ctx.Executor.catalog with
   | Some msg -> Error (Errors.make Errors.Malformed_database msg)
-  | None ->
-      if not (query_supported ctx q) then Executor.run_query ctx q
-      else run_supported ctx q
+  | None -> (
+      match q with
+      | A.Q_select s -> run_select ctx s
+      | A.Q_values rows ->
+          cov_ctx ctx "exec.values";
+          let c = make_cenv ctx [] in
+          let rec go acc = function
+            | [] -> Ok (List.rev acc)
+            | row :: rest ->
+                let* r = eval_all [] (List.map (compile_expr c) row) in
+                go (Array.of_list r :: acc) rest
+          in
+          let* rows = go [] rows in
+          let width = match rows with r :: _ -> Array.length r | [] -> 0 in
+          let columns =
+            List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
+          in
+          Ok { Executor.rs_columns = columns; rs_rows = rows }
+      | A.Q_compound (op, qa, qb) -> run_compound ctx op qa qb)
 
-and run_supported ctx (q : A.query) =
-  match q with
-  | A.Q_select s -> run_select ctx s
-  | A.Q_values rows ->
-      cov_ctx ctx "exec.values";
-      let c = make_cenv ctx [] in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | row :: rest ->
-            let thunks = List.map (compile_expr c) row in
-            let rec vals acc' = function
-              | [] -> Ok (Array.of_list (List.rev acc'))
-              | t :: more ->
-                  let* v = t () in
-                  vals (v :: acc') more
-            in
-            let* r = vals [] thunks in
-            go (r :: acc) rest
-      in
-      let* rows = go [] rows in
-      let width = match rows with r :: _ -> Array.length r | [] -> 0 in
-      let columns =
-        List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
-      in
-      Ok { Executor.rs_columns = columns; rs_rows = rows }
-  | A.Q_compound (op, qa, qb) ->
-      (match op with
-      | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
-      | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
-      | A.Except -> cov_ctx ctx "exec.compound_except");
-      let* ra = run_query ctx qa in
-      let* rb = run_query ctx qb in
-      let compound_t0 = Executor.op_clock ctx in
-      let wa = List.length ra.Executor.rs_columns
-      and wb = List.length rb.Executor.rs_columns in
-      if wa <> wb then
-        Error
-          (Errors.make Errors.Syntax_error
-             "SELECTs to the left and right of a compound operator do \
-              not have the same number of result columns")
-      else
-        let keyset rows =
-          let t = Hashtbl.create 16 in
-          List.iter
-            (fun r -> Hashtbl.replace t (Executor.row_key r) ())
-            rows;
-          t
-        in
-        let rows =
-          match op with
-          | A.Union ->
-              Executor.dedup_rows
-                (ra.Executor.rs_rows @ rb.Executor.rs_rows)
-          | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
-          | A.Intersect ->
-              (* left-driven: a left row is in the output iff its key
-                 appears anywhere on the right, so hash the (typically
-                 tiny — the containment check's VALUES side) left and
-                 stop scanning the right once every left key has been
-                 seen *)
-              let want = keyset ra.Executor.rs_rows in
-              let missing = ref (Hashtbl.length want) in
-              let found = Hashtbl.create 16 in
-              let rec scan = function
-                | [] -> ()
-                | r :: rest ->
-                    if !missing > 0 then begin
-                      let k = Executor.row_key r in
-                      (if Hashtbl.mem want k && not (Hashtbl.mem found k)
-                       then begin
-                         Hashtbl.replace found k ();
-                         decr missing
-                       end);
-                      scan rest
-                    end
-              in
-              scan rb.Executor.rs_rows;
-              Executor.dedup_rows
-                (List.filter
-                   (fun r -> Hashtbl.mem found (Executor.row_key r))
-                   ra.Executor.rs_rows)
-          | A.Except ->
-              let inb = keyset rb.Executor.rs_rows in
-              Executor.dedup_rows
-                (List.filter
-                   (fun r -> not (Hashtbl.mem inb (Executor.row_key r)))
-                   ra.Executor.rs_rows)
-        in
-        let n_in =
-          List.length ra.Executor.rs_rows + List.length rb.Executor.rs_rows
-        in
-        if Executor.tracing ctx then
-          Executor.op_event ctx ~op:"COMPOUND"
-            ~detail:
-              (match op with
-              | A.Union -> "UNION"
-              | A.Union_all -> "UNION ALL"
-              | A.Intersect -> "INTERSECT"
-              | A.Except -> "EXCEPT")
-            ~rows_in:n_in ~rows_out:(List.length rows)
-            ~batches:(batches_of n_in) ~t0:compound_t0 ();
-        Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows }
+and run_compound ctx op qa qb =
+  (match op with
+  | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
+  | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
+  | A.Except -> cov_ctx ctx "exec.compound_except");
+  let* ra = run_query ctx qa in
+  let* rb = run_query ctx qb in
+  let compound_t0 = Executor.op_clock ctx in
+  let wa = List.length ra.Executor.rs_columns
+  and wb = List.length rb.Executor.rs_columns in
+  if wa <> wb then
+    Error
+      (Errors.make Errors.Syntax_error
+         "SELECTs to the left and right of a compound operator do not have \
+          the same number of result columns")
+  else
+    let keyset rows =
+      let t = Hashtbl.create 16 in
+      List.iter (fun r -> Hashtbl.replace t (Executor.row_key r) ()) rows;
+      t
+    in
+    let rows =
+      match op with
+      | A.Union ->
+          Executor.dedup_rows (ra.Executor.rs_rows @ rb.Executor.rs_rows)
+      | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
+      | A.Intersect ->
+          (* left-driven: a left row is in the output iff its key appears
+             anywhere on the right, so hash the (typically tiny — the
+             containment check's VALUES side) left and stop scanning the
+             right once every left key has been seen *)
+          let want = keyset ra.Executor.rs_rows in
+          let missing = ref (Hashtbl.length want) in
+          let found = Hashtbl.create 16 in
+          let rec scan = function
+            | [] -> ()
+            | r :: rest ->
+                if !missing > 0 then begin
+                  let k = Executor.row_key r in
+                  (if Hashtbl.mem want k && not (Hashtbl.mem found k) then begin
+                     Hashtbl.replace found k ();
+                     decr missing
+                   end);
+                  scan rest
+                end
+          in
+          scan rb.Executor.rs_rows;
+          Executor.dedup_rows
+            (List.filter
+               (fun r -> Hashtbl.mem found (Executor.row_key r))
+               ra.Executor.rs_rows)
+      | A.Except ->
+          let inb = keyset rb.Executor.rs_rows in
+          Executor.dedup_rows
+            (List.filter
+               (fun r -> not (Hashtbl.mem inb (Executor.row_key r)))
+               ra.Executor.rs_rows)
+    in
+    let n_in =
+      List.length ra.Executor.rs_rows + List.length rb.Executor.rs_rows
+    in
+    if Executor.tracing ctx then
+      Executor.op_event ctx ~op:"COMPOUND"
+        ~detail:
+          (match op with
+          | A.Union -> "UNION"
+          | A.Union_all -> "UNION ALL"
+          | A.Intersect -> "INTERSECT"
+          | A.Except -> "EXCEPT")
+        ~rows_in:n_in ~rows_out:(List.length rows) ~batches:(batches_of n_in)
+        ~t0:compound_t0 ();
+    Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows }
 
-(* One FROM item, materialized: the compiled mirror of the interpreter's
-   from_tuples — identical coverage points, operator events, scan-site
-   bug behaviour and error order, with the join's ON predicate compiled
-   once against the combined layout instead of re-walked per pair. *)
+(* One FROM item, materialized: scan-site bug behaviour and access paths
+   come from Executor.scan_rows; the join's ON predicate is compiled once
+   against the combined layout. *)
 and materialize ctx fctx ~where (item : A.from_item) :
     (source, Errors.t) result =
   match item with
@@ -1048,9 +1055,8 @@ and materialize ctx fctx ~where (item : A.from_item) :
       let alias_name = Option.value ~default:name alias in
       match Storage.Catalog.find_table ctx.Executor.catalog name with
       | Some ts ->
-          let* rows, _used_skip_scan =
-            Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name
-              ~block_size ts
+          let* rows =
+            Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
           in
           let schema = ts.Storage.Catalog.schema in
           let layout =
@@ -1067,38 +1073,50 @@ and materialize ctx fctx ~where (item : A.from_item) :
               src_tuples =
                 List.map (fun (r, _) -> [| r.Storage.Row.values |]) rows;
             }
-      | None -> assert false (* query_supported: views fall back *))
+      | None -> (
+          match Storage.Catalog.find_view ctx.Executor.catalog name with
+          | Some v ->
+              cov_ctx ctx "exec.view_expand";
+              let view_t0 = Executor.op_clock ctx in
+              let* rs = run_query ctx v.Storage.Catalog.view_query in
+              let rows =
+                (* injected: WHERE pushdown into a DISTINCT view drops the
+                   last row *)
+                let is_distinct_view =
+                  match v.Storage.Catalog.view_query with
+                  | A.Q_select s -> s.A.sel_distinct
+                  | _ -> false
+                in
+                if
+                  is_distinct_view && where <> None
+                  && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+                  && Bug.on ctx.Executor.bugs Bug.Sq_view_distinct_pushdown
+                then
+                  match List.rev rs.Executor.rs_rows with
+                  | [] -> []
+                  | _ :: rest -> List.rev rest
+                else rs.Executor.rs_rows
+              in
+              if Executor.tracing ctx then
+                Executor.op_event ctx ~op:"VIEW" ~detail:alias_name
+                  ~rows_in:(List.length rs.Executor.rs_rows)
+                  ~rows_out:(List.length rows)
+                  ~batches:(batches_of (List.length rows))
+                  ~t0:view_t0 ();
+              Ok (derived_source ~alias:alias_name rs.Executor.rs_columns rows)
+          | None ->
+              Error
+                (Errors.makef Errors.No_such_table "no such table: %s" name)))
   | A.F_sub { sub; alias } ->
-      (* derived table, materialized through the compiled pipeline;
-         columns are untyped and binary-collated, like the interpreter *)
+      (* derived table: materialize the subquery *)
       cov_ctx ctx "exec.subquery";
       let sub_t0 = Executor.op_clock ctx in
       let* rs = run_query ctx sub in
-      let columns =
-        Array.of_list
-          (List.map
-             (fun cname ->
-               (String.lowercase_ascii cname, Datatype.Any, Collation.Binary))
-             rs.Executor.rs_columns)
-      in
-      let layout =
-        [
-          {
-            Executor.b_alias = String.lowercase_ascii alias;
-            b_columns = columns;
-            b_values = Array.map (fun _ -> Value.Null) columns;
-          };
-        ]
-      in
       (if Executor.tracing ctx then
          let n = List.length rs.Executor.rs_rows in
          Executor.op_event ctx ~op:"SUBQUERY" ~detail:alias ~rows_in:n
            ~rows_out:n ~batches:(batches_of n) ~t0:sub_t0 ());
-      Ok
-        {
-          src_layout = layout;
-          src_tuples = List.map (fun row -> [| row |]) rs.Executor.rs_rows;
-        }
+      Ok (derived_source ~alias rs.Executor.rs_columns rs.Executor.rs_rows)
   | A.F_join { kind; left; right; on } ->
       (match kind with
       | A.Inner -> cov_ctx ctx "exec.join_inner"
@@ -1112,7 +1130,7 @@ and materialize ctx fctx ~where (item : A.from_item) :
    compiled once against [left @ right] and evaluated against a scratch
    tuple whose halves are refreshed by the loops; everything observable
    (coverage, evaluation order, LEFT null extension, the forced join
-   swap, the JOIN event's row counts) matches the interpreter. *)
+   swap, the JOIN event's row counts) matches a row-at-a-time loop. *)
 and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     (source, Errors.t) result =
   let join_t0 = Executor.op_clock ctx in
@@ -1141,7 +1159,7 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
   (* the NULL-padded right extension for unmatched LEFT rows: shaped
      like the first right tuple, or built from the schemas when the
      right side is empty — where a derived table contributes nothing,
-     exactly like the interpreter's null_shape, so the layout shrinks *)
+     so the layout shrinks *)
   let rec null_shape item =
     match item with
     | A.F_table { name; alias } -> (

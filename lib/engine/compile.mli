@@ -1,30 +1,19 @@
-(** The compiled execution backend.
+(** The query executor.
 
     Translates a planned query into OCaml closures over a mutable
     current-row environment (column references become array-slot reads
     resolved at compile time) and drives the operator pipeline — scan,
-    filter, project, distinct, sort, limit — over fixed-size row blocks
-    instead of walking the expression AST once per row.
+    filter, project, aggregate, distinct, sort, limit — over fixed-size
+    row blocks instead of walking the expression AST once per row.
 
     Value-level semantics are not duplicated: closures call the operator
     bodies exported by {!Eval}, so every dialect quirk and injected bug
-    behaves identically under both backends, and the two produce the
-    same result multisets, the same errors, the same coverage points in
-    the same order, and the same flight-recorder operator stream (the
-    compiled backend additionally reports non-zero [batches] counts).
-
-    Joins (nested loops with the ON predicate compiled once against the
-    combined binding layout), comma-FROM cross products and derived
-    tables all compile; query shapes outside the compiler (views,
-    aggregation) fall back to {!Executor.run_query}, so this entry
-    point is total over the query AST. *)
-
-(** Rows per operator block. *)
-val block_size : int
-
-(** Can this query be compiled, or would {!run_query} fall back to the
-    interpreter?  Exposed for tests and EXPLAIN annotations. *)
-val query_supported : Executor.ctx -> Sqlast.Ast.query -> bool
+    lives in one place.  Joins (nested loops with the ON predicate
+    compiled once against the combined binding layout), comma-FROM cross
+    products, derived tables, view expansion and aggregation (through
+    {!Executor.group_tuples} and {!Executor.substitute_aggs}) all
+    compile, so {!run_query} is total over the query AST.  Operators
+    work in {!Executor.block_size}-row blocks. *)
 
 val run_query :
   Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result

@@ -422,8 +422,9 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       then new_name
                       else pk)
                     schema.Storage.Schema.primary_key;
-                (* rewrite index definitions; the injected Listing 8 defect
-                   leaves expression indexes pointing at the old name *)
+                (* rewrite index definitions and partial-index predicates;
+                   the injected Listing 8 defect leaves expression indexes
+                   pointing at the old name *)
                 let rename_expr e =
                   A.map_expr
                     (fun node ->
@@ -451,9 +452,10 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                             { ic with A.ic_expr = rename_expr ic.A.ic_expr })
                           ix.Storage.Index.definition
                       in
-                      (* mutate in place via functional update trick: the
-                         record fields are immutable, so rebuild the index *)
-                      let ix' = { ix with Storage.Index.definition } in
+                      let where = Option.map rename_expr ix.Storage.Index.where in
+                      (* the record fields are immutable, so rebuild the
+                         index *)
+                      let ix' = { ix with Storage.Index.definition; where } in
                       catalog.Storage.Catalog.indexes <-
                         List.map
                           (fun (k, v) ->
@@ -646,7 +648,7 @@ let create_view ctx name query =
   then Error (err Errors.Object_exists "view %s already exists" name)
   else
     (* validate by running once *)
-    let* _rs = Executor.run_query ctx query in
+    let* _rs = Compile.run_query ctx query in
     Storage.Catalog.add_view catalog
       { Storage.Catalog.view_name = name; view_query = query };
     Ok ()

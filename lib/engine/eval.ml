@@ -117,7 +117,8 @@ let adjust_text v =
 
 (* The affinity decision only reads operand metadata, so it can be taken
    once per (expression pair, binding layout) and reused per row — the
-   compiled backend does exactly that via the [*_prep] entry points. *)
+   query executor (Engine.Compile) does exactly that via the [*_prep]
+   entry points. *)
 let sqlite_affinity_prep env ea eb : (Value.t -> Value.t) * (Value.t -> Value.t)
     =
   if bug env Bug.Sq_affinity_compare_skip then (Fun.id, Fun.id)
@@ -776,11 +777,11 @@ let apply_func env (f : A.func) (args : Value.t list) (arg_exprs : A.expr list)
 (* Value-level predicate bodies                                        *)
 
 (* The post-operand-evaluation bodies of the predicate evaluators,
-   shared verbatim by the tree-walking interpreter below and the closure
-   compiler (Engine.Compile): every dialect quirk and injected bug that
-   depends only on operand *values* (plus statically resolvable column
-   metadata) lives here, so both execution backends inherit identical
-   semantics from one definition. *)
+   shared verbatim by [eval] below (DML, DDL and index maintenance) and
+   the query executor's closure compiler (Engine.Compile): every dialect
+   quirk and injected bug that depends only on operand *values* (plus
+   statically resolvable column metadata) lives here, so writes and
+   queries inherit identical semantics from one definition. *)
 
 let neg_value env (v : Value.t) : (Value.t, Errors.t) result =
   if Value.is_null v then Ok Value.Null

@@ -56,8 +56,8 @@ val explicit_collation : env -> Sqlast.Ast.expr -> Collation.t option
 (** {1 Value-level operator bodies}
 
     The post-operand-evaluation bodies of the evaluator, shared with the
-    closure compiler ({!Compile}) so both execution backends inherit one
-    definition of every dialect quirk and injected bug.  Expression
+    query executor's closure compiler ({!Compile}) so writes and queries
+    inherit one definition of every dialect quirk and injected bug.  Expression
     arguments ([ea]/[eb]/[arg]/…) are consulted only for statically
     resolvable column metadata (collation, affinity, declared width),
     never for row values. *)
@@ -78,7 +78,7 @@ val compare_op :
 (** The static slice of a comparison — collation, affinity adjustments,
     metadata-gated bug decisions — computed once from the operand
     expressions and the binding layout.  {!compare_op} is
-    [compare_apply] of [compare_prep]; the compiled backend preps at
+    [compare_apply] of [compare_prep]; the query executor preps at
     compile time and replays per row. *)
 type cmp_prep
 

@@ -121,7 +121,14 @@ let swap_join_forced ctx =
 let tracing ctx = Trace.enabled ctx.recorder
 let op_clock ctx = if tracing ctx then Telemetry.Clock.now_ns_int () else 0
 
-let op_event ctx ~op ?(detail = "") ~rows_in ~rows_out ?(batches = 0)
+(* Rows per operator block.  Small enough to stay cache-resident over
+   the widest generated tables, large enough to amortize the per-block
+   bookkeeping. *)
+let block_size = 64
+
+let batches_of n = Stdlib.max 1 ((n + block_size - 1) / block_size)
+
+let op_event ctx ~op ?(detail = "") ~rows_in ~rows_out ~batches
     ?(btree = (0, 0)) ~t0 () =
   if tracing ctx then begin
     let now = Telemetry.Clock.now_ns_int () in
@@ -217,35 +224,36 @@ let binding_of_table (schema : Storage.Schema.table) ~alias values =
     b_values = values;
   }
 
-let resolve_in (bindings : binding list) ~table ~column :
-    (Eval.resolved, Errors.t) result =
+let resolve_slot (bindings : binding list) ~table ~column :
+    (int * int * Datatype.t * Collation.t, Errors.t) result =
   let col = String.lowercase_ascii column in
-  let lookup b =
+  let lookup bi b =
     let rec go i =
       if i >= Array.length b.b_columns then None
       else
         let name, dt, coll = b.b_columns.(i) in
-        if name = col then
-          Some { Eval.value = b.b_values.(i); datatype = dt; collation = coll }
-        else go (i + 1)
+        if name = col then Some (bi, i, dt, coll) else go (i + 1)
     in
     go 0
   in
   match table with
   | Some t -> (
       let t = String.lowercase_ascii t in
-      match List.find_opt (fun b -> b.b_alias = t) bindings with
+      let rec find bi = function
+        | [] -> None
+        | b :: rest -> if b.b_alias = t then Some (bi, b) else find (bi + 1) rest
+      in
+      match find 0 bindings with
       | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
-      | Some b -> (
-          match lookup b with
+      | Some (bi, b) -> (
+          match lookup bi b with
           | Some r -> Ok r
           | None ->
               Error
                 (Errors.makef Errors.No_such_column "no such column: %s.%s" t
                    column)))
   | None -> (
-      let hits = List.filter_map lookup bindings in
-      match hits with
+      match List.filter_map Fun.id (List.mapi lookup bindings) with
       | [ r ] -> Ok r
       | [] ->
           Error (Errors.makef Errors.No_such_column "no such column: %s" column)
@@ -253,6 +261,16 @@ let resolve_in (bindings : binding list) ~table ~column :
           Error
             (Errors.makef Errors.Ambiguous_column "ambiguous column name: %s"
                column))
+
+let resolve_in (bindings : binding list) ~table ~column :
+    (Eval.resolved, Errors.t) result =
+  let* bi, i, datatype, collation = resolve_slot bindings ~table ~column in
+  Ok
+    {
+      Eval.value = (List.nth bindings bi).b_values.(i);
+      datatype;
+      collation;
+    }
 
 let eval_env ctx : Eval.env =
   {
@@ -440,21 +458,13 @@ let expr_has f e = A.fold_expr (fun acc x -> acc || f x) false e
 let has_cast = expr_has (function A.Cast _ -> true | _ -> false)
 let has_ifnull = expr_has (function A.Func (A.F_ifnull, _) -> true | _ -> false)
 
-type scanned = {
-  tuples : binding list list;
-  used_skip_scan : bool;
-}
-
-let view_columns (rs : result_set) = rs.rs_columns
-
 (* Scan one base table under [where]: injected planner/index bug gates,
    access-path choice (with forced-plan override), rowid fetch, and the
-   SCAN flight-recorder annotation.  Shared by the interpreted executor
-   below and the compiled backend (Compile), which passes [block_size]
-   so the SCAN operator reports its batch count. *)
-let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
+   SCAN flight-recorder annotation, which reports how many [block_size]
+   batches the pipeline will drive the rows through. *)
+let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
     (ts : Storage.Catalog.table_state) :
-    ((Storage.Row.t * Storage.Schema.table) list * bool, Errors.t) result =
+    ((Storage.Row.t * Storage.Schema.table) list, Errors.t) result =
   let schema = ts.Storage.Catalog.schema in
           let table_indexes =
             Storage.Catalog.indexes_on ctx.catalog
@@ -527,7 +537,7 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
             && ((bug ctx Bug.My_memory_join_cast && fctx.cond_has_cast)
                || (bug ctx Bug.My_dup_memory_join && fctx.cond_has_ifnull))
           in
-          if memory_bug then Ok ([], false)
+          if memory_bug then Ok []
           else begin
             (match schema.Storage.Schema.engine with
             | Some A.E_memory -> cov ctx "ddl.engine_memory"
@@ -556,9 +566,6 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
                 in
                 Telemetry.inc_handle ctx.profile.p_plan.(plan_index path);
                 path
-            in
-            let used_skip_scan =
-              match path with Planner.Skip_scan _ -> true | _ -> false
             in
             let shown_path =
               if tracing ctx then
@@ -608,235 +615,103 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name ?block_size
             if tracing ctx then begin
               let b1 = path_btree_profile path in
               let n_out = List.length rows in
-              let batches =
-                match block_size with
-                | None -> 0
-                | Some bs -> Stdlib.max 1 ((n_out + bs - 1) / bs)
-              in
               op_event ctx ~op:"SCAN"
                 ~detail:(alias_name ^ " USING " ^ shown_path)
                 ~rows_in:(Storage.Heap.row_count ts.Storage.Catalog.heap)
-                ~rows_out:n_out ~batches
+                ~rows_out:n_out
+                ~batches:(batches_of n_out)
                 ~btree:(fst b1 - fst scan_b0, snd b1 - snd scan_b0)
                 ~t0:scan_t0 ()
             end;
-            Ok (rows, used_skip_scan)
+            Ok rows
           end
 
-(* Returns the binding tuples of one FROM item. *)
-let rec from_tuples ctx fctx ~where (item : A.from_item) :
-    (scanned, Errors.t) result =
-  match item with
-  | A.F_table { name; alias } -> (
-      let alias_name = Option.value ~default:name alias in
-      match Storage.Catalog.find_table ctx.catalog name with
-      | Some ts ->
-          let* rows, used_skip_scan =
-            scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
-          in
-          let tuples =
-            List.map
-              (fun (row, sch) ->
-                [ binding_of_table sch ~alias:alias_name row.Storage.Row.values ])
-              rows
-          in
-          Ok { tuples; used_skip_scan }
-      | None -> (
-          match Storage.Catalog.find_view ctx.catalog name with
-          | Some v ->
-              cov ctx "exec.view_expand";
-              let view_t0 = op_clock ctx in
-              let* rs = run_query ctx v.Storage.Catalog.view_query in
-              let rows =
-                (* injected: WHERE pushdown into a DISTINCT view drops the
-                   last row *)
-                let is_distinct_view =
-                  match v.Storage.Catalog.view_query with
-                  | A.Q_select s -> s.A.sel_distinct
-                  | _ -> false
-                in
-                if
-                  is_distinct_view && where <> None
-                  && Dialect.equal ctx.dialect Dialect.Sqlite_like
-                  && bug ctx Bug.Sq_view_distinct_pushdown
-                then
-                  match List.rev rs.rs_rows with
-                  | [] -> []
-                  | _ :: rest -> List.rev rest
-                else rs.rs_rows
-              in
-              let columns =
-                Array.of_list
-                  (List.map
-                     (fun c ->
-                       (String.lowercase_ascii c, Datatype.Any, Collation.Binary))
-                     (view_columns rs))
-              in
-              let tuples =
-                List.map
-                  (fun row ->
-                    [
-                      {
-                        b_alias = String.lowercase_ascii alias_name;
-                        b_columns = columns;
-                        b_values = row;
-                      };
-                    ])
-                  rows
-              in
-              if tracing ctx then
-                op_event ctx ~op:"VIEW" ~detail:alias_name
-                  ~rows_in:(List.length rs.rs_rows)
-                  ~rows_out:(List.length rows) ~t0:view_t0 ();
-              Ok { tuples; used_skip_scan = false }
-          | None ->
-              Error
-                (Errors.makef Errors.No_such_table "no such table: %s" name)))
-  | A.F_sub { sub; alias } ->
-      (* derived table: materialize the subquery; columns are untyped and
-         binary-collated, like a view expansion *)
-      cov ctx "exec.subquery";
-      let sub_t0 = op_clock ctx in
-      let* rs = run_query ctx sub in
-      let columns =
-        Array.of_list
-          (List.map
-             (fun c ->
-               (String.lowercase_ascii c, Datatype.Any, Collation.Binary))
-             rs.rs_columns)
-      in
-      let tuples =
-        List.map
-          (fun row ->
-            [
-              {
-                b_alias = String.lowercase_ascii alias;
-                b_columns = columns;
-                b_values = row;
-              };
-            ])
-          rs.rs_rows
-      in
-      (if tracing ctx then
-         let n = List.length rs.rs_rows in
-         op_event ctx ~op:"SUBQUERY" ~detail:alias ~rows_in:n ~rows_out:n
-           ~t0:sub_t0 ());
-      Ok { tuples; used_skip_scan = false }
-  | A.F_join { kind; left; right; on } ->
-      (match kind with
-      | A.Inner -> cov ctx "exec.join_inner"
-      | A.Left -> cov ctx "exec.join_left"
-      | A.Cross -> cov ctx "exec.join_cross");
-      let* l = from_tuples ctx fctx ~where:None left in
-      let* r = from_tuples ctx fctx ~where:None right in
-      let join_t0 = op_clock ctx in
-      (* a NULL-padded binding per table of the right side: taken from the
-         first right tuple, or built from the schemas when it is empty *)
-      let rec null_shape item =
-        match item with
-        | A.F_table { name; alias } -> (
-            match Storage.Catalog.find_table ctx.catalog name with
-            | Some ts ->
-                let schema = ts.Storage.Catalog.schema in
-                [
-                  binding_of_table schema
-                    ~alias:(Option.value ~default:name alias)
-                    (Array.map
-                       (fun (_ : Storage.Schema.column) -> Value.Null)
-                       schema.Storage.Schema.columns);
-                ]
-            | None -> [])
-        | A.F_join { left; right; _ } -> null_shape left @ null_shape right
-        | A.F_sub _ -> []
-      in
-      let null_extend tuple =
-        match r.tuples with
-        | sample :: _ ->
-            tuple
-            @ List.map
-                (fun b ->
-                  { b with b_values = Array.map (fun _ -> Value.Null) b.b_values })
-                sample
-        | [] -> tuple @ null_shape right
-      in
-      let rec combine acc = function
-        | [] -> Ok (List.rev acc)
-        | lt :: rest ->
-            let rec walk_right acc_r matched = function
-              | [] ->
-                  let acc_r =
-                    if (not matched) && kind = A.Left then
-                      null_extend lt :: acc_r
-                    else acc_r
-                  in
-                  Ok acc_r
-              | rt :: more -> (
-                  let combined = lt @ rt in
-                  match (kind, on) with
-                  | A.Cross, _ | _, None ->
-                      walk_right (combined :: acc_r) true more
-                  | _, Some cond -> (
-                      match Eval.eval_tvl (env_for ctx combined) cond with
-                      | Ok Tvl.True -> walk_right (combined :: acc_r) true more
-                      | Ok (Tvl.False | Tvl.Unknown) ->
-                          walk_right acc_r matched more
-                      | Error e -> Error e))
-            in
-            let* produced = walk_right [] false r.tuples in
-            combine (List.rev_append produced acc) rest
-      in
-      (* forced join-order swap: the right side drives the outer loop, the
-         left is re-walked per right tuple.  Bindings still concatenate in
-         textual order (lt @ rt) so projection and resolution are
-         unchanged — only the scan order moves, which must not be
-         observable for inner/cross joins.  LEFT joins are never swapped:
-         their NULL extension is asymmetric. *)
-      let swap =
-        swap_join_forced ctx
-        && match kind with A.Inner | A.Cross -> true | A.Left -> false
-      in
-      let rec combine_swapped acc = function
-        | [] -> Ok (List.rev acc)
-        | rt :: rest ->
-            let rec walk_left acc_l = function
-              | [] -> Ok acc_l
-              | lt :: more -> (
-                  let combined = lt @ rt in
-                  match (kind, on) with
-                  | A.Cross, _ | _, None -> walk_left (combined :: acc_l) more
-                  | _, Some cond -> (
-                      match Eval.eval_tvl (env_for ctx combined) cond with
-                      | Ok Tvl.True -> walk_left (combined :: acc_l) more
-                      | Ok (Tvl.False | Tvl.Unknown) -> walk_left acc_l more
-                      | Error e -> Error e))
-            in
-            let* produced = walk_left [] l.tuples in
-            combine_swapped (List.rev_append produced acc) rest
-      in
-      let* tuples =
-        if swap then combine_swapped [] r.tuples else combine [] l.tuples
-      in
-      if tracing ctx then
-        op_event ctx ~op:"JOIN"
-          ~detail:
-            ((match kind with
-             | A.Inner -> "INNER"
-             | A.Left -> "LEFT"
-             | A.Cross -> "CROSS")
-            ^ if swap then " (forced swap)" else "")
-          ~rows_in:(List.length l.tuples + List.length r.tuples)
-          ~rows_out:(List.length tuples) ~t0:join_t0 ();
-      Ok
-        {
-          tuples;
-          used_skip_scan = l.used_skip_scan || r.used_skip_scan;
-        }
+(* ------------------------------------------------------------------ *)
+(* Output shaping shared by the pipeline's operators                   *)
+
+let output_columns (bindings_sample : binding list) items :
+    (string list, Errors.t) result =
+  let item_columns = function
+    | A.Star ->
+        Ok
+          (List.concat_map
+             (fun b ->
+               Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
+             bindings_sample)
+    | A.Table_star t -> (
+        let t = String.lowercase_ascii t in
+        match List.find_opt (fun b -> b.b_alias = t) bindings_sample with
+        | Some b -> Ok (Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
+        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
+    | A.Sel_expr (_, Some alias) -> Ok [ alias ]
+    | A.Sel_expr (A.Col { column; _ }, None) -> Ok [ column ]
+    | A.Sel_expr (e, None) -> Ok [ Sqlast.Sql_printer.expr Dialect.Sqlite_like e ]
+  in
+  let rec go acc = function
+    | [] -> Ok (List.concat (List.rev acc))
+    | item :: rest ->
+        let* cols = item_columns item in
+        go (cols :: acc) rest
+  in
+  go [] items
+
+let row_key (row : Value.t array) =
+  String.concat "\x00"
+    (Array.to_list
+       (Array.map
+          (fun v ->
+            match v with
+            | Value.Text s -> "t:" ^ s
+            | Value.Int i -> "i:" ^ Int64.to_string i
+            | Value.Real r ->
+                if Numeric.real_is_exact_int r then
+                  "i:" ^ Int64.to_string (Int64.of_float r)
+                else "r:" ^ string_of_float r
+            | Value.Blob s -> "b:" ^ s
+            | Value.Bool b -> "i:" ^ if b then "1" else "0"
+            | Value.Null -> "n")
+          row))
+
+let dedup_by ~key rows =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun row ->
+      let k = key row in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.replace seen k ();
+        true
+      end)
+    rows
+
+let dedup_rows rows = dedup_by ~key:row_key rows
+
+let select_has_agg (s : A.select) =
+  s.A.sel_group_by <> []
+  || List.exists
+       (function
+         | A.Sel_expr (e, _) -> A.has_agg e
+         | A.Star | A.Table_star _ -> false)
+       s.A.sel_items
+  || (match s.A.sel_having with Some h -> A.has_agg h | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
 
-and compute_agg ctx (tuples : binding list list) (agg : A.expr) :
-    (Value.t, Errors.t) result =
+(* The aggregation operator works over whatever tuple representation the
+   pipeline carries; [eval] evaluates an expression against one tuple. *)
+type 'tuple tuple_eval = 'tuple -> A.expr -> (Value.t, Errors.t) result
+
+let eval_over ~eval tuples e =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | tuple :: rest ->
+        let* v = eval tuple e in
+        go (v :: acc) rest
+  in
+  go [] tuples
+
+let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
   match agg with
   | A.Agg (f, arg) -> (
       (match f with
@@ -864,13 +739,13 @@ and compute_agg ctx (tuples : binding list list) (agg : A.expr) :
           match arg with
           | None -> Ok (Value.Int (Int64.of_int (List.length tuples)))
           | Some a ->
-              let* vs = eval_over ctx tuples a in
+              let* vs = eval_over ~eval tuples a in
               let n = List.length (List.filter (fun v -> not (Value.is_null v)) vs) in
               Ok (Value.Int (Int64.of_int n)))
       | A.A_sum | A.A_avg | A.A_total -> (
           let* vs =
             match arg with
-            | Some a -> eval_over ctx tuples a
+            | Some a -> eval_over ~eval tuples a
             | None -> Error (Errors.make Errors.Invalid_function "SUM requires an argument")
           in
           let nums =
@@ -944,7 +819,7 @@ and compute_agg ctx (tuples : binding list list) (agg : A.expr) :
       | A.A_min | A.A_max -> (
           let* vs =
             match arg with
-            | Some a -> eval_over ctx tuples a
+            | Some a -> eval_over ~eval tuples a
             | None -> Error (Errors.make Errors.Invalid_function "MIN requires an argument")
           in
           let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
@@ -963,369 +838,7 @@ and compute_agg ctx (tuples : binding list list) (agg : A.expr) :
                    first rest)))
   | _ -> Error (Errors.make Errors.Internal_error "compute_agg on non-aggregate")
 
-and eval_over ctx tuples e =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | tuple :: rest ->
-        let* v = Eval.eval (env_for ctx tuple) e in
-        go (v :: acc) rest
-  in
-  go [] tuples
-
-(* ------------------------------------------------------------------ *)
-(* SELECT pipeline                                                     *)
-
-and output_columns ctx (bindings_sample : binding list) items :
-    (string list, Errors.t) result =
-  ignore ctx;
-  let item_columns = function
-    | A.Star ->
-        Ok
-          (List.concat_map
-             (fun b ->
-               Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
-             bindings_sample)
-    | A.Table_star t -> (
-        let t = String.lowercase_ascii t in
-        match List.find_opt (fun b -> b.b_alias = t) bindings_sample with
-        | Some b -> Ok (Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
-        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
-    | A.Sel_expr (_, Some alias) -> Ok [ alias ]
-    | A.Sel_expr (A.Col { column; _ }, None) -> Ok [ column ]
-    | A.Sel_expr (e, None) -> Ok [ Sqlast.Sql_printer.expr Dialect.Sqlite_like e ]
-  in
-  let rec go acc = function
-    | [] -> Ok (List.concat (List.rev acc))
-    | item :: rest ->
-        let* cols = item_columns item in
-        go (cols :: acc) rest
-  in
-  go [] items
-
-and project_row ctx tuple items : (Value.t array, Errors.t) result =
-  let env = env_for ctx tuple in
-  let item_values = function
-    | A.Star -> Ok (List.concat_map (fun b -> Array.to_list b.b_values) tuple)
-    | A.Table_star t -> (
-        let t = String.lowercase_ascii t in
-        match List.find_opt (fun b -> b.b_alias = t) tuple with
-        | Some b -> Ok (Array.to_list b.b_values)
-        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
-    | A.Sel_expr (e, _) ->
-        let* v = Eval.eval env e in
-        Ok [ v ]
-  in
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.concat (List.rev acc)))
-    | item :: rest ->
-        let* vs = item_values item in
-        go (vs :: acc) rest
-  in
-  go [] items
-
-and row_key (row : Value.t array) =
-  String.concat "\x00"
-    (Array.to_list
-       (Array.map
-          (fun v ->
-            match v with
-            | Value.Text s -> "t:" ^ s
-            | Value.Int i -> "i:" ^ Int64.to_string i
-            | Value.Real r ->
-                if Numeric.real_is_exact_int r then
-                  "i:" ^ Int64.to_string (Int64.of_float r)
-                else "r:" ^ string_of_float r
-            | Value.Blob s -> "b:" ^ s
-            | Value.Bool b -> "i:" ^ if b then "1" else "0"
-            | Value.Null -> "n")
-          row))
-
-and dedup_by : 'a. key:('a -> string) -> 'a list -> 'a list =
- fun ~key rows ->
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let k = key row in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
-
-and dedup_rows rows = dedup_by ~key:row_key rows
-
-and select_has_agg (s : A.select) =
-  s.A.sel_group_by <> []
-  || List.exists
-       (function
-         | A.Sel_expr (e, _) -> A.has_agg e
-         | A.Star | A.Table_star _ -> false)
-       s.A.sel_items
-  || (match s.A.sel_having with Some h -> A.has_agg h | None -> false)
-
-and run_select ctx (s : A.select) : (result_set, Errors.t) result =
-  let where = s.A.sel_where in
-  if s.A.sel_from = [] then begin
-    (* constant SELECT *)
-    let* columns = output_columns ctx [] s.A.sel_items in
-    let* row = project_row ctx [] s.A.sel_items in
-    let* rows =
-      match where with
-      | None -> Ok [ row ]
-      | Some w -> (
-          match Eval.eval_tvl (env_for ctx []) w with
-          | Ok Tvl.True -> Ok [ row ]
-          | Ok (Tvl.False | Tvl.Unknown) -> Ok []
-          | Error e -> Error e)
-    in
-    Ok { rs_columns = columns; rs_rows = rows }
-  end
-  else begin
-    let cond_has_cast =
-      (match where with Some w -> has_cast w | None -> false)
-      || List.exists
-           (function
-             | A.Sel_expr (e, _) -> has_cast e
-             | A.Star | A.Table_star _ -> false)
-           s.A.sel_items
-    in
-    let cond_has_ifnull =
-      match where with Some w -> has_ifnull w | None -> false
-    in
-    let base_table_count =
-      let rec count = function
-        | A.F_table _ -> 1
-        | A.F_join { left; right; _ } -> count left + count right
-        | A.F_sub _ -> 1
-      in
-      List.fold_left (fun acc it -> acc + count it) 0 s.A.sel_from
-    in
-    let fctx =
-      {
-        in_join = base_table_count > 1;
-        cond_has_cast;
-        cond_has_ifnull;
-        distinct = s.A.sel_distinct;
-      }
-    in
-    (* FROM: cross product of the comma-separated items *)
-    let* scans =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-            let* sc = from_tuples ctx fctx ~where item in
-            go (sc :: acc) rest
-      in
-      go [] s.A.sel_from
-    in
-    let used_skip_scan = List.exists (fun sc -> sc.used_skip_scan) scans in
-    let tuples =
-      match scans with
-      | [] -> []
-      | [ a; b ] when swap_join_forced ctx ->
-          (* forced join-order swap for the two-item comma FROM: iterate
-             the second table in the outer loop; bindings stay in textual
-             order so projection is unchanged *)
-          List.concat_map
-            (fun tr -> List.map (fun tl -> tl @ tr) a.tuples)
-            b.tuples
-      | first :: rest ->
-          List.fold_left
-            (fun acc sc ->
-              List.concat_map
-                (fun tl -> List.map (fun tr -> tl @ tr) sc.tuples)
-                acc)
-            first.tuples rest
-    in
-    (* WHERE *)
-    let filter_t0 = op_clock ctx in
-    let* filtered =
-      match where with
-      | None -> Ok tuples
-      | Some w ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | tuple :: rest -> (
-                match Eval.eval_tvl (env_for ctx tuple) w with
-                | Ok Tvl.True -> go (tuple :: acc) rest
-                | Ok (Tvl.False | Tvl.Unknown) -> go acc rest
-                | Error e -> Error e)
-          in
-          go [] tuples
-    in
-    if tracing ctx && where <> None then
-      op_event ctx ~op:"FILTER" ~detail:"WHERE"
-        ~rows_in:(List.length tuples)
-        ~rows_out:(List.length filtered) ~t0:filter_t0 ();
-    let sample_bindings =
-      match filtered with
-      | t :: _ -> t
-      | [] -> ( match tuples with t :: _ -> t | [] -> [])
-    in
-    let* columns = output_columns ctx sample_bindings s.A.sel_items in
-    (* GROUP BY / aggregation *)
-    let agg_t0 = op_clock ctx in
-    let* out_rows_with_keys =
-      if select_has_agg s then begin
-        cov ctx "exec.group_by";
-        let* groups = group_tuples ctx s filtered in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | group :: rest ->
-              let* keep =
-                match s.A.sel_having with
-                | None -> Ok true
-                | Some h ->
-                    cov ctx "exec.having";
-                    let* h' = substitute_aggs ctx group h in
-                    let env =
-                      env_for ctx (match group with t :: _ -> t | [] -> [])
-                    in
-                    (match Eval.eval_tvl env h' with
-                    | Ok Tvl.True -> Ok true
-                    | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-                    | Error e -> Error e)
-              in
-              if not keep then go acc rest
-              else
-                let rep = match group with t :: _ -> t | [] -> [] in
-                let* items' =
-                  let rec sub acc = function
-                    | [] -> Ok (List.rev acc)
-                    | A.Sel_expr (e, a) :: more ->
-                        let* e' = substitute_aggs ctx group e in
-                        sub (A.Sel_expr (e', a) :: acc) more
-                    | it :: more -> sub (it :: acc) more
-                  in
-                  sub [] s.A.sel_items
-                in
-                let* row = project_row ctx rep items' in
-                let* keys = order_keys ctx rep group s in
-                go ((row, keys) :: acc) rest
-        in
-        go [] groups
-      end
-      else
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | tuple :: rest ->
-              let* row = project_row ctx tuple s.A.sel_items in
-              let* keys = order_keys ctx tuple [ tuple ] s in
-              go ((row, keys) :: acc) rest
-        in
-        go [] filtered
-    in
-    if tracing ctx && select_has_agg s then
-      op_event ctx ~op:"AGGREGATE"
-        ~detail:(if s.A.sel_group_by = [] then "" else "GROUP BY")
-        ~rows_in:(List.length filtered)
-        ~rows_out:(List.length out_rows_with_keys) ~t0:agg_t0 ();
-    (* DISTINCT *)
-    ignore used_skip_scan;
-    let out_rows_with_keys =
-      if s.A.sel_distinct then begin
-        cov ctx "exec.distinct";
-        let d_t0 = op_clock ctx in
-        let n_in = if tracing ctx then List.length out_rows_with_keys else 0 in
-        let deduped =
-          dedup_by ~key:(fun (row, _) -> row_key row) out_rows_with_keys
-        in
-        if tracing ctx then
-          op_event ctx ~op:"DISTINCT" ~rows_in:n_in
-            ~rows_out:(List.length deduped) ~t0:d_t0 ();
-        deduped
-      end
-      else out_rows_with_keys
-    in
-    (* ORDER BY *)
-    let ordered =
-      if s.A.sel_order_by = [] then
-        if Options.reverse_unordered_selects ctx.options then
-          List.rev out_rows_with_keys
-        else out_rows_with_keys
-      else begin
-        cov ctx "exec.order_by";
-        let sort_t0 = op_clock ctx in
-        (* sort keys are compared under each ORDER BY expression's
-           collation (explicit COLLATE or the column's), like sqlite *)
-        let dirs_and_colls =
-          List.map
-            (fun (e, dir) ->
-              let coll =
-                match Eval.column_meta (env_for ctx sample_bindings) e with
-                | Some (_, c) -> c
-                | None -> Collation.Binary
-              in
-              let coll =
-                match e with A.Collate (_, c) -> c | _ -> coll
-              in
-              (dir, coll))
-            s.A.sel_order_by
-        in
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp ks1 ks2 dcs =
-              match (ks1, ks2, dcs) with
-              | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
-                  let c = Value.compare_total ~collation:coll k1 k2 in
-                  let c = match d with A.Asc -> c | A.Desc -> -c in
-                  if c <> 0 then c else cmp r1 r2 rd
-              | _ -> 0
-            in
-            cmp ka kb dirs_and_colls)
-          out_rows_with_keys
-        |> fun sorted ->
-        (if tracing ctx then
-           let n = List.length sorted in
-           op_event ctx ~op:"SORT"
-             ~detail:(Printf.sprintf "%d keys" (List.length s.A.sel_order_by))
-             ~rows_in:n ~rows_out:n ~t0:sort_t0 ());
-        sorted
-      end
-    in
-    (* LIMIT / OFFSET *)
-    let limit_t0 = op_clock ctx in
-    let rows = List.map fst ordered in
-    let pre_limit = if tracing ctx then List.length rows else 0 in
-    let rows =
-      match s.A.sel_offset with
-      | None -> rows
-      | Some off ->
-          cov ctx "exec.limit";
-          let off = Int64.to_int off in
-          if off <= 0 then rows
-          else List.filteri (fun i _ -> i >= off) rows
-    in
-    let rows =
-      match s.A.sel_limit with
-      | None -> rows
-      | Some n ->
-          cov ctx "exec.limit";
-          let n = Int64.to_int n in
-          if n < 0 then rows else List.filteri (fun i _ -> i < n) rows
-    in
-    if tracing ctx && (s.A.sel_limit <> None || s.A.sel_offset <> None) then
-      op_event ctx ~op:"LIMIT" ~rows_in:pre_limit
-        ~rows_out:(List.length rows) ~t0:limit_t0 ();
-    Ok { rs_columns = columns; rs_rows = rows }
-  end
-
-and order_keys ctx tuple group s =
-  (* aggregate queries order by substituted expressions *)
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (e, _) :: rest ->
-        let* e' =
-          if select_has_agg s then substitute_aggs ctx group e else Ok e
-        in
-        let* v = Eval.eval (env_for ctx tuple) e' in
-        go (v :: acc) rest
-  in
-  go [] s.A.sel_order_by
-
-and group_tuples ctx (s : A.select) (tuples : binding list list) :
-    (binding list list list, Errors.t) result =
+let group_tuples ctx ~eval (s : A.select) tuples =
   if s.A.sel_group_by = [] then
     (* one group over everything, even when empty *)
     Ok [ tuples ]
@@ -1378,11 +891,10 @@ and group_tuples ctx (s : A.select) (tuples : binding list list) :
     let rec go = function
       | [] -> Ok ()
       | tuple :: rest ->
-          let env = env_for ctx tuple in
           let rec keys acc = function
             | [] -> Ok (List.rev acc)
             | g :: more ->
-                let* v = Eval.eval env g in
+                let* v = eval tuple g in
                 keys (v :: acc) more
           in
           let* ks = keys [] group_exprs in
@@ -1398,12 +910,12 @@ and group_tuples ctx (s : A.select) (tuples : binding list list) :
     Ok (List.rev_map (fun k -> List.rev (Hashtbl.find table k)) !order)
   end
 
-and substitute_aggs ctx group e : (A.expr, Errors.t) result =
+let substitute_aggs ctx ~eval group e : (A.expr, Errors.t) result =
   let aggs = A.collect_aggs e in
   let rec compute acc = function
     | [] -> Ok (List.rev acc)
     | a :: rest ->
-        let* v = compute_agg ctx group a in
+        let* v = compute_agg ctx ~eval group a in
         compute ((a, v) :: acc) rest
   in
   let* table = compute [] aggs in
@@ -1417,80 +929,3 @@ and substitute_aggs ctx group e : (A.expr, Errors.t) result =
              | None -> node)
          | _ -> node)
        e)
-
-(* ------------------------------------------------------------------ *)
-(* Queries                                                             *)
-
-and run_query ctx (q : A.query) : (result_set, Errors.t) result =
-  (* corruption gates every read (paper: 'malformed database' is always an
-     unexpected error) *)
-  match Storage.Catalog.corruption ctx.catalog with
-  | Some msg -> Error (Errors.make Errors.Malformed_database msg)
-  | None -> (
-      match q with
-      | A.Q_select s -> run_select ctx s
-      | A.Q_values rows ->
-          cov ctx "exec.values";
-          let env = env_for ctx [] in
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | row :: rest ->
-                let rec vals acc' = function
-                  | [] -> Ok (Array.of_list (List.rev acc'))
-                  | e :: more ->
-                      let* v = Eval.eval env e in
-                      vals (v :: acc') more
-                in
-                let* r = vals [] row in
-                go (r :: acc) rest
-          in
-          let* rows = go [] rows in
-          let width = match rows with r :: _ -> Array.length r | [] -> 0 in
-          let columns = List.init width (fun i -> Printf.sprintf "column%d" (i + 1)) in
-          Ok { rs_columns = columns; rs_rows = rows }
-      | A.Q_compound (op, qa, qb) ->
-          (match op with
-          | A.Union | A.Union_all -> cov ctx "exec.compound_union"
-          | A.Intersect -> cov ctx "exec.compound_intersect"
-          | A.Except -> cov ctx "exec.compound_except");
-          let* ra = run_query ctx qa in
-          let* rb = run_query ctx qb in
-          let compound_t0 = op_clock ctx in
-          let wa = List.length ra.rs_columns and wb = List.length rb.rs_columns in
-          if wa <> wb then
-            Error
-              (Errors.make Errors.Syntax_error
-                 "SELECTs to the left and right of a compound operator do \
-                  not have the same number of result columns")
-          else
-            let keyset rows =
-              let t = Hashtbl.create 16 in
-              List.iter (fun r -> Hashtbl.replace t (row_key r) ()) rows;
-              t
-            in
-            let rows =
-              match op with
-              | A.Union -> dedup_rows (ra.rs_rows @ rb.rs_rows)
-              | A.Union_all -> ra.rs_rows @ rb.rs_rows
-              | A.Intersect ->
-                  let inb = keyset rb.rs_rows in
-                  dedup_rows
-                    (List.filter (fun r -> Hashtbl.mem inb (row_key r)) ra.rs_rows)
-              | A.Except ->
-                  let inb = keyset rb.rs_rows in
-                  dedup_rows
-                    (List.filter
-                       (fun r -> not (Hashtbl.mem inb (row_key r)))
-                       ra.rs_rows)
-            in
-            if tracing ctx then
-              op_event ctx ~op:"COMPOUND"
-                ~detail:
-                  (match op with
-                  | A.Union -> "UNION"
-                  | A.Union_all -> "UNION ALL"
-                  | A.Intersect -> "INTERSECT"
-                  | A.Except -> "EXCEPT")
-                ~rows_in:(List.length ra.rs_rows + List.length rb.rs_rows)
-                ~rows_out:(List.length rows) ~t0:compound_t0 ();
-            Ok { rs_columns = ra.rs_columns; rs_rows = rows })

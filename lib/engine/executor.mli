@@ -1,11 +1,10 @@
-(** Query execution: the SELECT pipeline.
+(** The execution context and the operators the query pipeline
+    ({!Compile}) is built from.
 
-    Single-table scans go through {!Planner} and always re-apply the WHERE
-    filter to the candidate rows; joins are nested loops over the FROM
-    cross product; views expand inline; GROUP BY/HAVING, DISTINCT, ORDER
-    BY, LIMIT/OFFSET and the compound operators (UNION/INTERSECT/EXCEPT —
-    INTERSECT being what PQS's containment check uses) complete the
-    pipeline. *)
+    Single-table scans go through {!Planner} (honouring forced plans and
+    the scan-site injected bugs) and the pipeline always re-applies the
+    WHERE filter to the candidate rows.  Aggregation (GROUP BY, aggregate
+    items, HAVING) is an operator over the pipeline's tuples. *)
 
 open Sqlval
 
@@ -83,19 +82,15 @@ val eval_env : ctx -> Eval.env
     compare equal (e.g. [1] and [1.0]) collapse to the same key. *)
 val row_key : Value.t array -> string
 
-val run_query : ctx -> Sqlast.Ast.query -> (result_set, Errors.t) result
-
 (** Rows of one table including postgres-inherited children (projected onto
     the parent's columns), in scan order.  Shared with DML and maintenance. *)
 val scan_table :
   ctx -> Storage.Catalog.table_state -> (Storage.Row.t * Storage.Schema.table) list
 
-(** {1 Shared with the compiled backend}
+(** {1 Pipeline operators}
 
-    The pieces of the interpreted pipeline that {!Compile} reuses so the
-    two execution backends share one definition of name resolution,
-    scan-site bug injection, access-path choice and flight-recorder
-    annotation. *)
+    Name resolution, scan-site bug injection, access-path choice,
+    aggregation and flight-recorder annotation, used by {!Compile}. *)
 
 (** One FROM-clause row source in scope: lowercase alias, column
     metadata, current row values. *)
@@ -110,14 +105,16 @@ val binding_of_table :
 
 (** Column-reference resolution over in-scope bindings: qualified
     references must match an alias; unqualified references must match
-    exactly one column across all bindings. *)
-val resolve_in :
+    exactly one column across all bindings.  Yields the binding index,
+    the column index and the column's type and collation. *)
+val resolve_slot :
   binding list ->
   table:string option ->
   column:string ->
-  (Eval.resolved, Errors.t) result
+  (int * int * Datatype.t * Collation.t, Errors.t) result
 
-(** {!eval_env} with {!resolve_in} over the given bindings. *)
+(** {!eval_env} resolving columns ({!resolve_slot}) over the given
+    bindings' values. *)
 val env_for : ctx -> binding list -> Eval.env
 
 (** Is the plan-diff join-order swap forced for this query?  (Applies to
@@ -137,49 +134,77 @@ val has_ifnull : Sqlast.Ast.expr -> bool
 
 (** Scan one base table under [where]: injected planner/index bug gates,
     access-path choice (honouring {!ctx.force}), rowid fetch, and the
-    SCAN flight-recorder annotation.  Returns the rows (paired with the
-    schema that typed each row) and whether a skip scan was used.
-    [block_size] makes the SCAN operator event report batch counts (the
-    compiled backend passes its block size; the interpreter omits it and
-    reports [batches = 0]). *)
+    SCAN flight-recorder annotation.  Returns the rows, each paired with
+    the schema that typed it.  The SCAN event reports how many
+    [block_size] batches the rows make. *)
 val scan_rows :
   ctx ->
   from_ctx ->
   where:Sqlast.Ast.expr option ->
   table:string ->
   alias:string ->
-  ?block_size:int ->
   Storage.Catalog.table_state ->
-  ((Storage.Row.t * Storage.Schema.table) list * bool, Errors.t) result
+  ((Storage.Row.t * Storage.Schema.table) list, Errors.t) result
 
 (** Output column names of a SELECT item list against a sample tuple
     (empty when the scan produced no rows, which is observable: [*]
     contributes no columns and [t.*] fails). *)
 val output_columns :
-  ctx -> binding list -> Sqlast.Ast.select_item list ->
-  (string list, Errors.t) result
+  binding list -> Sqlast.Ast.select_item list -> (string list, Errors.t) result
 
 (** Whether the SELECT uses aggregation (GROUP BY, aggregate items, or an
     aggregate HAVING). *)
 val select_has_agg : Sqlast.Ast.select -> bool
 
+(** First-occurrence deduplication under a string key. *)
+val dedup_by : key:('a -> string) -> 'a list -> 'a list
+
 (** First-occurrence deduplication under {!row_key}. *)
 val dedup_rows : Value.t array list -> Value.t array list
+
+(** Evaluates an expression against one tuple of the pipeline. *)
+type 'tuple tuple_eval = 'tuple -> Sqlast.Ast.expr -> (Value.t, Errors.t) result
+
+(** The groups of an aggregate SELECT, in first-occurrence order: one
+    group per distinct GROUP BY key, or a single group over every tuple
+    (even none) without GROUP BY.  Hosts the postgres inherited-table
+    grouping bug. *)
+val group_tuples :
+  ctx ->
+  eval:'tuple tuple_eval ->
+  Sqlast.Ast.select ->
+  'tuple list ->
+  ('tuple list list, Errors.t) result
+
+(** Replace every aggregate call in the expression by its value over the
+    group (as a literal).  Hosts the sqlite MIN/MAX-over-COLLATE crash. *)
+val substitute_aggs :
+  ctx ->
+  eval:'tuple tuple_eval ->
+  'tuple list ->
+  Sqlast.Ast.expr ->
+  (Sqlast.Ast.expr, Errors.t) result
 
 val tracing : ctx -> bool
 
 (** A [Telemetry.Clock] reading when tracing, else [0]. *)
 val op_clock : ctx -> int
 
+(** Rows per operator block. *)
+val block_size : int
+
+(** The number of [block_size] blocks [n] rows make (at least 1). *)
+val batches_of : int -> int
+
 (** Record an operator event on the flight recorder (no-op unless
-    tracing).  [batches] is 0 for row-at-a-time operators. *)
+    tracing). *)
 val op_event :
   ctx ->
   op:string ->
   ?detail:string ->
   rows_in:int ->
   rows_out:int ->
-  ?batches:int ->
+  batches:int ->
   ?btree:int * int ->
   t0:int ->
   unit ->

@@ -106,17 +106,15 @@ let run ctx (q : A.query) : (Executor.result_set, Errors.t) result =
     }
 
 (* EXPLAIN ANALYZE: execute the query under a private flight recorder and
-   render the per-operator annotations it collected (rows in/out, B-tree
-   visits, wall time) as plan lines, postgres-style.  [run] is the
-   execution backend's query runner (default: the interpreter), so the
-   plan annotations describe the backend the session actually uses. *)
-let run_analyze ?(run = Executor.run_query) ctx (q : A.query) :
+   render the per-operator annotations it collected (rows in/out, batches,
+   B-tree visits, wall time) as plan lines, postgres-style. *)
+let run_analyze ctx (q : A.query) :
     (Executor.result_set, Errors.t) result =
   let recorder = Trace.create ~capacity:512 () in
   Trace.begin_round recorder ~seed:0 ~dialect:ctx.Executor.dialect;
   let ctx = { ctx with Executor.recorder } in
   let t0 = Telemetry.Clock.now_ns_int () in
-  match run ctx q with
+  match Compile.run_query ctx q with
   | Error e -> Error e
   | Ok rs ->
       let total_ns = Telemetry.Clock.now_ns_int () - t0 in

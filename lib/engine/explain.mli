@@ -21,14 +21,12 @@ val run :
 (** Execute [EXPLAIN q]: a one-column result set of {!query_lines}. *)
 
 val run_analyze :
-  ?run:(Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result) ->
   Executor.ctx ->
   Sqlast.Ast.query ->
   (Executor.result_set, Errors.t) result
 (** Execute [EXPLAIN ANALYZE q]: really runs the query under a private
     flight recorder and renders each operator event as an annotated plan
-    line — rows in/out, B-tree node/entry visits, wall time, and (under
-    the compiled backend) block counts as [batches=… rows/batch=…] —
-    ending with a [RESULT (rows=…, total=…)] summary.  [run] selects the
-    execution backend's query runner (default {!Executor.run_query}, the
-    interpreter).  Errors from the underlying query pass through. *)
+    line — rows in/out, block counts as [batches=… rows/batch=…], B-tree
+    node/entry visits, wall time — ending with a
+    [RESULT (rows=…, total=…)] summary.  Errors from the underlying query
+    pass through. *)

@@ -16,9 +16,6 @@ type t = {
   coverage : Coverage.t option;
   telemetry : Telemetry.t;
   recorder : Trace.t;
-  backend : Exec_backend.kind;
-  run : Executor.ctx -> A.query -> (Executor.result_set, Errors.t) result;
-      (* the backend's run_query, resolved once at creation *)
   exec_hist : Telemetry.histogram_handle;
   kind_handles :
     (Telemetry.histogram_handle * Telemetry.counter_handle) array;
@@ -39,8 +36,7 @@ let pp_exec_result fmt = function
   | Done -> Format.pp_print_string fmt "ok"
 
 let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
-    ?(telemetry = Telemetry.noop) ?(recorder = Trace.noop)
-    ?(backend = Exec_backend.Interpreted) dialect =
+    ?(telemetry = Telemetry.noop) ?(recorder = Trace.noop) dialect =
   {
     dialect;
     catalog = Storage.Catalog.create ();
@@ -49,8 +45,6 @@ let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
     coverage;
     telemetry;
     recorder;
-    backend;
-    run = Exec_backend.run_query backend;
     exec_hist =
       Telemetry.histogram_handle telemetry
         ~labels:[ ("phase", "execute") ]
@@ -72,7 +66,6 @@ let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
   }
 
 let dialect t = t.dialect
-let backend t = t.backend
 let catalog t = t.catalog
 let bugs t = t.bugs
 let options t = t.options
@@ -214,7 +207,7 @@ let execute_raw t (stmt : A.stmt) : (exec_result, Errors.t) result =
       let* n = Dml.delete c ~table ~where in
       Ok (Affected n)
   | A.Select_stmt q ->
-      let* rs = t.run c q in
+      let* rs = Compile.run_query c q in
       Ok (Rows rs)
   | A.Vacuum { full } ->
       let* () = Maintenance.vacuum c ~full in
@@ -262,7 +255,7 @@ let execute_raw t (stmt : A.stmt) : (exec_result, Errors.t) result =
       Ok (Rows rs)
   | A.Explain_analyze q ->
       cov t "admin.explain_analyze";
-      let* rs = Explain.run_analyze ~run:t.run c q in
+      let* rs = Explain.run_analyze c q in
       Ok (Rows rs)
   | A.Rollback_txn -> (
       cov t "maint.rollback";
@@ -313,4 +306,6 @@ let query t q =
    statements nor perturb the per-kind telemetry; coverage is stripped too,
    so forced runs can never add coverage hits a plain run would not. *)
 let query_forced t ~force q =
-  t.run { (ctx t) with Executor.force = Some force; coverage = None } q
+  Compile.run_query
+    { (ctx t) with Executor.force = Some force; coverage = None }
+    q

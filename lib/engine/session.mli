@@ -23,7 +23,6 @@ val create :
   ?coverage:Coverage.t ->
   ?telemetry:Telemetry.t ->
   ?recorder:Trace.t ->
-  ?backend:Exec_backend.kind ->
   Dialect.t ->
   t
 (** [recorder] (default {!Trace.noop}) is the flight recorder threaded
@@ -32,15 +31,11 @@ val create :
     runner) records statements, pivots and expressions on the same
     ring.
 
-    [backend] (default {!Exec_backend.Interpreted}) selects the
-    execution backend every query in this session runs under —
-    [Select_stmt], {!query}, {!query_forced} and [EXPLAIN ANALYZE] all
-    route through it. *)
+    Every query — [Select_stmt], {!query}, {!query_forced} and
+    [EXPLAIN ANALYZE] — runs through {!Compile.run_query}. *)
 
 val dialect : t -> Dialect.t
 
-(** The execution backend this session was created with. *)
-val backend : t -> Exec_backend.kind
 val catalog : t -> Storage.Catalog.t
 val bugs : t -> Bug.set
 val options : t -> Options.t

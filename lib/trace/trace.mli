@@ -50,8 +50,7 @@ module Event : sig
         rows_in : int;
         rows_out : int;
         batches : int;
-            (** row blocks processed; 0 under the row-at-a-time
-                interpreted backend, >= 1 under the compiled backend *)
+            (** row blocks the operator processed (>= 1) *)
         btree_nodes : int;  (** B-tree node visits charged to this operator *)
         btree_entries : int;
         dur_ns : int;

@@ -1,6 +1,7 @@
 (* The campaign orchestrator's contracts: sharded runs merge to the exact
-   sequential result, Stats.merge obeys its monoid laws, and the runner
-   accepts swapped-in oracle sets. *)
+   sequential result, bug-free campaigns raise no verdict at all (not even
+   one ground-truth confirmation withholds), Stats.merge obeys its monoid
+   laws, and the runner accepts swapped-in oracle sets. *)
 
 open Sqlval
 
@@ -74,6 +75,39 @@ let test_trace () =
     (String.length (List.nth lines 6) > 20
     && String.sub (List.nth lines 6) 0 18 = "{\"type\":\"campaign\"");
   ignore c
+
+(* ---------- soundness: zero unconfirmed verdicts ---------- *)
+
+(* On the engine without injected bugs every oracle verdict is a false
+   alarm, including the ones ground-truth confirmation withholds: the
+   [false_positives] counter must stay 0, not absorb them. *)
+let check_bug_free label config ~seed_lo ~seed_hi =
+  let c = Pqs.Campaign.run ~domains:1 ~seed_lo ~seed_hi config in
+  let stats = c.Pqs.Campaign.stats in
+  Alcotest.(check int) (label ^ ": databases") (seed_hi - seed_lo)
+    stats.Pqs.Stats.databases;
+  Alcotest.(check int) (label ^ ": unconfirmed verdicts") 0
+    stats.Pqs.Stats.false_positives;
+  Alcotest.(check (list string))
+    (label ^ ": reports") []
+    (List.map
+       (fun (r : Pqs.Bug_report.t) -> r.Pqs.Bug_report.message)
+       (Pqs.Campaign.reports c))
+
+let test_bug_free_dialects () =
+  List.iter
+    (fun dialect ->
+      check_bug_free (Dialect.name dialect)
+        (Pqs.Runner.Config.make dialect)
+        ~seed_lo:7 ~seed_hi:1007)
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+
+(* the write-heavy shape: 80 extra DDL/DML statements per database *)
+let test_bug_free_write_heavy () =
+  check_bug_free "write-heavy"
+    (Pqs.Runner.Config.make ~extra_statements:80 ~pivots_per_db:1
+       ~queries_per_pivot:2 Dialect.Sqlite_like)
+    ~seed_lo:1 ~seed_hi:301
 
 (* ---------- Stats.merge monoid laws ---------- *)
 
@@ -168,6 +202,13 @@ let () =
           Alcotest.test_case "N-domain == sequential" `Quick test_determinism;
           Alcotest.test_case "coverage merging" `Quick test_coverage_merging;
           Alcotest.test_case "jsonl trace" `Quick test_trace;
+        ] );
+      ( "soundness",
+        [
+          Alcotest.test_case "bug-free dialects, seeds 7-1006" `Quick
+            test_bug_free_dialects;
+          Alcotest.test_case "bug-free write-heavy, 300 seeds" `Quick
+            test_bug_free_write_heavy;
         ] );
       ( "stats",
         [

@@ -11,9 +11,7 @@
    - interval: unsatisfiable conjunctions and out-of-declared-interval
      comparisons produce the new warning diagnostics;
    - soundness: a 1,000-seed sweep over generated databases finds zero
-     divergences on the correct engine, under the interpreter AND the
-     compiled backend, and both backends produce the identical sweep
-     record;
+     divergences on the correct engine;
    - detection: each injected constant-folding bug diverges on a bounded
      sweep; the oracle reports it with the rewrite trail; the repro
      bundle round-trips through [Trace.Bundle] and [Replay.check_file];
@@ -353,7 +351,7 @@ let test_oracle_verdicts () =
 
 (* ---------- soundness sweeps ---------- *)
 
-let test_soundness_sweep_interpreted () =
+let test_soundness_sweep () =
   let r = Pqs.Const_opt.sweep ~seed_lo:1 ~seed_hi:1000 Dialect.Sqlite_like in
   Alcotest.(check int) "seeds swept" 1000 r.Pqs.Const_opt.co_seeds;
   Alcotest.(check bool) "checks simplified and re-ran" true
@@ -363,24 +361,6 @@ let test_soundness_sweep_interpreted () =
   Alcotest.(check (list (pair int string)))
     "no divergence on the correct engine" []
     r.Pqs.Const_opt.co_divergences
-
-let test_soundness_sweep_compiled () =
-  let r =
-    Pqs.Const_opt.sweep ~backend:Engine.Exec_backend.Compiled ~seed_lo:1
-      ~seed_hi:1000 Dialect.Sqlite_like
-  in
-  Alcotest.(check (list (pair int string)))
-    "no divergence under the compiled backend" []
-    r.Pqs.Const_opt.co_divergences
-
-let test_sweep_backend_parity () =
-  (* both backends must see the identical sweep record: same checks, same
-     rewrites, same (empty) divergences *)
-  let run backend =
-    Pqs.Const_opt.sweep ~backend ~seed_lo:1 ~seed_hi:200 Dialect.Sqlite_like
-  in
-  Alcotest.(check bool) "interpreted = compiled" true
-    (run Engine.Exec_backend.Interpreted = run Engine.Exec_backend.Compiled)
 
 let test_sweep_other_dialects () =
   List.iter
@@ -552,11 +532,7 @@ let () =
         ] );
       ( "soundness",
         [
-          Alcotest.test_case "1,000-seed sweep (interpreter)" `Quick
-            test_soundness_sweep_interpreted;
-          Alcotest.test_case "1,000-seed sweep (compiled)" `Quick
-            test_soundness_sweep_compiled;
-          Alcotest.test_case "backend parity" `Quick test_sweep_backend_parity;
+          Alcotest.test_case "1,000-seed sweep" `Quick test_soundness_sweep;
           Alcotest.test_case "mysql/pg sweeps" `Quick test_sweep_other_dialects;
           Alcotest.test_case "sweep is deterministic" `Quick
             test_sweep_deterministic;

@@ -742,6 +742,42 @@ let test_listing12 () =
   Alcotest.(check int) "correct fetches row" 1 (List.length (run ~bugged:false));
   Alcotest.(check int) "bug drops row" 0 (List.length (run ~bugged:true))
 
+(* ALTER TABLE ... RENAME COLUMN rewrites partial-index predicates along
+   with the index definitions: later writes still maintain the index (they
+   used to fail with "no such column" on the old name) and index scans see
+   the rows they add *)
+let test_rename_partial_index () =
+  let session = Engine.Session.create Dialect.Sqlite_like in
+  let sql s =
+    match Sqlparse.Parser.parse_stmt s with
+    | Ok st -> exec session st
+    | Error e -> Alcotest.fail (Sqlparse.Parser.show_error e)
+  in
+  List.iter
+    (fun s -> ignore (sql s))
+    [
+      "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 TEXT)";
+      "INSERT INTO t1 VALUES (1, 'a')";
+      "CREATE INDEX i0 ON t1(c1) WHERE (c0 IS NOT NULL)";
+      "ALTER TABLE t1 RENAME COLUMN c0 TO k";
+      "INSERT INTO t1 VALUES (2, 'b')";
+      "INSERT OR REPLACE INTO t1 VALUES (1, 'c')";
+    ];
+  let lines q =
+    match sql q with
+    | Engine.Session.Rows rs ->
+        List.map
+          (fun r -> String.concat "|" (Array.to_list (Array.map Value.to_display r)))
+          rs.Engine.Executor.rs_rows
+    | _ -> Alcotest.fail "expected rows"
+  in
+  let q = "SELECT * FROM t1 WHERE c1 = 'b' AND k IS NOT NULL" in
+  Alcotest.(check (list string)) "partial-index plan"
+    [ "SCAN t1 USING index-eq(i0)" ] (lines ("EXPLAIN " ^ q));
+  Alcotest.(check (list string)) "inserted row found" [ "2|b" ] (lines q);
+  Alcotest.(check (list string)) "primary-key range sees every row"
+    [ "1|c"; "2|b" ] (lines "SELECT * FROM t1 WHERE k >= 1")
+
 let () =
   Alcotest.run "engine"
     [
@@ -752,6 +788,8 @@ let () =
           Alcotest.test_case "unique constraints" `Quick test_unique_constraint;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "index scan equivalence" `Quick test_index_scan_equivalence;
+          Alcotest.test_case "rename column keeps partial index" `Quick
+            test_rename_partial_index;
           Alcotest.test_case "transactions" `Quick test_transactions;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "group by/having" `Quick test_group_by_having;

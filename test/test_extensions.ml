@@ -252,23 +252,20 @@ let test_negative_checks_sound () =
 
 let test_parallel_runner () =
   let config =
-    Pqs.Runner.Config.make ~seed:313 ~verify_ground_truth:false
-      Dialect.Sqlite_like
+    Pqs.Runner.Config.make ~verify_ground_truth:false Dialect.Sqlite_like
   in
-  let stats = Pqs.Runner.run_parallel ~workers:2 ~max_queries:200 config in
+  let c = Pqs.Campaign.run ~domains:2 ~seed_lo:313 ~seed_hi:329 config in
+  let stats = c.Pqs.Campaign.stats in
   Alcotest.(check int) "no findings on correct engine" 0
     (List.length stats.Pqs.Stats.reports);
   Alcotest.(check bool) "both workers contributed" true
     (stats.Pqs.Stats.queries >= 200);
   (* detection also works through the parallel path *)
   let bugs = Engine.Bug.set_of_list [ Engine.Bug.Sq_case_null_when ] in
-  let config = Pqs.Runner.Config.make ~seed:7 ~bugs Dialect.Sqlite_like in
-  let stats =
-    Pqs.Runner.run_parallel ~stop_on_first:true ~workers:2 ~max_queries:8000
-      config
-  in
+  let config = Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like in
+  let c = Pqs.Campaign.run ~domains:2 ~seed_lo:7 ~seed_hi:207 config in
   Alcotest.(check bool) "bug found in parallel" true
-    (stats.Pqs.Stats.reports <> [])
+    (Pqs.Campaign.reports c <> [])
 
 let () =
   Alcotest.run "extensions"
