@@ -500,15 +500,15 @@ let fleet_run dialect seed databases workers chunk heartbeat_every stall_after
       ~seed_hi:(seed + databases)
   in
   let agg = r.Fleet.Supervisor.agg in
-  let c = Fleet.Aggregate.counters agg in
+  let c = Fleet.Aggregate.stats agg in
   let universe = Pqs.Gen_bias.universe dialect in
-  let frontier = Fleet.Aggregate.frontier agg in
+  let frontier = c.Pqs.Stats.frontier in
   Printf.printf
     "fleet: %d shard(s) over %d slot(s)  rounds=%d statements=%d queries=%d \
      wall=%.2fs rounds/s=%.1f\n"
     r.Fleet.Supervisor.spawned workers
     (Fleet.Aggregate.rounds agg)
-    c.Fleet.Heartbeat.statements c.Fleet.Heartbeat.queries
+    c.Pqs.Stats.statements c.Pqs.Stats.queries
     r.Fleet.Supervisor.elapsed
     (if r.Fleet.Supervisor.elapsed > 0.0 then
        float_of_int (Fleet.Aggregate.rounds agg) /. r.Fleet.Supervisor.elapsed
@@ -630,58 +630,6 @@ let fleet_cmd =
 
 (* ---- top ---- *)
 
-let write_html_report d stale = function
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Pqs.Dashboard.render_html ~stale d));
-      Printf.printf "html report written to %s\n" path
-
-let is_summary_line line =
-  let prefix = "{\"type\":\"campaign" in
-  String.length line >= String.length prefix
-  && String.sub line 0 (String.length prefix) = prefix
-
-let top_trace dialect trace once report stale interval =
-  if once then begin
-    let d = Pqs.Dashboard.of_trace_file ~dialect trace in
-    print_string (Pqs.Dashboard.render ~ansi:false ~stale d);
-    write_html_report d stale report;
-    0
-  end
-  else begin
-    (* tail through Fleet.Tail so rotation and in-place truncation of
-       the trace (logrotate, a restarted campaign reopening the same
-       path) reset the funnel instead of wedging or double-counting *)
-    let d = ref (Pqs.Dashboard.create ~dialect) in
-    let tail = Fleet.Tail.create trace in
-    let finished = ref false in
-    Fun.protect
-      ~finally:(fun () -> Fleet.Tail.close tail)
-      (fun () ->
-        let rec loop () =
-          List.iter
-            (function
-              | Fleet.Tail.Rotated -> d := Pqs.Dashboard.create ~dialect
-              | Fleet.Tail.Line line ->
-                  ignore (Pqs.Dashboard.feed_line !d line);
-                  if is_summary_line line then finished := true)
-            (Fleet.Tail.poll tail);
-          Pqs.Dashboard.sample_rate !d ~now:(Unix.gettimeofday ());
-          print_string (Pqs.Dashboard.render ~ansi:true ~stale !d);
-          flush stdout;
-          if not !finished then begin
-            Unix.sleepf interval;
-            loop ()
-          end
-        in
-        loop ());
-    write_html_report !d stale report;
-    0
-  end
-
 let read_file path =
   try Some (In_channel.with_open_bin path In_channel.input_all)
   with Sys_error _ -> None
@@ -693,47 +641,43 @@ let fleet_status dir =
   match read_file (Filename.concat dir "fleet.json") with
   | None -> None
   | Some s -> (
-      match Fleet.Json.parse s with
-      | Ok j -> Option.bind (Fleet.Json.member "status" j) Fleet.Json.to_str
+      match Json.parse s with
+      | Ok j -> Option.bind (Json.member "status" j) Json.to_str
       | Error _ -> None)
 
-let write_fleet_html v stale = function
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Fleet.Fleet_view.render_html ~stale v));
-      Printf.printf "html report written to %s\n" path
-
-let top_fleet dialect dir once report stale interval =
-  let v = Fleet.Fleet_view.create ~dialect ~dir in
-  if once then begin
-    Fleet.Fleet_view.refresh v;
-    print_string (Fleet.Fleet_view.render ~ansi:false ~stale v);
-    write_fleet_html v stale report;
-    0
-  end
-  else begin
+(* a campaign trace is a one-shard fleet: both sources render through
+   the same view, and differ only in where their heartbeats live and in
+   when the run is over *)
+let top dialect trace fleet_dir once report stale interval =
+  let view finished source files =
+    let v = Fleet.Fleet_view.create ~dialect ~source files in
     let rec loop () =
       Fleet.Fleet_view.refresh v;
-      print_string (Fleet.Fleet_view.render ~ansi:true ~stale v);
+      print_string (Fleet.Fleet_view.render ~ansi:(not once) ~stale v);
       flush stdout;
-      if fleet_status dir <> Some "done" then begin
+      if not (once || finished v) then begin
         Unix.sleepf interval;
         loop ()
       end
     in
     loop ();
-    write_fleet_html v stale report;
+    (match report with
+    | None -> ()
+    | Some path ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (Fleet.Fleet_view.render_html ~stale v));
+        Printf.printf "html report written to %s\n" path);
     0
-  end
-
-let top dialect trace fleet_dir once report stale interval =
+  in
   try
     match (trace, fleet_dir) with
-    | Some trace, None -> top_trace dialect trace once report stale interval
-    | None, Some dir -> top_fleet dialect dir once report stale interval
+    | Some trace, None ->
+        view Fleet.Fleet_view.complete trace (fun () -> [ trace ])
+    | None, Some dir ->
+        view
+          (fun _ -> fleet_status dir = Some "done")
+          dir
+          (fun () -> List.map snd (Fleet.Supervisor.shard_files dir))
     | _ ->
         Printf.eprintf "error: pass exactly one of --trace FILE or --fleet DIR\n";
         2
@@ -747,7 +691,10 @@ let top_cmd =
       value
       & opt (some file) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"the campaign's JSONL trace (written by campaign --trace)")
+          ~doc:
+            "a campaign's heartbeat trace (written by $(b,campaign \
+             --trace)), rendered as a one-shard fleet; the live view \
+             ends when its watermark reaches the end of the seed range")
   in
   let fleet_dir =
     Arg.(
@@ -786,10 +733,10 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "live campaign funnel: tail a JSONL trace (or a fleet directory \
-          with --fleet) and render rounds/sec, the per-oracle firing \
-          funnel, the frontier fraction and the most-stale unexercised \
-          points (exits when the trace ends)")
+         "live run view: tail a campaign trace or a fleet directory's \
+          heartbeats and render per-shard health, rounds/sec, the \
+          per-oracle firing funnel, the frontier fraction and the \
+          most-stale unexercised points (exits when the run is done)")
     Term.(
       const top $ dialect_arg $ trace $ fleet_dir $ once $ report $ stale
       $ interval)

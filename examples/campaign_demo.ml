@@ -30,4 +30,6 @@ let () =
         (Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle)
         r.Pqs.Bug_report.message)
     (Pqs.Campaign.reports campaign);
-  print_endline "per-seed event trace written to campaign.jsonl"
+  print_endline
+    "heartbeat trace (one record per round, a one-shard fleet) written to \
+     campaign.jsonl; render it with: sqlancer top --trace campaign.jsonl --once"

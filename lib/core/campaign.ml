@@ -20,60 +20,6 @@ let statements_per_sec t =
   if t.elapsed <= 0.0 then 0.0
   else float_of_int t.stats.Stats.statements /. t.elapsed
 
-let seed_line o =
-  (* point names are [a-z0-9._] by construction, so they embed in JSON
-     without escaping *)
-  let points =
-    Frontier.points o.round.Stats.frontier
-    |> List.map (fun (p, _) -> "\"" ^ p ^ "\"")
-    |> String.concat ","
-  in
-  let oracle =
-    match o.round.Stats.reports with
-    | r :: _ ->
-        Printf.sprintf ",\"oracle\":\"%s\""
-          (Bug_report.oracle_token r.Bug_report.oracle)
-    | [] -> ""
-  in
-  Printf.sprintf
-    "{\"type\":\"seed\",\"seed\":%d,\"worker\":%d,\"statements\":%d,\
-     \"queries\":%d,\"pivots\":%d,\"reports\":%d,\"wall_ms\":%.3f%s,\
-     \"points\":[%s]}"
-    o.seed o.worker o.round.Stats.statements o.round.Stats.queries
-    o.round.Stats.pivots
-    (List.length o.round.Stats.reports)
-    (o.wall *. 1000.0)
-    oracle points
-
-let summary_line t =
-  let universe = Gen_bias.universe t.dialect in
-  Printf.sprintf
-    "{\"type\":\"campaign\",\"domains\":%d,\"databases\":%d,\
-     \"statements\":%d,\"queries\":%d,\"reports\":%d,\"wall_s\":%.3f,\
-     \"statements_per_sec\":%.1f,\"dialect\":\"%s\",\
-     \"frontier_points\":%d,\"frontier_fraction\":%.4f}"
-    t.domains t.stats.Stats.databases t.stats.Stats.statements
-    t.stats.Stats.queries
-    (List.length t.stats.Stats.reports)
-    t.elapsed (statements_per_sec t)
-    (Sqlval.Dialect.name t.dialect)
-    (Frontier.hit_in ~universe t.stats.Stats.frontier)
-    (Frontier.fraction ~universe t.stats.Stats.frontier)
-
-let partial_line ~domains ~seeds_done =
-  Printf.sprintf
-    "{\"type\":\"campaign_partial\",\"domains\":%d,\"seeds_done\":%d}" domains
-    seeds_done
-
-let output_trace oc t =
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (fun o -> output_string oc (seed_line o ^ "\n")) t.outcomes;
-      output_string oc (summary_line t ^ "\n"))
-
-let write_trace t path = output_trace (open_out path) t
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 
@@ -164,7 +110,7 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
   (* open the trace before spending any compute, so a bad path fails fast *)
   let trace_oc = Option.map open_out trace in
   let trace_mutex = Mutex.create () in
-  let seeds_done = Atomic.make 0 in
+  let rounds_done = ref 0 in
   let t0 = Telemetry.Clock.now () in
   let seeds = List.init (max 0 (seed_hi - seed_lo)) (fun i -> seed_lo + i) in
   (* periodic metrics export: merged stats accumulate supervisor-side
@@ -188,16 +134,37 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
         end
     | _ -> ()
   in
-  (* each seed line streams out (and flushes) as its round completes, so an
-     interrupted campaign still leaves a usable prefix of the trace *)
-  let emit_seed o =
+  (* the trace is a one-shard fleet: one heartbeat per round streams out
+     (and flushes) as the round completes, so an interrupted campaign
+     still leaves a usable prefix.  Reduction replays scripts, so the
+     findings are fingerprinted before taking the lock; [seq] and the
+     watermark are stamped under it, so they grow with the file *)
+  let emit_round (round : Stats.t) =
+    let findings =
+      match trace_oc with
+      | Some _ ->
+          Heartbeat.report_metas ~bugs:config.Runner.Config.bugs
+            round.Stats.reports
+      | None -> []
+    in
     Mutex.protect trace_mutex (fun () ->
+        let seq = !rounds_done in
+        rounds_done := seq + 1;
         (match trace_oc with
         | None -> ()
         | Some oc ->
-            output_string oc (seed_line o ^ "\n");
+            let elapsed = Telemetry.Clock.now () -. t0 in
+            let hb =
+              Heartbeat.make ~shard:0 ~slot:0 ~seq ~range:(seed_lo, seed_hi)
+                ~next_seed:(seed_lo + seq + 1) ~rounds:1
+                ~rounds_per_sec:
+                  (if elapsed > 0.0 then float_of_int (seq + 1) /. elapsed
+                   else 0.0)
+                ~reports:findings ~telemetry:[] round
+            in
+            output_string oc (Heartbeat.encode hb ^ "\n");
             flush oc);
-        note_metrics o.round)
+        note_metrics round)
   in
   (* striped sharding balances load; any deterministic assignment yields
      the same merged result because rounds are independent *)
@@ -240,27 +207,12 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
         let wall = Telemetry.Clock.now () -. t0 -. started in
         Telemetry.observe tele "pqs_round_seconds" wall;
         Telemetry.inc tele "pqs_rounds_total";
-        let o = { seed = s; worker = w; round; started; wall } in
-        Atomic.incr seeds_done;
-        emit_seed o;
-        o)
+        emit_round round;
+        { seed = s; worker = w; round; started; wall })
       (shard w)
   in
-  let finished = ref false in
   Fun.protect
-    ~finally:(fun () ->
-      (* abnormal exit: mark the streamed prefix as partial, then release
-         the channel (normal exit appends the summary below instead) *)
-      match trace_oc with
-      | Some oc when not !finished ->
-          (try
-             output_string oc
-               (partial_line ~domains ~seeds_done:(Atomic.get seeds_done)
-               ^ "\n");
-             flush oc
-           with Sys_error _ -> ());
-          close_out_noerr oc
-      | _ -> ())
+    ~finally:(fun () -> Option.iter close_out_noerr trace_oc)
     (fun () ->
       let outcomes =
         if domains = 1 then work 0 ()
@@ -338,12 +290,6 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
           try Frontier.write_json ~universe ~bundles stats.Stats.frontier path
           with Sys_error _ -> ())
       | None -> ());
-      (match trace_oc with
-      | Some oc ->
-          output_string oc (summary_line t ^ "\n");
-          finished := true;
-          close_out oc
-      | None -> finished := true);
       (match chrome_trace with
       | Some path -> write_chrome_trace t path
       | None -> ());

@@ -11,9 +11,10 @@
     the same seeds; only wall time differs.
 
     Observability: each seed yields a {!outcome} with its wall time, an
-    optional JSONL event trace records one line per seed plus a campaign
-    summary, and per-worker coverage instruments are merged into the
-    config's instrument after the join. *)
+    optional trace records the run as a one-shard fleet (one
+    {!Heartbeat} per round, which [sqlancer top --trace] renders like a
+    fleet directory), and per-worker coverage instruments are merged
+    into the config's instrument after the join. *)
 
 type outcome = {
   seed : int;  (** the database seed of this round *)
@@ -47,13 +48,18 @@ val statements_per_sec : t -> float
       worker count; defaults to [Domain.recommended_domain_count ()].
       [domains:1] runs inline without spawning.
     @param trace
-      write a JSONL event trace to this path: one
-      [{"type":"seed",...}] object per round (seed, worker, statements,
-      queries, pivots, reports, wall_ms) and a final
-      [{"type":"campaign",...}] summary.  Seed lines stream out (and
-      flush) as rounds complete, so an interrupted campaign leaves a
-      usable prefix terminated by a [{"type":"campaign_partial",...}]
-      line instead of the summary.
+      write the run to this path as a one-shard fleet: one {!Heartbeat}
+      JSONL line per completed round — shard 0, slot 0, range
+      [\[seed_lo, seed_hi)], the round's counters and frontier, its
+      findings fingerprinted by minimized repro (so tracing also reduces
+      every report), and no telemetry.  [seq] counts rounds in file
+      order and the watermark is [seed_lo + rounds completed]: rounds
+      finish out of seed order across domains and a campaign is never
+      requeued, so the watermark only shows progress.  Lines stream out
+      (and flush) as rounds complete.  There is no summary or
+      partial-run marker: the trace is complete when its watermark
+      reaches [seed_hi], and an interrupted campaign leaves a prefix
+      whose shard a viewer shows as stalled.
     @param chrome_trace
       additionally write a Chrome trace-event ([chrome://tracing] /
       Perfetto) JSON file with one complete event per seed on its
@@ -75,10 +81,6 @@ val statements_per_sec : t -> float
       snapshot when the path ends in [.json]
     @param seed_lo inclusive start of the seed range
     @param seed_hi exclusive end of the seed range
-
-    Seed lines carry the round's frontier point names ([points]) and the
-    firing oracle token ([oracle], present only on reporting rounds) —
-    what [sqlancer top] tails for the live funnel.
 
     All duration measurements use the monotonic {!Telemetry.Clock}.  When
     [config]'s telemetry registry is enabled, each worker records into a
@@ -107,9 +109,6 @@ val run :
   seed_hi:int ->
   Runner.config ->
   t
-
-(** Write the JSONL trace of a finished campaign. *)
-val write_trace : t -> string -> unit
 
 (** Write the Chrome trace-event file of a finished campaign. *)
 val write_chrome_trace : t -> string -> unit

@@ -1,136 +1,3 @@
-open Sqlval
-
-type counters = {
-  databases : int;
-  pivots : int;
-  queries : int;
-  statements : int;
-  interp_failures : int;
-  false_positives : int;
-  negative_checks : int;
-  lint_checks : int;
-  lint_diagnostics : int;
-  plan_checks : int;
-  plan_divergences : int;
-  const_checks : int;
-  const_divergences : int;
-  truth_true : int;
-  truth_false : int;
-  truth_unknown : int;
-}
-
-let zero_counters =
-  {
-    databases = 0;
-    pivots = 0;
-    queries = 0;
-    statements = 0;
-    interp_failures = 0;
-    false_positives = 0;
-    negative_checks = 0;
-    lint_checks = 0;
-    lint_diagnostics = 0;
-    plan_checks = 0;
-    plan_divergences = 0;
-    const_checks = 0;
-    const_divergences = 0;
-    truth_true = 0;
-    truth_false = 0;
-    truth_unknown = 0;
-  }
-
-let truth_count tv (s : Pqs.Stats.t) =
-  match List.assoc_opt tv s.Pqs.Stats.truth_values with
-  | Some n -> n
-  | None -> 0
-
-let counters_of_stats (s : Pqs.Stats.t) =
-  {
-    databases = s.Pqs.Stats.databases;
-    pivots = s.Pqs.Stats.pivots;
-    queries = s.Pqs.Stats.queries;
-    statements = s.Pqs.Stats.statements;
-    interp_failures = s.Pqs.Stats.interp_failures;
-    false_positives = s.Pqs.Stats.false_positives;
-    negative_checks = s.Pqs.Stats.negative_checks;
-    lint_checks = s.Pqs.Stats.lint_checks;
-    lint_diagnostics = s.Pqs.Stats.lint_diagnostics;
-    plan_checks = s.Pqs.Stats.plan_checks;
-    plan_divergences = s.Pqs.Stats.plan_divergences;
-    const_checks = s.Pqs.Stats.const_checks;
-    const_divergences = s.Pqs.Stats.const_divergences;
-    truth_true = truth_count Tvl.True s;
-    truth_false = truth_count Tvl.False s;
-    truth_unknown = truth_count Tvl.Unknown s;
-  }
-
-let add_counters a b =
-  {
-    databases = a.databases + b.databases;
-    pivots = a.pivots + b.pivots;
-    queries = a.queries + b.queries;
-    statements = a.statements + b.statements;
-    interp_failures = a.interp_failures + b.interp_failures;
-    false_positives = a.false_positives + b.false_positives;
-    negative_checks = a.negative_checks + b.negative_checks;
-    lint_checks = a.lint_checks + b.lint_checks;
-    lint_diagnostics = a.lint_diagnostics + b.lint_diagnostics;
-    plan_checks = a.plan_checks + b.plan_checks;
-    plan_divergences = a.plan_divergences + b.plan_divergences;
-    const_checks = a.const_checks + b.const_checks;
-    const_divergences = a.const_divergences + b.const_divergences;
-    truth_true = a.truth_true + b.truth_true;
-    truth_false = a.truth_false + b.truth_false;
-    truth_unknown = a.truth_unknown + b.truth_unknown;
-  }
-
-(* the codec walks counters as a named field list so encode and decode
-   can never drift from the record shape *)
-let counter_fields c =
-  [
-    ("databases", c.databases);
-    ("pivots", c.pivots);
-    ("queries", c.queries);
-    ("statements", c.statements);
-    ("interp_failures", c.interp_failures);
-    ("false_positives", c.false_positives);
-    ("negative_checks", c.negative_checks);
-    ("lint_checks", c.lint_checks);
-    ("lint_diagnostics", c.lint_diagnostics);
-    ("plan_checks", c.plan_checks);
-    ("plan_divergences", c.plan_divergences);
-    ("const_checks", c.const_checks);
-    ("const_divergences", c.const_divergences);
-    ("truth_true", c.truth_true);
-    ("truth_false", c.truth_false);
-    ("truth_unknown", c.truth_unknown);
-  ]
-
-let counters_of_json j =
-  let get name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some n -> n
-    | None -> 0
-  in
-  {
-    databases = get "databases";
-    pivots = get "pivots";
-    queries = get "queries";
-    statements = get "statements";
-    interp_failures = get "interp_failures";
-    false_positives = get "false_positives";
-    negative_checks = get "negative_checks";
-    lint_checks = get "lint_checks";
-    lint_diagnostics = get "lint_diagnostics";
-    plan_checks = get "plan_checks";
-    plan_divergences = get "plan_divergences";
-    const_checks = get "const_checks";
-    const_divergences = get "const_divergences";
-    truth_true = get "truth_true";
-    truth_false = get "truth_false";
-    truth_unknown = get "truth_unknown";
-  }
-
 type report_meta = {
   rm_fingerprint : string;
   rm_oracle : string;
@@ -149,13 +16,42 @@ type t = {
   next_seed : int;
   rounds : int;
   rounds_per_sec : float;
-  counters : counters;
-  frontier : Frontier.t;
+  stats : Stats.t;
   reports : report_meta list;
   telemetry : Telemetry.sample list;
 }
 
 let current_version = 1
+
+let report_metas ~bugs reports =
+  List.map
+    (fun (r : Bug_report.t) ->
+      let r = Reducer.reduce_report r ~bugs in
+      {
+        rm_fingerprint = Bug_report.fingerprint r;
+        rm_oracle = Bug_report.oracle_token r.Bug_report.oracle;
+        rm_seed = r.Bug_report.seed;
+        rm_bundle = r.Bug_report.bundle;
+      })
+    reports
+
+let make ~shard ~slot ~seq ~range:(range_lo, range_hi) ~next_seed ~rounds
+    ~rounds_per_sec ~reports ~telemetry (stats : Stats.t) =
+  {
+    version = current_version;
+    shard;
+    slot;
+    seq;
+    at = Unix.gettimeofday ();
+    range_lo;
+    range_hi;
+    next_seed;
+    rounds;
+    rounds_per_sec;
+    stats = { stats with Stats.reports = [] };
+    reports;
+    telemetry;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -210,7 +106,7 @@ let encode hb =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (Printf.sprintf "\"%s\":%d" name v))
-    (counter_fields hb.counters);
+    (Stats.counters hb.stats);
   Buffer.add_string b "},\"points\":[";
   List.iteri
     (fun i (p, e) ->
@@ -218,7 +114,7 @@ let encode hb =
       Buffer.add_string b
         (Printf.sprintf "{\"p\":%s,\"h\":%d,\"s\":%d}" (Json.quote p)
            e.Frontier.hits e.Frontier.first_seed))
-    (Frontier.points hb.frontier);
+    (Frontier.points hb.stats.Stats.frontier);
   Buffer.add_string b "],\"reports\":[";
   List.iteri
     (fun i r ->
@@ -383,7 +279,7 @@ let decode line =
       let* rounds_per_sec = field "rps" Json.to_float j in
       let* counters =
         match Json.member "stats" j with
-        | Some stats -> Ok (counters_of_json stats)
+        | Some counters -> Ok counters
         | None -> Error "heartbeat: bad or missing field \"stats\""
       in
       let* frontier = decode_points j in
@@ -401,13 +297,17 @@ let decode line =
           next_seed;
           rounds;
           rounds_per_sec;
-          counters;
-          frontier;
+          stats =
+            Stats.with_counters
+              { Stats.empty with Stats.frontier }
+              (fun name ->
+                Option.value ~default:0
+                  (Option.bind (Json.member name counters) Json.to_int));
           reports;
           telemetry;
         }
 
 let equal_payload a b =
-  a.counters = b.counters
-  && Frontier.points a.frontier = Frontier.points b.frontier
+  Stats.counters a.stats = Stats.counters b.stats
+  && Frontier.points a.stats.Stats.frontier = Frontier.points b.stats.Stats.frontier
   && List.sort compare a.reports = List.sort compare b.reports

@@ -49,26 +49,70 @@ let empty =
     frontier = Frontier.empty;
   }
 
-let merge a b =
+let set_truth tv n t =
   {
-    databases = a.databases + b.databases;
-    pivots = a.pivots + b.pivots;
-    queries = a.queries + b.queries;
-    statements = a.statements + b.statements;
-    interp_failures = a.interp_failures + b.interp_failures;
-    false_positives = a.false_positives + b.false_positives;
-    reports = a.reports @ b.reports;
+    t with
     truth_values =
       List.map
-        (fun t -> (t, truth_count a.truth_values t + truth_count b.truth_values t))
-        canonical_truths;
-    negative_checks = a.negative_checks + b.negative_checks;
-    lint_checks = a.lint_checks + b.lint_checks;
-    lint_diagnostics = a.lint_diagnostics + b.lint_diagnostics;
-    plan_checks = a.plan_checks + b.plan_checks;
-    plan_divergences = a.plan_divergences + b.plan_divergences;
-    const_checks = a.const_checks + b.const_checks;
-    const_divergences = a.const_divergences + b.const_divergences;
+        (fun (t', m) -> if Tvl.equal tv t' then (t', n) else (t', m))
+        t.truth_values;
+  }
+
+(* the one definition of the additive counters: name, read, write.  The
+   heartbeat codec, [merge] and [Aggregate.diff_totals] all walk it, so
+   none of them can drift from the record shape *)
+let fields =
+  [
+    ("databases", (fun t -> t.databases), fun n t -> { t with databases = n });
+    ("pivots", (fun t -> t.pivots), fun n t -> { t with pivots = n });
+    ("queries", (fun t -> t.queries), fun n t -> { t with queries = n });
+    ("statements", (fun t -> t.statements), fun n t -> { t with statements = n });
+    ( "interp_failures",
+      (fun t -> t.interp_failures),
+      fun n t -> { t with interp_failures = n } );
+    ( "false_positives",
+      (fun t -> t.false_positives),
+      fun n t -> { t with false_positives = n } );
+    ( "negative_checks",
+      (fun t -> t.negative_checks),
+      fun n t -> { t with negative_checks = n } );
+    ("lint_checks", (fun t -> t.lint_checks), fun n t -> { t with lint_checks = n });
+    ( "lint_diagnostics",
+      (fun t -> t.lint_diagnostics),
+      fun n t -> { t with lint_diagnostics = n } );
+    ("plan_checks", (fun t -> t.plan_checks), fun n t -> { t with plan_checks = n });
+    ( "plan_divergences",
+      (fun t -> t.plan_divergences),
+      fun n t -> { t with plan_divergences = n } );
+    ( "const_checks",
+      (fun t -> t.const_checks),
+      fun n t -> { t with const_checks = n } );
+    ( "const_divergences",
+      (fun t -> t.const_divergences),
+      fun n t -> { t with const_divergences = n } );
+    ("truth_true", (fun t -> truth_count t.truth_values Tvl.True), set_truth Tvl.True);
+    ( "truth_false",
+      (fun t -> truth_count t.truth_values Tvl.False),
+      set_truth Tvl.False );
+    ( "truth_unknown",
+      (fun t -> truth_count t.truth_values Tvl.Unknown),
+      set_truth Tvl.Unknown );
+  ]
+
+let counters t = List.map (fun (name, get, _) -> (name, get t)) fields
+
+let with_counters t value =
+  List.fold_left (fun t (name, _, set) -> set (value name) t) t fields
+
+let merge a b =
+  let sum =
+    List.fold_left
+      (fun t (_, get, set) -> set (get a + get b) t)
+      empty fields
+  in
+  {
+    sum with
+    reports = a.reports @ b.reports;
     frontier = Frontier.union a.frontier b.frontier;
   }
 
@@ -76,13 +120,7 @@ let merge_all = List.fold_left merge empty
 let add_report t r = { t with reports = t.reports @ [ r ] }
 
 let bump_truth t truth =
-  {
-    t with
-    truth_values =
-      List.map
-        (fun (t', n) -> if Tvl.equal truth t' then (t', n + 1) else (t', n))
-        t.truth_values;
-  }
+  set_truth truth (truth_count t.truth_values truth + 1) t
 
 let summary t =
   Printf.sprintf

@@ -56,6 +56,17 @@ val empty : t
     both [empty] and {!bump_truth} maintain). *)
 val merge : t -> t -> t
 
+(** The additive counters — every field except [reports] and [frontier],
+    with the truth-value distribution split into [truth_true],
+    [truth_false] and [truth_unknown] — as a named list in declaration
+    order.  This walk is the counters' one definition: {!merge}, the
+    heartbeat codec and the fleet aggregate's diff all go through it. *)
+val counters : t -> (string * int) list
+
+(** [with_counters t value] sets every counter named by {!counters} to
+    [value name], keeping [reports] and [frontier]. *)
+val with_counters : t -> (string -> int) -> t
+
 (** Fold {!merge} over the list, left to right, starting from {!empty}. *)
 val merge_all : t list -> t
 

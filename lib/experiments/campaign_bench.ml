@@ -10,10 +10,6 @@
 
 open Sqlval
 
-let report_key (r : Pqs.Bug_report.t) =
-  (r.Pqs.Bug_report.seed, Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle,
-   Pqs.Bug_report.script r)
-
 let json ~dialect ~databases ~domains ~cores ~seq ~par ~identical =
   let line (c : Pqs.Campaign.t) =
     Printf.sprintf
@@ -53,8 +49,8 @@ let run ?(domains = 4) ?(databases = 64) ?(out = "BENCH_campaign.json") () =
   let seq = Pqs.Campaign.run ~domains:1 ~seed_lo ~seed_hi config in
   let par = Pqs.Campaign.run ~domains ~seed_lo ~seed_hi config in
   let identical =
-    List.map report_key (Pqs.Campaign.reports seq)
-    = List.map report_key (Pqs.Campaign.reports par)
+    List.map Bench.report_key (Pqs.Campaign.reports seq)
+    = List.map Bench.report_key (Pqs.Campaign.reports par)
   in
   let cores = Domain.recommended_domain_count () in
   let oc = open_out out in

@@ -8,37 +8,12 @@
    coverage and draws no randomness, so on a bug-free engine it must be
    campaign-neutral), and records both walls plus the overhead fraction
    in BENCH_plandiff.json.  The acceptance budget is <15% overhead; the
-   configurations run interleaved and each keeps its best wall, like
-   trace_bench. *)
+   configurations run interleaved and each keeps its best wall
+   ([Bench.best_interleaved]). *)
 
 open Sqlval
 
 let budget = 0.15
-
-let report_key (r : Pqs.Bug_report.t) =
-  (r.Pqs.Bug_report.seed, Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle,
-   Pqs.Bug_report.script r)
-
-(* interleaved minima, identical rationale to Trace_bench.best_interleaved *)
-let best_interleaved ~batch ~max_runs ~settle run_a run_b =
-  let best cur (c, w) =
-    match cur with
-    | Some (_, w') when (w' : float) <= w -> cur
-    | _ -> Some (c, w)
-  in
-  let rec go a b runs =
-    let a = ref a and b = ref b in
-    for _ = 1 to batch do
-      a := best !a (run_a ());
-      b := best !b (run_b ())
-    done;
-    let _, wa = Option.get !a and _, wb = Option.get !b in
-    let runs = runs + batch in
-    if runs >= max_runs || (wb -. wa) /. wa < settle then
-      (Option.get !a, Option.get !b)
-    else go !a !b runs
-  in
-  go None None 0
 
 let json ~dialect ~databases ~off_wall ~on_wall ~overhead ~identical
     ~statements ~plan_checks ~reports =
@@ -79,15 +54,15 @@ let run ?(databases = 300) ?(out = "BENCH_plandiff.json") () =
   ignore (campaign ~plan_diff:false ());
   ignore (campaign ~plan_diff:true ());
   let (off_c, off_wall), (on_c, on_wall) =
-    best_interleaved ~batch:7 ~max_runs:28 ~settle:0.04
+    Bench.best_interleaved ~batch:7 ~max_runs:28 ~settle:0.04
       (campaign ~plan_diff:false) (campaign ~plan_diff:true)
   in
   let overhead =
     if off_wall <= 0.0 then 0.0 else (on_wall -. off_wall) /. off_wall
   in
   let identical =
-    List.map report_key (Pqs.Campaign.reports off_c)
-    = List.map report_key (Pqs.Campaign.reports on_c)
+    List.map Bench.report_key (Pqs.Campaign.reports off_c)
+    = List.map Bench.report_key (Pqs.Campaign.reports on_c)
   in
   let statements = off_c.Pqs.Campaign.stats.Pqs.Stats.statements in
   let plan_checks = on_c.Pqs.Campaign.stats.Pqs.Stats.plan_checks in

@@ -10,26 +10,6 @@
 
 open Sqlval
 
-let report_key (r : Pqs.Bug_report.t) =
-  (r.Pqs.Bug_report.seed, Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle,
-   Pqs.Bug_report.script r)
-
-(* run the two configurations back to back [n] times and keep each one's
-   best wall: interleaving means slow system drift (CPU frequency, page
-   cache, a noisy neighbour) hits both sides equally instead of biasing
-   whichever configuration happened to run second *)
-let best_interleaved ~n run_a run_b =
-  let best cur (c, w) =
-    match cur with
-    | Some (_, w') when (w' : float) <= w -> cur
-    | _ -> Some (c, w)
-  in
-  let rec go a b k =
-    if k = 0 then (Option.get a, Option.get b)
-    else go (best a (run_a ())) (best b (run_b ())) (k - 1)
-  in
-  go None None n
-
 let json ~dialect ~databases ~noop_wall ~live_wall ~overhead ~identical
     ~spans ~statements =
   String.concat "\n"
@@ -62,14 +42,15 @@ let run ?(databases = 300) ?(out = "BENCH_telemetry.json") () =
   ignore (campaign Telemetry.noop ()) (* warm-up: fault code paths in *);
   let live_tele = Telemetry.create () in
   let (noop_c, noop_wall), (live_c, live_wall) =
-    best_interleaved ~n:6 (campaign Telemetry.noop) (campaign live_tele)
+    Bench.best_interleaved ~batch:6 ~max_runs:6 ~settle:0.0
+      (campaign Telemetry.noop) (campaign live_tele)
   in
   let overhead =
     if noop_wall <= 0.0 then 0.0 else (live_wall -. noop_wall) /. noop_wall
   in
   let identical =
-    List.map report_key (Pqs.Campaign.reports noop_c)
-    = List.map report_key (Pqs.Campaign.reports live_c)
+    List.map Bench.report_key (Pqs.Campaign.reports noop_c)
+    = List.map Bench.report_key (Pqs.Campaign.reports live_c)
   in
   let spans =
     (* phase histograms carry a {phase=...} label per series, so sum counts

@@ -11,43 +11,6 @@
 
 open Sqlval
 
-let report_key (r : Pqs.Bug_report.t) =
-  (r.Pqs.Bug_report.seed, Pqs.Bug_report.oracle_label r.Pqs.Bug_report.oracle,
-   Pqs.Bug_report.script r)
-
-(* Interleaved minima: alternate the two configurations and keep each
-   arm's best wall.  Run-to-run noise (scheduling, co-tenant load, GC
-   phase alignment) is almost entirely additive, so the minimum is the
-   right estimator of each arm's true cost and slow outliers never skew
-   the comparison — a per-pair median was tried and measured noisier.
-
-   Sampling is adaptive: each arm's minimum only converges downward
-   toward its true floor as samples accumulate, so when the estimate
-   sits near the budget boundary (where a single unlucky window on the
-   shared-core CI machine could flip the verdict) we keep taking
-   batches until it settles below [settle] or [max_runs] is spent.
-   Extra batches refine both arms symmetrically; they cannot bias the
-   ratio, only de-noise it. *)
-let best_interleaved ~batch ~max_runs ~settle run_a run_b =
-  let best cur (c, w) =
-    match cur with
-    | Some (_, w') when (w' : float) <= w -> cur
-    | _ -> Some (c, w)
-  in
-  let rec go a b runs =
-    let a = ref a and b = ref b in
-    for _ = 1 to batch do
-      a := best !a (run_a ());
-      b := best !b (run_b ())
-    done;
-    let _, wa = Option.get !a and _, wb = Option.get !b in
-    let runs = runs + batch in
-    if runs >= max_runs || (wb -. wa) /. wa < settle then
-      (Option.get !a, Option.get !b)
-    else go !a !b runs
-  in
-  go None None 0
-
 let json ~dialect ~databases ~off_wall ~on_wall ~overhead ~identical
     ~statements ~reports =
   String.concat "\n"
@@ -86,15 +49,15 @@ let run ?(databases = 300) ?(out = "BENCH_trace.json") () =
   ignore (campaign ~trace:false ());
   ignore (campaign ~trace:true ());
   let (off_c, off_wall), (on_c, on_wall) =
-    best_interleaved ~batch:7 ~max_runs:28 ~settle:0.04
+    Bench.best_interleaved ~batch:7 ~max_runs:28 ~settle:0.04
       (campaign ~trace:false) (campaign ~trace:true)
   in
   let overhead =
     if off_wall <= 0.0 then 0.0 else (on_wall -. off_wall) /. off_wall
   in
   let identical =
-    List.map report_key (Pqs.Campaign.reports off_c)
-    = List.map report_key (Pqs.Campaign.reports on_c)
+    List.map Bench.report_key (Pqs.Campaign.reports off_c)
+    = List.map Bench.report_key (Pqs.Campaign.reports on_c)
   in
   let statements = off_c.Pqs.Campaign.stats.Pqs.Stats.statements in
   let reports = List.length (Pqs.Campaign.reports off_c) in

@@ -1,4 +1,5 @@
 open Sqlval
+open Pqs
 
 type shard_state = Running | Done | Stalled | Killed | Crashed
 
@@ -45,8 +46,7 @@ type t = {
   universe : string list;
   shards_tbl : (int, shard) Hashtbl.t;
   mutable agg_rounds : int;
-  mutable agg_counters : Heartbeat.counters;
-  mutable agg_frontier : Frontier.t;
+  mutable agg_stats : Stats.t;
   mutable agg_total_reports : int;
   findings_tbl : (string, finding) Hashtbl.t;
   mutable findings_order : string list;  (** reverse discovery order *)
@@ -56,11 +56,10 @@ type t = {
 let create ~dialect =
   {
     agg_dialect = dialect;
-    universe = Pqs.Gen_bias.universe dialect;
+    universe = Gen_bias.universe dialect;
     shards_tbl = Hashtbl.create 16;
     agg_rounds = 0;
-    agg_counters = Heartbeat.zero_counters;
-    agg_frontier = Frontier.empty;
+    agg_stats = Stats.empty;
     agg_total_reports = 0;
     findings_tbl = Hashtbl.create 16;
     findings_order = [];
@@ -110,8 +109,7 @@ let feed t ~now (hb : Heartbeat.t) =
   s.sh_rate <- hb.Heartbeat.rounds_per_sec;
   s.sh_last <- now;
   t.agg_rounds <- t.agg_rounds + hb.Heartbeat.rounds;
-  t.agg_counters <- Heartbeat.add_counters t.agg_counters hb.Heartbeat.counters;
-  t.agg_frontier <- Frontier.union t.agg_frontier hb.Heartbeat.frontier;
+  t.agg_stats <- Stats.merge t.agg_stats hb.Heartbeat.stats;
   t.agg_total_reports <- t.agg_total_reports + List.length hb.Heartbeat.reports;
   List.iter
     (fun (r : Heartbeat.report_meta) ->
@@ -147,8 +145,7 @@ let shards t =
   |> List.sort (fun a b -> compare a.sh_shard b.sh_shard)
 
 let rounds t = t.agg_rounds
-let counters t = t.agg_counters
-let frontier t = t.agg_frontier
+let stats t = t.agg_stats
 
 let findings t =
   List.rev_map (fun fp -> Hashtbl.find t.findings_tbl fp) t.findings_order
@@ -183,8 +180,7 @@ let live_count t ~now ~stall_after =
 
 type totals = {
   tt_rounds : int;
-  tt_counters : Heartbeat.counters;
-  tt_frontier : Frontier.t;
+  tt_stats : Stats.t;
   tt_fingerprints : (string * string) list;
 }
 
@@ -196,29 +192,28 @@ let totals t =
   in
   {
     tt_rounds = t.agg_rounds;
-    tt_counters = t.agg_counters;
-    tt_frontier = t.agg_frontier;
+    tt_stats = t.agg_stats;
     tt_fingerprints = List.sort compare fps;
   }
 
-let totals_of_stats ~fingerprint (s : Pqs.Stats.t) =
+let totals_of_stats ~fingerprint (s : Stats.t) =
   let fps =
     List.map
-      (fun (r : Pqs.Bug_report.t) ->
-        (fingerprint r, Pqs.Bug_report.oracle_token r.Pqs.Bug_report.oracle))
-      s.Pqs.Stats.reports
+      (fun (r : Bug_report.t) ->
+        (fingerprint r, Bug_report.oracle_token r.Bug_report.oracle))
+      s.Stats.reports
   in
   {
-    tt_rounds = s.Pqs.Stats.databases;
-    tt_counters = Heartbeat.counters_of_stats s;
-    tt_frontier = s.Pqs.Stats.frontier;
+    tt_rounds = s.Stats.databases;
+    tt_stats = { s with Stats.reports = [] };
     tt_fingerprints = List.sort compare fps;
   }
 
 let equal_totals a b =
   a.tt_rounds = b.tt_rounds
-  && a.tt_counters = b.tt_counters
-  && Frontier.points a.tt_frontier = Frontier.points b.tt_frontier
+  && Stats.counters a.tt_stats = Stats.counters b.tt_stats
+  && Frontier.points a.tt_stats.Stats.frontier
+     = Frontier.points b.tt_stats.Stats.frontier
   && a.tt_fingerprints = b.tt_fingerprints
 
 let diff_totals a b =
@@ -228,12 +223,12 @@ let diff_totals a b =
     note "rounds: %d vs %d" a.tt_rounds b.tt_rounds;
   List.iter2
     (fun (name, x) (_, y) -> if x <> y then note "%s: %d vs %d" name x y)
-    (Heartbeat.counter_fields a.tt_counters)
-    (Heartbeat.counter_fields b.tt_counters);
-  if Frontier.points a.tt_frontier <> Frontier.points b.tt_frontier then
-    note "frontier: %d vs %d points"
-      (Frontier.cardinal a.tt_frontier)
-      (Frontier.cardinal b.tt_frontier);
+    (Stats.counters a.tt_stats)
+    (Stats.counters b.tt_stats);
+  let fa = a.tt_stats.Stats.frontier and fb = b.tt_stats.Stats.frontier in
+  if Frontier.points fa <> Frontier.points fb then
+    note "frontier: %d vs %d points" (Frontier.cardinal fa)
+      (Frontier.cardinal fb);
   if a.tt_fingerprints <> b.tt_fingerprints then
     note "fingerprints: %d vs %d"
       (List.length a.tt_fingerprints)
@@ -250,7 +245,7 @@ let export_registry t ~now ~stall_after ~elapsed =
   Telemetry.set_gauge reg "pqs_fleet_shards_total"
     (float_of_int (Hashtbl.length t.shards_tbl));
   Telemetry.inc reg ~by:t.agg_rounds "pqs_fleet_rounds_total";
-  Telemetry.inc reg ~by:t.agg_counters.Heartbeat.statements
+  Telemetry.inc reg ~by:t.agg_stats.Stats.statements
     "pqs_fleet_statements_total";
   Telemetry.inc reg ~by:t.agg_total_reports "pqs_fleet_reports_total";
   Telemetry.set_gauge reg "pqs_fleet_distinct_fingerprints"
@@ -259,9 +254,9 @@ let export_registry t ~now ~stall_after ~elapsed =
     (if elapsed > 0.0 then float_of_int t.agg_rounds /. elapsed else 0.0);
   let labels = [ ("dialect", Dialect.name t.agg_dialect) ] in
   Telemetry.set_gauge reg ~labels "pqs_fleet_frontier_points_hit"
-    (float_of_int (Frontier.hit_in ~universe:t.universe t.agg_frontier));
+    (float_of_int (Frontier.hit_in ~universe:t.universe t.agg_stats.Stats.frontier));
   Telemetry.set_gauge reg ~labels "pqs_fleet_frontier_fraction"
-    (Frontier.fraction ~universe:t.universe t.agg_frontier);
+    (Frontier.fraction ~universe:t.universe t.agg_stats.Stats.frontier);
   List.iter
     (fun s ->
       Telemetry.set_gauge reg
@@ -274,22 +269,22 @@ let export_registry t ~now ~stall_after ~elapsed =
 let snapshot_json t ~elapsed ~status =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let c = t.agg_counters in
+  let c = t.agg_stats in
   add "{\n  \"type\": \"fleet\",\n  \"version\": %d,\n" Heartbeat.current_version;
   add "  \"dialect\": %s,\n" (Json.quote (Dialect.name t.agg_dialect));
   add "  \"status\": %s,\n" (Json.quote status);
   add "  \"elapsed_s\": %.3f,\n" elapsed;
   add "  \"rounds\": %d,\n" t.agg_rounds;
-  add "  \"statements\": %d,\n" c.Heartbeat.statements;
-  add "  \"queries\": %d,\n" c.Heartbeat.queries;
+  add "  \"statements\": %d,\n" c.Stats.statements;
+  add "  \"queries\": %d,\n" c.Stats.queries;
   add "  \"reports\": %d,\n" t.agg_total_reports;
   add "  \"distinct_reports\": %d,\n" (distinct_reports t);
   add "  \"rounds_per_sec\": %.2f,\n"
     (if elapsed > 0.0 then float_of_int t.agg_rounds /. elapsed else 0.0);
   add "  \"frontier\": {\"hit\": %d, \"universe\": %d, \"fraction\": %.4f},\n"
-    (Frontier.hit_in ~universe:t.universe t.agg_frontier)
+    (Frontier.hit_in ~universe:t.universe t.agg_stats.Stats.frontier)
     (List.length t.universe)
-    (Frontier.fraction ~universe:t.universe t.agg_frontier);
+    (Frontier.fraction ~universe:t.universe t.agg_stats.Stats.frontier);
   add "  \"shards\": [";
   List.iteri
     (fun i s ->

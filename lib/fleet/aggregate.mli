@@ -1,19 +1,21 @@
 (** Live fleet aggregation: fold shard heartbeats into fleet-wide
     totals with the existing monoid unions.
 
-    Counters add, frontiers merge with [Frontier.union], telemetry
-    deltas fold with [Telemetry.record_sample] — so the aggregate over
-    any interleaving of shard heartbeats equals the sequential reference
-    over the same seeds ({!totals} is the comparable projection; [make
+    Heartbeat stats merge with [Stats.merge] (counters add, frontiers
+    union), telemetry deltas fold with [Telemetry.record_sample] — so
+    the aggregate over any interleaving of shard heartbeats equals the
+    sequential reference over the same seeds ({!totals} is the comparable projection; [make
     fleet] asserts the equality, [test_fleet] the split/merge law).
     Findings are deduplicated fleet-wide by minimized-repro fingerprint,
     remembering the {e first} shard that discovered each one.
 
     One aggregate serves both the supervisor (which also drives the
-    watchdog off {!shard} liveness data) and [sqlancer top --fleet]
-    (which rebuilds one from the heartbeat files alone). *)
+    watchdog off {!shard} liveness data) and [sqlancer top], which
+    rebuilds one from heartbeat files alone — a fleet directory's shard
+    files or a campaign's one-shard trace. *)
 
 open Sqlval
+open Pqs
 
 type shard_state =
   | Running
@@ -71,8 +73,10 @@ val find_shard : t -> int -> shard option
 val shards : t -> shard list
 
 val rounds : t -> int
-val counters : t -> Heartbeat.counters
-val frontier : t -> Frontier.t
+
+(** The merged counters and frontier ([reports] is [[]]; findings are
+    below). *)
+val stats : t -> Stats.t
 
 (** Deduplicated findings in discovery order. *)
 val findings : t -> finding list
@@ -96,8 +100,7 @@ val live_count : t -> now:float -> stall_after:float -> int
 
 type totals = {
   tt_rounds : int;
-  tt_counters : Heartbeat.counters;
-  tt_frontier : Frontier.t;
+  tt_stats : Stats.t;  (** counters and frontier, [reports = []] *)
   tt_fingerprints : (string * string) list;
       (** (fingerprint, oracle) multiset, sorted *)
 }
@@ -107,7 +110,7 @@ val totals : t -> totals
 (** The same projection of a sequential run's merged [Stats];
     [fingerprint] maps a report to its minimized-repro fingerprint. *)
 val totals_of_stats :
-  fingerprint:(Pqs.Bug_report.t -> string) -> Pqs.Stats.t -> totals
+  fingerprint:(Bug_report.t -> string) -> Stats.t -> totals
 
 val equal_totals : totals -> totals -> bool
 

@@ -2,50 +2,76 @@ open Sqlval
 
 type t = {
   v_dialect : Dialect.t;
-  v_dir : string;
-  v_agg : Aggregate.t;
+  v_source : string;
+  v_files : unit -> string list;
   v_universe : string list;
-  mutable v_tails : (int * Tail.t) list;
-  mutable v_decode_errors : int;
+  mutable v_agg : Aggregate.t;
+  mutable v_tails : (string * Tail.t) list;
+  v_shard_file : (int, string) Hashtbl.t;
+      (** the file each shard's heartbeats came from *)
 }
 
-let create ~dialect ~dir =
+let create ~dialect ~source files =
   {
     v_dialect = dialect;
-    v_dir = dir;
-    v_agg = Aggregate.create ~dialect;
+    v_source = source;
+    v_files = files;
     v_universe = Pqs.Gen_bias.universe dialect;
+    v_agg = Aggregate.create ~dialect;
     v_tails = [];
-    v_decode_errors = 0;
+    v_shard_file = Hashtbl.create 16;
   }
 
 let aggregate t = t.v_agg
 
-let refresh t =
+let rec refresh t =
   List.iter
-    (fun (shard, path) ->
-      if not (List.mem_assoc shard t.v_tails) then
-        t.v_tails <- t.v_tails @ [ (shard, Tail.create path) ])
-    (Supervisor.shard_files t.v_dir);
+    (fun path ->
+      if not (List.mem_assoc path t.v_tails) then
+        t.v_tails <- t.v_tails @ [ (path, Tail.create path) ])
+    (t.v_files ());
   let now = Unix.gettimeofday () in
+  let rotated = ref false in
   List.iter
-    (fun (_, tail) ->
+    (fun (path, tail) ->
       List.iter
         (function
-          | Tail.Rotated -> ()
+          | Tail.Rotated -> rotated := true
           | Tail.Line line -> (
-              match Heartbeat.decode line with
-              | Ok hb -> Aggregate.feed t.v_agg ~now hb
-              | Error _ -> t.v_decode_errors <- t.v_decode_errors + 1))
+              match Pqs.Heartbeat.decode line with
+              | Ok hb ->
+                  Aggregate.feed t.v_agg ~now hb;
+                  Hashtbl.replace t.v_shard_file hb.Pqs.Heartbeat.shard path
+              | Error _ -> ()))
         (Tail.poll tail))
-    t.v_tails
+    t.v_tails;
+  (* a truncated or replaced file (a campaign rerun onto the same trace,
+     a reused fleet directory) would double count: rebuild from the top *)
+  if !rotated then begin
+    List.iter (fun (_, tail) -> Tail.close tail) t.v_tails;
+    t.v_tails <- [];
+    t.v_agg <- Aggregate.create ~dialect:t.v_dialect;
+    Hashtbl.reset t.v_shard_file;
+    refresh t
+  end
 
-(* heartbeat age from the shard file's mtime: the only liveness signal
-   comparable across processes *)
+let complete t =
+  match Aggregate.shards t.v_agg with
+  | [] -> false
+  | shards ->
+      List.for_all
+        (fun (sh : Aggregate.shard) -> sh.Aggregate.sh_next >= sh.Aggregate.sh_hi)
+        shards
+
+(* heartbeat age from the mtime of the file the shard's heartbeats came
+   from: the only liveness signal comparable across processes *)
 let heartbeat_age t shard ~now =
-  match Unix.stat (Supervisor.shard_file t.v_dir shard) with
-  | st -> Some (now -. st.Unix.st_mtime)
-  | exception Unix.Unix_error _ -> None
+  match Hashtbl.find_opt t.v_shard_file shard with
+  | None -> None
+  | Some path -> (
+      match Unix.stat path with
+      | st -> Some (now -. st.Unix.st_mtime)
+      | exception Unix.Unix_error _ -> None)
 
 (* the viewer has no watchdog; classify shards from progress + age *)
 let shard_view_state t (sh : Aggregate.shard) ~now ~stall_after =
@@ -86,14 +112,14 @@ let render ?(ansi = false) ?(stale = 10) ?(stall_after = 30.0) t =
   let live =
     List.length (List.filter (fun (_, s) -> s = Aggregate.Running) states)
   in
-  add "pqs fleet — %s (%s)\n" (Dialect.display_name t.v_dialect) t.v_dir;
+  add "pqs fleet — %s (%s)\n" (Dialect.display_name t.v_dialect) t.v_source;
   add
     "shards %d live / %d total   rounds %d   rounds/s %.1f   distinct repros \
      %d (of %d findings)\n"
     live (List.length shards) (Aggregate.rounds agg) (fleet_rate agg)
     (Aggregate.distinct_reports agg)
     (Aggregate.total_reports agg);
-  let frontier = Aggregate.frontier agg in
+  let frontier = (Aggregate.stats agg).Pqs.Stats.frontier in
   let frac = Frontier.fraction ~universe:t.v_universe frontier in
   add "frontier [%s] %d/%d (%.1f%%)\n" (bar 32 frac)
     (Frontier.hit_in ~universe:t.v_universe frontier)
@@ -163,7 +189,7 @@ let render_html ?(stale = 25) ?(stall_after = 30.0) t =
   let now = Unix.gettimeofday () in
   let agg = t.v_agg in
   let shards = Aggregate.shards agg in
-  let frontier = Aggregate.frontier agg in
+  let frontier = (Aggregate.stats agg).Pqs.Stats.frontier in
   let frac = Frontier.fraction ~universe:t.v_universe frontier in
   add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
   add "<title>pqs fleet report — %s</title>\n"
@@ -177,7 +203,7 @@ let render_html ?(stale = 25) ?(stall_after = 30.0) t =
      h1,h2{color:#8cf}.cold{color:#fa6}.bad{color:#f66}</style></head><body>\n";
   add "<h1>pqs fleet — %s</h1>\n"
     (html_escape (Dialect.display_name t.v_dialect));
-  add "<p>%s</p>\n" (html_escape t.v_dir);
+  add "<p>%s</p>\n" (html_escape t.v_source);
   add
     "<table><tr><th>shards</th><th>rounds</th><th>rounds/s</th>\
      <th>reports</th><th>distinct repros</th></tr>";

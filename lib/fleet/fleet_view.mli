@@ -1,23 +1,36 @@
-(** [sqlancer top --fleet]: rebuild a live fleet picture from the
-    heartbeat files alone.
+(** [sqlancer top]: rebuild a live picture of a run from its heartbeat
+    files alone — a fleet directory's per-shard files, or a campaign's
+    trace, which is the heartbeat file of a one-shard fleet.
 
-    The viewer is a separate process from the supervisor, so it shares no
-    clock with the workers; per-shard heartbeat age comes from the shard
-    files' mtimes.  {!refresh} is incremental — it discovers newly
-    spawned shard files and tails known ones (surviving rotation and
-    truncation via {!Tail}), so calling it in a redraw loop tails a
-    fleet that is still running. *)
+    The viewer is a separate process from the writers, so it shares no
+    clock with them; each shard's heartbeat age is the age (mtime) of the
+    file its heartbeats came from.  {!refresh} is incremental — it picks
+    up files that appeared since the last call and tails known ones
+    through {!Tail}, so calling it in a redraw loop follows a run that is
+    still going.  When a file is truncated or replaced (a rerun onto the
+    same path) the view rebuilds itself from the top instead of double
+    counting. *)
 
 open Sqlval
 
 type t
 
-val create : dialect:Dialect.t -> dir:string -> t
+(** A view over the heartbeat files [files ()] lists; {!refresh} calls
+    [files] again to discover new ones (a fleet spawning shards).
+    [source] names the run (fleet directory or trace path) in the
+    rendered header. *)
+val create : dialect:Dialect.t -> source:string -> (unit -> string list) -> t
 
-(** Discover new shard files and fold any new heartbeat lines in. *)
+(** Discover new files and fold any new complete heartbeat lines in; a
+    torn last line waits for its newline. *)
 val refresh : t -> unit
 
 val aggregate : t -> Aggregate.t
+
+(** Every shard seen so far has reached the end of its range, and there
+    is at least one — for a campaign trace, the watermark reached
+    [seed_hi]. *)
+val complete : t -> bool
 
 (** Terminal snapshot: fleet totals, per-shard health rows (state,
     lease, watermark, rate, heartbeat age), merged oracle funnel and

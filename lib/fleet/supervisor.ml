@@ -76,39 +76,16 @@ let worker_loop fleet (rc : Pqs.Runner.config) ~shard ~slot ~lo ~hi =
   let bugs = rc.Pqs.Runner.Config.bugs in
   let seq = ref 0 in
   let emit ~next ~rounds ~batch_wall ~stats ~tele =
-    let reports =
-      List.map
-        (fun (r : Pqs.Bug_report.t) ->
-          let r = Pqs.Reducer.reduce_report r ~bugs in
-          {
-            Heartbeat.rm_fingerprint = Pqs.Bug_report.fingerprint r;
-            rm_oracle = Pqs.Bug_report.oracle_token r.Pqs.Bug_report.oracle;
-            rm_seed = r.Pqs.Bug_report.seed;
-            rm_bundle = r.Pqs.Bug_report.bundle;
-          })
-        stats.Pqs.Stats.reports
-    in
     let hb =
-      {
-        Heartbeat.version = Heartbeat.current_version;
-        shard;
-        slot;
-        seq = !seq;
-        at = Unix.gettimeofday ();
-        range_lo = lo;
-        range_hi = hi;
-        next_seed = next;
-        rounds;
-        rounds_per_sec =
-          (if batch_wall > 0.0 then float_of_int rounds /. batch_wall else 0.0);
-        counters = Heartbeat.counters_of_stats stats;
-        frontier = stats.Pqs.Stats.frontier;
-        reports;
-        telemetry = Telemetry.snapshot tele;
-      }
+      Pqs.Heartbeat.make ~shard ~slot ~seq:!seq ~range:(lo, hi) ~next_seed:next
+        ~rounds
+        ~rounds_per_sec:
+          (if batch_wall > 0.0 then float_of_int rounds /. batch_wall else 0.0)
+        ~reports:(Pqs.Heartbeat.report_metas ~bugs stats.Pqs.Stats.reports)
+        ~telemetry:(Telemetry.snapshot tele) stats
     in
     incr seq;
-    write_all fd (Heartbeat.encode hb ^ "\n")
+    write_all fd (Pqs.Heartbeat.encode hb ^ "\n")
   in
   let rec batches seed =
     if seed < hi then begin
@@ -173,12 +150,12 @@ let run ?(log = fun _ -> ()) fleet (rc : Pqs.Runner.config) ~seed_lo ~seed_hi =
   let now () = Telemetry.Clock.now () -. t0 in
 
   let feed_line line =
-    match Heartbeat.decode line with
+    match Pqs.Heartbeat.decode line with
     | Ok hb ->
         Aggregate.feed agg ~now:(now ()) hb;
-        (match slots.(hb.Heartbeat.slot) with
-        | Some sl when sl.sl_shard = hb.Heartbeat.shard ->
-            sl.sl_watermark <- max sl.sl_watermark hb.Heartbeat.next_seed
+        (match slots.(hb.Pqs.Heartbeat.slot) with
+        | Some sl when sl.sl_shard = hb.Pqs.Heartbeat.shard ->
+            sl.sl_watermark <- max sl.sl_watermark hb.Pqs.Heartbeat.next_seed
         | _ -> ())
     | Error msg ->
         incr decode_errors;

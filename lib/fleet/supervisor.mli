@@ -5,7 +5,7 @@
     runs for months.  The supervisor leases seed-range chunks from a
     work-stealing {!Range_queue} to worker slots; each lease forks one
     worker process (a {e shard}) that runs its rounds inline and appends
-    {!Heartbeat} deltas to its own file under {!config.dir}.  The
+    {!Pqs.Heartbeat} deltas to its own file under {!config.dir}.  The
     supervisor tails those files live, folds every heartbeat into an
     {!Aggregate} with the existing monoid unions, and periodically
     exports [metrics.prom] / [fleet.json] / [state.json] snapshots via

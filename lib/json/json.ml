@@ -9,10 +9,10 @@ type t =
 exception Fail of string
 
 (* Recursive-descent over a string with an explicit cursor.  The inputs
-   are single heartbeat/state lines (a few KB), so there is no need for
-   incremental or streaming parsing — strictness is the feature: any
-   truncated tail must surface as an error, never as a silently shorter
-   value. *)
+   are single records or snapshot files (at most a few MB), so there is
+   no need for incremental or streaming parsing — strictness is the
+   feature: any truncated tail must surface as an error, never as a
+   silently shorter value. *)
 
 type cursor = { s : string; mutable i : int }
 
@@ -78,10 +78,11 @@ let parse_string c =
                     0 [ 0; 1; 2; 3 ]
                 in
                 c.i <- c.i + 4;
-                (* our own emitters only escape control bytes this way;
-                   other code points round-trip as UTF-8 literals *)
-                if v < 0x80 then Buffer.add_char b (Char.chr v)
-                else Buffer.add_string b (Printf.sprintf "\\u%04x" v)
+                (* {!quote} escapes only control bytes this way; other
+                   writers' code points decode to UTF-8 (a lone
+                   surrogate becomes U+FFFD) *)
+                Buffer.add_utf_8_uchar b
+                  (if Uchar.is_valid v then Uchar.of_int v else Uchar.rep)
             | _ -> fail c "unknown escape");
             go ())
     | Some ch ->

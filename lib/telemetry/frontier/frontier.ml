@@ -91,20 +91,6 @@ let coldest ?(n = 10) ~universe t =
 (* ------------------------------------------------------------------ *)
 (* Export                                                               *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ~universe ?(bundles = []) t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -120,22 +106,22 @@ let to_json ~universe ?(bundles = []) t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n    {\"point\": \"%s\", \"hits\": %d, \"first_seed\": %d}"
-           (json_escape p) e.hits e.first_seed))
+           "\n    {\"point\": %s, \"hits\": %d, \"first_seed\": %d}"
+           (Json.quote p) e.hits e.first_seed))
     t;
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf "  \"cold\": [";
   List.iteri
     (fun i p ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape p)))
+      Buffer.add_string buf (Json.quote p))
     (cold ~universe t);
   Buffer.add_string buf "],\n";
   Buffer.add_string buf "  \"bundles\": [";
   List.iteri
     (fun i b ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape b)))
+      Buffer.add_string buf (Json.quote b))
     bundles;
   Buffer.add_string buf "]\n}\n";
   Buffer.contents buf

@@ -62,8 +62,8 @@ val hit_in : universe:string list -> t -> int
 (** Fraction of [universe] points hit, in [0, 1]. *)
 val fraction : universe:string list -> t -> float
 
-(** Universe points never hit, in universe order — the stale frontier the
-    dashboard lists and guided generation aims at. *)
+(** Universe points never hit, in universe order — the stale frontier
+    [sqlancer top] lists and guided generation aims at. *)
 val cold : universe:string list -> t -> string list
 
 (** Up to [n] universe points with the fewest hits (never-hit points

@@ -651,36 +651,18 @@ let to_prometheus t =
     (snapshot t);
   Buffer.contents b
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> json_string k ^ ":" ^ json_string v)
+         (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v)
          labels)
   ^ "}"
 
 let to_json t =
   let sample_json s =
     let common =
-      Printf.sprintf "\"name\":%s,\"labels\":%s" (json_string s.s_name)
+      Printf.sprintf "\"name\":%s,\"labels\":%s" (Json.quote s.s_name)
         (json_labels s.s_labels)
     in
     match s.s_value with
@@ -700,7 +682,7 @@ let to_json t =
           common (num sum) count (String.concat "," bs)
   in
   Printf.sprintf "{\"clock\":%s,\"metrics\":[%s]}\n"
-    (json_string Clock.source)
+    (Json.quote Clock.source)
     (String.concat "," (List.map sample_json (snapshot t)))
 
 let write_file t path =
@@ -770,14 +752,14 @@ module Trace = struct
   let arg_json = function
     | Int i -> string_of_int i
     | Float f -> num f
-    | Str s -> json_string s
+    | Str s -> Json.quote s
 
   let event_json e =
     let fields =
       [
-        ("name", json_string e.ev_name);
-        ("cat", json_string e.ev_cat);
-        ("ph", json_string e.ev_ph);
+        ("name", Json.quote e.ev_name);
+        ("cat", Json.quote e.ev_cat);
+        ("ph", Json.quote e.ev_ph);
         ("ts", num e.ev_ts_us);
         ("pid", "1");
         ("tid", string_of_int e.ev_tid);
@@ -794,13 +776,13 @@ module Trace = struct
               "{"
               ^ String.concat ","
                   (List.map
-                     (fun (k, v) -> json_string k ^ ":" ^ arg_json v)
+                     (fun (k, v) -> Json.quote k ^ ":" ^ arg_json v)
                      args)
               ^ "}" );
           ]
     in
     "{"
-    ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
+    ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields)
     ^ "}"
 
   let to_json events =

@@ -153,27 +153,9 @@ let dialect = function Noop -> Dialect.Sqlite_like | Rec s -> s.dialect
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let obj fields =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
+  ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields)
   ^ "}"
 
 let entry_json dialect e =
@@ -188,41 +170,41 @@ let entry_json dialect e =
               [ ("outcome", {|"affected"|}); ("rows", string_of_int n) ]
           | Event.Done -> [ ("outcome", {|"ok"|}) ]
           | Event.Error msg ->
-              [ ("outcome", {|"error"|}); ("error", json_string msg) ]
+              [ ("outcome", {|"error"|}); ("error", Json.quote msg) ]
           | Event.Crashed msg ->
-              [ ("outcome", {|"crash"|}); ("error", json_string msg) ]
+              [ ("outcome", {|"crash"|}); ("error", Json.quote msg) ]
         in
         [
           ("type", {|"statement"|});
-          ("sql", json_string (Sqlast.Sql_printer.stmt dialect stmt));
+          ("sql", Json.quote (Sqlast.Sql_printer.stmt dialect stmt));
         ]
         @ outcome_fields
         @ [ ("dur_ns", string_of_int dur_ns) ]
     | Event.Pivot { source; row } ->
         [
           ("type", {|"pivot"|});
-          ("source", json_string source);
-          ("row", "[" ^ String.concat "," (List.map json_string row) ^ "]");
+          ("source", Json.quote source);
+          ("row", "[" ^ String.concat "," (List.map Json.quote row) ^ "]");
         ]
     | Event.Expr { raw; verdict; rectified } ->
         [
           ("type", {|"expression"|});
-          ("raw", json_string (Sqlast.Sql_printer.expr dialect raw));
-          ("verdict", json_string (Tvl.show verdict));
-          ("rectified", json_string (Sqlast.Sql_printer.expr dialect rectified));
+          ("raw", Json.quote (Sqlast.Sql_printer.expr dialect raw));
+          ("verdict", Json.quote (Tvl.show verdict));
+          ("rectified", Json.quote (Sqlast.Sql_printer.expr dialect rectified));
         ]
     | Event.Plan { table; path } ->
         [
           ("type", {|"plan"|});
-          ("table", json_string table);
-          ("path", json_string path);
+          ("table", Json.quote table);
+          ("path", Json.quote path);
         ]
     | Event.Op { op; detail; rows_in; rows_out; batches; btree_nodes;
                  btree_entries; dur_ns } ->
         [
           ("type", {|"operator"|});
-          ("op", json_string op);
-          ("detail", json_string detail);
+          ("op", Json.quote op);
+          ("detail", Json.quote detail);
           ("rows_in", string_of_int rows_in);
           ("rows_out", string_of_int rows_out);
           ("batches", string_of_int batches);
@@ -233,11 +215,11 @@ let entry_json dialect e =
     | Event.Oracle_fired { oracle; message; phase } ->
         [
           ("type", {|"oracle"|});
-          ("oracle", json_string oracle);
-          ("message", json_string message);
-          ("phase", json_string phase);
+          ("oracle", Json.quote oracle);
+          ("message", Json.quote message);
+          ("phase", Json.quote phase);
         ]
-    | Event.Note msg -> [ ("type", {|"note"|}); ("note", json_string msg) ]
+    | Event.Note msg -> [ ("type", {|"note"|}); ("note", Json.quote msg) ]
   in
   obj (base @ fields)
 
@@ -246,8 +228,8 @@ let to_json t =
   obj
     [
       ("round_seed", string_of_int (seed t));
-      ("dialect", json_string (Dialect.name d));
-      ("clock", json_string Telemetry.Clock.source);
+      ("dialect", Json.quote (Dialect.name d));
+      ("clock", Json.quote Telemetry.Clock.source);
       ("capacity", string_of_int (capacity t));
       ("dropped", string_of_int (dropped t));
       ( "events",
@@ -314,19 +296,19 @@ module Bundle = struct
     obj
       [
         ("seed", string_of_int b.b_seed);
-        ("dialect", json_string (Dialect.name b.b_dialect));
-        ("oracle", json_string b.b_oracle);
-        ("message", json_string b.b_message);
-        ("phase", json_string b.b_phase);
+        ("dialect", Json.quote (Dialect.name b.b_dialect));
+        ("oracle", Json.quote b.b_oracle);
+        ("message", Json.quote b.b_message);
+        ("phase", Json.quote b.b_phase);
         ( "bugs",
-          "[" ^ String.concat "," (List.map json_string b.b_bugs) ^ "]" );
+          "[" ^ String.concat "," (List.map Json.quote b.b_bugs) ^ "]" );
         ("statements", string_of_int (List.length b.b_statements));
         ( "expected",
-          match b.b_expected with None -> "null" | Some s -> json_string s );
+          match b.b_expected with None -> "null" | Some s -> Json.quote s );
         ( "actual",
-          match b.b_actual with None -> "null" | Some s -> json_string s );
+          match b.b_actual with None -> "null" | Some s -> Json.quote s );
         ( "plan",
-          "[" ^ String.concat "," (List.map json_string b.b_plan) ^ "]" );
+          "[" ^ String.concat "," (List.map Json.quote b.b_plan) ^ "]" );
       ]
     ^ "\n"
 

@@ -111,9 +111,6 @@ val to_json : t -> string
 
 (** {1 Bundles} *)
 
-(** JSON string escaping shared by the trace and bundle writers. *)
-val json_string : string -> string
-
 val mkdir_p : string -> unit
 
 (** Write [text] to [path], truncating. *)

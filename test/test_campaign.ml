@@ -52,29 +52,94 @@ let test_coverage_merging () =
   Alcotest.(check int) "union sums hits" 2 (Engine.Coverage.hit_count u "binop.eq");
   Alcotest.(check int) "union keeps both" 1 (Engine.Coverage.hit_count u "binop.neq")
 
-let test_trace () =
+(* ---------- the trace is a one-shard fleet ---------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* what [sqlancer top --trace] sees: the trace through the fleet view *)
+let view_totals path =
+  let v =
+    Fleet.Fleet_view.create ~dialect:Dialect.Sqlite_like ~source:path
+      (fun () -> [ path ])
+  in
+  Fleet.Fleet_view.refresh v;
+  (v, Fleet.Aggregate.totals (Fleet.Fleet_view.aggregate v))
+
+let lines_totals lines =
+  let agg = Fleet.Aggregate.create ~dialect:Dialect.Sqlite_like in
+  List.iter
+    (fun line ->
+      match Pqs.Heartbeat.decode line with
+      | Ok hb -> Fleet.Aggregate.feed agg ~now:0.0 hb
+      | Error e -> Alcotest.failf "trace line failed to decode: %s" e)
+    lines;
+  Fleet.Aggregate.totals agg
+
+let check_totals label expected actual =
+  if not (Fleet.Aggregate.equal_totals expected actual) then
+    Alcotest.failf "%s:\n%s" label
+      (String.concat "\n" (Fleet.Aggregate.diff_totals expected actual))
+
+(* feeding the trace into the fleet aggregate gives exactly the
+   campaign's own merged stats: counters, frontier hits and first seeds,
+   and the multiset of minimized-repro fingerprints *)
+let test_trace_exact_merge () =
+  let dialect = Dialect.Sqlite_like in
+  let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect) in
+  let config = Pqs.Runner.Config.make ~bugs dialect in
+  let seed_lo = 1 and seed_hi = 21 in
   let path = Filename.temp_file "pqs_campaign" ".jsonl" in
-  let config = Pqs.Runner.Config.make Dialect.Sqlite_like in
-  let c = Pqs.Campaign.run ~domains:2 ~trace:path ~seed_lo:5 ~seed_hi:11 config in
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove path;
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one line per seed plus a summary" 7 (List.length lines);
-  Alcotest.(check bool) "seed lines are tagged" true
-    (List.for_all
-       (fun l -> String.length l > 0 && l.[0] = '{')
-       lines);
-  Alcotest.(check bool) "last line is the campaign summary" true
-    (String.length (List.nth lines 6) > 20
-    && String.sub (List.nth lines 6) 0 18 = "{\"type\":\"campaign\"");
-  ignore c
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          let label = Printf.sprintf "-j %d" domains in
+          let c =
+            Pqs.Campaign.run ~domains ~trace:path ~seed_lo ~seed_hi config
+          in
+          let expected =
+            Fleet.Aggregate.totals_of_stats
+              ~fingerprint:(fun r ->
+                Pqs.Bug_report.fingerprint (Pqs.Reducer.reduce_report r ~bugs))
+              c.Pqs.Campaign.stats
+          in
+          Alcotest.(check bool) (label ^ ": the catalog produced findings") true
+            (expected.Fleet.Aggregate.tt_fingerprints <> []);
+          let v, totals = view_totals path in
+          check_totals (label ^ ": trace vs campaign") expected totals;
+          Alcotest.(check bool) (label ^ ": the watermark reached seed_hi") true
+            (Fleet.Fleet_view.complete v);
+          (* a torn last line: every cut inside it aggregates exactly the
+             complete lines before it *)
+          let text = read_file path in
+          let lines = String.split_on_char '\n' (String.trim text) in
+          let before = lines_totals (List.filteri (fun i _ -> i < 19) lines) in
+          Alcotest.(check int) (label ^ ": one line per round") 20
+            (List.length lines);
+          let last = String.rindex_from text (String.length text - 2) '\n' + 1 in
+          for cut = last to String.length text - 1 do
+            write_file path (String.sub text 0 cut);
+            let v, totals = view_totals path in
+            check_totals
+              (Printf.sprintf "%s: cut at byte %d" label cut)
+              before totals;
+            Alcotest.(check bool) (label ^ ": a torn trace is incomplete") false
+              (Fleet.Fleet_view.complete v)
+          done;
+          (* a rerun truncating the trace under a live view rebuilds the
+             view instead of double counting *)
+          write_file path text;
+          let v, _ = view_totals path in
+          write_file path (String.concat "\n" (List.filteri (fun i _ -> i < 5) lines) ^ "\n");
+          Fleet.Fleet_view.refresh v;
+          check_totals (label ^ ": truncated under a live view")
+            (lines_totals (List.filteri (fun i _ -> i < 5) lines))
+            (Fleet.Aggregate.totals (Fleet.Fleet_view.aggregate v)))
+        [ 1; 2 ])
 
 (* ---------- soundness: zero unconfirmed verdicts ---------- *)
 
@@ -201,7 +266,8 @@ let () =
         [
           Alcotest.test_case "N-domain == sequential" `Quick test_determinism;
           Alcotest.test_case "coverage merging" `Quick test_coverage_merging;
-          Alcotest.test_case "jsonl trace" `Quick test_trace;
+          Alcotest.test_case "heartbeat trace exact merge" `Quick
+            test_trace_exact_merge;
         ] );
       ( "soundness",
         [

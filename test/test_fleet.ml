@@ -1,7 +1,8 @@
 (* The fleet observability contracts:
 
    - the heartbeat codec: a golden record pins the wire format, decode o
-     encode is the identity on the mergeable payload (qcheck), every
+     encode is the identity on the mergeable payload (qcheck), so is
+     [Json.parse] o [Json.quote] on arbitrary byte strings, every
      proper prefix of an encoding is rejected (a torn write can never
      decode), unsupported versions are rejected, unknown fields are
      ignored (records can grow);
@@ -28,12 +29,18 @@ open Sqlval
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 
+(* stats holding the named counters (the rest 0) and [frontier] *)
+let stats_of ?(frontier = Frontier.empty) counters =
+  Pqs.Stats.with_counters
+    { Pqs.Stats.empty with Pqs.Stats.frontier }
+    (fun name -> Option.value ~default:0 (List.assoc_opt name counters))
+
 (* ------------------------------------------------------------------ *)
 (* Heartbeat codec                                                      *)
 
 let golden_heartbeat =
   {
-    Fleet.Heartbeat.version = 1;
+    Pqs.Heartbeat.version = 1;
     shard = 3;
     slot = 1;
     seq = 2;
@@ -43,38 +50,38 @@ let golden_heartbeat =
     next_seed = 72;
     rounds = 8;
     rounds_per_sec = 41.5;
-    counters =
-      {
-        Fleet.Heartbeat.zero_counters with
-        Fleet.Heartbeat.databases = 8;
-        pivots = 32;
-        queries = 40;
-        statements = 120;
-        interp_failures = 1;
-        negative_checks = 4;
-        plan_checks = 2;
-        const_checks = 3;
-        const_divergences = 1;
-        truth_true = 30;
-        truth_false = 8;
-        truth_unknown = 2;
-      };
-    frontier =
-      Frontier.of_entries
+    stats =
+      stats_of
+        ~frontier:
+          (Frontier.of_entries
+             [
+               ("shape:join", { Frontier.hits = 5; first_seed = 64 });
+               ("expr:like", { Frontier.hits = 2; first_seed = 65 });
+             ])
         [
-          ("shape:join", { Frontier.hits = 5; first_seed = 64 });
-          ("expr:like", { Frontier.hits = 2; first_seed = 65 });
+          ("databases", 8);
+          ("pivots", 32);
+          ("queries", 40);
+          ("statements", 120);
+          ("interp_failures", 1);
+          ("negative_checks", 4);
+          ("plan_checks", 2);
+          ("const_checks", 3);
+          ("const_divergences", 1);
+          ("truth_true", 30);
+          ("truth_false", 8);
+          ("truth_unknown", 2);
         ];
     reports =
       [
         {
-          Fleet.Heartbeat.rm_fingerprint = "0123abcd";
+          Pqs.Heartbeat.rm_fingerprint = "0123abcd";
           rm_oracle = "containment";
           rm_seed = 65;
           rm_bundle = Some "bundles/seed-65";
         };
         {
-          Fleet.Heartbeat.rm_fingerprint = "ff00";
+          Pqs.Heartbeat.rm_fingerprint = "ff00";
           rm_oracle = "error";
           rm_seed = 70;
           rm_bundle = None;
@@ -113,35 +120,35 @@ let golden_line =
 
 let test_golden () =
   check Alcotest.string "encoding is pinned" golden_line
-    (Fleet.Heartbeat.encode golden_heartbeat);
-  match Fleet.Heartbeat.decode golden_line with
+    (Pqs.Heartbeat.encode golden_heartbeat);
+  match Pqs.Heartbeat.decode golden_line with
   | Error e -> Alcotest.failf "golden line failed to decode: %s" e
   | Ok hb ->
       checkb "payload round-trips" true
-        (Fleet.Heartbeat.equal_payload golden_heartbeat hb);
-      check Alcotest.int "shard" 3 hb.Fleet.Heartbeat.shard;
-      check Alcotest.int "next watermark" 72 hb.Fleet.Heartbeat.next_seed;
-      check Alcotest.int "rounds" 8 hb.Fleet.Heartbeat.rounds;
+        (Pqs.Heartbeat.equal_payload golden_heartbeat hb);
+      check Alcotest.int "shard" 3 hb.Pqs.Heartbeat.shard;
+      check Alcotest.int "next watermark" 72 hb.Pqs.Heartbeat.next_seed;
+      check Alcotest.int "rounds" 8 hb.Pqs.Heartbeat.rounds;
       check
         (Alcotest.float 1e-9)
-        "rate" 41.5 hb.Fleet.Heartbeat.rounds_per_sec;
+        "rate" 41.5 hb.Pqs.Heartbeat.rounds_per_sec;
       checkb "telemetry round-trips" true
-        (hb.Fleet.Heartbeat.telemetry = golden_heartbeat.Fleet.Heartbeat.telemetry)
+        (hb.Pqs.Heartbeat.telemetry = golden_heartbeat.Pqs.Heartbeat.telemetry)
 
 let test_partial_writes () =
-  let line = Fleet.Heartbeat.encode golden_heartbeat in
+  let line = Pqs.Heartbeat.encode golden_heartbeat in
   for len = 0 to String.length line - 1 do
-    match Fleet.Heartbeat.decode (String.sub line 0 len) with
+    match Pqs.Heartbeat.decode (String.sub line 0 len) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "torn prefix of %d bytes decoded" len
   done
 
 let test_versioning () =
   let future =
-    Fleet.Heartbeat.encode
-      { golden_heartbeat with Fleet.Heartbeat.version = 99 }
+    Pqs.Heartbeat.encode
+      { golden_heartbeat with Pqs.Heartbeat.version = 99 }
   in
-  (match Fleet.Heartbeat.decode future with
+  (match Pqs.Heartbeat.decode future with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unsupported version accepted");
   (* unknown fields are ignored so records can grow *)
@@ -149,11 +156,11 @@ let test_versioning () =
     "{\"type\":\"heartbeat\",\"future_field\":[1,2],"
     ^ String.sub golden_line 1 (String.length golden_line - 1)
   in
-  match Fleet.Heartbeat.decode grown with
+  match Pqs.Heartbeat.decode grown with
   | Error e -> Alcotest.failf "grown record rejected: %s" e
   | Ok hb ->
       checkb "grown record keeps payload" true
-        (Fleet.Heartbeat.equal_payload golden_heartbeat hb)
+        (Pqs.Heartbeat.equal_payload golden_heartbeat hb)
 
 (* floats chosen to survive the codec's decimal formatting *)
 let gen_heartbeat =
@@ -187,7 +194,7 @@ let gen_heartbeat =
        let* bundle = opt (oneofl [ "b/1"; "dir with space/2" ]) in
        return
          {
-           Fleet.Heartbeat.rm_fingerprint = fp;
+           Pqs.Heartbeat.rm_fingerprint = fp;
            rm_oracle = oracle;
            rm_seed = seed;
            rm_bundle = bundle;
@@ -227,32 +234,13 @@ let gen_heartbeat =
               });
          ])
   in
-  let counters =
-    match counts with
-    | [ a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p ] ->
-        {
-          Fleet.Heartbeat.databases = a;
-          pivots = b;
-          queries = c;
-          statements = d;
-          interp_failures = e;
-          false_positives = f;
-          negative_checks = g;
-          lint_checks = h;
-          lint_diagnostics = i;
-          plan_checks = j;
-          plan_divergences = k;
-          const_checks = l;
-          const_divergences = m;
-          truth_true = n;
-          truth_false = o;
-          truth_unknown = p;
-        }
-    | _ -> Fleet.Heartbeat.zero_counters
+  let names = List.map fst (Pqs.Stats.counters Pqs.Stats.empty) in
+  let stats =
+    stats_of ~frontier:(Frontier.of_entries points) (List.combine names counts)
   in
   return
     {
-      Fleet.Heartbeat.version = Fleet.Heartbeat.current_version;
+      Pqs.Heartbeat.version = Pqs.Heartbeat.current_version;
       shard;
       slot;
       seq;
@@ -262,8 +250,7 @@ let gen_heartbeat =
       next_seed = lo + min span rounds;
       rounds;
       rounds_per_sec = float_of_int rps4 /. 4.0;
-      counters;
-      frontier = Frontier.of_entries points;
+      stats;
       reports;
       telemetry = samples;
     }
@@ -271,22 +258,29 @@ let gen_heartbeat =
 let test_roundtrip =
   QCheck.Test.make ~count:300 ~name:"decode o encode = id"
     (QCheck.make gen_heartbeat) (fun hb ->
-      match Fleet.Heartbeat.decode (Fleet.Heartbeat.encode hb) with
+      match Pqs.Heartbeat.decode (Pqs.Heartbeat.encode hb) with
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
       | Ok hb' ->
-          Fleet.Heartbeat.equal_payload hb hb'
-          && hb'.Fleet.Heartbeat.shard = hb.Fleet.Heartbeat.shard
-          && hb'.Fleet.Heartbeat.slot = hb.Fleet.Heartbeat.slot
-          && hb'.Fleet.Heartbeat.seq = hb.Fleet.Heartbeat.seq
-          && hb'.Fleet.Heartbeat.range_lo = hb.Fleet.Heartbeat.range_lo
-          && hb'.Fleet.Heartbeat.range_hi = hb.Fleet.Heartbeat.range_hi
-          && hb'.Fleet.Heartbeat.next_seed = hb.Fleet.Heartbeat.next_seed
-          && hb'.Fleet.Heartbeat.rounds = hb.Fleet.Heartbeat.rounds
-          && hb'.Fleet.Heartbeat.rounds_per_sec
-             = hb.Fleet.Heartbeat.rounds_per_sec
-          && hb'.Fleet.Heartbeat.at = hb.Fleet.Heartbeat.at
-          && hb'.Fleet.Heartbeat.reports = hb.Fleet.Heartbeat.reports
-          && hb'.Fleet.Heartbeat.telemetry = hb.Fleet.Heartbeat.telemetry)
+          Pqs.Heartbeat.equal_payload hb hb'
+          && hb'.Pqs.Heartbeat.shard = hb.Pqs.Heartbeat.shard
+          && hb'.Pqs.Heartbeat.slot = hb.Pqs.Heartbeat.slot
+          && hb'.Pqs.Heartbeat.seq = hb.Pqs.Heartbeat.seq
+          && hb'.Pqs.Heartbeat.range_lo = hb.Pqs.Heartbeat.range_lo
+          && hb'.Pqs.Heartbeat.range_hi = hb.Pqs.Heartbeat.range_hi
+          && hb'.Pqs.Heartbeat.next_seed = hb.Pqs.Heartbeat.next_seed
+          && hb'.Pqs.Heartbeat.rounds = hb.Pqs.Heartbeat.rounds
+          && hb'.Pqs.Heartbeat.rounds_per_sec
+             = hb.Pqs.Heartbeat.rounds_per_sec
+          && hb'.Pqs.Heartbeat.at = hb.Pqs.Heartbeat.at
+          && hb'.Pqs.Heartbeat.reports = hb.Pqs.Heartbeat.reports
+          && hb'.Pqs.Heartbeat.telemetry = hb.Pqs.Heartbeat.telemetry)
+
+(* the one codec's string escaping round-trips every byte string,
+   control and non-ASCII bytes included *)
+let test_json_quote =
+  QCheck.Test.make ~count:1000 ~name:"parse o quote = id"
+    QCheck.(string_gen Gen.char)
+    (fun s -> Json.parse (Json.quote s) = Ok (Json.Str s))
 
 (* ------------------------------------------------------------------ *)
 (* Tailer                                                               *)
@@ -428,17 +422,10 @@ let heartbeats_of_batches ~shard deltas cuts =
   in
   List.mapi
     (fun seq batch ->
-      let counters =
-        List.fold_left
-          (fun acc (c, _, _) -> Fleet.Heartbeat.add_counters acc c)
-          Fleet.Heartbeat.zero_counters batch
-      in
-      let frontier =
-        Frontier.union_all (List.map (fun (_, f, _) -> f) batch)
-      in
-      let reports = List.concat_map (fun (_, _, r) -> r) batch in
+      let stats = Pqs.Stats.merge_all (List.map fst batch) in
+      let reports = List.concat_map snd batch in
       {
-        Fleet.Heartbeat.version = Fleet.Heartbeat.current_version;
+        Pqs.Heartbeat.version = Pqs.Heartbeat.current_version;
         shard;
         slot = shard mod 2;
         seq;
@@ -448,8 +435,7 @@ let heartbeats_of_batches ~shard deltas cuts =
         next_seed = 0;
         rounds = List.length batch;
         rounds_per_sec = 1.0;
-        counters;
-        frontier;
+        stats;
         reports;
         telemetry = [];
       })
@@ -469,19 +455,16 @@ let gen_split_case =
            (let* fp = oneofl [ "fp1"; "fp2"; "fp3" ] in
             return
               {
-                Fleet.Heartbeat.rm_fingerprint = fp;
+                Pqs.Heartbeat.rm_fingerprint = fp;
                 rm_oracle = "containment";
                 rm_seed = seed;
                 rm_bundle = None;
               })
        in
        return
-         ( {
-             Fleet.Heartbeat.zero_counters with
-             Fleet.Heartbeat.databases = dbs;
-             statements = stmts;
-           },
-           Frontier.of_points ~seed [ point ],
+         ( stats_of
+             ~frontier:(Frontier.of_points ~seed [ point ])
+             [ ("databases", dbs); ("statements", stmts) ],
            Option.to_list report ))
   in
   let* cuts = list_size (int_bound 6) (int_bound (max 1 (n - 1))) in
@@ -523,7 +506,7 @@ let test_finding_dedup () =
   let agg = Fleet.Aggregate.create ~dialect in
   let report seed =
     {
-      Fleet.Heartbeat.rm_fingerprint = "same-bug";
+      Pqs.Heartbeat.rm_fingerprint = "same-bug";
       rm_oracle = "containment";
       rm_seed = seed;
       rm_bundle = None;
@@ -532,7 +515,7 @@ let test_finding_dedup () =
   let delta shard seed =
     List.hd
       (heartbeats_of_batches ~shard
-         [ (Fleet.Heartbeat.zero_counters, Frontier.empty, [ report seed ]) ]
+         [ (Pqs.Stats.empty, [ report seed ]) ]
          [])
   in
   Fleet.Aggregate.feed agg ~now:0.0 (delta 2 40);
@@ -665,6 +648,7 @@ let () =
             test_partial_writes;
           Alcotest.test_case "versioning" `Quick test_versioning;
           QCheck_alcotest.to_alcotest test_roundtrip;
+          QCheck_alcotest.to_alcotest test_json_quote;
         ] );
       ( "tail",
         [

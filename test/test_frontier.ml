@@ -16,169 +16,14 @@
      whose [round_id] equals its seed (the cross-link to flight-recorder
      logs and bundle names), worker timelines are named, and rounds that
      fired an oracle carry their repro-bundle path;
-   - the dashboard: incremental [feed_line] aggregation, rate/funnel
-     rendering, the HTML report, and whole-trace ingestion of a real
-     campaign trace;
+   - the frontier JSON snapshot escapes arbitrary bundle paths;
    - guided generation is strictly additive: a guided campaign reports on
      every seed the blind campaign reports on (same seeds, same config),
      and the frontier telemetry gauges/histograms are exported. *)
 
 open Sqlval
 
-(* ---------- a minimal JSON parser (no yojson in this environment) ---------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance ();
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                advance ()
-              done;
-              Buffer.add_char b '?';
-              go ()
-          | Some c ->
-              Buffer.add_char b c;
-              advance ();
-              go ()
-          | None -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c -> is_num c | None -> false) do
-      advance ()
-    done;
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Jarr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Jarr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elems []
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> parse_number ()
-    | None -> fail "empty input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function
-  | Jobj kvs -> (
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Bad_json ("missing member " ^ k)))
-  | _ -> raise (Bad_json "not an object")
-
-let member_opt k = function Jobj kvs -> List.assoc_opt k kvs | _ -> None
-let jarr = function Jarr l -> l | _ -> raise (Bad_json "not an array")
-let jstr = function Jstr s -> s | _ -> raise (Bad_json "not a string")
-let jnum = function Jnum f -> f | _ -> raise (Bad_json "not a number")
-let jint j = int_of_float (jnum j)
+open Json_check
 
 (* ---------- frontier monoid laws ---------- *)
 
@@ -308,6 +153,24 @@ let test_frontier_json () =
     "bundle cross-links"
     [ "bundles/bundle-000003-containment" ]
     (List.map jstr (jarr (member "bundles" doc)))
+
+(* bundle paths are arbitrary file names: control bytes must come out
+   escaped the way every other writer escapes them (the short JSON
+   escapes, via [Json.quote]), so strict readers accept the file *)
+let test_frontier_json_escapes () =
+  let path = "bundles/tab\there\rcr\"q\\b" in
+  let text = Frontier.to_json ~universe:[ "a" ] ~bundles:[ path ] Frontier.empty in
+  Alcotest.(check bool) "no raw control byte but newlines" true
+    (String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) text);
+  let has sub =
+    let n = String.length text and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "tab and carriage return use the short escapes" true
+    (has {|"bundles/tab\there\rcr\"q\\b"|});
+  Alcotest.(check (list string)) "the path round-trips" [ path ]
+    (List.map jstr (jarr (member "bundles" (parse_json text))))
 
 (* ---------- coverage-instrument monoid laws ---------- *)
 
@@ -571,75 +434,6 @@ let test_chrome_round_linkage () =
         true (List.mem tid named))
     tids
 
-(* ---------- dashboard ---------- *)
-
-let test_dashboard_feed () =
-  let d = Pqs.Dashboard.create ~dialect:Dialect.Sqlite_like in
-  let fed =
-    List.map
-      (Pqs.Dashboard.feed_line d)
-      [
-        "{\"type\":\"seed\",\"seed\":1,\"worker\":0,\"statements\":12,\
-         \"queries\":6,\"pivots\":2,\"reports\":0,\"wall_ms\":1.2,\
-         \"points\":[\"expr.cmp\",\"expr.cmp\",\
-         \"shape.jsingle.v0.w1.d0.o0.g0\"]}";
-        "not json at all";
-        "{\"type\":\"seed\",\"seed\":2,\"worker\":1,\"statements\":9,\
-         \"queries\":4,\"pivots\":1,\"reports\":1,\"wall_ms\":0.8,\
-         \"oracle\":\"containment\",\"points\":[\"expr.like\"]}";
-        "{\"type\":\"campaign\",\"domains\":2,\"databases\":2,\
-         \"statements\":21,\"queries\":10,\"reports\":1,\"wall_s\":0.002,\
-         \"statements_per_sec\":10500.0,\"dialect\":\"sqlite\",\
-         \"frontier_points\":3,\"frontier_fraction\":0.0204}";
-      ]
-  in
-  Alcotest.(check (list bool))
-    "recognized lines only" [ true; false; true; true ] fed;
-  Alcotest.(check int) "rounds" 2 (Pqs.Dashboard.rounds d);
-  Alcotest.(check int) "reports" 1 (Pqs.Dashboard.reports d);
-  Alcotest.(check int) "frontier accumulates multisets" 2
-    (Frontier.hits (Pqs.Dashboard.frontier d) "expr.cmp");
-  Alcotest.(check (list (pair string int)))
-    "oracle funnel" [ ("containment", 1) ]
-    (Pqs.Dashboard.oracle_funnel d);
-  let text = Pqs.Dashboard.render ~ansi:false ~stale:5 d in
-  Alcotest.(check bool) "render shows the frontier bar" true
-    (String.length text > 0
-    &&
-    let has sub =
-      let n = String.length text and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
-      go 0
-    in
-    has "frontier" && has "containment");
-  let html = Pqs.Dashboard.render_html ~stale:5 d in
-  Alcotest.(check bool) "html report is a document" true
-    (String.length html > 6 && String.sub html 0 6 = "<html>"
-    || String.length html > 9 && String.sub html 0 9 = "<!DOCTYPE")
-
-let test_dashboard_of_trace_file () =
-  let bugs =
-    Engine.Bug.set_of_list (Engine.Bug.for_dialect Dialect.Sqlite_like)
-  in
-  let config = Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like in
-  let trace = Filename.temp_file "trace" ".jsonl" in
-  let c =
-    Pqs.Campaign.run ~domains:2 ~trace ~seed_lo:1 ~seed_hi:21 config
-  in
-  let d = Pqs.Dashboard.of_trace_file ~dialect:Dialect.Sqlite_like trace in
-  Sys.remove trace;
-  Alcotest.(check int) "every round ingested" 20 (Pqs.Dashboard.rounds d);
-  Alcotest.(check int) "every report ingested"
-    (List.length (Pqs.Campaign.reports c))
-    (Pqs.Dashboard.reports d);
-  (* seed lines carry the distinct point names of each round (not the hit
-     multiplicities), so the dashboard agrees with the campaign on which
-     points were exercised *)
-  Alcotest.(check (list string)) "frontier points match the campaign's"
-    (List.map fst
-       (Frontier.points c.Pqs.Campaign.stats.Pqs.Stats.frontier))
-    (List.map fst (Frontier.points (Pqs.Dashboard.frontier d)))
-
 (* ---------- guided generation is strictly additive ---------- *)
 
 let seeds_with_reports (c : Pqs.Campaign.t) =
@@ -716,6 +510,8 @@ let () =
         @ [
             Alcotest.test_case "universe views" `Quick test_frontier_views;
             Alcotest.test_case "json snapshot" `Quick test_frontier_json;
+            Alcotest.test_case "json snapshot escapes bundle paths" `Quick
+              test_frontier_json_escapes;
           ] );
       ( "coverage instrument",
         List.map QCheck_alcotest.to_alcotest
@@ -732,12 +528,6 @@ let () =
       ( "chrome trace",
         [
           Alcotest.test_case "round linkage" `Quick test_chrome_round_linkage;
-        ] );
-      ( "dashboard",
-        [
-          Alcotest.test_case "incremental feed" `Quick test_dashboard_feed;
-          Alcotest.test_case "whole-trace ingestion" `Quick
-            test_dashboard_of_trace_file;
         ] );
       ( "guided campaign",
         [

@@ -3,9 +3,9 @@
    - ring buffer: pre-sized at creation, O(1) recording, oldest-first
      eviction with an exact dropped count, [begin_round] resets, and the
      noop sink is inert;
-   - trace.json: the export parses (with the same from-scratch JSON
-     parser test_telemetry uses) and carries the round metadata plus one
-     typed object per surviving event;
+   - trace.json: the export parses with the strict [Json] codec and
+     carries the round metadata plus one typed object per surviving
+     event;
    - bundles: the repro script's self-describing header round-trips
      through [parse_script_text], [write] produces all three files, and
      reducer minimization rewrites the script in place keeping the
@@ -23,142 +23,7 @@
 
 open Sqlval
 
-(* ---------- a minimal JSON parser (no yojson in this environment) ---------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              Buffer.add_char b (Char.chr (code land 0x7f));
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Jarr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Jarr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elements []
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function
-  | Jobj fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Bad_json ("missing member " ^ name)))
-  | _ -> raise (Bad_json "not an object")
-
-let jstr = function Jstr s -> s | _ -> raise (Bad_json "not a string")
-let jarr = function Jarr l -> l | _ -> raise (Bad_json "not an array")
-let jnum = function Jnum f -> f | _ -> raise (Bad_json "not a number")
+open Json_check
 
 (* ---------- small helpers ---------- *)
 
@@ -380,7 +245,7 @@ let test_bundle_roundtrip () =
     (jstr (member "expected" bj));
   ignore
     (parse_json (read_file (Filename.concat (Filename.dirname sql_path) "trace.json"))
-      : json)
+      : Json.t)
 
 let test_rewrite_script () =
   let b = sample_bundle () in
