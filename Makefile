@@ -55,24 +55,28 @@ trace:
 frontier:
 	$(DUNE) exec bench/main.exe -- quick frontier
 
-# Plan-space differential oracle: bug-free sweeps must find no divergence
-# (soundness), each targeted planner-bug sweep must (detection), and the
-# oracle's campaign overhead at fan-out cap 4 must stay under 15%.
-# Writes BENCH_plandiff.json.
+# Plan-space differential oracle: bug-free sweeps in every dialect must
+# find no divergence (soundness), each targeted planner-bug sweep must
+# (detection), and the oracle's campaign overhead at fan-out cap 4 must
+# stay under 15%.  Writes BENCH_plandiff.json.
 plandiff:
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300
+	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d mysql -s 1 --databases 300
+	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d postgres -s 1 --databases 300
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_skip_scan_distinct
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_or_index_dedup
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_desc_index_range
 	$(DUNE) exec bench/main.exe -- quick plandiff
 
-# Constant-optimization oracle gate: the bug-free seed sweep must pass
-# (soundness: the simplifier is semantics-preserving), each targeted
-# constant-folding-bug sweep must (detection), and the oracle's campaign
-# overhead must stay under 15% with identical report sets on the
-# unaffected oracles.  Writes BENCH_constopt.json.
+# Constant-optimization oracle gate: the bug-free seed sweep in every
+# dialect must pass (soundness: the simplifier is semantics-preserving),
+# each targeted constant-folding-bug sweep must (detection), and the
+# oracle's campaign overhead must stay under 15% with identical report
+# sets on the unaffected oracles.  Writes BENCH_constopt.json.
 constopt:
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300
+	$(DUNE) exec bin/sqlancer.exe -- const-opt -d mysql -s 1 --databases 300
+	$(DUNE) exec bin/sqlancer.exe -- const-opt -d postgres -s 1 --databases 300
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_null_and
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_affinity_cmp
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_not_null_true

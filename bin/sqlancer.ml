@@ -776,7 +776,38 @@ let replay_cmd =
           exit 0 iff all do")
     Term.(const replay $ files)
 
-(* ---- lint ---- *)
+(* ---- seed-corpus sweeps: lint, plan-diff, const-opt ---- *)
+
+let sweep_databases =
+  Arg.(
+    value & opt int 100
+    & info [ "databases" ] ~docv:"N"
+        ~doc:"seed range size: one database per seed")
+
+let sweep_queries_per_seed ~doc =
+  Arg.(value & opt int 3 & info [ "queries-per-seed" ] ~docv:"N" ~doc)
+
+let sweep_bug =
+  Arg.(
+    value
+    & opt (some bug_conv) None
+    & info [ "b"; "bug" ] ~docv:"BUG"
+        ~doc:
+          "injected bug to enable; with it, exit 0 iff a divergence was \
+           found (detection), without it, exit 0 iff none was (soundness)")
+
+let bugs_of_option = function
+  | Some b -> Engine.Bug.set_of_list [ b ]
+  | None -> Engine.Bug.empty_set
+
+(* print each divergence, then exit by the soundness-vs-detection rule:
+   bug-free, any divergence is an engine or oracle defect; hunting an
+   injected bug, success means the oracle caught it *)
+let sweep_exit bug divergences =
+  List.iter
+    (fun (seed, msg) -> Printf.printf "seed %d: %s\n" seed msg)
+    divergences;
+  if (divergences <> []) = Option.is_some bug then 0 else 1
 
 let lint dialect seed databases queries_per_seed =
   let r =
@@ -803,35 +834,19 @@ let lint dialect seed databases queries_per_seed =
   if r.Pqs.Lint.sw_diags = [] then 0 else 1
 
 let lint_cmd =
-  let databases =
-    Arg.(
-      value & opt int 100
-      & info [ "databases" ] ~docv:"N"
-          ~doc:"seed range size: one database per seed")
-  in
-  let queries_per_seed =
-    Arg.(
-      value & opt int 3
-      & info [ "queries-per-seed" ] ~docv:"N"
-          ~doc:"containment queries analyzed per seed")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "run the static analyzer over a generated seed corpus; any \
           diagnostic is an analyzer or generator defect")
-    Term.(const lint $ dialect_arg $ seed_arg $ databases $ queries_per_seed)
-
-(* ---- plan-diff ---- *)
+    Term.(
+      const lint $ dialect_arg $ seed_arg $ sweep_databases
+      $ sweep_queries_per_seed ~doc:"containment queries analyzed per seed")
 
 let plan_diff dialect seed databases queries_per_seed max_plans bug =
-  let bugs =
-    match bug with
-    | Some b -> Engine.Bug.set_of_list [ b ]
-    | None -> Engine.Bug.empty_set
-  in
   let r =
-    Pqs.Plan_diff.sweep ~queries_per_seed ~max_plans ~bugs ~seed_lo:seed
+    Pqs.Plan_diff.sweep ~queries_per_seed ~max_plans
+      ~bugs:(bugs_of_option bug) ~seed_lo:seed
       ~seed_hi:(seed + databases - 1) dialect
   in
   let exclusive = Pqs.Plan_diff.exclusive_seeds r in
@@ -843,44 +858,14 @@ let plan_diff dialect seed databases queries_per_seed max_plans bug =
     (List.length r.Pqs.Plan_diff.pd_divergences)
     (List.length r.Pqs.Plan_diff.pd_containment_seeds)
     (List.length exclusive);
-  List.iter
-    (fun (seed, msg) -> Printf.printf "seed %d: %s\n" seed msg)
-    r.Pqs.Plan_diff.pd_divergences;
-  match bug with
-  | None ->
-      (* bug-free: any divergence is an engine or oracle defect *)
-      if r.Pqs.Plan_diff.pd_divergences = [] then 0 else 1
-  | Some _ ->
-      (* hunting an injected bug: success means the oracle caught it *)
-      if r.Pqs.Plan_diff.pd_divergences <> [] then 0 else 1
+  sweep_exit bug r.Pqs.Plan_diff.pd_divergences
 
 let plan_diff_cmd =
-  let databases =
-    Arg.(
-      value & opt int 100
-      & info [ "databases" ] ~docv:"N"
-          ~doc:"seed range size: one database per seed")
-  in
-  let queries_per_seed =
-    Arg.(
-      value & opt int 3
-      & info [ "queries-per-seed" ] ~docv:"N"
-          ~doc:"pivoted queries checked per seed")
-  in
   let max_plans =
     Arg.(
       value & opt int 4
       & info [ "max-plans" ] ~docv:"N"
           ~doc:"forced-plan fan-out cap per query")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some bug_conv) None
-      & info [ "b"; "bug" ] ~docv:"BUG"
-          ~doc:
-            "injected bug to enable; with it, exit 0 iff a divergence was \
-             found (detection), without it, exit 0 iff none was (soundness)")
   in
   Cmd.v
     (Cmd.info "plan-diff"
@@ -889,59 +874,23 @@ let plan_diff_cmd =
           corpus: every query executed under each enumerable plan, result \
           multisets cross-checked")
     Term.(
-      const plan_diff $ dialect_arg $ seed_arg $ databases $ queries_per_seed
-      $ max_plans $ bug)
-
-(* ---- const-opt ---- *)
+      const plan_diff $ dialect_arg $ seed_arg $ sweep_databases
+      $ sweep_queries_per_seed ~doc:"pivoted queries checked per seed"
+      $ max_plans $ sweep_bug)
 
 let const_opt dialect seed databases queries_per_seed bug =
-  let bugs =
-    match bug with
-    | Some b -> Engine.Bug.set_of_list [ b ]
-    | None -> Engine.Bug.empty_set
-  in
   let r =
-    Pqs.Const_opt.sweep ~queries_per_seed ~bugs ~seed_lo:seed
-      ~seed_hi:(seed + databases - 1) dialect
+    Pqs.Const_opt.sweep ~queries_per_seed ~bugs:(bugs_of_option bug)
+      ~seed_lo:seed ~seed_hi:(seed + databases - 1) dialect
   in
   Printf.printf
     "seeds=%d queries=%d const-checks=%d rewrites=%d divergences=%d\n"
     r.Pqs.Const_opt.co_seeds r.Pqs.Const_opt.co_queries
     r.Pqs.Const_opt.co_checks r.Pqs.Const_opt.co_rewrites
     (List.length r.Pqs.Const_opt.co_divergences);
-  List.iter
-    (fun (seed, msg) -> Printf.printf "seed %d: %s\n" seed msg)
-    r.Pqs.Const_opt.co_divergences;
-  match bug with
-  | None ->
-      (* bug-free: the simplifier must be semantics-preserving *)
-      if r.Pqs.Const_opt.co_divergences = [] then 0 else 1
-  | Some _ ->
-      (* hunting an injected bug: success means the oracle caught it *)
-      if r.Pqs.Const_opt.co_divergences <> [] then 0 else 1
+  sweep_exit bug r.Pqs.Const_opt.co_divergences
 
 let const_opt_cmd =
-  let databases =
-    Arg.(
-      value & opt int 100
-      & info [ "databases" ] ~docv:"N"
-          ~doc:"seed range size: one database per seed")
-  in
-  let queries_per_seed =
-    Arg.(
-      value & opt int 3
-      & info [ "queries-per-seed" ] ~docv:"N"
-          ~doc:"pivoted queries checked per seed")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some bug_conv) None
-      & info [ "b"; "bug" ] ~docv:"BUG"
-          ~doc:
-            "injected bug to enable; with it, exit 0 iff a divergence was \
-             found (detection), without it, exit 0 iff none was (soundness)")
-  in
   Cmd.v
     (Cmd.info "const-opt"
        ~doc:
@@ -949,18 +898,17 @@ let const_opt_cmd =
           corpus: pivot values folded into each containment query as \
           constants, the simplified variant re-executed and cross-checked")
     Term.(
-      const const_opt $ dialect_arg $ seed_arg $ databases $ queries_per_seed
-      $ bug)
+      const const_opt $ dialect_arg $ seed_arg $ sweep_databases
+      $ sweep_queries_per_seed ~doc:"pivoted queries checked per seed"
+      $ sweep_bug)
 
 (* ---- metamorphic ---- *)
 
 let metamorphic dialect seed checks bug =
-  let bugs =
-    match bug with
-    | Some b -> Engine.Bug.set_of_list [ b ]
-    | None -> Engine.Bug.empty_set
+  let stats =
+    Pqs.Metamorphic.run ~seed ~bugs:(bugs_of_option bug) ~max_checks:checks
+      dialect
   in
-  let stats = Pqs.Metamorphic.run ~seed ~bugs ~max_checks:checks dialect in
   Printf.printf "checks=%d skipped=%d violations=%d
 "
     stats.Pqs.Metamorphic.checks stats.Pqs.Metamorphic.skipped

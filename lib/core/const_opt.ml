@@ -284,44 +284,13 @@ let directed_probes (ti : Schema_info.table_info) (row : Value.t array) :
 
 let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set) ~seed_lo
     ~seed_hi dialect : sweep_result =
-  let seeds = ref 0 and queries = ref 0 in
+  let queries = ref 0 in
   let checks = ref 0 and rewrites = ref 0 in
   let divergences = ref [] in
   for seed = seed_lo to seed_hi do
-    incr seeds;
-    let rng = Rng.make ~seed in
-    let session = Engine.Session.create ~seed ~bugs dialect in
-    let gen_cfg =
-      Gen_db.Config.(
-        make dialect |> with_rng rng |> with_max_rows 5
-        |> with_extra_statements 4)
-    in
-    let exec stmt =
-      match Engine.Session.execute session stmt with
-      | Ok _ | Error _ -> ()
-      | exception Engine.Errors.Crash _ -> ()
-    in
-    List.iter exec (Gen_db.initial_statements gen_cfg);
-    Schema_info.tables_of_session session
-    |> List.iter (fun (ti : Schema_info.table_info) ->
-           for _ = 1 to 2 do
-             exec
-               (Gen_db.insert_stmt
-                  ~existing_rows:
-                    (Schema_info.rows_of_table session ti.Schema_info.ti_name)
-                  gen_cfg ti)
-           done);
-    List.iter exec (Gen_db.random_statements gen_cfg session);
-    List.iter exec (Gen_db.fill_statements gen_cfg session);
-    let sources =
-      Schema_info.tables_of_session session
-      |> List.filter_map (fun (ti : Schema_info.table_info) ->
-             match
-               Schema_info.rows_of_table session ti.Schema_info.ti_name
-             with
-             | [] -> None
-             | rows -> Some (ti, rows))
-    in
+    let db = Corpus.build ~bugs ~seed dialect in
+    let session = db.Corpus.session in
+    let sources = Corpus.sources session in
     (* the one check both the sweep paths share *)
     let consider ~pivot q =
       incr queries;
@@ -337,52 +306,26 @@ let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set) ~seed_lo
                   (seed, message session q' r) :: !divergences
           | _ -> ())
     in
-    if sources <> [] then begin
-      let csl =
-        Engine.Options.case_sensitive_like (Engine.Session.options session)
-      in
-      for _ = 1 to queries_per_seed do
-        let chosen =
-          let k = if List.length sources >= 2 && Rng.bool rng then 2 else 1 in
-          Rng.sample rng k sources
-        in
-        let pivot =
-          List.map
-            (fun ((ti : Schema_info.table_info), rows) ->
-              (ti, Rng.pick rng rows))
-            chosen
-        in
-        let rec attempt tries =
-          if tries <= 0 then None
-          else
-            match
-              Gen_query.synthesize ~rng ~dialect ~pivot
-                ~case_sensitive_like:csl ~max_depth:4 ~check_expressions:true
-                ()
-            with
-            | Ok t -> Some t
-            | Error _ -> attempt (tries - 1)
-        in
-        match attempt 5 with
-        | None -> ()
-        | Some t -> (
-            match Gen_query.containment_stmt t with
-            | A.Select_stmt q -> consider ~pivot q
-            | _ -> ())
-      done;
-      (* directed probes, one pivot row per source table *)
-      List.iter
-        (fun ((ti : Schema_info.table_info), rows) ->
-          let row = Rng.pick rng rows in
-          List.iter
-            (fun where ->
-              consider ~pivot:[ (ti, row) ] (containment_probe ti row where))
-            (directed_probes ti row))
-        sources
-    end
+    for _ = 1 to queries_per_seed do
+      match Corpus.query db sources with
+      | Some (pivot, t) -> (
+          match Gen_query.containment_stmt t with
+          | A.Select_stmt q -> consider ~pivot q
+          | _ -> ())
+      | None -> ()
+    done;
+    (* directed probes, one pivot row per source table *)
+    List.iter
+      (fun ((ti : Schema_info.table_info), rows) ->
+        let row = Rng.pick db.Corpus.rng rows in
+        List.iter
+          (fun where ->
+            consider ~pivot:[ (ti, row) ] (containment_probe ti row where))
+          (directed_probes ti row))
+      sources
   done;
   {
-    co_seeds = !seeds;
+    co_seeds = max 0 (seed_hi - seed_lo + 1);
     co_queries = !queries;
     co_checks = !checks;
     co_rewrites = !rewrites;

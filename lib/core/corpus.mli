@@ -1,0 +1,45 @@
+(** The seed corpus: one small generated database per seed, and pivoted
+    queries drawn from it — the PQS loop (paper steps 1–5) without the
+    oracle.
+
+    The analysis sweeps ({!Lint.sweep}, {!Plan_diff.sweep},
+    {!Const_opt.sweep}) share this recipe and differ only in the check
+    they run on each query; {!Runner.run_round} shares its pivot pick.
+    Every draw comes from the seed's own {!Rng.t}, so a sweep is a
+    deterministic function of its seed range. *)
+
+open Sqlval
+
+type source = Schema_info.table_info * Value.t array list
+(** A table with its current rows. *)
+
+type pivot = (Schema_info.table_info * Value.t array) list
+(** One row per chosen table. *)
+
+type t = {
+  dialect : Dialect.t;
+  rng : Rng.t;  (** the seed's stream; queries and probes continue it *)
+  session : Engine.Session.t;
+}
+
+(** Build the seed's database on a fresh session: the CREATE TABLEs, two
+    INSERTs per table, one {!Gen_db.random_statements} group and one
+    {!Gen_db.fill_statements} pass, at [max_rows 5] and
+    [extra_statements 4].  Statement outcomes are ignored. *)
+val build : ?bugs:Engine.Bug.set -> seed:int -> Dialect.t -> t
+
+(** Execute one statement, ignoring its outcome (errors and crashes
+    included). *)
+val exec : t -> Sqlast.Ast.stmt -> unit
+
+(** The session's tables that hold at least one row, in creation order. *)
+val sources : Engine.Session.t -> source list
+
+(** Step 2: one or (when there are two sources, with even odds) two
+    distinct sources, one random row from each. *)
+val pick_pivot : Rng.t -> source list -> pivot
+
+(** Draw one pivot from [sources] and synthesize a rectified query for
+    it, giving up after five failed synthesis attempts ([None] without
+    a draw when [sources] is empty). *)
+val query : t -> source list -> (pivot * Gen_query.t) option

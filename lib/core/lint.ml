@@ -214,109 +214,53 @@ and where_subs (it : A.from_item) acc =
   | A.F_sub { sub; _ } -> where_sites sub acc
 
 let sweep ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect : sweep_result =
-  let seeds = ref 0 and queries = ref 0 and plans = ref 0 in
+  let queries = ref 0 and plans = ref 0 in
   let diags = ref [] and simplify_diags = ref [] in
   for seed = seed_lo to seed_hi do
-    incr seeds;
-    let rng = Rng.make ~seed in
-    let session =
-      Engine.Session.create ~seed ~bugs:Engine.Bug.empty_set dialect
+    let db = Corpus.build ~seed dialect in
+    let session = db.Corpus.session in
+    let sources = Corpus.sources session in
+    let csl =
+      Engine.Options.case_sensitive_like (Engine.Session.options session)
     in
-    let gen_cfg =
-      Gen_db.Config.(
-        make dialect |> with_rng rng |> with_max_rows 5
-        |> with_extra_statements 4)
+    (* interval domains over the declared schema and a column-free
+       folding environment: the simplification lints need no pivot *)
+    let idom =
+      Analysis.Interval.of_tables dialect
+        (Schema_info.tables_of_session session |> List.map table_of_info)
     in
-    let exec stmt =
-      match Engine.Session.execute session stmt with
-      | Ok _ | Error _ -> ()
-      | exception Engine.Errors.Crash _ -> ()
-    in
-    List.iter exec (Gen_db.initial_statements gen_cfg);
-    Schema_info.tables_of_session session
-    |> List.iter (fun (ti : Schema_info.table_info) ->
-           for _ = 1 to 2 do
-             exec
-               (Gen_db.insert_stmt
-                  ~existing_rows:
-                    (Schema_info.rows_of_table session ti.Schema_info.ti_name)
-                  gen_cfg ti)
-           done);
-    List.iter exec (Gen_db.random_statements gen_cfg session);
-    List.iter exec (Gen_db.fill_statements gen_cfg session);
-    let sources =
-      Schema_info.tables_of_session session
-      |> List.filter_map (fun (ti : Schema_info.table_info) ->
-             match
-               Schema_info.rows_of_table session ti.Schema_info.ti_name
-             with
-             | [] -> None
-             | rows -> Some (ti, rows))
-    in
-    if sources <> [] then begin
-      let csl =
-        Engine.Options.case_sensitive_like (Engine.Session.options session)
-      in
-      (* interval domains over the declared schema and a column-free
-         folding environment: the simplification lints need no pivot *)
-      let idom =
-        Analysis.Interval.of_tables dialect
-          (Schema_info.tables_of_session session |> List.map table_of_info)
-      in
-      let cenv = Analysis.Const_fold.const_env ~case_sensitive_like:csl dialect in
-      for _ = 1 to queries_per_seed do
-        let chosen =
-          let k = if List.length sources >= 2 && Rng.bool rng then 2 else 1 in
-          Rng.sample rng k sources
-        in
-        let pivot =
-          List.map
-            (fun ((ti : Schema_info.table_info), rows) ->
-              (ti, Rng.pick rng rows))
-            chosen
-        in
-        let rec attempt tries =
-          if tries <= 0 then None
-          else
-            match
-              Gen_query.synthesize ~rng ~dialect ~pivot
-                ~case_sensitive_like:csl ~max_depth:4 ~check_expressions:true
-                ()
-            with
-            | Ok t -> Some t
-            | Error _ -> attempt (tries - 1)
-        in
-        match attempt 5 with
-        | None -> ()
-        | Some t ->
-            let stmt = Gen_query.containment_stmt t in
-            incr queries;
-            let tdiags = check_stmt session stmt in
-            let pdiags =
-              match stmt with
-              | A.Select_stmt q | A.Explain q | A.Explain_analyze q ->
-                  plans := !plans + List.length (scan_sites session q []);
-                  lint_plans session q
-              | _ -> []
-            in
-            List.iter
-              (fun d -> diags := (seed, d) :: !diags)
-              (tdiags @ pdiags);
-            (match stmt with
+    let cenv = Analysis.Const_fold.const_env ~case_sensitive_like:csl dialect in
+    for _ = 1 to queries_per_seed do
+      match Corpus.query db sources with
+      | None -> ()
+      | Some (_, t) ->
+          let stmt = Gen_query.containment_stmt t in
+          incr queries;
+          let tdiags = check_stmt session stmt in
+          let pdiags =
+            match stmt with
             | A.Select_stmt q | A.Explain q | A.Explain_analyze q ->
-                List.iter
-                  (fun w ->
-                    List.iter
-                      (fun d -> simplify_diags := (seed, d) :: !simplify_diags)
-                      (Analysis.Interval.check idom w
-                      @ Analysis.Simplify.where_diagnostics cenv w))
-                  (where_sites q [])
-            | _ -> ())
-      done
-    end
+                plans := !plans + List.length (scan_sites session q []);
+                lint_plans session q
+            | _ -> []
+          in
+          List.iter
+            (fun d -> diags := (seed, d) :: !diags)
+            (tdiags @ pdiags);
+          (match stmt with
+          | A.Select_stmt q | A.Explain q | A.Explain_analyze q ->
+              List.iter
+                (fun w ->
+                  List.iter
+                    (fun d -> simplify_diags := (seed, d) :: !simplify_diags)
+                    (Analysis.Interval.check idom w
+                    @ Analysis.Simplify.where_diagnostics cenv w))
+                (where_sites q [])
+          | _ -> ())
+    done
   done;
   {
-    sw_seeds = !seeds;
+    sw_seeds = max 0 (seed_hi - seed_lo + 1);
     sw_queries = !queries;
     sw_plans = !plans;
     sw_diags = List.rev !diags;

@@ -469,198 +469,132 @@ type sweep_result = {
       (** every plan divergence, tagged with its seed *)
 }
 
+(* Deterministic index DDL on top of the generated schema, so every seed
+   has a non-trivial plan space: a composite index (skip scans), a DESC
+   single-column index (descending ranges) and plain single-column
+   indexes (OR unions, probes).  Random DDL alone creates these shapes
+   too rarely for a bounded sweep. *)
+let add_plan_indexes (db : Corpus.t) =
+  Schema_info.tables_of_session db.Corpus.session
+  |> List.iter (fun (ti : Schema_info.table_info) ->
+         let t = ti.Schema_info.ti_name in
+         let cols =
+           List.map
+             (fun (ci : Schema_info.column_info) -> ci.Schema_info.ci_name)
+             ti.Schema_info.ti_columns
+         in
+         let ic ?(desc = false) c =
+           { A.ic_expr = A.col c; ic_collate = None; ic_desc = desc }
+         in
+         let mk name columns =
+           Corpus.exec db
+             (A.Create_index
+                {
+                  A.ci_name = Printf.sprintf "pdx_%s_%s" t name;
+                  ci_if_not_exists = false;
+                  ci_table = t;
+                  ci_unique = false;
+                  ci_columns = columns;
+                  ci_where = None;
+                })
+         in
+         match cols with
+         | c0 :: c1 :: _ ->
+             mk "comp" [ ic c0; ic c1 ];
+             mk "desc" [ ic ~desc:true c0 ];
+             mk "one" [ ic c1 ]
+         | [ c0 ] ->
+             mk "desc" [ ic ~desc:true c0 ];
+             mk "one" [ ic c0 ]
+         | [] -> ())
+
+(* Directed plan probes: pivot-valued shapes that exercise the
+   distinctive access paths (composite-index skip scan under DISTINCT, OR
+   union over two indexes, strict range over the DESC index).  Random
+   synthesis emits equality/OR conjunct WHEREs too rarely for a bounded
+   sweep to reach those paths. *)
+let directed_probes (ti : Schema_info.table_info) (row : Value.t array) =
+  let cols = ti.Schema_info.ti_columns in
+  let value i = if i < Array.length row then row.(i) else Value.Null in
+  let col i = A.col (List.nth cols i).Schema_info.ci_name in
+  let eq i = A.Binary (A.Eq, col i, A.Lit (value i)) in
+  let select ?(distinct = false) items where =
+    A.Q_select
+      {
+        A.sel_distinct = distinct;
+        sel_items = items;
+        sel_from = [ A.F_table { name = ti.Schema_info.ti_name; alias = None } ];
+        sel_where = Some where;
+        sel_group_by = [];
+        sel_having = None;
+        sel_order_by = [];
+        sel_limit = None;
+        sel_offset = None;
+      }
+  in
+  select ~distinct:true [ A.Sel_expr (col 0, None) ] (eq 0)
+  :: select [ A.Star ] (A.Binary (A.Gt, col 0, A.Lit (value 0)))
+  :: select [ A.Star ] (A.Binary (A.Lt, col 0, A.Lit (value 0)))
+  ::
+  (if List.length cols >= 2 then
+     [
+       select ~distinct:true [ A.Sel_expr (col 0, None) ] (eq 1);
+       select [ A.Star ] (A.Binary (A.Or, eq 0, eq 1));
+     ]
+   else [])
+
 let sweep ?(queries_per_seed = 3) ?(max_plans = 4)
     ?(bugs = Engine.Bug.empty_set) ~seed_lo ~seed_hi dialect : sweep_result =
-  let seeds = ref 0 and queries = ref 0 and plans = ref 0 in
+  let queries = ref 0 and plans = ref 0 in
   let containment_seeds = ref [] in
   let divergences = ref [] in
   for seed = seed_lo to seed_hi do
-    incr seeds;
-    let rng = Rng.make ~seed in
-    let session = Engine.Session.create ~seed ~bugs dialect in
-    let gen_cfg =
-      Gen_db.Config.(
-        make dialect |> with_rng rng |> with_max_rows 5
-        |> with_extra_statements 4)
-    in
-    let exec stmt =
-      match Engine.Session.execute session stmt with
-      | Ok _ | Error _ -> ()
+    let db = Corpus.build ~bugs ~seed dialect in
+    let session = db.Corpus.session in
+    add_plan_indexes db;
+    let record run =
+      match run () with
+      | oc ->
+          plans := !plans + oc.oc_plans;
+          Option.iter
+            (fun d -> divergences := (seed, message d) :: !divergences)
+            oc.oc_divergence
       | exception Engine.Errors.Crash _ -> ()
     in
-    List.iter exec (Gen_db.initial_statements gen_cfg);
-    Schema_info.tables_of_session session
-    |> List.iter (fun (ti : Schema_info.table_info) ->
-           for _ = 1 to 2 do
-             exec
-               (Gen_db.insert_stmt
-                  ~existing_rows:
-                    (Schema_info.rows_of_table session ti.Schema_info.ti_name)
-                  gen_cfg ti)
-           done);
-    List.iter exec (Gen_db.random_statements gen_cfg session);
-    List.iter exec (Gen_db.fill_statements gen_cfg session);
-    (* deterministic index DDL on top of the generated schema, so every
-       seed has a non-trivial plan space: a composite index (skip scans),
-       a DESC single-column index (descending ranges) and plain
-       single-column indexes (OR unions, probes).  Random DDL alone
-       creates these shapes too rarely for a bounded sweep. *)
-    Schema_info.tables_of_session session
-    |> List.iter (fun (ti : Schema_info.table_info) ->
-           let t = ti.Schema_info.ti_name in
-           let cols =
-             List.map
-               (fun (ci : Schema_info.column_info) -> ci.Schema_info.ci_name)
-               ti.Schema_info.ti_columns
-           in
-           let ic ?(desc = false) c =
-             { A.ic_expr = A.col c; ic_collate = None; ic_desc = desc }
-           in
-           let mk name columns =
-             exec
-               (A.Create_index
-                  {
-                    A.ci_name = Printf.sprintf "pdx_%s_%s" t name;
-                    ci_if_not_exists = false;
-                    ci_table = t;
-                    ci_unique = false;
-                    ci_columns = columns;
-                    ci_where = None;
-                  })
-           in
-           match cols with
-           | c0 :: c1 :: _ ->
-               mk "comp" [ ic c0; ic c1 ];
-               mk "desc" [ ic ~desc:true c0 ];
-               mk "one" [ ic c1 ]
-           | [ c0 ] ->
-               mk "desc" [ ic ~desc:true c0 ];
-               mk "one" [ ic c0 ]
-           | [] -> ());
-    let sources =
-      Schema_info.tables_of_session session
-      |> List.filter_map (fun (ti : Schema_info.table_info) ->
-             match
-               Schema_info.rows_of_table session ti.Schema_info.ti_name
-             with
-             | [] -> None
-             | rows -> Some (ti, rows))
+    let check q =
+      incr queries;
+      record (fun () -> check_query ~max_plans session q)
     in
-    if sources <> [] then begin
-      let csl =
-        Engine.Options.case_sensitive_like (Engine.Session.options session)
-      in
-      for _ = 1 to queries_per_seed do
-        let chosen =
-          let k = if List.length sources >= 2 && Rng.bool rng then 2 else 1 in
-          Rng.sample rng k sources
-        in
-        let pivot =
-          List.map
-            (fun ((ti : Schema_info.table_info), rows) -> (ti, Rng.pick rng rows))
-            chosen
-        in
-        let rec attempt tries =
-          if tries <= 0 then None
-          else
+    let sources = Corpus.sources session in
+    for _ = 1 to queries_per_seed do
+      match Corpus.query db sources with
+      | None -> ()
+      | Some (_, t) ->
+          (* would the containment oracle fire on this query? *)
+          let containment_fired =
             match
-              Gen_query.synthesize ~rng ~dialect ~pivot
-                ~case_sensitive_like:csl ~max_depth:4 ~check_expressions:true
-                ()
+              Engine.Session.query session
+                (match Gen_query.containment_stmt t with
+                | A.Select_stmt q -> q
+                | _ -> A.Q_select t.Gen_query.query)
             with
-            | Ok t -> Some t
-            | Error _ -> attempt (tries - 1)
-        in
-        match attempt 5 with
-        | None -> ()
-        | Some t -> (
-            incr queries;
-            (* would the containment oracle fire on this query? *)
-            let containment_fired =
-              match
-                Engine.Session.query session
-                  (match Gen_query.containment_stmt t with
-                  | A.Select_stmt q -> q
-                  | _ -> A.Q_select t.Gen_query.query)
-              with
-              | Ok rs -> rs.Engine.Executor.rs_rows = []
-              | Error _ -> false
-              | exception Engine.Errors.Crash _ -> false
-            in
-            if containment_fired && not (List.mem seed !containment_seeds) then
-              containment_seeds := seed :: !containment_seeds;
-            match
-              check_query ~max_plans session (A.Q_select t.Gen_query.query)
-            with
-            | oc ->
-                plans := !plans + oc.oc_plans;
-                (match oc.oc_divergence with
-                | Some d -> divergences := (seed, message d) :: !divergences
-                | None -> ())
-            | exception Engine.Errors.Crash _ -> ())
-      done;
-      (* directed plan probes: pivot-valued shapes that exercise the
-         distinctive access paths (composite-index skip scan under
-         DISTINCT, OR union over two indexes, strict range over the DESC
-         index).  Random synthesis emits equality/OR conjunct WHEREs too
-         rarely for a bounded sweep to reach those paths. *)
-      List.iter
-        (fun ((ti : Schema_info.table_info), rows) ->
-          let row = Rng.pick rng rows in
-          let cols = ti.Schema_info.ti_columns in
-          let value i = if i < Array.length row then row.(i) else Value.Null in
-          let col i = A.col (List.nth cols i).Schema_info.ci_name in
-          let eq i = A.Binary (A.Eq, col i, A.Lit (value i)) in
-          let select ?(distinct = false) items where =
-            A.Q_select
-              {
-                A.sel_distinct = distinct;
-                sel_items = items;
-                sel_from = [ A.F_table { name = ti.Schema_info.ti_name; alias = None } ];
-                sel_where = Some where;
-                sel_group_by = [];
-                sel_having = None;
-                sel_order_by = [];
-                sel_limit = None;
-                sel_offset = None;
-              }
+            | Ok rs -> rs.Engine.Executor.rs_rows = []
+            | Error _ -> false
+            | exception Engine.Errors.Crash _ -> false
           in
-          let probes =
-            (select ~distinct:true [ A.Sel_expr (col 0, None) ] (eq 0)
-            :: select [ A.Star ] (A.Binary (A.Gt, col 0, A.Lit (value 0)))
-            :: select [ A.Star ] (A.Binary (A.Lt, col 0, A.Lit (value 0)))
-            ::
-            (if List.length cols >= 2 then
-               [
-                 select ~distinct:true [ A.Sel_expr (col 0, None) ] (eq 1);
-                 select [ A.Star ] (A.Binary (A.Or, eq 0, eq 1));
-               ]
-             else []))
-          in
-          List.iter
-            (fun q ->
-              incr queries;
-              match check_query ~max_plans session q with
-              | oc ->
-                  plans := !plans + oc.oc_plans;
-                  (match oc.oc_divergence with
-                  | Some d -> divergences := (seed, message d) :: !divergences
-                  | None -> ())
-              | exception Engine.Errors.Crash _ -> ())
-            probes)
-        sources
-    end;
+          if containment_fired && not (List.mem seed !containment_seeds) then
+            containment_seeds := seed :: !containment_seeds;
+          check (A.Q_select t.Gen_query.query)
+    done;
+    List.iter
+      (fun ((ti : Schema_info.table_info), rows) ->
+        List.iter check (directed_probes ti (Rng.pick db.Corpus.rng rows)))
+      sources;
     (* the per-database join-order differential, as the oracle runs it *)
-    (match check_join_orders session with
-    | oc ->
-        plans := !plans + oc.oc_plans;
-        (match oc.oc_divergence with
-        | Some d -> divergences := (seed, message d) :: !divergences
-        | None -> ())
-    | exception Engine.Errors.Crash _ -> ())
+    record (fun () -> check_join_orders session)
   done;
   {
-    pd_seeds = !seeds;
+    pd_seeds = max 0 (seed_hi - seed_lo + 1);
     pd_queries = !queries;
     pd_plans = !plans;
     pd_containment_seeds = List.sort compare (List.rev !containment_seeds);

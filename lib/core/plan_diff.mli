@@ -109,8 +109,9 @@ type sweep_result = {
       (** every plan divergence, tagged with its seed *)
 }
 
-(** Generate a small database and [queries_per_seed] pivoted queries per
-    seed (the {!Lint.sweep} corpus recipe) and run {!check_query} on each,
+(** Draw a database and [queries_per_seed] pivoted queries per seed from
+    {!Corpus}, add deterministic plan-space indexes and directed
+    access-path probes, and run {!check_query} on each,
     also recording whether the plain containment check would have fired —
     the data behind the per-oracle detection matrix. *)
 val sweep :

@@ -43,6 +43,22 @@ let replay ~dialect ~bugs (stmts : A.stmt list) : replay_outcome =
     any_error_message = !err_msg;
   }
 
+(* ground truth for the containment kinds: on a correct engine the final
+   SELECT must fetch the pivot row (containment) or fetch no row
+   (non-containment); the other kinds observed their divergence directly
+   and are their own witnesses *)
+let correct_engine_agrees ~dialect ~oracle stmts =
+  let rows () =
+    (replay ~dialect ~bugs:Engine.Bug.empty_set stmts).final_select_rows
+  in
+  match oracle with
+  | Bug_report.Containment -> (
+      match rows () with Some n -> n > 0 | None -> false)
+  | Bug_report.Non_containment -> rows () = Some 0
+  | Bug_report.Error_oracle | Bug_report.Crash | Bug_report.Metamorphic
+  | Bug_report.Lint | Bug_report.Plan_diff | Bug_report.Const_opt ->
+      true
+
 (* the [Replay_outcome] recheck strategy: re-run the script and decide
    from how it ended *)
 let replay_check ~dialect ~bugs ~oracle stmts =
@@ -51,27 +67,16 @@ let replay_check ~dialect ~bugs ~oracle stmts =
   | Bug_report.Error_oracle ->
       let o = replay ~dialect ~bugs stmts in
       o.unexpected_error && not o.crashed
-  | Bug_report.Containment -> (
-      let buggy = replay ~dialect ~bugs stmts in
-      match buggy.final_select_rows with
-      | Some 0 -> (
-          (* ground truth: a correct engine must fetch the pivot row *)
-          let correct = replay ~dialect ~bugs:Engine.Bug.empty_set stmts in
-          match correct.final_select_rows with
-          | Some n when n > 0 -> true
-          | _ -> false)
-      | _ -> false)
-  | Bug_report.Non_containment -> (
-      (* inverted: the buggy engine fetches a row the correct one must
-         not *)
-      let buggy = replay ~dialect ~bugs stmts in
-      match buggy.final_select_rows with
-      | Some n when n > 0 -> (
-          let correct = replay ~dialect ~bugs:Engine.Bug.empty_set stmts in
-          match correct.final_select_rows with
-          | Some 0 -> true
-          | _ -> false)
-      | _ -> false)
+  | Bug_report.Containment ->
+      (* the buggy engine misses the pivot row *)
+      (replay ~dialect ~bugs stmts).final_select_rows = Some 0
+      && correct_engine_agrees ~dialect ~oracle stmts
+  | Bug_report.Non_containment ->
+      (* inverted: the buggy engine fetches a row *)
+      (match (replay ~dialect ~bugs stmts).final_select_rows with
+      | Some n -> n > 0
+      | None -> false)
+      && correct_engine_agrees ~dialect ~oracle stmts
   | Bug_report.Metamorphic | Bug_report.Lint | Bug_report.Plan_diff
   | Bug_report.Const_opt ->
       (* these kinds declare [Not_recheckable] or [Custom] strategies in

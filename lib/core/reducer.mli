@@ -15,6 +15,13 @@
 type check = Sqlast.Ast.stmt list -> bool
 (** Does the bug still manifest for this script? *)
 
+(** Ground truth for a verdict: replay [stmts] on a correct engine (empty
+    bug set) and check that its final SELECT fetches a row (containment)
+    or fetches none (non-containment).  Always [true] for the other
+    kinds, which observe their divergence directly. *)
+val correct_engine_agrees :
+  dialect:Sqlval.Dialect.t -> oracle:Bug_report.oracle -> check
+
 (** Build the manifestation check for a report. *)
 val manifestation_check :
   dialect:Sqlval.Dialect.t ->

@@ -20,7 +20,6 @@ module Config = struct
     oracles : Oracle.t list;
     telemetry : Telemetry.t;
     trace : bool;  (** flight-record every round even when nothing fires *)
-    trace_capacity : int;
     bundle_dir : string option;
         (** where repro bundles are written when an oracle fires *)
     trace_sample : int;
@@ -36,8 +35,8 @@ module Config = struct
       ?(queries_per_pivot = 6) ?(max_depth = 4) ?(check_expressions = true)
       ?(verify_ground_truth = true) ?(rectify = true) ?coverage
       ?(check_non_containment = true) ?(oracles = Oracle.defaults)
-      ?(telemetry = Telemetry.noop) ?(trace = false) ?(trace_capacity = 1024)
-      ?bundle_dir ?(trace_sample = 0) ?(guided = false) dialect =
+      ?(telemetry = Telemetry.noop) ?(trace = false) ?bundle_dir
+      ?(trace_sample = 0) ?(guided = false) dialect =
     {
       dialect;
       bugs;
@@ -56,74 +55,22 @@ module Config = struct
       oracles;
       telemetry;
       trace;
-      trace_capacity;
       bundle_dir;
       trace_sample;
       guided;
     }
 
-  let with_guided guided t = { t with guided }
   let with_oracles oracles t = { t with oracles }
   let with_coverage coverage t = { t with coverage }
   let with_telemetry telemetry t = { t with telemetry }
-  let with_trace trace t = { t with trace }
-  let with_bundle_dir bundle_dir t = { t with bundle_dir }
-  let with_trace_sample trace_sample t = { t with trace_sample }
 end
 
 type config = Config.t
 type stats = Stats.t
 
-(* replay a script on a correct engine and report whether the final SELECT
-   returns at least one row without error *)
-let correct_engine_fetches dialect stmts =
-  let session = Engine.Session.create ~bugs:Engine.Bug.empty_set dialect in
-  let n = List.length stmts in
-  let fetched = ref false in
-  (try
-     List.iteri
-       (fun i stmt ->
-         match Engine.Session.execute session stmt with
-         | Ok (Engine.Session.Rows rs) ->
-             if i = n - 1 then
-               fetched := rs.Engine.Executor.rs_rows <> []
-         | Ok _ | Error _ -> ())
-       stmts
-   with Engine.Errors.Crash _ -> ());
-  !fetched
-
-(* inverse ground truth for the non-containment variant: on a correct
-   engine the final SELECT must return no row *)
-let correct_engine_misses dialect stmts =
-  let session = Engine.Session.create ~bugs:Engine.Bug.empty_set dialect in
-  let n = List.length stmts in
-  let empty = ref false in
-  (try
-     List.iteri
-       (fun i stmt ->
-         match Engine.Session.execute session stmt with
-         | Ok (Engine.Session.Rows rs) ->
-             if i = n - 1 then empty := rs.Engine.Executor.rs_rows = []
-         | Ok _ | Error _ -> ())
-       stmts
-   with Engine.Errors.Crash _ -> ());
-  !empty
-
-(* ground-truth confirmation applies only to the containment kinds; the
-   other oracles (error, crash, metamorphic, lint, user-defined) are their
-   own witnesses *)
-let confirm_report (config : Config.t) kind script =
+let confirm_report (config : Config.t) oracle script =
   (not config.Config.verify_ground_truth)
-  ||
-  match kind with
-  | Bug_report.Containment -> correct_engine_fetches config.Config.dialect script
-  | Bug_report.Non_containment ->
-      correct_engine_misses config.Config.dialect script
-  | Bug_report.Error_oracle | Bug_report.Crash | Bug_report.Metamorphic
-  | Bug_report.Lint | Bug_report.Plan_diff | Bug_report.Const_opt ->
-      (* the divergence was observed directly; the two executions are
-         their own witnesses *)
-      true
+  || Reducer.correct_engine_agrees ~dialect:config.Config.dialect ~oracle script
 
 (* flight recorder: enabled when tracing is requested or when repro
    bundles / trace samples may need to be written; otherwise the noop
@@ -131,7 +78,7 @@ let confirm_report (config : Config.t) kind script =
 let recorder_for (config : Config.t) =
   let open Config in
   if config.trace || config.bundle_dir <> None || config.trace_sample > 0 then
-    Trace.create ~capacity:config.trace_capacity ()
+    Trace.create ()
   else Trace.noop
 
 let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
@@ -360,22 +307,12 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
             let pivot_sources () =
               Telemetry.Span.timed tele Telemetry.Phase.Pivot @@ fun () ->
               let tables =
-                Schema_info.tables_of_session session
-                |> List.filter_map (fun (ti : Schema_info.table_info) ->
-                       match
-                         Schema_info.rows_of_table session
-                           ti.Schema_info.ti_name
-                       with
-                       | [] -> None
-                       | rows ->
-                           (* the scan count (incl. inherited rows) is what
-                              the single-row aggregate extension keys on *)
-                           Some
-                             ( {
-                                 ti with
-                                 Schema_info.ti_row_count = List.length rows;
-                               },
-                               rows ))
+                Corpus.sources session
+                |> List.map (fun ((ti : Schema_info.table_info), rows) ->
+                       (* the scan count (incl. inherited rows) is what the
+                          single-row aggregate extension keys on *)
+                       ( { ti with Schema_info.ti_row_count = List.length rows },
+                         rows ))
               in
               (* views join the candidate pool occasionally (paper
                  Sec. 4.2) *)
@@ -417,19 +354,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                           |> Option.map (fun k -> (grng, k))
                       | _ -> None
                     in
-                    let chosen =
-                      let k =
-                        if List.length sources >= 2 && Rng.bool rng then 2
-                        else 1
-                      in
-                      Rng.sample rng k sources
-                    in
-                    let pivot =
-                      List.map
-                        (fun ((ti : Schema_info.table_info), rows) ->
-                          (ti, Rng.pick rng rows))
-                        chosen
-                    in
+                    let pivot = Corpus.pick_pivot rng sources in
                     (* the guided extra query picks its own pivot from the
                        private stream so the shape's join arity can be
                        realized regardless of the blind pivot's *)

@@ -45,11 +45,10 @@ module Config : sig
             draws randomness or changes control flow, so enabling it is
             campaign-neutral. *)
     trace : bool;
-        (** flight-record every round into a ring buffer even when no
-            oracle fires; implied by [bundle_dir] / [trace_sample].  Like
+        (** flight-record every round into a ring buffer ({!Trace.create}'s
+            default 1024 events) even when no oracle fires; implied by [bundle_dir] / [trace_sample].  Like
             telemetry, tracing is campaign-neutral (asserted by
             [make trace]). *)
-    trace_capacity : int;  (** ring size in events (default 1024) *)
     bundle_dir : string option;
         (** when set, every oracle finding drains the flight recorder into
             a self-contained repro bundle
@@ -84,15 +83,11 @@ module Config : sig
     ?oracles:Oracle.t list ->
     ?telemetry:Telemetry.t ->
     ?trace:bool ->
-    ?trace_capacity:int ->
     ?bundle_dir:string ->
     ?trace_sample:int ->
     ?guided:bool ->
     Sqlval.Dialect.t ->
     t
-
-  (** Toggle coverage-guided generation. *)
-  val with_guided : bool -> t -> t
 
   (** Swap the oracle set. *)
   val with_oracles : Oracle.t list -> t -> t
@@ -104,15 +99,6 @@ module Config : sig
   (** Swap the telemetry registry — campaigns give each worker its own
       and merge afterwards, like coverage. *)
   val with_telemetry : Telemetry.t -> t -> t
-
-  (** Toggle always-on flight recording. *)
-  val with_trace : bool -> t -> t
-
-  (** Point repro-bundle output at a directory (or disable with [None]). *)
-  val with_bundle_dir : string option -> t -> t
-
-  (** Set the healthy-round trace sampling period (0 = off). *)
-  val with_trace_sample : int -> t -> t
 end
 
 type config = Config.t

@@ -371,6 +371,42 @@ let drop_table ctx ~if_exists name =
 (* ------------------------------------------------------------------ *)
 (* ALTER TABLE                                                          *)
 
+(* Rewrite the column references [rename] maps in the expressions stored
+   with a table — its CHECK constraints and the definitions and
+   partial-index predicates of its indexes — so they follow an ALTER TABLE
+   rename.  Indexes [skip] selects keep their stale definition. *)
+let rename_refs catalog (schema : Storage.Schema.table) ~table
+    ?(skip = fun _ -> false) rename =
+  let rw =
+    A.map_expr (fun node ->
+        match node with
+        | A.Col { table; column } ->
+            Option.value ~default:node (rename table column)
+        | _ -> node)
+  in
+  schema.Storage.Schema.checks <- List.map rw schema.Storage.Schema.checks;
+  catalog.Storage.Catalog.indexes <-
+    List.map
+      (fun (k, ix) ->
+        if
+          String.lowercase_ascii ix.Storage.Index.on_table
+          = String.lowercase_ascii table
+          && not (skip ix)
+        then
+          (* the record fields are immutable, so rebuild the index *)
+          ( k,
+            {
+              ix with
+              Storage.Index.definition =
+                List.map
+                  (fun (ic : A.indexed_column) ->
+                    { ic with A.ic_expr = rw ic.A.ic_expr })
+                  ix.Storage.Index.definition;
+              where = Option.map rw ix.Storage.Index.where;
+            } )
+        else (k, ix))
+      catalog.Storage.Catalog.indexes
+
 let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
   let catalog = ctx.Executor.catalog in
   match Storage.Catalog.find_table catalog name with
@@ -401,6 +437,14 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                   then (k, { ix with Storage.Index.on_table = new_name })
                   else (k, ix))
                 catalog.Storage.Catalog.indexes;
+            (* and table-qualified columns in CHECKs and index predicates *)
+            rename_refs catalog schema ~table:new_name (fun table column ->
+                match table with
+                | Some t
+                  when String.lowercase_ascii t = String.lowercase_ascii name
+                  ->
+                    Some (A.Col { table = Some new_name; column })
+                | _ -> None);
             Ok ()
           end
       | A.Rename_column { old_name; new_name } -> (
@@ -422,52 +466,23 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       then new_name
                       else pk)
                     schema.Storage.Schema.primary_key;
-                (* rewrite index definitions and partial-index predicates;
-                   the injected Listing 8 defect leaves expression indexes
-                   pointing at the old name *)
-                let rename_expr e =
-                  A.map_expr
-                    (fun node ->
-                      match node with
-                      | A.Col { table; column }
-                        when String.lowercase_ascii column
-                             = String.lowercase_ascii old_name ->
-                          A.Col { table; column = new_name }
-                      | _ -> node)
-                    e
+                (* rewrite CHECKs, index definitions and partial-index
+                   predicates; the injected Listing 8 defect leaves
+                   expression indexes pointing at the old name *)
+                let buggy ix =
+                  Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+                  && Bug.on ctx.Executor.bugs Bug.Sq_alter_rename_expr_index
+                  && Storage.Index.is_expression_index ix
                 in
-                List.iter
-                  (fun ix ->
-                    let buggy =
-                      Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-                      && Bug.on ctx.Executor.bugs Bug.Sq_alter_rename_expr_index
-                      && Storage.Index.is_expression_index ix
-                    in
-                    if buggy then
-                      schema.Storage.Schema.broken_expr_index <- true
-                    else begin
-                      let definition =
-                        List.map
-                          (fun (ic : A.indexed_column) ->
-                            { ic with A.ic_expr = rename_expr ic.A.ic_expr })
-                          ix.Storage.Index.definition
-                      in
-                      let where = Option.map rename_expr ix.Storage.Index.where in
-                      (* the record fields are immutable, so rebuild the
-                         index *)
-                      let ix' = { ix with Storage.Index.definition; where } in
-                      catalog.Storage.Catalog.indexes <-
-                        List.map
-                          (fun (k, v) ->
-                            if
-                              k
-                              = String.lowercase_ascii
-                                  ix.Storage.Index.index_name
-                            then (k, ix')
-                            else (k, v))
-                          catalog.Storage.Catalog.indexes
-                    end)
-                  (Storage.Catalog.indexes_on catalog name);
+                if List.exists buggy (Storage.Catalog.indexes_on catalog name)
+                then schema.Storage.Schema.broken_expr_index <- true;
+                rename_refs catalog schema ~table:name ~skip:buggy
+                  (fun table column ->
+                    if
+                      String.lowercase_ascii column
+                      = String.lowercase_ascii old_name
+                    then Some (A.Col { table; column = new_name })
+                    else None);
                 Ok ()
               end)
       | A.Add_column cd -> (
@@ -533,21 +548,28 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
           match Storage.Schema.find_column schema cname with
           | None -> Error (err Errors.No_such_column "no such column: %s" cname)
           | Some (i, col) ->
-              let indexed =
-                Storage.Catalog.indexes_on catalog name
-                |> List.exists (fun ix ->
-                       List.exists
-                         (fun (ic : A.indexed_column) ->
-                           A.expr_columns ic.A.ic_expr
-                           |> List.exists (fun (_, c) ->
-                                  String.lowercase_ascii c
-                                  = String.lowercase_ascii cname))
-                         ix.Storage.Index.definition)
+              let names e =
+                A.expr_columns e
+                |> List.exists (fun (_, c) ->
+                       String.lowercase_ascii c = String.lowercase_ascii cname)
               in
-              if col.Storage.Schema.in_primary_key || indexed then
+              (* an index key, a partial-index predicate or a CHECK naming
+                 the column would be left dangling *)
+              let referenced =
+                List.exists names schema.Storage.Schema.checks
+                || Storage.Catalog.indexes_on catalog name
+                   |> List.exists (fun ix ->
+                          List.exists
+                            (fun (ic : A.indexed_column) -> names ic.A.ic_expr)
+                            ix.Storage.Index.definition
+                          || Option.fold ~none:false ~some:names
+                               ix.Storage.Index.where)
+              in
+              if col.Storage.Schema.in_primary_key || referenced then
                 Error
                   (err Errors.Syntax_error
-                     "cannot drop column %s: used by an index or primary key"
+                     "cannot drop column %s: used by an index, CHECK or \
+                      primary key"
                      cname)
               else if Array.length schema.Storage.Schema.columns <= 1 then
                 Error (err Errors.Syntax_error "cannot drop the only column")

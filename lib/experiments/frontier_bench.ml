@@ -49,51 +49,12 @@ let checks_to_detect ~budget ~guided bug =
 let query_corpus ~dialect ~seeds ~per_seed =
   List.concat_map
     (fun seed ->
-      let rng = Pqs.Rng.make ~seed in
-      let session =
-        Engine.Session.create ~seed ~bugs:Engine.Bug.empty_set dialect
-      in
-      let gen_cfg =
-        Pqs.Gen_db.Config.(
-          make dialect |> with_rng rng |> with_max_rows 5
-          |> with_extra_statements 4)
-      in
-      let exec stmt =
-        match Engine.Session.execute session stmt with
-        | Ok _ | Error _ -> ()
-        | exception Engine.Errors.Crash _ -> ()
-      in
-      List.iter exec (Pqs.Gen_db.initial_statements gen_cfg);
-      List.iter exec (Pqs.Gen_db.fill_statements gen_cfg session);
-      let sources =
-        Pqs.Schema_info.tables_of_session session
-        |> List.filter_map (fun (ti : Pqs.Schema_info.table_info) ->
-               match
-                 Pqs.Schema_info.rows_of_table session
-                   ti.Pqs.Schema_info.ti_name
-               with
-               | [] -> None
-               | rows -> Some (ti, rows))
-      in
-      if sources = [] then []
-      else
-        List.filter_map
-          (fun _ ->
-            let chosen = Pqs.Rng.sample rng 1 sources in
-            let pivot =
-              List.map
-                (fun ((ti : Pqs.Schema_info.table_info), rows) ->
-                  (ti, Pqs.Rng.pick rng rows))
-                chosen
-            in
-            match
-              Pqs.Gen_query.synthesize ~rng ~dialect ~pivot
-                ~case_sensitive_like:false ~max_depth:4
-                ~check_expressions:true ()
-            with
-            | Ok t -> Some t.Pqs.Gen_query.query
-            | Error _ -> None)
-          (List.init per_seed Fun.id))
+      let db = Pqs.Corpus.build ~seed dialect in
+      let sources = Pqs.Corpus.sources db.Pqs.Corpus.session in
+      List.init per_seed Fun.id
+      |> List.filter_map (fun _ ->
+             Pqs.Corpus.query db sources
+             |> Option.map (fun (_, t) -> t.Pqs.Gen_query.query)))
     seeds
 
 let json ~budget ~bugs ~speedup ~meets_target ~blind_detected

@@ -186,11 +186,13 @@ let test_nullability_lattice () =
 
 (* ---------- acceptance: the 1,000-seed generator sweep ---------- *)
 
-let sweep_clean dialect ~seed_lo ~seed_hi () =
+(* [queries] and [plans] pin the seed corpus: a drift in generation,
+   pivot choice or synthesis changes them *)
+let sweep_clean dialect ~seed_lo ~seed_hi ~queries ~plans () =
   let r = Pqs.Lint.sweep ~seed_lo ~seed_hi dialect in
   Alcotest.(check int) "every seed visited" (seed_hi - seed_lo + 1) r.Pqs.Lint.sw_seeds;
-  Alcotest.(check bool) "sweep analyzed queries" true (r.Pqs.Lint.sw_queries > 0);
-  Alcotest.(check bool) "sweep linted plans" true (r.Pqs.Lint.sw_plans > 0);
+  Alcotest.(check int) "sweep analyzed queries" queries r.Pqs.Lint.sw_queries;
+  Alcotest.(check int) "sweep linted plans" plans r.Pqs.Lint.sw_plans;
   Alcotest.(check (list string))
     "generated queries are diagnostic-free" []
     (List.map
@@ -200,40 +202,14 @@ let sweep_clean dialect ~seed_lo ~seed_hi () =
 
 (* ---------- soundness: nullability vs the oracle interpreter ---------- *)
 
-let build_session ~seed dialect =
-  let rng = Pqs.Rng.make ~seed in
-  let session = Engine.Session.create ~seed ~bugs:Engine.Bug.empty_set dialect in
-  let gen_cfg =
-    Pqs.Gen_db.Config.(
-      make dialect |> with_rng rng |> with_max_rows 5
-      |> with_extra_statements 4)
-  in
-  let exec stmt =
-    match Engine.Session.execute session stmt with
-    | Ok _ | Error _ -> ()
-    | exception Engine.Errors.Crash _ -> ()
-  in
-  List.iter exec (Pqs.Gen_db.initial_statements gen_cfg);
-  List.iter exec (Pqs.Gen_db.fill_statements gen_cfg session);
-  (rng, session)
-
 let test_pivot_crosscheck () =
   let checked = ref 0 in
   List.iter
     (fun dialect ->
       for seed = 1 to 40 do
-        let rng, session = build_session ~seed dialect in
-        let sources =
-          Pqs.Schema_info.tables_of_session session
-          |> List.filter_map (fun (ti : Pqs.Schema_info.table_info) ->
-                 match
-                   Pqs.Schema_info.rows_of_table session
-                     ti.Pqs.Schema_info.ti_name
-                 with
-                 | [] -> None
-                 | rows -> Some (ti, rows))
-        in
-        match sources with
+        let db = Pqs.Corpus.build ~seed dialect in
+        let rng = db.Pqs.Corpus.rng and session = db.Pqs.Corpus.session in
+        match Pqs.Corpus.sources session with
         | [] -> ()
         | (ti, rows) :: _ -> (
             let pivot = [ (ti, Pqs.Rng.pick rng rows) ] in
@@ -347,11 +323,14 @@ let () =
       ( "acceptance",
         [
           Alcotest.test_case "sqlite seeds 1-400" `Quick
-            (sweep_clean Dialect.Sqlite_like ~seed_lo:1 ~seed_hi:400);
+            (sweep_clean Dialect.Sqlite_like ~seed_lo:1 ~seed_hi:400 ~queries:1200
+               ~plans:757);
           Alcotest.test_case "mysql seeds 401-700" `Quick
-            (sweep_clean Dialect.Mysql_like ~seed_lo:401 ~seed_hi:700);
+            (sweep_clean Dialect.Mysql_like ~seed_lo:401 ~seed_hi:700 ~queries:900
+               ~plans:544);
           Alcotest.test_case "postgres seeds 701-1000" `Quick
-            (sweep_clean Dialect.Postgres_like ~seed_lo:701 ~seed_hi:1000);
+            (sweep_clean Dialect.Postgres_like ~seed_lo:701 ~seed_hi:1000
+               ~queries:900 ~plans:529);
         ] );
       ( "soundness",
         [

@@ -353,11 +353,13 @@ let test_oracle_verdicts () =
 
 let test_soundness_sweep () =
   let r = Pqs.Const_opt.sweep ~seed_lo:1 ~seed_hi:1000 Dialect.Sqlite_like in
+  (* the counts pin the seed corpus: a drift in generation, pivot choice
+     or synthesis changes them *)
   Alcotest.(check int) "seeds swept" 1000 r.Pqs.Const_opt.co_seeds;
-  Alcotest.(check bool) "checks simplified and re-ran" true
-    (r.Pqs.Const_opt.co_checks > 200);
-  Alcotest.(check bool) "rewrites applied" true
-    (r.Pqs.Const_opt.co_rewrites > r.Pqs.Const_opt.co_checks);
+  Alcotest.(check int) "queries checked" 8010 r.Pqs.Const_opt.co_queries;
+  Alcotest.(check int) "checks simplified and re-ran" 6548
+    r.Pqs.Const_opt.co_checks;
+  Alcotest.(check int) "rewrites applied" 10733 r.Pqs.Const_opt.co_rewrites;
   Alcotest.(check (list (pair int string)))
     "no divergence on the correct engine" []
     r.Pqs.Const_opt.co_divergences

@@ -778,6 +778,95 @@ let test_rename_partial_index () =
   Alcotest.(check (list string)) "primary-key range sees every row"
     [ "1|c"; "2|b" ] (lines "SELECT * FROM t1 WHERE k >= 1")
 
+(* ALTER TABLE must not leave stale names in the table's CHECKs and
+   partial-index predicates: every later write evaluates them *)
+let script session stmts =
+  List.map
+    (fun s ->
+      match Sqlparse.Parser.parse_stmt s with
+      | Ok st -> Engine.Session.execute session st
+      | Error e -> Alcotest.fail (Sqlparse.Parser.show_error e))
+    stmts
+
+let ok_all what results =
+  List.iter
+    (function
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" what (Engine.Errors.show e))
+    results
+
+let row_lines session q =
+  List.map
+    (fun r -> String.concat "|" (Array.to_list (Array.map Value.to_display r)))
+    (rows session
+       (match Sqlparse.Parser.parse_stmt q with
+       | Ok (A.Select_stmt q) -> q
+       | _ -> Alcotest.fail "expected a SELECT"))
+
+let test_rename_column_check () =
+  let session = Engine.Session.create Dialect.Sqlite_like in
+  ok_all "setup"
+    (script session
+       [
+         "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT CHECK (c1 > 0))";
+         "INSERT INTO t0 VALUES (1, 2)";
+         "ALTER TABLE t0 RENAME COLUMN c1 TO c9";
+         "INSERT INTO t0 VALUES (2, 3)";
+       ]);
+  (match script session [ "INSERT INTO t0 VALUES (3, -1)" ] with
+  | [ Error e ] ->
+      Alcotest.(check string) "the CHECK follows the rename" "Check_violation"
+        (Engine.Errors.show_code e.Engine.Errors.code)
+  | _ -> Alcotest.fail "the renamed CHECK must reject -1");
+  Alcotest.(check (list string)) "rows" [ "1|2"; "2|3" ]
+    (row_lines session "SELECT * FROM t0 ORDER BY c0")
+
+let test_drop_column_in_predicate () =
+  let session = Engine.Session.create Dialect.Sqlite_like in
+  ok_all "setup"
+    (script session
+       [
+         "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT, c2 INT UNIQUE)";
+         "INSERT INTO t0 VALUES (1, 2, 3)";
+         "CREATE INDEX i0 ON t0(c2) WHERE c1 IS NOT NULL";
+         "CREATE TABLE t1(c0 INT, c1 INT CHECK (c1 > 0))";
+       ]);
+  List.iter
+    (fun (what, stmt) ->
+      match script session [ stmt ] with
+      | [ Error _ ] -> ()
+      | _ -> Alcotest.failf "DROP COLUMN named by %s must be refused" what)
+    [
+      ("a partial-index predicate", "ALTER TABLE t0 DROP COLUMN c1");
+      ("a CHECK", "ALTER TABLE t1 DROP COLUMN c1");
+    ];
+  ok_all "conflicting replace"
+    (script session [ "INSERT OR REPLACE INTO t0 VALUES (1, 5, 3)" ]);
+  Alcotest.(check (list string)) "full scan" [ "1|5|3" ]
+    (row_lines session "SELECT * FROM t0");
+  Alcotest.(check (list string)) "primary-key probe" [ "1|5|3" ]
+    (row_lines session "SELECT * FROM t0 WHERE c0 = 1")
+
+let test_rename_table_partial_index () =
+  let session = Engine.Session.create Dialect.Sqlite_like in
+  ok_all "setup"
+    (script session
+       [
+         "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT)";
+         "INSERT INTO t0 VALUES (1, 2)";
+         "CREATE INDEX i0 ON t0(c1) WHERE t0.c1 > 0";
+         "ALTER TABLE t0 RENAME TO t1";
+         "INSERT INTO t1 VALUES (2, 3)";
+         "INSERT OR REPLACE INTO t1 VALUES (1, 3)";
+       ]);
+  Alcotest.(check (list string)) "primary-key probe" [ "1|3" ]
+    (row_lines session "SELECT * FROM t1 WHERE c0 = 1");
+  Alcotest.(check (list string)) "partial-index scan sees every row"
+    [ "1|3"; "2|3" ]
+    (row_lines session
+       "SELECT * FROM (SELECT * FROM t1 WHERE c1 = 3 AND t1.c1 > 0) AS s \
+        ORDER BY c0")
+
 let () =
   Alcotest.run "engine"
     [
@@ -790,6 +879,12 @@ let () =
           Alcotest.test_case "index scan equivalence" `Quick test_index_scan_equivalence;
           Alcotest.test_case "rename column keeps partial index" `Quick
             test_rename_partial_index;
+          Alcotest.test_case "rename column rewrites CHECK" `Quick
+            test_rename_column_check;
+          Alcotest.test_case "drop column named by a predicate" `Quick
+            test_drop_column_in_predicate;
+          Alcotest.test_case "rename table keeps partial index" `Quick
+            test_rename_table_partial_index;
           Alcotest.test_case "transactions" `Quick test_transactions;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "group by/having" `Quick test_group_by_having;

@@ -250,11 +250,12 @@ let test_bug_free_sweep () =
   let r =
     Pqs.Plan_diff.sweep ~seed_lo:1 ~seed_hi:1000 Dialect.Sqlite_like
   in
+  (* the counts pin the seed corpus: a drift in generation, pivot choice
+     or synthesis changes them *)
   Alcotest.(check int) "seeds swept" 1000 r.Pqs.Plan_diff.pd_seeds;
-  Alcotest.(check bool) "queries checked" true
-    (r.Pqs.Plan_diff.pd_queries > 1000);
-  Alcotest.(check bool) "forced plans executed" true
-    (r.Pqs.Plan_diff.pd_plans > 1000);
+  Alcotest.(check int) "queries checked" 11458 r.Pqs.Plan_diff.pd_queries;
+  Alcotest.(check int) "forced plans executed" 12751
+    r.Pqs.Plan_diff.pd_plans;
   Alcotest.(check (list (pair int string)))
     "no divergence on the correct engine" []
     r.Pqs.Plan_diff.pd_divergences
