@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test smoke lint plandiff constopt fleet fmt bench telemetry trace frontier clean
+.PHONY: all build test smoke lint plandiff constopt fleet fmt bench telemetry trace frontier profile clean
 
 all: build
 
@@ -90,6 +90,14 @@ constopt:
 # BENCH_fleet.json.
 fleet:
 	$(DUNE) exec bench/main.exe -- quick fleet
+
+# Sampling profile of one benchmark workload (W=hunt-default, query-heavy,
+# write-heavy-j2 or bug-hunt): writes profile-$(W).folded (collapsed
+# stacks, flamegraph input) and prints the top self and inclusive frames.
+# Samples land at OCaml safepoints, so shares are a guide, not exact costs.
+W ?= hunt-default
+profile:
+	$(DUNE) exec bench/profile.exe -- --workload $(W)
 
 clean:
 	$(DUNE) clean

@@ -24,10 +24,11 @@
    ({!check_join_orders}) since its signal does not depend on the
    surrounding query.  Witnesses carry no LIMIT/OFFSET/GROUP BY/ORDER
    BY, so their results are scan-order-insensitive by construction and
-   can be compared as canonical multisets under
-   {!Engine.Executor.row_key}, the same row identity the engine's own
-   dedup uses.  A divergence report therefore already carries a minimal,
-   self-contained witness query.
+   can be compared as multisets under {!Engine.Executor.Row_eq}, the
+   same typed row identity the engine's own DISTINCT and compound dedup
+   use (integral Reals and Bools are Ints; other Reals match on their 12
+   significant digits).  A divergence report therefore already carries a
+   minimal, self-contained witness query.
 
    ({!query_stable} remains the guard for whole-query forcing via
    {!enumerate_forced}: LIMIT/OFFSET break ties by scan order, and a
@@ -302,11 +303,6 @@ let target_query (q : A.query) =
   | A.Q_compound (A.Intersect, A.Q_values _, inner) -> inner
   | q -> q
 
-(* canonical multiset of a result set: sorted row keys *)
-let canon (rs : Engine.Executor.result_set) =
-  List.sort String.compare
-    (List.map Engine.Executor.row_key rs.Engine.Executor.rs_rows)
-
 let message d =
   let cards =
     String.concat ", "
@@ -341,7 +337,6 @@ let run_groups session (groups : variant_group list) : outcome =
         match run Engine.Executor.no_force g.vg_query with
         | None -> ()
         | Some base ->
-            let base_canon = canon base in
             let base_rows = List.length base.Engine.Executor.rs_rows in
             let results =
               List.map
@@ -353,7 +348,7 @@ let run_groups session (groups : variant_group list) : outcome =
                       ( force,
                         label,
                         List.length rs.Engine.Executor.rs_rows,
-                        Some (canon rs) ))
+                        Some rs.Engine.Executor.rs_rows ))
                 g.vg_forces
             in
             let cards =
@@ -364,7 +359,10 @@ let run_groups session (groups : variant_group list) : outcome =
               List.find_map
                 (fun (force, _, n, c) ->
                   match c with
-                  | Some c when c <> base_canon ->
+                  | Some rows
+                    when not
+                           (Engine.Executor.same_multiset
+                              base.Engine.Executor.rs_rows rows) ->
                       Some
                         {
                           dv_witness =

@@ -16,10 +16,11 @@
     compound arms and subqueries around a scan are plan-invariant, and
     the witness keeps the oracle's campaign overhead within its budget.
     Witnesses carry no LIMIT/GROUP BY/ORDER BY, so their results are
-    scan-order-insensitive by construction; multisets are canonicalized
-    under {!Engine.Executor.row_key}, the same row identity the engine's
-    own DISTINCT/compound dedup uses, so value-representation coarseness
-    can never produce a false positive. *)
+    scan-order-insensitive by construction; multisets are compared under
+    {!Engine.Executor.Row_eq}, the same typed row identity the engine's
+    own DISTINCT/compound dedup uses (integral Reals and Bools equal the
+    matching Int; other Reals are equal to 12 significant digits), so
+    value-representation coarseness can never produce a false positive. *)
 
 open Sqlval
 

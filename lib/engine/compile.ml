@@ -41,15 +41,16 @@ let null_values_of (b : Executor.binding) =
 
 let make_cenv ctx (layout : Executor.binding list) : cenv =
   let cur = ref (Array.of_list (List.map null_values_of layout)) in
-  let cache : (string option * string, (int * int * Datatype.t * Collation.t, Errors.t) result) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  (* slot memo: a query names a handful of columns, so a list beats
+     creating a hash table per select and per join *)
+  let cache = ref [] in
   let slot ~table ~column =
-    match Hashtbl.find_opt cache (table, column) with
+    let key = (table, column) in
+    match List.assoc_opt key !cache with
     | Some r -> r
     | None ->
         let r = Executor.resolve_slot layout ~table ~column in
-        Hashtbl.add cache (table, column) r;
+        cache := (key, r) :: !cache;
         r
   in
   let resolve ~table ~column =
@@ -490,24 +491,45 @@ let compile_items c items =
     items
 
 (* Project the tuple currently in [c.cur] through the compiled item
-   list ([tuple] is the same array the caller stored into [c.cur]). *)
+   list ([tuple] is the same array the caller stored into [c.cur]) into
+   one output array, sized before any item runs. *)
 let project (tuple : Value.t array array) projs :
     (Value.t array, Errors.t) result =
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.concat (List.rev acc)))
+  let width =
+    List.fold_left
+      (fun n p ->
+        match p with
+        | P_star -> Array.fold_left (fun n vs -> n + Array.length vs) n tuple
+        | P_binding i -> n + Array.length tuple.(i)
+        | P_error _ -> n
+        | P_expr _ -> n + 1)
+      0 projs
+  in
+  let out = Array.make width Value.Null in
+  let rec go pos = function
+    | [] -> Ok out
     | p :: rest -> (
         match p with
         | P_star ->
-            go
-              (List.concat_map Array.to_list (Array.to_list tuple) :: acc)
-              rest
-        | P_binding i -> go (Array.to_list tuple.(i) :: acc) rest
+            let pos =
+              Array.fold_left
+                (fun pos vs ->
+                  Array.blit vs 0 out pos (Array.length vs);
+                  pos + Array.length vs)
+                pos tuple
+            in
+            go pos rest
+        | P_binding i ->
+            let vs = tuple.(i) in
+            Array.blit vs 0 out pos (Array.length vs);
+            go (pos + Array.length vs) rest
         | P_error e -> Error e
         | P_expr t ->
             let* v = t () in
-            go ([ v ] :: acc) rest)
+            out.(pos) <- v;
+            go (pos + 1) rest)
   in
-  go [] projs
+  go 0 projs
 
 let rec eval_all acc = function
   | [] -> Ok (List.rev acc)
@@ -855,11 +877,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
         let n_in =
           if Executor.tracing ctx then List.length out_rows_with_keys else 0
         in
-        let deduped =
-          Executor.dedup_by
-            ~key:(fun (row, _) -> Executor.row_key row)
-            out_rows_with_keys
-        in
+        let deduped = Executor.dedup ~row:fst out_rows_with_keys in
         if Executor.tracing ctx then
           Executor.op_event ctx ~op:"DISTINCT" ~rows_in:n_in
             ~rows_out:(List.length deduped) ~batches:(batches_of n_in)
@@ -989,14 +1007,14 @@ and run_compound ctx op qa qb =
           the same number of result columns")
   else
     let keyset rows =
-      let t = Hashtbl.create 16 in
-      List.iter (fun r -> Hashtbl.replace t (Executor.row_key r) ()) rows;
+      let t = Executor.Row_tbl.create 16 in
+      List.iter (fun r -> Executor.Row_tbl.replace t r ()) rows;
       t
     in
+    let dedup = Executor.dedup ~row:Fun.id in
     let rows =
       match op with
-      | A.Union ->
-          Executor.dedup_rows (ra.Executor.rs_rows @ rb.Executor.rs_rows)
+      | A.Union -> dedup (ra.Executor.rs_rows @ rb.Executor.rs_rows)
       | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
       | A.Intersect ->
           (* left-driven: a left row is in the output iff its key appears
@@ -1004,30 +1022,32 @@ and run_compound ctx op qa qb =
              containment check's VALUES side) left and stop scanning the
              right once every left key has been seen *)
           let want = keyset ra.Executor.rs_rows in
-          let missing = ref (Hashtbl.length want) in
-          let found = Hashtbl.create 16 in
+          let missing = ref (Executor.Row_tbl.length want) in
+          let found = Executor.Row_tbl.create 16 in
           let rec scan = function
             | [] -> ()
             | r :: rest ->
                 if !missing > 0 then begin
-                  let k = Executor.row_key r in
-                  (if Hashtbl.mem want k && not (Hashtbl.mem found k) then begin
-                     Hashtbl.replace found k ();
+                  (if
+                     Executor.Row_tbl.mem want r
+                     && not (Executor.Row_tbl.mem found r)
+                   then begin
+                     Executor.Row_tbl.replace found r ();
                      decr missing
                    end);
                   scan rest
                 end
           in
           scan rb.Executor.rs_rows;
-          Executor.dedup_rows
+          dedup
             (List.filter
-               (fun r -> Hashtbl.mem found (Executor.row_key r))
+               (fun r -> Executor.Row_tbl.mem found r)
                ra.Executor.rs_rows)
       | A.Except ->
           let inb = keyset rb.Executor.rs_rows in
-          Executor.dedup_rows
+          dedup
             (List.filter
-               (fun r -> not (Hashtbl.mem inb (Executor.row_key r)))
+               (fun r -> not (Executor.Row_tbl.mem inb r))
                ra.Executor.rs_rows)
     in
     let n_in =

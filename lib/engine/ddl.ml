@@ -14,25 +14,21 @@ let err code fmt = Errors.makef code fmt
 let row_env (ctx : Executor.ctx) (schema : Storage.Schema.table)
     (row : Storage.Row.t) : Eval.env =
   let resolve ~table ~column =
-    let ok_table =
-      match table with
-      | None -> true
-      | Some t ->
-          String.lowercase_ascii t
-          = String.lowercase_ascii schema.Storage.Schema.table_name
-    in
-    if not ok_table then
-      Error (err Errors.No_such_table "no such table: %s" (Option.value ~default:"?" table))
-    else
-      match Storage.Schema.find_column schema column with
-      | Some (i, col) ->
-          Ok
-            {
-              Eval.value = Storage.Row.get row i;
-              datatype = col.Storage.Schema.ty;
-              collation = col.Storage.Schema.collation;
-            }
-      | None -> Error (err Errors.No_such_column "no such column: %s" column)
+    match table with
+    | Some t
+      when not (Storage.Schema.name_equal t schema.Storage.Schema.table_name)
+      ->
+        Error (err Errors.No_such_table "no such table: %s" t)
+    | _ -> (
+        match Storage.Schema.find_column schema column with
+        | Some (i, col) ->
+            Ok
+              {
+                Eval.value = Storage.Row.get row i;
+                datatype = col.Storage.Schema.ty;
+                collation = col.Storage.Schema.collation;
+              }
+        | None -> Error (err Errors.No_such_column "no such column: %s" column))
   in
   { (Executor.eval_env ctx) with Eval.resolve }
 
@@ -55,28 +51,29 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
-let index_key_for_row ctx (ts : Storage.Catalog.table_state)
-    (ix : Storage.Index.t) (row : Storage.Row.t) :
-    (Value.t array, Errors.t) result =
-  let env = row_env ctx ts.Storage.Catalog.schema row in
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
+let index_key env (ix : Storage.Index.t) : (Value.t array, Errors.t) result =
+  let key = Array.make (List.length ix.Storage.Index.definition) Value.Null in
+  let rec go i = function
+    | [] -> Ok key
     | (ic : A.indexed_column) :: rest ->
         let* v = Eval.eval env ic.A.ic_expr in
-        go (v :: acc) rest
+        key.(i) <- v;
+        go (i + 1) rest
   in
-  go [] ix.Storage.Index.definition
+  go 0 ix.Storage.Index.definition
 
-let row_in_partial ctx (ts : Storage.Catalog.table_state)
-    (ix : Storage.Index.t) (row : Storage.Row.t) : (bool, Errors.t) result =
-  match ix.Storage.Index.where with
-  | None -> Ok true
-  | Some pred -> (
-      let env = row_env ctx ts.Storage.Catalog.schema row in
-      match Eval.eval_tvl env pred with
-      | Ok Tvl.True -> Ok true
-      | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-      | Error e -> Error e)
+let index_entry env (ix : Storage.Index.t) :
+    (Value.t array option, Errors.t) result =
+  let* included =
+    match ix.Storage.Index.where with
+    | None -> Ok true
+    | Some pred -> (
+        match Eval.eval_tvl env pred with
+        | Ok Tvl.True -> Ok true
+        | Ok (Tvl.False | Tvl.Unknown) -> Ok false
+        | Error e -> Error e)
+  in
+  if included then Result.map Option.some (index_key env ix) else Ok None
 
 let build_index_entries ctx (ts : Storage.Catalog.table_state)
     (ix : Storage.Index.t) : (unit, Errors.t) result =
@@ -84,23 +81,25 @@ let build_index_entries ctx (ts : Storage.Catalog.table_state)
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
   let rec go = function
     | [] -> Ok ()
-    | row :: rest ->
-        let* included = row_in_partial ctx ts ix row in
-        if not included then go rest
-        else
-          let* key = index_key_for_row ctx ts ix row in
-          let conflicts =
-            Storage.Index.unique_conflicts ix ~key ~rowid:row.Storage.Row.rowid
-          in
-          if conflicts <> [] then
-            Error
-              (err Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
-                 ts.Storage.Catalog.schema.Storage.Schema.table_name
-                 ix.Storage.Index.index_name)
-          else begin
-            Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid;
-            go rest
-          end
+    | row :: rest -> (
+        let env = row_env ctx ts.Storage.Catalog.schema row in
+        let* entry = index_entry env ix in
+        match entry with
+        | None -> go rest
+        | Some key ->
+            let conflicts =
+              Storage.Index.unique_conflicts ix ~key
+                ~rowid:row.Storage.Row.rowid
+            in
+            if conflicts <> [] then
+              Error
+                (err Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
+                   ts.Storage.Catalog.schema.Storage.Schema.table_name
+                   ix.Storage.Index.index_name)
+            else begin
+              Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid;
+              go rest
+            end)
   in
   go rows
 

@@ -39,21 +39,15 @@ val build_index_entries :
   Storage.Index.t ->
   (unit, Errors.t) result
 
-(** Compute the key tuple of [index] for one row, evaluating expression
-    index columns with the engine evaluator; [Error] surfaces evaluation
-    failures (e.g. overflow in an expression index). *)
-val index_key_for_row :
-  Executor.ctx ->
-  Storage.Catalog.table_state ->
-  Storage.Index.t ->
-  Storage.Row.t ->
-  (Sqlval.Value.t array, Errors.t) result
+(** The key tuple of [index] for the row [env] resolves (a {!row_env}),
+    evaluating expression index columns with the engine evaluator;
+    [Error] surfaces evaluation failures (e.g. overflow in an expression
+    index). *)
+val index_key :
+  Eval.env -> Storage.Index.t -> (Sqlval.Value.t array, Errors.t) result
 
-(** Does the row satisfy the index's partial predicate (trivially true for
-    total indexes)? *)
-val row_in_partial :
-  Executor.ctx ->
-  Storage.Catalog.table_state ->
-  Storage.Index.t ->
-  Storage.Row.t ->
-  (bool, Errors.t) result
+(** {!index_key} when the row satisfies the index's partial predicate
+    (trivially so for total indexes), [None] when it does not.  Build the
+    row's env once and reuse it across the table's indexes. *)
+val index_entry :
+  Eval.env -> Storage.Index.t -> (Sqlval.Value.t array option, Errors.t) result

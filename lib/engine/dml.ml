@@ -24,37 +24,37 @@ let indexes_of ctx (ts : Storage.Catalog.table_state) =
   Storage.Catalog.indexes_on ctx.Executor.catalog
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
-let add_row_to_indexes ctx ts (row : Storage.Row.t) =
-  let rec go = function
-    | [] -> Ok ()
-    | ix :: rest ->
-        let* included = Ddl.row_in_partial ctx ts ix row in
-        if included then begin
-          let* key = Ddl.index_key_for_row ctx ts ix row in
-          Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid;
-          go rest
-        end
-        else go rest
-  in
-  go (indexes_of ctx ts)
+let env_of ctx (ts : Storage.Catalog.table_state) row =
+  Ddl.row_env ctx ts.Storage.Catalog.schema row
 
-let remove_row_from_indexes ctx ts (row : Storage.Row.t) =
+(* Apply [f] to each of [indexes] holding an entry for the row, with the
+   entry's key; stops at the first key that fails to evaluate. *)
+let iter_entries ctx ts indexes (row : Storage.Row.t) f =
+  let env = env_of ctx ts row in
   let rec go = function
     | [] -> Ok ()
-    | ix :: rest ->
-        let* included = Ddl.row_in_partial ctx ts ix row in
-        if included then begin
-          let* key = Ddl.index_key_for_row ctx ts ix row in
-          ignore
-            (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid);
-          go rest
-        end
-        else go rest
+    | ix :: rest -> (
+        let* entry = Ddl.index_entry env ix in
+        match entry with
+        | Some key ->
+            f ix key;
+            go rest
+        | None -> go rest)
   in
-  go (indexes_of ctx ts)
+  go indexes
+
+let add_to ctx ts indexes (row : Storage.Row.t) =
+  iter_entries ctx ts indexes row (fun ix key ->
+      Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid)
+
+let remove_from ctx ts indexes (row : Storage.Row.t) =
+  iter_entries ctx ts indexes row (fun ix key ->
+      ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid))
+
+let add_row_to_indexes ctx ts row = add_to ctx ts (indexes_of ctx ts) row
 
 let remove_row ctx ts (row : Storage.Row.t) =
-  let* () = remove_row_from_indexes ctx ts row in
+  let* () = remove_from ctx ts (indexes_of ctx ts) row in
   Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
   Ok ()
 
@@ -62,9 +62,10 @@ let remove_row ctx ts (row : Storage.Row.t) =
    errors (used when index-key evaluation fails mid-insert/update, keeping
    statements atomic like a real engine) *)
 let best_effort_unindex ctx ts (row : Storage.Row.t) =
+  let env = env_of ctx ts row in
   List.iter
     (fun ix ->
-      match Ddl.index_key_for_row ctx ts ix row with
+      match Ddl.index_key env ix with
       | Ok key ->
           ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid)
       | Error _ -> ())
@@ -91,28 +92,30 @@ let pk_index ctx (ts : Storage.Catalog.table_state) =
    returns (index, conflicting rowids) pairs. *)
 let unique_conflicts_for ctx ts (row : Storage.Row.t) =
   let schema = ts.Storage.Catalog.schema in
+  let env = env_of ctx ts row in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | ix :: rest ->
+    | ix :: rest -> (
         if not ix.Storage.Index.unique then go acc rest
         else
-          let* included = Ddl.row_in_partial ctx ts ix row in
-          if not included then go acc rest
-          else
-            let* key = Ddl.index_key_for_row ctx ts ix row in
+          let* entry = Ddl.index_entry env ix in
+          match entry with
+          | None -> go acc rest
+          | Some key ->
             (* Listing 4 injection: on a WITHOUT ROWID table whose PK
                column also carries a NOCASE index, the PK probe folds
                case *)
             let key =
-              let is_pk_ix =
+              let is_pk_ix () =
                 match pk_index ctx ts with
                 | Some pk -> pk.Storage.Index.index_name = ix.Storage.Index.index_name
                 | None -> false
               in
               if
-                is_pk_ix && schema.Storage.Schema.without_rowid
+                schema.Storage.Schema.without_rowid
                 && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
                 && bug ctx Bug.Sq_nocase_unique_pk_collapse
+                && is_pk_ix ()
                 &&
                 (* another index on the same leading column uses NOCASE *)
                 List.exists
@@ -183,7 +186,7 @@ let unique_conflicts_for ctx ts (row : Storage.Row.t) =
               else conflicts
             in
             if conflicts = [] then go acc rest
-            else go ((ix, conflicts) :: acc) rest
+            else go ((ix, conflicts) :: acc) rest)
   in
   go [] (indexes_of ctx ts)
 
@@ -222,11 +225,7 @@ let check_constraints (ctx : Executor.ctx) (schema : Storage.Schema.table)
     values =
   let skip =
     Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-    &&
-    match Options.get ctx.Executor.options "ignore_check_constraints" with
-    | Some (Value.Int i) -> i <> 0L
-    | Some (Value.Bool b) -> b
-    | _ -> false
+    && Options.ignore_check_constraints ctx.Executor.options
   in
   if skip || schema.Storage.Schema.checks = [] then Ok ()
   else begin
@@ -435,22 +434,15 @@ let insert ctx ~table ~columns ~rows ~action =
                case-folded entry — so scans see one row while the heap (and
                the pivot-row selection) holds both *)
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            let rec add_except = function
-              | [] -> Ok ()
-              | other :: rest ->
-                  if
-                    other.Storage.Index.index_name = ix.Storage.Index.index_name
-                  then add_except rest
-                  else
-                    let* included = Ddl.row_in_partial ctx ts other row in
-                    if included then begin
-                      let* key = Ddl.index_key_for_row ctx ts other row in
-                      Storage.Index.add other ~key ~rowid:row.Storage.Row.rowid;
-                      add_except rest
-                    end
-                    else add_except rest
+            let* () =
+              add_to ctx ts
+                (List.filter
+                   (fun other ->
+                     other.Storage.Index.index_name
+                     <> ix.Storage.Index.index_name)
+                   (indexes_of ctx ts))
+                row
             in
-            let* () = add_except (indexes_of ctx ts) in
             Ok true
         | (ix, _) :: _, A.On_conflict_abort -> Error (unique_error ts ix)
         | conflicts, _ ->
@@ -612,34 +604,8 @@ let update ctx ~table ~assignments ~where ~action =
         |> List.filter (fun ix ->
                not (skip_partial_maintenance && Storage.Index.is_partial ix))
       in
-      let detach r =
-        let rec go = function
-          | [] -> Ok ()
-          | ix :: rest ->
-              let* included = Ddl.row_in_partial ctx ts ix r in
-              if included then begin
-                let* key = Ddl.index_key_for_row ctx ts ix r in
-                ignore (Storage.Index.remove ix ~key ~rowid:r.Storage.Row.rowid);
-                go rest
-              end
-              else go rest
-        in
-        go maintained_indexes
-      in
-      let attach r =
-        let rec go = function
-          | [] -> Ok ()
-          | ix :: rest ->
-              let* included = Ddl.row_in_partial ctx ts ix r in
-              if included then begin
-                let* key = Ddl.index_key_for_row ctx ts ix r in
-                Storage.Index.add ix ~key ~rowid:r.Storage.Row.rowid;
-                go rest
-              end
-              else go rest
-        in
-        go maintained_indexes
-      in
+      let detach r = remove_from ctx ts maintained_indexes r in
+      let attach r = add_to ctx ts maintained_indexes r in
       let* () = detach row in
       let* conflicts = unique_conflicts_for ctx ts candidate in
       match (conflicts, action) with

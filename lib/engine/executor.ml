@@ -174,13 +174,6 @@ let pp_result_set fmt rs =
         (String.concat "|" (List.map Value.to_display (Array.to_list row))))
     rs.rs_rows
 
-let result_contains rs row =
-  let row = Array.of_list row in
-  List.exists
-    (fun r ->
-      Array.length r = Array.length row && Array.for_all2 Value.equal r row)
-    rs.rs_rows
-
 let cov ctx point =
   match ctx.coverage with None -> () | Some c -> Coverage.hit c point
 
@@ -272,13 +265,15 @@ let resolve_in (bindings : binding list) ~table ~column :
       collation;
     }
 
+let no_columns = (Eval.const_env Dialect.Sqlite_like).Eval.resolve
+
 let eval_env ctx : Eval.env =
   {
     Eval.dialect = ctx.dialect;
     bugs = ctx.bugs;
     case_sensitive_like = Options.case_sensitive_like ctx.options;
     coverage = ctx.coverage;
-    resolve = (Eval.const_env ctx.dialect).Eval.resolve;
+    resolve = no_columns;
   }
 
 let env_for ctx bindings : Eval.env =
@@ -655,36 +650,86 @@ let output_columns (bindings_sample : binding list) items :
   in
   go [] items
 
-let row_key (row : Value.t array) =
-  String.concat "\x00"
-    (Array.to_list
-       (Array.map
-          (fun v ->
-            match v with
-            | Value.Text s -> "t:" ^ s
-            | Value.Int i -> "i:" ^ Int64.to_string i
-            | Value.Real r ->
-                if Numeric.real_is_exact_int r then
-                  "i:" ^ Int64.to_string (Int64.of_float r)
-                else "r:" ^ string_of_float r
-            | Value.Blob s -> "b:" ^ s
-            | Value.Bool b -> "i:" ^ if b then "1" else "0"
-            | Value.Null -> "n")
-          row))
+(* Row identity.  Bools and integral Reals are the matching Int; other
+   Reals are identified by their [string_of_float] form (12 significant
+   digits, so the containment check's [VALUES (0.3)] matches a stored
+   [0.1+0.2]); TEXT is never BLOB. *)
+module Row_eq = struct
+  type t = Value.t array
 
-let dedup_by ~key rows =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let k = key row in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
+  let int_of = function
+    | Value.Int i -> Some i
+    | Value.Bool b -> Some (if b then 1L else 0L)
+    | Value.Real r when Numeric.real_is_exact_int r -> Some (Int64.of_float r)
+    | _ -> None
 
-let dedup_rows rows = dedup_by ~key:row_key rows
+  let value_equal a b =
+    match (a, b) with
+    | Value.Null, Value.Null -> true
+    | Value.Int x, Value.Int y -> Int64.equal x y
+    | Value.Text x, Value.Text y | Value.Blob x, Value.Blob y -> String.equal x y
+    | Value.Real x, Value.Real y
+      when not (Numeric.real_is_exact_int x || Numeric.real_is_exact_int y) ->
+        (* IEEE [=]: NaNs fall through to their printed form *)
+        x = y || String.equal (string_of_float x) (string_of_float y)
+    | _ -> (
+        match (int_of a, int_of b) with
+        | Some i, Some j -> Int64.equal i j
+        | _ -> false)
+
+  let equal a b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (value_equal a.(i) b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let value_hash = function
+    | Value.Null -> 0
+    | Value.Int i -> Hashtbl.hash i
+    | Value.Bool b -> Hashtbl.hash (if b then 1L else 0L)
+    | Value.Real r ->
+        if Numeric.real_is_exact_int r then Hashtbl.hash (Int64.of_float r)
+        else Hashtbl.hash (string_of_float r)
+    | Value.Text s -> Hashtbl.hash s
+    | Value.Blob s -> Hashtbl.hash s + 1
+
+  let hash a = Array.fold_left (fun h v -> (h * 31) + value_hash v) 7 a
+end
+
+module Row_tbl = Hashtbl.Make (Row_eq)
+
+let dedup ~row items =
+  match items with
+  | [] | [ _ ] -> items
+  | _ ->
+      let seen = Row_tbl.create 16 in
+      List.filter
+        (fun item ->
+          let r = row item in
+          if Row_tbl.mem seen r then false
+          else begin
+            Row_tbl.replace seen r ();
+            true
+          end)
+        items
+
+let same_multiset a b =
+  List.compare_lengths a b = 0
+  &&
+  let counts = Row_tbl.create 16 in
+  List.iter
+    (fun r ->
+      Row_tbl.replace counts r
+        (1 + Option.value ~default:0 (Row_tbl.find_opt counts r)))
+    a;
+  List.for_all
+    (fun r ->
+      match Row_tbl.find_opt counts r with
+      | Some n when n > 0 ->
+          Row_tbl.replace counts r (n - 1);
+          true
+      | _ -> false)
+    b
 
 let select_has_agg (s : A.select) =
   s.A.sel_group_by <> []
@@ -886,7 +931,7 @@ let group_tuples ctx ~eval (s : A.select) tuples =
         | _ -> s.A.sel_group_by
       else s.A.sel_group_by
     in
-    let table = Hashtbl.create 16 in
+    let table = Row_tbl.create 16 in
     let order = ref [] in
     let rec go = function
       | [] -> Ok ()
@@ -898,16 +943,16 @@ let group_tuples ctx ~eval (s : A.select) tuples =
                 keys (v :: acc) more
           in
           let* ks = keys [] group_exprs in
-          let k = row_key (Array.of_list ks) in
-          (match Hashtbl.find_opt table k with
-          | Some group -> Hashtbl.replace table k (tuple :: group)
+          let k = Array.of_list ks in
+          (match Row_tbl.find_opt table k with
+          | Some group -> Row_tbl.replace table k (tuple :: group)
           | None ->
-              Hashtbl.replace table k [ tuple ];
+              Row_tbl.replace table k [ tuple ];
               order := k :: !order);
           go rest
     in
     let* () = go tuples in
-    Ok (List.rev_map (fun k -> List.rev (Hashtbl.find table k)) !order)
+    Ok (List.rev_map (fun k -> List.rev (Row_tbl.find table k)) !order)
   end
 
 let substitute_aggs ctx ~eval group e : (A.expr, Errors.t) result =

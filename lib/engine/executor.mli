@@ -72,15 +72,26 @@ type result_set = { rs_columns : string list; rs_rows : Value.t array list }
 
 val pp_result_set : Format.formatter -> result_set -> unit
 
-(** Does the result set contain this exact row (value equality)? *)
-val result_contains : result_set -> Value.t list -> bool
-
 val eval_env : ctx -> Eval.env
 
-(** Canonical multiset key of a result row: the same encoding the engine
-    uses for DISTINCT and the compound operators, so numeric values that
-    compare equal (e.g. [1] and [1.0]) collapse to the same key. *)
-val row_key : Value.t array -> string
+(** Row identity: the one equivalence DISTINCT, the compound operators,
+    GROUP BY keys and the plan-diff oracle's multisets use.  Rows are
+    equal when they have the same width and, column by column:
+    - [Bool] and integral [Real]s are the matching [Int] ([1], [1.0] and
+      [TRUE] are one value);
+    - other [Real]s are equal when their [string_of_float] forms (12
+      significant digits) are, so [0.1+0.2] equals [0.3];
+    - [Text] and [Blob] compare bytes and are never equal to each other;
+      [NULL] equals [NULL]. *)
+module Row_eq : Hashtbl.HashedType with type t = Value.t array
+
+module Row_tbl : Hashtbl.S with type key = Value.t array
+
+(** First-occurrence deduplication of items under {!Row_eq} of [row]. *)
+val dedup : row:('a -> Value.t array) -> 'a list -> 'a list
+
+(** Are the two row lists equal as multisets under {!Row_eq}? *)
+val same_multiset : Value.t array list -> Value.t array list -> bool
 
 (** Rows of one table including postgres-inherited children (projected onto
     the parent's columns), in scan order.  Shared with DML and maintenance. *)
@@ -155,12 +166,6 @@ val output_columns :
 (** Whether the SELECT uses aggregation (GROUP BY, aggregate items, or an
     aggregate HAVING). *)
 val select_has_agg : Sqlast.Ast.select -> bool
-
-(** First-occurrence deduplication under a string key. *)
-val dedup_by : key:('a -> string) -> 'a list -> 'a list
-
-(** First-occurrence deduplication under {!row_key}. *)
-val dedup_rows : Value.t array list -> Value.t array list
 
 (** Evaluates an expression against one tuple of the pipeline. *)
 type 'tuple tuple_eval = 'tuple -> Sqlast.Ast.expr -> (Value.t, Errors.t) result

@@ -1,9 +1,15 @@
 open Sqlval
 
+(* The options with engine-visible semantics are mirrored into fields:
+   the engine reads them per row, and a field read is all that costs.
+   [set] is the only writer of [values], so it keeps them in sync. *)
 type t = {
   dialect : Dialect.t;
   values : (string, Value.t) Hashtbl.t;
   mutable like_pragma_touched : bool;
+  mutable case_sensitive_like : bool;
+  mutable reverse_unordered_selects : bool;
+  mutable ignore_check_constraints : bool;
 }
 
 let known = function
@@ -32,19 +38,35 @@ let known = function
         ("jit", Value.Bool false);
       ]
 
+let truthy = function
+  | Some (Value.Int i) -> i <> 0L
+  | Some (Value.Bool b) -> b
+  | _ -> false
+
+let get t name = Hashtbl.find_opt t.values (String.lowercase_ascii name)
+
+let sync t =
+  t.case_sensitive_like <- truthy (get t "case_sensitive_like");
+  t.reverse_unordered_selects <- truthy (get t "reverse_unordered_selects");
+  t.ignore_check_constraints <- truthy (get t "ignore_check_constraints")
+
 let create dialect =
   let values = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace values k v) (known dialect);
-  { dialect; values; like_pragma_touched = false }
+  let t =
+    {
+      dialect;
+      values;
+      like_pragma_touched = false;
+      case_sensitive_like = false;
+      reverse_unordered_selects = false;
+      ignore_check_constraints = false;
+    }
+  in
+  sync t;
+  t
 
-let copy t =
-  {
-    dialect = t.dialect;
-    values = Hashtbl.copy t.values;
-    like_pragma_touched = t.like_pragma_touched;
-  }
-
-let get t name = Hashtbl.find_opt t.values (String.lowercase_ascii name)
+let copy t = { t with values = Hashtbl.copy t.values }
 
 let set t name value =
   let name = String.lowercase_ascii name in
@@ -70,14 +92,11 @@ let set t name value =
       else begin
         if name = "case_sensitive_like" then t.like_pragma_touched <- true;
         Hashtbl.replace t.values name value;
+        sync t;
         Ok ()
       end
 
-let truthy = function
-  | Some (Value.Int i) -> i <> 0L
-  | Some (Value.Bool b) -> b
-  | _ -> false
-
-let case_sensitive_like t = truthy (get t "case_sensitive_like")
-let reverse_unordered_selects t = truthy (get t "reverse_unordered_selects")
+let case_sensitive_like t = t.case_sensitive_like
+let reverse_unordered_selects t = t.reverse_unordered_selects
+let ignore_check_constraints t = t.ignore_check_constraints
 let like_pragma_touched t = t.like_pragma_touched

@@ -17,10 +17,12 @@ val set : t -> string -> Sqlval.Value.t -> (unit, Errors.t) result
 
 val get : t -> string -> Sqlval.Value.t option
 
-(** Typed accessors for the options with engine-visible semantics. *)
+(** Typed accessors for the options with engine-visible semantics: field
+    reads, kept in sync by {!set}, so the engine may call them per row. *)
 val case_sensitive_like : t -> bool
 
 val reverse_unordered_selects : t -> bool
+val ignore_check_constraints : t -> bool
 
 (** True when [case_sensitive_like] has ever been flipped after session
     start — the trigger condition of paper Listing 9. *)

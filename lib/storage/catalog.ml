@@ -87,7 +87,7 @@ let drop_index t name =
 let indexes_on t table_name =
   List.filter_map
     (fun (_, ix) ->
-      if norm ix.Index.on_table = norm table_name then Some ix else None)
+      if Schema.name_equal ix.Index.on_table table_name then Some ix else None)
     t.indexes
 
 let index_names t = List.map (fun (_, ix) -> ix.Index.index_name) t.indexes

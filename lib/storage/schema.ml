@@ -56,12 +56,24 @@ let make_table ?(primary_key = []) ?(without_rowid = false) ?engine ?inherits
     broken_expr_index = false;
   }
 
+(* [String.lowercase_ascii a = String.lowercase_ascii b], byte by byte and
+   without allocating: name resolution runs per row on the write path *)
+let name_equal a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec go i =
+    i >= n
+    || Char.lowercase_ascii (String.unsafe_get a i)
+       = Char.lowercase_ascii (String.unsafe_get b i)
+       && go (i + 1)
+  in
+  go 0
+
 let find_column t name =
-  let lowered = String.lowercase_ascii name in
   let rec go i =
     if i >= Array.length t.columns then None
-    else if String.lowercase_ascii t.columns.(i).name = lowered then
-      Some (i, t.columns.(i))
+    else if name_equal t.columns.(i).name name then Some (i, t.columns.(i))
     else go (i + 1)
   in
   go 0

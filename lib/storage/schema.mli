@@ -60,6 +60,10 @@ val make_table :
   string ->
   table
 
+(** ASCII case-insensitive name equality (what comparing the
+    [String.lowercase_ascii] forms gives), without allocating. *)
+val name_equal : string -> string -> bool
+
 (** Case-insensitive column lookup; returns the index and the column. *)
 val find_column : table -> string -> (int * column) option
 

@@ -867,6 +867,27 @@ let test_rename_table_partial_index () =
        "SELECT * FROM (SELECT * FROM t1 WHERE c1 = 3 AND t1.c1 > 0) AS s \
         ORDER BY c0")
 
+(* Row identity is per value: two rows whose BLOBs hold NUL bytes stay
+   distinct under DISTINCT, GROUP BY and UNION even when their columns'
+   bytes, run together, are the same *)
+let test_distinct_nul_bytes () =
+  let session = Engine.Session.create Dialect.Sqlite_like in
+  ok_all "setup"
+    (script session
+       [
+         "CREATE TABLE t0(c0 BLOB, c1 BLOB)";
+         "INSERT INTO t0 VALUES (X'61', X'6200623a63')";
+         "INSERT INTO t0 VALUES (X'6100623a62', X'63')";
+       ]);
+  List.iter
+    (fun q ->
+      Alcotest.(check int) q 2 (List.length (row_lines session q)))
+    [
+      "SELECT DISTINCT * FROM t0";
+      "SELECT c0, c1 FROM t0 GROUP BY c0, c1";
+      "SELECT * FROM t0 UNION SELECT * FROM t0";
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -889,6 +910,8 @@ let () =
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "group by/having" `Quick test_group_by_having;
           Alcotest.test_case "distinct/order/limit" `Quick test_distinct_order_limit;
+          Alcotest.test_case "distinct rows with NUL bytes" `Quick
+            test_distinct_nul_bytes;
           Alcotest.test_case "joins" `Quick test_join;
           Alcotest.test_case "views" `Quick test_views;
           Alcotest.test_case "compound queries" `Quick test_compound;

@@ -113,7 +113,31 @@ let test_like_case_rules () =
   script s
     (setup @ [ "PRAGMA case_sensitive_like = 1" ]);
   Alcotest.(check int) "sqlite pragma case_sensitive_like" 0
+    (List.length (rows_sql s "SELECT * FROM t0 WHERE c0 LIKE 'abc'"));
+  script s [ "PRAGMA case_sensitive_like = 0" ];
+  Alcotest.(check int) "case_sensitive_like = 0 restores case folding" 1
     (List.length (rows_sql s "SELECT * FROM t0 WHERE c0 LIKE 'abc'"))
+
+let test_reverse_unordered_selects () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  script s
+    [ "CREATE TABLE t0(c0)"; "INSERT INTO t0(c0) VALUES (1), (2), (3)" ];
+  let firsts () =
+    List.map (fun r -> r.(0)) (rows_sql s "SELECT c0 FROM t0")
+  in
+  let ints = List.map (fun i -> Value.Int (Int64.of_int i)) in
+  let check msg expected =
+    Alcotest.(check bool) msg true (List.equal Value.equal (ints expected) (firsts ()))
+  in
+  check "scan order by default" [ 1; 2; 3 ];
+  script s [ "PRAGMA reverse_unordered_selects = 1" ];
+  check "reverse_unordered_selects = 1 reverses" [ 3; 2; 1 ];
+  Alcotest.(check int) "ORDER BY is not reversed" 1
+    (match rows_sql s "SELECT c0 FROM t0 ORDER BY c0" with
+    | r :: _ -> (match r.(0) with Value.Int i -> Int64.to_int i | _ -> -1)
+    | [] -> -1);
+  script s [ "PRAGMA reverse_unordered_selects = 0" ];
+  check "reverse_unordered_selects = 0 restores the order" [ 1; 2; 3 ]
 
 let test_in_between_null () =
   let s = Engine.Session.create Dialect.Sqlite_like in
@@ -256,7 +280,11 @@ let test_check_constraints () =
   script s [ "PRAGMA ignore_check_constraints = 1" ];
   ignore (exec_sql s "INSERT INTO t0(c0) VALUES (13)");
   Alcotest.(check int) "pragma disables checks" 5
-    (List.length (rows_sql s "SELECT * FROM t0"))
+    (List.length (rows_sql s "SELECT * FROM t0"));
+  script s [ "PRAGMA ignore_check_constraints = 0" ];
+  let e3 = exec_sql_err s "INSERT INTO t0(c0) VALUES (13)" in
+  Alcotest.(check bool) "pragma = 0 enforces checks again" true
+    (Engine.Errors.equal_code e3.Engine.Errors.code Engine.Errors.Check_violation)
 
 let test_subqueries () =
   let s = Engine.Session.create Dialect.Sqlite_like in
@@ -491,6 +519,8 @@ let () =
           Alcotest.test_case "division semantics" `Quick test_division_semantics;
           Alcotest.test_case "concat semantics" `Quick test_concat_semantics;
           Alcotest.test_case "LIKE case rules" `Quick test_like_case_rules;
+          Alcotest.test_case "PRAGMA reverse_unordered_selects" `Quick
+            test_reverse_unordered_selects;
           Alcotest.test_case "IN/BETWEEN with NULL" `Quick test_in_between_null;
           Alcotest.test_case "CASE expression" `Quick test_case_expression;
           Alcotest.test_case "CHECK constraints" `Quick test_check_constraints;

@@ -339,6 +339,97 @@ let prop_parser_total_sqlish =
       (match Sqlparse.Parser.parse_script text with Ok _ | Error _ -> ());
       true)
 
+(* ---------- row identity ---------- *)
+
+(* The printed row key the engine once used for DISTINCT, compounds and
+   GROUP BY: the reference the typed identity must agree with on rows
+   without NUL bytes (with them, this encoding merged distinct rows). *)
+let printed_key (row : Value.t array) =
+  String.concat "\x00"
+    (Array.to_list
+       (Array.map
+          (fun v ->
+            match v with
+            | Value.Text s -> "t:" ^ s
+            | Value.Int i -> "i:" ^ Int64.to_string i
+            | Value.Real r ->
+                if Numeric.real_is_exact_int r then
+                  "i:" ^ Int64.to_string (Int64.of_float r)
+                else "r:" ^ string_of_float r
+            | Value.Blob s -> "b:" ^ s
+            | Value.Bool b -> "i:" ^ if b then "1" else "0"
+            | Value.Null -> "n")
+          row))
+
+(* a small pool with many cross-type and 12-digit collisions, plus
+   random values *)
+let identity_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              Value.Null; Value.Int 0L; Value.Int 1L; Value.Int (-1L);
+              Value.Real 0.; Value.Real (-0.); Value.Real 1.; Value.Real (-1.);
+              Value.Bool true; Value.Bool false; Value.Real 0.3;
+              Value.Real (0.1 +. 0.2); Value.Real 0.30000000000001;
+              Value.Real 0.3001; Value.Real 1e20; Value.Real 9007199254740992.;
+              Value.Int 9007199254740992L; Value.Real Float.nan;
+              Value.Real Float.infinity; Value.Real Float.neg_infinity;
+              Value.Text "a"; Value.Blob "a"; Value.Text "1"; Value.Text "";
+              Value.Blob ""; Value.Text "i:1";
+            ] );
+        (2, map (fun i -> Value.Int (Int64.of_int i)) (int_range (-3) 3));
+        (2, map (fun i -> Value.Real (float_of_int i)) (int_range (-3) 3));
+        (1, map (fun f -> Value.Real f) (float_bound_inclusive 4.0));
+        ( 1,
+          map
+            (fun s -> Value.Text s)
+            (string_size ~gen:(char_range ' ' 'z') (0 -- 3)) );
+        ( 1,
+          map
+            (fun s -> Value.Blob s)
+            (string_size ~gen:(char_range ' ' 'z') (0 -- 3)) );
+      ])
+
+let identity_pair_arb =
+  let row = QCheck.Gen.(map Array.of_list (list_size (0 -- 3) identity_value_gen)) in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show r = String.concat "," (List.map Value.show (Array.to_list r)) in
+      "[" ^ show a ^ "] vs [" ^ show b ^ "]")
+    QCheck.Gen.(pair row row)
+
+let prop_row_identity_matches_printed_key =
+  QCheck.Test.make ~name:"typed row identity = printed row key" ~count:5000
+    identity_pair_arb (fun (a, b) ->
+      let module R = Engine.Executor.Row_eq in
+      let same = R.equal a b in
+      same = String.equal (printed_key a) (printed_key b)
+      && R.equal a a
+      && ((not same) || R.hash a = R.hash b))
+
+let test_row_identity_cases () =
+  let module R = Engine.Executor.Row_eq in
+  let check msg expected a b =
+    Alcotest.(check bool) msg expected (R.equal [| a |] [| b |]);
+    Alcotest.(check bool) (msg ^ " (printed key)") expected
+      (printed_key [| a |] = printed_key [| b |]);
+    if expected then
+      Alcotest.(check int) (msg ^ " (hash)") (R.hash [| a |]) (R.hash [| b |])
+  in
+  check "1 = 1.0" true (Value.Int 1L) (Value.Real 1.0);
+  check "1 = TRUE" true (Value.Int 1L) (Value.Bool true);
+  check "1.0 = TRUE" true (Value.Real 1.0) (Value.Bool true);
+  check "0.1+0.2 = 0.3 to 12 digits" true (Value.Real (0.1 +. 0.2))
+    (Value.Real 0.3);
+  check "'a' <> X'61'" false (Value.Text "a") (Value.Blob "a");
+  check "NULL = NULL" true Value.Null Value.Null;
+  check "0.3 <> 0.3001" false (Value.Real 0.3) (Value.Real 0.3001);
+  Alcotest.(check bool) "widths differ" false
+    (R.equal [| Value.Int 1L |] [| Value.Int 1L; Value.Null |])
+
 let () =
   Alcotest.run "properties"
     [
@@ -357,6 +448,10 @@ let () =
             prop_distinct_no_duplicates;
             prop_distinct_idempotent;
           ] );
+      ( "row identity",
+        Alcotest.test_case "fixed cases" `Quick test_row_identity_cases
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_row_identity_matches_printed_key ] );
       ( "round trips",
         List.map QCheck_alcotest.to_alcotest [ prop_literal_roundtrip ] );
       ( "determinism",
