@@ -811,37 +811,24 @@ let sweep_exit bug divergences =
 
 let lint dialect seed databases queries_per_seed =
   let r =
-    Pqs.Lint.sweep ~queries_per_seed ~seed_lo:seed
+    Pqs.Corpus.lint ~queries_per_seed ~seed_lo:seed
       ~seed_hi:(seed + databases - 1) dialect
   in
-  Printf.printf
-    "seeds=%d queries=%d plans=%d diagnostics=%d simplify-diagnostics=%d\n"
-    r.Pqs.Lint.sw_seeds r.Pqs.Lint.sw_queries r.Pqs.Lint.sw_plans
-    (List.length r.Pqs.Lint.sw_diags)
-    (List.length r.Pqs.Lint.sw_simplify_diags);
-  List.iter
-    (fun (seed, d) ->
-      Printf.printf "seed %d: %s\n" seed (Analysis.Diagnostic.to_string d))
-    r.Pqs.Lint.sw_diags;
-  (* simplification/interval findings are advisory: a randomly generated
-     predicate may legitimately be unsatisfiable or constant-true, so
-     they are listed but never affect the exit code *)
-  List.iter
-    (fun (seed, d) ->
-      Printf.printf "seed %d (simplify): %s\n" seed
-        (Analysis.Diagnostic.to_string d))
-    r.Pqs.Lint.sw_simplify_diags;
-  if r.Pqs.Lint.sw_diags = [] then 0 else 1
+  Printf.printf "seeds=%d queries=%d findings=%d\n" r.Pqs.Corpus.lint_seeds
+    r.Pqs.Corpus.lint_queries
+    (List.length r.Pqs.Corpus.lint_findings);
+  sweep_exit None r.Pqs.Corpus.lint_findings
 
 let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "run the static analyzer over a generated seed corpus; any \
-          diagnostic is an analyzer or generator defect")
+         "run generated containment queries over a seed corpus on the \
+          bug-free engine; a type error or a statement that does not \
+          survive printer and parser is a generator or parser defect")
     Term.(
       const lint $ dialect_arg $ seed_arg $ sweep_databases
-      $ sweep_queries_per_seed ~doc:"containment queries analyzed per seed")
+      $ sweep_queries_per_seed ~doc:"containment queries checked per seed")
 
 let plan_diff dialect seed databases queries_per_seed max_plans bug =
   let r =

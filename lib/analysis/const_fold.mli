@@ -31,7 +31,7 @@ val env :
   ?case_sensitive_like:bool -> Dialect.t -> binding list -> Engine.Eval.env
 
 (** A bug-free environment with no columns in scope: folds only the
-    genuinely constant subtrees (what the lint pass uses). *)
+    genuinely constant subtrees. *)
 val const_env : ?case_sensitive_like:bool -> Dialect.t -> Engine.Eval.env
 
 (** Evaluate to a value / truth value; [None] when evaluation errors

@@ -40,7 +40,6 @@ type rewrite = {
 type result = {
   res_expr : Sqlast.Ast.expr;
   res_trail : rewrite list;
-  res_diags : Diagnostic.t list;
 }
 
 let pp_rewrite fmt r =
@@ -51,7 +50,7 @@ let comparison_op = function
   | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq -> true
   | _ -> false
 
-let one_pass (env : E.env) ~trail ~diags (root : A.expr) : A.expr =
+let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
   let dialect = env.E.dialect in
   let print e = Sqlast.Sql_printer.expr dialect e in
   let note rule loc before after =
@@ -307,27 +306,9 @@ let one_pass (env : E.env) ~trail ~diags (root : A.expr) : A.expr =
               match Const_fold.fold_tvl env scond with
               | Some Tvl.True ->
                   let res' = simp ~bool_ctx:false (loc ^ ".then") res in
-                  List.iter
-                    (fun (c, _) ->
-                      diags :=
-                        Diagnostic.warning ~code:Diagnostic.Dead_case_branch
-                          ~loc:bloc
-                          (Printf.sprintf
-                             "branch `WHEN %s` is unreachable: an earlier \
-                              condition is always true"
-                             (print c))
-                        :: !diags)
-                    rest;
                   note "truncate-case" bloc scond res';
                   (List.rev kept, Some res')
               | Some (Tvl.False | Tvl.Unknown) ->
-                  diags :=
-                    Diagnostic.warning ~code:Diagnostic.Dead_case_branch
-                      ~loc:bloc
-                      (Printf.sprintf
-                         "condition `%s` is never true; branch pruned"
-                         (print scond))
-                    :: !diags;
                   note "prune-case-branch" bloc scond
                     (A.Lit (E.bool_value dialect Tvl.False));
                   walk (i + 1) kept rest
@@ -345,33 +326,12 @@ let one_pass (env : E.env) ~trail ~diags (root : A.expr) : A.expr =
   simp ~bool_ctx:true "query.where" root
 
 let simplify ?(max_passes = 4) (env : E.env) (e : A.expr) : result =
-  let trail = ref [] and diags = ref [] in
+  let trail = ref [] in
   let rec go n e =
     if n <= 0 then e
     else
-      let e' = one_pass env ~trail ~diags e in
+      let e' = one_pass env ~trail e in
       if A.equal_expr e' e then e else go (n - 1) e'
   in
   let final = go max_passes e in
-  { res_expr = final; res_trail = List.rev !trail;
-    res_diags = List.rev !diags }
-
-(* lint-side entry: fold only the genuinely constant subtrees (no
-   bindings) and flag a WHERE that simplifies to a tautology *)
-let where_diagnostics (env : E.env) ?(loc = "query.where") (w : A.expr) :
-    Diagnostic.t list =
-  let r = simplify env w in
-  (* the simplified root may still be a constant *comparison* (kept as an
-     engine-folder surface), so the tautology test folds it once more *)
-  let always =
-    match Const_fold.fold_tvl env r.res_expr with
-    | Some Tvl.True ->
-        [
-          Diagnostic.warning ~code:Diagnostic.Always_true ~loc
-            (Printf.sprintf
-               "WHERE clause is always true (simplifies to `%s`)"
-               (Sqlast.Sql_printer.expr env.E.dialect r.res_expr));
-        ]
-    | _ -> []
-  in
-  r.res_diags @ always
+  { res_expr = final; res_trail = List.rev !trail }

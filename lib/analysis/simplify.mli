@@ -28,15 +28,8 @@ val pp_rewrite : Format.formatter -> rewrite -> unit
 type result = {
   res_expr : Sqlast.Ast.expr;
   res_trail : rewrite list;  (** rewrites in application order *)
-  res_diags : Diagnostic.t list;  (** dead-case-branch warnings *)
 }
 
 (** Simplify under the given environment (build one with
     {!Const_fold.env} / {!Const_fold.const_env}). *)
 val simplify : ?max_passes:int -> Engine.Eval.env -> Sqlast.Ast.expr -> result
-
-(** Lint-side entry: simplify a WHERE clause and return its dead-branch
-    warnings plus an [always-true] warning when the clause collapses to a
-    true constant. *)
-val where_diagnostics :
-  Engine.Eval.env -> ?loc:string -> Sqlast.Ast.expr -> Diagnostic.t list

@@ -6,7 +6,6 @@ type oracle =
   | Error_oracle
   | Crash
   | Metamorphic
-  | Lint
   | Plan_diff
   | Const_opt
 [@@deriving show { with_path = false }, eq]
@@ -17,7 +16,6 @@ let oracle_label = function
   | Error_oracle -> "Error"
   | Crash -> "SEGFAULT"
   | Metamorphic -> "Metamorphic"
-  | Lint -> "Lint"
   | Plan_diff -> "PlanDiff"
   | Const_opt -> "ConstOpt"
 
@@ -29,7 +27,6 @@ let oracle_token = function
   | Error_oracle -> "error"
   | Crash -> "crash"
   | Metamorphic -> "metamorphic"
-  | Lint -> "lint"
   | Plan_diff -> "plan_diff"
   | Const_opt -> "const_opt"
 
@@ -39,7 +36,6 @@ let oracle_of_token = function
   | "error" -> Some Error_oracle
   | "crash" -> Some Crash
   | "metamorphic" -> Some Metamorphic
-  | "lint" -> Some Lint
   | "plan_diff" -> Some Plan_diff
   | "const_opt" -> Some Const_opt
   | _ -> None

@@ -12,9 +12,6 @@ type oracle =
   | Metamorphic
       (** an aggregate partition relation was violated (paper Section 7
           future work; see {!Metamorphic} and [Oracle.metamorphic]) *)
-  | Lint
-      (** the static analyzer found an ill-typed tree or an inconsistent
-          access plan (see [Analysis] and [Lint.oracle]) *)
   | Plan_diff
       (** the same query returned different result multisets under two
           enumerated access plans (see [Plan_diff.oracle]) *)

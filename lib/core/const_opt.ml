@@ -25,7 +25,7 @@
    or strengthening it away from the pivot row legitimately changes the
    output.
 
-   Campaign neutrality mirrors lint and plan-diff: the re-execution goes
+   Campaign neutrality mirrors plan-diff: the re-execution goes
    through {!Engine.Session.query_forced} (no statement counting, no
    coverage hits, no randomness) and the oracle is appended after
    [Oracle.defaults], so the paper's oracles keep report priority. *)

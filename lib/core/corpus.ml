@@ -68,3 +68,54 @@ let query db = function
           | Error _ -> attempt (tries - 1)
       in
       attempt 5
+
+type lint = {
+  lint_seeds : int;
+  lint_queries : int;
+  lint_findings : (int * string) list;
+}
+
+(* the parser reads "- 5" as the literal -5 (see [Parser]); fold every
+   [Unary (Neg, numeric literal)] the same way before comparing texts *)
+let fold_negated_literals =
+  let module A = Sqlast.Ast in
+  let fold = function
+    | A.Unary (A.Neg, A.Lit (Value.Int i)) when i <> Int64.min_int ->
+        A.Lit (Value.Int (Int64.neg i))
+    | A.Unary (A.Neg, A.Lit (Value.Real f)) -> A.Lit (Value.Real (-.f))
+    | e -> e
+  in
+  function A.Select_stmt q -> A.Select_stmt (A.map_query fold q) | s -> s
+
+let lint ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect =
+  let queries = ref 0 and findings = ref [] in
+  let text s = Sqlast.Sql_printer.stmt dialect (fold_negated_literals s) in
+  for seed = seed_lo to seed_hi do
+    let db = build ~seed dialect in
+    let sources = sources db.session in
+    for _ = 1 to queries_per_seed do
+      match query db sources with
+      | None -> ()
+      | Some (_, t) -> (
+          incr queries;
+          let stmt = Gen_query.containment_stmt t in
+          let sql = Sqlast.Sql_printer.stmt dialect stmt in
+          let note problem =
+            findings := (seed, problem ^ ": " ^ sql) :: !findings
+          in
+          (match Engine.Session.execute db.session stmt with
+          | Error { Engine.Errors.code = Engine.Errors.Type_error; message } ->
+              note ("type error (" ^ message ^ ")")
+          | Ok _ | Error _ | (exception Engine.Errors.Crash _) -> ());
+          match Sqlparse.Parser.parse_stmt sql with
+          | Ok back when String.equal (text back) (text stmt) -> ()
+          | Ok back -> note ("printer and parser give " ^ text back)
+          | Error e ->
+              note ("unparsable (" ^ Sqlparse.Parser.show_error e ^ ")"))
+    done
+  done;
+  {
+    lint_seeds = max 0 (seed_hi - seed_lo + 1);
+    lint_queries = !queries;
+    lint_findings = List.rev !findings;
+  }

@@ -2,7 +2,7 @@
     queries drawn from it — the PQS loop (paper steps 1–5) without the
     oracle.
 
-    The analysis sweeps ({!Lint.sweep}, {!Plan_diff.sweep},
+    The seed sweeps ({!lint} below, {!Plan_diff.sweep},
     {!Const_opt.sweep}) share this recipe and differ only in the check
     they run on each query; {!Runner.run_round} shares its pivot pick.
     Every draw comes from the seed's own {!Rng.t}, so a sweep is a
@@ -43,3 +43,22 @@ val pick_pivot : Rng.t -> source list -> pivot
     it, giving up after five failed synthesis attempts ([None] without
     a draw when [sources] is empty). *)
 val query : t -> source list -> (pivot * Gen_query.t) option
+
+type lint = {
+  lint_seeds : int;
+  lint_queries : int;  (** containment queries drawn and executed *)
+  lint_findings : (int * string) list;
+      (** (seed, problem and SQL), in draw order *)
+}
+
+(** The [lint] sweep ([sqlancer lint], [make lint]): build each seed's
+    database in [seed_lo..seed_hi] on the bug-free engine, draw
+    [queries_per_seed] (default 3) containment queries with {!query}, run
+    each one, and print and re-parse it.  A finding is a query the engine
+    rejects with [Type_error] (the generator emitted an ill-typed
+    statement) or one that does not come back from printer→parser as the
+    same AST, modulo the parser's fold of a negated numeric literal
+    ([- 5] reads as the literal [-5]).  Replay and reduction depend on
+    that round trip. *)
+val lint :
+  ?queries_per_seed:int -> seed_lo:int -> seed_hi:int -> Dialect.t -> lint

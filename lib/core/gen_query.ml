@@ -14,8 +14,9 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
     ?(telemetry = Telemetry.noop) ?shape ?pred ~rng
     ~dialect ~pivot ~case_sensitive_like ~max_depth ~check_expressions () =
   (* derived-table wrapping (FROM (SELECT * FROM t) AS t): the subquery's
-     columns are untyped and binary-collated, so the pivot's column
-     metadata must be degraded identically for the oracle *)
+     columns are binary-collated, and untyped except on postgres, where a
+     column keeps its declared type; the pivot's column metadata must be
+     degraded identically for the oracle and the expression generator *)
   let wrapped =
     List.map
       (fun (ti, _) ->
@@ -38,8 +39,12 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
             (fun (c : Schema_info.column_info) ->
               {
                 c with
-                Schema_info.ci_type = Sqlval.Datatype.Any;
-                ci_collation = Sqlval.Collation.Binary;
+                Schema_info.ci_type =
+                  (match dialect with
+                  | Dialect.Postgres_like -> c.Schema_info.ci_type
+                  | Dialect.Sqlite_like | Dialect.Mysql_like ->
+                      Datatype.Any);
+                ci_collation = Collation.Binary;
               })
             ti.Schema_info.ti_columns;
       }

@@ -107,8 +107,8 @@ val first_report :
     derive from it, so adding an oracle means registering one entry
     instead of editing three dispatchers.
 
-    The paper's trio and the metamorphic oracle register here; [Lint] and
-    [Plan_diff] self-register at the bottom of their modules (the [pqs]
+    The paper's trio and the metamorphic oracle register here; [Plan_diff]
+    and [Const_opt] self-register at the bottom of their modules (the [pqs]
     library is linked with [-linkall] so registration is unconditional). *)
 module Registry : sig
   (** How a report of this oracle is re-checked when the reducer shrinks
@@ -116,7 +116,7 @@ module Registry : sig
   type recheck =
     | Not_recheckable
         (** the verdict is not re-derivable from the statement list alone
-            (metamorphic, lint); reduction is a no-op and replay trusts
+            (metamorphic); reduction is a no-op and replay trusts
             the bundle *)
     | Replay_outcome
         (** re-run the script and decide from the replay outcome (crash /
@@ -133,7 +133,7 @@ module Registry : sig
     reg_doc : string;  (** one-line description (also the CLI flag doc) *)
     reg_flag : string option;
         (** CLI flag that adds the oracle to a run ([--metamorphic],
-            [--lint], [--plan-diff]); [None] for always-on defaults *)
+            [--plan-diff], [--const-opt]); [None] for always-on defaults *)
     reg_default : bool;  (** member of {!defaults} *)
     reg_kinds : Bug_report.oracle list;
         (** report kinds this oracle emits (containment covers both

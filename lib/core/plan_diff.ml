@@ -35,7 +35,7 @@
    grouped select picks representative tuples in scan order unless every
    output is a group key or an order-insensitive aggregate.)
 
-   Campaign neutrality mirrors the lint oracle: re-executions go through
+   Campaign neutrality: re-executions go through
    {!Engine.Session.query_forced} (no statement counting, no coverage
    hits, no randomness), and the oracle is appended after
    [Oracle.defaults] so the paper's oracles keep report priority. *)
@@ -99,8 +99,7 @@ and from_stable = function
 (* Single-base-table scan sites (the shapes the planner handles), each
    with its effective alias, WHERE clause — the key under which the
    executor applies a forced path — and the owning select's DISTINCT
-   flag (distinct-sensitive paths must see it).  Same walk as
-   [Lint.scan_sites]. *)
+   flag (distinct-sensitive paths must see it). *)
 let rec scan_sites session (q : A.query) acc =
   match q with
   | A.Q_values _ -> acc

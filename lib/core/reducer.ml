@@ -56,7 +56,7 @@ let correct_engine_agrees ~dialect ~oracle stmts =
       match rows () with Some n -> n > 0 | None -> false)
   | Bug_report.Non_containment -> rows () = Some 0
   | Bug_report.Error_oracle | Bug_report.Crash | Bug_report.Metamorphic
-  | Bug_report.Lint | Bug_report.Plan_diff | Bug_report.Const_opt ->
+  | Bug_report.Plan_diff | Bug_report.Const_opt ->
       true
 
 (* the [Replay_outcome] recheck strategy: re-run the script and decide
@@ -77,8 +77,7 @@ let replay_check ~dialect ~bugs ~oracle stmts =
       | Some n -> n > 0
       | None -> false)
       && correct_engine_agrees ~dialect ~oracle stmts
-  | Bug_report.Metamorphic | Bug_report.Lint | Bug_report.Plan_diff
-  | Bug_report.Const_opt ->
+  | Bug_report.Metamorphic | Bug_report.Plan_diff | Bug_report.Const_opt ->
       (* these kinds declare [Not_recheckable] or [Custom] strategies in
          the registry; reaching here means a registration is missing *)
       false

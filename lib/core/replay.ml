@@ -13,7 +13,7 @@ type outcome = {
   path : string;
   oracle : Bug_report.oracle;
   recheckable : bool;
-      (* metamorphic and lint verdicts are not re-derivable from the
+      (* metamorphic verdicts are not re-derivable from the
          statement list alone *)
   reproduced : bool;
   detail : string;

@@ -11,7 +11,7 @@ type outcome = {
   path : string;
   oracle : Bug_report.oracle;
   recheckable : bool;
-      (** [false] for metamorphic/lint bundles, whose verdicts cannot be
+      (** [false] for metamorphic bundles, whose verdicts cannot be
           re-derived from the statement list alone (they count as
           reproduced) *)
   reproduced : bool;

@@ -127,11 +127,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
   (* the funnel phase the round is currently in; stamped into reports and
      repro bundles so triage starts from where the oracle fired *)
   let phase = ref "gen_db" in
-  (* whether the static-analysis self-check oracle participates; its
-     observations are counted so campaign summaries show coverage *)
-  let lint_enabled =
-    List.exists (fun o -> String.equal (Oracle.name o) "lint") config.oracles
-  in
   let plan_diff_enabled =
     List.exists
       (fun o -> String.equal (Oracle.name o) "plan_diff")
@@ -189,12 +184,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
       }
     in
     (match kind with
-    | Bug_report.Lint ->
-        stats :=
-          {
-            !stats with
-            Stats.lint_diagnostics = (!stats).Stats.lint_diagnostics + 1;
-          }
     | Bug_report.Plan_diff ->
         stats :=
           {
@@ -533,13 +522,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                 let pivot_found =
                                   rs.Engine.Executor.rs_rows <> []
                                 in
-                                if lint_enabled then
-                                  stats :=
-                                    {
-                                      !stats with
-                                      Stats.lint_checks =
-                                        (!stats).Stats.lint_checks + 1;
-                                    };
                                 if plan_diff_enabled then
                                   stats :=
                                     {

@@ -25,9 +25,10 @@ type t = {
   negative_checks : int;
       (** how many checks were of the non-containment variant *)
   lint_checks : int;
-      (** statements and plans analyzed by the [lint] self-check oracle *)
-  lint_diagnostics : int;
-      (** lint-oracle reports recorded (each carries >= 1 diagnostic) *)
+      (** always 0: the static lint oracle is gone, but the heartbeat and
+          summary formats keep the field until counters are keyed by
+          oracle (ROADMAP item 5) *)
+  lint_diagnostics : int;  (** always 0, like [lint_checks] *)
   plan_checks : int;
       (** containment checks the plan-diff oracle re-executed under forced
           plans *)

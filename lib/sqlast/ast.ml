@@ -363,6 +363,35 @@ let rec map_expr f e =
   in
   f e'
 
+(* [map_expr f] over every expression of a query, derived tables and
+   compound arms included. *)
+let rec map_query f q =
+  let e = map_expr f in
+  let rec from = function
+    | F_table _ as it -> it
+    | F_join j ->
+        F_join { j with left = from j.left; right = from j.right; on = Option.map e j.on }
+    | F_sub { sub; alias } -> F_sub { sub = map_query f sub; alias }
+  in
+  let item = function
+    | Sel_expr (x, alias) -> Sel_expr (e x, alias)
+    | (Star | Table_star _) as it -> it
+  in
+  match q with
+  | Q_values rows -> Q_values (List.map (List.map e) rows)
+  | Q_compound (op, a, b) -> Q_compound (op, map_query f a, map_query f b)
+  | Q_select s ->
+      Q_select
+        {
+          s with
+          sel_items = List.map item s.sel_items;
+          sel_from = List.map from s.sel_from;
+          sel_where = Option.map e s.sel_where;
+          sel_group_by = List.map e s.sel_group_by;
+          sel_having = Option.map e s.sel_having;
+          sel_order_by = List.map (fun (x, d) -> (e x, d)) s.sel_order_by;
+        }
+
 (* All aggregate sub-expressions, outermost first, deduplicated. *)
 let collect_aggs e =
   let aggs =

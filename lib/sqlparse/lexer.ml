@@ -3,6 +3,7 @@ type token =
   | KEYWORD of string
   | INT of int64
   | FLOAT of float
+  | BIG_INT of string
   | STRING of string
   | BLOB of string
   | OP of string
@@ -13,6 +14,7 @@ let pp_token fmt = function
   | KEYWORD s -> Format.fprintf fmt "kw(%s)" s
   | INT i -> Format.fprintf fmt "int(%Ld)" i
   | FLOAT f -> Format.fprintf fmt "float(%g)" f
+  | BIG_INT s -> Format.fprintf fmt "bigint(%s)" s
   | STRING s -> Format.fprintf fmt "str(%S)" s
   | BLOB s -> Format.fprintf fmt "blob(%S)" s
   | OP s -> Format.fprintf fmt "op(%s)" s
@@ -147,11 +149,7 @@ let tokenize input =
     else
       match Int64.of_string_opt text with
       | Some i -> emit (INT i)
-      | None -> (
-          (* integer literal beyond int64 lexes as a float, like sqlite *)
-          match float_of_string_opt text with
-          | Some f -> emit (FLOAT f)
-          | None -> error ("bad number: " ^ text))
+      | None -> emit (BIG_INT text)
   in
   let hex_val c =
     if is_digit c then Char.code c - Char.code '0'

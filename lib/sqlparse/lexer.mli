@@ -6,6 +6,9 @@ type token =
   | KEYWORD of string  (** upper-cased reserved word *)
   | INT of int64
   | FLOAT of float
+  | BIG_INT of string
+      (** all-digit literal beyond int64, as written: a REAL like in
+          sqlite, except that [-9223372036854775808] is INTEGER *)
   | STRING of string  (** '...' literal, quotes unescaped *)
   | BLOB of string  (** X'....' literal, decoded bytes *)
   | OP of string  (** operator/punctuation: (, ), =, <=, <=>, ||, ... *)

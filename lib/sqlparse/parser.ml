@@ -316,16 +316,19 @@ and parse_expr_unary st : A.expr =
           advance st;
           advance st;
           collate_loop st (A.Lit (Value.Int (Int64.neg i)))
-      | Lexer.FLOAT f when f = 9.223372036854775808e18 ->
-          (* "-9223372036854775808": the magnitude does not fit int64 so it
-             lexed as a float, but the negated value is exactly min_int *)
-          advance st;
-          advance st;
-          collate_loop st (A.Lit (Value.Int Int64.min_int))
       | Lexer.FLOAT f ->
           advance st;
           advance st;
           collate_loop st (A.Lit (Value.Real (-.f)))
+      | Lexer.BIG_INT digits ->
+          (* only "-9223372036854775808" fits int64 once negated *)
+          advance st;
+          advance st;
+          collate_loop st
+            (A.Lit
+               (match Int64.of_string_opt ("-" ^ digits) with
+               | Some i -> Value.Int i
+               | None -> Value.Real (-.float_of_string digits)))
       | _ ->
           advance st;
           A.Unary (A.Neg, parse_expr_unary st))
@@ -363,6 +366,9 @@ and parse_expr_primary st : A.expr =
   | Lexer.FLOAT f ->
       advance st;
       A.Lit (Value.Real f)
+  | Lexer.BIG_INT digits ->
+      advance st;
+      A.Lit (Value.Real (float_of_string digits))
   | Lexer.STRING s ->
       advance st;
       A.Lit (Value.Text s)

@@ -1,8 +1,10 @@
 (** Recursive-descent SQL parser over {!Lexer} tokens.
 
     The grammar covers the dialect superset that {!Sqlast.Sql_printer}
-    emits, so printing then parsing round-trips (property tested).  Errors
-    are returned, not raised. *)
+    emits, so printing then parsing round-trips (property tested).  A
+    minus sign directly before a numeric literal folds into the literal:
+    [- 5] parses as the literal [-5], not as a negation.  Errors are
+    returned, not raised. *)
 
 type error = { message : string; position : int }
 

@@ -62,7 +62,6 @@ module Phase = struct
     | Rectify
     | Interp
     | Containment
-    | Lint
     | Plan_diff
     | Const_opt
     | Parse
@@ -76,14 +75,13 @@ module Phase = struct
     | Rectify -> 3
     | Interp -> 4
     | Containment -> 5
-    | Lint -> 6
-    | Plan_diff -> 7
-    | Const_opt -> 8
-    | Parse -> 9
-    | Plan -> 10
-    | Execute -> 11
+    | Plan_diff -> 6
+    | Const_opt -> 7
+    | Parse -> 8
+    | Plan -> 9
+    | Execute -> 10
 
-  let count = 12
+  let count = 11
 
   let name = function
     | Gen_db -> "gen_db"
@@ -92,7 +90,6 @@ module Phase = struct
     | Rectify -> "rectify"
     | Interp -> "interp"
     | Containment -> "containment"
-    | Lint -> "lint"
     | Plan_diff -> "plan_diff"
     | Const_opt -> "const_opt"
     | Parse -> "parse"
@@ -101,13 +98,13 @@ module Phase = struct
 
   let metric = function
     | Parse | Plan | Execute -> "minidb_phase_seconds"
-    | Gen_db | Pivot | Gen_expr | Rectify | Interp | Containment | Lint
-    | Plan_diff | Const_opt ->
+    | Gen_db | Pivot | Gen_expr | Rectify | Interp | Containment | Plan_diff
+    | Const_opt ->
         "pqs_phase_seconds"
 
   let all =
     [
-      Gen_db; Pivot; Gen_expr; Rectify; Interp; Containment; Lint; Plan_diff;
+      Gen_db; Pivot; Gen_expr; Rectify; Interp; Containment; Plan_diff;
       Const_opt; Parse; Plan; Execute;
     ]
 end

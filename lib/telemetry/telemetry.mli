@@ -92,7 +92,6 @@ module Phase : sig
     | Interp
         (** standalone expression evaluation, outside rectification *)
     | Containment  (** executing the containment check on the engine *)
-    | Lint  (** static analysis self-check oracle *)
     | Plan_diff  (** multi-plan differential execution oracle *)
     | Const_opt  (** constant-optimization (CODDTest) oracle *)
     | Parse  (** SQL text parsing (engine) *)

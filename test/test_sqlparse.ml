@@ -57,6 +57,25 @@ let test_expr_precedence () =
   | A.Unary (A.Not, A.Binary (A.Eq, _, _)) -> ()
   | _ -> Alcotest.fail "NOT is lower than comparison"
 
+(* A negated numeric literal folds to a literal.  Only the all-digit
+   spelling of -2^63 is INTEGER; a float spelling of the same value stays
+   REAL, and so does any other integer literal beyond int64. *)
+let test_negated_literals () =
+  let lit sql =
+    match parse_stmt_exn ("SELECT " ^ sql) with
+    | A.Select_stmt (A.Q_select { A.sel_items = [ A.Sel_expr (A.Lit v, _) ]; _ }) -> v
+    | s -> Alcotest.failf "%s parsed as %s" sql (A.show_stmt s)
+  in
+  let check sql want =
+    Alcotest.(check string) sql (Value.show want) (Value.show (lit sql))
+  in
+  check "-426" (Value.Int (-426L));
+  check "-9223372036854775808" (Value.Int Int64.min_int);
+  check "-9.2233720368547758e+18" (Value.Real (-9.223372036854775808e18));
+  check "9223372036854775808" (Value.Real 9.223372036854775808e18);
+  check "-9223372036854775809" (Value.Real (-9.223372036854775809e18));
+  check "-1.5" (Value.Real (-1.5))
+
 let test_expr_forms () =
   let forms =
     [
@@ -331,6 +350,7 @@ let () =
         [
           Alcotest.test_case "precedence" `Quick test_expr_precedence;
           Alcotest.test_case "forms" `Quick test_expr_forms;
+          Alcotest.test_case "negated literals" `Quick test_negated_literals;
         ] );
       ( "stmt",
         [

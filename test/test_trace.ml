@@ -286,7 +286,6 @@ let test_oracle_tokens () =
       Pqs.Bug_report.Error_oracle;
       Pqs.Bug_report.Crash;
       Pqs.Bug_report.Metamorphic;
-      Pqs.Bug_report.Lint;
       Pqs.Bug_report.Plan_diff;
     ];
   Alcotest.(check bool) "unknown token rejected" true
