@@ -15,10 +15,11 @@ test:
 smoke:
 	$(DUNE) exec bin/sqlancer.exe -- campaign --databases 16 -j 2 --trace /tmp/pqs_smoke.jsonl
 
-# Generated-SQL self-check: run the seed corpus's containment queries
-# (seeds 1-10,000, three per seed) on the bug-free engine in every
-# dialect.  A Type_error, or a statement that printer->parser->printer
-# changes beyond the parser's negated-literal fold, fails the target.
+# Generated-SQL self-check: build the seed corpus (seeds 1-10,000) and
+# run its containment queries (three per seed) on the bug-free engine in
+# every dialect.  A query's Type_error, or a generated DDL/DML statement
+# or query that printer->parser->printer changes beyond the parser's
+# negated-literal fold, fails the target.
 lint:
 	$(DUNE) exec bin/sqlancer.exe -- lint -d sqlite -s 1 --databases 10000
 	$(DUNE) exec bin/sqlancer.exe -- lint -d mysql -s 1 --databases 10000

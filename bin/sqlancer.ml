@@ -814,7 +814,8 @@ let lint dialect seed databases queries_per_seed =
     Pqs.Corpus.lint ~queries_per_seed ~seed_lo:seed
       ~seed_hi:(seed + databases - 1) dialect
   in
-  Printf.printf "seeds=%d queries=%d findings=%d\n" r.Pqs.Corpus.lint_seeds
+  Printf.printf "seeds=%d statements=%d queries=%d findings=%d\n"
+    r.Pqs.Corpus.lint_seeds r.Pqs.Corpus.lint_statements
     r.Pqs.Corpus.lint_queries
     (List.length r.Pqs.Corpus.lint_findings);
   sweep_exit None r.Pqs.Corpus.lint_findings
@@ -823,9 +824,10 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "run generated containment queries over a seed corpus on the \
-          bug-free engine; a type error or a statement that does not \
-          survive printer and parser is a generator or parser defect")
+         "build a seed corpus on the bug-free engine and run generated \
+          containment queries over it; a query's type error, or a \
+          generated statement or query that does not survive printer and \
+          parser, is a generator or parser defect")
     Term.(
       const lint $ dialect_arg $ seed_arg $ sweep_databases
       $ sweep_queries_per_seed ~doc:"containment queries checked per seed")

@@ -1,8 +1,9 @@
 (* Sound 3VL constant folding on top of the engine evaluator.
 
    The folder deliberately owns no expression semantics: every value it
-   produces comes from {!Engine.Eval} on a bug-free environment, so the
-   fold is dialect-correct (affinity, collation, three-valued logic) by
+   produces comes from {!Engine.Eval.compile} on a bug-free environment
+   whose tuple holds the pivot row's values, so the fold is
+   dialect-correct (affinity, collation, three-valued logic) by
    construction and can never drift from the engine.  What this module
    adds is the *static* side: building evaluator environments from
    pivot-row bindings, deciding which subtrees carry outward-visible
@@ -25,55 +26,49 @@ type binding = {
   b_collation : Collation.t;
 }
 
-(* name resolution mirrors Interp.env_of_pivot: case-insensitive, an
-   unqualified name matching several bindings is ambiguous *)
+(* one layout binding per table, from the bindings that name it, whose
+   values make up the env's tuple; name resolution is the engine's
+   (case-insensitive, an unqualified name matching several tables is
+   ambiguous), like Interp.env_of_pivot *)
 let env ?(case_sensitive_like = false) dialect (bindings : binding list) :
     E.env =
-  let resolve ~table ~column =
-    let matches b =
-      match table with
-      | None -> true
-      | Some t -> String.lowercase_ascii t = String.lowercase_ascii b.b_table
-    in
-    let col = String.lowercase_ascii column in
-    let hits =
-      List.filter
-        (fun b ->
-          matches b && String.lowercase_ascii b.b_column = col)
-        bindings
-    in
-    match hits with
-    | [ b ] ->
-        Ok
-          {
-            E.value = b.b_value;
-            datatype = b.b_type;
-            collation = b.b_collation;
-          }
-    | [] ->
-        Error
-          (Engine.Errors.make Engine.Errors.No_such_column
-             ("no such column: " ^ column))
-    | _ :: _ ->
-        Error
-          (Engine.Errors.make Engine.Errors.Ambiguous_column
-             ("ambiguous column name: " ^ column))
+  let key b = String.lowercase_ascii b.b_table in
+  let rec tables = function
+    | [] -> []
+    | b :: _ as bs ->
+        let mine = List.filter (fun b' -> key b' = key b) bs
+        and rest = List.filter (fun b' -> key b' <> key b) bs in
+        mine :: tables rest
   in
-  {
-    E.dialect;
-    bugs = Engine.Bug.empty_set;
-    case_sensitive_like;
-    coverage = None;
-    resolve;
-  }
+  let tables = tables bindings in
+  let env =
+    E.with_layout
+      (E.const_env ~case_sensitive_like dialect)
+      (List.map
+         (fun bs ->
+           {
+             E.b_alias = key (List.hd bs);
+             b_columns =
+               Array.of_list
+                 (List.map
+                    (fun b ->
+                      ( String.lowercase_ascii b.b_column,
+                        b.b_type,
+                        b.b_collation ))
+                    bs);
+           })
+         tables)
+  in
+  env.E.cur :=
+    Array.of_list
+      (List.map (fun bs -> Array.of_list (List.map (fun b -> b.b_value) bs)) tables);
+  env
 
 let const_env ?case_sensitive_like dialect =
   E.const_env ?case_sensitive_like dialect
 
-let fold env e = match E.eval env e with Ok v -> Some v | Error _ -> None
-
-let fold_tvl env e =
-  match E.eval_tvl env e with Ok t -> Some t | Error _ -> None
+let fold env e = Result.to_option (E.compile env e ())
+let fold_tvl env e = Result.to_option (E.truth env (E.compile env e))
 
 (* Does [e] expose column metadata (declared type / collation) to an
    enclosing comparison?  [Eval.column_meta] and [Eval.explicit_collation]

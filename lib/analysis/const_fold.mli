@@ -1,9 +1,9 @@
 (** Sound 3VL constant folding, backed by the engine evaluator.
 
     The folder never re-implements expression semantics: it builds a
-    bug-free {!Engine.Eval.env} whose column references resolve to known
-    (pivot-row) values and lets the engine evaluator compute — so folds
-    are dialect-correct on affinity, collation and three-valued logic by
+    bug-free {!Engine.Eval.env} whose tuple holds known (pivot-row)
+    values and runs {!Engine.Eval.compile} on it — so folds are
+    dialect-correct on affinity, collation and three-valued logic by
     construction.  The [*_substitutable] checks answer the only genuinely
     static question: may an operand of a metadata-sensitive node be
     replaced by a literal of its value without perturbing the node's

@@ -7,6 +7,7 @@ type t = {
   dialect : Dialect.t;
   rng : Rng.t;
   session : Engine.Session.t;
+  script : Sqlast.Ast.stmt list;
 }
 
 let exec db stmt =
@@ -17,7 +18,12 @@ let exec db stmt =
 let build ?(bugs = Engine.Bug.empty_set) ~seed dialect =
   let rng = Rng.make ~seed in
   let session = Engine.Session.create ~seed ~bugs dialect in
-  let db = { dialect; rng; session } in
+  let script = ref [] in
+  let exec db stmt =
+    script := stmt :: !script;
+    exec db stmt
+  in
+  let db = { dialect; rng; session; script = [] } in
   let gen_cfg =
     Gen_db.Config.(
       make dialect |> with_rng rng |> with_max_rows 5
@@ -35,7 +41,7 @@ let build ?(bugs = Engine.Bug.empty_set) ~seed dialect =
          done);
   List.iter (exec db) (Gen_db.random_statements gen_cfg session);
   List.iter (exec db) (Gen_db.fill_statements gen_cfg session);
-  db
+  { db with script = List.rev !script }
 
 let sources session =
   Schema_info.tables_of_session session
@@ -71,6 +77,7 @@ let query db = function
 
 type lint = {
   lint_seeds : int;
+  lint_statements : int;
   lint_queries : int;
   lint_findings : (int * string) list;
 }
@@ -79,43 +86,50 @@ type lint = {
    [Unary (Neg, numeric literal)] the same way before comparing texts *)
 let fold_negated_literals =
   let module A = Sqlast.Ast in
-  let fold = function
+  A.map_stmt (function
     | A.Unary (A.Neg, A.Lit (Value.Int i)) when i <> Int64.min_int ->
         A.Lit (Value.Int (Int64.neg i))
     | A.Unary (A.Neg, A.Lit (Value.Real f)) -> A.Lit (Value.Real (-.f))
-    | e -> e
-  in
-  function A.Select_stmt q -> A.Select_stmt (A.map_query fold q) | s -> s
+    | e -> e)
 
 let lint ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect =
-  let queries = ref 0 and findings = ref [] in
+  let statements = ref 0 and queries = ref 0 and findings = ref [] in
   let text s = Sqlast.Sql_printer.stmt dialect (fold_negated_literals s) in
+  let note seed sql problem =
+    findings := (seed, problem ^ ": " ^ sql) :: !findings
+  in
+  let round_trip seed sql stmt =
+    match Sqlparse.Parser.parse_stmt sql with
+    | Ok back when String.equal (text back) (text stmt) -> ()
+    | Ok back -> note seed sql ("printer and parser give " ^ text back)
+    | Error e ->
+        note seed sql ("unparsable (" ^ Sqlparse.Parser.show_error e ^ ")")
+  in
   for seed = seed_lo to seed_hi do
     let db = build ~seed dialect in
+    List.iter
+      (fun stmt ->
+        incr statements;
+        round_trip seed (Sqlast.Sql_printer.stmt dialect stmt) stmt)
+      db.script;
     let sources = sources db.session in
     for _ = 1 to queries_per_seed do
       match query db sources with
       | None -> ()
-      | Some (_, t) -> (
+      | Some (_, t) ->
           incr queries;
           let stmt = Gen_query.containment_stmt t in
           let sql = Sqlast.Sql_printer.stmt dialect stmt in
-          let note problem =
-            findings := (seed, problem ^ ": " ^ sql) :: !findings
-          in
           (match Engine.Session.execute db.session stmt with
           | Error { Engine.Errors.code = Engine.Errors.Type_error; message } ->
-              note ("type error (" ^ message ^ ")")
+              note seed sql ("type error (" ^ message ^ ")")
           | Ok _ | Error _ | (exception Engine.Errors.Crash _) -> ());
-          match Sqlparse.Parser.parse_stmt sql with
-          | Ok back when String.equal (text back) (text stmt) -> ()
-          | Ok back -> note ("printer and parser give " ^ text back)
-          | Error e ->
-              note ("unparsable (" ^ Sqlparse.Parser.show_error e ^ ")"))
+          round_trip seed sql stmt
     done
   done;
   {
     lint_seeds = max 0 (seed_hi - seed_lo + 1);
+    lint_statements = !statements;
     lint_queries = !queries;
     lint_findings = List.rev !findings;
   }

@@ -20,6 +20,8 @@ type t = {
   dialect : Dialect.t;
   rng : Rng.t;  (** the seed's stream; queries and probes continue it *)
   session : Engine.Session.t;
+  script : Sqlast.Ast.stmt list;
+      (** the statements {!build} executed, in order *)
 }
 
 (** Build the seed's database on a fresh session: the CREATE TABLEs, two
@@ -46,19 +48,21 @@ val query : t -> source list -> (pivot * Gen_query.t) option
 
 type lint = {
   lint_seeds : int;
+  lint_statements : int;  (** generated DDL/DML statements round-tripped *)
   lint_queries : int;  (** containment queries drawn and executed *)
   lint_findings : (int * string) list;
       (** (seed, problem and SQL), in draw order *)
 }
 
 (** The [lint] sweep ([sqlancer lint], [make lint]): build each seed's
-    database in [seed_lo..seed_hi] on the bug-free engine, draw
-    [queries_per_seed] (default 3) containment queries with {!query}, run
-    each one, and print and re-parse it.  A finding is a query the engine
+    database in [seed_lo..seed_hi] on the bug-free engine, print and
+    re-parse every statement of its {!t.script}, then draw
+    [queries_per_seed] (default 3) containment queries with {!query} and
+    run, print and re-parse each one.  A finding is a query the engine
     rejects with [Type_error] (the generator emitted an ill-typed
-    statement) or one that does not come back from printer→parser as the
-    same AST, modulo the parser's fold of a negated numeric literal
-    ([- 5] reads as the literal [-5]).  Replay and reduction depend on
-    that round trip. *)
+    statement) or a statement that does not come back from printer→parser
+    as the same AST, modulo the parser's fold of a negated numeric
+    literal ([- 5] reads as the literal [-5]).  Replay and reduction
+    depend on that round trip. *)
 val lint :
   ?queries_per_seed:int -> seed_lo:int -> seed_hi:int -> Dialect.t -> lint

@@ -5,8 +5,11 @@
     ground truth the containment oracle relies on: it implements the
     *correct* dialect semantics, carries no bug injections, and shares no
     evaluation code with {!Engine.Eval} (only the leaf value primitives of
-    [sqlval]).  A property test asserts agreement with the engine when the
-    engine's bug set is empty.
+    [sqlval]).  It is the independent reference for the engine's one
+    compiled evaluator, on reads and writes alike: with the engine's bug
+    set empty, a property test asserts agreement on projections, and the
+    executor tests require SELECT WHERE, projection, ORDER BY and DELETE
+    WHERE to match its verdicts.
 
     As the paper notes, the interpreter is deliberately naive — it operates
     on single literals, so neither query planning nor performance matter. *)

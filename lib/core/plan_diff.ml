@@ -212,7 +212,7 @@ let variant_groups ?(max_plans = 4) session (q : A.query) :
               must not add coverage hits the campaign would not have *)
            let env =
              {
-               (Engine.Executor.planner_env ctx schema ~alias) with
+               (Engine.Executor.table_env ctx schema ~alias) with
                Engine.Eval.coverage = None;
              }
            in

@@ -1,14 +1,11 @@
-(* The query executor: queries become OCaml closures.
+(* The query executor: the operator pipeline over compiled expressions.
 
-   A query is translated once into a tree of closures over a mutable
-   current-row slot, then the operator pipeline (scan, filter, project,
-   aggregate, distinct, sort, limit) drives those closures over
-   fixed-size row blocks instead of re-walking the expression AST per
-   row.  All value-level semantics — every dialect quirk and injected
-   bug — come from Eval's shared operator bodies; the closures follow
-   Eval.eval's control flow (evaluation order, short circuits, coverage
-   points) and pre-resolve what is static (column slots, dialect checks,
-   structural bug folds). *)
+   Each expression of a query is compiled once by Eval.compile into a
+   closure over the env's current tuple; the operator pipeline (scan,
+   filter, project, aggregate, distinct, sort, limit) stores each tuple
+   in the env and drives those closures over fixed-size row blocks.  All
+   expression semantics — every dialect quirk and injected bug — live in
+   Eval. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -17,450 +14,13 @@ let ( let* ) = Result.bind
 let block_size = Executor.block_size
 let batches_of = Executor.batches_of
 
-(* ------------------------------------------------------------------ *)
-(* Compilation environment                                             *)
-
-(* A compiled scalar expression: evaluate against the row currently in
-   [cur].  Compilation resolves column references to value-array slots
-   up front; the closures share one Eval.env whose resolver reads the
-   current row, so Eval's metadata-driven helpers (collation, affinity,
-   LIKE column checks) see the current tuple's column metadata. *)
-type thunk = unit -> (Value.t, Errors.t) result
-
 (* The row under evaluation is a tuple: one value array per FROM-clause
-   binding, in binding order, with the (identical-per-source) metadata
-   hoisted out into the static [layout]. *)
-type cenv = {
-  env : Eval.env;
-  layout : Executor.binding list;  (* null-valued; static metadata *)
-  cur : Value.t array array ref;  (* per-binding values of the tuple *)
-}
-
-let null_values_of (b : Executor.binding) =
-  Array.map (fun _ -> Value.Null) b.Executor.b_values
-
-let make_cenv ctx (layout : Executor.binding list) : cenv =
-  let cur = ref (Array.of_list (List.map null_values_of layout)) in
-  (* slot memo: a query names a handful of columns, so a list beats
-     creating a hash table per select and per join *)
-  let cache = ref [] in
-  let slot ~table ~column =
-    let key = (table, column) in
-    match List.assoc_opt key !cache with
-    | Some r -> r
-    | None ->
-        let r = Executor.resolve_slot layout ~table ~column in
-        cache := (key, r) :: !cache;
-        r
-  in
-  let resolve ~table ~column =
-    match slot ~table ~column with
-    | Ok (bi, i, dt, coll) ->
-        Ok { Eval.value = (!cur).(bi).(i); datatype = dt; collation = coll }
-    | Error e -> Error e
-  in
-  { env = { (Executor.eval_env ctx) with Eval.resolve }; layout; cur }
-
-let cov env point =
-  match env.Eval.coverage with None -> () | Some c -> Coverage.hit c point
+   binding, in binding order, held in the env's [cur]; the bindings'
+   metadata is the env's static [layout]. *)
+let make_env ctx layout = Eval.with_layout (Executor.eval_env ctx) layout
 
 let cov_ctx (ctx : Executor.ctx) point =
   match ctx.Executor.coverage with None -> () | Some c -> Coverage.hit c point
-
-(* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
-
-(* Mirrors Eval.eval case by case: identical coverage points in
-   identical order and multiplicity, identical short-circuiting,
-   identical error precedence.  Static decisions (slot lookups, dialect
-   rejections, the mysql double-negation fold) happen here, once. *)
-let rec compile_expr (c : cenv) (e : A.expr) : thunk =
-  let env = c.env in
-  let dialect = env.Eval.dialect in
-  let tvl (t : thunk) =
-    let* v = t () in
-    Eval.value_tvl env v
-  in
-  match e with
-  | A.Lit v -> fun () -> Ok v
-  | A.Col { table; column } -> (
-      match Executor.resolve_slot c.layout ~table ~column with
-      | Ok (bi, i, _, _) ->
-          let cur = c.cur in
-          fun () -> Ok (!cur).(bi).(i)
-      | Error err -> fun () -> Error err)
-  | A.Collate (inner, _) -> compile_expr c inner
-  | A.Agg _ ->
-      let err =
-        Errors.make Errors.Invalid_function
-          "misuse of aggregate function in scalar context"
-      in
-      fun () -> Error err
-  | A.Unary (A.Not, inner) -> (
-      match inner with
-      | A.Unary (A.Not, grandchild)
-        when Dialect.equal dialect Dialect.Mysql_like
-             && Bug.on env.Eval.bugs Bug.My_double_negation_fold ->
-          (* mysql Listing 13 class: NOT(NOT x) folded away; the inner
-             NOT's coverage point is skipped, like Eval *)
-          let cg = compile_expr c grandchild in
-          fun () ->
-            cov env "unop.not";
-            cg ()
-      (* constant folder treats the NULL literal as FALSE under NOT *)
-      | A.Lit Value.Null
-        when Dialect.equal dialect Dialect.Sqlite_like
-             && Bug.on env.Eval.bugs Bug.Sq_fold_not_null_true ->
-          fun () ->
-            cov env "unop.not";
-            Ok (Eval.bool_value dialect Tvl.True)
-      | _ ->
-          let ci = compile_expr c inner in
-          fun () ->
-            cov env "unop.not";
-            let* t = tvl ci in
-            Ok (Eval.bool_value dialect (Tvl.not_ t)))
-  | A.Unary (A.Neg, inner) ->
-      let ci = compile_expr c inner in
-      fun () ->
-        cov env "unop.neg";
-        let* v = ci () in
-        Eval.neg_value env v
-  | A.Unary (A.Pos, inner) ->
-      let ci = compile_expr c inner in
-      fun () ->
-        cov env "unop.pos";
-        ci ()
-  | A.Unary (A.Bit_not, inner) ->
-      let ci = compile_expr c inner in
-      fun () ->
-        cov env "unop.bit_not";
-        let* v = ci () in
-        Eval.bit_not_value env v
-  | A.Binary (op, a, b) -> compile_binary c op a b
-  | A.Is { negated; arg; rhs } -> compile_is c ~negated arg rhs
-  | A.Between { negated; arg; lo; hi } ->
-      let ca = compile_expr c arg in
-      let cl = compile_expr c lo in
-      let ch = compile_expr c hi in
-      let prep = Eval.between_prep env ~negated ~arg ~lo ~hi in
-      fun () ->
-        cov env "pred.between";
-        let* v = ca () in
-        let* vl = cl () in
-        let* vh = ch () in
-        Eval.between_apply env prep v vl vh
-  | A.In_list { negated; arg; list } ->
-      let ca = compile_expr c arg in
-      let items =
-        List.map
-          (fun item -> (Eval.compare_prep c.env A.Eq arg item, compile_expr c item))
-          list
-      in
-      fun () ->
-        cov env "pred.in";
-        let* v = ca () in
-        if Value.is_null v then Ok (Eval.bool_value dialect Tvl.Unknown)
-        else
-          let rec walk saw_null = function
-            | [] -> Ok (Eval.in_empty_tvl env ~saw_null)
-            | (prep, ci) :: rest ->
-                let* vi = ci () in
-                if Value.is_null vi then walk true rest
-                else
-                  let* r = Eval.compare_apply env prep v vi in
-                  let* t = Eval.value_tvl env r in
-                  if Tvl.equal t Tvl.True then Ok Tvl.True
-                  else walk saw_null rest
-          in
-          let* t = walk false items in
-          let t = if negated then Tvl.not_ t else t in
-          Ok (Eval.bool_value dialect t)
-  | A.Like { negated; arg; pattern; escape } ->
-      let ca = compile_expr c arg in
-      let cp = compile_expr c pattern in
-      let cesc = Option.map (compile_expr c) escape in
-      let prep = Eval.like_prep env ~negated ~arg in
-      fun () ->
-        cov env "pred.like";
-        let* v = ca () in
-        let* p = cp () in
-        let* esc =
-          match cesc with
-          | None -> Ok None
-          | Some ce ->
-              let* ve = ce () in
-              Eval.like_escape_char ve
-        in
-        Eval.like_apply env prep v p esc
-  | A.Glob { negated; arg; pattern } ->
-      if not (Dialect.equal dialect Dialect.Sqlite_like) then
-        let err =
-          Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
-        in
-        fun () ->
-          cov env "pred.glob";
-          Error err
-      else
-        let ca = compile_expr c arg in
-        let cp = compile_expr c pattern in
-        fun () ->
-          cov env "pred.glob";
-          let* v = ca () in
-          let* p = cp () in
-          Eval.glob_value env ~negated v p
-  | A.Cast (ty, inner) ->
-      let ci = compile_expr c inner in
-      fun () ->
-        cov env "pred.cast";
-        let* v = ci () in
-        Eval.cast_value env ty v
-  | A.Func (f, args) ->
-      let point = "func." ^ Eval.func_point f in
-      if not (Eval.func_available dialect f) then
-        let err =
-          Errors.makef Errors.Invalid_function "no such function in %s dialect"
-            (Dialect.name dialect)
-        in
-        fun () ->
-          cov env point;
-          Error err
-      else
-        let cargs = List.map (compile_expr c) args in
-        fun () ->
-          cov env point;
-          let rec eval_args acc = function
-            | [] -> Ok (List.rev acc)
-            | t :: rest ->
-                let* v = t () in
-                eval_args (v :: acc) rest
-          in
-          let* vs = eval_args [] cargs in
-          Eval.apply_func env f vs args
-  | A.Case { operand; branches; else_ } ->
-      let buggy_null_when =
-        Dialect.equal dialect Dialect.Sqlite_like
-        && Bug.on env.Eval.bugs Bug.Sq_case_null_when
-      in
-      let celse = Option.map (compile_expr c) else_ in
-      let else_thunk () =
-        match celse with Some ce -> ce () | None -> Ok Value.Null
-      in
-      (match operand with
-      | None ->
-          let cbranches =
-            List.map
-              (fun (cond, result) ->
-                (compile_expr c cond, compile_expr c result))
-              branches
-          in
-          fun () ->
-            cov env "pred.case";
-            let rec walk = function
-              | [] -> else_thunk ()
-              | (ccond, cres) :: rest ->
-                  let* t = tvl ccond in
-                  let taken =
-                    Tvl.equal t Tvl.True
-                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-                  in
-                  if taken then cres () else walk rest
-            in
-            walk cbranches
-      | Some op_expr ->
-          let cop = compile_expr c op_expr in
-          let cbranches =
-            List.map
-              (fun (cond, result) ->
-                ( Eval.compare_prep env A.Eq op_expr cond,
-                  compile_expr c cond,
-                  compile_expr c result ))
-              branches
-          in
-          fun () ->
-            cov env "pred.case";
-            let* v = cop () in
-            let rec walk = function
-              | [] -> else_thunk ()
-              | (prep, ccond, cres) :: rest ->
-                  let* vc = ccond () in
-                  let* r = Eval.compare_apply env prep v vc in
-                  let* t = Eval.value_tvl env r in
-                  let taken =
-                    Tvl.equal t Tvl.True
-                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-                  in
-                  if taken then cres () else walk rest
-            in
-            walk cbranches)
-
-and compile_binary c op a b : thunk =
-  let env = c.env in
-  let dialect = env.Eval.dialect in
-  let tvl (t : thunk) =
-    let* v = t () in
-    Eval.value_tvl env v
-  in
-  match op with
-  | A.And
-    when (match (a, b) with
-         | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
-         | _ -> false)
-         && Dialect.equal dialect Dialect.Sqlite_like
-         && Bug.on env.Eval.bugs Bug.Sq_fold_null_and ->
-      (* constant folder rewrites `NULL AND x` to NULL without checking
-         whether x is FALSE; operand thunks are skipped, like Eval *)
-      fun () ->
-        cov env "binop.and";
-        Ok (Eval.bool_value dialect Tvl.Unknown)
-  | A.And ->
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      fun () ->
-        cov env "binop.and";
-        let* ta = tvl ca in
-        if Tvl.equal ta Tvl.False then Ok (Eval.bool_value dialect Tvl.False)
-        else
-          let* tb = tvl cb in
-          Ok (Eval.bool_value dialect (Tvl.and_ ta tb))
-  | A.Or ->
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      fun () ->
-        cov env "binop.or";
-        let* ta = tvl ca in
-        if Tvl.equal ta Tvl.True then Ok (Eval.bool_value dialect Tvl.True)
-        else
-          let* tb = tvl cb in
-          Ok (Eval.bool_value dialect (Tvl.or_ ta tb))
-  | A.Concat when Dialect.equal dialect Dialect.Mysql_like ->
-      (* mysql: || is logical OR by default; both coverage points fire,
-         like Eval's delegation *)
-      let c_or = compile_binary c A.Or a b in
-      fun () ->
-        cov env "binop.concat";
-        c_or ()
-  | A.Concat ->
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      fun () ->
-        cov env "binop.concat";
-        let* va = ca () in
-        let* vb = cb () in
-        if Value.is_null va || Value.is_null vb then Ok Value.Null
-        else
-          Ok
-            (Value.Text
-               (Coerce.to_text dialect va ^ Coerce.to_text dialect vb))
-  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ->
-      let point =
-        match op with
-        | A.Eq -> "binop.eq"
-        | A.Neq -> "binop.neq"
-        | A.Lt -> "binop.lt"
-        | A.Le -> "binop.le"
-        | A.Gt -> "binop.gt"
-        | A.Ge -> "binop.ge"
-        | _ -> "binop.nullsafe_eq"
-      in
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      let prep = Eval.compare_prep env op a b in
-      fun () ->
-        cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        Eval.compare_apply env prep va vb
-  | A.Add | A.Sub | A.Mul | A.Div | A.Rem ->
-      let point =
-        match op with
-        | A.Add -> "binop.add"
-        | A.Sub -> "binop.sub"
-        | A.Mul -> "binop.mul"
-        | A.Div -> "binop.div"
-        | _ -> "binop.rem"
-      in
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      fun () ->
-        cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        Eval.arith env op a b va vb
-  | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right ->
-      let point =
-        match op with
-        | A.Bit_and -> "binop.bit_and"
-        | A.Bit_or -> "binop.bit_or"
-        | A.Shift_left -> "binop.shl"
-        | _ -> "binop.shr"
-      in
-      let ca = compile_expr c a in
-      let cb = compile_expr c b in
-      fun () ->
-        cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        Eval.bitop env op va vb
-
-and compile_is c ~negated arg rhs : thunk =
-  let env = c.env in
-  let dialect = env.Eval.dialect in
-  match rhs with
-  | A.Is_null ->
-      let ca = compile_expr c arg in
-      fun () ->
-        cov env "pred.is";
-        let* v = ca () in
-        Eval.is_finish env ~negated (Tvl.of_bool (Value.is_null v))
-  | A.Is_true | A.Is_false ->
-      let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
-      let ca = compile_expr c arg in
-      fun () ->
-        cov env "pred.is";
-        let* v = ca () in
-        Eval.is_bool_value env ~negated ~want v
-  | A.Is_expr other ->
-      if not (Dialect.equal dialect Dialect.Sqlite_like) then
-        let err =
-          Errors.make Errors.Invalid_function
-            "IS over scalars is sqlite-specific"
-        in
-        fun () ->
-          cov env "pred.is";
-          Error err
-      else
-        let ca = compile_expr c arg in
-        let cb = compile_expr c other in
-        let prep = Eval.compare_prep env A.Null_safe_eq arg other in
-        fun () ->
-          cov env "pred.is";
-          let* va = ca () in
-          let* vb = cb () in
-          let* r = Eval.compare_apply env prep va vb in
-          let* t = Eval.value_tvl env r in
-          Eval.is_finish env ~negated t
-  | A.Is_distinct_from other ->
-      if not (Dialect.equal dialect Dialect.Postgres_like) then
-        let err =
-          Errors.make Errors.Invalid_function
-            "IS DISTINCT FROM is postgres-specific"
-        in
-        fun () ->
-          cov env "pred.is";
-          Error err
-      else
-        let ca = compile_expr c arg in
-        let cb = compile_expr c other in
-        let prep = Eval.compare_prep env A.Null_safe_eq arg other in
-        fun () ->
-          cov env "pred.is";
-          let* va = ca () in
-          let* vb = cb () in
-          let* r = Eval.compare_apply env prep va vb in
-          let* t = Eval.value_tvl env r in
-          Eval.is_finish env ~negated (Tvl.not_ t)
-
 
 (* ------------------------------------------------------------------ *)
 (* Projection                                                          *)
@@ -470,7 +30,7 @@ type proj =
   | P_star  (* every binding's values, in binding order *)
   | P_binding of int  (* t.*: one binding's values *)
   | P_error of Errors.t  (* t.* naming no binding: fails at projection *)
-  | P_expr of thunk
+  | P_expr of Eval.thunk
 
 let compile_items c items =
   List.map
@@ -483,11 +43,11 @@ let compile_items c items =
                 P_error
                   (Errors.makef Errors.No_such_table "no such table: %s" tl)
             | b :: rest ->
-                if b.Executor.b_alias = tl then P_binding i
+                if b.Eval.b_alias = tl then P_binding i
                 else find (i + 1) rest
           in
-          find 0 c.layout)
-      | A.Sel_expr (e, _) -> P_expr (compile_expr c e))
+          find 0 c.Eval.layout)
+      | A.Sel_expr (e, _) -> P_expr (Eval.compile c e))
     items
 
 (* Project the tuple currently in [c.cur] through the compiled item
@@ -533,7 +93,7 @@ let project (tuple : Value.t array array) projs :
 
 let rec eval_all acc = function
   | [] -> Ok (List.rev acc)
-  | (t : thunk) :: rest ->
+  | (t : Eval.thunk) :: rest ->
       let* v = t () in
       eval_all (v :: acc) rest
 
@@ -544,14 +104,14 @@ let rec eval_all acc = function
    tuples, one value array per binding (joins contribute the bindings
    of both sides, concatenated in textual order). *)
 type source = {
-  src_layout : Executor.binding list;
+  src_layout : Eval.binding list;
   src_tuples : Value.t array array list;
 }
 
 (* Evaluate the compiled WHERE predicate over the tuples in blocks of
    [block_size], compacting survivors per block; the FILTER operator
    annotation reports the block count. *)
-let filter_rows ctx (c : cenv) pred (rows : Value.t array array array) :
+let filter_rows ctx (c : Eval.env) pred (rows : Value.t array array array) :
     (Value.t array array list, Errors.t) result =
   match pred with
   | None -> Ok (Array.to_list rows)
@@ -568,10 +128,10 @@ let filter_rows ctx (c : cenv) pred (rows : Value.t array array array) :
         let j = ref !i in
         while !err = None && !j < hi do
           let row = rows.(!j) in
-          c.cur := row;
+          c.Eval.cur := row;
           (match p () with
           | Ok v -> (
-              match Eval.value_tvl c.env v with
+              match Eval.value_tvl c v with
               | Ok Tvl.True -> acc := row :: !acc
               | Ok (Tvl.False | Tvl.Unknown) -> ()
               | Error e -> err := Some e)
@@ -597,7 +157,7 @@ let filter_rows ctx (c : cenv) pred (rows : Value.t array array array) :
    substituted by their values, and evaluated against the group's first
    tuple.  The implicit single group over no rows has no representative
    tuple, so its column references fail to resolve. *)
-let aggregate ctx (c : cenv) (s : A.select) filtered :
+let aggregate ctx (c : Eval.env) (s : A.select) filtered :
     ((Value.t array * Value.t list) list, Errors.t) result =
   cov_ctx ctx "exec.group_by";
   let agg_t0 = Executor.op_clock ctx in
@@ -607,11 +167,11 @@ let aggregate ctx (c : cenv) (s : A.select) filtered :
       match List.assq_opt e !compiled with
       | Some t -> t
       | None ->
-          let t = compile_expr c e in
+          let t = Eval.compile c e in
           compiled := (e, t) :: !compiled;
           t
     in
-    c.cur := tuple;
+    c.Eval.cur := tuple;
     t ()
   in
   let substitute group e = Executor.substitute_aggs ctx ~eval group e in
@@ -622,11 +182,11 @@ let aggregate ctx (c : cenv) (s : A.select) filtered :
         let gc, rep =
           match group with
           | t :: _ -> (c, t)
-          | [] -> (make_cenv ctx [], [||])
+          | [] -> (make_env ctx [], [||])
         in
         let at_rep e =
-          let t = compile_expr gc e in
-          gc.cur := rep;
+          let t = Eval.compile gc e in
+          gc.Eval.cur := rep;
           t ()
         in
         let* keep =
@@ -636,7 +196,7 @@ let aggregate ctx (c : cenv) (s : A.select) filtered :
               cov_ctx ctx "exec.having";
               let* h' = substitute group h in
               let* v = at_rep h' in
-              let* t = Eval.value_tvl gc.env v in
+              let* t = Eval.value_tvl gc v in
               Ok (Tvl.equal t Tvl.True)
         in
         if not keep then go acc rest
@@ -652,7 +212,7 @@ let aggregate ctx (c : cenv) (s : A.select) filtered :
             sub [] s.A.sel_items
           in
           let projs = compile_items gc items in
-          gc.cur := rep;
+          gc.Eval.cur := rep;
           let* row = project rep projs in
           let* keys =
             let rec keys acc = function
@@ -689,9 +249,8 @@ let derived_source ~alias columns rows =
     src_layout =
       [
         {
-          Executor.b_alias = String.lowercase_ascii alias;
+          Eval.b_alias = String.lowercase_ascii alias;
           b_columns = columns;
-          b_values = Array.map (fun _ -> Value.Null) columns;
         };
       ];
     src_tuples = List.map (fun row -> [| row |]) rows;
@@ -703,7 +262,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
        DISTINCT/ORDER BY/LIMIT do not apply *)
-    let c = make_cenv ctx [] in
+    let c = make_env ctx [] in
     let* columns = Executor.output_columns [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
     let* row = project [||] projs in
@@ -711,10 +270,10 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
       match where with
       | None -> Ok [ row ]
       | Some w -> (
-          let p = compile_expr c w in
+          let p = Eval.compile c w in
           match p () with
           | Ok v -> (
-              match Eval.value_tvl c.env v with
+              match Eval.value_tvl c v with
               | Ok Tvl.True -> Ok [ row ]
               | Ok (Tvl.False | Tvl.Unknown) -> Ok []
               | Error e -> Error e)
@@ -763,21 +322,21 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
       go [] s.A.sel_from
     in
     let layout = List.concat_map (fun src -> src.src_layout) sources in
-    let c = make_cenv ctx layout in
+    let c = make_env ctx layout in
     (* WHERE *)
-    let pred = Option.map (compile_expr c) where in
+    let pred = Option.map (Eval.compile c) where in
     let* filtered, product_nonempty =
       match (sources, pred) with
       | [ a; b ], Some p ->
           (* fused cross product + filter for the two-item comma FROM:
-             the predicate runs against the cenv's scratch tuple with the
+             the predicate runs against the env's scratch tuple with the
              halves blitted in, and the combined tuple is allocated only
              for surviving rows; iteration order, coverage, the FILTER
              event's counts and the forced join swap all match the
              materialize-then-filter path *)
           let na = List.length a.src_layout
           and nb = List.length b.src_layout in
-          let scratch = !(c.cur) in
+          let scratch = !(c.Eval.cur) in
           let la = Array.of_list a.src_tuples
           and lb = Array.of_list b.src_tuples in
           let filter_t0 = Executor.op_clock ctx in
@@ -789,7 +348,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
             Array.blit tr 0 scratch na nb;
             match p () with
             | Ok v -> (
-                match Eval.value_tvl c.env v with
+                match Eval.value_tvl c v with
                 | Ok Tvl.True -> acc := Array.append tl tr :: !acc
                 | Ok (Tvl.False | Tvl.Unknown) -> ()
                 | Error e -> err := Some e)
@@ -849,7 +408,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
     (* output columns come from a sample tuple: the runtime layout when
        the FROM produced tuples, nothing when it was empty (observable:
        [*] over an empty product has no columns) *)
-    let sample = if product_nonempty then c.layout else [] in
+    let sample = if product_nonempty then c.Eval.layout else [] in
     let* columns = Executor.output_columns sample s.A.sel_items in
     (* projection + ORDER BY keys, or the aggregation operator *)
     let* out_rows_with_keys =
@@ -857,12 +416,12 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
       else
         let projs = compile_items c s.A.sel_items in
         let order_thunks =
-          List.map (fun (e, _) -> compile_expr c e) s.A.sel_order_by
+          List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by
         in
         let rec go acc = function
           | [] -> Ok (List.rev acc)
           | values :: rest ->
-              c.cur := values;
+              c.Eval.cur := values;
               let* row = project values projs in
               let* ks = eval_all [] order_thunks in
               go ((row, ks) :: acc) rest
@@ -901,7 +460,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
           List.map
             (fun (e, dir) ->
               let coll =
-                match Eval.column_meta c.env e with
+                match Eval.column_meta c e with
                 | Some (_, cl) -> cl
                 | None -> Collation.Binary
               in
@@ -975,11 +534,11 @@ and run_query ctx (q : A.query) : (Executor.result_set, Errors.t) result =
       | A.Q_select s -> run_select ctx s
       | A.Q_values rows ->
           cov_ctx ctx "exec.values";
-          let c = make_cenv ctx [] in
+          let c = make_env ctx [] in
           let rec go acc = function
             | [] -> Ok (List.rev acc)
             | row :: rest ->
-                let* r = eval_all [] (List.map (compile_expr c) row) in
+                let* r = eval_all [] (List.map (Eval.compile c) row) in
                 go (Array.of_list r :: acc) rest
           in
           let* rows = go [] rows in
@@ -1079,14 +638,7 @@ and materialize ctx fctx ~where (item : A.from_item) :
             Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
           in
           let schema = ts.Storage.Catalog.schema in
-          let layout =
-            [
-              Executor.binding_of_table schema ~alias:alias_name
-                (Array.map
-                   (fun (_ : Storage.Schema.column) -> Value.Null)
-                   schema.Storage.Schema.columns);
-            ]
-          in
+          let layout = [ Eval.binding_of_table schema ~alias:alias_name ] in
           Ok
             {
               src_layout = layout;
@@ -1160,12 +712,11 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     match on with
     | None -> None
     | Some cond ->
-        let c = make_cenv ctx full_layout in
-        Some (c, compile_expr c cond)
+        let c = make_env ctx full_layout in
+        Some (c, Eval.compile c cond)
   in
-  (* blit target: the cenv's own null tuple, so compile-time metadata
-     resolution (collation/affinity prep) saw properly-shaped arrays *)
-  let scratch = match con with Some (c, _) -> !(c.cur) | None -> [||] in
+  (* blit target: the env's own tuple, the one the ON closure reads *)
+  let scratch = match con with Some (c, _) -> !(c.Eval.cur) | None -> [||] in
   let set_left lt =
     match con with Some _ -> Array.blit lt 0 scratch 0 nl | None -> ()
   in
@@ -1174,7 +725,7 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
   in
   let eval_on c p =
     let* v = p () in
-    Eval.value_tvl c.env v
+    Eval.value_tvl c v
   in
   (* the NULL-padded right extension for unmatched LEFT rows: shaped
      like the first right tuple, or built from the schemas when the
@@ -1187,11 +738,8 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
         | Some ts ->
             let schema = ts.Storage.Catalog.schema in
             [
-              Executor.binding_of_table schema
-                ~alias:(Option.value ~default:name alias)
-                (Array.map
-                   (fun (_ : Storage.Schema.column) -> Value.Null)
-                   schema.Storage.Schema.columns);
+              Eval.binding_of_table schema
+                ~alias:(Option.value ~default:name alias);
             ]
         | None -> [])
     | A.F_join { left; right; _ } -> null_shape left @ null_shape right
@@ -1205,7 +753,10 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     | [] ->
         let shape = null_shape right_item in
         ( l.src_layout @ shape,
-          Array.of_list (List.map (fun b -> b.Executor.b_values) shape) )
+          Array.of_list
+            (List.map
+               (fun b -> Array.map (fun _ -> Value.Null) b.Eval.b_columns)
+               shape) )
   in
   let combine () =
     let rec go acc = function

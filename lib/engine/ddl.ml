@@ -9,28 +9,31 @@ let cov (ctx : Executor.ctx) point =
 let err code fmt = Errors.makef code fmt
 
 (* ------------------------------------------------------------------ *)
-(* Row environments over a single table                                 *)
+(* Row expressions over a single table                                  *)
 
-let row_env (ctx : Executor.ctx) (schema : Storage.Schema.table)
-    (row : Storage.Row.t) : Eval.env =
-  let resolve ~table ~column =
-    match table with
-    | Some t
-      when not (Storage.Schema.name_equal t schema.Storage.Schema.table_name)
-      ->
-        Error (err Errors.No_such_table "no such table: %s" t)
-    | _ -> (
-        match Storage.Schema.find_column schema column with
-        | Some (i, col) ->
-            Ok
-              {
-                Eval.value = Storage.Row.get row i;
-                datatype = col.Storage.Schema.ty;
-                collation = col.Storage.Schema.collation;
-              }
-        | None -> Error (err Errors.No_such_column "no such column: %s" column))
+(* One statement's compiled view of a table's stored expressions: CHECKs,
+   index keys and partial-index predicates compile against the table's
+   columns the first time the statement needs them, then run on the row
+   in slot 0 of the env's tuple ([set_row]; [index_key] and
+   [index_entry] place their row themselves). *)
+type row_exprs = {
+  env : Eval.env;
+  checks : Eval.thunk list Lazy.t;
+  mutable indexes :
+    (Storage.Index.t * (Eval.thunk list * Eval.thunk option)) list;
+}
+
+let row_exprs ctx (schema : Storage.Schema.table) =
+  let env =
+    Executor.table_env ctx schema ~alias:schema.Storage.Schema.table_name
   in
-  { (Executor.eval_env ctx) with Eval.resolve }
+  {
+    env;
+    checks = lazy (List.map (Eval.compile env) schema.Storage.Schema.checks);
+    indexes = [];
+  }
+
+let set_row rx values = !(rx.env.Eval.cur).(0) <- values
 
 (* ------------------------------------------------------------------ *)
 (* Index key computation                                                *)
@@ -51,39 +54,57 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
-let index_key env (ix : Storage.Index.t) : (Value.t array, Errors.t) result =
-  let key = Array.make (List.length ix.Storage.Index.definition) Value.Null in
+let compiled_index rx (ix : Storage.Index.t) =
+  match List.assq_opt ix rx.indexes with
+  | Some c -> c
+  | None ->
+      let c =
+        ( List.map
+            (fun (ic : A.indexed_column) -> Eval.compile rx.env ic.A.ic_expr)
+            ix.Storage.Index.definition,
+          Option.map (Eval.compile rx.env) ix.Storage.Index.where )
+      in
+      rx.indexes <- (ix, c) :: rx.indexes;
+      c
+
+let run_key keys =
+  let key = Array.make (List.length keys) Value.Null in
   let rec go i = function
     | [] -> Ok key
-    | (ic : A.indexed_column) :: rest ->
-        let* v = Eval.eval env ic.A.ic_expr in
+    | (t : Eval.thunk) :: rest ->
+        let* v = t () in
         key.(i) <- v;
         go (i + 1) rest
   in
-  go 0 ix.Storage.Index.definition
+  go 0 keys
 
-let index_entry env (ix : Storage.Index.t) :
-    (Value.t array option, Errors.t) result =
+let index_key rx ix values =
+  set_row rx values;
+  run_key (fst (compiled_index rx ix))
+
+let index_entry rx ix values =
+  set_row rx values;
+  let keys, where = compiled_index rx ix in
   let* included =
-    match ix.Storage.Index.where with
+    match where with
     | None -> Ok true
     | Some pred -> (
-        match Eval.eval_tvl env pred with
+        match Eval.truth rx.env pred with
         | Ok Tvl.True -> Ok true
         | Ok (Tvl.False | Tvl.Unknown) -> Ok false
         | Error e -> Error e)
   in
-  if included then Result.map Option.some (index_key env ix) else Ok None
+  if included then Result.map Option.some (run_key keys) else Ok None
 
 let build_index_entries ctx (ts : Storage.Catalog.table_state)
     (ix : Storage.Index.t) : (unit, Errors.t) result =
   Storage.Index.clear ix;
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
+  let rx = row_exprs ctx ts.Storage.Catalog.schema in
   let rec go = function
     | [] -> Ok ()
-    | row :: rest -> (
-        let env = row_env ctx ts.Storage.Catalog.schema row in
-        let* entry = index_entry env ix in
+    | (row : Storage.Row.t) :: rest -> (
+        let* entry = index_entry rx ix row.Storage.Row.values in
         match entry with
         | None -> go rest
         | Some key ->
@@ -501,8 +522,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
               let* default_value =
                 match default with
                 | None -> Ok Value.Null
-                | Some e ->
-                    Eval.eval (Executor.eval_env ctx) e
+                | Some e -> Eval.compile (Executor.eval_env ctx) e ()
               in
               let col =
                 {

@@ -26,9 +26,20 @@ val create_view :
 val drop_view :
   Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
 
-(** Evaluation environment resolving columns against one row of a table. *)
-val row_env :
-  Executor.ctx -> Storage.Schema.table -> Storage.Row.t -> Eval.env
+(** One statement's compiled row expressions over a table: its CHECKs,
+    and the keys and partial-index predicates of its indexes, each
+    compiled on first use and run on the row last given. *)
+type row_exprs = {
+  env : Eval.env;  (** {!Executor.table_env} under the table's name *)
+  checks : Eval.thunk list Lazy.t;
+  mutable indexes :
+    (Storage.Index.t * (Eval.thunk list * Eval.thunk option)) list;
+}
+
+val row_exprs : Executor.ctx -> Storage.Schema.table -> row_exprs
+
+(** Place a row's values in the env's tuple, for the CHECK thunks. *)
+val set_row : row_exprs -> Sqlval.Value.t array -> unit
 
 (** Build (or rebuild) the entries of one index from its table's rows;
     shared with REINDEX/VACUUM.  Reports a UNIQUE violation when the
@@ -39,15 +50,19 @@ val build_index_entries :
   Storage.Index.t ->
   (unit, Errors.t) result
 
-(** The key tuple of [index] for the row [env] resolves (a {!row_env}),
-    evaluating expression index columns with the engine evaluator;
-    [Error] surfaces evaluation failures (e.g. overflow in an expression
-    index). *)
+(** The key tuple of [index] for a row's values, evaluating expression
+    index columns with the compiled evaluator; [Error] surfaces
+    evaluation failures (e.g. overflow in an expression index). *)
 val index_key :
-  Eval.env -> Storage.Index.t -> (Sqlval.Value.t array, Errors.t) result
+  row_exprs ->
+  Storage.Index.t ->
+  Sqlval.Value.t array ->
+  (Sqlval.Value.t array, Errors.t) result
 
 (** {!index_key} when the row satisfies the index's partial predicate
-    (trivially so for total indexes), [None] when it does not.  Build the
-    row's env once and reuse it across the table's indexes. *)
+    (trivially so for total indexes), [None] when it does not. *)
 val index_entry :
-  Eval.env -> Storage.Index.t -> (Sqlval.Value.t array option, Errors.t) result
+  row_exprs ->
+  Storage.Index.t ->
+  Sqlval.Value.t array ->
+  (Sqlval.Value.t array option, Errors.t) result

@@ -24,17 +24,13 @@ let indexes_of ctx (ts : Storage.Catalog.table_state) =
   Storage.Catalog.indexes_on ctx.Executor.catalog
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
-let env_of ctx (ts : Storage.Catalog.table_state) row =
-  Ddl.row_env ctx ts.Storage.Catalog.schema row
-
 (* Apply [f] to each of [indexes] holding an entry for the row, with the
    entry's key; stops at the first key that fails to evaluate. *)
-let iter_entries ctx ts indexes (row : Storage.Row.t) f =
-  let env = env_of ctx ts row in
+let iter_entries rx indexes (row : Storage.Row.t) f =
   let rec go = function
     | [] -> Ok ()
     | ix :: rest -> (
-        let* entry = Ddl.index_entry env ix in
+        let* entry = Ddl.index_entry rx ix row.Storage.Row.values in
         match entry with
         | Some key ->
             f ix key;
@@ -43,29 +39,28 @@ let iter_entries ctx ts indexes (row : Storage.Row.t) f =
   in
   go indexes
 
-let add_to ctx ts indexes (row : Storage.Row.t) =
-  iter_entries ctx ts indexes row (fun ix key ->
+let add_to rx indexes (row : Storage.Row.t) =
+  iter_entries rx indexes row (fun ix key ->
       Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid)
 
-let remove_from ctx ts indexes (row : Storage.Row.t) =
-  iter_entries ctx ts indexes row (fun ix key ->
+let remove_from rx indexes (row : Storage.Row.t) =
+  iter_entries rx indexes row (fun ix key ->
       ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid))
 
-let add_row_to_indexes ctx ts row = add_to ctx ts (indexes_of ctx ts) row
+let add_row_to_indexes ctx rx ts row = add_to rx (indexes_of ctx ts) row
 
-let remove_row ctx ts (row : Storage.Row.t) =
-  let* () = remove_from ctx ts (indexes_of ctx ts) row in
+let remove_row ctx rx ts (row : Storage.Row.t) =
+  let* () = remove_from rx (indexes_of ctx ts) row in
   Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
   Ok ()
 
 (* rollback helper: undo a partially indexed row without reporting further
    errors (used when index-key evaluation fails mid-insert/update, keeping
    statements atomic like a real engine) *)
-let best_effort_unindex ctx ts (row : Storage.Row.t) =
-  let env = env_of ctx ts row in
+let best_effort_unindex ctx rx ts (row : Storage.Row.t) =
   List.iter
     (fun ix ->
-      match Ddl.index_key env ix with
+      match Ddl.index_key rx ix row.Storage.Row.values with
       | Ok key ->
           ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid)
       | Error _ -> ())
@@ -90,15 +85,14 @@ let pk_index ctx (ts : Storage.Catalog.table_state) =
 
 (* Conflicting rowids for a candidate row across all unique indexes;
    returns (index, conflicting rowids) pairs. *)
-let unique_conflicts_for ctx ts (row : Storage.Row.t) =
+let unique_conflicts_for ctx rx ts (row : Storage.Row.t) =
   let schema = ts.Storage.Catalog.schema in
-  let env = env_of ctx ts row in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | ix :: rest -> (
         if not ix.Storage.Index.unique then go acc rest
         else
-          let* entry = Ddl.index_entry env ix in
+          let* entry = Ddl.index_entry rx ix row.Storage.Row.values in
           match entry with
           | None -> go acc rest
           | Some key ->
@@ -221,8 +215,8 @@ let not_null_check (ctx : Executor.ctx) (schema : Storage.Schema.table) values
 (* CHECK constraint enforcement: a check passes when it evaluates TRUE or
    NULL (SQL semantics); the sqlite pragma ignore_check_constraints skips
    enforcement entirely. *)
-let check_constraints (ctx : Executor.ctx) (schema : Storage.Schema.table)
-    values =
+let check_constraints (ctx : Executor.ctx) (rx : Ddl.row_exprs)
+    (schema : Storage.Schema.table) values =
   let skip =
     Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
     && Options.ignore_check_constraints ctx.Executor.options
@@ -230,12 +224,11 @@ let check_constraints (ctx : Executor.ctx) (schema : Storage.Schema.table)
   if skip || schema.Storage.Schema.checks = [] then Ok ()
   else begin
     cov ctx "dml.check_constraint";
-    let row = Storage.Row.make ~rowid:0L values in
-    let env = Ddl.row_env ctx schema row in
+    Ddl.set_row rx values;
     let rec go = function
       | [] -> Ok ()
       | check :: rest -> (
-          match Eval.eval_tvl env check with
+          match Eval.truth rx.Ddl.env check with
           | Ok (Tvl.True | Tvl.Unknown) -> go rest
           | Ok Tvl.False ->
               Error
@@ -243,7 +236,7 @@ let check_constraints (ctx : Executor.ctx) (schema : Storage.Schema.table)
                    schema.Storage.Schema.table_name)
           | Error e -> Error e)
     in
-    go schema.Storage.Schema.checks
+    go (Lazy.force rx.Ddl.checks)
   end
 
 (* Coerce one value into its column, per dialect. *)
@@ -301,6 +294,16 @@ let insert ctx ~table ~columns ~rows ~action =
       go [] columns
   in
   let env = Executor.eval_env ctx in
+  let rx = Ddl.row_exprs ctx schema in
+  (* the defaults of the columns the statement leaves out *)
+  let default_of =
+    Array.mapi
+      (fun i (col : Storage.Schema.column) ->
+        match col.Storage.Schema.default with
+        | Some d when not (List.mem i targets) -> Some (Eval.compile env d)
+        | _ -> None)
+      schema.Storage.Schema.columns
+  in
   let insert_one exprs : (bool, Errors.t) result =
     if List.length exprs <> List.length targets then
       Error
@@ -315,10 +318,10 @@ let insert ctx ~table ~columns ~rows ~action =
           else
             let col = schema.Storage.Schema.columns.(i) in
             let* () =
-              match col.Storage.Schema.default with
-              | Some d when not (List.mem i targets) ->
+              match default_of.(i) with
+              | Some d ->
                   cov ctx "dml.default_value";
-                  let* v = Eval.eval env d in
+                  let* v = d () in
                   let* v = store_value ctx col v in
                   values.(i) <- v;
                   Ok ()
@@ -341,7 +344,8 @@ let insert ctx ~table ~columns ~rows ~action =
           | [], [] -> Ok ()
           | i :: ts', e :: es ->
               let col = schema.Storage.Schema.columns.(i) in
-              let* v = Eval.eval env e in
+              let e = Eval.compile env e in
+              let* v = e () in
               let* v =
                 match store_value ctx col v with
                 | Ok v -> Ok v
@@ -364,7 +368,7 @@ let insert ctx ~table ~columns ~rows ~action =
                       let lo, hi = Datatype.int_range width in
                       (stored = lo || stored = hi)
                       &&
-                      match Eval.eval env e with
+                      match e () with
                       | Ok (Value.Int orig) -> orig < lo || orig > hi
                       | _ -> false)
                   | _ -> false
@@ -393,7 +397,7 @@ let insert ctx ~table ~columns ~rows ~action =
         | Error e -> Error e
       in
       let* () =
-        match check_constraints ctx schema values with
+        match check_constraints ctx rx schema values with
         | Ok () -> Ok ()
         | Error _ when action = A.On_conflict_ignore -> Ok ()
         | Error e -> Error e
@@ -401,7 +405,7 @@ let insert ctx ~table ~columns ~rows ~action =
       (* second chance for IGNORE: re-check and skip *)
       if
         Result.is_error (not_null_check ctx schema values)
-        || Result.is_error (check_constraints ctx schema values)
+        || Result.is_error (check_constraints ctx rx schema values)
       then Ok false
       else begin
         let candidate =
@@ -409,15 +413,15 @@ let insert ctx ~table ~columns ~rows ~action =
             ~rowid:ts.Storage.Catalog.heap.Storage.Heap.next_rowid values
         in
         cov ctx "dml.unique_check";
-        let* conflicts = unique_conflicts_for ctx ts candidate in
+        let* conflicts = unique_conflicts_for ctx rx ts candidate in
         match (conflicts, action) with
         | [], _ -> (
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            match add_row_to_indexes ctx ts row with
+            match add_row_to_indexes ctx rx ts row with
             | Ok () -> Ok true
             | Error e ->
                 (* atomicity: index-key evaluation failed, undo the row *)
-                best_effort_unindex ctx ts row;
+                best_effort_unindex ctx rx ts row;
                 Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
                 Error e)
         | _ :: _, A.On_conflict_ignore -> Ok false
@@ -435,7 +439,7 @@ let insert ctx ~table ~columns ~rows ~action =
                the pivot-row selection) holds both *)
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
             let* () =
-              add_to ctx ts
+              add_to rx
                 (List.filter
                    (fun other ->
                      other.Storage.Index.index_name
@@ -456,7 +460,7 @@ let insert ctx ~table ~columns ~rows ~action =
                 | id :: rest -> (
                     match Storage.Heap.find ts.Storage.Catalog.heap id with
                     | Some victim ->
-                        let* () = remove_row ctx ts victim in
+                        let* () = remove_row ctx rx ts victim in
                         drop rest
                     | None -> drop rest)
               in
@@ -473,10 +477,10 @@ let insert ctx ~table ~columns ~rows ~action =
               Storage.Catalog.corrupt ctx.Executor.catalog
                 "database disk image is malformed";
             let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            (match add_row_to_indexes ctx ts row with
+            (match add_row_to_indexes ctx rx ts row with
             | Ok () -> Ok true
             | Error e ->
-                best_effort_unindex ctx ts row;
+                best_effort_unindex ctx rx ts row;
                 Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
                 Error e)
       end
@@ -550,18 +554,23 @@ let update ctx ~table ~assignments ~where ~action =
     in
     go [] assignments
   in
+  let rx = Ddl.row_exprs ctx schema in
+  let where = Option.map (Eval.compile rx.Ddl.env) where in
+  let targets =
+    List.map (fun (i, col, e) -> (i, col, Eval.compile rx.Ddl.env e)) targets
+  in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
   let skip_partial_maintenance =
     Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
     && bug ctx Bug.Sq_partial_index_update_skip
   in
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
-    let env = Ddl.row_env ctx schema row in
+    Ddl.set_row rx row.Storage.Row.values;
     let* matches =
       match where with
       | None -> Ok true
       | Some w -> (
-          match Eval.eval_tvl env w with
+          match Eval.truth rx.Ddl.env w with
           | Ok Tvl.True -> Ok true
           | Ok (Tvl.False | Tvl.Unknown) -> Ok false
           | Error e -> Error e)
@@ -573,7 +582,7 @@ let update ctx ~table ~assignments ~where ~action =
         let rec apply = function
           | [] -> Ok ()
           | (i, col, e) :: rest ->
-              let* v = Eval.eval env e in
+              let* v = e () in
               let* v = store_value ctx col v in
               (* taint tracking for the injected postgres index-NULL bug *)
               if
@@ -589,7 +598,7 @@ let update ctx ~table ~assignments ~where ~action =
       let constraint_result =
         match not_null_check ctx schema new_values with
         | Error e -> Error e
-        | Ok () -> check_constraints ctx schema new_values
+        | Ok () -> check_constraints ctx rx schema new_values
       in
       match (constraint_result, action) with
       | Error _, A.On_conflict_ignore -> Ok false (* keep the old row *)
@@ -604,10 +613,10 @@ let update ctx ~table ~assignments ~where ~action =
         |> List.filter (fun ix ->
                not (skip_partial_maintenance && Storage.Index.is_partial ix))
       in
-      let detach r = remove_from ctx ts maintained_indexes r in
-      let attach r = add_to ctx ts maintained_indexes r in
+      let detach r = remove_from rx maintained_indexes r in
+      let attach r = add_to rx maintained_indexes r in
       let* () = detach row in
-      let* conflicts = unique_conflicts_for ctx ts candidate in
+      let* conflicts = unique_conflicts_for ctx rx ts candidate in
       match (conflicts, action) with
       | [], _ -> (
           ignore
@@ -617,7 +626,7 @@ let update ctx ~table ~assignments ~where ~action =
           | Ok () -> Ok true
           | Error e ->
               (* atomicity: restore the previous row version *)
-              best_effort_unindex ctx ts candidate;
+              best_effort_unindex ctx rx ts candidate;
               ignore
                 (Storage.Heap.insert_with_rowid ts.Storage.Catalog.heap
                    ~rowid:row.Storage.Row.rowid row.Storage.Row.values);
@@ -640,7 +649,7 @@ let update ctx ~table ~assignments ~where ~action =
               | id :: rest -> (
                   match Storage.Heap.find ts.Storage.Catalog.heap id with
                   | Some victim ->
-                      let* () = remove_row ctx ts victim in
+                      let* () = remove_row ctx rx ts victim in
                       drop rest
                   | None -> drop rest)
             in
@@ -683,23 +692,24 @@ let update ctx ~table ~assignments ~where ~action =
 let delete ctx ~table ~where =
   cov ctx "dml.delete";
   let* ts = find_table ctx table in
-  let schema = ts.Storage.Catalog.schema in
+  let rx = Ddl.row_exprs ctx ts.Storage.Catalog.schema in
+  let where = Option.map (Eval.compile rx.Ddl.env) where in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
   let rec go n = function
     | [] -> Ok n
     | (row : Storage.Row.t) :: rest ->
-        let env = Ddl.row_env ctx schema row in
+        Ddl.set_row rx row.Storage.Row.values;
         let* matches =
           match where with
           | None -> Ok true
           | Some w -> (
-              match Eval.eval_tvl env w with
+              match Eval.truth rx.Ddl.env w with
               | Ok Tvl.True -> Ok true
               | Ok (Tvl.False | Tvl.Unknown) -> Ok false
               | Error e -> Error e)
         in
         if matches then
-          let* () = remove_row ctx ts row in
+          let* () = remove_row ctx rx ts row in
           go (n + 1) rest
         else go n rest
   in

@@ -28,10 +28,3 @@ val delete :
   table:string ->
   where:Sqlast.Ast.expr option ->
   (int, Errors.t) result
-
-(** Remove a row from the heap and every index of its table. *)
-val remove_row :
-  Executor.ctx ->
-  Storage.Catalog.table_state ->
-  Storage.Row.t ->
-  (unit, Errors.t) result

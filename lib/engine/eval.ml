@@ -3,20 +3,83 @@ module A = Sqlast.Ast
 
 let ( let* ) = Result.bind
 
-type resolved = {
-  value : Value.t;
-  datatype : Datatype.t;
-  collation : Collation.t;
+(* ------------------------------------------------------------------ *)
+(* Bindings and slots                                                  *)
+
+(* names are compared lowercase; generated ones already are, so skip the
+   copy then *)
+let lower s =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then
+    String.lowercase_ascii s
+  else s
+
+type binding = {
+  b_alias : string; (* lowercase alias (or table name) *)
+  b_columns : (string * Datatype.t * Collation.t) array;
 }
+
+let binding_of_table (schema : Storage.Schema.table) ~alias =
+  {
+    b_alias = lower alias;
+    b_columns =
+      Array.map
+        (fun (c : Storage.Schema.column) ->
+          (lower c.Storage.Schema.name, c.ty, c.collation))
+        schema.Storage.Schema.columns;
+  }
+
+let resolve_slot (bindings : binding list) ~table ~column :
+    (int * int * Datatype.t * Collation.t, Errors.t) result =
+  let col = lower column in
+  let lookup bi b =
+    let rec go i =
+      if i >= Array.length b.b_columns then None
+      else
+        let name, dt, coll = b.b_columns.(i) in
+        if name = col then Some (bi, i, dt, coll) else go (i + 1)
+    in
+    go 0
+  in
+  match table with
+  | Some t -> (
+      let t = lower t in
+      let rec find bi = function
+        | [] -> None
+        | b :: rest -> if b.b_alias = t then Some (bi, b) else find (bi + 1) rest
+      in
+      match find 0 bindings with
+      | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
+      | Some (bi, b) -> (
+          match lookup bi b with
+          | Some r -> Ok r
+          | None ->
+              Error
+                (Errors.makef Errors.No_such_column "no such column: %s.%s" t
+                   column)))
+  | None -> (
+      match List.filter_map Fun.id (List.mapi lookup bindings) with
+      | [ r ] -> Ok r
+      | [] ->
+          Error (Errors.makef Errors.No_such_column "no such column: %s" column)
+      | _ :: _ ->
+          Error
+            (Errors.makef Errors.Ambiguous_column "ambiguous column name: %s"
+               column))
 
 type env = {
   dialect : Dialect.t;
   bugs : Bug.set;
   case_sensitive_like : bool;
   coverage : Coverage.t option;
-  resolve :
-    table:string option -> column:string -> (resolved, Errors.t) result;
+  layout : binding list;
+  cur : Value.t array array ref;
 }
+
+let null_tuple layout =
+  Array.of_list
+    (List.map (fun b -> Array.map (fun _ -> Value.Null) b.b_columns) layout)
+
+let with_layout env layout = { env with layout; cur = ref (null_tuple layout) }
 
 let const_env ?(bugs = Bug.empty_set) ?(case_sensitive_like = false) dialect =
   {
@@ -24,9 +87,8 @@ let const_env ?(bugs = Bug.empty_set) ?(case_sensitive_like = false) dialect =
     bugs;
     case_sensitive_like;
     coverage = None;
-    resolve =
-      (fun ~table:_ ~column ->
-        Error (Errors.makef Errors.No_such_column "no such column: %s" column));
+    layout = [];
+    cur = ref [||];
   }
 
 let cov env point =
@@ -72,8 +134,8 @@ let value_tvl env (v : Value.t) : (Tvl.t, Errors.t) result =
 let rec column_meta env (e : A.expr) : (Datatype.t * Collation.t) option =
   match e with
   | A.Col { table; column } -> (
-      match env.resolve ~table ~column with
-      | Ok r -> Some (r.datatype, r.collation)
+      match resolve_slot env.layout ~table ~column with
+      | Ok (_, _, dt, coll) -> Some (dt, coll)
       | Error _ -> None)
   | A.Collate (inner, c) -> (
       match column_meta env inner with
@@ -300,10 +362,6 @@ let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) :
                (Tvl.of_bool
                   (op_of_compare p.cp_op (compare_values env p.cp_coll va vb))))
 
-let compare_op env op ea eb (va : Value.t) (vb : Value.t) :
-    (Value.t, Errors.t) result =
-  compare_apply env (compare_prep env op ea eb) va vb
-
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                          *)
 
@@ -382,9 +440,7 @@ let real_arith env op (x : float) (y : float) : (Value.t, Errors.t) result =
       else Ok (Value.Real (Float.rem x y))
   | _ -> invalid_arg "real_arith"
 
-let arith env op ea eb (va : Value.t) (vb : Value.t) :
-    (Value.t, Errors.t) result =
-  ignore ea;
+let arith env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
   if Value.is_null va || Value.is_null vb then Ok Value.Null
   else
     (* paper Listing 2 class: TEXT operand routes subtraction through
@@ -394,7 +450,6 @@ let arith env op ea eb (va : Value.t) (vb : Value.t) :
       | Value.Text _, _ | _, Value.Text _ -> true
       | _ -> false
     in
-    ignore eb;
     if
       Dialect.equal env.dialect Dialect.Sqlite_like
       && bug env Bug.Sq_text_int_subtract_real
@@ -504,8 +559,30 @@ let pg_wants_text name (v : Value.t) =
 
 let text_of env (v : Value.t) = Coerce.to_text env.dialect v
 
-let apply_func env (f : A.func) (args : Value.t list) (arg_exprs : A.expr list)
-    : (Value.t, Errors.t) result =
+(* The static slice of a call, from its argument expressions' metadata:
+   NULLIF's comparison collation, and whether TYPEOF reports a declared
+   INTEGER affinity (the injected intended-class bug below). *)
+type func_prep = { fp_nullif_coll : Collation.t; fp_typeof_int : bool }
+
+let func_prep env (f : A.func) (arg_exprs : A.expr list) : func_prep =
+  {
+    fp_nullif_coll =
+      (match (f, arg_exprs) with
+      | A.F_nullif, [ x; y ] -> comparison_collation env x y
+      | _ -> Collation.Binary);
+    fp_typeof_int =
+      (match (f, arg_exprs) with
+      | A.F_typeof, [ e ] -> (
+          bug env Bug.Sq_intended_typeof_affinity
+          &&
+          match column_meta env e with
+          | Some (dt, _) -> Datatype.affinity dt = Datatype.A_integer
+          | None -> false)
+      | _ -> false);
+  }
+
+let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
+    (Value.t, Errors.t) result =
   let strict_pg = Dialect.equal env.dialect Dialect.Postgres_like in
   let null_if_any_null k =
     if List.exists Value.is_null args then Ok Value.Null else k ()
@@ -561,28 +638,13 @@ let apply_func env (f : A.func) (args : Value.t list) (arg_exprs : A.expr list)
   | A.F_nullif, [ a; b ] ->
       if Value.is_null a then Ok Value.Null
       else if Value.is_null b then Ok a
-      else
-        let e0 = List.nth_opt arg_exprs 0 and e1 = List.nth_opt arg_exprs 1 in
-        let coll =
-          match (e0, e1) with
-          | Some x, Some y -> comparison_collation env x y
-          | _ -> Collation.Binary
-        in
-        if compare_values env coll a b = 0 then Ok Value.Null else Ok a
+      else if compare_values env fp.fp_nullif_coll a b = 0 then Ok Value.Null
+      else Ok a
   | A.F_nullif, _ -> Error (wrong_arity "NULLIF")
   | A.F_typeof, [ v ] ->
       (* intended-class injection: TYPEOF reports the declared affinity for
          text stored in INTEGER columns (devs: works as documented) *)
-      let declared_int =
-        bug env Bug.Sq_intended_typeof_affinity
-        &&
-        match arg_exprs with
-        | [ e ] -> (
-            match column_meta env e with
-            | Some (dt, _) -> Datatype.affinity dt = Datatype.A_integer
-            | None -> false)
-        | _ -> false
-      in
+      let declared_int = fp.fp_typeof_int in
       let name =
         match v with
         | Value.Null -> "null"
@@ -776,12 +838,10 @@ let apply_func env (f : A.func) (args : Value.t list) (arg_exprs : A.expr list)
 (* ------------------------------------------------------------------ *)
 (* Value-level predicate bodies                                        *)
 
-(* The post-operand-evaluation bodies of the predicate evaluators,
-   shared verbatim by [eval] below (DML, DDL and index maintenance) and
-   the query executor's closure compiler (Engine.Compile): every dialect
+(* The post-operand-evaluation bodies of the predicates: every dialect
    quirk and injected bug that depends only on operand *values* (plus
-   statically resolvable column metadata) lives here, so writes and
-   queries inherit identical semantics from one definition. *)
+   statically resolvable column metadata) lives here, and {!compile}
+   below calls them from its closures. *)
 
 let neg_value env (v : Value.t) : (Value.t, Errors.t) result =
   if Value.is_null v then Ok Value.Null
@@ -890,10 +950,6 @@ let between_apply env (p : between_prep) (v : Value.t) (vl : Value.t)
   let t = if negated then Tvl.not_ t else t in
   Ok (bool_value env.dialect t)
 
-let between_value env ~negated ~arg ~lo ~hi (v : Value.t) (vl : Value.t)
-    (vh : Value.t) : (Value.t, Errors.t) result =
-  between_apply env (between_prep env ~negated ~arg ~lo ~hi) v vl vh
-
 (* the IN-list walk fell off the end without a match: NULL items poison
    the verdict to UNKNOWN unless the injected bug forces FALSE *)
 let in_empty_tvl env ~saw_null : Tvl.t =
@@ -995,10 +1051,6 @@ let like_apply env (lp : like_prep) (v : Value.t) (p : Value.t)
     let t = if negated then Tvl.not_ t else t in
     Ok (bool_value env.dialect t)
 
-let like_value env ~negated ~arg (v : Value.t) (p : Value.t)
-    (esc : char option) : (Value.t, Errors.t) result =
-  like_apply env (like_prep env ~negated ~arg) v p esc
-
 let glob_value env ~negated (v : Value.t) (p : Value.t) :
     (Value.t, Errors.t) result =
   if Value.is_null v || Value.is_null p then
@@ -1044,248 +1096,11 @@ let cast_value env ty (v : Value.t) : (Value.t, Errors.t) result =
         (Coerce.cast env.dialect ty v)
 
 (* ------------------------------------------------------------------ *)
-(* Main evaluator                                                      *)
+(* Compilation                                                         *)
 
-let rec eval env (e : A.expr) : (Value.t, Errors.t) result =
-  match e with
-  | A.Lit v -> Ok v
-  | A.Col { table; column } ->
-      let* r = env.resolve ~table ~column in
-      Ok r.value
-  | A.Unary (op, inner) -> eval_unary env op inner
-  | A.Binary (op, a, b) -> eval_binary env op a b
-  | A.Is { negated; arg; rhs } -> eval_is env ~negated arg rhs
-  | A.Between { negated; arg; lo; hi } -> eval_between env ~negated arg lo hi
-  | A.In_list { negated; arg; list } -> eval_in env ~negated arg list
-  | A.Like { negated; arg; pattern; escape } ->
-      eval_like env ~negated arg pattern escape
-  | A.Glob { negated; arg; pattern } -> eval_glob env ~negated arg pattern
-  | A.Cast (ty, inner) -> eval_cast env ty inner
-  | A.Func (f, args) -> eval_func env f args
-  | A.Agg _ ->
-      Error
-        (Errors.make Errors.Invalid_function
-           "misuse of aggregate function in scalar context")
-  | A.Case { operand; branches; else_ } -> eval_case env operand branches else_
-  | A.Collate (inner, _) -> eval env inner
+type thunk = unit -> (Value.t, Errors.t) result
 
-and eval_tvl env e : (Tvl.t, Errors.t) result =
-  let* v = eval env e in
-  value_tvl env v
-
-and eval_unary env op inner =
-  match op with
-  | A.Not -> (
-      cov env "unop.not";
-      (* mysql Listing 13 class: NOT(NOT x) folded away *)
-      match inner with
-      | A.Unary (A.Not, grandchild)
-        when Dialect.equal env.dialect Dialect.Mysql_like
-             && bug env Bug.My_double_negation_fold ->
-          eval env grandchild
-      (* constant folder treats the NULL literal as FALSE under NOT *)
-      | A.Lit Value.Null
-        when Dialect.equal env.dialect Dialect.Sqlite_like
-             && bug env Bug.Sq_fold_not_null_true ->
-          Ok (bool_value env.dialect Tvl.True)
-      | _ ->
-          let* t = eval_tvl env inner in
-          Ok (bool_value env.dialect (Tvl.not_ t)))
-  | A.Neg ->
-      cov env "unop.neg";
-      let* v = eval env inner in
-      neg_value env v
-  | A.Pos ->
-      cov env "unop.pos";
-      eval env inner
-  | A.Bit_not ->
-      cov env "unop.bit_not";
-      let* v = eval env inner in
-      bit_not_value env v
-
-and eval_binary env op a b =
-  match op with
-  | A.And
-    when (match (a, b) with
-         | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
-         | _ -> false)
-         && Dialect.equal env.dialect Dialect.Sqlite_like
-         && bug env Bug.Sq_fold_null_and ->
-      (* constant folder rewrites `NULL AND x` to NULL without checking
-         whether x is FALSE; operands are skipped like the engine's
-         short-circuit would not *)
-      cov env "binop.and";
-      Ok (bool_value env.dialect Tvl.Unknown)
-  | A.And ->
-      cov env "binop.and";
-      let* ta = eval_tvl env a in
-      if Tvl.equal ta Tvl.False then Ok (bool_value env.dialect Tvl.False)
-      else
-        let* tb = eval_tvl env b in
-        Ok (bool_value env.dialect (Tvl.and_ ta tb))
-  | A.Or ->
-      cov env "binop.or";
-      let* ta = eval_tvl env a in
-      if Tvl.equal ta Tvl.True then Ok (bool_value env.dialect Tvl.True)
-      else
-        let* tb = eval_tvl env b in
-        Ok (bool_value env.dialect (Tvl.or_ ta tb))
-  | A.Concat when Dialect.equal env.dialect Dialect.Mysql_like ->
-      (* mysql: || is logical OR by default *)
-      cov env "binop.concat";
-      eval_binary env A.Or a b
-  | A.Concat ->
-      cov env "binop.concat";
-      let* va = eval env a in
-      let* vb = eval env b in
-      if Value.is_null va || Value.is_null vb then Ok Value.Null
-      else Ok (Value.Text (text_of env va ^ text_of env vb))
-  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ->
-      let point =
-        match op with
-        | A.Eq -> "binop.eq"
-        | A.Neq -> "binop.neq"
-        | A.Lt -> "binop.lt"
-        | A.Le -> "binop.le"
-        | A.Gt -> "binop.gt"
-        | A.Ge -> "binop.ge"
-        | _ -> "binop.nullsafe_eq"
-      in
-      cov env point;
-      let* va = eval env a in
-      let* vb = eval env b in
-      compare_op env op a b va vb
-  | A.Add | A.Sub | A.Mul | A.Div | A.Rem ->
-      let point =
-        match op with
-        | A.Add -> "binop.add"
-        | A.Sub -> "binop.sub"
-        | A.Mul -> "binop.mul"
-        | A.Div -> "binop.div"
-        | _ -> "binop.rem"
-      in
-      cov env point;
-      let* va = eval env a in
-      let* vb = eval env b in
-      arith env op a b va vb
-  | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right ->
-      let point =
-        match op with
-        | A.Bit_and -> "binop.bit_and"
-        | A.Bit_or -> "binop.bit_or"
-        | A.Shift_left -> "binop.shl"
-        | _ -> "binop.shr"
-      in
-      cov env point;
-      let* va = eval env a in
-      let* vb = eval env b in
-      bitop env op va vb
-
-and eval_is env ~negated arg rhs =
-  cov env "pred.is";
-  let finish t = is_finish env ~negated t in
-  match rhs with
-  | A.Is_null ->
-      let* v = eval env arg in
-      finish (Tvl.of_bool (Value.is_null v))
-  | A.Is_true | A.Is_false ->
-      let* v = eval env arg in
-      let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
-      is_bool_value env ~negated ~want v
-  | A.Is_expr other ->
-      (* sqlite's IS: null-safe equality over scalars *)
-      if not (Dialect.equal env.dialect Dialect.Sqlite_like) then
-        Error
-          (Errors.make Errors.Invalid_function
-             "IS over scalars is sqlite-specific")
-      else
-        let* va = eval env arg in
-        let* vb = eval env other in
-        let* r = compare_op env A.Null_safe_eq arg other va vb in
-        let* t = value_tvl env r in
-        finish t
-  | A.Is_distinct_from other ->
-      if not (Dialect.equal env.dialect Dialect.Postgres_like) then
-        Error
-          (Errors.make Errors.Invalid_function
-             "IS DISTINCT FROM is postgres-specific")
-      else
-        let* va = eval env arg in
-        let* vb = eval env other in
-        let* r = compare_op env A.Null_safe_eq arg other va vb in
-        let* t = value_tvl env r in
-        finish (Tvl.not_ t)
-
-and eval_between env ~negated arg lo hi =
-  cov env "pred.between";
-  let* v = eval env arg in
-  let* vl = eval env lo in
-  let* vh = eval env hi in
-  between_value env ~negated ~arg ~lo ~hi v vl vh
-
-and eval_in env ~negated arg list =
-  cov env "pred.in";
-  let* v = eval env arg in
-  if Value.is_null v then Ok (bool_value env.dialect Tvl.Unknown)
-  else
-    let rec walk saw_null = function
-      | [] -> Ok (in_empty_tvl env ~saw_null)
-      | item :: rest ->
-          let* vi = eval env item in
-          if Value.is_null vi then walk true rest
-          else
-            let* r = compare_op env A.Eq arg item v vi in
-            let* t = value_tvl env r in
-            if Tvl.equal t Tvl.True then Ok Tvl.True else walk saw_null rest
-    in
-    let* t = walk false list in
-    let t = if negated then Tvl.not_ t else t in
-    Ok (bool_value env.dialect t)
-
-and eval_like env ~negated arg pattern escape =
-  cov env "pred.like";
-  let* v = eval env arg in
-  let* p = eval env pattern in
-  let* esc =
-    match escape with
-    | None -> Ok None
-    | Some e ->
-        let* ve = eval env e in
-        like_escape_char ve
-  in
-  like_value env ~negated ~arg v p esc
-
-and eval_glob env ~negated arg pattern =
-  cov env "pred.glob";
-  if not (Dialect.equal env.dialect Dialect.Sqlite_like) then
-    Error (Errors.make Errors.Invalid_function "GLOB is sqlite-specific")
-  else
-    let* v = eval env arg in
-    let* p = eval env pattern in
-    glob_value env ~negated v p
-
-and eval_cast env ty inner =
-  cov env "pred.cast";
-  let* v = eval env inner in
-  cast_value env ty v
-
-and eval_func env f args =
-  cov env ("func." ^ func_point f);
-  if not (func_available env.dialect f) then
-    Error
-      (Errors.makef Errors.Invalid_function "no such function in %s dialect"
-         (Dialect.name env.dialect))
-  else
-    let rec eval_args acc = function
-      | [] -> Ok (List.rev acc)
-      | a :: rest ->
-          let* v = eval env a in
-          eval_args (v :: acc) rest
-    in
-    let* vs = eval_args [] args in
-    apply_func env f vs args
-
-and func_point = function
+let func_point = function
   | A.F_abs -> "abs"
   | A.F_length -> "length"
   | A.F_lower -> "lower"
@@ -1307,38 +1122,390 @@ and func_point = function
   | A.F_greatest -> "greatest"
   | A.F_quote -> "quote"
 
-and eval_case env operand branches else_ =
-  cov env "pred.case";
-  let buggy_null_when =
-    Dialect.equal env.dialect Dialect.Sqlite_like && bug env Bug.Sq_case_null_when
-  in
-  match operand with
-  | None ->
-      let rec walk = function
-        | [] -> (
-            match else_ with Some e -> eval env e | None -> Ok Value.Null)
-        | (cond, result) :: rest ->
-            let* t = eval_tvl env cond in
-            let taken =
-              Tvl.equal t Tvl.True
-              || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-            in
-            if taken then eval env result else walk rest
+let truth env (t : thunk) =
+  let* v = t () in
+  value_tvl env v
+
+(* An expression becomes a closure over [env.cur]: column references are
+   resolved to slots, dialect rejections, the mysql double-negation fold
+   and every operator's metadata prep happen here, once.  Per run, the
+   closures keep SQL's evaluation order and short circuits, fire each
+   coverage point once per node evaluated, and report the first error in
+   evaluation order. *)
+let rec compile env (e : A.expr) : thunk =
+  let dialect = env.dialect in
+  let tvl = truth env in
+  match e with
+  | A.Lit v -> fun () -> Ok v
+  | A.Col { table; column } -> (
+      match resolve_slot env.layout ~table ~column with
+      | Ok (bi, i, _, _) ->
+          let cur = env.cur in
+          fun () -> Ok (!cur).(bi).(i)
+      | Error err -> fun () -> Error err)
+  | A.Collate (inner, _) -> compile env inner
+  | A.Agg _ ->
+      let err =
+        Errors.make Errors.Invalid_function
+          "misuse of aggregate function in scalar context"
       in
-      walk branches
-  | Some op_expr ->
-      let* v = eval env op_expr in
-      let rec walk = function
-        | [] -> (
-            match else_ with Some e -> eval env e | None -> Ok Value.Null)
-        | (cond, result) :: rest ->
-            let* vc = eval env cond in
-            let* r = compare_op env A.Eq op_expr cond v vc in
-            let* t = value_tvl env r in
-            let taken =
-              Tvl.equal t Tvl.True
-              || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-            in
-            if taken then eval env result else walk rest
+      fun () -> Error err
+  | A.Unary (A.Not, inner) -> (
+      match inner with
+      | A.Unary (A.Not, grandchild)
+        when Dialect.equal dialect Dialect.Mysql_like
+             && Bug.on env.bugs Bug.My_double_negation_fold ->
+          (* mysql Listing 13 class: NOT(NOT x) folded away; the inner
+             NOT's coverage point is skipped *)
+          let cg = compile env grandchild in
+          fun () ->
+            cov env "unop.not";
+            cg ()
+      (* constant folder treats the NULL literal as FALSE under NOT *)
+      | A.Lit Value.Null
+        when Dialect.equal dialect Dialect.Sqlite_like
+             && Bug.on env.bugs Bug.Sq_fold_not_null_true ->
+          fun () ->
+            cov env "unop.not";
+            Ok (bool_value dialect Tvl.True)
+      | _ ->
+          let ci = compile env inner in
+          fun () ->
+            cov env "unop.not";
+            let* t = tvl ci in
+            Ok (bool_value dialect (Tvl.not_ t)))
+  | A.Unary (A.Neg, inner) ->
+      let ci = compile env inner in
+      fun () ->
+        cov env "unop.neg";
+        let* v = ci () in
+        neg_value env v
+  | A.Unary (A.Pos, inner) ->
+      let ci = compile env inner in
+      fun () ->
+        cov env "unop.pos";
+        ci ()
+  | A.Unary (A.Bit_not, inner) ->
+      let ci = compile env inner in
+      fun () ->
+        cov env "unop.bit_not";
+        let* v = ci () in
+        bit_not_value env v
+  | A.Binary (op, a, b) -> compile_binary env op a b
+  | A.Is { negated; arg; rhs } -> compile_is env ~negated arg rhs
+  | A.Between { negated; arg; lo; hi } ->
+      let ca = compile env arg in
+      let cl = compile env lo in
+      let ch = compile env hi in
+      let prep = between_prep env ~negated ~arg ~lo ~hi in
+      fun () ->
+        cov env "pred.between";
+        let* v = ca () in
+        let* vl = cl () in
+        let* vh = ch () in
+        between_apply env prep v vl vh
+  | A.In_list { negated; arg; list } ->
+      let ca = compile env arg in
+      let items =
+        List.map
+          (fun item -> (compare_prep env A.Eq arg item, compile env item))
+          list
       in
-      walk branches
+      fun () ->
+        cov env "pred.in";
+        let* v = ca () in
+        if Value.is_null v then Ok (bool_value dialect Tvl.Unknown)
+        else
+          let rec walk saw_null = function
+            | [] -> Ok (in_empty_tvl env ~saw_null)
+            | (prep, ci) :: rest ->
+                let* vi = ci () in
+                if Value.is_null vi then walk true rest
+                else
+                  let* r = compare_apply env prep v vi in
+                  let* t = value_tvl env r in
+                  if Tvl.equal t Tvl.True then Ok Tvl.True
+                  else walk saw_null rest
+          in
+          let* t = walk false items in
+          let t = if negated then Tvl.not_ t else t in
+          Ok (bool_value dialect t)
+  | A.Like { negated; arg; pattern; escape } ->
+      let ca = compile env arg in
+      let cp = compile env pattern in
+      let cesc = Option.map (compile env) escape in
+      let prep = like_prep env ~negated ~arg in
+      fun () ->
+        cov env "pred.like";
+        let* v = ca () in
+        let* p = cp () in
+        let* esc =
+          match cesc with
+          | None -> Ok None
+          | Some ce ->
+              let* ve = ce () in
+              like_escape_char ve
+        in
+        like_apply env prep v p esc
+  | A.Glob { negated; arg; pattern } ->
+      if not (Dialect.equal dialect Dialect.Sqlite_like) then
+        let err =
+          Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
+        in
+        fun () ->
+          cov env "pred.glob";
+          Error err
+      else
+        let ca = compile env arg in
+        let cp = compile env pattern in
+        fun () ->
+          cov env "pred.glob";
+          let* v = ca () in
+          let* p = cp () in
+          glob_value env ~negated v p
+  | A.Cast (ty, inner) ->
+      let ci = compile env inner in
+      fun () ->
+        cov env "pred.cast";
+        let* v = ci () in
+        cast_value env ty v
+  | A.Func (f, args) ->
+      let point = "func." ^ func_point f in
+      if not (func_available dialect f) then
+        let err =
+          Errors.makef Errors.Invalid_function "no such function in %s dialect"
+            (Dialect.name dialect)
+        in
+        fun () ->
+          cov env point;
+          Error err
+      else
+        let cargs = List.map (compile env) args in
+        let fp = func_prep env f args in
+        fun () ->
+          cov env point;
+          let rec eval_args acc = function
+            | [] -> Ok (List.rev acc)
+            | t :: rest ->
+                let* v = t () in
+                eval_args (v :: acc) rest
+          in
+          let* vs = eval_args [] cargs in
+          apply_func env fp f vs
+  | A.Case { operand; branches; else_ } ->
+      let buggy_null_when =
+        Dialect.equal dialect Dialect.Sqlite_like
+        && Bug.on env.bugs Bug.Sq_case_null_when
+      in
+      let celse = Option.map (compile env) else_ in
+      let else_thunk () =
+        match celse with Some ce -> ce () | None -> Ok Value.Null
+      in
+      (match operand with
+      | None ->
+          let cbranches =
+            List.map
+              (fun (cond, result) ->
+                (compile env cond, compile env result))
+              branches
+          in
+          fun () ->
+            cov env "pred.case";
+            let rec walk = function
+              | [] -> else_thunk ()
+              | (ccond, cres) :: rest ->
+                  let* t = tvl ccond in
+                  let taken =
+                    Tvl.equal t Tvl.True
+                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
+                  in
+                  if taken then cres () else walk rest
+            in
+            walk cbranches
+      | Some op_expr ->
+          let cop = compile env op_expr in
+          let cbranches =
+            List.map
+              (fun (cond, result) ->
+                ( compare_prep env A.Eq op_expr cond,
+                  compile env cond,
+                  compile env result ))
+              branches
+          in
+          fun () ->
+            cov env "pred.case";
+            let* v = cop () in
+            let rec walk = function
+              | [] -> else_thunk ()
+              | (prep, ccond, cres) :: rest ->
+                  let* vc = ccond () in
+                  let* r = compare_apply env prep v vc in
+                  let* t = value_tvl env r in
+                  let taken =
+                    Tvl.equal t Tvl.True
+                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
+                  in
+                  if taken then cres () else walk rest
+            in
+            walk cbranches)
+
+and compile_binary env op a b : thunk =
+  let dialect = env.dialect in
+  let tvl = truth env in
+  match op with
+  | A.And
+    when (match (a, b) with
+         | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
+         | _ -> false)
+         && Dialect.equal dialect Dialect.Sqlite_like
+         && Bug.on env.bugs Bug.Sq_fold_null_and ->
+      (* constant folder rewrites `NULL AND x` to NULL without checking
+         whether x is FALSE; the operands are never evaluated *)
+      fun () ->
+        cov env "binop.and";
+        Ok (bool_value dialect Tvl.Unknown)
+  | A.And ->
+      let ca = compile env a in
+      let cb = compile env b in
+      fun () ->
+        cov env "binop.and";
+        let* ta = tvl ca in
+        if Tvl.equal ta Tvl.False then Ok (bool_value dialect Tvl.False)
+        else
+          let* tb = tvl cb in
+          Ok (bool_value dialect (Tvl.and_ ta tb))
+  | A.Or ->
+      let ca = compile env a in
+      let cb = compile env b in
+      fun () ->
+        cov env "binop.or";
+        let* ta = tvl ca in
+        if Tvl.equal ta Tvl.True then Ok (bool_value dialect Tvl.True)
+        else
+          let* tb = tvl cb in
+          Ok (bool_value dialect (Tvl.or_ ta tb))
+  | A.Concat when Dialect.equal dialect Dialect.Mysql_like ->
+      (* mysql: || is logical OR by default; both coverage points fire *)
+      let c_or = compile_binary env A.Or a b in
+      fun () ->
+        cov env "binop.concat";
+        c_or ()
+  | A.Concat ->
+      let ca = compile env a in
+      let cb = compile env b in
+      fun () ->
+        cov env "binop.concat";
+        let* va = ca () in
+        let* vb = cb () in
+        if Value.is_null va || Value.is_null vb then Ok Value.Null
+        else
+          Ok
+            (Value.Text
+               (Coerce.to_text dialect va ^ Coerce.to_text dialect vb))
+  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ->
+      let point =
+        match op with
+        | A.Eq -> "binop.eq"
+        | A.Neq -> "binop.neq"
+        | A.Lt -> "binop.lt"
+        | A.Le -> "binop.le"
+        | A.Gt -> "binop.gt"
+        | A.Ge -> "binop.ge"
+        | _ -> "binop.nullsafe_eq"
+      in
+      let ca = compile env a in
+      let cb = compile env b in
+      let prep = compare_prep env op a b in
+      fun () ->
+        cov env point;
+        let* va = ca () in
+        let* vb = cb () in
+        compare_apply env prep va vb
+  | A.Add | A.Sub | A.Mul | A.Div | A.Rem ->
+      let point =
+        match op with
+        | A.Add -> "binop.add"
+        | A.Sub -> "binop.sub"
+        | A.Mul -> "binop.mul"
+        | A.Div -> "binop.div"
+        | _ -> "binop.rem"
+      in
+      let ca = compile env a in
+      let cb = compile env b in
+      fun () ->
+        cov env point;
+        let* va = ca () in
+        let* vb = cb () in
+        arith env op va vb
+  | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right ->
+      let point =
+        match op with
+        | A.Bit_and -> "binop.bit_and"
+        | A.Bit_or -> "binop.bit_or"
+        | A.Shift_left -> "binop.shl"
+        | _ -> "binop.shr"
+      in
+      let ca = compile env a in
+      let cb = compile env b in
+      fun () ->
+        cov env point;
+        let* va = ca () in
+        let* vb = cb () in
+        bitop env op va vb
+
+and compile_is env ~negated arg rhs : thunk =
+  let dialect = env.dialect in
+  match rhs with
+  | A.Is_null ->
+      let ca = compile env arg in
+      fun () ->
+        cov env "pred.is";
+        let* v = ca () in
+        is_finish env ~negated (Tvl.of_bool (Value.is_null v))
+  | A.Is_true | A.Is_false ->
+      let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
+      let ca = compile env arg in
+      fun () ->
+        cov env "pred.is";
+        let* v = ca () in
+        is_bool_value env ~negated ~want v
+  | A.Is_expr other ->
+      if not (Dialect.equal dialect Dialect.Sqlite_like) then
+        let err =
+          Errors.make Errors.Invalid_function
+            "IS over scalars is sqlite-specific"
+        in
+        fun () ->
+          cov env "pred.is";
+          Error err
+      else
+        let ca = compile env arg in
+        let cb = compile env other in
+        let prep = compare_prep env A.Null_safe_eq arg other in
+        fun () ->
+          cov env "pred.is";
+          let* va = ca () in
+          let* vb = cb () in
+          let* r = compare_apply env prep va vb in
+          let* t = value_tvl env r in
+          is_finish env ~negated t
+  | A.Is_distinct_from other ->
+      if not (Dialect.equal dialect Dialect.Postgres_like) then
+        let err =
+          Errors.make Errors.Invalid_function
+            "IS DISTINCT FROM is postgres-specific"
+        in
+        fun () ->
+          cov env "pred.is";
+          Error err
+      else
+        let ca = compile env arg in
+        let cb = compile env other in
+        let prep = compare_prep env A.Null_safe_eq arg other in
+        fun () ->
+          cov env "pred.is";
+          let* va = ca () in
+          let* vb = cb () in
+          let* r = compare_apply env prep va vb in
+          let* t = value_tvl env r in
+          is_finish env ~negated (Tvl.not_ t)

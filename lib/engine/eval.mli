@@ -1,42 +1,73 @@
-(** The engine-side expression evaluator.
+(** The engine's expression evaluator: expressions compile to closures.
 
     This is the component the paper's containment oracle puts under test:
     most injected containment-class bugs live here (comparison collations,
-    implicit conversions, LIKE handling, operator folding).  The PQS oracle
-    interpreter ({!Pqs.Interp}) re-implements the same semantics
-    independently and is never bug-injected; a qcheck property asserts the
-    two agree when the bug set is empty. *)
+    implicit conversions, LIKE handling, operator folding).  Queries
+    ({!Compile}), writes ({!Dml}, {!Ddl}), the planner's constants and the
+    constant folder ({!Analysis.Const_fold}) all evaluate through
+    {!compile}.  The PQS oracle interpreter ({!Pqs.Interp}) re-implements
+    the same semantics independently and is never bug-injected; with the
+    bug set empty, a qcheck property (projections of random expressions)
+    and the executor tests (an expression battery as SELECT WHERE,
+    projection, ORDER BY and DELETE WHERE) check the two agree. *)
 
 open Sqlval
 
-(** What an expression's column reference resolves to. *)
-type resolved = {
-  value : Value.t;
-  datatype : Datatype.t;
-  collation : Collation.t;
+(** {1 Bindings} *)
+
+(** One row source in scope: lowercase alias and column metadata. *)
+type binding = {
+  b_alias : string;
+  b_columns : (string * Datatype.t * Collation.t) array;
 }
+
+val binding_of_table : Storage.Schema.table -> alias:string -> binding
+
+(** {1 Environments} *)
 
 type env = {
   dialect : Dialect.t;
   bugs : Bug.set;
   case_sensitive_like : bool;  (** sqlite PRAGMA state *)
   coverage : Coverage.t option;
-  resolve :
-    table:string option -> column:string -> (resolved, Errors.t) result;
+  layout : binding list;
+      (** the columns in scope.  A qualified reference must match an
+          alias; an unqualified one must match exactly one column across
+          all bindings.  Compilation resolves references to slots and
+          reads type and collation from here. *)
+  cur : Value.t array array ref;
+      (** the tuple under evaluation: one value array per binding of
+          [layout], in order.  Compiled closures read column values from
+          it and nowhere else. *)
 }
 
 (** Environment with no columns in scope (constant expressions). *)
 val const_env :
   ?bugs:Bug.set -> ?case_sensitive_like:bool -> Dialect.t -> env
 
+(** [env] over [layout], with a fresh all-NULL tuple in [cur]. *)
+val with_layout : env -> binding list -> env
+
+(** {1 Compilation} *)
+
+type thunk = unit -> (Value.t, Errors.t) result
+
+(** Compile an expression once against [env]'s layout; each call of the
+    result evaluates it on the tuple then in [env.cur]. *)
+val compile : env -> Sqlast.Ast.expr -> thunk
+
+(** Run a compiled expression in boolean context (WHERE/JOIN/HAVING,
+    CHECK, partial-index predicates). *)
+val truth : env -> thunk -> (Tvl.t, Errors.t) result
+
 (** Dialect encoding of a three-valued result: INTEGER 0/1/NULL for sqlite
     and mysql, BOOLEAN/NULL for postgres. *)
 val bool_value : Dialect.t -> Tvl.t -> Value.t
 
-val eval : env -> Sqlast.Ast.expr -> (Value.t, Errors.t) result
+(** Truth value of a value in boolean context. *)
+val value_tvl : env -> Value.t -> (Tvl.t, Errors.t) result
 
-(** Evaluate in boolean context (WHERE/JOIN/HAVING). *)
-val eval_tvl : env -> Sqlast.Ast.expr -> (Tvl.t, Errors.t) result
+(** {1 Static metadata} *)
 
 (** Static column metadata of an expression, if it is (a decoration of) a
     column reference; comparison affinity/collation rules consult it. *)
@@ -53,33 +84,15 @@ val comparison_collation :
     collation), if any. *)
 val explicit_collation : env -> Sqlast.Ast.expr -> Collation.t option
 
-(** {1 Value-level operator bodies}
+(** {1 Operator preps}
 
-    The post-operand-evaluation bodies of the evaluator, shared with the
-    query executor's closure compiler ({!Compile}) so writes and queries
-    inherit one definition of every dialect quirk and injected bug.  Expression
-    arguments ([ea]/[eb]/[arg]/…) are consulted only for statically
-    resolvable column metadata (collation, affinity, declared width),
-    never for row values. *)
+    Each metadata-sensitive operator splits into a static prep, computed
+    once from the operand expressions and the layout, and an apply over
+    operand values.  {!compile} uses them; the constant folder runs them
+    both ways to decide whether an operand may become a literal. *)
 
-(** Truth value of a value in boolean context. *)
-val value_tvl : env -> Value.t -> (Tvl.t, Errors.t) result
-
-(** Comparison operators ([=], [<>], [<], [<=], [>], [>=], [<=>]). *)
-val compare_op :
-  env ->
-  Sqlast.Ast.binop ->
-  Sqlast.Ast.expr ->
-  Sqlast.Ast.expr ->
-  Value.t ->
-  Value.t ->
-  (Value.t, Errors.t) result
-
-(** The static slice of a comparison — collation, affinity adjustments,
-    metadata-gated bug decisions — computed once from the operand
-    expressions and the binding layout.  {!compare_op} is
-    [compare_apply] of [compare_prep]; the query executor preps at
-    compile time and replays per row. *)
+(** Comparison operators ([=], [<>], [<], [<=], [>], [>=], [<=>]):
+    collation, affinity adjustments, metadata-gated bug decisions. *)
 type cmp_prep
 
 val compare_prep :
@@ -88,48 +101,7 @@ val compare_prep :
 val compare_apply :
   env -> cmp_prep -> Value.t -> Value.t -> (Value.t, Errors.t) result
 
-(** Arithmetic operators ([+], [-], [*], [/], [%]). *)
-val arith :
-  env ->
-  Sqlast.Ast.binop ->
-  Sqlast.Ast.expr ->
-  Sqlast.Ast.expr ->
-  Value.t ->
-  Value.t ->
-  (Value.t, Errors.t) result
-
-(** Bitwise operators ([&], [|], [<<], [>>]). *)
-val bitop :
-  env -> Sqlast.Ast.binop -> Value.t -> Value.t -> (Value.t, Errors.t) result
-
-(** Unary minus. *)
-val neg_value : env -> Value.t -> (Value.t, Errors.t) result
-
-(** Bitwise complement. *)
-val bit_not_value : env -> Value.t -> (Value.t, Errors.t) result
-
-(** Negate [t] when [negated], then encode with {!bool_value}. *)
-val is_finish : env -> negated:bool -> Tvl.t -> (Value.t, Errors.t) result
-
-(** [IS \[NOT\] TRUE/FALSE] of an evaluated operand;
-    [want] is [True] for IS TRUE, [False] for IS FALSE. *)
-val is_bool_value :
-  env -> negated:bool -> want:Tvl.t -> Value.t -> (Value.t, Errors.t) result
-
-(** [\[NOT\] BETWEEN] of evaluated operands; [arg]/[lo]/[hi] are the
-    operand expressions (metadata only). *)
-val between_value :
-  env ->
-  negated:bool ->
-  arg:Sqlast.Ast.expr ->
-  lo:Sqlast.Ast.expr ->
-  hi:Sqlast.Ast.expr ->
-  Value.t ->
-  Value.t ->
-  Value.t ->
-  (Value.t, Errors.t) result
-
-(** Static slice of a BETWEEN ({!between_value} = apply of prep). *)
+(** [\[NOT\] BETWEEN]. *)
 type between_prep
 
 val between_prep :
@@ -148,23 +120,10 @@ val between_apply :
   Value.t ->
   (Value.t, Errors.t) result
 
-(** Verdict of an IN list that ran out of items without a match. *)
-val in_empty_tvl : env -> saw_null:bool -> Tvl.t
-
 (** Decode an evaluated ESCAPE operand to its escape character. *)
 val like_escape_char : Value.t -> (char option, Errors.t) result
 
-(** [\[NOT\] LIKE] of evaluated operands. *)
-val like_value :
-  env ->
-  negated:bool ->
-  arg:Sqlast.Ast.expr ->
-  Value.t ->
-  Value.t ->
-  char option ->
-  (Value.t, Errors.t) result
-
-(** Static slice of a LIKE ({!like_value} = apply of prep). *)
+(** [\[NOT\] LIKE]. *)
 type like_prep
 
 val like_prep : env -> negated:bool -> arg:Sqlast.Ast.expr -> like_prep
@@ -176,27 +135,3 @@ val like_apply :
   Value.t ->
   char option ->
   (Value.t, Errors.t) result
-
-(** [\[NOT\] GLOB] of evaluated operands (sqlite dialect only; the
-    dialect check happens before operand evaluation). *)
-val glob_value :
-  env -> negated:bool -> Value.t -> Value.t -> (Value.t, Errors.t) result
-
-(** [CAST (v AS ty)] of an evaluated operand. *)
-val cast_value : env -> Datatype.t -> Value.t -> (Value.t, Errors.t) result
-
-(** Scalar function application over evaluated arguments; the expression
-    list is consulted for metadata only (NULLIF collation, TYPEOF
-    affinity). *)
-val apply_func :
-  env ->
-  Sqlast.Ast.func ->
-  Value.t list ->
-  Sqlast.Ast.expr list ->
-  (Value.t, Errors.t) result
-
-(** Whether [f] exists in the dialect. *)
-val func_available : Dialect.t -> Sqlast.Ast.func -> bool
-
-(** The [func.*] coverage-point suffix of [f]. *)
-val func_point : Sqlast.Ast.func -> string

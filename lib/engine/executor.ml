@@ -198,97 +198,19 @@ let count_index_rows ctx rowids =
   rowids
 
 (* ------------------------------------------------------------------ *)
-(* Bindings                                                            *)
-
-type binding = {
-  b_alias : string; (* lowercase alias (or table name) *)
-  b_columns : (string * Datatype.t * Collation.t) array;
-  b_values : Value.t array;
-}
-
-let binding_of_table (schema : Storage.Schema.table) ~alias values =
-  {
-    b_alias = String.lowercase_ascii alias;
-    b_columns =
-      Array.map
-        (fun (c : Storage.Schema.column) ->
-          (String.lowercase_ascii c.Storage.Schema.name, c.ty, c.collation))
-        schema.Storage.Schema.columns;
-    b_values = values;
-  }
-
-let resolve_slot (bindings : binding list) ~table ~column :
-    (int * int * Datatype.t * Collation.t, Errors.t) result =
-  let col = String.lowercase_ascii column in
-  let lookup bi b =
-    let rec go i =
-      if i >= Array.length b.b_columns then None
-      else
-        let name, dt, coll = b.b_columns.(i) in
-        if name = col then Some (bi, i, dt, coll) else go (i + 1)
-    in
-    go 0
-  in
-  match table with
-  | Some t -> (
-      let t = String.lowercase_ascii t in
-      let rec find bi = function
-        | [] -> None
-        | b :: rest -> if b.b_alias = t then Some (bi, b) else find (bi + 1) rest
-      in
-      match find 0 bindings with
-      | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t)
-      | Some (bi, b) -> (
-          match lookup bi b with
-          | Some r -> Ok r
-          | None ->
-              Error
-                (Errors.makef Errors.No_such_column "no such column: %s.%s" t
-                   column)))
-  | None -> (
-      match List.filter_map Fun.id (List.mapi lookup bindings) with
-      | [ r ] -> Ok r
-      | [] ->
-          Error (Errors.makef Errors.No_such_column "no such column: %s" column)
-      | _ :: _ ->
-          Error
-            (Errors.makef Errors.Ambiguous_column "ambiguous column name: %s"
-               column))
-
-let resolve_in (bindings : binding list) ~table ~column :
-    (Eval.resolved, Errors.t) result =
-  let* bi, i, datatype, collation = resolve_slot bindings ~table ~column in
-  Ok
-    {
-      Eval.value = (List.nth bindings bi).b_values.(i);
-      datatype;
-      collation;
-    }
-
-let no_columns = (Eval.const_env Dialect.Sqlite_like).Eval.resolve
+(* Evaluation environments                                             *)
 
 let eval_env ctx : Eval.env =
   {
-    Eval.dialect = ctx.dialect;
-    bugs = ctx.bugs;
-    case_sensitive_like = Options.case_sensitive_like ctx.options;
-    coverage = ctx.coverage;
-    resolve = no_columns;
+    (Eval.const_env ~bugs:ctx.bugs
+       ~case_sensitive_like:(Options.case_sensitive_like ctx.options)
+       ctx.dialect)
+    with
+    Eval.coverage = ctx.coverage;
   }
 
-let env_for ctx bindings : Eval.env =
-  { (eval_env ctx) with Eval.resolve = resolve_in bindings }
-
-(* env whose resolver sees the table's columns with NULL values: the
-   planner needs collation/affinity metadata, not row values *)
-let planner_env ctx (schema : Storage.Schema.table) ~alias =
-  let null_binding =
-    binding_of_table schema ~alias
-      (Array.map
-         (fun (_ : Storage.Schema.column) -> Value.Null)
-         schema.Storage.Schema.columns)
-  in
-  env_for ctx [ null_binding ]
+let table_env ctx (schema : Storage.Schema.table) ~alias =
+  Eval.with_layout (eval_env ctx) [ Eval.binding_of_table schema ~alias ]
 
 (* ------------------------------------------------------------------ *)
 (* Table scans                                                         *)
@@ -556,7 +478,7 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                       Telemetry.Span.timed ctx.telemetry Telemetry.Phase.Plan
                         (fun () ->
                           Planner.choose
-                            (planner_env ctx schema ~alias:alias_name)
+                            (table_env ctx schema ~alias:alias_name)
                             ctx.catalog schema ~where)
                 in
                 Telemetry.inc_handle ctx.profile.p_plan.(plan_index path);
@@ -624,18 +546,20 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
 (* ------------------------------------------------------------------ *)
 (* Output shaping shared by the pipeline's operators                   *)
 
-let output_columns (bindings_sample : binding list) items :
+let output_columns (bindings_sample : Eval.binding list) items :
     (string list, Errors.t) result =
   let item_columns = function
     | A.Star ->
         Ok
           (List.concat_map
              (fun b ->
-               Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
+               Array.to_list (Array.map (fun (n, _, _) -> n) b.Eval.b_columns))
              bindings_sample)
     | A.Table_star t -> (
         let t = String.lowercase_ascii t in
-        match List.find_opt (fun b -> b.b_alias = t) bindings_sample with
+        match
+          List.find_opt (fun b -> b.Eval.b_alias = t) bindings_sample
+        with
         | Some b -> Ok (Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
         | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
     | A.Sel_expr (_, Some alias) -> Ok [ alias ]

@@ -64,15 +64,18 @@ val forced_path_for :
   where:Sqlast.Ast.expr option ->
   Planner.path option
 
-(** env whose resolver sees the table's columns with NULL values: what the
-    planner needs (collation/affinity metadata, not row values). *)
-val planner_env : ctx -> Storage.Schema.table -> alias:string -> Eval.env
 
 type result_set = { rs_columns : string list; rs_rows : Value.t array list }
 
 val pp_result_set : Format.formatter -> result_set -> unit
 
+(** The session's evaluation environment, with no columns in scope. *)
 val eval_env : ctx -> Eval.env
+
+(** {!eval_env} over one table's columns, under [alias]: the planner's
+    collation and affinity metadata, and the layout writes compile row
+    expressions against (the row goes in slot 0 of [cur]). *)
+val table_env : ctx -> Storage.Schema.table -> alias:string -> Eval.env
 
 (** Row identity: the one equivalence DISTINCT, the compound operators,
     GROUP BY keys and the plan-diff oracle's multisets use.  Rows are
@@ -100,33 +103,8 @@ val scan_table :
 
 (** {1 Pipeline operators}
 
-    Name resolution, scan-site bug injection, access-path choice,
-    aggregation and flight-recorder annotation, used by {!Compile}. *)
-
-(** One FROM-clause row source in scope: lowercase alias, column
-    metadata, current row values. *)
-type binding = {
-  b_alias : string;
-  b_columns : (string * Datatype.t * Collation.t) array;
-  b_values : Value.t array;
-}
-
-val binding_of_table :
-  Storage.Schema.table -> alias:string -> Value.t array -> binding
-
-(** Column-reference resolution over in-scope bindings: qualified
-    references must match an alias; unqualified references must match
-    exactly one column across all bindings.  Yields the binding index,
-    the column index and the column's type and collation. *)
-val resolve_slot :
-  binding list ->
-  table:string option ->
-  column:string ->
-  (int * int * Datatype.t * Collation.t, Errors.t) result
-
-(** {!eval_env} resolving columns ({!resolve_slot}) over the given
-    bindings' values. *)
-val env_for : ctx -> binding list -> Eval.env
+    Scan-site bug injection, access-path choice, aggregation and
+    flight-recorder annotation, used by {!Compile}. *)
 
 (** Is the plan-diff join-order swap forced for this query?  (Applies to
     two-table inner/cross joins and two-item comma FROMs; see {!forced}.) *)
@@ -161,7 +139,7 @@ val scan_rows :
     (empty when the scan produced no rows, which is observable: [*]
     contributes no columns and [t.*] fails). *)
 val output_columns :
-  binding list -> Sqlast.Ast.select_item list -> (string list, Errors.t) result
+  Eval.binding list -> Sqlast.Ast.select_item list -> (string list, Errors.t) result
 
 (** Whether the SELECT uses aggregation (GROUP BY, aggregate items, or an
     aggregate HAVING). *)

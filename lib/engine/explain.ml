@@ -32,7 +32,7 @@ let rec from_lines ctx (item : A.from_item) ~where : string list =
                    or EXPLAIN can print a different path than the one the
                    executor takes *)
                 ( Planner.choose
-                    (Executor.planner_env ctx ts.Storage.Catalog.schema
+                    (Executor.table_env ctx ts.Storage.Catalog.schema
                        ~alias:alias_name)
                     ctx.Executor.catalog ts.Storage.Catalog.schema ~where,
                   "" )

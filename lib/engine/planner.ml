@@ -71,9 +71,7 @@ let rec conjuncts = function
    engine semantics; planner constants must match run-time values. *)
 let const_value env e =
   if A.expr_columns e = [] then
-    match Eval.eval { env with Eval.resolve = (Eval.const_env env.Eval.dialect).Eval.resolve } e with
-    | Ok v -> Some v
-    | Error _ -> None
+    match Eval.compile env e () with Ok v -> Some v | Error _ -> None
   else None
 
 (* Is [e] a bare reference to [column] (possibly qualified)? *)

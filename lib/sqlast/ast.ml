@@ -392,6 +392,65 @@ let rec map_query f q =
           sel_order_by = List.map (fun (x, d) -> (e x, d)) s.sel_order_by;
         }
 
+(* [map_expr f] over every expression of a statement: column defaults and
+   CHECKs, index keys and predicates, VALUES rows, SET and WHERE, and
+   queries. *)
+let map_stmt f stmt =
+  let e = map_expr f and q = map_query f in
+  let column c =
+    {
+      c with
+      col_constraints =
+        List.map
+          (function
+            | C_default x -> C_default (e x)
+            | C_check x -> C_check (e x)
+            | (C_primary_key | C_unique | C_not_null) as k -> k)
+          c.col_constraints;
+    }
+  in
+  match stmt with
+  | Create_table ct ->
+      Create_table
+        {
+          ct with
+          ct_columns = List.map column ct.ct_columns;
+          ct_constraints =
+            List.map
+              (function
+                | T_check x -> T_check (e x)
+                | (T_primary_key _ | T_unique _) as k -> k)
+              ct.ct_constraints;
+        }
+  | Alter_table { table; action = Add_column c } ->
+      Alter_table { table; action = Add_column (column c) }
+  | Create_index ci ->
+      Create_index
+        {
+          ci with
+          ci_columns =
+            List.map (fun ic -> { ic with ic_expr = e ic.ic_expr }) ci.ci_columns;
+          ci_where = Option.map e ci.ci_where;
+        }
+  | Create_view v -> Create_view { v with query = q v.query }
+  | Insert i -> Insert { i with rows = List.map (List.map e) i.rows }
+  | Update u ->
+      Update
+        {
+          u with
+          assignments = List.map (fun (c, x) -> (c, e x)) u.assignments;
+          where = Option.map e u.where;
+        }
+  | Delete d -> Delete { d with where = Option.map e d.where }
+  | Select_stmt x -> Select_stmt (q x)
+  | Explain x -> Explain (q x)
+  | Explain_analyze x -> Explain_analyze (q x)
+  | Alter_table _ | Drop_table _ | Drop_index _ | Reindex _ | Drop_view _
+  | Vacuum _ | Analyze _ | Check_table _ | Repair_table _ | Set_option _
+  | Pragma _ | Create_statistics _ | Discard_all | Begin_txn | Commit_txn
+  | Rollback_txn ->
+      stmt
+
 (* All aggregate sub-expressions, outermost first, deduplicated. *)
 let collect_aggs e =
   let aggs =

@@ -6,13 +6,15 @@
      aggregates), [SELECT * FROM t0 WHERE e] returns exactly the rows
      the PQS oracle interpreter ([Pqs.Interp], which shares no
      evaluation code with the engine) judges TRUE, [SELECT e FROM t0]
-     projects the values it computes, and [SELECT e ... WHERE e ORDER BY
-     e DESC] returns those values on the TRUE rows in descending order,
-     in every dialect;
+     projects the values it computes, [SELECT e ... WHERE e ORDER BY e
+     DESC] returns those values on the TRUE rows in descending order,
+     and [DELETE FROM t0 WHERE e] (the write path) leaves exactly the
+     rows it does not judge TRUE, in every dialect;
    - every expression-level injected bug is visible through the
      executor: its witness query disagrees with the interpreter;
-   - coverage parity: a compiled expression fires the identical coverage
-     points, with identical multiplicity, as [Eval.eval] on each row;
+   - coverage parity: a compiled expression fires exactly the coverage
+     points, with their multiplicity, of a golden table captured from the
+     AST-walking evaluator the compiled one replaced;
    - 1,000-seed equivalence sweep: on generated databases (indexes
      included) filtered scans return exactly the interpreter's TRUE rows,
      and DISTINCT, ORDER BY, ORDER BY + LIMIT/OFFSET, UNION, INTERSECT
@@ -375,11 +377,43 @@ let ordered_agrees session e =
         Error (Printf.sprintf "not sorted descending: [%s]" (show got))
       else Ok ()
 
+(* [DELETE FROM t0 WHERE e] on a fresh fixture leaves exactly the rows
+   the interpreter does not judge TRUE, ignoring rows it cannot evaluate
+   (and every copy of them); an engine error needs an interpreter
+   failure on some row *)
+let delete_agrees dialect e =
+  let session = fixture dialect in
+  let vs = verdicts session "t0" e in
+  let uncomputable =
+    List.filter_map (function r, Error _ -> Some r | _, Ok _ -> None) vs
+  in
+  let keep r = not (List.exists (fun u -> Stdlib.compare u r = 0) uncomputable) in
+  let expected =
+    List.filter_map
+      (function
+        | _, Ok Tvl.True -> None | r, _ -> if keep r then Some r else None)
+      vs
+  in
+  match
+    Engine.Session.execute session (A.Delete { table = "t0"; where = Some e })
+  with
+  | Error err ->
+      if uncomputable <> [] then Ok ()
+      else Error ("engine error: " ^ Engine.Errors.show err)
+  | Ok _ ->
+      let got = List.filter keep (Pqs.Schema_info.rows_of_table session "t0") in
+      if sorted got = sorted expected then Ok ()
+      else
+        Error
+          (Printf.sprintf "engine kept [%s], interpreter non-TRUE rows [%s]"
+             (show_rows got) (show_rows expected))
+
 let test_expr_battery dialect () =
   let session = fixture dialect in
   List.iter
     (fun (label, e) ->
       fail_on (label ^ " as WHERE") (where_agrees session "t0" e);
+      fail_on (label ^ " as DELETE WHERE") (delete_agrees dialect e);
       if not (A.has_agg e) then begin
         fail_on (label ^ " as projection") (projection_agrees session e);
         fail_on (label ^ " as ORDER BY") (ordered_agrees session e)
@@ -446,17 +480,106 @@ let test_bug_exprs () =
 
 (* ---------- coverage parity ---------- *)
 
-(* [SELECT e FROM t0] fires the points of [SELECT 1 FROM t0] plus, per
-   row up to the first failing one, exactly those of [Eval.eval] *)
+(* The coverage points each battery expression fires on the sqlite
+   fixture, summed over its rows up to the first one it fails on.  The
+   frontier guides generation on this per-expression stream; the table
+   was captured from the AST-walking evaluator the compiled one
+   replaced, so it pins the stream across that change. *)
+let coverage_golden =
+  [
+    ("lit-int", []);
+    ("lit-null", []);
+    ("lit-real", []);
+    ("col", []);
+    ("col-qualified", []);
+    ("col-missing", []);
+    ("col-qualified-missing-table", []);
+    ("unary-not", [("binop.gt", 5); ("unop.not", 5)]);
+    ("unary-not-not", [("binop.gt", 5); ("unop.not", 10)]);
+    ("unary-neg", [("unop.neg", 5)]);
+    ("unary-neg-text", [("unop.neg", 5)]);
+    ("unary-pos", [("unop.pos", 5)]);
+    ("unary-bitnot", [("unop.bit_not", 5)]);
+    ("and", [("binop.gt", 5); ("binop.and", 5); ("pred.is", 4)]);
+    ("and-shortcircuit", [("binop.gt", 5); ("binop.and", 5)]);
+    ("or", [("binop.lt", 5); ("binop.or", 5); ("pred.is", 4)]);
+    ("or-shortcircuit", [("binop.lt", 5); ("binop.or", 5)]);
+    ("concat", [("binop.concat", 5)]);
+    ("concat-null", [("binop.concat", 5)]);
+    ("eq", [("binop.eq", 5)]);
+    ("eq-nocase", [("binop.eq", 5)]);
+    ("neq", [("binop.neq", 5)]);
+    ("lt", [("binop.lt", 5)]);
+    ("le", [("binop.le", 5)]);
+    ("gt", [("binop.gt", 5)]);
+    ("ge", [("binop.ge", 5)]);
+    ("eq-affinity", [("binop.eq", 5)]);
+    ("add", [("binop.add", 5)]);
+    ("sub", [("binop.sub", 5)]);
+    ("mul", [("binop.mul", 5)]);
+    ("div", [("binop.div", 5)]);
+    ("div-zero", [("binop.div", 5)]);
+    ("rem", [("binop.rem", 5)]);
+    ("bit-and", [("binop.bit_and", 5)]);
+    ("bit-or", [("binop.bit_or", 5)]);
+    ("shl", [("binop.shl", 5)]);
+    ("shr", [("binop.shr", 5)]);
+    ("is-null", [("pred.is", 5)]);
+    ("is-not-null", [("pred.is", 5)]);
+    ("is-true", [("pred.is", 5)]);
+    ("is-not-false", [("pred.is", 5)]);
+    ("is-expr", [("pred.is", 5)]);
+    ("is-distinct-from", [("pred.is", 1)]);
+    ("between", [("pred.between", 5)]);
+    ("not-between", [("pred.between", 5)]);
+    ("in", [("pred.in", 5)]);
+    ("in-with-null", [("pred.in", 5)]);
+    ("in-empty", [("pred.in", 5)]);
+    ("not-in", [("pred.in", 5)]);
+    ("like", [("pred.like", 5)]);
+    ("like-escape", [("pred.like", 5)]);
+    ("not-like", [("pred.like", 5)]);
+    ("like-bad-escape", [("pred.like", 1)]);
+    ("glob", [("pred.glob", 5)]);
+    ("not-glob", [("pred.glob", 5)]);
+    ("cast-int", [("pred.cast", 5)]);
+    ("cast-unsigned", [("pred.cast", 5)]);
+    ("cast-text", [("pred.cast", 5)]);
+    ("cast-real", [("pred.cast", 5)]);
+    ("func-abs", [("func.abs", 5)]);
+    ("func-length", [("func.length", 5)]);
+    ("func-lower", [("func.lower", 5)]);
+    ("func-upper", [("func.upper", 5)]);
+    ("func-coalesce", [("func.coalesce", 5)]);
+    ("func-ifnull", [("func.ifnull", 5)]);
+    ("func-nullif", [("func.nullif", 5)]);
+    ("func-typeof", [("func.typeof", 5)]);
+    ("func-trim", [("func.trim", 5)]);
+    ("func-ltrim", [("func.ltrim", 5)]);
+    ("func-rtrim", [("func.rtrim", 5)]);
+    ("func-substr", [("func.substr", 5)]);
+    ("func-substr3", [("func.substr", 5)]);
+    ("func-replace", [("func.replace", 5)]);
+    ("func-instr", [("func.instr", 5)]);
+    ("func-hex", [("func.hex", 5)]);
+    ("func-round", [("func.round", 5)]);
+    ("func-sign", [("func.sign", 5)]);
+    ("func-quote", [("func.quote", 5)]);
+    ("func-least", [("func.least", 1)]);
+    ("func-wrong-arity", [("func.abs", 1)]);
+    ("case", [("binop.gt", 5); ("pred.is", 3); ("pred.case", 5)]);
+    ("case-operand", [("pred.case", 5)]);
+    ("case-no-else", [("pred.is", 5); ("pred.case", 5)]);
+    ("collate", [("binop.eq", 5)]);
+    ("nested", [("binop.le", 4); ("binop.and", 5); ("binop.or", 4); ("unop.not", 5); ("pred.is", 5); ("pred.in", 3)]);
+  ]
+
+(* [SELECT e FROM t0] fires the points of [SELECT 1 FROM t0] plus the
+   golden points of [e] *)
 let test_coverage_parity () =
   let session = fixture Dialect.Sqlite_like in
   let ctx = Engine.Session.ctx session in
-  let schema =
-    (Option.get
-       (Storage.Catalog.find_table (Engine.Session.catalog session) "t0"))
-      .Storage.Catalog.schema
-  in
-  let rows = Pqs.Schema_info.rows_of_table session "t0" in
+  let count hits p = Option.value ~default:0 (List.assoc_opt p hits) in
   let hits f =
     let cov = Engine.Coverage.create () in
     f { ctx with Ex.coverage = Some cov };
@@ -467,29 +590,24 @@ let test_coverage_parity () =
         | n -> Some (p, n))
       Engine.Coverage.static_universe
   in
-  let project ctx e =
+  let project e ctx =
     ignore
       (Engine.Compile.run_query ctx (select ~items:[ A.Sel_expr (e, Some "r") ] ()))
   in
+  let base = hits (project (i 1)) in
   List.iter
     (fun (label, e) ->
       if not (A.has_agg e) then
+        let golden = List.assoc label coverage_golden in
         Alcotest.(check (list (pair string int)))
           ("cov " ^ label)
-          (hits (fun ctx ->
-               project ctx (i 1);
-               let rec go = function
-                 | [] -> ()
-                 | row :: rest -> (
-                     let env =
-                       Ex.env_for ctx [ Ex.binding_of_table schema ~alias:"t0" row ]
-                     in
-                     match Engine.Eval.eval env e with
-                     | Ok _ -> go rest
-                     | Error _ -> ())
-               in
-               go rows))
-          (hits (fun ctx -> project ctx e)))
+          (List.filter_map
+             (fun p ->
+               match count base p + count golden p with
+               | 0 -> None
+               | n -> Some (p, n))
+             Engine.Coverage.static_universe)
+          (hits (project e)))
     expr_battery
 
 (* ---------- 1,000-seed equivalence sweep ---------- *)

@@ -1,10 +1,11 @@
 (* The lint sweep ([sqlancer lint], [make lint]; {!Pqs.Corpus.lint}):
 
    - acceptance: the containment queries the seed corpus draws run on
-     the bug-free engine without a Type_error, and each survives
-     printer→parser unchanged up to the parser's negated-literal fold.  A
-     finding is a generator or parser defect; replay and reduction
-     re-parse printed SQL, so the round trip is what they rely on;
+     the bug-free engine without a Type_error, and they and every
+     DDL/DML statement that built the corpus survive printer→parser
+     unchanged up to the parser's negated-literal fold.  A finding is a
+     generator or parser defect; replay and reduction re-parse printed
+     SQL, so the round trip is what they rely on;
    - diagnostics: the sweep is only as strong as the engine's own
      checks, so hand-written ill-typed SQL must draw the expected engine
      error, and well-typed controls must run. *)
@@ -72,8 +73,10 @@ let test_golden () =
         (Option.map Errors.show_code got))
     golden_cases
 
-let clean dialect ~queries () =
+let clean dialect ~statements ~queries () =
   let r = Pqs.Corpus.lint ~seed_lo:1 ~seed_hi:1000 dialect in
+  Alcotest.(check int)
+    "generated statements" statements r.Pqs.Corpus.lint_statements;
   Alcotest.(check int) "queries drawn" queries r.Pqs.Corpus.lint_queries;
   Alcotest.(check (list (pair int string)))
     "no type errors and no round-trip changes" [] r.Pqs.Corpus.lint_findings
@@ -86,10 +89,10 @@ let () =
       ( "acceptance",
         [
           Alcotest.test_case "sqlite seeds 1-1000" `Quick
-            (clean Dialect.Sqlite_like ~queries:2997);
+            (clean Dialect.Sqlite_like ~statements:7230 ~queries:2997);
           Alcotest.test_case "mysql seeds 1-1000" `Quick
-            (clean Dialect.Mysql_like ~queries:2997);
+            (clean Dialect.Mysql_like ~statements:7275 ~queries:2997);
           Alcotest.test_case "postgres seeds 1-1000" `Quick
-            (clean Dialect.Postgres_like ~queries:2994);
+            (clean Dialect.Postgres_like ~statements:7283 ~queries:2994);
         ] );
     ]

@@ -106,7 +106,7 @@ let enumerate_paths session name ~where =
       let schema = ts.Storage.Catalog.schema in
       let env =
         {
-          (Engine.Executor.planner_env (Engine.Session.ctx session) schema
+          (Engine.Executor.table_env (Engine.Session.ctx session) schema
              ~alias:name)
           with
           Engine.Eval.coverage = None;
