@@ -236,6 +236,12 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
       end;
       let outcomes = List.sort (fun a b -> compare a.seed b.seed) outcomes in
       let stats = Stats.merge_all (List.map (fun o -> o.round) outcomes) in
+      (* the merged frontier shares point strings and entries with the
+         rounds' frontiers, allocated all over the major heap during the
+         run; a caller that keeps these stats must not pin all of it *)
+      let stats =
+        { stats with Stats.frontier = Frontier.copy stats.Stats.frontier }
+      in
       let dialect = config.Runner.Config.dialect in
       let t = { stats; outcomes; domains; elapsed; dialect } in
       let universe = Gen_bias.universe dialect in

@@ -9,34 +9,116 @@ let cov (ctx : Executor.ctx) point =
 let err code fmt = Errors.makef code fmt
 
 (* ------------------------------------------------------------------ *)
-(* Row expressions over a single table                                  *)
+(* Write plans                                                          *)
 
-(* One statement's compiled view of a table's stored expressions: CHECKs,
-   index keys and partial-index predicates compile against the table's
-   columns the first time the statement needs them, then run on the row
-   in slot 0 of the env's tuple ([set_row]; [index_key] and
-   [index_entry] place their row themselves). *)
-type row_exprs = {
-  env : Eval.env;
-  checks : Eval.thunk list Lazy.t;
-  mutable indexes :
-    (Storage.Index.t * (Eval.thunk list * Eval.thunk option)) list;
+(* A table's compiled row expressions, kept on its catalog entry across
+   statements: CHECKs, index keys and partial-index predicates compile
+   against the table's columns on first use, then run on the row in slot
+   0 of the env's tuple.  The plan is rebuilt when the table's schema
+   version, the LIKE pragma (compiled LIKE closures capture it) or the
+   coverage instrument changes; dialect and bugs are fixed per session,
+   like the catalog itself. *)
+type index_plan = {
+  ix : Storage.Index.t;
+  slot : int;
+  compiled : (Eval.thunk array * Eval.thunk option) Lazy.t;
 }
 
-let row_exprs ctx (schema : Storage.Schema.table) =
-  let env =
-    Executor.table_env ctx schema ~alias:schema.Storage.Schema.table_name
-  in
-  {
-    env;
-    checks = lazy (List.map (Eval.compile env) schema.Storage.Schema.checks);
-    indexes = [];
-  }
+type plan = {
+  env : Eval.env;
+  version : int;
+  checks : Eval.thunk list Lazy.t;
+  indexes : index_plan list;
+}
 
-let set_row rx values = !(rx.env.Eval.cur).(0) <- values
+type Storage.Catalog.compiled += Plan of plan
+
+let compile_index env slot (ix : Storage.Index.t) =
+  let key (ic : A.indexed_column) = Eval.compile env ic.A.ic_expr in
+  let keys () = Array.of_list (List.map key ix.Storage.Index.definition) in
+  let where () = Option.map (Eval.compile env) ix.Storage.Index.where in
+  { ix; slot; compiled = lazy (keys (), where ()) }
+
+let plan ctx (ts : Storage.Catalog.table_state) =
+  let schema = ts.Storage.Catalog.schema in
+  match ts.Storage.Catalog.compiled with
+  | Plan p
+    when p.version = schema.Storage.Schema.version
+         && p.env.Eval.case_sensitive_like
+            = Options.case_sensitive_like ctx.Executor.options
+         && p.env.Eval.coverage == ctx.Executor.coverage ->
+      p
+  | _ ->
+      let env =
+        Executor.table_env ctx schema ~alias:schema.Storage.Schema.table_name
+      in
+      let checks = schema.Storage.Schema.checks in
+      let p =
+        {
+          env;
+          version = schema.Storage.Schema.version;
+          checks = lazy (List.map (Eval.compile env) checks);
+          indexes =
+            List.mapi (compile_index env)
+              (Storage.Catalog.indexes_on ctx.Executor.catalog
+                 schema.Storage.Schema.table_name);
+        }
+      in
+      ts.Storage.Catalog.compiled <- Plan p;
+      p
+
+let set_row p values = !(p.env.Eval.cur).(0) <- values
+
+(* Is [pred], compiled against the plan's env, TRUE on the row last set? *)
+let holds p pred =
+  match Eval.truth p.env pred with
+  | Ok Tvl.True -> Ok true
+  | Ok (Tvl.False | Tvl.Unknown) -> Ok false
+  | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Index key computation                                                *)
+(* Index entries                                                        *)
+
+type entry = Pending | Absent | Key of Value.t array | Failed of Errors.t
+
+let eval_entry p ip values =
+  set_row p values;
+  let keys, where = Lazy.force ip.compiled in
+  let run_key () =
+    let key = Array.make (Array.length keys) Value.Null in
+    let rec go i =
+      if i = Array.length keys then Key key
+      else
+        match keys.(i) () with
+        | Ok v ->
+            key.(i) <- v;
+            go (i + 1)
+        | Error e -> Failed e
+    in
+    go 0
+  in
+  match where with
+  | None -> run_key ()
+  | Some pred -> (
+      match holds p pred with
+      | Ok true -> run_key ()
+      | Ok false -> Absent
+      | Error e -> Failed e)
+
+(* One row's entries under every index of its plan, each evaluated at
+   most once, on first use. *)
+type row_entries = { plan : plan; row : Storage.Row.t; memo : entry array }
+
+let row_entries p row =
+  { plan = p; row; memo = Array.make (List.length p.indexes) Pending }
+
+let entry m ip =
+  match m.memo.(ip.slot) with
+  | Pending ->
+      let e = eval_entry m.plan ip m.row.Storage.Row.values in
+      m.memo.(ip.slot) <- e;
+      e
+  | e -> e
 
 let resolved_collations (schema : Storage.Schema.table)
     (definition : A.indexed_column list) : Collation.t array =
@@ -54,60 +136,24 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
-let compiled_index rx (ix : Storage.Index.t) =
-  match List.assq_opt ix rx.indexes with
-  | Some c -> c
-  | None ->
-      let c =
-        ( List.map
-            (fun (ic : A.indexed_column) -> Eval.compile rx.env ic.A.ic_expr)
-            ix.Storage.Index.definition,
-          Option.map (Eval.compile rx.env) ix.Storage.Index.where )
-      in
-      rx.indexes <- (ix, c) :: rx.indexes;
-      c
-
-let run_key keys =
-  let key = Array.make (List.length keys) Value.Null in
-  let rec go i = function
-    | [] -> Ok key
-    | (t : Eval.thunk) :: rest ->
-        let* v = t () in
-        key.(i) <- v;
-        go (i + 1) rest
-  in
-  go 0 keys
-
-let index_key rx ix values =
-  set_row rx values;
-  run_key (fst (compiled_index rx ix))
-
-let index_entry rx ix values =
-  set_row rx values;
-  let keys, where = compiled_index rx ix in
-  let* included =
-    match where with
-    | None -> Ok true
-    | Some pred -> (
-        match Eval.truth rx.env pred with
-        | Ok Tvl.True -> Ok true
-        | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-        | Error e -> Error e)
-  in
-  if included then Result.map Option.some (run_key keys) else Ok None
-
 let build_index_entries ctx (ts : Storage.Catalog.table_state)
     (ix : Storage.Index.t) : (unit, Errors.t) result =
   Storage.Index.clear ix;
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
-  let rx = row_exprs ctx ts.Storage.Catalog.schema in
+  let p = plan ctx ts in
+  (* a new index is not in the plan yet *)
+  let ip =
+    match List.find_opt (fun ip -> ip.ix == ix) p.indexes with
+    | Some ip -> ip
+    | None -> compile_index p.env (-1) ix
+  in
   let rec go = function
     | [] -> Ok ()
     | (row : Storage.Row.t) :: rest -> (
-        let* entry = index_entry rx ix row.Storage.Row.values in
-        match entry with
-        | None -> go rest
-        | Some key ->
+        match eval_entry p ip row.Storage.Row.values with
+        | Pending | Absent -> go rest
+        | Failed e -> Error e
+        | Key key ->
             let conflicts =
               Storage.Index.unique_conflicts ix ~key
                 ~rowid:row.Storage.Row.rowid
@@ -433,6 +479,8 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
   | None -> Error (err Errors.No_such_table "no such table: %s" name)
   | Some ts -> (
       let schema = ts.Storage.Catalog.schema in
+      (* every action changes what the table's write plan compiles *)
+      Storage.Schema.bump_version schema;
       match action with
       | A.Rename_table new_name ->
           cov ctx "ddl.alter_rename_table";

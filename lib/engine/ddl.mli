@@ -26,20 +26,53 @@ val create_view :
 val drop_view :
   Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
 
-(** One statement's compiled row expressions over a table: its CHECKs,
-    and the keys and partial-index predicates of its indexes, each
-    compiled on first use and run on the row last given. *)
-type row_exprs = {
-  env : Eval.env;  (** {!Executor.table_env} under the table's name *)
-  checks : Eval.thunk list Lazy.t;
-  mutable indexes :
-    (Storage.Index.t * (Eval.thunk list * Eval.thunk option)) list;
+(** A table's write plan: its row expressions compiled once per schema
+    version and kept on its catalog entry.  CHECKs, index keys and
+    partial-index predicates compile on first use and run on the row last
+    placed in the env's tuple. *)
+type index_plan = {
+  ix : Storage.Index.t;
+  slot : int;  (** position in [plan.indexes] and in a row's entry memo *)
+  compiled : (Eval.thunk array * Eval.thunk option) Lazy.t;
+      (** key columns and partial-index predicate *)
 }
 
-val row_exprs : Executor.ctx -> Storage.Schema.table -> row_exprs
+type plan = {
+  env : Eval.env;  (** {!Executor.table_env} under the table's name *)
+  version : int;  (** the {!Storage.Schema.version} compiled *)
+  checks : Eval.thunk list Lazy.t;
+  indexes : index_plan list;  (** the table's indexes, catalog order *)
+}
 
-(** Place a row's values in the env's tuple, for the CHECK thunks. *)
-val set_row : row_exprs -> Sqlval.Value.t array -> unit
+(** The table's current plan: the cached one while its schema version,
+    the LIKE pragma and the coverage instrument are unchanged, else a new
+    one (cached in turn). *)
+val plan : Executor.ctx -> Storage.Catalog.table_state -> plan
+
+(** Place a row's values in the env's tuple, for CHECK and WHERE thunks. *)
+val set_row : plan -> Sqlval.Value.t array -> unit
+
+(** Is a predicate compiled against the plan's env TRUE on that row? *)
+val holds : plan -> Eval.thunk -> (bool, Errors.t) result
+
+(** A row's entry under one index.  [Absent]: the row fails the partial
+    predicate; [Failed]: a key or predicate failed to evaluate (e.g.
+    overflow in an expression index); [Pending] only inside a memo. *)
+type entry =
+  | Pending
+  | Absent
+  | Key of Sqlval.Value.t array
+  | Failed of Errors.t
+
+(** One row's entries under every index of a plan, evaluated lazily and
+    at most once each, so a unique check and the attach or detach that
+    follows share them. *)
+type row_entries = { plan : plan; row : Storage.Row.t; memo : entry array }
+
+val row_entries : plan -> Storage.Row.t -> row_entries
+
+(** The row's entry under an index of its plan (never [Pending]). *)
+val entry : row_entries -> index_plan -> entry
 
 (** Build (or rebuild) the entries of one index from its table's rows;
     shared with REINDEX/VACUUM.  Reports a UNIQUE violation when the
@@ -49,20 +82,3 @@ val build_index_entries :
   Storage.Catalog.table_state ->
   Storage.Index.t ->
   (unit, Errors.t) result
-
-(** The key tuple of [index] for a row's values, evaluating expression
-    index columns with the compiled evaluator; [Error] surfaces
-    evaluation failures (e.g. overflow in an expression index). *)
-val index_key :
-  row_exprs ->
-  Storage.Index.t ->
-  Sqlval.Value.t array ->
-  (Sqlval.Value.t array, Errors.t) result
-
-(** {!index_key} when the row satisfies the index's partial predicate
-    (trivially so for total indexes), [None] when it does not. *)
-val index_entry :
-  row_exprs ->
-  Storage.Index.t ->
-  Sqlval.Value.t array ->
-  (Sqlval.Value.t array option, Errors.t) result

@@ -24,47 +24,48 @@ let indexes_of ctx (ts : Storage.Catalog.table_state) =
   Storage.Catalog.indexes_on ctx.Executor.catalog
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
-(* Apply [f] to each of [indexes] holding an entry for the row, with the
+(* Apply [f] to each of [ips] holding an entry for the row, with the
    entry's key; stops at the first key that fails to evaluate. *)
-let iter_entries rx indexes (row : Storage.Row.t) f =
+let iter_entries m ips f =
   let rec go = function
     | [] -> Ok ()
-    | ix :: rest -> (
-        let* entry = Ddl.index_entry rx ix row.Storage.Row.values in
-        match entry with
-        | Some key ->
-            f ix key;
+    | (ip : Ddl.index_plan) :: rest -> (
+        match Ddl.entry m ip with
+        | Ddl.Key key ->
+            f ip.Ddl.ix key;
             go rest
-        | None -> go rest)
+        | Ddl.Absent | Ddl.Pending -> go rest
+        | Ddl.Failed e -> Error e)
   in
-  go indexes
+  go ips
 
-let add_to rx indexes (row : Storage.Row.t) =
-  iter_entries rx indexes row (fun ix key ->
-      Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid)
+let attach m ips =
+  let rowid = m.Ddl.row.Storage.Row.rowid in
+  iter_entries m ips (fun ix key -> Storage.Index.add ix ~key ~rowid)
 
-let remove_from rx indexes (row : Storage.Row.t) =
-  iter_entries rx indexes row (fun ix key ->
-      ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid))
+(* Undoing a failed [attach] over the same [ips] detaches exactly the
+   entries it added: it stops at the same memoized failure. *)
+let detach m ips =
+  let rowid = m.Ddl.row.Storage.Row.rowid in
+  iter_entries m ips (fun ix key ->
+      ignore (Storage.Index.remove ix ~key ~rowid))
 
-let add_row_to_indexes ctx rx ts row = add_to rx (indexes_of ctx ts) row
-
-let remove_row ctx rx ts (row : Storage.Row.t) =
-  let* () = remove_from rx (indexes_of ctx ts) row in
+let remove_row p ts (row : Storage.Row.t) =
+  let* () = detach (Ddl.row_entries p row) p.Ddl.indexes in
   Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
   Ok ()
 
-(* rollback helper: undo a partially indexed row without reporting further
-   errors (used when index-key evaluation fails mid-insert/update, keeping
-   statements atomic like a real engine) *)
-let best_effort_unindex ctx rx ts (row : Storage.Row.t) =
-  List.iter
-    (fun ix ->
-      match Ddl.index_key rx ix row.Storage.Row.values with
-      | Ok key ->
-          ignore (Storage.Index.remove ix ~key ~rowid:row.Storage.Row.rowid)
-      | Error _ -> ())
-    (indexes_of ctx ts)
+(* OR REPLACE: remove every row the candidate conflicts with *)
+let remove_victims p ts conflicts =
+  List.concat_map snd conflicts
+  |> List.sort_uniq Int64.compare
+  |> List.fold_left
+       (fun acc id ->
+         let* () = acc in
+         match Storage.Heap.find ts.Storage.Catalog.heap id with
+         | Some victim -> remove_row p ts victim
+         | None -> Ok ())
+       (Ok ())
 
 (* The implicit primary-key index is the first autoindex over the PK
    columns; used by the Listing 4 injection. *)
@@ -83,106 +84,93 @@ let pk_index ctx (ts : Storage.Catalog.table_state) =
                 ix.Storage.Index.definition
               = List.map String.lowercase_ascii schema.Storage.Schema.primary_key)
 
+(* Listing 4 injection: [ix] is the primary-key index of a sqlite WITHOUT
+   ROWID table ... *)
+let buggy_pk_index ctx (ts : Storage.Catalog.table_state) ix =
+  ts.Storage.Catalog.schema.Storage.Schema.without_rowid
+  && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+  && bug ctx Bug.Sq_nocase_unique_pk_collapse
+  && Option.fold ~none:false
+       ~some:(fun pk -> pk.Storage.Index.index_name = ix.Storage.Index.index_name)
+       (pk_index ctx ts)
+
+(* ... whose PK column also carries a NOCASE index: the PK probe folds
+   case *)
+let nocase_pk_collapse ctx ts ix =
+  buggy_pk_index ctx ts ix
+  && List.exists
+       (fun other ->
+         other.Storage.Index.index_name <> ix.Storage.Index.index_name
+         && Array.exists
+              (fun c -> Collation.equal c Collation.Nocase)
+              other.Storage.Index.collations)
+       (indexes_of ctx ts)
+
 (* Conflicting rowids for a candidate row across all unique indexes;
    returns (index, conflicting rowids) pairs. *)
-let unique_conflicts_for ctx rx ts (row : Storage.Row.t) =
-  let schema = ts.Storage.Catalog.schema in
+let unique_conflicts_for ctx ts m =
+  let rowid = m.Ddl.row.Storage.Row.rowid in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | ix :: rest -> (
+    | (ip : Ddl.index_plan) :: rest -> (
+        let ix = ip.Ddl.ix in
         if not ix.Storage.Index.unique then go acc rest
         else
-          let* entry = Ddl.index_entry rx ix row.Storage.Row.values in
-          match entry with
-          | None -> go acc rest
-          | Some key ->
-            (* Listing 4 injection: on a WITHOUT ROWID table whose PK
-               column also carries a NOCASE index, the PK probe folds
-               case *)
-            let key =
-              let is_pk_ix () =
-                match pk_index ctx ts with
-                | Some pk -> pk.Storage.Index.index_name = ix.Storage.Index.index_name
-                | None -> false
+          match Ddl.entry m ip with
+          | Ddl.Absent | Ddl.Pending -> go acc rest
+          | Ddl.Failed e -> Error e
+          | Ddl.Key key ->
+              let collapse = nocase_pk_collapse ctx ts ix in
+              let key =
+                if collapse then
+                  Array.map
+                    (fun v ->
+                      match v with
+                      | Value.Text s ->
+                          Value.Text (Collation.key Collation.Nocase s)
+                      | _ -> v)
+                    key
+                else key
               in
-              if
-                schema.Storage.Schema.without_rowid
-                && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-                && bug ctx Bug.Sq_nocase_unique_pk_collapse
-                && is_pk_ix ()
-                &&
-                (* another index on the same leading column uses NOCASE *)
-                List.exists
-                  (fun other ->
-                    other.Storage.Index.index_name
-                    <> ix.Storage.Index.index_name
-                    && Array.exists
-                         (fun c -> Collation.equal c Collation.Nocase)
-                         other.Storage.Index.collations)
-                  (indexes_of ctx ts)
-              then
-                Array.map
-                  (fun v ->
-                    match v with
-                    | Value.Text s ->
-                        Value.Text (Collation.key Collation.Nocase s)
-                    | _ -> v)
-                  key
-              else key
-            in
-            let conflicts =
-              Storage.Index.find_rowids ix key
-              |> List.filter (fun id -> not (Int64.equal id row.Storage.Row.rowid))
-            in
-            let conflicts =
-              if Array.exists Value.is_null key then [] else conflicts
-            in
-            (* the buggy folded key may not hit the binary index entries:
-               probe under NOCASE manually *)
-            let conflicts =
-              if conflicts = [] && Array.exists
-                   (fun v -> match v with Value.Text _ -> true | _ -> false)
-                   key
-                 && schema.Storage.Schema.without_rowid
-                 && bug ctx Bug.Sq_nocase_unique_pk_collapse
-                 && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-                 && (match pk_index ctx ts with
-                    | Some pk ->
-                        pk.Storage.Index.index_name
-                        = ix.Storage.Index.index_name
-                    | None -> false)
-                 && List.exists
-                      (fun other ->
-                        other.Storage.Index.index_name
-                        <> ix.Storage.Index.index_name
-                        && Array.exists
-                             (fun c -> Collation.equal c Collation.Nocase)
-                             other.Storage.Index.collations)
-                      (indexes_of ctx ts)
-              then begin
-                let acc = ref [] in
-                Storage.Index.iter
-                  (fun k rowid ->
-                    if
-                      (not (Int64.equal rowid row.Storage.Row.rowid))
-                      && Array.length k = Array.length key
-                      && Array.for_all2
-                           (fun a b ->
-                             match (a, b) with
-                             | Value.Text x, Value.Text y ->
-                                 Collation.equal_under Collation.Nocase x y
-                             | _ -> Value.equal a b)
-                           k key
-                    then acc := rowid :: !acc)
-                  ix;
-                !acc
-              end
-              else conflicts
-            in
-            if conflicts = [] then go acc rest
-            else go ((ix, conflicts) :: acc) rest)
+              let conflicts =
+                Storage.Index.find_rowids ix key
+                |> List.filter (fun id -> not (Int64.equal id rowid))
+              in
+              let conflicts =
+                if Array.exists Value.is_null key then [] else conflicts
+              in
+              (* the buggy folded key may not hit the binary index
+                 entries: probe under NOCASE manually *)
+              let conflicts =
+                if
+                  conflicts = [] && collapse
+                  && Array.exists
+                       (function Value.Text _ -> true | _ -> false)
+                       key
+                then begin
+                  let acc = ref [] in
+                  Storage.Index.iter
+                    (fun k id ->
+                      if
+                        (not (Int64.equal id rowid))
+                        && Array.length k = Array.length key
+                        && Array.for_all2
+                             (fun a b ->
+                               match (a, b) with
+                               | Value.Text x, Value.Text y ->
+                                   Collation.equal_under Collation.Nocase x y
+                               | _ -> Value.equal a b)
+                             k key
+                      then acc := id :: !acc)
+                    ix;
+                  !acc
+                end
+                else conflicts
+              in
+              if conflicts = [] then go acc rest
+              else go ((ix, conflicts) :: acc) rest)
   in
-  go [] (indexes_of ctx ts)
+  go [] m.Ddl.plan.Ddl.indexes
 
 let unique_error (ts : Storage.Catalog.table_state) (ix : Storage.Index.t) =
   let col =
@@ -215,7 +203,7 @@ let not_null_check (ctx : Executor.ctx) (schema : Storage.Schema.table) values
 (* CHECK constraint enforcement: a check passes when it evaluates TRUE or
    NULL (SQL semantics); the sqlite pragma ignore_check_constraints skips
    enforcement entirely. *)
-let check_constraints (ctx : Executor.ctx) (rx : Ddl.row_exprs)
+let check_constraints (ctx : Executor.ctx) (p : Ddl.plan)
     (schema : Storage.Schema.table) values =
   let skip =
     Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
@@ -224,11 +212,11 @@ let check_constraints (ctx : Executor.ctx) (rx : Ddl.row_exprs)
   if skip || schema.Storage.Schema.checks = [] then Ok ()
   else begin
     cov ctx "dml.check_constraint";
-    Ddl.set_row rx values;
+    Ddl.set_row p values;
     let rec go = function
       | [] -> Ok ()
       | check :: rest -> (
-          match Eval.truth rx.Ddl.env check with
+          match Eval.truth p.Ddl.env check with
           | Ok (Tvl.True | Tvl.Unknown) -> go rest
           | Ok Tvl.False ->
               Error
@@ -236,7 +224,7 @@ let check_constraints (ctx : Executor.ctx) (rx : Ddl.row_exprs)
                    schema.Storage.Schema.table_name)
           | Error e -> Error e)
     in
-    go (Lazy.force rx.Ddl.checks)
+    go (Lazy.force p.Ddl.checks)
   end
 
 (* Coerce one value into its column, per dialect. *)
@@ -294,7 +282,8 @@ let insert ctx ~table ~columns ~rows ~action =
       go [] columns
   in
   let env = Executor.eval_env ctx in
-  let rx = Ddl.row_exprs ctx schema in
+  let p = Ddl.plan ctx ts in
+  let heap = ts.Storage.Catalog.heap in
   (* the defaults of the columns the statement leaves out *)
   let default_of =
     Array.mapi
@@ -388,7 +377,7 @@ let insert ctx ~table ~columns ~rows ~action =
       (* sqlite rowid alias: NULL primary key auto-assigns *)
       (match rowid_alias_column ctx schema with
       | Some i when Value.is_null values.(i) ->
-          values.(i) <- Value.Int ts.Storage.Catalog.heap.Storage.Heap.next_rowid
+          values.(i) <- Value.Int heap.Storage.Heap.next_rowid
       | _ -> ());
       let* () =
         match not_null_check ctx schema values with
@@ -397,7 +386,7 @@ let insert ctx ~table ~columns ~rows ~action =
         | Error e -> Error e
       in
       let* () =
-        match check_constraints ctx rx schema values with
+        match check_constraints ctx p schema values with
         | Ok () -> Ok ()
         | Error _ when action = A.On_conflict_ignore -> Ok ()
         | Error e -> Error e
@@ -405,67 +394,48 @@ let insert ctx ~table ~columns ~rows ~action =
       (* second chance for IGNORE: re-check and skip *)
       if
         Result.is_error (not_null_check ctx schema values)
-        || Result.is_error (check_constraints ctx rx schema values)
+        || Result.is_error (check_constraints ctx p schema values)
       then Ok false
       else begin
         let candidate =
-          Storage.Row.make
-            ~rowid:ts.Storage.Catalog.heap.Storage.Heap.next_rowid values
+          Storage.Row.make ~rowid:heap.Storage.Heap.next_rowid values
+        in
+        let m = Ddl.row_entries p candidate in
+        (* the heap gives the candidate's rowid to the next insert *)
+        let insert_row () =
+          ignore (Storage.Heap.insert heap values);
+          match attach m p.Ddl.indexes with
+          | Ok () -> Ok true
+          | Error e ->
+              (* atomicity: index-key evaluation failed, undo the row *)
+              ignore (detach m p.Ddl.indexes);
+              Storage.Heap.delete heap candidate.Storage.Row.rowid;
+              Error e
         in
         cov ctx "dml.unique_check";
-        let* conflicts = unique_conflicts_for ctx rx ts candidate in
+        let* conflicts = unique_conflicts_for ctx ts m in
         match (conflicts, action) with
-        | [], _ -> (
-            let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            match add_row_to_indexes ctx rx ts row with
-            | Ok () -> Ok true
-            | Error e ->
-                (* atomicity: index-key evaluation failed, undo the row *)
-                best_effort_unindex ctx rx ts row;
-                Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
-                Error e)
+        | [], _ -> insert_row ()
         | _ :: _, A.On_conflict_ignore -> Ok false
-        | (ix, _) :: _, A.On_conflict_abort
-          when schema.Storage.Schema.without_rowid
-               && bug ctx Bug.Sq_nocase_unique_pk_collapse
-               && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-               && Option.fold ~none:false
-                    ~some:(fun pk ->
-                      pk.Storage.Index.index_name = ix.Storage.Index.index_name)
-                    (pk_index ctx ts) ->
+        | (ix, _) :: _, A.On_conflict_abort when buggy_pk_index ctx ts ix ->
             (* Listing 4: the insert "succeeds" but the table's primary-key
                b-tree (the WITHOUT ROWID storage) keeps only the first,
                case-folded entry — so scans see one row while the heap (and
                the pivot-row selection) holds both *)
-            let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
+            ignore (Storage.Heap.insert heap values);
             let* () =
-              add_to rx
+              attach m
                 (List.filter
-                   (fun other ->
-                     other.Storage.Index.index_name
+                   (fun (other : Ddl.index_plan) ->
+                     other.Ddl.ix.Storage.Index.index_name
                      <> ix.Storage.Index.index_name)
-                   (indexes_of ctx ts))
-                row
+                   p.Ddl.indexes)
             in
             Ok true
         | (ix, _) :: _, A.On_conflict_abort -> Error (unique_error ts ix)
         | conflicts, _ ->
             (* OR REPLACE *)
-            let victim_ids =
-              List.concat_map snd conflicts |> List.sort_uniq Int64.compare
-            in
-            let* () =
-              let rec drop = function
-                | [] -> Ok ()
-                | id :: rest -> (
-                    match Storage.Heap.find ts.Storage.Catalog.heap id with
-                    | Some victim ->
-                        let* () = remove_row ctx rx ts victim in
-                        drop rest
-                    | None -> drop rest)
-              in
-              drop victim_ids
-            in
+            let* () = remove_victims p ts conflicts in
             (* Listing 10-style corruption: OR REPLACE resolving conflicts
                on two unique indexes at once *)
             if
@@ -476,13 +446,7 @@ let insert ctx ~table ~columns ~rows ~action =
             then
               Storage.Catalog.corrupt ctx.Executor.catalog
                 "database disk image is malformed";
-            let row = Storage.Heap.insert ts.Storage.Catalog.heap values in
-            (match add_row_to_indexes ctx rx ts row with
-            | Ok () -> Ok true
-            | Error e ->
-                best_effort_unindex ctx rx ts row;
-                Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
-                Error e)
+            insert_row ()
       end
     end
   in
@@ -554,26 +518,28 @@ let update ctx ~table ~assignments ~where ~action =
     in
     go [] assignments
   in
-  let rx = Ddl.row_exprs ctx schema in
-  let where = Option.map (Eval.compile rx.Ddl.env) where in
+  let p = Ddl.plan ctx ts in
+  let where = Option.map (Eval.compile p.Ddl.env) where in
   let targets =
-    List.map (fun (i, col, e) -> (i, col, Eval.compile rx.Ddl.env e)) targets
+    List.map (fun (i, col, e) -> (i, col, Eval.compile p.Ddl.env e)) targets
   in
-  let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
-  let skip_partial_maintenance =
-    Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-    && bug ctx Bug.Sq_partial_index_update_skip
+  let heap = ts.Storage.Catalog.heap in
+  let rows = Storage.Heap.to_list heap in
+  (* the buggy variant skips partial indexes entirely *)
+  let maintained =
+    if
+      Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+      && bug ctx Bug.Sq_partial_index_update_skip
+    then
+      List.filter
+        (fun (ip : Ddl.index_plan) -> not (Storage.Index.is_partial ip.Ddl.ix))
+        p.Ddl.indexes
+    else p.Ddl.indexes
   in
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
-    Ddl.set_row rx row.Storage.Row.values;
+    Ddl.set_row p row.Storage.Row.values;
     let* matches =
-      match where with
-      | None -> Ok true
-      | Some w -> (
-          match Eval.truth rx.Ddl.env w with
-          | Ok Tvl.True -> Ok true
-          | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-          | Error e -> Error e)
+      match where with None -> Ok true | Some w -> Ddl.holds p w
     in
     if not matches then Ok false
     else begin
@@ -598,63 +564,44 @@ let update ctx ~table ~assignments ~where ~action =
       let constraint_result =
         match not_null_check ctx schema new_values with
         | Error e -> Error e
-        | Ok () -> check_constraints ctx rx schema new_values
+        | Ok () -> check_constraints ctx p schema new_values
       in
       match (constraint_result, action) with
       | Error _, A.On_conflict_ignore -> Ok false (* keep the old row *)
       | Error e, (A.On_conflict_abort | A.On_conflict_replace) -> Error e
       | Ok (), _ ->
       let candidate = Storage.Row.make ~rowid:row.Storage.Row.rowid new_values in
+      let old_m = Ddl.row_entries p row in
+      let new_m = Ddl.row_entries p candidate in
       cov ctx "dml.unique_check";
       (* detach the old row from indexes first so self-conflicts don't
-         count; buggy variant skips partial indexes entirely *)
-      let maintained_indexes =
-        indexes_of ctx ts
-        |> List.filter (fun ix ->
-               not (skip_partial_maintenance && Storage.Index.is_partial ix))
-      in
-      let detach r = remove_from rx maintained_indexes r in
-      let attach r = add_to rx maintained_indexes r in
-      let* () = detach row in
-      let* conflicts = unique_conflicts_for ctx rx ts candidate in
+         count *)
+      let* () = detach old_m maintained in
+      let* conflicts = unique_conflicts_for ctx ts new_m in
       match (conflicts, action) with
       | [], _ -> (
           ignore
-            (Storage.Heap.insert_with_rowid ts.Storage.Catalog.heap
-               ~rowid:row.Storage.Row.rowid new_values);
-          match attach candidate with
+            (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
+               new_values);
+          match attach new_m maintained with
           | Ok () -> Ok true
           | Error e ->
               (* atomicity: restore the previous row version *)
-              best_effort_unindex ctx rx ts candidate;
+              ignore (detach new_m maintained);
               ignore
-                (Storage.Heap.insert_with_rowid ts.Storage.Catalog.heap
+                (Storage.Heap.insert_with_rowid heap
                    ~rowid:row.Storage.Row.rowid row.Storage.Row.values);
-              ignore (attach row);
+              ignore (attach old_m maintained);
               Error e)
       | _ :: _, A.On_conflict_ignore ->
           (* keep the old row *)
-          let* () = attach row in
+          let* () = attach old_m maintained in
           Ok false
       | (ix, _) :: _, A.On_conflict_abort ->
-          let* () = attach row in
+          let* () = attach old_m maintained in
           Error (unique_error ts ix)
       | conflicts, A.On_conflict_replace ->
-          let victim_ids =
-            List.concat_map snd conflicts |> List.sort_uniq Int64.compare
-          in
-          let* () =
-            let rec drop = function
-              | [] -> Ok ()
-              | id :: rest -> (
-                  match Storage.Heap.find ts.Storage.Catalog.heap id with
-                  | Some victim ->
-                      let* () = remove_row ctx rx ts victim in
-                      drop rest
-                  | None -> drop rest)
-            in
-            drop victim_ids
-          in
+          let* () = remove_victims p ts conflicts in
           (* Listing 10: UPDATE OR REPLACE over a REAL primary key corrupts
              the database *)
           (if
@@ -672,9 +619,9 @@ let update ctx ~table ~assignments ~where ~action =
              Storage.Catalog.corrupt ctx.Executor.catalog
                "database disk image is malformed");
           ignore
-            (Storage.Heap.insert_with_rowid ts.Storage.Catalog.heap
-               ~rowid:row.Storage.Row.rowid new_values);
-          let* () = attach candidate in
+            (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
+               new_values);
+          let* () = attach new_m maintained in
           Ok true
     end
   in
@@ -692,24 +639,18 @@ let update ctx ~table ~assignments ~where ~action =
 let delete ctx ~table ~where =
   cov ctx "dml.delete";
   let* ts = find_table ctx table in
-  let rx = Ddl.row_exprs ctx ts.Storage.Catalog.schema in
-  let where = Option.map (Eval.compile rx.Ddl.env) where in
+  let p = Ddl.plan ctx ts in
+  let where = Option.map (Eval.compile p.Ddl.env) where in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
   let rec go n = function
     | [] -> Ok n
     | (row : Storage.Row.t) :: rest ->
-        Ddl.set_row rx row.Storage.Row.values;
+        Ddl.set_row p row.Storage.Row.values;
         let* matches =
-          match where with
-          | None -> Ok true
-          | Some w -> (
-              match Eval.truth rx.Ddl.env w with
-              | Ok Tvl.True -> Ok true
-              | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-              | Error e -> Error e)
+          match where with None -> Ok true | Some w -> Ddl.holds p w
         in
         if matches then
-          let* () = remove_row ctx rx ts row in
+          let* () = remove_row p ts row in
           go (n + 1) rest
         else go n rest
   in

@@ -5,11 +5,6 @@
     table, or compound arm, naming the {!Planner.path} chosen for each
     single-table FROM clause. *)
 
-val from_lines :
-  Executor.ctx -> Sqlast.Ast.from_item -> where:Sqlast.Ast.expr option -> string list
-(** Plan lines for one FROM item under the given WHERE clause (the clause
-    is only consulted for plain single-table scans). *)
-
 val query_lines : Executor.ctx -> Sqlast.Ast.query -> string list
 (** Plan lines for a whole query, recursing into derived tables and
     compound arms. *)

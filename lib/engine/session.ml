@@ -22,7 +22,6 @@ type t = {
   profile : Executor.profile;
   rng : Random.State.t;
   mutable txn_snapshot : Storage.Catalog.snapshot option;
-  mutable stmt_count : int;
 }
 
 type exec_result =
@@ -62,14 +61,12 @@ let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
     profile = Executor.make_profile telemetry;
     rng = Random.State.make [| seed |];
     txn_snapshot = None;
-    stmt_count = 0;
   }
 
 let dialect t = t.dialect
 let catalog t = t.catalog
 let bugs t = t.bugs
 let options t = t.options
-let statements_executed t = t.stmt_count
 
 let ctx t : Executor.ctx =
   {
@@ -164,7 +161,6 @@ let stmt_kind_index = function
       7
 
 let execute_raw t (stmt : A.stmt) : (exec_result, Errors.t) result =
-  t.stmt_count <- t.stmt_count + 1;
   let c = ctx t in
   let* () =
     match Storage.Catalog.corruption t.catalog with

@@ -41,9 +41,6 @@ val bugs : t -> Bug.set
 val options : t -> Options.t
 val ctx : t -> Executor.ctx
 
-(** Number of statements executed so far (throughput accounting). *)
-val statements_executed : t -> int
-
 (** Execute one statement.  Logic errors come back as [Error]; the
     simulated SEGFAULT propagates as the {!Errors.Crash} exception, like a
     process crash would.  With an enabled telemetry registry each

@@ -53,12 +53,20 @@ struct
 
   let array_insert a i x =
     let n = Array.length a in
-    Array.init (n + 1) (fun j ->
-        if j < i then a.(j) else if j = i then x else a.(j - 1))
+    let b = Array.make (n + 1) x in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
 
   let array_remove a i =
     let n = Array.length a in
-    Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+    if n = 1 then [||]
+    else begin
+      let b = Array.make (n - 1) a.(0) in
+      Array.blit a 0 b 0 i;
+      Array.blit a (i + 1) b i (n - i - 1);
+      b
+    end
 
   (* first index whose entry is >= e *)
   let lower_bound entries e =
@@ -171,9 +179,38 @@ struct
     iter (fun k v -> acc := (k, v) :: !acc) t;
     List.rev !acc
 
+  (* The entries whose user key equals [key], in order, until [f] returns
+     true.  Visits and counts the same nodes as [range_walk] over the range
+     [key, key], at one comparison per entry examined: subtree [i] can hold
+     [key] iff [sep_{i-1} <= key <= sep_i], and the walk only moves right
+     past separators at or below [key], so the left bound always holds. *)
+  let equal_walk key f t =
+    let rec walk node =
+      let entries = node.entries in
+      let n = Array.length entries in
+      t.nodes_visited <- t.nodes_visited + 1;
+      t.entries_scanned <- t.entries_scanned + n;
+      let leaf = is_leaf node in
+      let rec go i =
+        if i = n then (not leaf) && walk node.children.(n)
+        else
+          let e = entries.(i) in
+          let c = Ord.compare e.ukey key in
+          ((not leaf) && c >= 0 && walk node.children.(i))
+          || (c = 0 && f e)
+          || (c <= 0 && go (i + 1))
+      in
+      go 0
+    in
+    ignore (walk t.root)
+
   let find_all t key =
     let acc = ref [] in
-    iter_range ~lo:(key, true) ~hi:(key, true) (fun _ v -> acc := v :: !acc) t;
+    equal_walk key
+      (fun e ->
+        acc := e.value :: !acc;
+        false)
+      t;
     List.rev !acc
 
   let mem t key = find_all t key <> []
@@ -303,12 +340,12 @@ struct
 
   let remove ~veq t key value =
     let target = ref None in
-    range_walk ~lo:(key, true) ~hi:(key, true)
+    equal_walk key
       (fun e ->
-        if veq e.value value then begin
-          target := Some e;
-          raise Exit
-        end)
+        veq e.value value
+        &&
+        (target := Some e;
+         true))
       t;
     match !target with
     | None -> false

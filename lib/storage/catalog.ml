@@ -7,7 +7,17 @@
    that touch the database report the dialect's "malformed database" error —
    the strongest signal of the paper's error oracle (Listing 10). *)
 
-type table_state = { schema : Schema.table; heap : Heap.t }
+(* What the engine compiles from a table (its write plan).  Storage only
+   carries it: the engine checks it against [Schema.version] before use,
+   and snapshots start without one. *)
+type compiled = ..
+type compiled += Not_compiled
+
+type table_state = {
+  schema : Schema.table;
+  heap : Heap.t;
+  mutable compiled : compiled;
+}
 
 type view = { view_name : string; view_query : Sqlast.Ast.query }
 
@@ -44,7 +54,7 @@ let find_table t name = List.assoc_opt (norm name) t.tables
 let table_exists t name = find_table t name <> None
 
 let add_table t (schema : Schema.table) =
-  let state = { schema; heap = Heap.create () } in
+  let state = { schema; heap = Heap.create (); compiled = Not_compiled } in
   t.tables <- t.tables @ [ (norm schema.Schema.table_name, state) ];
   state
 
@@ -75,14 +85,21 @@ let children_of t name =
 let find_index t name = List.assoc_opt (norm name) t.indexes
 let index_exists t name = find_index t name <> None
 
+(* the index set is part of a table's write plan *)
+let bump_table t name =
+  Option.iter (fun ts -> Schema.bump_version ts.schema) (find_table t name)
+
 let add_index t (ix : Index.t) =
-  t.indexes <- t.indexes @ [ (norm ix.Index.index_name, ix) ]
+  t.indexes <- t.indexes @ [ (norm ix.Index.index_name, ix) ];
+  bump_table t ix.Index.on_table
 
 let drop_index t name =
-  let key = norm name in
-  let existed = List.mem_assoc key t.indexes in
-  t.indexes <- List.remove_assoc key t.indexes;
-  existed
+  match find_index t name with
+  | None -> false
+  | Some ix ->
+      t.indexes <- List.remove_assoc (norm name) t.indexes;
+      bump_table t ix.Index.on_table;
+      true
 
 let indexes_on t table_name =
   List.filter_map
@@ -141,6 +158,7 @@ let snapshot t =
             {
               schema = Schema.copy_table ts.schema;
               heap = Heap.deep_copy ts.heap;
+              compiled = Not_compiled;
             } ))
         t.tables;
     snap_indexes = List.map (fun (k, ix) -> (k, Index.copy ix)) t.indexes;

@@ -9,7 +9,18 @@
     error — the strongest signal of the paper's error oracle
     (Listing 10). *)
 
-type table_state = { schema : Schema.table; heap : Heap.t }
+(** What the engine compiles from a table (its write plan).  Storage only
+    carries it; the engine checks it against [Schema.version] before use,
+    and snapshot copies start {!Not_compiled}. *)
+type compiled = ..
+
+type compiled += Not_compiled
+
+type table_state = {
+  schema : Schema.table;
+  heap : Heap.t;
+  mutable compiled : compiled;
+}
 type view = { view_name : string; view_query : Sqlast.Ast.query }
 
 type statistics = {
@@ -48,7 +59,9 @@ val children_of : t -> string -> string list
 
 val find_index : t -> string -> Index.t option
 val index_exists : t -> string -> bool
+(** Adding or dropping an index bumps its table's {!Schema.version}. *)
 val add_index : t -> Index.t -> unit
+
 val drop_index : t -> string -> bool
 val indexes_on : t -> string -> Index.t list
 val index_names : t -> string list

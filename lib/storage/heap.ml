@@ -1,6 +1,8 @@
 (* Table heap: rowid-addressed row storage.  Scan order is rowid order, as
-   in a rowid table.  Sized for PQS workloads (tens of rows, paper
-   Section 3.4), so simplicity beats asymptotics. *)
+   in a rowid table.  Rows live in a hash table; the sorted rowid order is
+   cached, because scans outnumber the writes that change it: overwriting
+   an existing rowid (UPDATE's in-place rewrite) keeps it, and only a new
+   rowid, a delete or a clear drops it. *)
 
 type t = {
   mutable rows : (int64, Row.t) Hashtbl.t;
@@ -11,6 +13,7 @@ type t = {
   (* point fetches by rowid: flight-recorder operator annotations read
      deltas of this around index-driven lookups *)
   mutable lookups : int;
+  mutable order : int64 list option; (* sorted rowids, [None] when stale *)
 }
 
 let create () =
@@ -20,6 +23,7 @@ let create () =
     scans = 0;
     rows_scanned = 0;
     lookups = 0;
+    order = None;
   }
 
 let profile h = (h.scans, h.rows_scanned)
@@ -39,6 +43,7 @@ let insert h values =
   let rowid = alloc_rowid h in
   let row = Row.make ~rowid values in
   Hashtbl.replace h.rows rowid row;
+  h.order <- None;
   row
 
 (* Insert preserving a caller-chosen rowid (used by OR REPLACE re-insertion
@@ -46,16 +51,28 @@ let insert h values =
 let insert_with_rowid h ~rowid values =
   if rowid >= h.next_rowid then h.next_rowid <- Int64.add rowid 1L;
   let row = Row.make ~rowid values in
+  if not (Hashtbl.mem h.rows rowid) then h.order <- None;
   Hashtbl.replace h.rows rowid row;
   row
 
-let delete h rowid = Hashtbl.remove h.rows rowid
+let delete h rowid =
+  Hashtbl.remove h.rows rowid;
+  h.order <- None
+
 let find h rowid =
   h.lookups <- h.lookups + 1;
   Hashtbl.find_opt h.rows rowid
 
 let rowids_sorted h =
-  Hashtbl.fold (fun id _ acc -> id :: acc) h.rows [] |> List.sort Int64.compare
+  match h.order with
+  | Some ids -> ids
+  | None ->
+      let ids =
+        Hashtbl.fold (fun id _ acc -> id :: acc) h.rows []
+        |> List.sort Int64.compare
+      in
+      h.order <- Some ids;
+      ids
 
 let iter f h =
   note_scan h;
@@ -67,7 +84,8 @@ let to_list h =
 
 let clear h =
   Hashtbl.reset h.rows;
-  h.next_rowid <- 1L
+  h.next_rowid <- 1L;
+  h.order <- None
 
 let copy h =
   {
@@ -76,12 +94,20 @@ let copy h =
     scans = 0;
     rows_scanned = 0;
     lookups = 0;
+    order = h.order;
   }
 
 let deep_copy h =
   let rows = Hashtbl.create (Hashtbl.length h.rows) in
   Hashtbl.iter (fun id r -> Hashtbl.replace rows id (Row.copy r)) h.rows;
-  { rows; next_rowid = h.next_rowid; scans = 0; rows_scanned = 0; lookups = 0 }
+  {
+    rows;
+    next_rowid = h.next_rowid;
+    scans = 0;
+    rows_scanned = 0;
+    lookups = 0;
+    order = h.order;
+  }
 
 let nth_row h n =
   match List.nth_opt (rowids_sorted h) n with

@@ -2,8 +2,8 @@
 
     Scan order is rowid order, like a rowid table.  Rowids grow
     monotonically and are never reused (until VACUUM rebuilds the heap).
-    Sized for PQS workloads — tens of rows per table (paper Section 3.4) —
-    so simplicity beats asymptotics. *)
+    The sorted rowid order is cached between the writes that change it
+    (a new rowid, a delete, a clear). *)
 
 type t = {
   mutable rows : (int64, Row.t) Hashtbl.t;
@@ -11,6 +11,8 @@ type t = {
   mutable scans : int;  (** full scans started (read-path profiling) *)
   mutable rows_scanned : int;  (** rows those scans produced *)
   mutable lookups : int;  (** point fetches by rowid ({!find}) *)
+  mutable order : int64 list option;
+      (** cached {!rowids_sorted}; [None] when a write made it stale *)
 }
 
 val create : unit -> t

@@ -8,12 +8,19 @@
 
 open Sqlval
 
+(* Int/Int and Text/Text, the common pairs, skip [compare_total]'s class
+   ranking and collation dispatch; both orders are the ones it applies. *)
 let key_compare (a : Value.t array) (b : Value.t array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i =
     if i >= la || i >= lb then compare la lb
     else
-      let c = Value.compare_total a.(i) b.(i) in
+      let c =
+        match (a.(i), b.(i)) with
+        | Value.Int x, Value.Int y -> Int64.compare x y
+        | Value.Text x, Value.Text y -> String.compare x y
+        | x, y -> Value.compare_total x y
+      in
       if c <> 0 then c else go (i + 1)
   in
   go 0
@@ -59,15 +66,20 @@ let is_expression_index t =
     t.definition
 
 (* Fold each text component under the index's collation so equal-under-
-   collation keys become byte-equal. *)
+   collation keys become byte-equal.  BINARY folds nothing, so an
+   all-BINARY index keeps the raw key (keys are never mutated once built). *)
+let is_binary = function Collation.Binary -> true | _ -> false
+
 let canonical_key t (raw : Value.t array) : Value.t array =
-  Array.mapi
-    (fun i v ->
-      match v with
-      | Value.Text s when i < Array.length t.collations ->
-          Value.Text (Collation.key t.collations.(i) s)
-      | _ -> v)
-    raw
+  if Array.for_all is_binary t.collations then raw
+  else
+    Array.mapi
+      (fun i v ->
+        match v with
+        | Value.Text s when i < Array.length t.collations ->
+            Value.Text (Collation.key t.collations.(i) s)
+        | _ -> v)
+      raw
 
 let add t ~key ~rowid = Tree.insert t.tree (canonical_key t key) rowid
 

@@ -37,6 +37,9 @@ type table = {
   mutable broken_expr_index : bool;
       (* an expression index references a renamed column: trigger state
          for the injected malformed-schema defect *)
+  mutable version : int;
+      (* bumped by every change to what a write plan compiles: columns,
+         CHECKs, the table's name and its index set *)
 }
 
 let make_table ?(primary_key = []) ?(without_rowid = false) ?engine ?inherits
@@ -54,7 +57,10 @@ let make_table ?(primary_key = []) ?(without_rowid = false) ?engine ?inherits
     serial_next = 1L;
     tainted_null_update = false;
     broken_expr_index = false;
+    version = 0;
   }
+
+let bump_version t = t.version <- t.version + 1
 
 (* [String.lowercase_ascii a = String.lowercase_ascii b], byte by byte and
    without allocating: name resolution runs per row on the write path *)

@@ -47,6 +47,9 @@ type table = {
   mutable broken_expr_index : bool;
       (** an expression index references a renamed column — trigger state
           for the injected malformed-schema defect (paper Listing 8) *)
+  mutable version : int;
+      (** bumped by every change to what the engine's write plan compiles
+          from the table: its columns, CHECKs, name and index set *)
 }
 
 val make_table :
@@ -59,6 +62,9 @@ val make_table :
   columns:column array ->
   string ->
   table
+
+(** Mark the table's compiled write plan stale. *)
+val bump_version : table -> unit
 
 (** ASCII case-insensitive name equality (what comparing the
     [String.lowercase_ascii] forms gives), without allocating. *)

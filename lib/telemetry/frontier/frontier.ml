@@ -45,6 +45,11 @@ let rec union a b =
       else (pa, combine ea eb) :: union ra rb
 
 let union_all = List.fold_left union empty
+
+let copy t =
+  List.map
+    (fun (p, e) -> (String.sub p 0 (String.length p), { e with hits = e.hits }))
+    t
 let points t = t
 
 let of_entries entries =

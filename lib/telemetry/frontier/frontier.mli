@@ -40,6 +40,11 @@ val union : t -> t -> t
 
 val union_all : t list -> t
 
+(** A copy that shares no point string or entry with [t].  A frontier
+    merged from many rounds' frontiers shares theirs, and keeping it
+    would keep alive every major-heap pool those were allocated in. *)
+val copy : t -> t
+
 (** All points with their entries, sorted by point name. *)
 val points : t -> (string * entry) list
 
