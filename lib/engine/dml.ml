@@ -536,6 +536,8 @@ let update ctx ~table ~assignments ~where ~action =
         p.Ddl.indexes
     else p.Ddl.indexes
   in
+  let unique (ip : Ddl.index_plan) = ip.Ddl.ix.Storage.Index.unique in
+  let uniques = List.filter unique p.Ddl.indexes in
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
     Ddl.set_row p row.Storage.Row.values;
     let* matches =
@@ -574,9 +576,13 @@ let update ctx ~table ~assignments ~where ~action =
       let old_m = Ddl.row_entries p row in
       let new_m = Ddl.row_entries p candidate in
       cov ctx "dml.unique_check";
-      (* detach the old row from indexes first so self-conflicts don't
-         count *)
-      let* () = detach old_m maintained in
+      (* evaluate the keys the detach and the unique check need before
+         touching an index, so a key that fails to evaluate leaves the old
+         row indexed; then detach it, so self-conflicts don't count *)
+      let force m ips = iter_entries m ips (fun _ _ -> ()) in
+      let* () = force old_m maintained in
+      let* () = force new_m uniques in
+      ignore (detach old_m maintained);
       let* conflicts = unique_conflicts_for ctx ts new_m in
       match (conflicts, action) with
       | [], _ -> (
