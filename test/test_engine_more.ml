@@ -509,6 +509,185 @@ let planner_soundness_prop dialect =
               | None -> "<error>")
           else true)
 
+(* ---------- index consistency ---------- *)
+
+let mentions_like (ix : Storage.Index.t) =
+  let like e =
+    A.fold_expr (fun acc x -> acc || match x with A.Like _ -> true | _ -> false)
+      false e
+  in
+  List.exists (fun (ic : A.indexed_column) -> like ic.A.ic_expr)
+    ix.Storage.Index.definition
+  || Option.fold ~none:false ~some:like ix.Storage.Index.where
+
+let index_entries ix =
+  let acc = ref [] in
+  Storage.Index.iter (fun k id -> acc := (k, id) :: !acc) ix;
+  List.sort compare !acc
+
+(* The indexes of [s] whose sorted (key, rowid) entries differ from a
+   rebuild of the index from its table's rows, or whose B-tree is
+   malformed.  A sqlite index whose keys or predicate use LIKE is
+   skipped: a case_sensitive_like flip legitimately changes them. *)
+let inconsistent_indexes s =
+  let ctx = Engine.Session.ctx s and cat = Engine.Session.catalog s in
+  let sqlite = Dialect.equal (Engine.Session.dialect s) Dialect.Sqlite_like in
+  List.filter_map
+    (fun (_, (ix : Storage.Index.t)) ->
+      Storage.Index.check_invariants ix;
+      match Storage.Catalog.find_table cat ix.Storage.Index.on_table with
+      | _ when sqlite && mentions_like ix -> None
+      | None -> Some (ix.Storage.Index.index_name ^ " (no table)")
+      | Some ts -> (
+          let rebuilt = Storage.Index.copy ix in
+          match Engine.Ddl.build_index_entries ctx ts rebuilt with
+          | Error e ->
+              Some
+                (ix.Storage.Index.index_name ^ " (rebuild: "
+               ^ Engine.Errors.show e ^ ")")
+          | Ok () ->
+              if compare (index_entries ix) (index_entries rebuilt) = 0 then
+                None
+              else Some ix.Storage.Index.index_name))
+    cat.Storage.Catalog.indexes
+
+let check_consistent msg s =
+  Alcotest.(check (list string)) msg [] (inconsistent_indexes s)
+
+(* A write-heavy database, as the runner builds one: the schema, one
+   INSERT per table, then 80 random statement groups (index DDL, UPDATE,
+   REINDEX, VACUUM, transactions, ...) and a final fill; outcomes
+   ignored. *)
+let write_heavy_db dialect seed =
+  let rng = Pqs.Rng.make ~seed in
+  let s = Engine.Session.create ~seed dialect in
+  let cfg =
+    Pqs.Gen_db.Config.(
+      make dialect |> with_rng rng |> with_max_rows 6
+      |> with_extra_statements 80)
+  in
+  let run stmts =
+    List.iter
+      (fun st ->
+        try ignore (Engine.Session.execute s st)
+        with Engine.Errors.Crash _ -> ())
+      stmts
+  in
+  run (Pqs.Gen_db.initial_statements cfg);
+  run (Pqs.Gen_db.fill_statements cfg s);
+  for _ = 1 to 80 do
+    run (Pqs.Gen_db.random_statements cfg s)
+  done;
+  run (Pqs.Gen_db.fill_statements cfg s);
+  s
+
+let test_index_consistency_sweep () =
+  List.iter
+    (fun dialect ->
+      for seed = 1 to 300 do
+        match inconsistent_indexes (write_heavy_db dialect seed) with
+        | [] -> ()
+        | bad ->
+            Alcotest.failf "%s seed %d: %s" (Dialect.show dialect) seed
+              (String.concat ", " bad)
+      done)
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+
+(* An UPDATE whose new unique key fails to evaluate keeps the old row in
+   every index. *)
+let test_failed_update_keeps_entries () =
+  List.iter
+    (fun dialect ->
+      let s = Engine.Session.create dialect in
+      script s
+        [
+          "CREATE TABLE t1(c0 BIGINT, c1 BIGINT)";
+          "INSERT INTO t1(c1) VALUES (5)";
+          "CREATE INDEX i1 ON t1(c1)";
+          "CREATE UNIQUE INDEX i0 ON t1(c1, (c0 + 1))";
+        ];
+      let e = exec_sql_err s "UPDATE t1 SET c0 = 9223372036854775807" in
+      Alcotest.(check bool) "out of range" true
+        (Engine.Errors.equal_code e.Engine.Errors.code Engine.Errors.Out_of_range);
+      Alcotest.(check string) "index scan finds the row" "NULL|5"
+        (show_rows (rows_sql s "SELECT * FROM t1 WHERE c1 = 5"));
+      check_consistent (Dialect.show dialect) s)
+    [ Dialect.Postgres_like; Dialect.Mysql_like ]
+
+(* Write plans live across statements: every change to what they compile
+   must reach the next INSERT and UPDATE. *)
+let test_write_plan_invalidation () =
+  let s = Engine.Session.create Dialect.Sqlite_like in
+  let fails code sql =
+    let e = exec_sql_err s sql in
+    if not (Engine.Errors.equal_code e.Engine.Errors.code code) then
+      Alcotest.failf "%s: unexpected error %s" sql (Engine.Errors.show e)
+  in
+  let step name sqls =
+    script s sqls;
+    check_consistent name s
+  in
+  step "setup"
+    [
+      "CREATE TABLE t0(c0 INT, c1 TEXT)";
+      "CREATE INDEX i0 ON t0(c1) WHERE c1 IS NOT NULL";
+      "INSERT INTO t0 VALUES (1, 'a')";
+      "UPDATE t0 SET c1 = 'b' WHERE c0 = 1";
+    ];
+  step "rename column"
+    [
+      "ALTER TABLE t0 RENAME COLUMN c1 TO d1";
+      "INSERT INTO t0 VALUES (2, 'c')";
+      "UPDATE t0 SET d1 = 'd' WHERE c0 = 1";
+    ];
+  Alcotest.(check string) "partial index after rename" "1|d"
+    (show_rows (rows_sql s "SELECT * FROM t0 WHERE d1 = 'd' AND d1 IS NOT NULL"));
+  step "rename table"
+    [
+      "ALTER TABLE t0 RENAME TO t9";
+      "INSERT INTO t9 VALUES (3, 'e')";
+      "UPDATE t9 SET d1 = 'f' WHERE c0 = 3";
+    ];
+  step "add column with CHECK"
+    [ "ALTER TABLE t9 ADD COLUMN c2 INT CHECK (c2 > 0)"; "INSERT INTO t9 VALUES (4, 'g', 1)" ];
+  fails Engine.Errors.Check_violation "INSERT INTO t9 VALUES (5, 'h', 0)";
+  fails Engine.Errors.Check_violation "UPDATE t9 SET c2 = -1 WHERE c0 = 4";
+  step "create unique index" [ "CREATE UNIQUE INDEX i1 ON t9(c0)" ];
+  fails Engine.Errors.Unique_violation "INSERT INTO t9 VALUES (4, 'i', 2)";
+  fails Engine.Errors.Unique_violation "UPDATE t9 SET c0 = 1 WHERE c0 = 2";
+  step "drop index"
+    [ "DROP INDEX i1"; "INSERT INTO t9 VALUES (4, 'i', 2)"; "UPDATE t9 SET c0 = 1 WHERE c0 = 2" ];
+  step "drop column"
+    [
+      "ALTER TABLE t9 DROP COLUMN c0";
+      "INSERT INTO t9 VALUES ('j', 3)";
+      "UPDATE t9 SET d1 = 'k' WHERE d1 = 'j'";
+    ];
+  fails Engine.Errors.Check_violation "INSERT INTO t9 VALUES ('l', -3)";
+  step "rollback"
+    [
+      "BEGIN";
+      "CREATE UNIQUE INDEX i2 ON t9(d1)";
+      "INSERT INTO t9 VALUES ('m', 4)";
+      "ROLLBACK";
+      "INSERT INTO t9 VALUES ('k', 5)";
+      "UPDATE t9 SET c2 = 6 WHERE d1 = 'k'";
+    ];
+  (* a LIKE key compiled before the flip must not be reused after it *)
+  step "like index"
+    [ "CREATE INDEX i3 ON t9((d1 LIKE 'A%'))"; "INSERT INTO t9 VALUES ('a1', 7)" ];
+  let like_true () =
+    let cat = Engine.Session.catalog s in
+    index_entries (Option.get (Storage.Catalog.find_index cat "i3"))
+    |> List.filter (fun (k, _) -> k = [| Value.Int 1L |])
+    |> List.length
+  in
+  script s [ "PRAGMA case_sensitive_like = 1"; "INSERT INTO t9 VALUES ('a2', 8)" ];
+  Alcotest.(check int) "'a2' keyed case-sensitively" 1 (like_true ());
+  script s [ "UPDATE t9 SET d1 = 'A2' WHERE d1 = 'a2'" ];
+  Alcotest.(check int) "'A2' matches" 2 (like_true ());
+  check_consistent "after the flip" s
+
 let () =
   Alcotest.run "engine-more"
     [
@@ -547,6 +726,15 @@ let () =
           Alcotest.test_case "mysql check/repair" `Quick test_mysql_check_repair;
           Alcotest.test_case "pg statistics" `Quick test_pg_statistics;
           Alcotest.test_case "corruption gates" `Quick test_corruption_gates_statements;
+        ] );
+      ( "index consistency",
+        [
+          Alcotest.test_case "write-heavy sweep" `Quick
+            test_index_consistency_sweep;
+          Alcotest.test_case "failed UPDATE keeps index entries" `Quick
+            test_failed_update_keeps_entries;
+          Alcotest.test_case "write-plan invalidation" `Quick
+            test_write_plan_invalidation;
         ] );
       ( "planner-soundness",
         List.map QCheck_alcotest.to_alcotest

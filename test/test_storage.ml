@@ -143,6 +143,54 @@ let prop_btree_range_model =
         t;
       List.rev !acc = expect)
 
+(* [find_all] and [remove] walk only the entries equal to their key; they
+   must return what the generic range walk over [k, k] returns and visit
+   and count the same nodes (traces report these profile deltas). *)
+let prop_btree_point_ops =
+  QCheck.Test.make ~name:"btree point ops match the range walk" ~count:300
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun ops -> String.concat ";" (List.map print_op ops))
+          QCheck.Gen.(list_size (1 -- 200) op_gen))
+       (QCheck.pair QCheck.small_nat QCheck.small_nat))
+    (fun (ops, (k, v)) ->
+      (* keys mod 50 with up to 200 ops: most probed keys have duplicates *)
+      let k = k mod 50 and v = v mod 20 in
+      let t = Itree.create () in
+      List.iter (apply_tree t) ops;
+      let delta f =
+        let n0, e0 = Itree.profile t in
+        let r = f () in
+        let n1, e1 = Itree.profile t in
+        (r, (n1 - n0, e1 - e0))
+      in
+      let walk ?(stop = fun _ -> false) () =
+        let acc = ref [] in
+        Itree.iter_range ~lo:(k, true) ~hi:(k, true)
+          (fun _ x ->
+            acc := x :: !acc;
+            if stop x then raise Exit)
+          t;
+        List.rev !acc
+      in
+      let expect, walk_cost = delta walk in
+      let found, find_cost = delta (fun () -> Itree.find_all t k) in
+      let first_v, stop_cost = delta (walk ~stop:(Int.equal v)) in
+      let removed, remove_cost =
+        delta (fun () -> Itree.remove ~veq:Int.equal t k v)
+      in
+      Itree.check_invariants t;
+      found = expect && find_cost = walk_cost
+      && removed = List.mem v first_v
+      && remove_cost = stop_cost
+      && Itree.find_all t k
+         = (let rec drop = function
+              | [] -> []
+              | x :: rest when x = v -> rest
+              | x :: rest -> x :: drop rest
+            in
+            drop expect))
+
 (* ---------- Heap ---------- *)
 
 let test_heap () =
@@ -164,6 +212,40 @@ let test_heap () =
   let copy = Storage.Heap.deep_copy h in
   Storage.Heap.delete h r2.Storage.Row.rowid;
   Alcotest.(check int) "deep copy unaffected" 2 (Storage.Heap.row_count copy)
+
+(* The heap caches its sorted rowid order; every write that changes the
+   order must drop the cache, and copies must not share staleness. *)
+let test_heap_order () =
+  let h = Storage.Heap.create () in
+  let ids h =
+    List.map (fun r -> Int64.to_int r.Storage.Row.rowid) (Storage.Heap.to_list h)
+  in
+  let v i = [| Value.Int (Int64.of_int i) |] in
+  List.iter (fun i -> ignore (Storage.Heap.insert h (v i))) [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "inserts" [ 1; 2; 3 ] (ids h);
+  ignore (Storage.Heap.insert_with_rowid h ~rowid:10L (v 10));
+  ignore (Storage.Heap.insert_with_rowid h ~rowid:7L (v 7));
+  Alcotest.(check (list int)) "lower rowid placed in order" [ 1; 2; 3; 7; 10 ]
+    (ids h);
+  ignore (Storage.Heap.insert_with_rowid h ~rowid:2L (v 20));
+  Alcotest.(check (list int)) "overwrite keeps the order" [ 1; 2; 3; 7; 10 ]
+    (ids h);
+  Alcotest.(check bool) "overwrite stored" true
+    (Storage.Heap.find h 2L
+    |> Option.map (fun r -> r.Storage.Row.values)
+    = Some (v 20));
+  let shallow = Storage.Heap.copy h and deep = Storage.Heap.deep_copy h in
+  Storage.Heap.delete h 3L;
+  Alcotest.(check (list int)) "delete" [ 1; 2; 7; 10 ] (ids h);
+  ignore (Storage.Heap.insert shallow (v 11));
+  ignore (Storage.Heap.insert_with_rowid deep ~rowid:5L (v 5));
+  Alcotest.(check (list int)) "copy" [ 1; 2; 3; 7; 10; 11 ] (ids shallow);
+  Alcotest.(check (list int)) "deep copy" [ 1; 2; 3; 5; 7; 10 ] (ids deep);
+  Alcotest.(check (list int)) "original unaffected" [ 1; 2; 7; 10 ] (ids h);
+  Storage.Heap.clear h;
+  Alcotest.(check (list int)) "clear" [] (ids h);
+  ignore (Storage.Heap.insert h (v 1));
+  Alcotest.(check (list int)) "rowids restart" [ 1 ] (ids h)
 
 (* ---------- Index ---------- *)
 
@@ -253,7 +335,8 @@ let test_catalog_inheritance () =
     (Storage.Catalog.children_of cat "t0")
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_btree_model; prop_btree_range_model ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_btree_model; prop_btree_range_model; prop_btree_point_ops ]
 
 let () =
   Alcotest.run "storage"
@@ -265,7 +348,11 @@ let () =
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
         ] );
-      ("heap", [ Alcotest.test_case "basic" `Quick test_heap ]);
+      ( "heap",
+        [
+          Alcotest.test_case "basic" `Quick test_heap;
+          Alcotest.test_case "cached scan order" `Quick test_heap_order;
+        ] );
       ( "index",
         [
           Alcotest.test_case "basic" `Quick test_index_basic;
