@@ -183,34 +183,32 @@ struct
      true.  Visits and counts the same nodes as [range_walk] over the range
      [key, key], at one comparison per entry examined: subtree [i] can hold
      [key] iff [sep_{i-1} <= key <= sep_i], and the walk only moves right
-     past separators at or below [key], so the left bound always holds. *)
-  let equal_walk key f t =
-    let rec walk node =
-      let entries = node.entries in
-      let n = Array.length entries in
-      t.nodes_visited <- t.nodes_visited + 1;
-      t.entries_scanned <- t.entries_scanned + n;
-      let leaf = is_leaf node in
-      let rec go i =
-        if i = n then (not leaf) && walk node.children.(n)
-        else
-          let e = entries.(i) in
-          let c = Ord.compare e.ukey key in
-          ((not leaf) && c >= 0 && walk node.children.(i))
-          || (c = 0 && f e)
-          || (c <= 0 && go (i + 1))
-      in
-      go 0
-    in
-    ignore (walk t.root)
+     past separators at or below [key], so the left bound always holds.
+     Top-level rather than local closures, so a walk allocates nothing. *)
+  let rec equal_walk t key f node =
+    let n = Array.length node.entries in
+    t.nodes_visited <- t.nodes_visited + 1;
+    t.entries_scanned <- t.entries_scanned + n;
+    equal_from t key f node n 0
+
+  and equal_from t key f node n i =
+    let leaf = is_leaf node in
+    if i = n then (not leaf) && equal_walk t key f node.children.(n)
+    else
+      let e = node.entries.(i) in
+      let c = Ord.compare e.ukey key in
+      ((not leaf) && c >= 0 && equal_walk t key f node.children.(i))
+      || (c = 0 && f e)
+      || (c <= 0 && equal_from t key f node n (i + 1))
 
   let find_all t key =
     let acc = ref [] in
-    equal_walk key
-      (fun e ->
-        acc := e.value :: !acc;
-        false)
-      t;
+    ignore
+      (equal_walk t key
+         (fun e ->
+           acc := e.value :: !acc;
+           false)
+         t.root);
     List.rev !acc
 
   let mem t key = find_all t key <> []
@@ -340,13 +338,14 @@ struct
 
   let remove ~veq t key value =
     let target = ref None in
-    equal_walk key
-      (fun e ->
-        veq e.value value
-        &&
-        (target := Some e;
-         true))
-      t;
+    ignore
+      (equal_walk t key
+         (fun e ->
+           veq e.value value
+           &&
+           (target := Some e;
+            true))
+         t.root);
     match !target with
     | None -> false
     | Some e ->
