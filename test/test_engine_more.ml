@@ -554,10 +554,10 @@ let inconsistent_indexes s =
 let check_consistent msg s =
   Alcotest.(check (list string)) msg [] (inconsistent_indexes s)
 
-(* A write-heavy database, as the runner builds one: the schema, one
-   INSERT per table, then 80 random statement groups (index DDL, UPDATE,
-   REINDEX, VACUUM, transactions, ...) and a final fill; outcomes
-   ignored. *)
+(* A write-heavy database in the runner's style: the schema, INSERTs up
+   to the minimum row count, 80 random statement groups (index DDL,
+   UPDATE, REINDEX, VACUUM, transactions, ...) and a final fill;
+   outcomes ignored. *)
 let write_heavy_db dialect seed =
   let rng = Pqs.Rng.make ~seed in
   let s = Engine.Session.create ~seed dialect in
