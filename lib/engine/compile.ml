@@ -50,35 +50,36 @@ let compile_items c items =
       | A.Sel_expr (e, _) -> P_expr (Eval.compile c e))
     items
 
+(* The output width of the compiled item list over [tuple]. *)
+let rec proj_width (tuple : Value.t array array) n = function
+  | [] -> n
+  | P_star :: rest ->
+      let n = ref n in
+      for i = 0 to Array.length tuple - 1 do
+        n := !n + Array.length tuple.(i)
+      done;
+      proj_width tuple !n rest
+  | P_binding i :: rest -> proj_width tuple (n + Array.length tuple.(i)) rest
+  | P_error _ :: rest -> proj_width tuple n rest
+  | P_expr _ :: rest -> proj_width tuple (n + 1) rest
+
 (* Project the tuple currently in [c.cur] through the compiled item
    list ([tuple] is the same array the caller stored into [c.cur]) into
-   one output array, sized before any item runs. *)
-let project (tuple : Value.t array array) projs :
+   [out], which is [proj_width] wide. *)
+let project_into out (tuple : Value.t array array) projs :
     (Value.t array, Errors.t) result =
-  let width =
-    List.fold_left
-      (fun n p ->
-        match p with
-        | P_star -> Array.fold_left (fun n vs -> n + Array.length vs) n tuple
-        | P_binding i -> n + Array.length tuple.(i)
-        | P_error _ -> n
-        | P_expr _ -> n + 1)
-      0 projs
-  in
-  let out = Array.make width Value.Null in
   let rec go pos = function
     | [] -> Ok out
     | p :: rest -> (
         match p with
         | P_star ->
-            let pos =
-              Array.fold_left
-                (fun pos vs ->
-                  Array.blit vs 0 out pos (Array.length vs);
-                  pos + Array.length vs)
-                pos tuple
-            in
-            go pos rest
+            let pos = ref pos in
+            for i = 0 to Array.length tuple - 1 do
+              let vs = tuple.(i) in
+              Array.blit vs 0 out !pos (Array.length vs);
+              pos := !pos + Array.length vs
+            done;
+            go !pos rest
         | P_binding i ->
             let vs = tuple.(i) in
             Array.blit vs 0 out pos (Array.length vs);
@@ -90,6 +91,10 @@ let project (tuple : Value.t array array) projs :
             go (pos + 1) rest)
   in
   go 0 projs
+
+(* ... into a fresh array, sized before any item runs. *)
+let project tuple projs =
+  project_into (Array.make (proj_width tuple 0 projs) Value.Null) tuple projs
 
 let rec eval_all acc = function
   | [] -> Ok (List.rev acc)
@@ -256,12 +261,60 @@ let derived_source ~alias columns rows =
     src_tuples = List.map (fun row -> [| row |]) rows;
   }
 
-(* One compiled-and-executed SELECT. *)
-let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
+(* The two shapes every dialect rejects before evaluating anything: [*]
+   with no FROM, and VALUES rows of different widths. *)
+let no_tables_error (d : Dialect.t) =
+  Errors.make Errors.Syntax_error
+    (match d with
+    | Dialect.Sqlite_like -> "no tables specified"
+    | Dialect.Mysql_like -> "No tables used"
+    | Dialect.Postgres_like -> "SELECT * with no tables specified is not valid")
+
+let ragged_values_error (d : Dialect.t) ~row =
+  Errors.make Errors.Syntax_error
+    (match d with
+    | Dialect.Sqlite_like -> "all VALUES must have the same number of terms"
+    | Dialect.Mysql_like ->
+        Printf.sprintf "Column count doesn't match value count at row %d" row
+    | Dialect.Postgres_like -> "VALUES lists must all be the same length")
+
+(* A row sink receives a query's output rows one at a time instead of a
+   collected list; INTERSECT and EXCEPT probe their right operand with
+   one.  [deliver] hands a finished result set to the caller: whole, or,
+   under a sink, row by row (the result then keeps its columns and no
+   rows). *)
+let deliver ?sink (rs : Executor.result_set) =
+  match sink with
+  | None -> Ok rs
+  | Some f ->
+      List.iter f rs.Executor.rs_rows;
+      Ok { rs with Executor.rs_rows = [] }
+
+(* ORDER BY keys evaluated for their errors only. *)
+let rec eval_each = function
+  | [] -> Ok ()
+  | (t : Eval.thunk) :: rest ->
+      let* _ = t () in
+      eval_each rest
+
+(* One compiled-and-executed SELECT.  Under a [sink] and without
+   LIMIT/OFFSET the SELECT is probed: each projected row goes to the
+   sink as it is produced, and DISTINCT, the unordered-SELECT reversal
+   and ORDER BY are skipped, since none of them changes which rows a
+   set probe sees.  Every item and ORDER BY key is still evaluated in
+   row order, so errors surface as in the full pipeline, and the
+   DISTINCT and ORDER BY coverage points are still hit. *)
+let rec run_select ?sink ctx (s : A.select) :
+    (Executor.result_set, Errors.t) result =
   let where = s.A.sel_where in
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
        DISTINCT/ORDER BY/LIMIT do not apply *)
+    let* () =
+      if List.exists (function A.Star -> true | _ -> false) s.A.sel_items
+      then Error (no_tables_error ctx.Executor.dialect)
+      else Ok ()
+    in
     let c = make_env ctx [] in
     let* columns = Executor.output_columns [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
@@ -279,7 +332,7 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
               | Error e -> Error e)
           | Error e -> Error e)
     in
-    Ok { Executor.rs_columns = columns; rs_rows = rows }
+    deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
   end
   else begin
     let cond_has_cast =
@@ -410,7 +463,13 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
        [*] over an empty product has no columns) *)
     let sample = if product_nonempty then c.Eval.layout else [] in
     let* columns = Executor.output_columns sample s.A.sel_items in
-    (* projection + ORDER BY keys, or the aggregation operator *)
+    let probe =
+      match sink with
+      | Some f when s.A.sel_limit = None && s.A.sel_offset = None -> Some f
+      | _ -> None
+    in
+    (* projection + ORDER BY keys, or the aggregation operator; a probe
+       takes the projected rows as they come, leaving the list empty *)
     let* out_rows_with_keys =
       if Executor.select_has_agg s then aggregate ctx c s filtered
       else
@@ -418,122 +477,158 @@ let rec run_select ctx (s : A.select) : (Executor.result_set, Errors.t) result =
         let order_thunks =
           List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by
         in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | values :: rest ->
-              c.Eval.cur := values;
-              let* row = project values projs in
-              let* ks = eval_all [] order_thunks in
-              go ((row, ks) :: acc) rest
-        in
-        go [] filtered
-    in
-    (* DISTINCT *)
-    let out_rows_with_keys =
-      if s.A.sel_distinct then begin
-        cov_ctx ctx "exec.distinct";
-        let d_t0 = Executor.op_clock ctx in
-        let n_in =
-          if Executor.tracing ctx then List.length out_rows_with_keys else 0
-        in
-        let deduped = Executor.dedup ~row:fst out_rows_with_keys in
-        if Executor.tracing ctx then
-          Executor.op_event ctx ~op:"DISTINCT" ~rows_in:n_in
-            ~rows_out:(List.length deduped) ~batches:(batches_of n_in)
-            ~t0:d_t0 ();
-        deduped
-      end
-      else out_rows_with_keys
-    in
-    (* ORDER BY *)
-    let ordered =
-      if s.A.sel_order_by = [] then
-        if Options.reverse_unordered_selects ctx.Executor.options then
-          List.rev out_rows_with_keys
-        else out_rows_with_keys
-      else begin
-        cov_ctx ctx "exec.order_by";
-        let sort_t0 = Executor.op_clock ctx in
-        (* sort keys are compared under each ORDER BY expression's
-           collation (explicit COLLATE or the column's), like sqlite *)
-        let dirs_and_colls =
-          List.map
-            (fun (e, dir) ->
-              let coll =
-                match Eval.column_meta c e with
-                | Some (_, cl) -> cl
-                | None -> Collation.Binary
-              in
-              let coll = match e with A.Collate (_, cl) -> cl | _ -> coll in
-              (dir, coll))
-            s.A.sel_order_by
-        in
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp ks1 ks2 dcs =
-              match (ks1, ks2, dcs) with
-              | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
-                  let cm = Value.compare_total ~collation:coll k1 k2 in
-                  let cm = match d with A.Asc -> cm | A.Desc -> -cm in
-                  if cm <> 0 then cm else cmp r1 r2 rd
-              | _ -> 0
+        match probe with
+        | Some f ->
+            (* the sink only looks rows up, so one buffer serves them all *)
+            let buf = ref [||] in
+            let rec go = function
+              | [] -> Ok []
+              | values :: rest ->
+                  c.Eval.cur := values;
+                  let w = proj_width values 0 projs in
+                  if Array.length !buf <> w then buf := Array.make w Value.Null;
+                  let* row = project_into !buf values projs in
+                  let* () = eval_each order_thunks in
+                  f row;
+                  go rest
             in
-            cmp ka kb dirs_and_colls)
-          out_rows_with_keys
-        |> fun sorted ->
-        (if Executor.tracing ctx then
-           let n = List.length sorted in
-           Executor.op_event ctx ~op:"SORT"
-             ~detail:
-               (Printf.sprintf "%d keys" (List.length s.A.sel_order_by))
-             ~rows_in:n ~rows_out:n ~batches:(batches_of n) ~t0:sort_t0 ());
-        sorted
-      end
+            go filtered
+        | None ->
+            let rec go acc = function
+              | [] -> Ok (List.rev acc)
+              | values :: rest ->
+                  c.Eval.cur := values;
+                  let* row = project values projs in
+                  let* ks = eval_all [] order_thunks in
+                  go ((row, ks) :: acc) rest
+            in
+            go [] filtered
     in
-    (* LIMIT / OFFSET *)
-    let limit_t0 = Executor.op_clock ctx in
-    let rows = List.map fst ordered in
-    let pre_limit = if Executor.tracing ctx then List.length rows else 0 in
-    let rows =
-      match s.A.sel_offset with
-      | None -> rows
-      | Some off ->
-          cov_ctx ctx "exec.limit";
-          let off = Int64.to_int off in
-          if off <= 0 then rows
-          else List.filteri (fun i _ -> i >= off) rows
-    in
-    let rows =
-      match s.A.sel_limit with
-      | None -> rows
-      | Some n ->
-          cov_ctx ctx "exec.limit";
-          let n = Int64.to_int n in
-          if n < 0 then rows else List.filteri (fun i _ -> i < n) rows
-    in
-    if
-      Executor.tracing ctx
-      && (s.A.sel_limit <> None || s.A.sel_offset <> None)
-    then
-      Executor.op_event ctx ~op:"LIMIT" ~rows_in:pre_limit
-        ~rows_out:(List.length rows) ~batches:(batches_of pre_limit)
-        ~t0:limit_t0 ();
-    Ok { Executor.rs_columns = columns; rs_rows = rows }
+    match probe with
+    | Some f ->
+        List.iter (fun (row, _) -> f row) out_rows_with_keys;
+        if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
+        if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
+        Ok { Executor.rs_columns = columns; rs_rows = [] }
+    | None ->
+        (* DISTINCT *)
+        let out_rows_with_keys =
+          if s.A.sel_distinct then begin
+            cov_ctx ctx "exec.distinct";
+            let d_t0 = Executor.op_clock ctx in
+            let n_in =
+              if Executor.tracing ctx then List.length out_rows_with_keys else 0
+            in
+            let deduped = Executor.dedup ~row:fst out_rows_with_keys in
+            if Executor.tracing ctx then
+              Executor.op_event ctx ~op:"DISTINCT" ~rows_in:n_in
+                ~rows_out:(List.length deduped) ~batches:(batches_of n_in)
+                ~t0:d_t0 ();
+            deduped
+          end
+          else out_rows_with_keys
+        in
+        (* ORDER BY *)
+        let ordered =
+          if s.A.sel_order_by = [] then
+            if Options.reverse_unordered_selects ctx.Executor.options then
+              List.rev out_rows_with_keys
+            else out_rows_with_keys
+          else begin
+            cov_ctx ctx "exec.order_by";
+            let sort_t0 = Executor.op_clock ctx in
+            (* sort keys are compared under each ORDER BY expression's
+               collation (explicit COLLATE or the column's), like sqlite *)
+            let dirs_and_colls =
+              List.map
+                (fun (e, dir) ->
+                  let coll =
+                    match Eval.column_meta c e with
+                    | Some (_, cl) -> cl
+                    | None -> Collation.Binary
+                  in
+                  let coll = match e with A.Collate (_, cl) -> cl | _ -> coll in
+                  (dir, coll))
+                s.A.sel_order_by
+            in
+            List.stable_sort
+              (fun (_, ka) (_, kb) ->
+                let rec cmp ks1 ks2 dcs =
+                  match (ks1, ks2, dcs) with
+                  | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
+                      let cm = Value.compare_total ~collation:coll k1 k2 in
+                      let cm = match d with A.Asc -> cm | A.Desc -> -cm in
+                      if cm <> 0 then cm else cmp r1 r2 rd
+                  | _ -> 0
+                in
+                cmp ka kb dirs_and_colls)
+              out_rows_with_keys
+            |> fun sorted ->
+            (if Executor.tracing ctx then
+               let n = List.length sorted in
+               Executor.op_event ctx ~op:"SORT"
+                 ~detail:
+                   (Printf.sprintf "%d keys" (List.length s.A.sel_order_by))
+                 ~rows_in:n ~rows_out:n ~batches:(batches_of n) ~t0:sort_t0 ());
+            sorted
+          end
+        in
+        (* LIMIT / OFFSET *)
+        let limit_t0 = Executor.op_clock ctx in
+        let rows = List.map fst ordered in
+        let pre_limit = if Executor.tracing ctx then List.length rows else 0 in
+        let rows =
+          match s.A.sel_offset with
+          | None -> rows
+          | Some off ->
+              cov_ctx ctx "exec.limit";
+              let off = Int64.to_int off in
+              if off <= 0 then rows
+              else List.filteri (fun i _ -> i >= off) rows
+        in
+        let rows =
+          match s.A.sel_limit with
+          | None -> rows
+          | Some n ->
+              cov_ctx ctx "exec.limit";
+              let n = Int64.to_int n in
+              if n < 0 then rows else List.filteri (fun i _ -> i < n) rows
+        in
+        if
+          Executor.tracing ctx
+          && (s.A.sel_limit <> None || s.A.sel_offset <> None)
+        then
+          Executor.op_event ctx ~op:"LIMIT" ~rows_in:pre_limit
+            ~rows_out:(List.length rows) ~batches:(batches_of pre_limit)
+            ~t0:limit_t0 ();
+        deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
   end
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-and run_query ctx (q : A.query) : (Executor.result_set, Errors.t) result =
+and run_query ?sink ctx (q : A.query) :
+    (Executor.result_set, Errors.t) result =
   (* corruption gates every read (paper: 'malformed database' is always an
      unexpected error) *)
   match Storage.Catalog.corruption ctx.Executor.catalog with
   | Some msg -> Error (Errors.make Errors.Malformed_database msg)
   | None -> (
       match q with
-      | A.Q_select s -> run_select ctx s
+      | A.Q_select s -> run_select ?sink ctx s
       | A.Q_values rows ->
           cov_ctx ctx "exec.values";
+          let width = match rows with r :: _ -> List.length r | [] -> 0 in
+          let* () =
+            let rec check i = function
+              | [] -> Ok ()
+              | r :: rest ->
+                  if List.length r <> width then
+                    Error (ragged_values_error ctx.Executor.dialect ~row:i)
+                  else check (i + 1) rest
+            in
+            check 1 rows
+          in
           let c = make_env ctx [] in
           let rec go acc = function
             | [] -> Ok (List.rev acc)
@@ -542,87 +637,81 @@ and run_query ctx (q : A.query) : (Executor.result_set, Errors.t) result =
                 go (Array.of_list r :: acc) rest
           in
           let* rows = go [] rows in
-          let width = match rows with r :: _ -> Array.length r | [] -> 0 in
           let columns =
             List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
           in
-          Ok { Executor.rs_columns = columns; rs_rows = rows }
-      | A.Q_compound (op, qa, qb) -> run_compound ctx op qa qb)
+          deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
+      | A.Q_compound (op, qa, qb) ->
+          let* rs = run_compound ctx op qa qb in
+          deliver ?sink rs)
 
+(* UNION [ALL] concatenates its operands' rows.  INTERSECT and EXCEPT
+   are one set probe: the left rows are hashed, and the right operand
+   runs under a sink that marks each left key it meets, so its rows are
+   never collected (and a probed SELECT skips its DISTINCT and ORDER
+   BY).  The output is the deduplicated left rows, in left order, whose
+   key was met (INTERSECT) or not (EXCEPT). *)
 and run_compound ctx op qa qb =
   (match op with
   | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
   | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
   | A.Except -> cov_ctx ctx "exec.compound_except");
   let* ra = run_query ctx qa in
-  let* rb = run_query ctx qb in
-  let compound_t0 = Executor.op_clock ctx in
-  let wa = List.length ra.Executor.rs_columns
-  and wb = List.length rb.Executor.rs_columns in
-  if wa <> wb then
-    Error
-      (Errors.make Errors.Syntax_error
-         "SELECTs to the left and right of a compound operator do not have \
-          the same number of result columns")
-  else
-    let keyset rows =
-      let t = Executor.Row_tbl.create 16 in
-      List.iter (fun r -> Executor.Row_tbl.replace t r ()) rows;
-      t
-    in
-    let dedup = Executor.dedup ~row:Fun.id in
-    let rows =
-      match op with
-      | A.Union -> dedup (ra.Executor.rs_rows @ rb.Executor.rs_rows)
-      | A.Union_all -> ra.Executor.rs_rows @ rb.Executor.rs_rows
-      | A.Intersect ->
-          (* left-driven: a left row is in the output iff its key appears
-             anywhere on the right, so hash the (typically tiny — the
-             containment check's VALUES side) left and stop scanning the
-             right once every left key has been seen *)
-          let want = keyset ra.Executor.rs_rows in
-          let missing = ref (Executor.Row_tbl.length want) in
-          let found = Executor.Row_tbl.create 16 in
-          let rec scan = function
-            | [] -> ()
-            | r :: rest ->
-                if !missing > 0 then begin
-                  (if
-                     Executor.Row_tbl.mem want r
-                     && not (Executor.Row_tbl.mem found r)
-                   then begin
-                     Executor.Row_tbl.replace found r ();
-                     decr missing
-                   end);
-                  scan rest
-                end
-          in
-          scan rb.Executor.rs_rows;
-          dedup
-            (List.filter
-               (fun r -> Executor.Row_tbl.mem found r)
-               ra.Executor.rs_rows)
-      | A.Except ->
-          let inb = keyset rb.Executor.rs_rows in
-          dedup
-            (List.filter
-               (fun r -> not (Executor.Row_tbl.mem inb r))
-               ra.Executor.rs_rows)
-    in
-    let n_in =
-      List.length ra.Executor.rs_rows + List.length rb.Executor.rs_rows
-    in
-    if Executor.tracing ctx then
-      Executor.op_event ctx ~op:"COMPOUND"
-        ~detail:
-          (match op with
-          | A.Union -> "UNION"
-          | A.Union_all -> "UNION ALL"
-          | A.Intersect -> "INTERSECT"
-          | A.Except -> "EXCEPT")
-        ~rows_in:n_in ~rows_out:(List.length rows) ~batches:(batches_of n_in)
-        ~t0:compound_t0 ();
+  let left = ra.Executor.rs_rows in
+  let same_width (rb : Executor.result_set) =
+    if List.compare_lengths ra.Executor.rs_columns rb.Executor.rs_columns <> 0
+    then
+      Error
+        (Errors.make Errors.Syntax_error
+           "SELECTs to the left and right of a compound operator do not \
+            have the same number of result columns")
+    else Ok ()
+  in
+  let finish ~t0 ~detail ~right_rows rows =
+    if Executor.tracing ctx then begin
+      let n_in = List.length left + right_rows in
+      Executor.op_event ctx ~op:"COMPOUND" ~detail ~rows_in:n_in
+        ~rows_out:(List.length rows) ~batches:(batches_of n_in) ~t0 ()
+    end;
     Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows }
+  in
+  match op with
+  | A.Union | A.Union_all ->
+      let* rb = run_query ctx qb in
+      let t0 = Executor.op_clock ctx in
+      let* () = same_width rb in
+      let rows = left @ rb.Executor.rs_rows in
+      let rows, detail =
+        if op = A.Union then (Executor.dedup ~row:Fun.id rows, "UNION")
+        else (rows, "UNION ALL")
+      in
+      finish ~t0 ~detail ~right_rows:(List.length rb.Executor.rs_rows) rows
+  | A.Intersect | A.Except ->
+      let t0 = Executor.op_clock ctx in
+      (* one mark per distinct left key, shared by its equal rows *)
+      let marks = Executor.Row_tbl.create 16 in
+      List.iter
+        (fun r ->
+          if not (Executor.Row_tbl.mem marks r) then
+            Executor.Row_tbl.add marks r (ref false))
+        left;
+      let probed = ref 0 in
+      let sink r =
+        incr probed;
+        match Executor.Row_tbl.find_opt marks r with
+        | Some met -> met := true
+        | None -> ()
+      in
+      let* rb = run_query ~sink ctx qb in
+      let* () = same_width rb in
+      let want = op = A.Intersect in
+      let rows =
+        Executor.dedup ~row:Fun.id
+          (List.filter (fun r -> !(Executor.Row_tbl.find marks r) = want) left)
+      in
+      finish ~t0
+        ~detail:(if want then "INTERSECT (probe)" else "EXCEPT (probe)")
+        ~right_rows:!probed rows
 
 (* One FROM item, materialized: scan-site bug behaviour and access paths
    come from Executor.scan_rows; the join's ON predicate is compiled once
@@ -834,3 +923,6 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
       ~batches:(batches_of (List.length tuples))
       ~t0:join_t0 ();
   Ok { src_layout = out_layout; src_tuples = tuples }
+
+(* Sinks stay internal: only the compound operators probe. *)
+let run_query ctx q = run_query ctx q

@@ -21,6 +21,9 @@
      and EXCEPT return the result derived from the stored rows;
    - the aggregation operator (GROUP BY, HAVING, aggregates, ORDER BY
      over aggregates) and view expansion, with their injected bugs;
+   - the INTERSECT/EXCEPT probe: corpus containment statements and their
+     EXCEPT twins (seeds 1-200 per dialect, bug-free and with the whole
+     catalog) equal the result derived from the right SELECT run alone;
    - live rounds agree with replays of their logged scripts, and a
      campaign's per-seed rounds equal standalone rounds. *)
 
@@ -1007,6 +1010,72 @@ let test_campaign_parity () =
         Alcotest.fail (Printf.sprintf "round %d diverges" o.Pqs.Campaign.seed))
     c.Pqs.Campaign.outcomes
 
+(* ---------- the INTERSECT/EXCEPT probe ---------- *)
+
+(* The compound operators probe their right operand without collecting
+   it (a probed SELECT skips DISTINCT and ORDER BY).  Every corpus
+   containment statement and its EXCEPT twin must equal the result
+   derived from the right SELECT run on its own through the full
+   pipeline: the deduplicated left rows that (do not) occur on the
+   right, or the first operand's error. *)
+let test_probe_equivalence () =
+  let outcome session q =
+    match Engine.Session.query session q with
+    | Ok rs -> Ok rs.Ex.rs_rows
+    | Error e -> Error (Engine.Errors.show e)
+    | exception Engine.Errors.Crash m -> Error ("crash: " ^ m)
+  in
+  let show = function
+    | Ok rows -> "rows [" ^ show_rows rows ^ "]"
+    | Error e -> "error " ^ e
+  in
+  let checked = ref 0 in
+  let check ~dialect ~what session left right op =
+    let expected =
+      match (outcome session left, outcome session right) with
+      | Ok l, Ok r ->
+          let keep x = List.exists (Ex.Row_eq.equal x) r = (op = A.Intersect) in
+          Ok (Ex.dedup ~row:Fun.id (List.filter keep l))
+      | (Error _ as e), _ | _, (Error _ as e) -> e
+    in
+    let q = A.Q_compound (op, left, right) in
+    let got = outcome session q in
+    incr checked;
+    if show got <> show expected then
+      Alcotest.failf "%s: %s gives %s, expected %s" what
+        (Sqlast.Sql_printer.query dialect q)
+        (show got) (show expected)
+  in
+  List.iter
+    (fun dialect ->
+      List.iter
+        (fun (label, bugs) ->
+          for seed = 1 to 200 do
+            let db = Pqs.Corpus.build ~bugs ~seed dialect in
+            let session = db.Pqs.Corpus.session in
+            let sources = Pqs.Corpus.sources session in
+            let what =
+              Printf.sprintf "%s seed %d, %s" (Dialect.name dialect) seed label
+            in
+            for _ = 1 to 3 do
+              match Pqs.Corpus.query db sources with
+              | None -> ()
+              | Some (_, t) -> (
+                  match Pqs.Gen_query.containment_stmt t with
+                  | A.Select_stmt (A.Q_compound (A.Intersect, left, right)) ->
+                      check ~dialect ~what session left right A.Intersect;
+                      check ~dialect ~what session left right A.Except
+                  | _ -> Alcotest.fail "containment statement shape")
+            done
+          done)
+        [
+          ("bug-free", Engine.Bug.empty_set);
+          ( "catalog bugs",
+            Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect) );
+        ])
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ];
+  Alcotest.(check bool) "statements checked" true (!checked > 3000)
+
 (* ---------- sessions ---------- *)
 
 (* a session produces working results end to end — LIMIT/OFFSET slices,
@@ -1063,6 +1132,11 @@ let () =
           Alcotest.test_case "round parity, injected catalog" `Slow
             test_round_parity_bug_catalog;
           Alcotest.test_case "campaign parity" `Quick test_campaign_parity;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "INTERSECT/EXCEPT probe equals the full pipeline"
+            `Quick test_probe_equivalence;
         ] );
       ( "api",
         [

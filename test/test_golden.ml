@@ -5,7 +5,10 @@
 
 open Sqlval
 
-type outcome = Rows of string list | Err of Engine.Errors.code
+type outcome =
+  | Rows of string list
+  | Err of Engine.Errors.code
+  | Err_msg of Engine.Errors.code * string  (** the code and exact message *)
 
 type case = {
   name : string;
@@ -201,6 +204,144 @@ let cases =
       query = "SELECT COUNT(*) FROM (SELECT 1 UNION SELECT 1 UNION ALL SELECT 1) AS s";
       expect = Rows [ "2" ];
     };
+    (* --- INTERSECT/EXCEPT probe their right operand; these pin the
+       shapes the probe must leave alone --- *)
+    {
+      name = "intersect keeps its right operand's LIMIT";
+      dialect = sq;
+      script = "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2);";
+      query = "VALUES (2) INTERSECT SELECT a FROM t ORDER BY a LIMIT 1";
+      expect = Rows [];
+    };
+    {
+      name = "intersect keeps its right operand's OFFSET";
+      dialect = sq;
+      script = "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2);";
+      query = "VALUES (1) INTERSECT SELECT a FROM t ORDER BY a LIMIT 5 OFFSET 1";
+      expect = Rows [];
+    };
+    {
+      name = "mysql ORDER BY key overflowing on a non-pivot row errors";
+      dialect = my;
+      script =
+        "CREATE TABLE t(a BIGINT); INSERT INTO t VALUES (1), \
+         (9223372036854775807);";
+      query = "VALUES (1) INTERSECT SELECT a FROM t ORDER BY a + 1";
+      expect = Err_msg (Engine.Errors.Out_of_range, "BIGINT value is out of range");
+    };
+    {
+      name = "postgres ORDER BY key overflowing on a non-pivot row errors";
+      dialect = pg;
+      script =
+        "CREATE TABLE t(a BIGINT); INSERT INTO t VALUES (1), \
+         (9223372036854775807);";
+      query = "VALUES (1) INTERSECT SELECT DISTINCT a FROM t ORDER BY a + 1";
+      expect = Err_msg (Engine.Errors.Out_of_range, "BIGINT value is out of range");
+    };
+    {
+      name = "intersect with an aggregate right operand";
+      dialect = sq;
+      script = "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2), (2);";
+      query =
+        "VALUES (3), (2), (1) INTERSECT SELECT DISTINCT COUNT(*) FROM t GROUP \
+         BY a";
+      expect = Rows [ "2"; "1" ];
+    };
+    {
+      name = "intersect with a constant right operand";
+      dialect = sq;
+      script = "";
+      query = "VALUES (1), (2), (1) INTERSECT SELECT 1";
+      expect = Rows [ "1" ];
+    };
+    {
+      name = "intersect with a constant right operand filtered out";
+      dialect = sq;
+      script = "";
+      query = "VALUES (1) INTERSECT SELECT 1 WHERE 0";
+      expect = Rows [];
+    };
+    {
+      name = "except keeps unmatched left rows once, in left order";
+      dialect = sq;
+      script = "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2);";
+      query =
+        "VALUES (3), (1), (3), (4) EXCEPT SELECT DISTINCT a FROM t ORDER BY a \
+         DESC";
+      expect = Rows [ "3"; "4" ];
+    };
+    {
+      name = "reverse_unordered_selects reverses a plain SELECT";
+      dialect = sq;
+      script =
+        "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2); PRAGMA \
+         reverse_unordered_selects = 1;";
+      query = "SELECT a FROM t";
+      expect = Rows [ "2"; "1" ];
+    };
+    {
+      name = "reverse_unordered_selects leaves intersect in left order";
+      dialect = sq;
+      script =
+        "CREATE TABLE t(a INT); INSERT INTO t VALUES (1), (2); PRAGMA \
+         reverse_unordered_selects = 1;";
+      query = "VALUES (2), (1), (3) INTERSECT SELECT a FROM t";
+      expect = Rows [ "2"; "1" ];
+    };
+    (* --- shapes rejected before evaluation --- *)
+    {
+      name = "sqlite star without FROM";
+      dialect = sq;
+      script = "";
+      query = "SELECT * WHERE 1";
+      expect = Err_msg (Engine.Errors.Syntax_error, "no tables specified");
+    };
+    {
+      name = "mysql star without FROM";
+      dialect = my;
+      script = "";
+      query = "SELECT *";
+      expect = Err_msg (Engine.Errors.Syntax_error, "No tables used");
+    };
+    {
+      name = "postgres star without FROM";
+      dialect = pg;
+      script = "";
+      query = "SELECT *";
+      expect =
+        Err_msg
+          ( Engine.Errors.Syntax_error,
+            "SELECT * with no tables specified is not valid" );
+    };
+    {
+      name = "sqlite ragged VALUES";
+      dialect = sq;
+      script = "";
+      query = "VALUES (1), (2, 3)";
+      expect =
+        Err_msg
+          ( Engine.Errors.Syntax_error,
+            "all VALUES must have the same number of terms" );
+    };
+    {
+      name = "mysql ragged VALUES names the first short row";
+      dialect = my;
+      script = "";
+      query = "VALUES (1, 2), (3, 4), (5)";
+      expect =
+        Err_msg
+          ( Engine.Errors.Syntax_error,
+            "Column count doesn't match value count at row 3" );
+    };
+    {
+      name = "postgres ragged VALUES";
+      dialect = pg;
+      script = "";
+      query = "VALUES (1), (2, 3)";
+      expect =
+        Err_msg
+          (Engine.Errors.Syntax_error, "VALUES lists must all be the same length");
+    };
     (* --- constraints --- *)
     {
       name = "unique allows multiple NULLs";
@@ -261,9 +402,14 @@ let run_case (c : case) () =
             (c.name ^ " error code")
             true
             (Engine.Errors.equal_code e.Engine.Errors.code code)
+      | Error e, Err_msg (code, message) ->
+          Alcotest.(check (pair string string))
+            (c.name ^ " error")
+            (Engine.Errors.show_code code, message)
+            (Engine.Errors.show_code e.Engine.Errors.code, e.Engine.Errors.message)
       | Error e, Rows _ ->
           Alcotest.failf "unexpected error: %s" (Engine.Errors.show e)
-      | Ok _, Err _ -> Alcotest.fail "expected an error")
+      | Ok _, (Err _ | Err_msg _) -> Alcotest.fail "expected an error")
 
 let () =
   Alcotest.run "golden"

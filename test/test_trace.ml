@@ -18,6 +18,9 @@
      period;
    - EXPLAIN ANALYZE: per-operator annotations (rows in/out, wall time)
      render as plan lines ending in a RESULT summary;
+   - probed compounds: an INTERSECT/EXCEPT right operand's skipped
+     DISTINCT and SORT emit no events but still hit coverage, and the
+     COMPOUND event marks the probe and counts the rows probed;
    - provenance: the per-condition (raw, verdict, rectified) triples the
      generator exposes agree with its [raw_truths]. *)
 
@@ -452,6 +455,86 @@ let test_explain_analyze_leaves_session_clean () =
         (List.length rs.Engine.Executor.rs_rows)
   | _ -> Alcotest.fail "expected rows"
 
+(* ---------- a probed compound ---------- *)
+
+(* INTERSECT and EXCEPT probe their right operand.  A probed SELECT's
+   DISTINCT and ORDER BY do not run, so they emit no operator events,
+   but their coverage points are still hit; the COMPOUND event marks the
+   probe and counts the left rows plus the right rows probed.  A right
+   operand with LIMIT runs its full pipeline and keeps its events. *)
+let test_probed_compound () =
+  let dialect = Dialect.Sqlite_like in
+  let recorder = Trace.create ~capacity:256 () in
+  let coverage = Engine.Coverage.create () in
+  let session = Engine.Session.create ~coverage ~recorder dialect in
+  ignore (exec session "CREATE TABLE t0(c0 INT)");
+  ignore (exec session "INSERT INTO t0(c0) VALUES (1), (2), (2), (3)");
+  let run sql =
+    Trace.begin_round recorder ~seed:0 ~dialect;
+    let before p = Engine.Coverage.hit_count coverage p in
+    let d0 = before "exec.distinct" and o0 = before "exec.order_by" in
+    let rows =
+      match exec session sql with
+      | Engine.Session.Rows rs ->
+          List.map
+            (fun r ->
+              String.concat "|" (Array.to_list (Array.map Value.to_display r)))
+            rs.Engine.Executor.rs_rows
+      | _ -> Alcotest.fail "expected rows"
+    in
+    let ops =
+      List.filter_map
+        (fun (e : Trace.entry) ->
+          match e.Trace.event with
+          | Trace.Event.Op { op; detail; rows_in; rows_out; _ } ->
+              Some (op, detail, rows_in, rows_out)
+          | _ -> None)
+        (Trace.events recorder)
+    in
+    ( rows,
+      ops,
+      Engine.Coverage.hit_count coverage "exec.distinct" - d0,
+      Engine.Coverage.hit_count coverage "exec.order_by" - o0 )
+  in
+  let names ops = List.map (fun (op, _, _, _) -> op) ops in
+  let compound ops =
+    match List.filter (fun (op, _, _, _) -> op = "COMPOUND") ops with
+    | [ (_, detail, rows_in, rows_out) ] -> (detail, rows_in, rows_out)
+    | _ -> Alcotest.fail "expected one COMPOUND event"
+  in
+  let probe3 = Alcotest.(triple string int int) in
+  (* probed: 3 left rows + 4 right rows in, one distinct match out *)
+  let rows, ops, distinct, order_by =
+    run
+      "VALUES (2), (5), (2) INTERSECT SELECT DISTINCT c0 FROM t0 ORDER BY \
+       c0 DESC"
+  in
+  Alcotest.(check (list string)) "intersect rows" [ "2" ] rows;
+  Alcotest.(check (list string)) "no DISTINCT or SORT event"
+    [ "SCAN"; "COMPOUND" ] (names ops);
+  Alcotest.check probe3 "intersect event" ("INTERSECT (probe)", 7, 1)
+    (compound ops);
+  Alcotest.(check (pair int int)) "DISTINCT and ORDER BY coverage" (1, 1)
+    (distinct, order_by);
+  let rows, ops, _, _ =
+    run "VALUES (2), (5) EXCEPT SELECT DISTINCT c0 FROM t0 WHERE c0 > 1"
+  in
+  Alcotest.(check (list string)) "except rows" [ "5" ] rows;
+  Alcotest.(check bool) "no DISTINCT event" false
+    (List.mem "DISTINCT" (names ops));
+  Alcotest.check probe3 "except event" ("EXCEPT (probe)", 5, 1) (compound ops);
+  (* LIMIT: the right operand's operators run and report *)
+  let rows, ops, distinct, order_by =
+    run "VALUES (1) INTERSECT SELECT DISTINCT c0 FROM t0 ORDER BY c0 LIMIT 2"
+  in
+  Alcotest.(check (list string)) "limited rows" [ "1" ] rows;
+  Alcotest.(check (list string)) "full pipeline events"
+    [ "SCAN"; "DISTINCT"; "SORT"; "LIMIT"; "COMPOUND" ]
+    (names ops);
+  Alcotest.check probe3 "limited event" ("INTERSECT (probe)", 3, 1)
+    (compound ops);
+  Alcotest.(check (pair int int)) "coverage" (1, 1) (distinct, order_by)
+
 (* ---------- generator provenance ---------- *)
 
 let test_provenance () =
@@ -532,6 +615,8 @@ let () =
           Alcotest.test_case "session unharmed" `Quick
             test_explain_analyze_leaves_session_clean;
         ] );
+      ( "compound",
+        [ Alcotest.test_case "probed INTERSECT/EXCEPT" `Quick test_probed_compound ] );
       ( "generator",
         [ Alcotest.test_case "expression provenance" `Quick test_provenance ] );
     ]
