@@ -695,12 +695,17 @@ and run_compound ctx op qa qb =
           if not (Executor.Row_tbl.mem marks r) then
             Executor.Row_tbl.add marks r (ref false))
         left;
-      let probed = ref 0 in
+      (* once every left key is met the answer is known; later right
+         rows still run, for their errors, but are not looked up *)
+      let probed = ref 0 and unmet = ref (Executor.Row_tbl.length marks) in
       let sink r =
         incr probed;
-        match Executor.Row_tbl.find_opt marks r with
-        | Some met -> met := true
-        | None -> ()
+        if !unmet > 0 then
+          match Executor.Row_tbl.find_opt marks r with
+          | Some met when not !met ->
+              met := true;
+              decr unmet
+          | Some _ | None -> ()
       in
       let* rb = run_query ~sink ctx qb in
       let* () = same_width rb in
