@@ -92,7 +92,7 @@ let project_into out (tuple : Value.t array array) projs :
   in
   go 0 projs
 
-(* ... into a fresh array, sized before any item runs. *)
+(* [project_into] a fresh array, sized before any item runs. *)
 let project tuple projs =
   project_into (Array.make (proj_width tuple 0 projs) Value.Null) tuple projs
 
