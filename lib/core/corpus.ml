@@ -48,7 +48,10 @@ let sources session =
   |> List.filter_map (fun (ti : Schema_info.table_info) ->
          match Schema_info.rows_of_table session ti.Schema_info.ti_name with
          | [] -> None
-         | rows -> Some (ti, rows))
+         | rows ->
+             (* the scan count (incl. inherited rows) is what the
+                single-row aggregate extension keys on *)
+             Some ({ ti with Schema_info.ti_row_count = List.length rows }, rows))
 
 let pick_pivot rng sources =
   let k = if List.length sources >= 2 && Rng.bool rng then 2 else 1 in

@@ -34,7 +34,9 @@ val build : ?bugs:Engine.Bug.set -> seed:int -> Dialect.t -> t
     included). *)
 val exec : t -> Sqlast.Ast.stmt -> unit
 
-(** The session's tables that hold at least one row, in creation order. *)
+(** The session's tables that hold at least one row, in creation order,
+    each with its scanned rows (postgres-inherited child rows included);
+    [ti_row_count] is the scan's row count. *)
 val sources : Engine.Session.t -> source list
 
 (** Step 2: one or (when there are two sources, with even odds) two

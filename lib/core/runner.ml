@@ -295,14 +295,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
             (* ---- steps 2-7 ---- *)
             let pivot_sources () =
               Telemetry.Span.timed tele Telemetry.Phase.Pivot @@ fun () ->
-              let tables =
-                Corpus.sources session
-                |> List.map (fun ((ti : Schema_info.table_info), rows) ->
-                       (* the scan count (incl. inherited rows) is what the
-                          single-row aggregate extension keys on *)
-                       ( { ti with Schema_info.ti_row_count = List.length rows },
-                         rows ))
-              in
+              let tables = Corpus.sources session in
               (* views join the candidate pool occasionally (paper
                  Sec. 4.2) *)
               let views =
