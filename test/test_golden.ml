@@ -342,6 +342,42 @@ let cases =
         Err_msg
           (Engine.Errors.Syntax_error, "VALUES lists must all be the same length");
     };
+    (* --- error precedence: WHERE runs on every FROM row before any
+       projection; without FROM, projection runs first; ON before WHERE --- *)
+    {
+      name = "postgres later WHERE error beats earlier projection error";
+      dialect = pg;
+      script =
+        "CREATE TABLE t(a BIGINT); INSERT INTO t VALUES (9223372036854775807), \
+         (0);";
+      query = "SELECT a + 1 FROM t WHERE 1 / a >= 0";
+      expect = Err Engine.Errors.Division_by_zero;
+    };
+    {
+      name = "postgres probed operand: WHERE error beats projection error";
+      dialect = pg;
+      script =
+        "CREATE TABLE t(a BIGINT); INSERT INTO t VALUES (9223372036854775807), \
+         (0);";
+      query = "VALUES (1) INTERSECT SELECT a + 1 FROM t WHERE 1 / a >= 0";
+      expect = Err Engine.Errors.Division_by_zero;
+    };
+    {
+      name = "postgres FROM-less projection error beats WHERE error";
+      dialect = pg;
+      script = "";
+      query = "SELECT 9223372036854775807 + 1 WHERE 1 / 0 > 0";
+      expect = Err Engine.Errors.Out_of_range;
+    };
+    {
+      name = "postgres ON error beats WHERE error";
+      dialect = pg;
+      script =
+        "CREATE TABLE t(a BIGINT); INSERT INTO t VALUES (9223372036854775807), \
+         (0);";
+      query = "SELECT * FROM t AS x JOIN t AS y ON 1 / y.a >= 0 WHERE x.a + 1 > 0";
+      expect = Err Engine.Errors.Division_by_zero;
+    };
     (* --- constraints --- *)
     {
       name = "unique allows multiple NULLs";

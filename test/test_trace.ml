@@ -21,6 +21,10 @@
    - probed compounds: an INTERSECT/EXCEPT right operand's skipped
      DISTINCT and SORT emit no events but still hit coverage, and the
      COMPOUND event marks the probe and counts the rows probed;
+   - FROM shapes: one table, comma FROMs (two and three items, with and
+     without WHERE, under the forced join swap), a LEFT JOIN and a
+     DISTINCT/ORDER BY/LIMIT chain each emit a pinned operator event
+     list;
    - provenance: the per-condition (raw, verdict, rectified) triples the
      generator exposes agree with its [raw_truths]. *)
 
@@ -535,6 +539,135 @@ let test_probed_compound () =
     (compound ops);
   Alcotest.(check (pair int int)) "coverage" (1, 1) (distinct, order_by)
 
+(* ---------- FROM shapes ---------- *)
+
+(* Each shape's operator events, as (op, detail, rows_in, rows_out,
+   batches) in recorded order. *)
+let test_from_shapes () =
+  let dialect = Dialect.Sqlite_like in
+  let recorder = Trace.create ~capacity:256 () in
+  let session = Engine.Session.create ~recorder dialect in
+  ignore (exec session "CREATE TABLE t0(c0 INT)");
+  ignore (exec session "INSERT INTO t0(c0) VALUES (1), (2), (2), (3)");
+  ignore (exec session "CREATE TABLE t1(c0 INT)");
+  ignore
+    (exec session
+       ("INSERT INTO t1(c0) VALUES "
+       ^ String.concat ", " (List.init 100 (fun i -> Printf.sprintf "(%d)" i))));
+  ignore (exec session "CREATE TABLE t2(c0 INT)");
+  ignore (exec session "INSERT INTO t2(c0) VALUES (2), (4)");
+  let ops () =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        match e.Trace.event with
+        | Trace.Event.Op { op; detail; rows_in; rows_out; batches; _ } ->
+            Some (op, detail, rows_in, rows_out, batches)
+        | _ -> None)
+      (Trace.events recorder)
+  in
+  let rows_seen = ref [] in
+  let run ?force sql =
+    Trace.begin_round recorder ~seed:0 ~dialect;
+    let q =
+      match parse_sql sql with
+      | Sqlast.Ast.Select_stmt q -> q
+      | _ -> Alcotest.fail "expected a query"
+    in
+    let r =
+      match force with
+      | None -> Engine.Session.query session q
+      | Some force -> Engine.Session.query_forced session ~force q
+    in
+    match r with
+    | Ok rs ->
+        rows_seen :=
+          List.map
+            (fun r ->
+              String.concat "|" (Array.to_list (Array.map Value.to_display r)))
+            rs.Engine.Executor.rs_rows;
+        ops ()
+    | Error e -> Alcotest.fail (Engine.Errors.show e)
+  in
+  let events = Alcotest.(list (pair (pair string string) (triple int int int))) in
+  let check name expected got =
+    let norm = List.map (fun (op, d, i, o, b) -> ((op, d), (i, o, b))) in
+    Alcotest.check events name (norm expected) (norm got)
+  in
+  check "one table, WHERE over two blocks"
+    [ ("SCAN", "t1 USING full-scan", 100, 100, 2); ("FILTER", "WHERE", 100, 90, 2) ]
+    (run "SELECT c0 FROM t1 WHERE c0 >= 10");
+  check "comma FROM"
+    [ ("SCAN", "t0 USING full-scan", 4, 4, 1); ("SCAN", "t2 USING full-scan", 2, 2, 1) ]
+    (run "SELECT * FROM t0, t2");
+  check "comma FROM with WHERE"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("FILTER", "WHERE", 8, 2, 1);
+    ]
+    (run "SELECT * FROM t0, t2 WHERE t0.c0 = t2.c0");
+  check "forced swap"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("FILTER", "WHERE", 8, 7, 1);
+    ]
+    (run
+       ~force:{ Engine.Executor.no_force with Engine.Executor.f_swap_join = true }
+       "SELECT * FROM t0, t2 WHERE t0.c0 <= t2.c0");
+  Alcotest.(check (list string))
+    "forced swap: the second table is the outer loop"
+    [ "1|2"; "2|2"; "2|2"; "1|4"; "2|4"; "2|4"; "3|4" ]
+    !rows_seen;
+  check "three-item comma FROM"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("SCAN", "t1 USING full-scan", 100, 100, 2);
+      ("FILTER", "WHERE", 800, 8, 13);
+    ]
+    (run "SELECT * FROM t0, t2, t1 WHERE t1.c0 < t0.c0 AND t2.c0 = 2");
+  Alcotest.(check (list string))
+    "three-item comma FROM: textual nesting"
+    [ "1|2|0"; "2|2|0"; "2|2|1"; "2|2|0"; "2|2|1"; "3|2|0"; "3|2|1"; "3|2|2" ]
+    !rows_seen;
+  check "forced swap of an inner join"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("JOIN", "INNER (forced swap)", 6, 7, 1);
+    ]
+    (run
+       ~force:{ Engine.Executor.no_force with Engine.Executor.f_swap_join = true }
+       "SELECT * FROM t0 JOIN t2 ON t0.c0 <= t2.c0");
+  (* a join emits each outer tuple's matches last-first *)
+  Alcotest.(check (list string))
+    "forced join swap: the right side is the outer loop"
+    [ "2|2"; "2|2"; "1|2"; "3|4"; "2|4"; "2|4"; "1|4" ]
+    !rows_seen;
+  ignore (run "SELECT * FROM t0 JOIN t2 ON t0.c0 <= t2.c0");
+  Alcotest.(check (list string))
+    "inner join: the left side is the outer loop"
+    [ "1|4"; "1|2"; "2|4"; "2|2"; "2|4"; "2|2"; "3|4" ]
+    !rows_seen;
+  check "LEFT JOIN with an unmatched row"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("JOIN", "LEFT", 6, 4, 1);
+    ]
+    (run "SELECT * FROM t0 LEFT JOIN t2 ON t0.c0 = t2.c0");
+  Alcotest.(check (list string))
+    "LEFT JOIN rows" [ "1|NULL"; "2|2"; "2|2"; "3|NULL" ] !rows_seen;
+  check "DISTINCT, ORDER BY and LIMIT"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("DISTINCT", "", 4, 3, 1);
+      ("SORT", "1 keys", 3, 3, 1);
+      ("LIMIT", "", 3, 2, 1);
+    ]
+    (run "SELECT DISTINCT c0 FROM t0 ORDER BY c0 DESC LIMIT 2")
+
 (* ---------- generator provenance ---------- *)
 
 let test_provenance () =
@@ -617,6 +750,8 @@ let () =
         ] );
       ( "compound",
         [ Alcotest.test_case "probed INTERSECT/EXCEPT" `Quick test_probed_compound ] );
+      ( "from",
+        [ Alcotest.test_case "operator events per FROM shape" `Quick test_from_shapes ] );
       ( "generator",
         [ Alcotest.test_case "expression provenance" `Quick test_provenance ] );
     ]
