@@ -1,17 +1,18 @@
-(* The query executor: the operator pipeline over compiled expressions.
+(* The query executor: a push pipeline over compiled expressions.
 
    Each expression of a query is compiled once by Eval.compile into a
-   closure over the env's current tuple; the operator pipeline (scan,
-   filter, project, aggregate, distinct, sort, limit) stores each tuple
-   in the env and drives those closures over fixed-size row blocks.  All
-   expression semantics — every dialect quirk and injected bug — live in
-   Eval. *)
+   closure over the env's current tuple.  A SELECT runs as one nested
+   loop over its materialized FROM sources, keeping the rows WHERE
+   accepts, then one projection loop that pushes each row, with its
+   ORDER BY keys, through stages built once per SELECT (DISTINCT, ORDER
+   BY, LIMIT/OFFSET) into a sink: the caller's, or the default one that
+   collects the result set.  All expression semantics — every dialect
+   quirk and injected bug — live in Eval. *)
 
 open Sqlval
 module A = Sqlast.Ast
 
 let ( let* ) = Result.bind
-let block_size = Executor.block_size
 let batches_of = Executor.batches_of
 
 (* The row under evaluation is a tuple: one value array per FROM-clause
@@ -96,14 +97,8 @@ let project_into out (tuple : Value.t array array) projs :
 let project tuple projs =
   project_into (Array.make (proj_width tuple 0 projs) Value.Null) tuple projs
 
-let rec eval_all acc = function
-  | [] -> Ok (List.rev acc)
-  | (t : Eval.thunk) :: rest ->
-      let* v = t () in
-      eval_all (v :: acc) rest
-
 (* ------------------------------------------------------------------ *)
-(* The batched pipeline                                                *)
+(* FROM and WHERE                                                      *)
 
 (* A materialized FROM item: static per-binding metadata plus the
    tuples, one value array per binding (joins contribute the bindings
@@ -113,47 +108,194 @@ type source = {
   src_tuples : Value.t array array list;
 }
 
-(* Evaluate the compiled WHERE predicate over the tuples in blocks of
-   [block_size], compacting survivors per block; the FILTER operator
-   annotation reports the block count. *)
-let filter_rows ctx (c : Eval.env) pred (rows : Value.t array array array) :
-    (Value.t array array list, Errors.t) result =
-  match pred with
-  | None -> Ok (Array.to_list rows)
-  | Some p ->
-      let filter_t0 = Executor.op_clock ctx in
-      let n = Array.length rows in
+(* One nested loop over the sources, in textual order except that the
+   forced join swap puts the second of a two-item comma FROM outside.
+   Each source tuple is blitted into the env's scratch tuple at its
+   bindings' offset, WHERE runs there, and only a surviving row gets a
+   fresh combined tuple.  Returns the product's size and the survivors,
+   in loop order. *)
+let from_where ctx (c : Eval.env) pred sources =
+  let filter_t0 = Executor.op_clock ctx in
+  let scratch = !(c.Eval.cur) in
+  let _, placed =
+    List.fold_left
+      (fun (off, acc) src ->
+        (off + List.length src.src_layout, (off, src.src_tuples) :: acc))
+      (0, []) sources
+  in
+  let loops =
+    match List.rev placed with
+    | [ a; b ] when Executor.swap_join_forced ctx -> [ b; a ]
+    | loops -> loops
+  in
+  let n = ref 0 and kept = ref [] in
+  let keep () = kept := Array.copy scratch :: !kept in
+  let rec nest = function
+    | [] -> (
+        incr n;
+        match pred with
+        | None ->
+            keep ();
+            Ok ()
+        | Some p -> (
+            let* v = p () in
+            match Eval.value_tvl c v with
+            | Ok Tvl.True ->
+                keep ();
+                Ok ()
+            | Ok (Tvl.False | Tvl.Unknown) -> Ok ()
+            | Error e -> Error e))
+    | (off, tuples) :: inner ->
+        let rec each = function
+          | [] -> Ok ()
+          | t :: rest ->
+              Array.blit t 0 scratch off (Array.length t);
+              let* () = nest inner in
+              each rest
+        in
+        each tuples
+  in
+  let* () = nest loops in
+  let rows = List.rev !kept in
+  if Option.is_some pred && Executor.tracing ctx then
+    Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:!n
+      ~rows_out:(List.length rows) ~batches:(batches_of !n) ~t0:filter_t0 ();
+  Ok (!n, rows)
+
+(* ------------------------------------------------------------------ *)
+(* Stages                                                              *)
+
+(* A stage takes the projected rows, each with its ORDER BY keys, one at
+   a time; [finish] runs once, after the last row. *)
+type stage = {
+  push : Value.t array -> Value.t list -> unit;
+  finish : unit -> unit;
+}
+
+(* The sink a query delivers to: the caller's, or by default one that
+   collects the result set, returned by the second function (empty under
+   the caller's sink). *)
+let sink_or_collect = function
+  | Some f -> (f, fun () -> [])
+  | None ->
       let acc = ref [] in
-      let err = ref None in
-      let i = ref 0 in
-      let batches = ref 0 in
-      while !err = None && !i < n do
-        let hi = Stdlib.min n (!i + block_size) in
-        incr batches;
-        let j = ref !i in
-        while !err = None && !j < hi do
-          let row = rows.(!j) in
-          c.Eval.cur := row;
-          (match p () with
-          | Ok v -> (
-              match Eval.value_tvl c v with
-              | Ok Tvl.True -> acc := row :: !acc
-              | Ok (Tvl.False | Tvl.Unknown) -> ()
-              | Error e -> err := Some e)
-          | Error e -> err := Some e);
-          incr j
-        done;
-        i := hi
-      done;
-      (match !err with
-      | Some e -> Error e
-      | None ->
-          let filtered = List.rev !acc in
-          if Executor.tracing ctx then
-            Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
-              ~rows_out:(List.length filtered)
-              ~batches:(Stdlib.max 1 !batches) ~t0:filter_t0 ();
-          Ok filtered)
+      ((fun row -> acc := row :: !acc), fun () -> List.rev !acc)
+
+(* DISTINCT: the first occurrence of each row passes. *)
+let distinct_stage ctx next =
+  let t0 = Executor.op_clock ctx in
+  let seen = Executor.Row_tbl.create 16 and n_in = ref 0 in
+  {
+    push =
+      (fun row keys ->
+        incr n_in;
+        if not (Executor.Row_tbl.mem seen row) then begin
+          Executor.Row_tbl.add seen row ();
+          next.push row keys
+        end);
+    finish =
+      (fun () ->
+        Executor.op_event ctx ~op:"DISTINCT" ~rows_in:!n_in
+          ~rows_out:(Executor.Row_tbl.length seen) ~batches:(batches_of !n_in)
+          ~t0 ();
+        next.finish ());
+  }
+
+(* ORDER BY, a stable sort with each key compared under its expression's
+   collation (explicit COLLATE or the column's, like sqlite), or without
+   one the reverse_unordered_selects reversal: the one stage that
+   buffers. *)
+let order_stage ctx (c : Eval.env) (s : A.select) next =
+  let held = ref [] in
+  let ordered () =
+    match s.A.sel_order_by with
+    | [] -> !held (* held last-first: reversed *)
+    | order_by ->
+        let sort_t0 = Executor.op_clock ctx in
+        let dirs_and_colls =
+          List.map
+            (fun (e, dir) ->
+              let coll =
+                match e with
+                | A.Collate (_, cl) -> cl
+                | _ -> (
+                    match Eval.column_meta c e with
+                    | Some (_, cl) -> cl
+                    | None -> Collation.Binary)
+              in
+              (dir, coll))
+            order_by
+        in
+        let rec cmp ks1 ks2 dcs =
+          match (ks1, ks2, dcs) with
+          | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
+              let cm = Value.compare_total ~collation:coll k1 k2 in
+              let cm = match d with A.Asc -> cm | A.Desc -> -cm in
+              if cm <> 0 then cm else cmp r1 r2 rd
+          | _ -> 0
+        in
+        let sorted =
+          List.stable_sort
+            (fun (_, ka) (_, kb) -> cmp ka kb dirs_and_colls)
+            (List.rev !held)
+        in
+        (if Executor.tracing ctx then
+           let n = List.length sorted in
+           Executor.op_event ctx ~op:"SORT"
+             ~detail:(Printf.sprintf "%d keys" (List.length order_by))
+             ~rows_in:n ~rows_out:n ~batches:(batches_of n) ~t0:sort_t0 ());
+        sorted
+  in
+  {
+    push = (fun row keys -> held := (row, keys) :: !held);
+    finish =
+      (fun () ->
+        List.iter (fun (row, keys) -> next.push row keys) (ordered ());
+        next.finish ());
+  }
+
+(* OFFSET, then LIMIT: counters over the rows that reach them. *)
+let limit_stage ctx (s : A.select) next =
+  let t0 = Executor.op_clock ctx in
+  let skip = Option.fold ~none:0 ~some:Int64.to_int s.A.sel_offset in
+  let take = Option.fold ~none:(-1) ~some:Int64.to_int s.A.sel_limit in
+  let seen = ref 0 and passed = ref 0 in
+  {
+    push =
+      (fun row keys ->
+        incr seen;
+        if !seen > skip && (take < 0 || !passed < take) then begin
+          incr passed;
+          next.push row keys
+        end);
+    finish =
+      (fun () ->
+        Executor.op_event ctx ~op:"LIMIT" ~rows_in:!seen ~rows_out:!passed
+          ~batches:(batches_of !seen) ~t0 ();
+        next.finish ());
+  }
+
+(* The chain a SELECT's rows are pushed through, ending in [put].  A
+   probed SELECT (see [run_select]) has no DISTINCT or ORDER BY stage. *)
+let stages ctx c (s : A.select) ~probe put =
+  let st = { push = (fun row _ -> put row); finish = ignore } in
+  let st =
+    if s.A.sel_limit = None && s.A.sel_offset = None then st
+    else limit_stage ctx s st
+  in
+  if probe then st
+  else
+    let st =
+      if
+        s.A.sel_order_by <> []
+        || Options.reverse_unordered_selects ctx.Executor.options
+      then order_stage ctx c s st
+      else st
+    in
+    if s.A.sel_distinct then distinct_stage ctx st else st
+
+(* ------------------------------------------------------------------ *)
+(* Aggregation                                                         *)
 
 (* GROUP BY / aggregate items / HAVING over the filtered tuples, through
    Executor's aggregation operator.  Group keys and aggregate arguments
@@ -161,9 +303,10 @@ let filter_rows ctx (c : Eval.env) pred (rows : Value.t array array array) :
    items and ORDER BY keys are compiled after its aggregates are
    substituted by their values, and evaluated against the group's first
    tuple.  The implicit single group over no rows has no representative
-   tuple, so its column references fail to resolve. *)
-let aggregate ctx (c : Eval.env) (s : A.select) filtered :
-    ((Value.t array * Value.t list) list, Errors.t) result =
+   tuple, so its column references fail to resolve.  Each group that
+   passes HAVING goes to [emit] (the SELECT's projection step) with its
+   env, representative tuple, items and keys. *)
+let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
   cov_ctx ctx "exec.group_by";
   let agg_t0 = Executor.op_clock ctx in
   let compiled = ref [] in
@@ -180,9 +323,10 @@ let aggregate ctx (c : Eval.env) (s : A.select) filtered :
     t ()
   in
   let substitute group e = Executor.substitute_aggs ctx ~eval group e in
-  let* groups = Executor.group_tuples ctx ~eval s filtered in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
+  let* groups = Executor.group_tuples ctx ~eval s tuples in
+  let kept = ref 0 in
+  let rec go = function
+    | [] -> Ok ()
     | group :: rest ->
         let gc, rep =
           match group with
@@ -204,7 +348,7 @@ let aggregate ctx (c : Eval.env) (s : A.select) filtered :
               let* t = Eval.value_tvl gc v in
               Ok (Tvl.equal t Tvl.True)
         in
-        if not keep then go acc rest
+        if not keep then go rest
         else
           let* items =
             let rec sub acc = function
@@ -216,29 +360,26 @@ let aggregate ctx (c : Eval.env) (s : A.select) filtered :
             in
             sub [] s.A.sel_items
           in
-          let projs = compile_items gc items in
-          gc.Eval.cur := rep;
-          let* row = project rep projs in
-          let* keys =
-            let rec keys acc = function
-              | [] -> Ok (List.rev acc)
-              | (e, _) :: more ->
-                  let* e' = substitute group e in
-                  let* v = at_rep e' in
-                  keys (v :: acc) more
-            in
-            keys [] s.A.sel_order_by
+          (* each key is substituted, compiled and evaluated in turn *)
+          let keys =
+            List.map
+              (fun (e, _) () ->
+                let* e' = substitute group e in
+                at_rep e')
+              s.A.sel_order_by
           in
-          go ((row, keys) :: acc) rest
+          incr kept;
+          let* () = emit gc rep (compile_items gc items) keys in
+          go rest
   in
-  let* out = go [] groups in
+  let* () = go groups in
   if Executor.tracing ctx then
     Executor.op_event ctx ~op:"AGGREGATE"
       ~detail:(if s.A.sel_group_by = [] then "" else "GROUP BY")
-      ~rows_in:(List.length filtered) ~rows_out:(List.length out)
-      ~batches:(batches_of (List.length filtered))
+      ~rows_in:(List.length tuples) ~rows_out:!kept
+      ~batches:(batches_of (List.length tuples))
       ~t0:agg_t0 ();
-  Ok out
+  Ok ()
 
 (* A derived row source (view or FROM subquery): one binding whose
    columns are untyped and binary-collated. *)
@@ -278,35 +419,23 @@ let ragged_values_error (d : Dialect.t) ~row =
         Printf.sprintf "Column count doesn't match value count at row %d" row
     | Dialect.Postgres_like -> "VALUES lists must all be the same length")
 
-(* A row sink receives a query's output rows one at a time instead of a
-   collected list; INTERSECT and EXCEPT probe their right operand with
-   one.  [deliver] hands a finished result set to the caller: whole, or,
-   under a sink, row by row (the result then keeps its columns and no
-   rows). *)
-let deliver ?sink (rs : Executor.result_set) =
-  match sink with
-  | None -> Ok rs
-  | Some f ->
-      List.iter f rs.Executor.rs_rows;
-      Ok { rs with Executor.rs_rows = [] }
+(* ------------------------------------------------------------------ *)
+(* SELECT                                                              *)
 
-(* ORDER BY keys evaluated for their errors only. *)
-let rec eval_each = function
-  | [] -> Ok ()
-  | (t : Eval.thunk) :: rest ->
-      let* _ = t () in
-      eval_each rest
-
-(* One compiled-and-executed SELECT.  Under a [sink] and without
-   LIMIT/OFFSET the SELECT is probed: each projected row goes to the
-   sink as it is produced, and DISTINCT, the unordered-SELECT reversal
-   and ORDER BY are skipped, since none of them changes which rows a
-   set probe sees.  Every item and ORDER BY key is still evaluated in
-   row order, so errors surface as in the full pipeline, and the
-   DISTINCT and ORDER BY coverage points are still hit. *)
+(* One compiled-and-executed SELECT, its rows delivered to [sink] (a
+   row sink: INTERSECT and EXCEPT probe their right operand with one) or
+   collected.  FROM and WHERE run to completion before any projection,
+   so WHERE's errors come first.  Under a sink and without LIMIT/OFFSET
+   the SELECT is probed: its chain has no DISTINCT or ORDER BY stage,
+   since neither changes which rows a set probe sees, and each row is
+   projected into one reused buffer.  Every item and ORDER BY key is
+   still evaluated in row order, so errors surface as in the full
+   pipeline, and the DISTINCT and ORDER BY coverage points are still
+   hit. *)
 let rec run_select ?sink ctx (s : A.select) :
     (Executor.result_set, Errors.t) result =
   let where = s.A.sel_where in
+  let put, collected = sink_or_collect sink in
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
        DISTINCT/ORDER BY/LIMIT do not apply *)
@@ -319,20 +448,16 @@ let rec run_select ?sink ctx (s : A.select) :
     let* columns = Executor.output_columns [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
     let* row = project [||] projs in
-    let* rows =
+    let* keep =
       match where with
-      | None -> Ok [ row ]
-      | Some w -> (
-          let p = Eval.compile c w in
-          match p () with
-          | Ok v -> (
-              match Eval.value_tvl c v with
-              | Ok Tvl.True -> Ok [ row ]
-              | Ok (Tvl.False | Tvl.Unknown) -> Ok []
-              | Error e -> Error e)
-          | Error e -> Error e)
+      | None -> Ok true
+      | Some w ->
+          let* v = Eval.compile c w () in
+          let* t = Eval.value_tvl c v in
+          Ok (Tvl.equal t Tvl.True)
     in
-    deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
+    if keep then put row;
+    Ok { Executor.rs_columns = columns; rs_rows = collected () }
   end
   else begin
     let cond_has_cast =
@@ -362,9 +487,9 @@ let rec run_select ?sink ctx (s : A.select) :
         distinct = s.A.sel_distinct;
       }
     in
-    (* FROM: materialize each comma item, then the cross product (scans
-       and their flight-recorder events happen in textual order even
-       under a forced join swap) *)
+    (* materialize each comma item in textual order (scans and their
+       flight-recorder events keep that order under a forced join
+       swap) *)
     let* sources =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
@@ -374,234 +499,66 @@ let rec run_select ?sink ctx (s : A.select) :
       in
       go [] s.A.sel_from
     in
-    let layout = List.concat_map (fun src -> src.src_layout) sources in
-    let c = make_env ctx layout in
-    (* WHERE *)
-    let pred = Option.map (Eval.compile c) where in
-    let* filtered, product_nonempty =
-      match (sources, pred) with
-      | [ a; b ], Some p ->
-          (* fused cross product + filter for the two-item comma FROM:
-             the predicate runs against the env's scratch tuple with the
-             halves blitted in, and the combined tuple is allocated only
-             for surviving rows; iteration order, coverage, the FILTER
-             event's counts and the forced join swap all match the
-             materialize-then-filter path *)
-          let na = List.length a.src_layout
-          and nb = List.length b.src_layout in
-          let scratch = !(c.Eval.cur) in
-          let la = Array.of_list a.src_tuples
-          and lb = Array.of_list b.src_tuples in
-          let filter_t0 = Executor.op_clock ctx in
-          let n = Array.length la * Array.length lb in
-          let acc = ref [] in
-          let err = ref None in
-          let eval_tuple tl tr =
-            Array.blit tl 0 scratch 0 na;
-            Array.blit tr 0 scratch na nb;
-            match p () with
-            | Ok v -> (
-                match Eval.value_tvl c v with
-                | Ok Tvl.True -> acc := Array.append tl tr :: !acc
-                | Ok (Tvl.False | Tvl.Unknown) -> ()
-                | Error e -> err := Some e)
-            | Error e -> err := Some e
-          in
-          let outer, inner, tuple_of =
-            if Executor.swap_join_forced ctx then
-              (* second table in the outer loop; binding order stays
-                 textual so the predicate and projection are unchanged *)
-              (lb, la, fun o i -> eval_tuple i o)
-            else (la, lb, fun o i -> eval_tuple o i)
-          in
-          let no = Array.length outer and ni = Array.length inner in
-          let oi = ref 0 in
-          while !err = None && !oi < no do
-            let o = outer.(!oi) in
-            let ii = ref 0 in
-            while !err = None && !ii < ni do
-              tuple_of o inner.(!ii);
-              incr ii
-            done;
-            incr oi
-          done;
-          (match !err with
-          | Some e -> Error e
-          | None ->
-              let rows = List.rev !acc in
-              if Executor.tracing ctx then
-                Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:n
-                  ~rows_out:(List.length rows) ~batches:(batches_of n)
-                  ~t0:filter_t0 ();
-              Ok (rows, n > 0))
-      | _ ->
-          let tuples =
-            match sources with
-            | [] -> []
-            | [ a; b ] when Executor.swap_join_forced ctx ->
-                (* forced join-order swap for the two-item comma FROM:
-                   iterate the second table in the outer loop; binding
-                   order stays textual so projection is unchanged *)
-                List.concat_map
-                  (fun tr ->
-                    List.map (fun tl -> Array.append tl tr) a.src_tuples)
-                  b.src_tuples
-            | first :: rest ->
-                List.fold_left
-                  (fun acc src ->
-                    List.concat_map
-                      (fun tl ->
-                        List.map (fun tr -> Array.append tl tr) src.src_tuples)
-                      acc)
-                  first.src_tuples rest
-          in
-          let* f = filter_rows ctx c pred (Array.of_list tuples) in
-          Ok (f, match tuples with [] -> false | _ :: _ -> true)
+    let c =
+      make_env ctx (List.concat_map (fun src -> src.src_layout) sources)
+    in
+    let* n, rows =
+      from_where ctx c (Option.map (Eval.compile c) where) sources
     in
     (* output columns come from a sample tuple: the runtime layout when
        the FROM produced tuples, nothing when it was empty (observable:
        [*] over an empty product has no columns) *)
-    let sample = if product_nonempty then c.Eval.layout else [] in
-    let* columns = Executor.output_columns sample s.A.sel_items in
-    let probe =
-      match sink with
-      | Some f when s.A.sel_limit = None && s.A.sel_offset = None -> Some f
-      | _ -> None
+    let* columns =
+      Executor.output_columns
+        (if n > 0 then c.Eval.layout else [])
+        s.A.sel_items
     in
-    (* projection + ORDER BY keys, or the aggregation operator; a probe
-       takes the projected rows as they come, leaving the list empty *)
-    let* out_rows_with_keys =
-      if Executor.select_has_agg s then aggregate ctx c s filtered
+    let probe =
+      Option.is_some sink && s.A.sel_limit = None && s.A.sel_offset = None
+    in
+    let chain = stages ctx c s ~probe put in
+    (* the projection step: rows go on to stages that may keep them,
+       except under a probe, whose sink only looks them up *)
+    let buf = ref [||] in
+    let emit (c : Eval.env) tuple projs keys =
+      c.Eval.cur := tuple;
+      let* row =
+        if probe then begin
+          let w = proj_width tuple 0 projs in
+          if Array.length !buf <> w then buf := Array.make w Value.Null;
+          project_into !buf tuple projs
+        end
+        else project tuple projs
+      in
+      let rec eval acc = function
+        | [] -> Ok (List.rev acc)
+        | (t : Eval.thunk) :: rest ->
+            let* v = t () in
+            eval (v :: acc) rest
+      in
+      let* keys = eval [] keys in
+      chain.push row keys;
+      Ok ()
+    in
+    let* () =
+      if Executor.select_has_agg s then aggregate ctx c s rows ~emit
       else
         let projs = compile_items c s.A.sel_items in
-        let order_thunks =
-          List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by
+        let keys = List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by in
+        let rec go = function
+          | [] -> Ok ()
+          | tuple :: rest ->
+              let* () = emit c tuple projs keys in
+              go rest
         in
-        match probe with
-        | Some f ->
-            (* the sink only looks rows up, so one buffer serves them all *)
-            let buf = ref [||] in
-            let rec go = function
-              | [] -> Ok []
-              | values :: rest ->
-                  c.Eval.cur := values;
-                  let w = proj_width values 0 projs in
-                  if Array.length !buf <> w then buf := Array.make w Value.Null;
-                  let* row = project_into !buf values projs in
-                  let* () = eval_each order_thunks in
-                  f row;
-                  go rest
-            in
-            go filtered
-        | None ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | values :: rest ->
-                  c.Eval.cur := values;
-                  let* row = project values projs in
-                  let* ks = eval_all [] order_thunks in
-                  go ((row, ks) :: acc) rest
-            in
-            go [] filtered
+        go rows
     in
-    match probe with
-    | Some f ->
-        List.iter (fun (row, _) -> f row) out_rows_with_keys;
-        if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
-        if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
-        Ok { Executor.rs_columns = columns; rs_rows = [] }
-    | None ->
-        (* DISTINCT *)
-        let out_rows_with_keys =
-          if s.A.sel_distinct then begin
-            cov_ctx ctx "exec.distinct";
-            let d_t0 = Executor.op_clock ctx in
-            let n_in =
-              if Executor.tracing ctx then List.length out_rows_with_keys else 0
-            in
-            let deduped = Executor.dedup ~row:fst out_rows_with_keys in
-            if Executor.tracing ctx then
-              Executor.op_event ctx ~op:"DISTINCT" ~rows_in:n_in
-                ~rows_out:(List.length deduped) ~batches:(batches_of n_in)
-                ~t0:d_t0 ();
-            deduped
-          end
-          else out_rows_with_keys
-        in
-        (* ORDER BY *)
-        let ordered =
-          if s.A.sel_order_by = [] then
-            if Options.reverse_unordered_selects ctx.Executor.options then
-              List.rev out_rows_with_keys
-            else out_rows_with_keys
-          else begin
-            cov_ctx ctx "exec.order_by";
-            let sort_t0 = Executor.op_clock ctx in
-            (* sort keys are compared under each ORDER BY expression's
-               collation (explicit COLLATE or the column's), like sqlite *)
-            let dirs_and_colls =
-              List.map
-                (fun (e, dir) ->
-                  let coll =
-                    match Eval.column_meta c e with
-                    | Some (_, cl) -> cl
-                    | None -> Collation.Binary
-                  in
-                  let coll = match e with A.Collate (_, cl) -> cl | _ -> coll in
-                  (dir, coll))
-                s.A.sel_order_by
-            in
-            List.stable_sort
-              (fun (_, ka) (_, kb) ->
-                let rec cmp ks1 ks2 dcs =
-                  match (ks1, ks2, dcs) with
-                  | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
-                      let cm = Value.compare_total ~collation:coll k1 k2 in
-                      let cm = match d with A.Asc -> cm | A.Desc -> -cm in
-                      if cm <> 0 then cm else cmp r1 r2 rd
-                  | _ -> 0
-                in
-                cmp ka kb dirs_and_colls)
-              out_rows_with_keys
-            |> fun sorted ->
-            (if Executor.tracing ctx then
-               let n = List.length sorted in
-               Executor.op_event ctx ~op:"SORT"
-                 ~detail:
-                   (Printf.sprintf "%d keys" (List.length s.A.sel_order_by))
-                 ~rows_in:n ~rows_out:n ~batches:(batches_of n) ~t0:sort_t0 ());
-            sorted
-          end
-        in
-        (* LIMIT / OFFSET *)
-        let limit_t0 = Executor.op_clock ctx in
-        let rows = List.map fst ordered in
-        let pre_limit = if Executor.tracing ctx then List.length rows else 0 in
-        let rows =
-          match s.A.sel_offset with
-          | None -> rows
-          | Some off ->
-              cov_ctx ctx "exec.limit";
-              let off = Int64.to_int off in
-              if off <= 0 then rows
-              else List.filteri (fun i _ -> i >= off) rows
-        in
-        let rows =
-          match s.A.sel_limit with
-          | None -> rows
-          | Some n ->
-              cov_ctx ctx "exec.limit";
-              let n = Int64.to_int n in
-              if n < 0 then rows else List.filteri (fun i _ -> i < n) rows
-        in
-        if
-          Executor.tracing ctx
-          && (s.A.sel_limit <> None || s.A.sel_offset <> None)
-        then
-          Executor.op_event ctx ~op:"LIMIT" ~rows_in:pre_limit
-            ~rows_out:(List.length rows) ~batches:(batches_of pre_limit)
-            ~t0:limit_t0 ();
-        deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
+    if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
+    if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
+    if s.A.sel_offset <> None then cov_ctx ctx "exec.limit";
+    if s.A.sel_limit <> None then cov_ctx ctx "exec.limit";
+    chain.finish ();
+    Ok { Executor.rs_columns = columns; rs_rows = collected () }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -630,20 +587,28 @@ and run_query ?sink ctx (q : A.query) :
             check 1 rows
           in
           let c = make_env ctx [] in
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | row :: rest ->
-                let* r = eval_all [] (List.map (Eval.compile c) row) in
-                go (Array.of_list r :: acc) rest
+          let put, collected = sink_or_collect sink in
+          let rec go = function
+            | [] -> Ok ()
+            | exprs :: rest ->
+                let row = Array.make width Value.Null in
+                let rec fill i = function
+                  | [] -> Ok ()
+                  | e :: more ->
+                      let* v = Eval.compile c e () in
+                      row.(i) <- v;
+                      fill (i + 1) more
+                in
+                let* () = fill 0 exprs in
+                put row;
+                go rest
           in
-          let* rows = go [] rows in
+          let* () = go rows in
           let columns =
             List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
           in
-          deliver ?sink { Executor.rs_columns = columns; rs_rows = rows }
-      | A.Q_compound (op, qa, qb) ->
-          let* rs = run_compound ctx op qa qb in
-          deliver ?sink rs)
+          Ok { Executor.rs_columns = columns; rs_rows = collected () }
+      | A.Q_compound (op, qa, qb) -> run_compound ?sink ctx op qa qb)
 
 (* UNION [ALL] concatenates its operands' rows.  INTERSECT and EXCEPT
    are one set probe: the left rows are hashed, and the right operand
@@ -651,7 +616,7 @@ and run_query ?sink ctx (q : A.query) :
    never collected (and a probed SELECT skips its DISTINCT and ORDER
    BY).  The output is the deduplicated left rows, in left order, whose
    key was met (INTERSECT) or not (EXCEPT). *)
-and run_compound ctx op qa qb =
+and run_compound ?sink ctx op qa qb =
   (match op with
   | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
   | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
@@ -673,7 +638,9 @@ and run_compound ctx op qa qb =
       Executor.op_event ctx ~op:"COMPOUND" ~detail ~rows_in:n_in
         ~rows_out:(List.length rows) ~batches:(batches_of n_in) ~t0 ()
     end;
-    Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = rows }
+    let put, collected = sink_or_collect sink in
+    List.iter put rows;
+    Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = collected () }
   in
   match op with
   | A.Union | A.Union_all ->
@@ -793,33 +760,23 @@ and materialize ctx fctx ~where (item : A.from_item) :
       run_join ctx ~kind ~on ~right_item:right l r
 
 (* Nested-loop join over two materialized sides.  The ON predicate is
-   compiled once against [left @ right] and evaluated against a scratch
-   tuple whose halves are refreshed by the loops; everything observable
-   (coverage, evaluation order, LEFT null extension, the forced join
-   swap, the JOIN event's row counts) matches a row-at-a-time loop. *)
+   compiled once against [left @ right] and evaluated against the env's
+   scratch tuple, into which the loops blit each side.  The outer loop
+   runs over the left side, or over the right under the forced join swap
+   (LEFT joins are never swapped: their NULL extension is asymmetric);
+   bindings concatenate in textual order either way.  Each outer tuple's
+   matches come out last-first. *)
 and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     (source, Errors.t) result =
   let join_t0 = Executor.op_clock ctx in
-  let nl = List.length l.src_layout and nr = List.length r.src_layout in
+  let nl = List.length l.src_layout in
   let full_layout = l.src_layout @ r.src_layout in
   let con =
-    match on with
-    | None -> None
-    | Some cond ->
+    match (kind, on) with
+    | A.Cross, _ | _, None -> None
+    | _, Some cond ->
         let c = make_env ctx full_layout in
         Some (c, Eval.compile c cond)
-  in
-  (* blit target: the env's own tuple, the one the ON closure reads *)
-  let scratch = match con with Some (c, _) -> !(c.Eval.cur) | None -> [||] in
-  let set_left lt =
-    match con with Some _ -> Array.blit lt 0 scratch 0 nl | None -> ()
-  in
-  let set_right rt =
-    match con with Some _ -> Array.blit rt 0 scratch nl nr | None -> ()
-  in
-  let eval_on c p =
-    let* v = p () in
-    Eval.value_tvl c v
   in
   (* the NULL-padded right extension for unmatched LEFT rows: shaped
      like the first right tuple, or built from the schemas when the
@@ -852,69 +809,48 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
                (fun b -> Array.map (fun _ -> Value.Null) b.Eval.b_columns)
                shape) )
   in
-  let combine () =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | lt :: rest ->
-          set_left lt;
-          let rec walk_right acc_r matched = function
-            | [] ->
-                let acc_r =
-                  if (not matched) && kind = A.Left then
-                    Array.append lt ext :: acc_r
-                  else acc_r
-                in
-                Ok acc_r
-            | rt :: more -> (
-                match (kind, con) with
-                | A.Cross, _ | _, None ->
-                    walk_right (Array.append lt rt :: acc_r) true more
-                | _, Some (c, p) -> (
-                    set_right rt;
-                    match eval_on c p with
-                    | Ok Tvl.True ->
-                        walk_right (Array.append lt rt :: acc_r) true more
-                    | Ok (Tvl.False | Tvl.Unknown) ->
-                        walk_right acc_r matched more
-                    | Error e -> Error e))
-          in
-          let* produced = walk_right [] false r.src_tuples in
-          go (List.rev_append produced acc) rest
-    in
-    go [] l.src_tuples
-  in
-  (* forced join-order swap: right side drives the outer loop; bindings
-     still concatenate in textual order.  LEFT joins are never swapped:
-     their NULL extension is asymmetric. *)
   let swap =
     Executor.swap_join_forced ctx
     && match kind with A.Inner | A.Cross -> true | A.Left -> false
   in
-  let combine_swapped () =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | rt :: rest ->
-          set_right rt;
-          let rec walk_left acc_l = function
-            | [] -> Ok acc_l
-            | lt :: more -> (
-                match (kind, con) with
-                | A.Cross, _ | _, None ->
-                    walk_left (Array.append lt rt :: acc_l) more
-                | _, Some (c, p) -> (
-                    set_left lt;
-                    match eval_on c p with
-                    | Ok Tvl.True ->
-                        walk_left (Array.append lt rt :: acc_l) more
-                    | Ok (Tvl.False | Tvl.Unknown) -> walk_left acc_l more
-                    | Error e -> Error e))
-          in
-          let* produced = walk_left [] l.src_tuples in
-          go (List.rev_append produced acc) rest
-    in
-    go [] r.src_tuples
+  let (outer, outer_off), (inner, inner_off) =
+    if swap then ((r.src_tuples, nl), (l.src_tuples, 0))
+    else ((l.src_tuples, 0), (r.src_tuples, nl))
   in
-  let* tuples = if swap then combine_swapped () else combine () in
+  let combine o i = if swap then Array.append i o else Array.append o i in
+  (* does ON hold for the outer tuple already blitted and inner [i]? *)
+  let on_holds i =
+    match con with
+    | None -> Ok true
+    | Some (c, p) -> (
+        let scratch = !(c.Eval.cur) in
+        Array.blit i 0 scratch inner_off (Array.length i);
+        let* v = p () in
+        match Eval.value_tvl c v with
+        | Ok Tvl.True -> Ok true
+        | Ok (Tvl.False | Tvl.Unknown) -> Ok false
+        | Error e -> Error e)
+  in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | o :: rest ->
+        (match con with
+        | Some (c, _) ->
+            Array.blit o 0 !(c.Eval.cur) outer_off (Array.length o)
+        | None -> ());
+        let rec walk matches = function
+          | [] ->
+              Ok
+                (if matches = [] && kind = A.Left then [ Array.append o ext ]
+                 else matches)
+          | i :: more ->
+              let* hit = on_holds i in
+              walk (if hit then combine o i :: matches else matches) more
+        in
+        let* matches = walk [] inner in
+        go (List.rev_append matches acc) rest
+  in
+  let* tuples = go [] outer in
   if Executor.tracing ctx then
     Executor.op_event ctx ~op:"JOIN"
       ~detail:

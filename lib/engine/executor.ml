@@ -121,9 +121,8 @@ let swap_join_forced ctx =
 let tracing ctx = Trace.enabled ctx.recorder
 let op_clock ctx = if tracing ctx then Telemetry.Clock.now_ns_int () else 0
 
-(* Rows per operator block.  Small enough to stay cache-resident over
-   the widest generated tables, large enough to amortize the per-block
-   bookkeeping. *)
+(* Rows per trace batch.  The pipeline pushes rows one at a time; an
+   operator event reports its row count as [batches_of] batches. *)
 let block_size = 64
 
 let batches_of n = Stdlib.max 1 ((n + block_size - 1) / block_size)

@@ -173,10 +173,11 @@ val tracing : ctx -> bool
 (** A [Telemetry.Clock] reading when tracing, else [0]. *)
 val op_clock : ctx -> int
 
-(** Rows per operator block. *)
+(** Rows per trace batch: a count operator events report, not a unit
+    the pipeline works in (it pushes rows one at a time). *)
 val block_size : int
 
-(** The number of [block_size] blocks [n] rows make (at least 1). *)
+(** The number of [block_size] batches [n] rows make (at least 1). *)
 val batches_of : int -> int
 
 (** Record an operator event on the flight recorder (no-op unless
