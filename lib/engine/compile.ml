@@ -130,6 +130,7 @@ let from_where ctx (c : Eval.env) pred sources =
   in
   let n = ref 0 and kept = ref [] in
   let keep () = kept := Array.copy scratch :: !kept in
+  (* explicit matches, not [let*]: no closure per tuple *)
   let rec nest = function
     | [] -> (
         incr n;
@@ -138,20 +139,21 @@ let from_where ctx (c : Eval.env) pred sources =
             keep ();
             Ok ()
         | Some p -> (
-            let* v = p () in
-            match Eval.value_tvl c v with
-            | Ok Tvl.True ->
-                keep ();
-                Ok ()
-            | Ok (Tvl.False | Tvl.Unknown) -> Ok ()
-            | Error e -> Error e))
+            match p () with
+            | Error e -> Error e
+            | Ok v -> (
+                match Eval.value_tvl c v with
+                | Ok Tvl.True ->
+                    keep ();
+                    Ok ()
+                | Ok (Tvl.False | Tvl.Unknown) -> Ok ()
+                | Error e -> Error e)))
     | (off, tuples) :: inner ->
         let rec each = function
           | [] -> Ok ()
-          | t :: rest ->
+          | t :: rest -> (
               Array.blit t 0 scratch off (Array.length t);
-              let* () = nest inner in
-              each rest
+              match nest inner with Ok () -> each rest | Error e -> Error e)
         in
         each tuples
   in
@@ -522,7 +524,7 @@ let rec run_select ?sink ctx (s : A.select) :
     let buf = ref [||] in
     let emit (c : Eval.env) tuple projs keys =
       c.Eval.cur := tuple;
-      let* row =
+      let row =
         if probe then begin
           let w = proj_width tuple 0 projs in
           if Array.length !buf <> w then buf := Array.make w Value.Null;
@@ -530,15 +532,19 @@ let rec run_select ?sink ctx (s : A.select) :
         end
         else project tuple projs
       in
-      let rec eval acc = function
-        | [] -> Ok (List.rev acc)
-        | (t : Eval.thunk) :: rest ->
-            let* v = t () in
-            eval (v :: acc) rest
-      in
-      let* keys = eval [] keys in
-      chain.push row keys;
-      Ok ()
+      match row with
+      | Error e -> Error e
+      | Ok row ->
+          let rec eval acc = function
+            | [] ->
+                chain.push row (List.rev acc);
+                Ok ()
+            | (t : Eval.thunk) :: rest -> (
+                match t () with
+                | Ok v -> eval (v :: acc) rest
+                | Error e -> Error e)
+          in
+          eval [] keys
     in
     let* () =
       if Executor.select_has_agg s then aggregate ctx c s rows ~emit
@@ -547,9 +553,10 @@ let rec run_select ?sink ctx (s : A.select) :
         let keys = List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by in
         let rec go = function
           | [] -> Ok ()
-          | tuple :: rest ->
-              let* () = emit c tuple projs keys in
-              go rest
+          | tuple :: rest -> (
+              match emit c tuple projs keys with
+              | Ok () -> go rest
+              | Error e -> Error e)
         in
         go rows
     in
@@ -823,13 +830,14 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     match con with
     | None -> Ok true
     | Some (c, p) -> (
-        let scratch = !(c.Eval.cur) in
-        Array.blit i 0 scratch inner_off (Array.length i);
-        let* v = p () in
-        match Eval.value_tvl c v with
-        | Ok Tvl.True -> Ok true
-        | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-        | Error e -> Error e)
+        Array.blit i 0 !(c.Eval.cur) inner_off (Array.length i);
+        match p () with
+        | Error e -> Error e
+        | Ok v -> (
+            match Eval.value_tvl c v with
+            | Ok Tvl.True -> Ok true
+            | Ok (Tvl.False | Tvl.Unknown) -> Ok false
+            | Error e -> Error e))
   in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -843,9 +851,11 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
               Ok
                 (if matches = [] && kind = A.Left then [ Array.append o ext ]
                  else matches)
-          | i :: more ->
-              let* hit = on_holds i in
-              walk (if hit then combine o i :: matches else matches) more
+          | i :: more -> (
+              match on_holds i with
+              | Ok hit ->
+                  walk (if hit then combine o i :: matches else matches) more
+              | Error e -> Error e)
         in
         let* matches = walk [] inner in
         go (List.rev_append matches acc) rest
