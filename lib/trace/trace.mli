@@ -50,7 +50,7 @@ module Event : sig
         rows_in : int;
         rows_out : int;
         batches : int;
-            (** row blocks the operator processed (>= 1) *)
+            (** the operator's rows counted in 64-row batches (>= 1) *)
         btree_nodes : int;  (** B-tree node visits charged to this operator *)
         btree_entries : int;
         dur_ns : int;
