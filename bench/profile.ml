@@ -16,7 +16,14 @@
    after the tick, not on the instruction that was running: a tight
    non-allocating loop is charged to whatever allocates after it.  Read
    the shares as a guide to where time goes, not as exact costs.  On two
-   domains the samples mix both domains' stacks. *)
+   domains the samples mix both domains' stacks.
+
+   Allocation points are safepoints too, and a minor collection runs at
+   one, so GC time shows up as the self time of whatever frame
+   allocates.  The profile therefore also prints the sampled batches'
+   minor words per batch and minor collections ([Gc.quick_stat] deltas
+   around them): a frame whose self share tracks the allocation rate is
+   likely paying for GC, not doing work. *)
 
 open Perfbench
 
@@ -85,6 +92,7 @@ let () =
   ignore
     (Unix.setitimer Unix.ITIMER_PROF
        { Unix.it_interval = period; it_value = period });
+  let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let batches =
     List.length
@@ -92,6 +100,7 @@ let () =
          (fun k ~seed_lo -> ignore (Measure.run_batch w k ~seed_lo)))
   in
   let wall = Unix.gettimeofday () -. t0 in
+  let g1 = Gc.quick_stat () in
   ignore
     (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. });
   Sys.set_signal Sys.sigprof Sys.Signal_ignore;
@@ -114,6 +123,12 @@ let () =
   Printf.printf
     "%s seed %d: %d batches in %.1f s wall, %d samples at %d Hz of CPU time\n"
     w.Workload.name seed batches wall n hz;
+  Printf.printf
+    "allocation: %.0f minor words per batch, %d minor GCs over the %d \
+     sampled batches\n"
+    ((g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int (max 1 batches))
+    (g1.Gc.minor_collections - g0.Gc.minor_collections)
+    batches;
   Printf.printf "collapsed stacks: %s\n" out;
   print_endline
     "samples land at OCaml safepoints: shares are a guide, not exact costs";

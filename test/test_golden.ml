@@ -22,6 +22,21 @@ let sq = Dialect.Sqlite_like
 let my = Dialect.Mysql_like
 let pg = Dialect.Postgres_like
 
+(* Evaluation order within one expression, on postgres (whose errors
+   make the order visible) over the row (0, 'x'): operands left to
+   right, AND/OR skipping their right operand once the left decides, IN
+   stopping at the first equal item, BETWEEN evaluating every operand
+   before its type check, LIKE its operands before the ESCAPE check, and
+   CASE only the branch it takes. *)
+let eval_order name expr expect =
+  {
+    name = "postgres evaluation order: " ^ name;
+    dialect = Dialect.Postgres_like;
+    script = "CREATE TABLE t(a BIGINT, s TEXT); INSERT INTO t VALUES (0, 'x');";
+    query = "SELECT " ^ expr ^ " FROM t";
+    expect;
+  }
+
 let cases =
   [
     (* --- three-valued logic --- *)
@@ -378,6 +393,35 @@ let cases =
       query = "SELECT * FROM t AS x JOIN t AS y ON 1 / y.a >= 0 WHERE x.a + 1 > 0";
       expect = Err Engine.Errors.Division_by_zero;
     };
+    eval_order "left operand's error first"
+      "(1 / a) = (a + 9223372036854775807 + 1)"
+      (Err Engine.Errors.Division_by_zero);
+    eval_order "swapped operands"
+      "(a + 9223372036854775807 + 1) = (1 / a)"
+      (Err Engine.Errors.Out_of_range);
+    eval_order "AND skips its right operand on FALSE"
+      "(a > 1) AND (1 / a > 0)" (Rows [ "f" ]);
+    eval_order "OR skips its right operand on TRUE"
+      "(a < 1) OR (1 / a > 0)" (Rows [ "t" ]);
+    eval_order "AND evaluates its right operand on TRUE"
+      "(a = 0) AND (1 / a > 0)"
+      (Err Engine.Errors.Division_by_zero);
+    eval_order "IN stops at the first equal item" "a IN (0, 1 / a)"
+      (Rows [ "t" ]);
+    eval_order "IN evaluates the items before it" "a IN (1 / a, 0)"
+      (Err Engine.Errors.Division_by_zero);
+    eval_order "BETWEEN evaluates operands before its type check"
+      "a BETWEEN s AND (1 / a)"
+      (Err Engine.Errors.Division_by_zero);
+    eval_order "LIKE evaluates operands before the ESCAPE check"
+      "(1 / a) LIKE 'x' ESCAPE 'xx'"
+      (Err Engine.Errors.Division_by_zero);
+    eval_order "LIKE rejects a long ESCAPE" "s LIKE 'x' ESCAPE 'xx'"
+      (Err_msg
+         ( Engine.Errors.Invalid_function,
+           "ESCAPE expression must be a single character" ));
+    eval_order "CASE evaluates only the branch it takes"
+      "CASE WHEN a = 0 THEN 1 ELSE 1 / a END" (Rows [ "1" ]);
     (* --- constraints --- *)
     {
       name = "unique allows multiple NULLs";
