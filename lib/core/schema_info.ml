@@ -90,8 +90,7 @@ let rows_of_table session table =
       (* like SELECT *, the scan includes postgres-inherited child rows
          projected onto the parent's columns *)
       Engine.Executor.scan_table (Engine.Session.ctx session) ts
-      |> List.map (fun ((r : Storage.Row.t), _) ->
-             Array.copy r.Storage.Row.values)
+      |> List.map (fun (r : Storage.Row.t) -> Array.copy r.Storage.Row.values)
 
 let view_pivot_sources session =
   let catalog = Engine.Session.catalog session in

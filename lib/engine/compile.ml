@@ -7,7 +7,13 @@
    ORDER BY keys, through stages built once per SELECT (DISTINCT, ORDER
    BY, LIMIT/OFFSET) into a sink: the caller's, or the default one that
    collects the result set.  All expression semantics — every dialect
-   quirk and injected bug — live in Eval. *)
+   quirk and injected bug — live in Eval.
+
+   The per-row loops (FROM/WHERE, projection, the ORDER BY key walk, the
+   aggregate's per-tuple evaluation) follow Eval's per-row rule: results
+   are bound with explicit matches and the walks are top-level
+   functions, so a row allocates only what it keeps.  [let*] is for
+   per-statement code. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -86,10 +92,12 @@ let project_into out (tuple : Value.t array array) projs :
             Array.blit vs 0 out pos (Array.length vs);
             go (pos + Array.length vs) rest
         | P_error e -> Error e
-        | P_expr t ->
-            let* v = t () in
-            out.(pos) <- v;
-            go (pos + 1) rest)
+        | P_expr t -> (
+            match t () with
+            | Error e -> Error e
+            | Ok v ->
+                out.(pos) <- v;
+                go (pos + 1) rest))
   in
   go 0 projs
 
@@ -231,7 +239,7 @@ let order_stage ctx (c : Eval.env) (s : A.select) next =
         let rec cmp ks1 ks2 dcs =
           match (ks1, ks2, dcs) with
           | k1 :: r1, k2 :: r2, (d, coll) :: rd ->
-              let cm = Value.compare_total ~collation:coll k1 k2 in
+              let cm = Value.compare_collated coll k1 k2 in
               let cm = match d with A.Asc -> cm | A.Desc -> -cm in
               if cm <> 0 then cm else cmp r1 r2 rd
           | _ -> 0
@@ -277,6 +285,18 @@ let limit_stage ctx (s : A.select) next =
         next.finish ());
   }
 
+(* Evaluate the ORDER BY [keys] of the current row, in order, then push
+   [row] with them down [chain].  Top-level, so no closure is built per
+   row. *)
+let rec push_keyed chain row acc = function
+  | [] ->
+      chain.push row (List.rev acc);
+      Ok ()
+  | (t : Eval.thunk) :: rest -> (
+      match t () with
+      | Ok v -> push_keyed chain row (v :: acc) rest
+      | Error e -> Error e)
+
 (* The chain a SELECT's rows are pushed through, ending in [put].  A
    probed SELECT (see [run_select]) has no DISTINCT or ORDER BY stage. *)
 let stages ctx c (s : A.select) ~probe put =
@@ -312,15 +332,16 @@ let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
   cov_ctx ctx "exec.group_by";
   let agg_t0 = Executor.op_clock ctx in
   let compiled = ref [] in
+  (* each expression's thunk, compiled on first use, found by identity *)
+  let rec thunk_of e = function
+    | (e', t) :: rest -> if e' == e then t else thunk_of e rest
+    | [] ->
+        let t = Eval.compile c e in
+        compiled := (e, t) :: !compiled;
+        t
+  in
   let eval tuple e =
-    let t =
-      match List.assq_opt e !compiled with
-      | Some t -> t
-      | None ->
-          let t = Eval.compile c e in
-          compiled := (e, t) :: !compiled;
-          t
-    in
+    let t = thunk_of e !compiled in
     c.Eval.cur := tuple;
     t ()
   in
@@ -534,17 +555,7 @@ let rec run_select ?sink ctx (s : A.select) :
       in
       match row with
       | Error e -> Error e
-      | Ok row ->
-          let rec eval acc = function
-            | [] ->
-                chain.push row (List.rev acc);
-                Ok ()
-            | (t : Eval.thunk) :: rest -> (
-                match t () with
-                | Ok v -> eval (v :: acc) rest
-                | Error e -> Error e)
-          in
-          eval [] keys
+      | Ok row -> push_keyed chain row [] keys
     in
     let* () =
       if Executor.select_has_agg s then aggregate ctx c s rows ~emit
@@ -662,8 +673,9 @@ and run_compound ?sink ctx op qa qb =
       finish ~t0 ~detail ~right_rows:(List.length rb.Executor.rs_rows) rows
   | A.Intersect | A.Except ->
       let t0 = Executor.op_clock ctx in
-      (* one mark per distinct left key, shared by its equal rows *)
-      let marks = Executor.Row_tbl.create 16 in
+      (* one mark per distinct left key, shared by its equal rows; sized
+         to the left rows, so it never grows *)
+      let marks = Executor.Row_tbl.create (List.length left) in
       List.iter
         (fun r ->
           if not (Executor.Row_tbl.mem marks r) then
@@ -702,16 +714,17 @@ and materialize ctx fctx ~where (item : A.from_item) :
       let alias_name = Option.value ~default:name alias in
       match Storage.Catalog.find_table ctx.Executor.catalog name with
       | Some ts ->
-          let* rows =
+          let* tuples =
             Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
           in
-          let schema = ts.Storage.Catalog.schema in
-          let layout = [ Eval.binding_of_table schema ~alias:alias_name ] in
           Ok
             {
-              src_layout = layout;
-              src_tuples =
-                List.map (fun (r, _) -> [| r.Storage.Row.values |]) rows;
+              src_layout =
+                [
+                  Eval.binding_of_table ts.Storage.Catalog.schema
+                    ~alias:alias_name;
+                ];
+              src_tuples = tuples;
             }
       | None -> (
           match Storage.Catalog.find_view ctx.Executor.catalog name with

@@ -1,19 +1,23 @@
-(** The query executor.
+(** The query executor: a push pipeline over compiled expressions.
 
-    Translates a planned query into OCaml closures over a mutable
-    current-row environment (column references become array-slot reads
-    resolved at compile time) and drives the operator pipeline — scan,
-    filter, project, aggregate, distinct, sort, limit — over fixed-size
-    row blocks instead of walking the expression AST once per row.
+    Each expression of a query is compiled once by {!Eval.compile} into
+    a closure over a mutable current tuple (column references become
+    array-slot reads resolved at compile time).  A SELECT runs as one
+    nested loop over its materialized FROM sources (scans, joins, views,
+    derived tables), WHERE evaluated on each tuple, then one projection
+    loop that pushes each surviving row, with its ORDER BY keys, through
+    stages built once per SELECT (DISTINCT, ORDER BY, OFFSET/LIMIT) into
+    a sink.  Rows go one at a time; {!Executor.block_size} only sizes
+    the [batches] count of the flight recorder's operator events.
+    INTERSECT and EXCEPT probe their right operand against the hashed
+    left rows instead of collecting it.
 
     Value-level semantics are not duplicated: closures call the operator
-    bodies exported by {!Eval}, so every dialect quirk and injected bug
-    lives in one place.  Joins (nested loops with the ON predicate
-    compiled once against the combined binding layout), comma-FROM cross
-    products, derived tables, view expansion and aggregation (through
-    {!Executor.group_tuples} and {!Executor.substitute_aggs}) all
-    compile, so {!run_query} is total over the query AST.  Operators
-    work in {!Executor.block_size}-row blocks. *)
+    bodies in {!Eval}, so every dialect quirk and injected bug lives in
+    one place.  Aggregation goes through {!Executor.group_tuples} and
+    {!Executor.substitute_aggs}, so {!run_query} is total over the query
+    AST.  The per-row loops follow {!Eval}'s rule: they allocate only the
+    rows and values they produce. *)
 
 val run_query :
   Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result

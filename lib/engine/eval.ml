@@ -1,7 +1,17 @@
+(* Expressions compile to closures over the env's current tuple.
+
+   The per-row rule: a compiled closure, and every helper it calls per
+   evaluation, allocates only the values it produces.  Results are bound
+   with explicit [match ... with Error e -> Error e | Ok v -> ...], never
+   [let*]: without flambda each [let*] allocates its continuation
+   closure on every evaluation.  Truth values, the dialects' boolean
+   results, NULL and each literal come back as [Ok]s built once, and the
+   walks over IN lists, CASE branches and function arguments are
+   top-level functions rather than closures made per evaluation.  Only
+   code that runs once per compilation may build closures freely. *)
+
 open Sqlval
 module A = Sqlast.Ast
-
-let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Bindings and slots                                                  *)
@@ -96,6 +106,13 @@ let cov env point =
 
 let bug env b = Bug.on env.bugs b
 
+(* The shared results of the per-row rule (see the top of the file). *)
+let ok_null : (Value.t, Errors.t) result = Ok Value.Null
+let ok_pg_true : (Value.t, Errors.t) result = Ok (Value.Bool true)
+let ok_pg_false : (Value.t, Errors.t) result = Ok (Value.Bool false)
+let ok_int_true : (Value.t, Errors.t) result = Ok (Value.Int 1L)
+let ok_int_false : (Value.t, Errors.t) result = Ok (Value.Int 0L)
+
 let bool_value dialect (t : Tvl.t) : Value.t =
   match dialect with
   | Dialect.Postgres_like -> (
@@ -109,24 +126,36 @@ let bool_value dialect (t : Tvl.t) : Value.t =
       | Tvl.False -> Value.Int 0L
       | Tvl.Unknown -> Value.Null)
 
+(* [Ok (bool_value dialect t)], shared *)
+let bool_result dialect (t : Tvl.t) : (Value.t, Errors.t) result =
+  match dialect with
+  | Dialect.Postgres_like -> (
+      match t with
+      | Tvl.True -> ok_pg_true
+      | Tvl.False -> ok_pg_false
+      | Tvl.Unknown -> ok_null)
+  | Dialect.Sqlite_like | Dialect.Mysql_like -> (
+      match t with
+      | Tvl.True -> ok_int_true
+      | Tvl.False -> ok_int_false
+      | Tvl.Unknown -> ok_null)
+
+let coerce_tvl env (v : Value.t) : (Tvl.t, Errors.t) result =
+  match Coerce.to_tvl env.dialect v with
+  | Ok t -> Tvl.ok t
+  | Error msg -> Error (Errors.make Errors.Type_error msg)
+
 (* Truth value of a value, with the mysql TEXT-double truncation bug
    injected here so that every boolean context inherits it. *)
 let value_tvl env (v : Value.t) : (Tvl.t, Errors.t) result =
-  let buggy_trunc =
-    Dialect.equal env.dialect Dialect.Mysql_like
-    && bug env Bug.My_text_double_bool_trunc
-  in
   match v with
-  | Value.Text s when buggy_trunc -> (
+  | Value.Text s
+    when Dialect.equal env.dialect Dialect.Mysql_like
+         && bug env Bug.My_text_double_bool_trunc -> (
       match Numeric.numeric_prefix s with
-      | `Real r ->
-          Ok (Tvl.of_bool (Int64.of_float (Float.trunc r) <> 0L))
-      | `Int _ | `None ->
-          Result.map_error (Errors.make Errors.Type_error)
-            (Coerce.to_tvl env.dialect v))
-  | _ ->
-      Result.map_error (Errors.make Errors.Type_error)
-        (Coerce.to_tvl env.dialect v)
+      | `Real r -> Tvl.ok (Tvl.of_bool (Int64.of_float (Float.trunc r) <> 0L))
+      | `Int _ | `None -> coerce_tvl env v)
+  | _ -> coerce_tvl env v
 
 (* ------------------------------------------------------------------ *)
 (* Static metadata                                                     *)
@@ -217,7 +246,7 @@ let text_compare env coll a b =
 let compare_values env coll (a : Value.t) (b : Value.t) : int =
   match (a, b) with
   | Value.Text x, Value.Text y -> text_compare env coll x y
-  | _ -> Value.compare_total ~collation:coll a b
+  | _ -> Value.compare_collated coll a b
 
 let pg_comparable (a : Value.t) (b : Value.t) =
   let open Value in
@@ -242,10 +271,11 @@ let op_of_compare op c =
   | _ -> invalid_arg "op_of_compare"
 
 (* mysql compares numerically unless both operands are text or both blob *)
-let mysql_comparison_values (va : Value.t) (vb : Value.t) =
+let mysql_compare env coll (va : Value.t) (vb : Value.t) =
   match (va, vb) with
-  | Value.Text _, Value.Text _ | Value.Blob _, Value.Blob _ -> (va, vb)
-  | _ -> (Coerce.to_numeric va, Coerce.to_numeric vb)
+  | Value.Text _, Value.Text _ | Value.Blob _, Value.Blob _ ->
+      compare_values env coll va vb
+  | _ -> compare_values env coll (Coerce.to_numeric va) (Coerce.to_numeric vb)
 
 let literal_int (e : A.expr) =
   match e with A.Lit (Value.Int i) -> Some i | _ -> None
@@ -317,7 +347,7 @@ let compare_prep env op ea eb : cmp_prep =
 
 let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) :
     (Value.t, Errors.t) result =
-  if p.cp_oor_nullsafe then Ok (bool_value env.dialect Tvl.Unknown)
+  if p.cp_oor_nullsafe then bool_result env.dialect Tvl.Unknown
   else if p.cp_null_safe then begin
     (* null-safe equality never yields NULL *)
     let eq =
@@ -328,68 +358,65 @@ let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) :
           match env.dialect with
           | Dialect.Sqlite_like ->
               compare_values env p.cp_coll (p.cp_fa va) (p.cp_fb vb) = 0
-          | Dialect.Mysql_like ->
-              let va, vb = mysql_comparison_values va vb in
-              compare_values env p.cp_coll va vb = 0
+          | Dialect.Mysql_like -> mysql_compare env p.cp_coll va vb = 0
           | Dialect.Postgres_like -> compare_values env p.cp_coll va vb = 0)
     in
     if Dialect.equal env.dialect Dialect.Postgres_like
        && not (pg_comparable va vb)
     then Error (pg_type_mismatch va vb)
-    else Ok (bool_value env.dialect (Tvl.of_bool eq))
+    else bool_result env.dialect (Tvl.of_bool eq)
   end
   else if Value.is_null va || Value.is_null vb then
-    Ok (bool_value env.dialect Tvl.Unknown)
+    bool_result env.dialect Tvl.Unknown
   else
     match env.dialect with
     | Dialect.Sqlite_like ->
-        Ok
-          (bool_value env.dialect
-             (Tvl.of_bool
-                (op_of_compare p.cp_op
-                   (compare_values env p.cp_coll (p.cp_fa va) (p.cp_fb vb)))))
+        bool_result env.dialect
+          (Tvl.of_bool
+             (op_of_compare p.cp_op
+                (compare_values env p.cp_coll (p.cp_fa va) (p.cp_fb vb))))
     | Dialect.Mysql_like ->
-        let va, vb = mysql_comparison_values va vb in
-        Ok
-          (bool_value env.dialect
-             (Tvl.of_bool
-                (op_of_compare p.cp_op (compare_values env p.cp_coll va vb))))
+        bool_result env.dialect
+          (Tvl.of_bool
+             (op_of_compare p.cp_op (mysql_compare env p.cp_coll va vb)))
     | Dialect.Postgres_like ->
         if not (pg_comparable va vb) then Error (pg_type_mismatch va vb)
         else
-          Ok
-            (bool_value env.dialect
-               (Tvl.of_bool
-                  (op_of_compare p.cp_op (compare_values env p.cp_coll va vb))))
+          bool_result env.dialect
+            (Tvl.of_bool
+               (op_of_compare p.cp_op (compare_values env p.cp_coll va vb)))
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                          *)
 
 let overflow_error = Errors.make Errors.Out_of_range "BIGINT value is out of range"
 
-let pg_numeric_operand (v : Value.t) =
+(* postgres arithmetic takes numbers (and NULL) only: the error for any
+   other operand *)
+let pg_operand_error (v : Value.t) =
   match v with
-  | Value.Int _ | Value.Real _ | Value.Null -> Ok v
+  | Value.Int _ | Value.Real _ | Value.Null -> None
   | _ ->
-      Error
+      Some
         (Errors.makef Errors.Type_error
            "operator does not exist for operand %s" (Value.show v))
 
+(* an integer result, or the dialect's answer to its overflow *)
+let checked_int env (r : int64 option) real_f x y : (Value.t, Errors.t) result =
+  match r with
+  | Some r -> Ok (Value.Int r)
+  | None -> (
+      match env.dialect with
+      | Dialect.Sqlite_like ->
+          (* sqlite promotes overflowing integer arithmetic to REAL *)
+          Ok (Value.Real (real_f (Int64.to_float x) (Int64.to_float y)))
+      | Dialect.Mysql_like | Dialect.Postgres_like -> Error overflow_error)
+
 let int_arith env op (x : int64) (y : int64) : (Value.t, Errors.t) result =
-  let checked f real_f =
-    match f x y with
-    | Some r -> Ok (Value.Int r)
-    | None -> (
-        match env.dialect with
-        | Dialect.Sqlite_like ->
-            (* sqlite promotes overflowing integer arithmetic to REAL *)
-            Ok (Value.Real (real_f (Int64.to_float x) (Int64.to_float y)))
-        | Dialect.Mysql_like | Dialect.Postgres_like -> Error overflow_error)
-  in
   match op with
-  | A.Add -> checked Numeric.checked_add ( +. )
-  | A.Sub -> checked Numeric.checked_sub ( -. )
-  | A.Mul -> checked Numeric.checked_mul ( *. )
+  | A.Add -> checked_int env (Numeric.checked_add x y) ( +. ) x y
+  | A.Sub -> checked_int env (Numeric.checked_sub x y) ( -. ) x y
+  | A.Mul -> checked_int env (Numeric.checked_mul x y) ( *. ) x y
   | A.Div -> (
       match env.dialect with
       | Dialect.Mysql_like ->
@@ -440,8 +467,17 @@ let real_arith env op (x : float) (y : float) : (Value.t, Errors.t) result =
       else Ok (Value.Real (Float.rem x y))
   | _ -> invalid_arg "real_arith"
 
+let num_arith env op (na : Value.t) (nb : Value.t) : (Value.t, Errors.t) result
+    =
+  match (na, nb) with
+  | Value.Int x, Value.Int y -> int_arith env op x y
+  | Value.Real x, Value.Real y -> real_arith env op x y
+  | Value.Int x, Value.Real y -> real_arith env op (Int64.to_float x) y
+  | Value.Real x, Value.Int y -> real_arith env op x (Int64.to_float y)
+  | _ -> ok_null
+
 let arith env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
-  if Value.is_null va || Value.is_null vb then Ok Value.Null
+  if Value.is_null va || Value.is_null vb then ok_null
   else
     (* paper Listing 2 class: TEXT operand routes subtraction through
        double precision, losing low bits of large integers *)
@@ -467,21 +503,16 @@ let arith env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
         Ok (Value.Int (Int64.of_float r))
       else Ok (Value.Real r)
     else
-      let* na, nb =
-        match env.dialect with
-        | Dialect.Sqlite_like | Dialect.Mysql_like ->
-            Ok (Coerce.to_numeric va, Coerce.to_numeric vb)
-        | Dialect.Postgres_like ->
-            let* a = pg_numeric_operand va in
-            let* b = pg_numeric_operand vb in
-            Ok (a, b)
-      in
-      match (na, nb) with
-      | Value.Int x, Value.Int y -> int_arith env op x y
-      | Value.Real x, Value.Real y -> real_arith env op x y
-      | Value.Int x, Value.Real y -> real_arith env op (Int64.to_float x) y
-      | Value.Real x, Value.Int y -> real_arith env op x (Int64.to_float y)
-      | _ -> Ok Value.Null
+      match env.dialect with
+      | Dialect.Sqlite_like | Dialect.Mysql_like ->
+          num_arith env op (Coerce.to_numeric va) (Coerce.to_numeric vb)
+      | Dialect.Postgres_like -> (
+          match pg_operand_error va with
+          | Some e -> Error e
+          | None -> (
+              match pg_operand_error vb with
+              | Some e -> Error e
+              | None -> num_arith env op va vb))
 
 (* Bitwise operators work on 64-bit integers; operands are cast the way
    sqlite's CAST AS INTEGER does. *)
@@ -584,49 +615,52 @@ let func_prep env (f : A.func) (arg_exprs : A.expr list) : func_prep =
 let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
     (Value.t, Errors.t) result =
   let strict_pg = Dialect.equal env.dialect Dialect.Postgres_like in
-  let null_if_any_null k =
-    if List.exists Value.is_null args then Ok Value.Null else k ()
-  in
+  let any_null = List.exists Value.is_null args in
   match (f, args) with
   | A.F_abs, [ v ] ->
-      null_if_any_null (fun () ->
-          match Coerce.to_numeric v with
-          | Value.Int i -> (
-              if strict_pg && not (Value.is_numeric v) then
-                Error (Errors.make Errors.Type_error "abs(non-numeric)")
-              else
-                match Numeric.checked_neg i with
-                | Some n -> Ok (Value.Int (if i < 0L then n else i))
-                | None -> (
-                    match env.dialect with
-                    | Dialect.Sqlite_like ->
-                        Error
-                          (Errors.make Errors.Out_of_range "integer overflow")
-                    | _ -> Error overflow_error))
-          | Value.Real r -> Ok (Value.Real (Float.abs r))
-          | _ -> Ok (Value.Int 0L))
+      if any_null then ok_null
+      else (
+        match Coerce.to_numeric v with
+        | Value.Int i -> (
+            if strict_pg && not (Value.is_numeric v) then
+              Error (Errors.make Errors.Type_error "abs(non-numeric)")
+            else
+              match Numeric.checked_neg i with
+              | Some n -> Ok (Value.Int (if i < 0L then n else i))
+              | None -> (
+                  match env.dialect with
+                  | Dialect.Sqlite_like ->
+                      Error
+                        (Errors.make Errors.Out_of_range "integer overflow")
+                  | _ -> Error overflow_error))
+        | Value.Real r -> Ok (Value.Real (Float.abs r))
+        | _ -> Ok (Value.Int 0L))
   | A.F_abs, _ -> Error (wrong_arity "ABS")
   | A.F_length, [ v ] ->
-      null_if_any_null (fun () ->
-          match v with
-          | Value.Text s -> Ok (Value.Int (Int64.of_int (String.length s)))
-          | Value.Blob s -> Ok (Value.Int (Int64.of_int (String.length s)))
-          | _ ->
-              if strict_pg then
-                Error (Errors.make Errors.Type_error "length(non-text)")
-              else
-                Ok (Value.Int (Int64.of_int (String.length (text_of env v)))))
+      if any_null then ok_null
+      else (
+        match v with
+        | Value.Text s -> Ok (Value.Int (Int64.of_int (String.length s)))
+        | Value.Blob s -> Ok (Value.Int (Int64.of_int (String.length s)))
+        | _ ->
+            if strict_pg then
+              Error (Errors.make Errors.Type_error "length(non-text)")
+            else
+              Ok (Value.Int (Int64.of_int (String.length (text_of env v)))))
   | A.F_length, _ -> Error (wrong_arity "LENGTH")
   | (A.F_lower | A.F_upper), [ v ] ->
-      null_if_any_null (fun () ->
-          let* () = if strict_pg then pg_wants_text "lower" v else Ok () in
-          let s = text_of env v in
-          let s' =
-            match f with
-            | A.F_lower -> String.lowercase_ascii s
-            | _ -> String.uppercase_ascii s
-          in
-          Ok (Value.Text s'))
+      if any_null then ok_null
+      else (
+        match if strict_pg then pg_wants_text "lower" v else Ok () with
+        | Error e -> Error e
+        | Ok () ->
+            let s = text_of env v in
+            let s' =
+              match f with
+              | A.F_lower -> String.lowercase_ascii s
+              | _ -> String.uppercase_ascii s
+            in
+            Ok (Value.Text s'))
   | (A.F_lower | A.F_upper), _ -> Error (wrong_arity "LOWER/UPPER")
   | A.F_coalesce, [] -> Error (wrong_arity "COALESCE")
   | A.F_coalesce, vs -> (
@@ -657,142 +691,149 @@ let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
       Ok (Value.Text name)
   | A.F_typeof, _ -> Error (wrong_arity "TYPEOF")
   | (A.F_trim | A.F_ltrim | A.F_rtrim), [ v ] ->
-      null_if_any_null (fun () ->
-          let* () = if strict_pg then pg_wants_text "trim" v else Ok () in
-          let s = text_of env v in
-          let ltrim s =
-            let n = String.length s in
-            let i = ref 0 in
-            while !i < n && s.[!i] = ' ' do
-              incr i
-            done;
-            String.sub s !i (n - !i)
-          in
-          let rtrim s =
-            let n = ref (String.length s) in
-            while !n > 0 && s.[!n - 1] = ' ' do
-              decr n
-            done;
-            String.sub s 0 !n
-          in
-          let s' =
-            match f with
-            | A.F_trim -> ltrim (rtrim s)
-            | A.F_ltrim -> ltrim s
-            | _ -> rtrim s
-          in
-          Ok (Value.Text s'))
+      if any_null then ok_null
+      else (
+        match if strict_pg then pg_wants_text "trim" v else Ok () with
+        | Error e -> Error e
+        | Ok () ->
+            let s = text_of env v in
+            let ltrim s =
+              let n = String.length s in
+              let i = ref 0 in
+              while !i < n && s.[!i] = ' ' do
+                incr i
+              done;
+              String.sub s !i (n - !i)
+            in
+            let rtrim s =
+              let n = ref (String.length s) in
+              while !n > 0 && s.[!n - 1] = ' ' do
+                decr n
+              done;
+              String.sub s 0 !n
+            in
+            let s' =
+              match f with
+              | A.F_trim -> ltrim (rtrim s)
+              | A.F_ltrim -> ltrim s
+              | _ -> rtrim s
+            in
+            Ok (Value.Text s'))
   | (A.F_trim | A.F_ltrim | A.F_rtrim), _ -> Error (wrong_arity "TRIM")
   | A.F_substr, ([ _; _ ] | [ _; _; _ ]) ->
-      null_if_any_null (fun () ->
-          match args with
-          | v :: rest ->
-              let s = text_of env v in
-              let nums =
-                List.map
-                  (fun x ->
-                    match Coerce.to_numeric x with
-                    | Value.Int i -> Int64.to_int i
-                    | Value.Real r -> int_of_float r
-                    | _ -> 0)
-                  rest
-              in
-              let len = String.length s in
-              let start, count =
-                match nums with
-                | [ st ] -> (st, len)
-                | [ st; ct ] -> (st, ct)
-                | _ -> (1, len)
-              in
-              (* 1-based; negative start counts from the end (sqlite) *)
-              let start0 =
-                if start > 0 then start - 1
-                else if start < 0 then Stdlib.max 0 (len + start)
-                else 0
-              in
-              let count = Stdlib.max 0 count in
-              let start0 = Stdlib.min start0 len in
-              let count = Stdlib.min count (len - start0) in
-              Ok (Value.Text (String.sub s start0 count))
-          | [] -> Error (wrong_arity "SUBSTR"))
+      if any_null then ok_null
+      else (
+        match args with
+        | v :: rest ->
+            let s = text_of env v in
+            let nums =
+              List.map
+                (fun x ->
+                  match Coerce.to_numeric x with
+                  | Value.Int i -> Int64.to_int i
+                  | Value.Real r -> int_of_float r
+                  | _ -> 0)
+                rest
+            in
+            let len = String.length s in
+            let start, count =
+              match nums with
+              | [ st ] -> (st, len)
+              | [ st; ct ] -> (st, ct)
+              | _ -> (1, len)
+            in
+            (* 1-based; negative start counts from the end (sqlite) *)
+            let start0 =
+              if start > 0 then start - 1
+              else if start < 0 then Stdlib.max 0 (len + start)
+              else 0
+            in
+            let count = Stdlib.max 0 count in
+            let start0 = Stdlib.min start0 len in
+            let count = Stdlib.min count (len - start0) in
+            Ok (Value.Text (String.sub s start0 count))
+        | [] -> Error (wrong_arity "SUBSTR"))
   | A.F_substr, _ -> Error (wrong_arity "SUBSTR")
   | A.F_replace, [ s; from_s; to_s ] ->
-      null_if_any_null (fun () ->
-          let s = text_of env s
-          and f_ = text_of env from_s
-          and t_ = text_of env to_s in
-          if f_ = "" then Ok (Value.Text s)
-          else begin
-            let buf = Buffer.create (String.length s) in
-            let flen = String.length f_ in
-            let i = ref 0 in
-            while !i <= String.length s - flen do
-              if String.sub s !i flen = f_ then begin
-                Buffer.add_string buf t_;
-                i := !i + flen
-              end
-              else begin
-                Buffer.add_char buf s.[!i];
-                incr i
-              end
-            done;
-            Buffer.add_string buf (String.sub s !i (String.length s - !i));
-            Ok (Value.Text (Buffer.contents buf))
-          end)
+      if any_null then ok_null
+      else (
+        let s = text_of env s
+        and f_ = text_of env from_s
+        and t_ = text_of env to_s in
+        if f_ = "" then Ok (Value.Text s)
+        else begin
+          let buf = Buffer.create (String.length s) in
+          let flen = String.length f_ in
+          let i = ref 0 in
+          while !i <= String.length s - flen do
+            if String.sub s !i flen = f_ then begin
+              Buffer.add_string buf t_;
+              i := !i + flen
+            end
+            else begin
+              Buffer.add_char buf s.[!i];
+              incr i
+            end
+          done;
+          Buffer.add_string buf (String.sub s !i (String.length s - !i));
+          Ok (Value.Text (Buffer.contents buf))
+        end)
   | A.F_replace, _ -> Error (wrong_arity "REPLACE")
   | A.F_instr, [ hay; needle ] ->
-      null_if_any_null (fun () ->
-          let h = text_of env hay and n = text_of env needle in
-          let hl = String.length h and nl = String.length n in
-          let rec find i =
-            if i + nl > hl then 0
-            else if String.sub h i nl = n then i + 1
-            else find (i + 1)
-          in
-          Ok (Value.Int (Int64.of_int (find 0))))
+      if any_null then ok_null
+      else (
+        let h = text_of env hay and n = text_of env needle in
+        let hl = String.length h and nl = String.length n in
+        let rec find i =
+          if i + nl > hl then 0
+          else if String.sub h i nl = n then i + 1
+          else find (i + 1)
+        in
+        Ok (Value.Int (Int64.of_int (find 0))))
   | A.F_instr, _ -> Error (wrong_arity "INSTR")
   | A.F_hex, [ v ] ->
-      null_if_any_null (fun () ->
-          let s = text_of env v in
-          let buf = Buffer.create (2 * String.length s) in
-          String.iter
-            (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
-            s;
-          Ok (Value.Text (Buffer.contents buf)))
+      if any_null then ok_null
+      else (
+        let s = text_of env v in
+        let buf = Buffer.create (2 * String.length s) in
+        String.iter
+          (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
+          s;
+        Ok (Value.Text (Buffer.contents buf)))
   | A.F_hex, _ -> Error (wrong_arity "HEX")
   | A.F_round, ([ _ ] | [ _; _ ]) ->
-      null_if_any_null (fun () ->
-          match args with
-          | v :: rest ->
-              let digits =
-                match rest with
-                | [ d ] -> (
-                    match Coerce.to_numeric d with
-                    | Value.Int i -> Int64.to_int i
-                    | Value.Real r -> int_of_float r
-                    | _ -> 0)
-                | _ -> 0
-              in
-              let* () =
-                if strict_pg && not (Value.is_numeric v) then
-                  Error (Errors.make Errors.Type_error "round(non-numeric)")
-                else Ok ()
-              in
-              (match Coerce.to_numeric v with
-              | Value.Int i when digits >= 0 -> Ok (Value.Real (Int64.to_float i))
-              | Value.Int i -> Ok (Value.Real (Int64.to_float i))
-              | Value.Real r ->
-                  let scale = 10.0 ** float_of_int (Stdlib.max 0 digits) in
-                  Ok (Value.Real (Float.round (r *. scale) /. scale))
-              | _ -> Ok (Value.Real 0.0))
-          | [] -> Error (wrong_arity "ROUND"))
+      if any_null then ok_null
+      else (
+        match args with
+        | v :: rest ->
+            let digits =
+              match rest with
+              | [ d ] -> (
+                  match Coerce.to_numeric d with
+                  | Value.Int i -> Int64.to_int i
+                  | Value.Real r -> int_of_float r
+                  | _ -> 0)
+              | _ -> 0
+            in
+            if strict_pg && not (Value.is_numeric v) then
+              Error (Errors.make Errors.Type_error "round(non-numeric)")
+            else (
+              match Coerce.to_numeric v with
+            | Value.Int i when digits >= 0 -> Ok (Value.Real (Int64.to_float i))
+            | Value.Int i -> Ok (Value.Real (Int64.to_float i))
+            | Value.Real r ->
+                let scale = 10.0 ** float_of_int (Stdlib.max 0 digits) in
+                Ok (Value.Real (Float.round (r *. scale) /. scale))
+            | _ -> Ok (Value.Real 0.0))
+        | [] -> Error (wrong_arity "ROUND"))
   | A.F_round, _ -> Error (wrong_arity "ROUND")
   | A.F_sign, [ v ] ->
-      null_if_any_null (fun () ->
-          match Coerce.to_numeric v with
-          | Value.Int i -> Ok (Value.Int (Int64.of_int (compare i 0L)))
-          | Value.Real r -> Ok (Value.Int (Int64.of_int (compare r 0.0)))
-          | _ -> Ok Value.Null)
+      if any_null then ok_null
+      else (
+        match Coerce.to_numeric v with
+        | Value.Int i -> Ok (Value.Int (Int64.of_int (compare i 0L)))
+        | Value.Real r -> Ok (Value.Int (Int64.of_int (compare r 0.0)))
+        | _ -> Ok Value.Null)
   | A.F_sign, _ -> Error (wrong_arity "SIGN")
   | (A.F_least | A.F_greatest), [] -> Error (wrong_arity "LEAST/GREATEST")
   | (A.F_least | A.F_greatest), vs ->
@@ -848,14 +889,16 @@ let neg_value env (v : Value.t) : (Value.t, Errors.t) result =
   else
     match env.dialect with
     | Dialect.Postgres_like -> (
-        let* n = pg_numeric_operand v in
-        match n with
+        match pg_operand_error v with
+        | Some e -> Error e
+        | None -> (
+        match v with
         | Value.Int i -> (
             match Numeric.checked_neg i with
             | Some r -> Ok (Value.Int r)
             | None -> Error overflow_error)
         | Value.Real r -> Ok (Value.Real (-.r))
-        | _ -> Ok Value.Null)
+        | _ -> ok_null))
     | Dialect.Sqlite_like | Dialect.Mysql_like -> (
         match Coerce.to_numeric v with
         | Value.Int i -> (
@@ -879,8 +922,7 @@ let bit_not_value env (v : Value.t) : (Value.t, Errors.t) result =
         | None -> Ok Value.Null)
 
 let is_finish env ~negated t =
-  let t = if negated then Tvl.not_ t else t in
-  Ok (bool_value env.dialect t)
+  bool_result env.dialect (if negated then Tvl.not_ t else t)
 
 let is_bool_value env ~negated ~(want : Tvl.t) (v : Value.t) :
     (Value.t, Errors.t) result =
@@ -892,11 +934,12 @@ let is_bool_value env ~negated ~(want : Tvl.t) (v : Value.t) :
         negated
         && Dialect.equal env.dialect Dialect.Sqlite_like
         && bug env Bug.Sq_is_not_true_null
-      then Ok (bool_value env.dialect Tvl.False)
+      then bool_result env.dialect Tvl.False
       else is_finish env ~negated Tvl.False
-  | _ ->
-      let* t = value_tvl env v in
-      is_finish env ~negated (Tvl.of_bool (Tvl.equal t want))
+  | _ -> (
+      match value_tvl env v with
+      | Error e -> Error e
+      | Ok t -> is_finish env ~negated (Tvl.of_bool (Tvl.equal t want)))
 
 (* The static slice of a BETWEEN: collation choice and the two sqlite
    affinity adjustments, all metadata-driven. *)
@@ -924,31 +967,30 @@ let between_prep env ~negated ~arg ~lo ~hi : between_prep =
   in
   { bp_negated = negated; bp_coll = coll; bp_lo = adj arg lo; bp_hi = adj arg hi }
 
+(* [v] against one non-NULL bound [w]: the comparison's sign, in the
+   dialect's terms *)
+let between_cmp env (p : between_prep) (fa, fb) (v : Value.t) (w : Value.t) =
+  match env.dialect with
+  | Dialect.Sqlite_like -> compare_values env p.bp_coll (fa v) (fb w)
+  | Dialect.Mysql_like -> mysql_compare env p.bp_coll v w
+  | Dialect.Postgres_like -> compare_values env p.bp_coll v w
+
 let between_apply env (p : between_prep) (v : Value.t) (vl : Value.t)
     (vh : Value.t) : (Value.t, Errors.t) result =
-  let* () =
-    if Dialect.equal env.dialect Dialect.Postgres_like
-       && not (pg_comparable v vl && pg_comparable v vh)
-    then Error (pg_type_mismatch v vl)
-    else Ok ()
-  in
-  let bound (fa, fb) w cmp =
-    if Value.is_null v || Value.is_null w then Tvl.Unknown
-    else
-      let x, y =
-        match env.dialect with
-        | Dialect.Sqlite_like -> (fa v, fb w)
-        | Dialect.Mysql_like -> mysql_comparison_values v w
-        | Dialect.Postgres_like -> (v, w)
-      in
-      Tvl.of_bool (cmp (compare_values env p.bp_coll x y) 0)
-  in
-  let ge_lo = bound p.bp_lo vl ( >= ) in
-  let le_hi = bound p.bp_hi vh ( <= ) in
-  let t = Tvl.and_ ge_lo le_hi in
-  let negated = p.bp_negated in
-  let t = if negated then Tvl.not_ t else t in
-  Ok (bool_value env.dialect t)
+  if Dialect.equal env.dialect Dialect.Postgres_like
+     && not (pg_comparable v vl && pg_comparable v vh)
+  then Error (pg_type_mismatch v vl)
+  else
+    let ge_lo =
+      if Value.is_null v || Value.is_null vl then Tvl.Unknown
+      else Tvl.of_bool (between_cmp env p p.bp_lo v vl >= 0)
+    in
+    let le_hi =
+      if Value.is_null v || Value.is_null vh then Tvl.Unknown
+      else Tvl.of_bool (between_cmp env p p.bp_hi v vh <= 0)
+    in
+    let t = Tvl.and_ ge_lo le_hi in
+    bool_result env.dialect (if p.bp_negated then Tvl.not_ t else t)
 
 (* the IN-list walk fell off the end without a match: NULL items poison
    the verdict to UNKNOWN unless the injected bug forces FALSE *)
@@ -1020,21 +1062,16 @@ let like_prep env ~negated ~arg : like_prep =
 
 let like_apply env (lp : like_prep) (v : Value.t) (p : Value.t)
     (esc : char option) : (Value.t, Errors.t) result =
-  if Value.is_null v || Value.is_null p then
-    Ok (bool_value env.dialect Tvl.Unknown)
+  if Value.is_null v || Value.is_null p then bool_result env.dialect Tvl.Unknown
+  else if
+    Dialect.equal env.dialect Dialect.Postgres_like
+    && not (match (v, p) with Value.Text _, Value.Text _ -> true | _ -> false)
+  then Error (pg_type_mismatch v p)
   else
-    let* () =
-      if Dialect.equal env.dialect Dialect.Postgres_like then
-        match (v, p) with
-        | (Value.Text _ | Value.Null), (Value.Text _ | Value.Null) -> Ok ()
-        | _ -> Error (pg_type_mismatch v p)
-      else Ok ()
-    in
     let negated = lp.lp_negated in
     let case_sensitive = lp.lp_case_sensitive in
-    let int_affinity_buggy = lp.lp_int_affinity_buggy in
     let matched =
-      if int_affinity_buggy then
+      if lp.lp_int_affinity_buggy then
         (* the optimized LIKE ranges over numeric keys: non-numeric text
            never matches, numeric text matches on numeric equality *)
         match
@@ -1047,14 +1084,11 @@ let like_apply env (lp : like_prep) (v : Value.t) (p : Value.t)
         Like_matcher.like ~case_sensitive ?escape:esc
           ~pattern:(text_of env p) (text_of env v)
     in
-    let t = Tvl.of_bool matched in
-    let t = if negated then Tvl.not_ t else t in
-    Ok (bool_value env.dialect t)
+    bool_result env.dialect (Tvl.of_bool (if negated then not matched else matched))
 
 let glob_value env ~negated (v : Value.t) (p : Value.t) :
     (Value.t, Errors.t) result =
-  if Value.is_null v || Value.is_null p then
-    Ok (bool_value env.dialect Tvl.Unknown)
+  if Value.is_null v || Value.is_null p then bool_result env.dialect Tvl.Unknown
   else
     let pat = text_of env p in
     let pat =
@@ -1076,9 +1110,7 @@ let glob_value env ~negated (v : Value.t) (p : Value.t) :
       else pat
     in
     let matched = Like_matcher.glob ~pattern:pat (text_of env v) in
-    let t = Tvl.of_bool matched in
-    let t = if negated then Tvl.not_ t else t in
-    Ok (bool_value env.dialect t)
+    bool_result env.dialect (Tvl.of_bool (if negated then not matched else matched))
 
 let cast_value env ty (v : Value.t) : (Value.t, Errors.t) result =
   (* mysql unsigned-cast bug: negative integers keep their signed value *)
@@ -1089,11 +1121,12 @@ let cast_value env ty (v : Value.t) : (Value.t, Errors.t) result =
       match Coerce.to_numeric v with
       | Value.Int i -> Ok (Value.Int i) (* buggy: stays signed *)
       | Value.Real r -> Ok (Value.Int (Int64.of_float (Float.round r)))
-      | Value.Null -> Ok Value.Null
+      | Value.Null -> ok_null
       | _ -> Ok (Value.Int 0L))
-  | _ ->
-      Result.map_error (Errors.make Errors.Type_error)
-        (Coerce.cast env.dialect ty v)
+  | _ -> (
+      match Coerce.cast env.dialect ty v with
+      | Ok v -> Ok v
+      | Error msg -> Error (Errors.make Errors.Type_error msg))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -1123,8 +1156,67 @@ let func_point = function
   | A.F_quote -> "quote"
 
 let truth env (t : thunk) =
-  let* v = t () in
-  value_tvl env v
+  match t () with Error e -> Error e | Ok v -> value_tvl env v
+
+(* The walks a closure makes per evaluation over its IN items, CASE
+   branches or function arguments, kept top-level so that no closure is
+   built per evaluation (see the per-row rule at the top). *)
+
+(* IN: the first item equal to [v] makes the verdict TRUE; past the end,
+   [in_empty_tvl] decides *)
+let rec in_walk env (v : Value.t) saw_null = function
+  | [] -> Tvl.ok (in_empty_tvl env ~saw_null)
+  | (prep, (ci : thunk)) :: rest -> (
+      match ci () with
+      | Error e -> Error e
+      | Ok vi -> (
+          if Value.is_null vi then in_walk env v true rest
+          else
+            match compare_apply env prep v vi with
+            | Error e -> Error e
+            | Ok r -> (
+                match value_tvl env r with
+                | Error e -> Error e
+                | Ok Tvl.True -> Tvl.ok Tvl.True
+                | Ok (Tvl.False | Tvl.Unknown) -> in_walk env v saw_null rest)))
+
+(* a CASE branch is taken on TRUE, and on UNKNOWN under the injected
+   NULL-WHEN bug *)
+let case_taken ~buggy_null_when t =
+  Tvl.equal t Tvl.True || (buggy_null_when && Tvl.equal t Tvl.Unknown)
+
+(* searched CASE: WHEN conditions in boolean context *)
+let rec case_walk env ~buggy_null_when (celse : thunk) = function
+  | [] -> celse ()
+  | ((ccond : thunk), (cres : thunk)) :: rest -> (
+      match truth env ccond with
+      | Error e -> Error e
+      | Ok t ->
+          if case_taken ~buggy_null_when t then cres ()
+          else case_walk env ~buggy_null_when celse rest)
+
+(* simple CASE: each WHEN value compared with the operand's [v] *)
+let rec case_operand_walk env ~buggy_null_when (celse : thunk) (v : Value.t) =
+  function
+  | [] -> celse ()
+  | (prep, (ccond : thunk), (cres : thunk)) :: rest -> (
+      match ccond () with
+      | Error e -> Error e
+      | Ok vc -> (
+          match compare_apply env prep v vc with
+          | Error e -> Error e
+          | Ok r -> (
+              match value_tvl env r with
+              | Error e -> Error e
+              | Ok t ->
+                  if case_taken ~buggy_null_when t then cres ()
+                  else case_operand_walk env ~buggy_null_when celse v rest)))
+
+(* function arguments, left to right *)
+let rec eval_args acc = function
+  | [] -> Ok (List.rev acc)
+  | (t : thunk) :: rest -> (
+      match t () with Error e -> Error e | Ok v -> eval_args (v :: acc) rest)
 
 (* An expression becomes a closure over [env.cur]: column references are
    resolved to slots, dialect rejections, the mysql double-negation fold
@@ -1134,9 +1226,10 @@ let truth env (t : thunk) =
    evaluation order. *)
 let rec compile env (e : A.expr) : thunk =
   let dialect = env.dialect in
-  let tvl = truth env in
   match e with
-  | A.Lit v -> fun () -> Ok v
+  | A.Lit v ->
+      let r = Ok v in
+      fun () -> r
   | A.Col { table; column } -> (
       match resolve_slot env.layout ~table ~column with
       | Ok (bi, i, _, _) ->
@@ -1167,44 +1260,48 @@ let rec compile env (e : A.expr) : thunk =
              && Bug.on env.bugs Bug.Sq_fold_not_null_true ->
           fun () ->
             cov env "unop.not";
-            Ok (bool_value dialect Tvl.True)
+            bool_result dialect Tvl.True
       | _ ->
           let ci = compile env inner in
           fun () ->
             cov env "unop.not";
-            let* t = tvl ci in
-            Ok (bool_value dialect (Tvl.not_ t)))
-  | A.Unary (A.Neg, inner) ->
+            match truth env ci with
+            | Error e -> Error e
+            | Ok t -> bool_result dialect (Tvl.not_ t))
+  | A.Unary (A.Neg, inner) -> (
       let ci = compile env inner in
       fun () ->
         cov env "unop.neg";
-        let* v = ci () in
-        neg_value env v
+        match ci () with Error e -> Error e | Ok v -> neg_value env v)
   | A.Unary (A.Pos, inner) ->
       let ci = compile env inner in
       fun () ->
         cov env "unop.pos";
         ci ()
-  | A.Unary (A.Bit_not, inner) ->
+  | A.Unary (A.Bit_not, inner) -> (
       let ci = compile env inner in
       fun () ->
         cov env "unop.bit_not";
-        let* v = ci () in
-        bit_not_value env v
+        match ci () with Error e -> Error e | Ok v -> bit_not_value env v)
   | A.Binary (op, a, b) -> compile_binary env op a b
   | A.Is { negated; arg; rhs } -> compile_is env ~negated arg rhs
-  | A.Between { negated; arg; lo; hi } ->
+  | A.Between { negated; arg; lo; hi } -> (
       let ca = compile env arg in
       let cl = compile env lo in
       let ch = compile env hi in
       let prep = between_prep env ~negated ~arg ~lo ~hi in
       fun () ->
         cov env "pred.between";
-        let* v = ca () in
-        let* vl = cl () in
-        let* vh = ch () in
-        between_apply env prep v vl vh
-  | A.In_list { negated; arg; list } ->
+        match ca () with
+        | Error e -> Error e
+        | Ok v -> (
+            match cl () with
+            | Error e -> Error e
+            | Ok vl -> (
+                match ch () with
+                | Error e -> Error e
+                | Ok vh -> between_apply env prep v vl vh)))
+  | A.In_list { negated; arg; list } -> (
       let ca = compile env arg in
       let items =
         List.map
@@ -1213,41 +1310,37 @@ let rec compile env (e : A.expr) : thunk =
       in
       fun () ->
         cov env "pred.in";
-        let* v = ca () in
-        if Value.is_null v then Ok (bool_value dialect Tvl.Unknown)
-        else
-          let rec walk saw_null = function
-            | [] -> Ok (in_empty_tvl env ~saw_null)
-            | (prep, ci) :: rest ->
-                let* vi = ci () in
-                if Value.is_null vi then walk true rest
-                else
-                  let* r = compare_apply env prep v vi in
-                  let* t = value_tvl env r in
-                  if Tvl.equal t Tvl.True then Ok Tvl.True
-                  else walk saw_null rest
-          in
-          let* t = walk false items in
-          let t = if negated then Tvl.not_ t else t in
-          Ok (bool_value dialect t)
-  | A.Like { negated; arg; pattern; escape } ->
+        match ca () with
+        | Error e -> Error e
+        | Ok v -> (
+            if Value.is_null v then bool_result dialect Tvl.Unknown
+            else
+              match in_walk env v false items with
+              | Error e -> Error e
+              | Ok t -> bool_result dialect (if negated then Tvl.not_ t else t)))
+  | A.Like { negated; arg; pattern; escape } -> (
       let ca = compile env arg in
       let cp = compile env pattern in
       let cesc = Option.map (compile env) escape in
       let prep = like_prep env ~negated ~arg in
       fun () ->
         cov env "pred.like";
-        let* v = ca () in
-        let* p = cp () in
-        let* esc =
-          match cesc with
-          | None -> Ok None
-          | Some ce ->
-              let* ve = ce () in
-              like_escape_char ve
-        in
-        like_apply env prep v p esc
-  | A.Glob { negated; arg; pattern } ->
+        match ca () with
+        | Error e -> Error e
+        | Ok v -> (
+            match cp () with
+            | Error e -> Error e
+            | Ok p -> (
+                match cesc with
+                | None -> like_apply env prep v p None
+                | Some ce -> (
+                    match ce () with
+                    | Error e -> Error e
+                    | Ok ve -> (
+                        match like_escape_char ve with
+                        | Error e -> Error e
+                        | Ok esc -> like_apply env prep v p esc)))))
+  | A.Glob { negated; arg; pattern } -> (
       if not (Dialect.equal dialect Dialect.Sqlite_like) then
         let err =
           Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
@@ -1260,16 +1353,18 @@ let rec compile env (e : A.expr) : thunk =
         let cp = compile env pattern in
         fun () ->
           cov env "pred.glob";
-          let* v = ca () in
-          let* p = cp () in
-          glob_value env ~negated v p
-  | A.Cast (ty, inner) ->
+          match ca () with
+          | Error e -> Error e
+          | Ok v -> (
+              match cp () with
+              | Error e -> Error e
+              | Ok p -> glob_value env ~negated v p))
+  | A.Cast (ty, inner) -> (
       let ci = compile env inner in
       fun () ->
         cov env "pred.cast";
-        let* v = ci () in
-        cast_value env ty v
-  | A.Func (f, args) ->
+        match ci () with Error e -> Error e | Ok v -> cast_value env ty v)
+  | A.Func (f, args) -> (
       let point = "func." ^ func_point f in
       if not (func_available dialect f) then
         let err =
@@ -1284,44 +1379,27 @@ let rec compile env (e : A.expr) : thunk =
         let fp = func_prep env f args in
         fun () ->
           cov env point;
-          let rec eval_args acc = function
-            | [] -> Ok (List.rev acc)
-            | t :: rest ->
-                let* v = t () in
-                eval_args (v :: acc) rest
-          in
-          let* vs = eval_args [] cargs in
-          apply_func env fp f vs
-  | A.Case { operand; branches; else_ } ->
+          match eval_args [] cargs with
+          | Error e -> Error e
+          | Ok vs -> apply_func env fp f vs)
+  | A.Case { operand; branches; else_ } -> (
       let buggy_null_when =
         Dialect.equal dialect Dialect.Sqlite_like
         && Bug.on env.bugs Bug.Sq_case_null_when
       in
-      let celse = Option.map (compile env) else_ in
-      let else_thunk () =
-        match celse with Some ce -> ce () | None -> Ok Value.Null
+      let celse =
+        match else_ with Some e -> compile env e | None -> fun () -> ok_null
       in
-      (match operand with
+      match operand with
       | None ->
           let cbranches =
             List.map
-              (fun (cond, result) ->
-                (compile env cond, compile env result))
+              (fun (cond, result) -> (compile env cond, compile env result))
               branches
           in
           fun () ->
             cov env "pred.case";
-            let rec walk = function
-              | [] -> else_thunk ()
-              | (ccond, cres) :: rest ->
-                  let* t = tvl ccond in
-                  let taken =
-                    Tvl.equal t Tvl.True
-                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-                  in
-                  if taken then cres () else walk rest
-            in
-            walk cbranches
+            case_walk env ~buggy_null_when celse cbranches
       | Some op_expr ->
           let cop = compile env op_expr in
           let cbranches =
@@ -1334,24 +1412,12 @@ let rec compile env (e : A.expr) : thunk =
           in
           fun () ->
             cov env "pred.case";
-            let* v = cop () in
-            let rec walk = function
-              | [] -> else_thunk ()
-              | (prep, ccond, cres) :: rest ->
-                  let* vc = ccond () in
-                  let* r = compare_apply env prep v vc in
-                  let* t = value_tvl env r in
-                  let taken =
-                    Tvl.equal t Tvl.True
-                    || (buggy_null_when && Tvl.equal t Tvl.Unknown)
-                  in
-                  if taken then cres () else walk rest
-            in
-            walk cbranches)
+            match cop () with
+            | Error e -> Error e
+            | Ok v -> case_operand_walk env ~buggy_null_when celse v cbranches)
 
 and compile_binary env op a b : thunk =
   let dialect = env.dialect in
-  let tvl = truth env in
   match op with
   | A.And
     when (match (a, b) with
@@ -1363,46 +1429,54 @@ and compile_binary env op a b : thunk =
          whether x is FALSE; the operands are never evaluated *)
       fun () ->
         cov env "binop.and";
-        Ok (bool_value dialect Tvl.Unknown)
-  | A.And ->
+        bool_result dialect Tvl.Unknown
+  | A.And -> (
       let ca = compile env a in
       let cb = compile env b in
       fun () ->
         cov env "binop.and";
-        let* ta = tvl ca in
-        if Tvl.equal ta Tvl.False then Ok (bool_value dialect Tvl.False)
-        else
-          let* tb = tvl cb in
-          Ok (bool_value dialect (Tvl.and_ ta tb))
-  | A.Or ->
+        match truth env ca with
+        | Error e -> Error e
+        | Ok Tvl.False -> bool_result dialect Tvl.False
+        | Ok ta -> (
+            match truth env cb with
+            | Error e -> Error e
+            | Ok tb -> bool_result dialect (Tvl.and_ ta tb)))
+  | A.Or -> (
       let ca = compile env a in
       let cb = compile env b in
       fun () ->
         cov env "binop.or";
-        let* ta = tvl ca in
-        if Tvl.equal ta Tvl.True then Ok (bool_value dialect Tvl.True)
-        else
-          let* tb = tvl cb in
-          Ok (bool_value dialect (Tvl.or_ ta tb))
+        match truth env ca with
+        | Error e -> Error e
+        | Ok Tvl.True -> bool_result dialect Tvl.True
+        | Ok ta -> (
+            match truth env cb with
+            | Error e -> Error e
+            | Ok tb -> bool_result dialect (Tvl.or_ ta tb)))
   | A.Concat when Dialect.equal dialect Dialect.Mysql_like ->
       (* mysql: || is logical OR by default; both coverage points fire *)
       let c_or = compile_binary env A.Or a b in
       fun () ->
         cov env "binop.concat";
         c_or ()
-  | A.Concat ->
+  | A.Concat -> (
       let ca = compile env a in
       let cb = compile env b in
       fun () ->
         cov env "binop.concat";
-        let* va = ca () in
-        let* vb = cb () in
-        if Value.is_null va || Value.is_null vb then Ok Value.Null
-        else
-          Ok
-            (Value.Text
-               (Coerce.to_text dialect va ^ Coerce.to_text dialect vb))
-  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ->
+        match ca () with
+        | Error e -> Error e
+        | Ok va -> (
+            match cb () with
+            | Error e -> Error e
+            | Ok vb ->
+                if Value.is_null va || Value.is_null vb then ok_null
+                else
+                  Ok
+                    (Value.Text
+                       (Coerce.to_text dialect va ^ Coerce.to_text dialect vb))))
+  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq -> (
       let point =
         match op with
         | A.Eq -> "binop.eq"
@@ -1418,10 +1492,13 @@ and compile_binary env op a b : thunk =
       let prep = compare_prep env op a b in
       fun () ->
         cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        compare_apply env prep va vb
-  | A.Add | A.Sub | A.Mul | A.Div | A.Rem ->
+        match ca () with
+        | Error e -> Error e
+        | Ok va -> (
+            match cb () with
+            | Error e -> Error e
+            | Ok vb -> compare_apply env prep va vb))
+  | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> (
       let point =
         match op with
         | A.Add -> "binop.add"
@@ -1434,9 +1511,10 @@ and compile_binary env op a b : thunk =
       let cb = compile env b in
       fun () ->
         cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        arith env op va vb
+        match ca () with
+        | Error e -> Error e
+        | Ok va -> (
+            match cb () with Error e -> Error e | Ok vb -> arith env op va vb))
   | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right ->
       let point =
         match op with
@@ -1449,63 +1527,61 @@ and compile_binary env op a b : thunk =
       let cb = compile env b in
       fun () ->
         cov env point;
-        let* va = ca () in
-        let* vb = cb () in
-        bitop env op va vb
+        match ca () with
+        | Error e -> Error e
+        | Ok va -> (
+            match cb () with Error e -> Error e | Ok vb -> bitop env op va vb)
 
 and compile_is env ~negated arg rhs : thunk =
   let dialect = env.dialect in
+  (* IS [NOT] over two scalars: null-safe equality, its truth value given
+     to [finish] *)
+  let null_safe other finish =
+    let ca = compile env arg in
+    let cb = compile env other in
+    let prep = compare_prep env A.Null_safe_eq arg other in
+    fun () ->
+      cov env "pred.is";
+      match ca () with
+      | Error e -> Error e
+      | Ok va -> (
+          match cb () with
+          | Error e -> Error e
+          | Ok vb -> (
+              match compare_apply env prep va vb with
+              | Error e -> Error e
+              | Ok r -> (
+                  match value_tvl env r with
+                  | Error e -> Error e
+                  | Ok t -> finish t)))
+  in
+  let rejected msg =
+    let err = Errors.make Errors.Invalid_function msg in
+    fun () ->
+      cov env "pred.is";
+      Error err
+  in
   match rhs with
-  | A.Is_null ->
+  | A.Is_null -> (
       let ca = compile env arg in
       fun () ->
         cov env "pred.is";
-        let* v = ca () in
-        is_finish env ~negated (Tvl.of_bool (Value.is_null v))
-  | A.Is_true | A.Is_false ->
+        match ca () with
+        | Error e -> Error e
+        | Ok v -> is_finish env ~negated (Tvl.of_bool (Value.is_null v)))
+  | A.Is_true | A.Is_false -> (
       let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
       let ca = compile env arg in
       fun () ->
         cov env "pred.is";
-        let* v = ca () in
-        is_bool_value env ~negated ~want v
+        match ca () with
+        | Error e -> Error e
+        | Ok v -> is_bool_value env ~negated ~want v)
   | A.Is_expr other ->
       if not (Dialect.equal dialect Dialect.Sqlite_like) then
-        let err =
-          Errors.make Errors.Invalid_function
-            "IS over scalars is sqlite-specific"
-        in
-        fun () ->
-          cov env "pred.is";
-          Error err
-      else
-        let ca = compile env arg in
-        let cb = compile env other in
-        let prep = compare_prep env A.Null_safe_eq arg other in
-        fun () ->
-          cov env "pred.is";
-          let* va = ca () in
-          let* vb = cb () in
-          let* r = compare_apply env prep va vb in
-          let* t = value_tvl env r in
-          is_finish env ~negated t
+        rejected "IS over scalars is sqlite-specific"
+      else null_safe other (fun t -> is_finish env ~negated t)
   | A.Is_distinct_from other ->
       if not (Dialect.equal dialect Dialect.Postgres_like) then
-        let err =
-          Errors.make Errors.Invalid_function
-            "IS DISTINCT FROM is postgres-specific"
-        in
-        fun () ->
-          cov env "pred.is";
-          Error err
-      else
-        let ca = compile env arg in
-        let cb = compile env other in
-        let prep = compare_prep env A.Null_safe_eq arg other in
-        fun () ->
-          cov env "pred.is";
-          let* va = ca () in
-          let* vb = cb () in
-          let* r = compare_apply env prep va vb in
-          let* t = value_tvl env r in
-          is_finish env ~negated (Tvl.not_ t)
+        rejected "IS DISTINCT FROM is postgres-specific"
+      else null_safe other (fun t -> is_finish env ~negated (Tvl.not_ t))

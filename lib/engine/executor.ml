@@ -227,29 +227,27 @@ let project_child (parent : Storage.Schema.table) (child : Storage.Schema.table)
   in
   Storage.Row.make ~rowid:row.Storage.Row.rowid values
 
-let rec scan_table ctx (ts : Storage.Catalog.table_state) :
-    (Storage.Row.t * Storage.Schema.table) list =
-  let own =
-    List.map (fun r -> (r, ts.Storage.Catalog.schema)) (Storage.Heap.to_list ts.Storage.Catalog.heap)
-  in
+let rec scan_table ctx (ts : Storage.Catalog.table_state) : Storage.Row.t list
+    =
+  let own = Storage.Heap.to_list ts.Storage.Catalog.heap in
   if Telemetry.enabled ctx.telemetry then
     Telemetry.inc_handle ~by:(List.length own) ctx.profile.p_heap_rows;
   let parent = ts.Storage.Catalog.schema in
-  let children =
+  match
     Storage.Catalog.children_of ctx.catalog parent.Storage.Schema.table_name
-  in
-  let child_rows =
-    List.concat_map
-      (fun child_name ->
-        match Storage.Catalog.find_table ctx.catalog child_name with
-        | None -> []
-        | Some child_ts ->
-            scan_table ctx child_ts
-            |> List.map (fun (row, sch) ->
-                   (project_child parent sch row, parent)))
-      children
-  in
-  own @ child_rows
+  with
+  | [] -> own
+  | children ->
+      own
+      @ List.concat_map
+          (fun child_name ->
+            match Storage.Catalog.find_table ctx.catalog child_name with
+            | None -> []
+            | Some child_ts ->
+                List.map
+                  (project_child parent child_ts.Storage.Catalog.schema)
+                  (scan_table ctx child_ts))
+          children
 
 (* The implicit unique index over the primary-key columns, if any: for
    WITHOUT ROWID tables it *is* the table storage, so full scans read
@@ -374,13 +372,26 @@ let expr_has f e = A.fold_expr (fun acc x -> acc || f x) false e
 let has_cast = expr_has (function A.Cast _ -> true | _ -> false)
 let has_ifnull = expr_has (function A.Func (A.F_ifnull, _) -> true | _ -> false)
 
+(* The one-binding tuples of the heap rows at [rowids], in that order
+   (rowids with no row are skipped). *)
+let fetch_tuples heap rowids =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | rowid :: rest -> (
+        match Storage.Heap.find heap rowid with
+        | Some r -> go ([| r.Storage.Row.values |] :: acc) rest
+        | None -> go acc rest)
+  in
+  go [] rowids
+
 (* Scan one base table under [where]: injected planner/index bug gates,
    access-path choice (with forced-plan override), rowid fetch, and the
    SCAN flight-recorder annotation, which reports how many [block_size]
-   batches the pipeline will drive the rows through. *)
+   batches the rows make.  The rows come back as one-binding tuples, the
+   shape the SELECT pipeline's FROM loop reads. *)
 let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
     (ts : Storage.Catalog.table_state) :
-    ((Storage.Row.t * Storage.Schema.table) list, Errors.t) result =
+    (Value.t array array list, Errors.t) result =
   let schema = ts.Storage.Catalog.schema in
           let table_indexes =
             Storage.Catalog.indexes_on ctx.catalog
@@ -496,20 +507,18 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             let scan_b0 =
               if tracing ctx then path_btree_profile path else (0, 0)
             in
+            let heap = ts.Storage.Catalog.heap in
             let full_scan () =
               match pk_index_of ctx schema with
               | Some pk when schema.Storage.Schema.without_rowid ->
                   (* WITHOUT ROWID: the PK b-tree is the table *)
                   let acc = ref [] in
                   Storage.Index.iter (fun _ rowid -> acc := rowid :: !acc) pk;
-                  List.sort Int64.compare !acc
-                  |> List.filter_map (fun rowid ->
-                         match
-                           Storage.Heap.find ts.Storage.Catalog.heap rowid
-                         with
-                         | Some r -> Some (r, schema)
-                         | None -> None)
-              | _ -> scan_table ctx ts
+                  fetch_tuples heap (List.sort Int64.compare !acc)
+              | _ ->
+                  List.map
+                    (fun r -> [| r.Storage.Row.values |])
+                    (scan_table ctx ts)
             in
             let rows =
               match path_rowids ~distinct:fctx.distinct ctx path with
@@ -520,20 +529,14 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                     Telemetry.inc_handle ~by:(List.length rows)
                       ctx.profile.p_scan_rows;
                   rows
-              | Some rowids ->
-                  List.filter_map
-                    (fun rowid ->
-                      match Storage.Heap.find ts.Storage.Catalog.heap rowid with
-                      | Some r -> Some (r, schema)
-                      | None -> None)
-                    rowids
+              | Some rowids -> fetch_tuples heap rowids
             in
             if tracing ctx then begin
               let b1 = path_btree_profile path in
               let n_out = List.length rows in
               op_event ctx ~op:"SCAN"
                 ~detail:(alias_name ^ " USING " ^ shown_path)
-                ~rows_in:(Storage.Heap.row_count ts.Storage.Catalog.heap)
+                ~rows_in:(Storage.Heap.row_count heap)
                 ~rows_out:n_out
                 ~batches:(batches_of n_out)
                 ~btree:(fst b1 - fst scan_b0, snd b1 - snd scan_b0)
@@ -673,9 +676,10 @@ type 'tuple tuple_eval = 'tuple -> A.expr -> (Value.t, Errors.t) result
 let eval_over ~eval tuples e =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | tuple :: rest ->
-        let* v = eval tuple e in
-        go (v :: acc) rest
+    | tuple :: rest -> (
+        match eval tuple e with
+        | Error err -> Error err
+        | Ok v -> go (v :: acc) rest)
   in
   go [] tuples
 
@@ -856,23 +860,26 @@ let group_tuples ctx ~eval (s : A.select) tuples =
     in
     let table = Row_tbl.create 16 in
     let order = ref [] in
+    (* the group key of [tuple], built in [acc] *)
+    let rec keys tuple acc = function
+      | [] -> Ok (Array.of_list (List.rev acc))
+      | g :: more -> (
+          match eval tuple g with
+          | Error e -> Error e
+          | Ok v -> keys tuple (v :: acc) more)
+    in
     let rec go = function
       | [] -> Ok ()
-      | tuple :: rest ->
-          let rec keys acc = function
-            | [] -> Ok (List.rev acc)
-            | g :: more ->
-                let* v = eval tuple g in
-                keys (v :: acc) more
-          in
-          let* ks = keys [] group_exprs in
-          let k = Array.of_list ks in
-          (match Row_tbl.find_opt table k with
-          | Some group -> Row_tbl.replace table k (tuple :: group)
-          | None ->
-              Row_tbl.replace table k [ tuple ];
-              order := k :: !order);
-          go rest
+      | tuple :: rest -> (
+          match keys tuple [] group_exprs with
+          | Error e -> Error e
+          | Ok k ->
+              (match Row_tbl.find_opt table k with
+              | Some group -> Row_tbl.replace table k (tuple :: group)
+              | None ->
+                  Row_tbl.replace table k [ tuple ];
+                  order := k :: !order);
+              go rest)
     in
     let* () = go tuples in
     Ok (List.rev_map (fun k -> List.rev (Row_tbl.find table k)) !order)

@@ -97,9 +97,8 @@ val dedup : row:('a -> Value.t array) -> 'a list -> 'a list
 val same_multiset : Value.t array list -> Value.t array list -> bool
 
 (** Rows of one table including postgres-inherited children (projected onto
-    the parent's columns), in scan order.  Shared with DML and maintenance. *)
-val scan_table :
-  ctx -> Storage.Catalog.table_state -> (Storage.Row.t * Storage.Schema.table) list
+    the parent's columns), in scan order. *)
+val scan_table : ctx -> Storage.Catalog.table_state -> Storage.Row.t list
 
 (** {1 Pipeline operators}
 
@@ -123,9 +122,9 @@ val has_ifnull : Sqlast.Ast.expr -> bool
 
 (** Scan one base table under [where]: injected planner/index bug gates,
     access-path choice (honouring {!ctx.force}), rowid fetch, and the
-    SCAN flight-recorder annotation.  Returns the rows, each paired with
-    the schema that typed it.  The SCAN event reports how many
-    [block_size] batches the rows make. *)
+    SCAN flight-recorder annotation.  Returns the rows as one-binding
+    tuples ([[| values |]]), the shape {!Compile}'s FROM loop reads.  The
+    SCAN event reports how many [block_size] batches the rows make. *)
 val scan_rows :
   ctx ->
   from_ctx ->
@@ -133,7 +132,7 @@ val scan_rows :
   table:string ->
   alias:string ->
   Storage.Catalog.table_state ->
-  ((Storage.Row.t * Storage.Schema.table) list, Errors.t) result
+  (Sqlval.Value.t array array list, Errors.t) result
 
 (** Output column names of a SELECT item list against a sample tuple
     (empty when the scan produced no rows, which is observable: [*]

@@ -1,25 +1,28 @@
 type error = string
 
+(* [to_tvl] runs per row in every boolean context: its results are
+   built once *)
+let ok_of_bool b = Tvl.ok (Tvl.of_bool b)
+let not_boolean = Error "argument of WHERE must be type boolean"
+
 let to_tvl dialect (v : Value.t) : (Tvl.t, error) result =
   match dialect with
   | Dialect.Postgres_like -> (
       match v with
-      | Value.Null -> Ok Tvl.Unknown
-      | Value.Bool b -> Ok (Tvl.of_bool b)
-      | Value.Int _ | Value.Real _ | Value.Text _ | Value.Blob _ ->
-          Error "argument of WHERE must be type boolean")
+      | Value.Null -> Tvl.ok Tvl.Unknown
+      | Value.Bool b -> ok_of_bool b
+      | Value.Int _ | Value.Real _ | Value.Text _ | Value.Blob _ -> not_boolean)
   | Dialect.Sqlite_like | Dialect.Mysql_like -> (
-      let of_real r = Ok (Tvl.of_bool (r <> 0.0)) in
       match v with
-      | Value.Null -> Ok Tvl.Unknown
-      | Value.Bool b -> Ok (Tvl.of_bool b)
-      | Value.Int i -> Ok (Tvl.of_bool (i <> 0L))
-      | Value.Real r -> of_real r
+      | Value.Null -> Tvl.ok Tvl.Unknown
+      | Value.Bool b -> ok_of_bool b
+      | Value.Int i -> ok_of_bool (i <> 0L)
+      | Value.Real r -> ok_of_bool (r <> 0.0)
       | Value.Text s | Value.Blob s -> (
           match Numeric.numeric_prefix s with
-          | `Int i -> Ok (Tvl.of_bool (i <> 0L))
-          | `Real r -> of_real r
-          | `None -> Ok Tvl.False))
+          | `Int i -> ok_of_bool (i <> 0L)
+          | `Real r -> ok_of_bool (r <> 0.0)
+          | `None -> Tvl.ok Tvl.False))
 
 let to_numeric (v : Value.t) : Value.t =
   match v with

@@ -11,6 +11,10 @@ val show : t -> string
 val equal : t -> t -> bool
 val of_bool : bool -> t
 
+(** [Ok t], built once per truth value: boolean contexts run per row, and
+    a fresh [Ok] would be allocated on each. *)
+val ok : t -> (t, 'e) result
+
 (** [to_bool ~null:b t] collapses UNKNOWN to [b], as a WHERE clause does with
     [b = false]. *)
 val to_bool : null:bool -> t -> bool

@@ -57,7 +57,7 @@ let compare_numeric a b =
   | Real x, Int y -> -compare_int_real y x
   | _ -> invalid_arg "Value.compare_numeric: non-numeric argument"
 
-let compare_total ?(collation = Collation.Binary) a b =
+let compare_collated collation a b =
   let ca = class_rank (storage_class a) and cb = class_rank (storage_class b) in
   if ca <> cb then compare ca cb
   else
@@ -68,6 +68,9 @@ let compare_total ?(collation = Collation.Binary) a b =
     | Text x, Text y -> Collation.compare collation x y
     | Blob x, Blob y -> String.compare x y
     | _ -> assert false
+
+let compare_total ?(collation = Collation.Binary) a b =
+  compare_collated collation a b
 
 let hex_of_string s =
   let buf = Buffer.create (2 * String.length s) in

@@ -31,6 +31,10 @@ val is_numeric : t -> bool
     under [collation] (default binary).  This order is what indexes use. *)
 val compare_total : ?collation:Collation.t -> t -> t -> int
 
+(** [compare_total ~collation], without the option box a labelled
+    optional argument allocates per call: for per-row comparisons. *)
+val compare_collated : Collation.t -> t -> t -> int
+
 (** Numeric comparison of an integer and a real without losing precision for
     integers beyond 2^53. *)
 val compare_int_real : int64 -> float -> int
