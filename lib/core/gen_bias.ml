@@ -30,11 +30,32 @@ let join_of_token = function
 
 let b01 b = if b then 1 else 0
 
-let point_of_shape s =
-  Printf.sprintf "shape.j%s.v%d.w%d.d%d.o%d.g%d" (join_token s.sh_join)
-    (b01 s.sh_sub)
-    (max 1 (min 3 s.sh_where))
-    (b01 s.sh_distinct) (b01 s.sh_order) (b01 s.sh_group)
+(* The vocabulary: every [shape.*] and [expr.*] point a query can
+   fingerprint to has a number, and its string is built once, here.
+   Shapes are numbered by their fields (join, derived table, WHERE arity
+   1–3, DISTINCT, ORDER BY, GROUP BY); expression kinds follow them. *)
+let joins = [| `Single; `Cross; `Inner; `Left |]
+let shape_count = Array.length joins * 2 * 3 * 2 * 2 * 2
+
+let shape_index s =
+  let j = match s.sh_join with `Single -> 0 | `Cross -> 1 | `Inner -> 2 | `Left -> 3 in
+  let i = (j * 2) + b01 s.sh_sub in
+  let i = (i * 3) + max 1 (min 3 s.sh_where) - 1 in
+  let i = (i * 2) + b01 s.sh_distinct in
+  let i = (i * 2) + b01 s.sh_order in
+  (i * 2) + b01 s.sh_group
+
+(* [shape_index] inverted: 48 shapes per join, 24 per derived-table flag,
+   8 per WHERE arity, then DISTINCT, ORDER BY, GROUP BY *)
+let shape_names =
+  Array.init shape_count (fun i ->
+      Printf.sprintf "shape.j%s.v%d.w%d.d%d.o%d.g%d"
+        (join_token joins.(i / 48))
+        (i / 24 mod 2)
+        ((i / 8 mod 3) + 1)
+        (i / 4 mod 2) (i / 2 mod 2) (i mod 2))
+
+let point_of_shape s = shape_names.(shape_index s)
 
 let field prefix s =
   let n = String.length prefix in
@@ -78,52 +99,72 @@ let shape_of_point p =
 (* ------------------------------------------------------------------ *)
 (* Fingerprinting                                                       *)
 
+(* The expression kinds, numbered by their place here. *)
+let kind_tokens =
+  [| "not"; "unary"; "cmp"; "nullsafe_eq"; "logic"; "arith"; "concat";
+     "bitop"; "is_null"; "is_bool"; "is_expr"; "is_distinct"; "between";
+     "in"; "like"; "glob"; "cast"; "func"; "agg"; "case"; "collate" |]
+
+(* A node's kind number; -1 for the nodes without a point. *)
 let kind_of_node = function
-  | A.Lit _ | A.Col _ -> None
-  | A.Unary (A.Not, _) -> Some "not"
-  | A.Unary ((A.Neg | A.Pos | A.Bit_not), _) -> Some "unary"
-  | A.Binary (op, _, _) ->
-      Some
-        (match op with
-        | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge -> "cmp"
-        | A.Null_safe_eq -> "nullsafe_eq"
-        | A.And | A.Or -> "logic"
-        | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> "arith"
-        | A.Concat -> "concat"
-        | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right -> "bitop")
-  | A.Is { rhs = A.Is_null; _ } -> Some "is_null"
-  | A.Is { rhs = A.Is_true | A.Is_false; _ } -> Some "is_bool"
-  | A.Is { rhs = A.Is_expr _; _ } -> Some "is_expr"
-  | A.Is { rhs = A.Is_distinct_from _; _ } -> Some "is_distinct"
-  | A.Between _ -> Some "between"
-  | A.In_list _ -> Some "in"
-  | A.Like _ -> Some "like"
-  | A.Glob _ -> Some "glob"
-  | A.Cast _ -> Some "cast"
-  | A.Func _ -> Some "func"
-  | A.Agg _ -> Some "agg"
-  | A.Case _ -> Some "case"
-  | A.Collate _ -> Some "collate"
+  | A.Lit _ | A.Col _ -> -1
+  | A.Unary (A.Not, _) -> 0
+  | A.Unary ((A.Neg | A.Pos | A.Bit_not), _) -> 1
+  | A.Binary (op, _, _) -> (
+      match op with
+      | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge -> 2
+      | A.Null_safe_eq -> 3
+      | A.And | A.Or -> 4
+      | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> 5
+      | A.Concat -> 6
+      | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right -> 7)
+  | A.Is { rhs = A.Is_null; _ } -> 8
+  | A.Is { rhs = A.Is_true | A.Is_false; _ } -> 9
+  | A.Is { rhs = A.Is_expr _; _ } -> 10
+  | A.Is { rhs = A.Is_distinct_from _; _ } -> 11
+  | A.Between _ -> 12
+  | A.In_list _ -> 13
+  | A.Like _ -> 14
+  | A.Glob _ -> 15
+  | A.Cast _ -> 16
+  | A.Func _ -> 17
+  | A.Agg _ -> 18
+  | A.Case _ -> 19
+  | A.Collate _ -> 20
 
-let rec exprs_of_from = function
-  | A.F_table _ -> []
+let expr_point k = "expr." ^ k
+
+(* Every point's string, by number: the shapes, then the kinds. *)
+let vocabulary =
+  Array.append shape_names (Array.map expr_point kind_tokens)
+
+(* [f] on each expression a fingerprint reads, in order: the items, the
+   FROM clause's (ON conditions, derived tables' queries), WHERE, GROUP
+   BY, HAVING, ORDER BY. *)
+let rec iter_from f = function
+  | A.F_table _ -> ()
   | A.F_join { left; right; on; _ } ->
-      exprs_of_from left @ exprs_of_from right @ Option.to_list on
-  | A.F_sub { sub; _ } -> exprs_of_query sub
+      iter_from f left;
+      iter_from f right;
+      Option.iter f on
+  | A.F_sub { sub; _ } -> iter_query f sub
 
-and exprs_of_query = function
-  | A.Q_select s -> exprs_of_select s
-  | A.Q_values rows -> List.concat rows
-  | A.Q_compound (_, a, b) -> exprs_of_query a @ exprs_of_query b
+and iter_query f = function
+  | A.Q_select s -> iter_select f s
+  | A.Q_values rows -> List.iter (List.iter f) rows
+  | A.Q_compound (_, a, b) ->
+      iter_query f a;
+      iter_query f b
 
-and exprs_of_select (s : A.select) =
-  List.filter_map
-    (function A.Sel_expr (e, _) -> Some e | A.Star | A.Table_star _ -> None)
-    s.sel_items
-  @ List.concat_map exprs_of_from s.sel_from
-  @ Option.to_list s.sel_where @ s.sel_group_by
-  @ Option.to_list s.sel_having
-  @ List.map fst s.sel_order_by
+and iter_select f (s : A.select) =
+  List.iter
+    (function A.Sel_expr (e, _) -> f e | A.Star | A.Table_star _ -> ())
+    s.sel_items;
+  List.iter (iter_from f) s.sel_from;
+  Option.iter f s.sel_where;
+  List.iter f s.sel_group_by;
+  Option.iter f s.sel_having;
+  List.iter (fun (e, _) -> f e) s.sel_order_by
 
 let rec conjuncts = function
   | A.Binary (A.And, a, b) -> conjuncts a @ conjuncts b
@@ -157,20 +198,37 @@ let shape_of_select (s : A.select) =
     sh_pred = None;
   }
 
-let fingerprint (s : A.select) =
-  let expr_points =
-    List.concat_map
-      (fun e ->
-        A.fold_expr
-          (fun acc n ->
-            match kind_of_node n with
-            | Some k -> ("expr." ^ k) :: acc
-            | None -> acc)
-          [] e
-        |> List.rev)
-      (exprs_of_select s)
-  in
-  point_of_shape (shape_of_select s) :: expr_points
+(* [f] on the number of each point of [s]: its shape, then one kind per
+   expression node that has one, in expression order. *)
+let iter_points f (s : A.select) =
+  f (shape_index (shape_of_select s));
+  iter_select
+    (A.fold_expr
+       (fun () n ->
+         let k = kind_of_node n in
+         if k >= 0 then f (shape_count + k))
+       ())
+    s
+
+let fingerprint s =
+  let acc = ref [] in
+  iter_points (fun i -> acc := vocabulary.(i) :: !acc) s;
+  List.rev !acc
+
+type tally = int array
+
+let tally () = Array.make (Array.length vocabulary) 0
+let count t s = iter_points (fun i -> t.(i) <- t.(i) + 1) s
+
+let tally_frontier ~seed t =
+  let entries = ref [] in
+  Array.iteri
+    (fun i hits ->
+      if hits > 0 then
+        entries :=
+          (vocabulary.(i), { Frontier.hits; first_seed = seed }) :: !entries)
+    t;
+  Frontier.of_entries !entries
 
 (* ------------------------------------------------------------------ *)
 (* Per-dialect universe                                                 *)
@@ -178,37 +236,10 @@ let fingerprint (s : A.select) =
 let shape_points =
   (* GROUP BY is only generated over a single pivot table (every selected
      column must be plain and grouping needs one source), so g=1 combos
-     exist only under jsingle *)
-  List.concat_map
-    (fun j ->
-      List.concat_map
-        (fun v ->
-          List.concat_map
-            (fun w ->
-              List.concat_map
-                (fun d ->
-                  List.concat_map
-                    (fun o ->
-                      let gs = if j = `Single then [ false; true ] else [ false ] in
-                      List.map
-                        (fun g ->
-                          point_of_shape
-                            {
-                              sh_tables = (match j with `Single -> 1 | _ -> 2);
-                              sh_join = j;
-                              sh_sub = v;
-                              sh_where = w;
-                              sh_distinct = d;
-                              sh_order = o;
-                              sh_group = g;
-                              sh_pred = None;
-                            })
-                        gs)
-                    [ false; true ])
-                [ false; true ])
-            [ 1; 2; 3 ])
-        [ false; true ])
-    [ `Single; `Cross; `Inner; `Left ]
+     exist only under jsingle; the numbering is the display order *)
+  List.init shape_count Fun.id
+  |> List.filter (fun i -> joins.(i / 48) = `Single || i mod 2 = 0)
+  |> List.map (Array.get shape_names)
 
 let expr_kinds = function
   | Dialect.Sqlite_like ->
@@ -239,9 +270,7 @@ let plan_points dialect =
   List.map (fun p -> "plan." ^ p) base
 
 let universe dialect =
-  shape_points
-  @ List.map (fun k -> "expr." ^ k) (expr_kinds dialect)
-  @ plan_points dialect
+  shape_points @ List.map expr_point (expr_kinds dialect) @ plan_points dialect
 
 (* ------------------------------------------------------------------ *)
 (* Guided shape planning                                                *)
@@ -262,7 +291,7 @@ let cold_pred ~rng ~dialect frontier =
      select list instead) *)
   expr_kinds dialect
   |> List.filter (fun k -> k <> "agg")
-  |> List.map (fun k -> "expr." ^ k)
+  |> List.map expr_point
   |> coldest_of rng frontier
   |> Option.map (fun p -> String.sub p 5 (String.length p - 5))
 

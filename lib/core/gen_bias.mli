@@ -47,6 +47,23 @@ val shape_of_point : string -> shape option
     per expression-node occurrence. *)
 val fingerprint : Sqlast.Ast.select -> string list
 
+(** One round's counts of the points {!fingerprint} gives, kept by point
+    number (each point's string is built once, for every round).  Counting
+    a round's queries here and turning the counts into a frontier once
+    gives the same frontier as a union of the queries' fingerprints. *)
+type tally
+
+(** A tally with every count 0. *)
+val tally : unit -> tally
+
+(** Count the points of one SELECT, as {!fingerprint} lists them. *)
+val count : tally -> Sqlast.Ast.select -> unit
+
+(** The counted points, each with its count as hits and [seed] as
+    [first_seed]: equal to [Frontier.union_all] of [Frontier.of_points
+    ~seed (fingerprint q)] over the counted queries. *)
+val tally_frontier : seed:int -> tally -> Frontier.t
+
 (** Every frontier point reachable for the dialect, in stable display
     order: [shape.*] combinations first, then [expr.*] kinds, then
     [plan.*] paths. *)

@@ -105,6 +105,8 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
           (fun p -> (p, Engine.Coverage.hit_count cov p))
           (Gen_bias.plan_points config.dialect)
   in
+  (* the round's clause-combination points, folded into its stats once *)
+  let points = Gen_bias.tally () in
   let recorder =
     match recorder with Some r -> r | None -> recorder_for config
   in
@@ -440,22 +442,16 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                         match attempt 5 with
                         | None -> queries (q - 1)
                         | Some t -> (
-                            (* clause-combination frontier: fingerprint the
-                               synthesized query and fold it into the
-                               round's stats (and, when guided, the bias
-                               state steering later shape plans) *)
-                            let fp =
-                              Frontier.of_points ~seed:db_seed
-                                (Gen_bias.fingerprint t.Gen_query.query)
-                            in
-                            stats :=
-                              {
-                                !stats with
-                                Stats.frontier =
-                                  Frontier.union (!stats).Stats.frontier fp;
-                              };
+                            (* clause-combination frontier: count the
+                               synthesized query's points for the round's
+                               stats; when guided, the bias state steering
+                               later shape plans takes them at once *)
+                            Gen_bias.count points t.Gen_query.query;
                             if config.guided then
-                              bias := Frontier.union !bias fp;
+                              bias :=
+                                Frontier.union !bias
+                                  (Frontier.of_points ~seed:db_seed
+                                     (Gen_bias.fingerprint t.Gen_query.query));
                             if Trace.enabled recorder then
                               List.iter
                                 (fun (raw, verdict, rectified) ->
@@ -607,6 +603,13 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
             pivots config.pivots_per_db)
   in
   let fired = round () in
+  stats :=
+    {
+      !stats with
+      Stats.frontier =
+        Frontier.union (!stats).Stats.frontier
+          (Gen_bias.tally_frontier ~seed:db_seed points);
+    };
   (* --trace-sample N: keep the full trace of every Nth healthy round, so
      there is flight-recorder data to compare bundles against *)
   (match (fired, config.bundle_dir) with

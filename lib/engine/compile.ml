@@ -442,6 +442,15 @@ let ragged_values_error (d : Dialect.t) ~row =
         Printf.sprintf "Column count doesn't match value count at row %d" row
     | Dialect.Postgres_like -> "VALUES lists must all be the same length")
 
+(* VALUES result columns are column1 ... columnN; the name lists of up
+   to 16 columns are built once. *)
+let values_column i = "column" ^ string_of_int (i + 1)
+let values_names = Array.init 17 (fun w -> List.init w values_column)
+
+let values_columns width =
+  if width < Array.length values_names then values_names.(width)
+  else List.init width values_column
+
 (* ------------------------------------------------------------------ *)
 (* SELECT                                                              *)
 
@@ -459,6 +468,8 @@ let rec run_select ?sink ctx (s : A.select) :
     (Executor.result_set, Errors.t) result =
   let where = s.A.sel_where in
   let put, collected = sink_or_collect sink in
+  (* under a sink only the width is read: expression items go unnamed *)
+  let named = Option.is_none sink in
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
        DISTINCT/ORDER BY/LIMIT do not apply *)
@@ -468,7 +479,7 @@ let rec run_select ?sink ctx (s : A.select) :
       else Ok ()
     in
     let c = make_env ctx [] in
-    let* columns = Executor.output_columns [] s.A.sel_items in
+    let* columns = Executor.output_columns ~named [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
     let* row = project [||] projs in
     let* keep =
@@ -483,17 +494,6 @@ let rec run_select ?sink ctx (s : A.select) :
     Ok { Executor.rs_columns = columns; rs_rows = collected () }
   end
   else begin
-    let cond_has_cast =
-      (match where with Some w -> Executor.has_cast w | None -> false)
-      || List.exists
-           (function
-             | A.Sel_expr (e, _) -> Executor.has_cast e
-             | A.Star | A.Table_star _ -> false)
-           s.A.sel_items
-    in
-    let cond_has_ifnull =
-      match where with Some w -> Executor.has_ifnull w | None -> false
-    in
     let base_table_count =
       let rec count = function
         | A.F_table _ -> 1
@@ -502,14 +502,7 @@ let rec run_select ?sink ctx (s : A.select) :
       in
       List.fold_left (fun acc it -> acc + count it) 0 s.A.sel_from
     in
-    let fctx =
-      {
-        Executor.in_join = base_table_count > 1;
-        cond_has_cast;
-        cond_has_ifnull;
-        distinct = s.A.sel_distinct;
-      }
-    in
+    let fctx = { Executor.in_join = base_table_count > 1; select = s } in
     (* materialize each comma item in textual order (scans and their
        flight-recorder events keep that order under a forced join
        swap) *)
@@ -532,7 +525,7 @@ let rec run_select ?sink ctx (s : A.select) :
        the FROM produced tuples, nothing when it was empty (observable:
        [*] over an empty product has no columns) *)
     let* columns =
-      Executor.output_columns
+      Executor.output_columns ~named
         (if n > 0 then c.Eval.layout else [])
         s.A.sel_items
     in
@@ -604,7 +597,9 @@ and run_query ?sink ctx (q : A.query) :
             in
             check 1 rows
           in
-          let c = make_env ctx [] in
+          (* a literal is its value (what its compiled closure returns);
+             only other expressions need an env and a compile *)
+          let c = lazy (make_env ctx []) in
           let put, collected = sink_or_collect sink in
           let rec go = function
             | [] -> Ok ()
@@ -612,8 +607,11 @@ and run_query ?sink ctx (q : A.query) :
                 let row = Array.make width Value.Null in
                 let rec fill i = function
                   | [] -> Ok ()
+                  | A.Lit v :: more ->
+                      row.(i) <- v;
+                      fill (i + 1) more
                   | e :: more ->
-                      let* v = Eval.compile c e () in
+                      let* v = Eval.compile (Lazy.force c) e () in
                       row.(i) <- v;
                       fill (i + 1) more
                 in
@@ -622,10 +620,8 @@ and run_query ?sink ctx (q : A.query) :
                 go rest
           in
           let* () = go rows in
-          let columns =
-            List.init width (fun i -> Printf.sprintf "column%d" (i + 1))
-          in
-          Ok { Executor.rs_columns = columns; rs_rows = collected () }
+          Ok
+            { Executor.rs_columns = values_columns width; rs_rows = collected () }
       | A.Q_compound (op, qa, qb) -> run_compound ?sink ctx op qa qb)
 
 (* UNION [ALL] concatenates its operands' rows.  INTERSECT and EXCEPT
@@ -673,21 +669,31 @@ and run_compound ?sink ctx op qa qb =
       finish ~t0 ~detail ~right_rows:(List.length rb.Executor.rs_rows) rows
   | A.Intersect | A.Except ->
       let t0 = Executor.op_clock ctx in
-      (* one mark per distinct left key, shared by its equal rows; sized
-         to the left rows, so it never grows *)
-      let marks = Executor.Row_tbl.create (List.length left) in
-      List.iter
-        (fun r ->
-          if not (Executor.Row_tbl.mem marks r) then
-            Executor.Row_tbl.add marks r (ref false))
-        left;
+      (* one mark per distinct left key, shared by its equal rows: a
+         single left row (the containment check's VALUES) is compared,
+         not hashed; more are hashed into a table sized to them, so it
+         never grows *)
+      let mark_of, keys =
+        match left with
+        | [ l ] ->
+            let met = ref false in
+            ((fun r -> if Executor.Row_eq.equal l r then Some met else None), 1)
+        | _ ->
+            let marks = Executor.Row_tbl.create (List.length left) in
+            List.iter
+              (fun r ->
+                if not (Executor.Row_tbl.mem marks r) then
+                  Executor.Row_tbl.add marks r (ref false))
+              left;
+            (Executor.Row_tbl.find_opt marks, Executor.Row_tbl.length marks)
+      in
       (* once every left key is met the answer is known; later right
          rows still run, for their errors, but are not looked up *)
-      let probed = ref 0 and unmet = ref (Executor.Row_tbl.length marks) in
+      let probed = ref 0 and unmet = ref keys in
       let sink r =
         incr probed;
         if !unmet > 0 then
-          match Executor.Row_tbl.find_opt marks r with
+          match mark_of r with
           | Some met when not !met ->
               met := true;
               decr unmet
@@ -698,7 +704,10 @@ and run_compound ?sink ctx op qa qb =
       let want = op = A.Intersect in
       let rows =
         Executor.dedup ~row:Fun.id
-          (List.filter (fun r -> !(Executor.Row_tbl.find marks r) = want) left)
+          (List.filter
+             (fun r ->
+               match mark_of r with Some met -> !met = want | None -> false)
+             left)
       in
       finish ~t0
         ~detail:(if want then "INTERSECT (probe)" else "EXCEPT (probe)")

@@ -18,10 +18,7 @@ module A = Sqlast.Ast
 
 (* names are compared lowercase; generated ones already are, so skip the
    copy then *)
-let lower s =
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then
-    String.lowercase_ascii s
-  else s
+let lower = Storage.Schema.lower_name
 
 type binding = {
   b_alias : string; (* lowercase alias (or table name) *)

@@ -362,15 +362,24 @@ and skip_scan_rowids ?(distinct = false) ctx (index : Storage.Index.t) =
 
 type from_ctx = {
   in_join : bool; (* more than one base table in the query *)
-  cond_has_cast : bool;
-  cond_has_ifnull : bool;
-  distinct : bool; (* the query is SELECT DISTINCT (Listing 6 trigger) *)
+  select : A.select; (* the SELECT the scan serves *)
 }
 
 let expr_has f e = A.fold_expr (fun acc x -> acc || f x) false e
 
-let has_cast = expr_has (function A.Cast _ -> true | _ -> false)
-let has_ifnull = expr_has (function A.Func (A.F_ifnull, _) -> true | _ -> false)
+(* The mysql MEMORY-join triggers: a CAST in the SELECT's WHERE or items,
+   an IFNULL in its WHERE.  Walked only by the gate that reads them. *)
+let has_cast (s : A.select) =
+  let cast = expr_has (function A.Cast _ -> true | _ -> false) in
+  (match s.A.sel_where with Some w -> cast w | None -> false)
+  || List.exists
+       (function A.Sel_expr (e, _) -> cast e | A.Star | A.Table_star _ -> false)
+       s.A.sel_items
+
+let has_ifnull (s : A.select) =
+  match s.A.sel_where with
+  | Some w -> expr_has (function A.Func (A.F_ifnull, _) -> true | _ -> false) w
+  | None -> false
 
 (* The one-binding tuples of the heap rows at [rowids], in that order
    (rowids with no row are skipped). *)
@@ -393,15 +402,19 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
     (ts : Storage.Catalog.table_state) :
     (Value.t array array list, Errors.t) result =
   let schema = ts.Storage.Catalog.schema in
+          let postgres = Dialect.equal ctx.dialect Dialect.Postgres_like in
+          (* read only by the postgres triggers below *)
           let table_indexes =
-            Storage.Catalog.indexes_on ctx.catalog
-              schema.Storage.Schema.table_name
+            if postgres then
+              Storage.Catalog.indexes_on ctx.catalog
+                schema.Storage.Schema.table_name
+            else []
           in
           (* postgres Listing 16 class: extended statistics + an
              expression/partial index break planning with an internal
              error (or, for the duplicate report, a crash) *)
           let stats_trigger =
-            Dialect.equal ctx.dialect Dialect.Postgres_like
+            postgres
             && Storage.Catalog.statistics_on ctx.catalog
                  schema.Storage.Schema.table_name
                <> []
@@ -428,7 +441,7 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
              were overwritten by UPDATE trips an internal error on
              ordered comparisons *)
           let null_taint_trigger =
-            Dialect.equal ctx.dialect Dialect.Postgres_like
+            postgres
             && schema.Storage.Schema.tainted_null_update
             && table_indexes <> []
             && (match where with
@@ -461,8 +474,8 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             fctx.in_join
             && Dialect.equal ctx.dialect Dialect.Mysql_like
             && schema.Storage.Schema.engine = Some A.E_memory
-            && ((bug ctx Bug.My_memory_join_cast && fctx.cond_has_cast)
-               || (bug ctx Bug.My_dup_memory_join && fctx.cond_has_ifnull))
+            && ((bug ctx Bug.My_memory_join_cast && has_cast fctx.select)
+               || (bug ctx Bug.My_dup_memory_join && has_ifnull fctx.select))
           in
           if memory_bug then Ok []
           else begin
@@ -509,8 +522,12 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             in
             let heap = ts.Storage.Catalog.heap in
             let full_scan () =
-              match pk_index_of ctx schema with
-              | Some pk when schema.Storage.Schema.without_rowid ->
+              match
+                if schema.Storage.Schema.without_rowid then
+                  pk_index_of ctx schema
+                else None
+              with
+              | Some pk ->
                   (* WITHOUT ROWID: the PK b-tree is the table *)
                   let acc = ref [] in
                   Storage.Index.iter (fun _ rowid -> acc := rowid :: !acc) pk;
@@ -521,7 +538,7 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                     (scan_table ctx ts)
             in
             let rows =
-              match path_rowids ~distinct:fctx.distinct ctx path with
+              match path_rowids ~distinct:fctx.select.A.sel_distinct ctx path with
               | None ->
                   cov ctx "plan.full_scan";
                   let rows = full_scan () in
@@ -548,8 +565,8 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
 (* ------------------------------------------------------------------ *)
 (* Output shaping shared by the pipeline's operators                   *)
 
-let output_columns (bindings_sample : Eval.binding list) items :
-    (string list, Errors.t) result =
+let output_columns ?(named = true) (bindings_sample : Eval.binding list)
+    items : (string list, Errors.t) result =
   let item_columns = function
     | A.Star ->
         Ok
@@ -566,7 +583,8 @@ let output_columns (bindings_sample : Eval.binding list) items :
         | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
     | A.Sel_expr (_, Some alias) -> Ok [ alias ]
     | A.Sel_expr (A.Col { column; _ }, None) -> Ok [ column ]
-    | A.Sel_expr (e, None) -> Ok [ Sqlast.Sql_printer.expr Dialect.Sqlite_like e ]
+    | A.Sel_expr (e, None) ->
+        Ok [ (if named then Sqlast.Sql_printer.expr Dialect.Sqlite_like e else "") ]
   in
   let rec go acc = function
     | [] -> Ok (List.concat (List.rev acc))

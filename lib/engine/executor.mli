@@ -109,16 +109,11 @@ val scan_table : ctx -> Storage.Catalog.table_state -> Storage.Row.t list
     two-table inner/cross joins and two-item comma FROMs; see {!forced}.) *)
 val swap_join_forced : ctx -> bool
 
-(** Query-level facts the scan-site bug injections consult. *)
-type from_ctx = {
-  in_join : bool;
-  cond_has_cast : bool;
-  cond_has_ifnull : bool;
-  distinct : bool;
-}
-
-val has_cast : Sqlast.Ast.expr -> bool
-val has_ifnull : Sqlast.Ast.expr -> bool
+(** What the scan-site bug injections consult: whether the query joins
+    more than one base table, and the SELECT the scan serves (its
+    DISTINCT, and its WHERE and items, which the mysql MEMORY-join gate
+    walks only when it is reached). *)
+type from_ctx = { in_join : bool; select : Sqlast.Ast.select }
 
 (** Scan one base table under [where]: injected planner/index bug gates,
     access-path choice (honouring {!ctx.force}), rowid fetch, and the
@@ -136,9 +131,14 @@ val scan_rows :
 
 (** Output column names of a SELECT item list against a sample tuple
     (empty when the scan produced no rows, which is observable: [*]
-    contributes no columns and [t.*] fails). *)
+    contributes no columns and [t.*] fails).  An unaliased expression is
+    named by its printed SQL; [~named:false], for a caller that reads
+    only the width, leaves it unnamed ([""]) instead. *)
 val output_columns :
-  Eval.binding list -> Sqlast.Ast.select_item list -> (string list, Errors.t) result
+  ?named:bool ->
+  Eval.binding list ->
+  Sqlast.Ast.select_item list ->
+  (string list, Errors.t) result
 
 (** Whether the SELECT uses aggregation (GROUP BY, aggregate items, or an
     aggregate HAVING). *)

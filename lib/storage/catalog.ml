@@ -46,7 +46,7 @@ let create () =
     analyzed = false;
   }
 
-let norm = String.lowercase_ascii
+let norm = Schema.lower_name
 
 (* ---- tables ---- *)
 

@@ -76,6 +76,10 @@ let name_equal a b =
   in
   go 0
 
+let lower_name s =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then String.lowercase_ascii s
+  else s
+
 let find_column t name =
   let rec go i =
     if i >= Array.length t.columns then None

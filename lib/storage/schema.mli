@@ -70,6 +70,10 @@ val bump_version : table -> unit
     [String.lowercase_ascii] forms gives), without allocating. *)
 val name_equal : string -> string -> bool
 
+(** [String.lowercase_ascii], but a name with no uppercase letter is
+    returned as it is, not copied. *)
+val lower_name : string -> string
+
 (** Case-insensitive column lookup; returns the index and the column. *)
 val find_column : table -> string -> (int * column) option
 

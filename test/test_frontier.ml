@@ -293,6 +293,63 @@ let test_fingerprint () =
       Alcotest.(check (list string)) "expr multiset" [ "expr.cmp" ] exprs
   | [] -> Alcotest.fail "empty fingerprint"
 
+(* The runner counts a round's points into a tally and folds it into its
+   stats once; that must equal the per-query definition, a union of each
+   query's fingerprint frontier. *)
+let test_tally_matches_fingerprints () =
+  List.iter
+    (fun dialect ->
+      for seed = 1 to 40 do
+        let c = Pqs.Corpus.build ~seed dialect in
+        let sources = Pqs.Corpus.sources c.Pqs.Corpus.session in
+        let queries =
+          List.filter_map
+            (fun _ ->
+              Option.map
+                (fun (_, g) -> g.Pqs.Gen_query.query)
+                (Pqs.Corpus.query c sources))
+            [ 1; 2; 3; 4 ]
+        in
+        let t = Pqs.Gen_bias.tally () in
+        List.iter (Pqs.Gen_bias.count t) queries;
+        let expected =
+          List.fold_left
+            (fun f q ->
+              Frontier.union f
+                (Frontier.of_points ~seed (Pqs.Gen_bias.fingerprint q)))
+            Frontier.empty queries
+        in
+        if Pqs.Gen_bias.tally_frontier ~seed t <> expected then
+          Alcotest.failf "%s seed %d: tally differs from the fingerprints"
+            (Dialect.name dialect) seed
+      done)
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ];
+  Alcotest.(check bool) "an empty tally is the empty frontier" true
+    (Pqs.Gen_bias.tally_frontier ~seed:1 (Pqs.Gen_bias.tally ()) = Frontier.empty)
+
+(* Guided rounds steer each pivot's shape plan by the bias as it stands
+   after every earlier query of the run, so the bias takes each query's
+   points at once, not at the end of its round.  After every round it
+   holds exactly the rounds' frontiers, and its value after these rounds
+   is pinned (a deliberate change to generation or guidance moves it). *)
+let test_guided_bias_sequence () =
+  let config = Pqs.Runner.Config.make ~guided:true Dialect.Sqlite_like in
+  let bias = ref Frontier.empty in
+  let merged =
+    List.fold_left
+      (fun merged db_seed ->
+        let s = Pqs.Runner.run_round ~bias config ~db_seed in
+        let merged = Frontier.union merged s.Pqs.Stats.frontier in
+        Alcotest.(check bool)
+          (Printf.sprintf "bias after round %d is the rounds' frontiers" db_seed)
+          true (!bias = merged);
+        merged)
+      Frontier.empty (List.init 30 (fun i -> i + 1))
+  in
+  Alcotest.(check string) "bias after 30 guided rounds"
+    "41c3bdf736dd3bd7256d074b97fce728"
+    (Digest.to_hex (Digest.string (Frontier.to_json ~universe:[] merged)))
+
 let test_cold_planning () =
   let dialect = Dialect.Sqlite_like in
   let universe = Pqs.Gen_bias.universe dialect in
@@ -524,6 +581,10 @@ let () =
           Alcotest.test_case "universe" `Quick test_universe;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
           Alcotest.test_case "cold planning" `Quick test_cold_planning;
+          Alcotest.test_case "round tally = fingerprint union" `Quick
+            test_tally_matches_fingerprints;
+          Alcotest.test_case "guided bias sequence" `Quick
+            test_guided_bias_sequence;
         ] );
       ( "chrome trace",
         [

@@ -9,6 +9,7 @@ type outcome =
   | Rows of string list
   | Err of Engine.Errors.code
   | Err_msg of Engine.Errors.code * string  (** the code and exact message *)
+  | Columns of string list  (** the result's column names *)
 
 type case = {
   name : string;
@@ -448,6 +449,96 @@ let cases =
       query = "SELECT id FROM t ORDER BY id ASC";
       expect = Rows [ "1"; "2" ];
     };
+    (* --- result column names --- *)
+    {
+      name = "VALUES columns are column1..columnN";
+      dialect = sq;
+      script = "";
+      query = "VALUES (1, 'a', NULL)";
+      expect = Columns [ "column1"; "column2"; "column3" ];
+    };
+    {
+      name = "a wide VALUES row names every column";
+      dialect = sq;
+      script = "";
+      query =
+        "VALUES (" ^ String.concat ", " (List.init 40 string_of_int) ^ ")";
+      expect = Columns (List.init 40 (fun i -> Printf.sprintf "column%d" (i + 1)));
+    };
+    {
+      name = "an unaliased expression is named by its SQL";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "SELECT c0 + 1, c0 AS k, c0, t0.c0, ABS(c0) FROM t0";
+      expect = Columns [ "(c0 + 1)"; "k"; "c0"; "c0"; "ABS(c0)" ];
+    };
+    {
+      name = "an unaliased expression over no rows is named too";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT);";
+      query = "SELECT c0 + 1 FROM t0";
+      expect = Columns [ "(c0 + 1)" ];
+    };
+    {
+      name = "INTERSECT takes the left operand's names";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "SELECT c0 + 1 FROM t0 INTERSECT SELECT c0 + 1 AS k FROM t0";
+      expect = Columns [ "(c0 + 1)" ];
+    };
+    {
+      name = "VALUES INTERSECT SELECT is named by the VALUES";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "VALUES (2) INTERSECT SELECT c0 + 1 FROM t0";
+      expect = Columns [ "column1" ];
+    };
+    {
+      name = "t.* naming no table fails in a plain SELECT";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "SELECT t9.* FROM t0";
+      expect = Err_msg (Engine.Errors.No_such_table, "no such table: t9");
+    };
+    {
+      name = "t.* naming no table fails as an INTERSECT operand";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "VALUES (1) INTERSECT SELECT t9.* FROM t0";
+      expect = Err_msg (Engine.Errors.No_such_table, "no such table: t9");
+    };
+    {
+      name = "t.* naming no table fails over no rows";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT);";
+      query = "SELECT t9.* FROM t0";
+      expect = Err_msg (Engine.Errors.No_such_table, "no such table: t9");
+    };
+    {
+      name = "t.* naming no table fails as an INTERSECT operand over no rows";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT);";
+      query = "VALUES (1) INTERSECT SELECT t9.* FROM t0";
+      expect = Err_msg (Engine.Errors.No_such_table, "no such table: t9");
+    };
+    {
+      name = "t.* naming no table fails as an EXCEPT operand";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "VALUES (1) EXCEPT SELECT t9.* FROM t0";
+      expect = Err_msg (Engine.Errors.No_such_table, "no such table: t9");
+    };
+    {
+      name = "an INTERSECT operand's expression items count in its width";
+      dialect = sq;
+      script = "CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1);";
+      query = "VALUES (1, 2) INTERSECT SELECT c0 + 1 FROM t0";
+      expect =
+        Err_msg
+          ( Engine.Errors.Syntax_error,
+            "SELECTs to the left and right of a compound operator do not \
+             have the same number of result columns" );
+    };
   ]
 
 let run_case (c : case) () =
@@ -476,7 +567,10 @@ let run_case (c : case) () =
               rs.Engine.Executor.rs_rows
           in
           Alcotest.(check (list string)) c.name expected got
-      | Ok _, Rows _ -> Alcotest.fail "expected rows"
+      | Ok (Engine.Session.Rows rs), Columns expected ->
+          Alcotest.(check (list string)) c.name expected
+            rs.Engine.Executor.rs_columns
+      | Ok _, (Rows _ | Columns _) -> Alcotest.fail "expected rows"
       | Error e, Err code ->
           Alcotest.(check bool)
             (c.name ^ " error code")
@@ -487,7 +581,7 @@ let run_case (c : case) () =
             (c.name ^ " error")
             (Engine.Errors.show_code code, message)
             (Engine.Errors.show_code e.Engine.Errors.code, e.Engine.Errors.message)
-      | Error e, Rows _ ->
+      | Error e, (Rows _ | Columns _) ->
           Alcotest.failf "unexpected error: %s" (Engine.Errors.show e)
       | Ok _, (Err _ | Err_msg _) -> Alcotest.fail "expected an error")
 

@@ -113,6 +113,50 @@ let test_listing11 () =
   Alcotest.(check int) "bug drops the MEMORY rows" 0
     (List.length (rows (expect_ok s q)))
 
+(* Listing 11's duplicate report: an IFNULL in the WHERE of a join with a
+   MEMORY table drops that table's rows.  The gate reads only the WHERE
+   (an IFNULL item keeps the rows) and only joins (one table keeps them);
+   sqlite and postgres, which have no MEMORY engine, keep the rows of the
+   same join shape with the bug on. *)
+let test_dup_memory_join () =
+  let tables engine =
+    Printf.sprintf
+      "CREATE TABLE t0(c0 INT);\n\
+       CREATE TABLE t1(c0 INT)%s;\n\
+       INSERT INTO t0(c0) VALUES (0);\n\
+       INSERT INTO t1(c0) VALUES (1);"
+      engine
+  in
+  let in_where = "SELECT * FROM t0, t1 WHERE IFNULL(t1.c0, 0) >= t0.c0;" in
+  let in_on =
+    "SELECT * FROM t0 JOIN t1 ON t1.c0 >= t0.c0 WHERE IFNULL(t1.c0, 0) >= \
+     t0.c0;"
+  in
+  let in_item = "SELECT IFNULL(t1.c0, 0) FROM t0, t1 WHERE t1.c0 >= t0.c0;" in
+  let single = "SELECT * FROM t1 WHERE IFNULL(t1.c0, 0) >= 0;" in
+  let count s q = List.length (rows (expect_ok s q)) in
+  let s = session Dialect.Mysql_like in
+  ignore (expect_ok s (tables " ENGINE = MEMORY"));
+  List.iter
+    (fun q -> Alcotest.(check int) ("correct keeps the row: " ^ q) 1 (count s q))
+    [ in_where; in_on; in_item; single ];
+  let bug = [ Engine.Bug.My_dup_memory_join ] in
+  let s = session ~bugs:bug Dialect.Mysql_like in
+  ignore (expect_ok s (tables " ENGINE = MEMORY"));
+  Alcotest.(check int) "bug drops the MEMORY rows" 0 (count s in_where);
+  Alcotest.(check int) "bug drops them under JOIN ... ON" 0 (count s in_on);
+  Alcotest.(check int) "IFNULL outside WHERE keeps them" 1 (count s in_item);
+  Alcotest.(check int) "one table keeps them" 1 (count s single);
+  let s = session ~bugs:bug Dialect.Sqlite_like in
+  expect_error s "CREATE TABLE t1(c0 INT) ENGINE = MEMORY;"
+    Engine.Errors.Syntax_error;
+  ignore (expect_ok s (tables ""));
+  Alcotest.(check int) "sqlite keeps the join's row" 1 (count s in_where);
+  let s = session ~bugs:bug Dialect.Postgres_like in
+  ignore (expect_ok s (tables ""));
+  Alcotest.(check int) "postgres keeps the join's row" 1
+    (count s "SELECT * FROM t0, t1 WHERE COALESCE(t1.c0, 0) >= t0.c0;")
+
 (* Listing 16 class: statistics + expression index -> 'negative bitmapset
    member' on a filtered SELECT *)
 let test_listing16 () =
@@ -209,5 +253,7 @@ let () =
           Alcotest.test_case "two-unique OR REPLACE corruption" `Quick
             test_two_unique_corruption;
           Alcotest.test_case "csv engine update" `Quick test_csv_engine;
+          Alcotest.test_case "listing 11 duplicate (IFNULL memory join)" `Quick
+            test_dup_memory_join;
         ] );
     ]
