@@ -94,12 +94,15 @@ let bench_synthesize dialect =
         | [] -> None)
       tables
   in
+  let pivot =
+    Pqs.Gen_query.prepare ~dialect ~case_sensitive_like:false pivot
+  in
   Test.make
     ~name:(Printf.sprintf "pqs synthesize+check/%s" (Sqlval.Dialect.name dialect))
     (Staged.stage (fun () ->
          match
-           Pqs.Gen_query.synthesize ~rng ~dialect ~pivot
-             ~case_sensitive_like:false ~max_depth:4 ~check_expressions:true ()
+           Pqs.Gen_query.synthesize ~rng ~pivot ~max_depth:4
+             ~check_expressions:true ()
          with
          | Ok t ->
              ignore

@@ -49,12 +49,12 @@ let () =
   let gen_ctx =
     {
       Pqs.Gen_expr.rng;
-      dialect;
-      tables;
       max_depth = 3;
-      pool =
-        List.concat_map (fun (_, row) -> Array.to_list row) pivot
-        |> List.filter (fun v -> not (Value.is_null v));
+      scope =
+        Pqs.Gen_expr.scope dialect tables
+          ~pool:
+            (List.concat_map (fun (_, row) -> Array.to_list row) pivot
+            |> List.filter (fun v -> not (Value.is_null v)));
     }
   in
   let raw = Pqs.Gen_expr.condition gen_ctx in
@@ -75,7 +75,8 @@ let () =
 
   (* step 5-7: synthesize the query and check containment via INTERSECT *)
   match
-    Pqs.Gen_query.synthesize ~rng ~dialect ~pivot ~case_sensitive_like:false
+    Pqs.Gen_query.synthesize ~rng
+      ~pivot:(Pqs.Gen_query.prepare ~dialect ~case_sensitive_like:false pivot)
       ~max_depth:3 ~check_expressions:false ()
   with
   | Error e -> Printf.printf "synthesis failed: %s\n" e

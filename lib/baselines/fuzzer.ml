@@ -23,7 +23,7 @@ type stats = {
    pivot, no rectification, no containment check. *)
 let random_query rng dialect tables : A.query =
   let gen_ctx =
-    { Pqs.Gen_expr.rng; dialect; tables; max_depth = 4; pool = [] }
+    { Pqs.Gen_expr.rng; max_depth = 4; scope = Pqs.Gen_expr.scope dialect tables }
   in
   let items =
     if Pqs.Rng.bool rng then [ A.Star ]

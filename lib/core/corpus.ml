@@ -63,15 +63,19 @@ let query db = function
   | [] -> None
   | sources ->
       let pivot = pick_pivot db.rng sources in
-      let case_sensitive_like =
-        Engine.Options.case_sensitive_like (Engine.Session.options db.session)
+      let prepared =
+        Gen_query.prepare ~dialect:db.dialect
+          ~case_sensitive_like:
+            (Engine.Options.case_sensitive_like
+               (Engine.Session.options db.session))
+          pivot
       in
       let rec attempt tries =
         if tries <= 0 then None
         else
           match
-            Gen_query.synthesize ~rng:db.rng ~dialect:db.dialect ~pivot
-              ~case_sensitive_like ~max_depth:4 ~check_expressions:true ()
+            Gen_query.synthesize ~rng:db.rng ~pivot:prepared ~max_depth:4
+              ~check_expressions:true ()
           with
           | Ok t -> Some (pivot, t)
           | Error _ -> attempt (tries - 1)

@@ -284,10 +284,8 @@ let update_stmt cfg (ti : Schema_info.table_info) session : A.stmt =
         (Gen_expr.condition
            {
              Gen_expr.rng;
-             dialect = cfg.dialect;
-             tables = [ ti ];
              max_depth = 2;
-             pool;
+             scope = Gen_expr.scope ~pool cfg.dialect [ ti ];
            })
     else None
   in
@@ -315,10 +313,8 @@ let delete_stmt cfg (ti : Schema_info.table_info) session : A.stmt =
       (Gen_expr.condition
          {
            Gen_expr.rng = cfg.rng;
-           dialect = cfg.dialect;
-           tables = [ ti ];
            max_depth = 2;
-           pool = table_pool session ti;
+           scope = Gen_expr.scope ~pool:(table_pool session ti) cfg.dialect [ ti ];
          })
   in
   A.Delete { table = ti.Schema_info.ti_name; where }

@@ -8,17 +8,19 @@
 
 open Sqlval
 
-type ctx = {
-  rng : Rng.t;
-  dialect : Dialect.t;
-  tables : Schema_info.table_info list;  (** tables in scope *)
-  max_depth : int;
-  pool : Sqlval.Value.t list;
-      (** values present in the database: literal generation is biased
-          toward small mutations of them (trailing spaces, case flips,
-          off-by-one), which is what makes collation/affinity bug classes
-          reachable within realistic budgets *)
-}
+(** What generation reads of the tables in scope, built once: their
+    columns, each with its qualified and bare reference and whether
+    another in-scope column shares its name, and the value pool.  A pool
+    biases literal generation toward small mutations of values present in
+    the database (trailing spaces, case flips, off-by-one), which is what
+    makes collation/affinity bug classes reachable within realistic
+    budgets. *)
+type scope
+
+val scope :
+  ?pool:Sqlval.Value.t list -> Dialect.t -> Schema_info.table_info list -> scope
+
+type ctx = { rng : Rng.t; max_depth : int; scope : scope }
 
 (** A condition candidate for WHERE/JOIN (boolean-valued root for
     postgres). *)

@@ -10,75 +10,155 @@ type t = {
   provenance : (A.expr * Tvl.t * A.expr) list;
 }
 
-let synthesize ?(rectify = true) ?(target = Tvl.True)
-    ?(telemetry = Telemetry.noop) ?shape ?pred ~rng
-    ~dialect ~pivot ~case_sensitive_like ~max_depth ~check_expressions () =
-  (* derived-table wrapping (FROM (SELECT * FROM t) AS t): the subquery's
-     columns are binary-collated, and untyped except on postgres, where a
-     column keeps its declared type; the pivot's column metadata must be
-     degraded identically for the oracle and the expression generator *)
-  let wrapped =
-    List.map
-      (fun (ti, _) ->
-        ( ti.Schema_info.ti_name,
-          match shape with
-          | Some s -> s.Gen_bias.sh_sub
-          | None -> Rng.chance rng 0.12 ))
-      pivot
-  in
-  let is_wrapped name =
-    match List.assoc_opt name wrapped with Some b -> b | None -> false
-  in
-  let degrade (ti : Schema_info.table_info) =
-    if not (is_wrapped ti.Schema_info.ti_name) then ti
-    else
-      {
-        ti with
-        Schema_info.ti_columns =
-          List.map
-            (fun (c : Schema_info.column_info) ->
-              {
-                c with
-                Schema_info.ci_type =
-                  (match dialect with
-                  | Dialect.Postgres_like -> c.Schema_info.ci_type
-                  | Dialect.Sqlite_like | Dialect.Mysql_like ->
-                      Datatype.Any);
-                ci_collation = Collation.Binary;
-              })
-            ti.Schema_info.ti_columns;
-      }
-  in
-  let pivot = List.map (fun (ti, row) -> (degrade ti, row)) pivot in
-  let from_of (ti : Schema_info.table_info) : A.from_item =
-    if is_wrapped ti.Schema_info.ti_name then
+(* One pivot source as synthesis reads it.  A derived-table wrapping
+   (FROM (SELECT * FROM t) AS t) makes the subquery's columns
+   binary-collated, and untyped except on postgres, where a column keeps
+   its declared type; [degraded] is the table info the oracle and the
+   expression generator read then. *)
+type source = {
+  info : Schema_info.table_info;
+  degraded : Schema_info.table_info;
+  plain_from : A.from_item;
+  wrapped_from : A.from_item;
+}
+
+(* what a check over some tables wrapped reads: the tables' infos, the
+   interpreter env and the generator's scope *)
+type variant = {
+  infos : Schema_info.table_info list;
+  env : Interp.env;
+  scope : Gen_expr.scope;
+}
+
+type pivot = {
+  dialect : Dialect.t;
+  case_sensitive_like : bool;
+  rows : (Schema_info.table_info * Value.t array) list;
+  sources : source array;
+  pool : Value.t list;
+  column_targets : (A.expr * Value.t) list;
+  variants : variant option array;
+      (** by wrapping mask: bit [i] is set when source [i] is wrapped *)
+}
+
+let degrade dialect (ti : Schema_info.table_info) =
+  {
+    ti with
+    Schema_info.ti_columns =
+      List.map
+        (fun (c : Schema_info.column_info) ->
+          {
+            c with
+            Schema_info.ci_type =
+              (match dialect with
+              | Dialect.Postgres_like -> c.Schema_info.ci_type
+              | Dialect.Sqlite_like | Dialect.Mysql_like -> Datatype.Any);
+            ci_collation = Collation.Binary;
+          })
+        ti.Schema_info.ti_columns;
+  }
+
+let source dialect (ti : Schema_info.table_info) =
+  let table = A.F_table { name = ti.Schema_info.ti_name; alias = None } in
+  {
+    info = ti;
+    degraded = degrade dialect ti;
+    plain_from = table;
+    wrapped_from =
       A.F_sub
         {
           sub =
             A.Q_select
-            {
-              A.sel_distinct = false;
-              sel_items = [ A.Star ];
-              sel_from =
-                [ A.F_table { name = ti.Schema_info.ti_name; alias = None } ];
-              sel_where = None;
-              sel_group_by = [];
-              sel_having = None;
-              sel_order_by = [];
-              sel_limit = None;
-              sel_offset = None;
-            };
+              {
+                A.sel_distinct = false;
+                sel_items = [ A.Star ];
+                sel_from = [ table ];
+                sel_where = None;
+                sel_group_by = [];
+                sel_having = None;
+                sel_order_by = [];
+                sel_limit = None;
+                sel_offset = None;
+              };
           alias = ti.Schema_info.ti_name;
+        };
+  }
+
+let prepare ~dialect ~case_sensitive_like rows =
+  let n = List.length rows in
+  {
+    dialect;
+    case_sensitive_like;
+    rows;
+    sources = Array.of_list (List.map (fun (ti, _) -> source dialect ti) rows);
+    pool =
+      List.concat_map (fun (_, row) -> Array.to_list row) rows
+      |> List.filter (fun v -> not (Sqlval.Value.is_null v));
+    (* every column of every pivot table, qualified *)
+    column_targets =
+      List.concat_map
+        (fun ((ti : Schema_info.table_info), values) ->
+          List.mapi
+            (fun i (c : Schema_info.column_info) ->
+              ( A.Col
+                  {
+                    table = Some ti.Schema_info.ti_name;
+                    column = c.Schema_info.ci_name;
+                  },
+                values.(i) ))
+            ti.Schema_info.ti_columns)
+        rows;
+    variants = Array.make (1 lsl n) None;
+  }
+
+let rows p = p.rows
+
+let variant p mask =
+  match p.variants.(mask) with
+  | Some v -> v
+  | None ->
+      let infos =
+        List.mapi
+          (fun i src ->
+            if mask land (1 lsl i) <> 0 then src.degraded else src.info)
+          (Array.to_list p.sources)
+      in
+      let v =
+        {
+          infos;
+          env =
+            Interp.env_of_pivot ~case_sensitive_like:p.case_sensitive_like
+              p.dialect
+              (List.map2 (fun ti (_, row) -> (ti, row)) infos p.rows);
+          scope = Gen_expr.scope ~pool:p.pool p.dialect infos;
         }
-    else A.F_table { name = ti.Schema_info.ti_name; alias = None }
+      in
+      p.variants.(mask) <- Some v;
+      v
+
+let conjunct_counts = Rng.weighted [ (4, 1); (3, 2); (1, 3) ]
+
+let synthesize ?(rectify = true) ?(target = Tvl.True)
+    ?(telemetry = Telemetry.noop) ?shape ?pred ~rng ~pivot:p ~max_depth
+    ~check_expressions () =
+  (* which pivot tables this check reads through a derived table *)
+  let mask = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      let wrapped =
+        match shape with
+        | Some s -> s.Gen_bias.sh_sub
+        | None -> Rng.chance rng 0.12
+      in
+      if wrapped then mask := !mask lor (1 lsl i))
+    p.sources;
+  let mask = !mask in
+  let { infos = tables; env; scope } = variant p mask in
+  let from_of i =
+    let src = p.sources.(i) in
+    if mask land (1 lsl i) <> 0 then src.wrapped_from else src.plain_from
   in
-  let tables = List.map fst pivot in
-  let env = Interp.env_of_pivot ~case_sensitive_like dialect pivot in
-  let pool =
-    List.concat_map (fun (_, row) -> Array.to_list row) pivot
-    |> List.filter (fun v -> not (Sqlval.Value.is_null v))
-  in
-  let gen_ctx = { Gen_expr.rng; dialect; tables; max_depth; pool } in
+  let gen_ctx = { Gen_expr.rng; max_depth; scope } in
   (* one rectified condition for WHERE; with two tables, optionally a second
      one as a JOIN ON condition *)
   let truths = ref [] in
@@ -131,7 +211,7 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
     let n =
       match shape with
       | Some s -> max 1 (min 3 s.Gen_bias.sh_where)
-      | None -> Rng.pick_weighted rng [ (4, 1); (3, 2); (1, 3) ]
+      | None -> Rng.draw rng conjunct_counts
     in
     let rec build acc k =
       if k = 0 then Ok acc
@@ -167,8 +247,8 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
   in
   let* from, where =
     match tables with
-    | [ t0 ] -> Ok ([ from_of t0 ], where)
-    | [ t0; t1 ] ->
+    | [ _ ] -> Ok ([ from_of 0 ], where)
+    | [ _; _ ] ->
         let explicit, kind =
           match shape with
           | Some s -> (
@@ -187,29 +267,16 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
           Ok
             ( [
                 A.F_join
-                  { kind; left = from_of t0; right = from_of t1; on = Some on };
+                  { kind; left = from_of 0; right = from_of 1; on = Some on };
               ],
               where )
-        else Ok ([ from_of t0; from_of t1 ], where)
-    | ts -> Ok (List.map from_of ts, where)
+        else Ok ([ from_of 0; from_of 1 ], where)
+    | ts -> Ok (List.mapi (fun i _ -> from_of i) ts, where)
   in
   (* targets: every column of every pivot table, qualified; with the
      expressions-on-columns extension some targets become scalar
      expressions evaluated by the oracle *)
-  let column_targets =
-    List.concat_map
-      (fun ((ti : Schema_info.table_info), values) ->
-        List.mapi
-          (fun i (c : Schema_info.column_info) ->
-            ( A.Col
-                {
-                  table = Some ti.Schema_info.ti_name;
-                  column = c.Schema_info.ci_name;
-                },
-              values.(i) ))
-          ti.Schema_info.ti_columns)
-      pivot
-  in
+  let column_targets = p.column_targets in
   (* a shape with GROUP BY needs every target to stay a plain column, so
      the expression/aggregate target extensions are suppressed for it *)
   let want_group = match shape with Some s -> s.Gen_bias.sh_group | None -> false in
@@ -243,8 +310,8 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
   (* single-row aggregate testing (paper Section 3.2: aggregates can be
      partially tested when only a single row is present) *)
   let* targets =
-    match pivot with
-    | [ (ti, _) ]
+    match tables with
+    | [ ti ]
       when ti.Schema_info.ti_row_count = 1 && (not want_group)
            && Rng.chance rng 0.25 ->
         let scalar_e =
@@ -271,7 +338,7 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
         targets
     in
     if
-      all_plain_cols && List.length pivot = 1
+      all_plain_cols && Array.length p.sources = 1
       && (match shape with
          | Some s -> s.Gen_bias.sh_group
          | None -> Rng.chance rng 0.3)

@@ -22,6 +22,22 @@ type t = {
           events *)
 }
 
+(** A pivot (one row of each of one or more tables or views) prepared
+    once for all the checks synthesized over it: the value pool, the
+    column targets, the FROM items, and per set of derived-table-wrapped
+    tables (built when first drawn) the degraded table infos, the
+    interpreter env and the generator's scope. *)
+type pivot
+
+val prepare :
+  dialect:Dialect.t ->
+  case_sensitive_like:bool ->
+  (Schema_info.table_info * Value.t array) list ->
+  pivot
+
+(** The rows the pivot was prepared from. *)
+val rows : pivot -> (Schema_info.table_info * Value.t array) list
+
 (** Synthesize a query over the pivot tables whose result set must contain
     [expected_row] (or, with [~target:False] — the paper's Section 7
     future-work variant — must NOT contain it).  [check_expressions] enables the expressions-on-columns
@@ -52,9 +68,7 @@ val synthesize :
   ?shape:Gen_bias.shape ->
   ?pred:Rng.t * string ->
   rng:Rng.t ->
-  dialect:Dialect.t ->
-  pivot:(Schema_info.table_info * Value.t array) list ->
-  case_sensitive_like:bool ->
+  pivot:pivot ->
   max_depth:int ->
   check_expressions:bool ->
   unit ->

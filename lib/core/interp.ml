@@ -22,40 +22,54 @@ let const_env ?(case_sensitive_like = false) dialect =
     lookup = (fun ~table:_ ~column -> Error ("no such column: " ^ column));
   }
 
+(* Each pivot column's binding is built once; a lookup compares names
+   case-insensitively without allocating.  A column name resolves when
+   exactly one in-scope table (the named one, if any) has it; within a
+   table the first column of that name counts. *)
 let env_of_pivot ?(case_sensitive_like = false) dialect pivot =
+  let tables =
+    Array.of_list
+      (List.map
+         (fun ((ti : Schema_info.table_info), values) ->
+           ( ti.Schema_info.ti_name,
+             Array.of_list
+               (List.mapi
+                  (fun i (c : Schema_info.column_info) ->
+                    ( c.Schema_info.ci_name,
+                      Ok
+                        {
+                          b_value = values.(i);
+                          b_type = c.Schema_info.ci_type;
+                          b_collation = c.Schema_info.ci_collation;
+                        } ))
+                  ti.Schema_info.ti_columns) ))
+         pivot)
+  in
+  let name_equal = Storage.Schema.name_equal in
+  let rec in_table column cols i =
+    if i >= Array.length cols then None
+    else
+      let name, b = cols.(i) in
+      if name_equal name column then Some b else in_table column cols (i + 1)
+  in
   let lookup ~table ~column =
-    let matches (ti : Schema_info.table_info) =
-      match table with
-      | None -> true
-      | Some t ->
-          String.lowercase_ascii t
-          = String.lowercase_ascii ti.Schema_info.ti_name
+    let rec go i found =
+      if i >= Array.length tables then found
+      else
+        let name, cols = tables.(i) in
+        let hit =
+          match table with
+          | Some t when not (name_equal t name) -> None
+          | _ -> in_table column cols 0
+        in
+        match (hit, found) with
+        | None, _ -> go (i + 1) found
+        | Some b, None -> go (i + 1) (Some b)
+        | Some _, Some _ -> Some (Error ("ambiguous column name: " ^ column))
     in
-    let col = String.lowercase_ascii column in
-    let hits =
-      List.filter_map
-        (fun ((ti : Schema_info.table_info), values) ->
-          if not (matches ti) then None
-          else
-            let rec go i = function
-              | [] -> None
-              | (c : Schema_info.column_info) :: rest ->
-                  if String.lowercase_ascii c.Schema_info.ci_name = col then
-                    Some
-                      {
-                        b_value = values.(i);
-                        b_type = c.Schema_info.ci_type;
-                        b_collation = c.Schema_info.ci_collation;
-                      }
-                  else go (i + 1) rest
-            in
-            go 0 ti.Schema_info.ti_columns)
-        pivot
-    in
-    match hits with
-    | [ b ] -> Ok b
-    | [] -> Error ("no such column: " ^ column)
-    | _ :: _ -> Error ("ambiguous column name: " ^ column)
+    match go 0 None with
+    | Some r -> r
+    | None -> Error ("no such column: " ^ column)
   in
   { dialect; case_sensitive_like; lookup }
 

@@ -73,7 +73,11 @@ let check session ~rng ~(table : Schema_info.table_info) : verdict =
       in
       let p =
         Gen_expr.condition
-          { Gen_expr.rng; dialect; tables = [ table ]; max_depth = 3; pool }
+          {
+            Gen_expr.rng;
+            max_depth = 3;
+            scope = Gen_expr.scope ~pool dialect [ table ];
+          }
       in
       let whole = read_aggs session (agg_query table c None) in
       let part w = read_aggs session (agg_query table c (Some w)) in

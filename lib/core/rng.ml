@@ -16,6 +16,36 @@ let pick t xs =
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
 
+let pick_array t xs =
+  if Array.length xs = 0 then invalid_arg "Rng.pick_array: empty array";
+  Array.unsafe_get xs (int t (Array.length xs))
+
+(* [bounds.(i)] is the running total of the weights up to and including
+   item [i]; zero-weight items are dropped, as no roll can land on them *)
+type 'a weighted = { total : int; bounds : int array; items : 'a array }
+
+let weighted pairs =
+  let pairs = List.filter (fun (w, _) -> w > 0) pairs in
+  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 pairs in
+  if total <= 0 then invalid_arg "Rng.weighted: no weight";
+  let acc = ref 0 in
+  {
+    total;
+    bounds =
+      Array.of_list
+        (List.map
+           (fun (w, _) ->
+             acc := !acc + w;
+             !acc)
+           pairs);
+    items = Array.of_list (List.map snd pairs);
+  }
+
+let draw t w =
+  let roll = int t w.total in
+  let rec go i = if roll < Array.unsafe_get w.bounds i then i else go (i + 1) in
+  Array.unsafe_get w.items (go 0)
+
 let pick_weighted t pairs =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 pairs in
   if total <= 0 then invalid_arg "Rng.pick_weighted: no weight";

@@ -25,8 +25,22 @@ val chance : t -> float -> bool
 val pick : t -> 'a list -> 'a
 (** uniform choice; the list must be non-empty. *)
 
+val pick_array : t -> 'a array -> 'a
+(** [pick] over an array: the same draw, without walking a list. *)
+
+(** A weighted choice whose running totals are computed once. *)
+type 'a weighted
+
+val weighted : (int * 'a) list -> 'a weighted
+(** the table of [(weight, item)] pairs; zero weights are allowed (their
+    items are never drawn), but some weight must be positive. *)
+
+val draw : t -> 'a weighted -> 'a
+(** one weighted choice: a single [int t total] draw. *)
+
 val pick_weighted : t -> (int * 'a) list -> 'a
-(** weighted choice; weights must be positive. *)
+(** weighted choice over a list built at the call, drawn as {!draw}
+    draws; weights must be non-negative, some positive. *)
 
 val shuffle : t -> 'a list -> 'a list
 

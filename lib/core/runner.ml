@@ -295,17 +295,26 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
         | None ->
             phase := "containment";
             (* ---- steps 2-7 ---- *)
-            let pivot_sources () =
+            (* the containment phase runs only SELECTs, so the tables and
+               views are read once for all of the round's pivots *)
+            let tables, views =
               Telemetry.Span.timed tele Telemetry.Phase.Pivot @@ fun () ->
-              let tables = Corpus.sources session in
-              (* views join the candidate pool occasionally (paper
-                 Sec. 4.2) *)
-              let views =
+              ( Corpus.sources session,
                 Schema_info.view_pivot_sources session
-                |> List.filter (fun (_, rows) -> rows <> [])
-              in
+                |> List.filter (fun (_, rows) -> rows <> []) )
+            in
+            (* views join the candidate pool occasionally (paper
+               Sec. 4.2) *)
+            let pivot_sources () =
               if views <> [] && Rng.chance rng 0.25 then tables @ views
               else tables
+            in
+            let prepare rows =
+              Gen_query.prepare ~dialect:config.dialect
+                ~case_sensitive_like:
+                  (Engine.Options.case_sensitive_like
+                     (Engine.Session.options session))
+                rows
             in
             let rec pivots k =
               if k <= 0 then None
@@ -338,11 +347,16 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                           |> Option.map (fun k -> (grng, k))
                       | _ -> None
                     in
-                    let pivot = Corpus.pick_pivot rng sources in
+                    let pivot, prepared =
+                      Telemetry.Span.timed tele Telemetry.Phase.Pivot
+                      @@ fun () ->
+                      let pivot = Corpus.pick_pivot rng sources in
+                      (pivot, prepare pivot)
+                    in
                     (* the guided extra query picks its own pivot from the
                        private stream so the shape's join arity can be
                        realized regardless of the blind pivot's *)
-                    let guided_pivot =
+                    let guided_prepared =
                       match (guided_rng, shape) with
                       | Some grng, Some s ->
                           let k =
@@ -354,7 +368,8 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                           |> List.map
                                (fun ((ti : Schema_info.table_info), rows) ->
                                  (ti, Rng.pick grng rows))
-                      | _ -> pivot
+                          |> prepare
+                      | _ -> prepared
                     in
                     if Trace.enabled recorder then
                       List.iter
@@ -368,10 +383,6 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                      (Array.map Value.to_sql_literal row);
                                }))
                         pivot;
-                    let csl =
-                      Engine.Options.case_sensitive_like
-                        (Engine.Session.options session)
-                    in
                     let rec queries q =
                       if q <= 0 then None
                       else
@@ -384,7 +395,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                           if extra then Option.get guided_rng else rng
                         in
                         let qshape = if extra then shape else None in
-                        let qpivot = if extra then guided_pivot else pivot in
+                        let qpivot = if extra then guided_prepared else prepared in
                         (* Section 7 extension: occasionally rectify to FALSE
                            and require the pivot row to be absent.  Restricted
                            to single-table pivots: with joins, a LEFT JOIN's
@@ -414,8 +425,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                               Gen_query.synthesize ~rectify:config.rectify
                                 ~target ~telemetry:tele ?shape:qshape
                                 ?pred:qpred ~rng:qrng
-                                ~dialect:config.dialect ~pivot:qpivot
-                                ~case_sensitive_like:csl
+                                ~pivot:qpivot
                                 ~max_depth:config.max_depth
                                   (* expression targets are unsound for the
                                      negative variant: a different row may
@@ -532,7 +542,7 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
                                          Oracle.check_stmt = stmt;
                                          negative;
                                          pivot_found;
-                                         check_pivot = qpivot;
+                                         check_pivot = Gen_query.rows qpivot;
                                        })
                                 with
                                 | Some (kind, message) ->

@@ -50,7 +50,9 @@ let sync t =
   t.reverse_unordered_selects <- truthy (get t "reverse_unordered_selects");
   t.ignore_check_constraints <- truthy (get t "ignore_check_constraints")
 
-let create dialect =
+let copy t = { t with values = Hashtbl.copy t.values }
+
+let defaults dialect =
   let values = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace values k v) (known dialect);
   let t =
@@ -66,7 +68,17 @@ let create dialect =
   sync t;
   t
 
-let copy t = { t with values = Hashtbl.copy t.values }
+(* each dialect's defaults are built once and only ever copied *)
+let sqlite_defaults = defaults Dialect.Sqlite_like
+let mysql_defaults = defaults Dialect.Mysql_like
+let postgres_defaults = defaults Dialect.Postgres_like
+
+let create dialect =
+  copy
+    (match dialect with
+    | Dialect.Sqlite_like -> sqlite_defaults
+    | Dialect.Mysql_like -> mysql_defaults
+    | Dialect.Postgres_like -> postgres_defaults)
 
 let set t name value =
   let name = String.lowercase_ascii name in

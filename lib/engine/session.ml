@@ -20,7 +20,9 @@ type t = {
   kind_handles :
     (Telemetry.histogram_handle * Telemetry.counter_handle) array;
   profile : Executor.profile;
-  rng : Random.State.t;
+  rng : Random.State.t Lazy.t;
+      (* made from the seed on first use; only the key-cache bug gate
+         draws from it *)
   mutable txn_snapshot : Storage.Catalog.snapshot option;
 }
 
@@ -34,8 +36,25 @@ let pp_exec_result fmt = function
   | Affected n -> Format.fprintf fmt "affected %d" n
   | Done -> Format.pp_print_string fmt "ok"
 
+let kind_handles telemetry =
+  Array.map
+    (fun kind ->
+      ( Telemetry.histogram_handle telemetry
+          ~labels:[ ("kind", kind) ]
+          "minidb_statement_seconds",
+        Telemetry.counter_handle telemetry
+          ~labels:[ ("kind", kind) ]
+          "minidb_statements_total" ))
+    kind_names
+
+(* noop telemetry resolves every handle to the inert one, so sessions
+   without telemetry share one set; no writer mutates them *)
+let noop_kind_handles = kind_handles Telemetry.noop
+let noop_profile = Executor.make_profile Telemetry.noop
+
 let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
     ?(telemetry = Telemetry.noop) ?(recorder = Trace.noop) dialect =
+  let on = Telemetry.enabled telemetry in
   {
     dialect;
     catalog = Storage.Catalog.create ();
@@ -48,18 +67,9 @@ let create ?(seed = 42) ?(bugs = Bug.empty_set) ?coverage
       Telemetry.histogram_handle telemetry
         ~labels:[ ("phase", "execute") ]
         "minidb_phase_seconds";
-    kind_handles =
-      Array.map
-        (fun kind ->
-          ( Telemetry.histogram_handle telemetry
-              ~labels:[ ("kind", kind) ]
-              "minidb_statement_seconds",
-            Telemetry.counter_handle telemetry
-              ~labels:[ ("kind", kind) ]
-              "minidb_statements_total" ))
-        kind_names;
-    profile = Executor.make_profile telemetry;
-    rng = Random.State.make [| seed |];
+    kind_handles = (if on then kind_handles telemetry else noop_kind_handles);
+    profile = (if on then Executor.make_profile telemetry else noop_profile);
+    rng = lazy (Random.State.make [| seed |]);
     txn_snapshot = None;
   }
 
@@ -118,7 +128,7 @@ let set_option t ~global ~name ~value =
     && Bug.on t.bugs Bug.My_set_key_cache_nondet
     && String.lowercase_ascii name = "key_cache_division_limit"
     && global
-    && Random.State.int t.rng 4 = 0
+    && Random.State.int (Lazy.force t.rng) 4 = 0
   then
     Error
       (Errors.make Errors.Invalid_option

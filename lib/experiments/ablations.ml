@@ -55,7 +55,7 @@ let depth_sweep ~samples =
       in
       let env = Pqs.Interp.env_of_pivot dialect pivot in
       let gen_ctx =
-        { Pqs.Gen_expr.rng; dialect; tables; max_depth; pool = [] }
+        { Pqs.Gen_expr.rng; max_depth; scope = Pqs.Gen_expr.scope dialect tables }
       in
       let sizes = ref 0 and failures = ref 0 in
       for _ = 1 to samples do

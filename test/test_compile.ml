@@ -793,10 +793,8 @@ let test_equivalence_sweep () =
         let gen =
           {
             Pqs.Gen_expr.rng;
-            dialect = Dialect.Sqlite_like;
-            tables = [ ti ];
             max_depth = 3;
-            pool;
+            scope = Pqs.Gen_expr.scope ~pool Dialect.Sqlite_like [ ti ];
           }
         in
         let fixed =

@@ -461,7 +461,11 @@ let planner_soundness_prop dialect =
           in
           let cond =
             Pqs.Gen_expr.simple_predicate
-              { Pqs.Gen_expr.rng; dialect; tables = [ ti ]; max_depth = 2; pool }
+              {
+                Pqs.Gen_expr.rng;
+                max_depth = 2;
+                scope = Pqs.Gen_expr.scope ~pool dialect [ ti ];
+              }
           in
           let q distinct =
             A.Q_select

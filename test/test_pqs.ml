@@ -50,7 +50,11 @@ let random_case dialect seed =
           in
           let expr =
             Pqs.Gen_expr.scalar
-              { Pqs.Gen_expr.rng; dialect; tables = [ ti ]; max_depth = 4; pool }
+              {
+                Pqs.Gen_expr.rng;
+                max_depth = 4;
+                scope = Pqs.Gen_expr.scope ~pool dialect [ ti ];
+              }
           in
           Some (session, ti, row, expr))
 
@@ -177,6 +181,84 @@ let test_reduction () =
       in
       Alcotest.(check bool) "reduced still manifests" true (check red)
 
+(* Synthesis draw order: the containment statements synthesized over
+   fixed corpus seeds, blind and guided, in every dialect, digested.  The
+   guided arm follows the runner: per pivot a shape plan and, without
+   one, a cold predicate kind from a private stream; a shape adds one
+   query drawn wholly from that stream.  The digests were taken before
+   synthesis was reorganised to build per pivot what it reads; any change
+   to what synthesis draws, or in which order, moves them. *)
+let synthesized_sql ~guided dialect =
+  let buf = Buffer.create 65536 in
+  let bias = ref Frontier.empty in
+  let add ~seed = function
+    | Ok t ->
+        Buffer.add_string buf
+          (Sqlast.Sql_printer.stmt dialect (Pqs.Gen_query.containment_stmt t));
+        Buffer.add_char buf '\n';
+        bias :=
+          Frontier.union !bias
+            (Frontier.of_points ~seed
+               (Pqs.Gen_bias.fingerprint t.Pqs.Gen_query.query))
+    | Error e -> Buffer.add_string buf ("refused: " ^ e ^ "\n")
+  in
+  for seed = 1 to 80 do
+    let c = Pqs.Corpus.build ~seed dialect in
+    let grng = Pqs.Rng.make ~seed:(seed + 7757) in
+    let case_sensitive_like =
+      Engine.Options.case_sensitive_like
+        (Engine.Session.options c.Pqs.Corpus.session)
+    in
+    match Pqs.Corpus.sources c.Pqs.Corpus.session with
+    | [] -> ()
+    | sources ->
+        for _ = 1 to 3 do
+          let shape =
+            if guided then Pqs.Gen_bias.plan ~rng:grng ~dialect !bias else None
+          in
+          let pred =
+            if guided && shape = None then
+              Pqs.Gen_bias.cold_pred ~rng:grng ~dialect !bias
+              |> Option.map (fun k -> (grng, k))
+            else None
+          in
+          let pivot =
+            Pqs.Gen_query.prepare ~dialect ~case_sensitive_like
+              (Pqs.Corpus.pick_pivot c.Pqs.Corpus.rng sources)
+          in
+          let synth ?shape ?pred rng =
+            Pqs.Gen_query.synthesize ?shape ?pred ~rng ~pivot ~max_depth:4
+              ~check_expressions:true ()
+          in
+          add ~seed (synth ?pred c.Pqs.Corpus.rng);
+          match shape with
+          | Some s -> add ~seed (synth ~shape:s grng)
+          | None -> ()
+        done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_draw_order () =
+  List.iter
+    (fun (dialect, blind, guided) ->
+      Alcotest.(check string)
+        (Dialect.name dialect ^ " blind") blind
+        (synthesized_sql ~guided:false dialect);
+      Alcotest.(check string)
+        (Dialect.name dialect ^ " guided") guided
+        (synthesized_sql ~guided:true dialect))
+    [
+      ( Dialect.Sqlite_like,
+        "fcbe52e4a5d25f1d1ab78f6fbfded5aa",
+        "e1264695936984f74fe6a192e223feb6" );
+      ( Dialect.Mysql_like,
+        "20248397755af1cd7b4e83589610c188",
+        "01f94dc29a60e7da8e3fbdb09f10e59b" );
+      ( Dialect.Postgres_like,
+        "a78dae856d299695b156cf22dadd6758",
+        "26f31fd746a69dee8178e8b974b02214" );
+    ]
+
 let () =
   Alcotest.run "pqs"
     [
@@ -220,4 +302,6 @@ let () =
               | Some _ -> ());
         ] );
       ("reduction", [ Alcotest.test_case "reduce report" `Slow test_reduction ]);
+      ( "synthesis",
+        [ Alcotest.test_case "draw order" `Quick test_draw_order ] );
     ]

@@ -691,13 +691,14 @@ let test_provenance () =
         | [] -> None)
       tables
   in
+  let pivot = Pqs.Gen_query.prepare ~dialect ~case_sensitive_like:false pivot in
   let rec synth seed attempts =
     if attempts = 0 then Alcotest.fail "no synthesizable query in 50 attempts"
     else
       let rng = Pqs.Rng.make ~seed in
       match
-        Pqs.Gen_query.synthesize ~rng ~dialect ~pivot ~case_sensitive_like:false
-          ~max_depth:4 ~check_expressions:true ()
+        Pqs.Gen_query.synthesize ~rng ~pivot ~max_depth:4
+          ~check_expressions:true ()
       with
       | Ok t -> t
       | Error _ -> synth (seed + 1) (attempts - 1)
