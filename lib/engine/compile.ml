@@ -120,8 +120,7 @@ type source = {
    forced join swap puts the second of a two-item comma FROM outside.
    Each source tuple is blitted into the env's scratch tuple at its
    bindings' offset, WHERE runs there, and only a surviving row gets a
-   fresh combined tuple.  Returns the product's size and the survivors,
-   in loop order. *)
+   fresh combined tuple.  Returns the survivors, in loop order. *)
 let from_where ctx (c : Eval.env) pred sources =
   let filter_t0 = Executor.op_clock ctx in
   let scratch = !(c.Eval.cur) in
@@ -170,7 +169,7 @@ let from_where ctx (c : Eval.env) pred sources =
   if Option.is_some pred && Executor.tracing ctx then
     Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:!n
       ~rows_out:(List.length rows) ~batches:(batches_of !n) ~t0:filter_t0 ();
-  Ok (!n, rows)
+  Ok rows
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
@@ -518,17 +517,12 @@ let rec run_select ?sink ctx (s : A.select) :
     let c =
       make_env ctx (List.concat_map (fun src -> src.src_layout) sources)
     in
-    let* n, rows =
+    let* rows =
       from_where ctx c (Option.map (Eval.compile c) where) sources
     in
-    (* output columns come from a sample tuple: the runtime layout when
-       the FROM produced tuples, nothing when it was empty (observable:
-       [*] over an empty product has no columns) *)
-    let* columns =
-      Executor.output_columns ~named
-        (if n > 0 then c.Eval.layout else [])
-        s.A.sel_items
-    in
+    (* output columns come from the FROM's layout, with or without
+       tuples: [*] and [t.*] over an empty table name its columns *)
+    let* columns = Executor.output_columns ~named c.Eval.layout s.A.sel_items in
     let probe =
       Option.is_some sink && s.A.sel_limit = None && s.A.sel_offset = None
     in

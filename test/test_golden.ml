@@ -38,6 +38,33 @@ let eval_order name expr expect =
     expect;
   }
 
+(* [*] and [t.*] name the FROM's columns whether or not it has rows,
+   in every dialect (sqlite returns zero rows named [c0]); an empty
+   operand keeps its width in a compound *)
+let empty_table_stars =
+  List.concat_map
+    (fun dialect ->
+      let case name query expect =
+        {
+          name = Dialect.name dialect ^ ": " ^ name;
+          dialect;
+          script = "CREATE TABLE t0(c0 INT);";
+          query;
+          expect;
+        }
+      in
+      [
+        case "t.* over an empty table names its columns" "SELECT t0.* FROM t0"
+          (Columns [ "c0" ]);
+        case "* over an empty table names its columns" "SELECT * FROM t0"
+          (Columns [ "c0" ]);
+        case "t.* over an empty table returns no rows" "SELECT t0.* FROM t0"
+          (Rows []);
+        case "* over an empty table is one column wide in an INTERSECT"
+          "VALUES (1) INTERSECT SELECT * FROM t0" (Rows []);
+      ])
+    [ sq; my; pg ]
+
 let cases =
   [
     (* --- three-valued logic --- *)
@@ -540,6 +567,7 @@ let cases =
              have the same number of result columns" );
     };
   ]
+  @ empty_table_stars
 
 let run_case (c : case) () =
   let session = Engine.Session.create c.dialect in
