@@ -339,15 +339,15 @@ let rec gen_free ctx depth : A.expr =
         let pooled_pattern () =
           let texts = ctx.scope.texts in
           if Array.length texts = 0 then gen_pattern rng
-          else (
-              let s = Rng.pick_array rng texts in
-              match Rng.int rng 6 with
-              | 0 -> s
-              | 1 -> s ^ "%"
-              | 2 -> "%" ^ s
-              | 3 -> String.uppercase_ascii s
-              | 4 -> String.lowercase_ascii s
-              | _ -> if s = "" then "%" else String.sub s 0 1 ^ "%")
+          else
+            let s = Rng.pick_array rng texts in
+            match Rng.int rng 6 with
+            | 0 -> s
+            | 1 -> s ^ "%"
+            | 2 -> "%" ^ s
+            | 3 -> String.uppercase_ascii s
+            | 4 -> String.lowercase_ascii s
+            | _ -> if s = "" then "%" else String.sub s 0 1 ^ "%"
         in
         let pattern =
           if Rng.chance rng 0.4 then A.Lit (Value.Text (pooled_pattern ()))
@@ -387,13 +387,13 @@ let rec gen_free ctx depth : A.expr =
           let texts = ctx.scope.glob_texts in
           if Array.length texts = 0 then gen_glob_pattern rng
           else
-              (* a character class whose range ends exactly at the stored
-                 value's first character — the boundary the injected GLOB
-                 defect gets wrong *)
-              let s = Rng.pick_array rng texts in
-              let c = s.[0] in
-              let lo = Char.chr (max 1 (Char.code c - 2)) in
-              Printf.sprintf "[%c-%c]*" lo c
+            (* a character class whose range ends exactly at the stored
+               value's first character — the boundary the injected GLOB
+               defect gets wrong *)
+            let s = Rng.pick_array rng texts in
+            let c = s.[0] in
+            let lo = Char.chr (max 1 (Char.code c - 2)) in
+            Printf.sprintf "[%c-%c]*" lo c
         in
         let pattern =
           if Rng.chance rng 0.4 then A.Lit (Value.Text (pooled_glob ()))
@@ -416,10 +416,7 @@ let rec gen_free ctx depth : A.expr =
     | `Text_minus_int ->
         (* TEXT minus a large integer: paper Listing 2's precision shape *)
         A.Binary
-          ( A.Sub,
-            gen_leaf ctx,
-            A.Lit
-              (Value.Int (Rng.pick_array rng big_ints)) )
+          (A.Sub, gen_leaf ctx, A.Lit (Value.Int (Rng.pick_array rng big_ints)))
     | `Collate -> A.Collate (sub (), Rng.pick_array rng collations)
     | `Concat -> A.Binary (A.Concat, sub (), sub ())
     | `Null_safe_eq -> A.Binary (A.Null_safe_eq, sub (), sub ())

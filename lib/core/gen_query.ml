@@ -37,7 +37,7 @@ type pivot = {
   sources : source array;
   pool : Value.t list;
   column_targets : (A.expr * Value.t) list;
-  variants : variant option array;
+  mutable variants : (int * variant) list;
       (** by wrapping mask: bit [i] is set when source [i] is wrapped *)
 }
 
@@ -85,7 +85,6 @@ let source dialect (ti : Schema_info.table_info) =
   }
 
 let prepare ~dialect ~case_sensitive_like rows =
-  let n = List.length rows in
   {
     dialect;
     case_sensitive_like;
@@ -93,7 +92,7 @@ let prepare ~dialect ~case_sensitive_like rows =
     sources = Array.of_list (List.map (fun (ti, _) -> source dialect ti) rows);
     pool =
       List.concat_map (fun (_, row) -> Array.to_list row) rows
-      |> List.filter (fun v -> not (Sqlval.Value.is_null v));
+      |> List.filter (fun v -> not (Value.is_null v));
     (* every column of every pivot table, qualified *)
     column_targets =
       List.concat_map
@@ -108,13 +107,13 @@ let prepare ~dialect ~case_sensitive_like rows =
                 values.(i) ))
             ti.Schema_info.ti_columns)
         rows;
-    variants = Array.make (1 lsl n) None;
+    variants = [];
   }
 
 let rows p = p.rows
 
 let variant p mask =
-  match p.variants.(mask) with
+  match List.assoc_opt mask p.variants with
   | Some v -> v
   | None ->
       let infos =
@@ -133,7 +132,7 @@ let variant p mask =
           scope = Gen_expr.scope ~pool:p.pool p.dialect infos;
         }
       in
-      p.variants.(mask) <- Some v;
+      p.variants <- (mask, v) :: p.variants;
       v
 
 let conjunct_counts = Rng.weighted [ (4, 1); (3, 2); (1, 3) ]
