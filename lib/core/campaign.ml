@@ -87,6 +87,19 @@ let progress_registry ~domains ~seeds ~elapsed ~dialect (stats : Stats.t) =
     (Frontier.fraction ~universe stats.Stats.frontier);
   reg
 
+(* a round allocates ~170k minor words and everything it allocates —
+   including the event graphs the flight recorder pins in its ring until
+   round end — is dead by the next [begin_round].  With the default
+   256k-word nursery a minor collection lands mid-round two rounds out of
+   three and promotes those still-reachable graphs to the major heap,
+   which shows up as recorder overhead.  A 2M-word nursery (16 MB/domain)
+   spans ~12 rounds, so almost every round's garbage dies young instead;
+   only ever grown, never shrunk. *)
+let size_minor_heap () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < 1 lsl 21 then
+    Gc.set { g with Gc.minor_heap_size = 1 lsl 21 }
+
 let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
     ?metrics_path ~seed_lo ~seed_hi (config : Runner.config) =
   let domains =
@@ -94,19 +107,7 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
     | Some d -> max 1 d
     | None -> max 1 (Domain.recommended_domain_count ())
   in
-  (* a round allocates ~170k minor words and everything it allocates —
-     including the event graphs the flight recorder pins in its ring
-     until round end — is dead by the next [begin_round].  With the
-     default 256k-word nursery a minor collection lands mid-round two
-     rounds out of three and promotes those still-reachable graphs to
-     the major heap, which shows up as recorder overhead.  A 2M-word
-     nursery (16 MB/domain) spans ~12 rounds, so almost every round's
-     garbage dies young instead; only ever grown, never shrunk. *)
-  let () =
-    let g = Gc.get () in
-    if g.Gc.minor_heap_size < 1 lsl 21 then
-      Gc.set { g with Gc.minor_heap_size = 1 lsl 21 }
-  in
+  size_minor_heap ();
   (* open the trace before spending any compute, so a bad path fails fast *)
   let trace_oc = Option.map open_out trace in
   let trace_mutex = Mutex.create () in

@@ -42,6 +42,11 @@ val reports : t -> Bug_report.t list
 (** Merged statements per second of campaign wall time. *)
 val statements_per_sec : t -> float
 
+(** Grow the minor heap to 2M words (never shrink it), so that a round's
+    garbage dies young.  {!run} and the fleet's worker processes call it
+    before their first round. *)
+val size_minor_heap : unit -> unit
+
 (** Run the campaign.
 
     @param domains

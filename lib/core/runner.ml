@@ -6,7 +6,6 @@ module Config = struct
     dialect : Dialect.t;
     bugs : Engine.Bug.set;
     seed : int;
-    table_count : int;
     max_rows : int;
     extra_statements : int;
     pivots_per_db : int;
@@ -16,32 +15,25 @@ module Config = struct
     verify_ground_truth : bool;
     rectify : bool;
     coverage : Engine.Coverage.t option;
-    check_non_containment : bool;
     oracles : Oracle.t list;
     telemetry : Telemetry.t;
-    trace : bool;  (** flight-record every round even when nothing fires *)
+    trace : bool;
     bundle_dir : string option;
-        (** where repro bundles are written when an oracle fires *)
     trace_sample : int;
-        (** also dump full traces of every Nth healthy round (0 = off);
-            requires [bundle_dir] *)
     guided : bool;
-        (** coverage-guided generation: bias query shapes toward the cold
-            points of the accumulated frontier *)
   }
 
-  let make ?(bugs = Engine.Bug.empty_set) ?(seed = 1) ?(table_count = 2)
-      ?(max_rows = 6) ?(extra_statements = 8) ?(pivots_per_db = 4)
+  let make ?(bugs = Engine.Bug.empty_set) ?(seed = 1) ?(max_rows = 6)
+      ?(extra_statements = 8) ?(pivots_per_db = 4)
       ?(queries_per_pivot = 6) ?(max_depth = 4) ?(check_expressions = true)
       ?(verify_ground_truth = true) ?(rectify = true) ?coverage
-      ?(check_non_containment = true) ?(oracles = Oracle.defaults)
-      ?(telemetry = Telemetry.noop) ?(trace = false) ?bundle_dir
+      ?(oracles = Oracle.defaults) ?(telemetry = Telemetry.noop)
+      ?(trace = false) ?bundle_dir
       ?(trace_sample = 0) ?(guided = false) dialect =
     {
       dialect;
       bugs;
       seed;
-      table_count;
       max_rows;
       extra_statements;
       pivots_per_db;
@@ -51,7 +43,6 @@ module Config = struct
       verify_ground_truth;
       rectify;
       coverage;
-      check_non_containment;
       oracles;
       telemetry;
       trace;
@@ -66,11 +57,6 @@ module Config = struct
 end
 
 type config = Config.t
-type stats = Stats.t
-
-let confirm_report (config : Config.t) oracle script =
-  (not config.Config.verify_ground_truth)
-  || Reducer.correct_engine_agrees ~dialect:config.Config.dialect ~oracle script
 
 (* flight recorder: enabled when tracing is requested or when repro
    bundles / trace samples may need to be written; otherwise the noop
@@ -81,20 +67,433 @@ let recorder_for (config : Config.t) =
     Trace.create ()
   else Trace.noop
 
+(* One round's state: what every stage reads, and the counters [finish]
+   turns into the round's [Stats.t]. *)
+type round = {
+  config : Config.t;
+  db_seed : int;
+  session : Engine.Session.t;
+  ctx : Oracle.context;
+  rng : Rng.t;
+  guided_rng : Rng.t option;
+  bias : Frontier.t ref;  (** the guided bias state, across rounds *)
+  recorder : Trace.t;
+  points : Gen_bias.tally;  (** the round's clause-combination points *)
+  mutable log : A.stmt list;  (** the statements run so far, newest first *)
+  mutable pivots : int;
+  mutable queries : int;
+  mutable statements : int;
+  mutable interp_failures : int;
+  mutable false_positives : int;
+  mutable negative_checks : int;
+  mutable row_checks : int;  (** containment queries that returned rows *)
+  mutable truths : Tvl.t list;  (** raw truth values before rectification *)
+}
+
+(* [found |? next]: the round stops at its first report *)
+let ( |? ) found next = match found with Some _ -> found | None -> next ()
+let tele r = r.config.Config.telemetry
+let dispatch r event = Oracle.first_report r.config.Config.oracles r.ctx event
+
+(* turn the first report of the round into a [Bug_report.t]; [phase] is
+   the funnel phase it fired in, stamped into the report and its repro
+   bundle so triage starts from there *)
+let record r ~phase ?expected ?actual kind message =
+  let config = r.config in
+  let stmts = List.rev r.log in
+  Trace.record r.recorder
+    (Trace.Event.Oracle_fired
+       { oracle = Bug_report.oracle_token kind; message; phase });
+  let bundle =
+    match config.Config.bundle_dir with
+    | Some dir when Trace.enabled r.recorder -> (
+        let plan =
+          match r.log with
+          | A.Select_stmt q :: _ -> Engine.Session.plan_lines r.session q
+          | _ -> []
+        in
+        try
+          Some
+            (Trace.Bundle.write ~dir
+               {
+                 Trace.Bundle.b_seed = r.db_seed;
+                 b_dialect = config.Config.dialect;
+                 b_oracle = Bug_report.oracle_token kind;
+                 b_message = message;
+                 b_phase = phase;
+                 b_bugs =
+                   List.map Engine.Bug.show
+                     (Engine.Bug.to_list config.Config.bugs);
+                 b_statements = stmts;
+                 b_expected = expected;
+                 b_actual = actual;
+                 b_plan = plan;
+                 b_trace_json = Trace.to_json r.recorder;
+               })
+        with Sys_error _ | Unix.Unix_error (_, _, _) -> None)
+    | _ -> None
+  in
+  Some
+    {
+      Bug_report.dialect = config.Config.dialect;
+      oracle = kind;
+      message;
+      statements = stmts;
+      reduced = None;
+      seed = r.db_seed;
+      phase;
+      bundle;
+    }
+
+(* The one statement path: log and count the statement, run it (under
+   [span], which covers only the engine call), and mirror the outcome into
+   a flight-recorder event. *)
+let execute ?span r stmt =
+  r.log <- stmt :: r.log;
+  r.statements <- r.statements + 1;
+  let traced = Trace.enabled r.recorder in
+  let t0 = if traced then Telemetry.Clock.now_ns_int () else 0 in
+  let run () =
+    match Engine.Session.execute r.session stmt with
+    | Ok res -> Oracle.Succeeded res
+    | Error e -> Oracle.Failed e
+    | exception Engine.Errors.Crash msg -> Oracle.Crashed msg
+  in
+  let outcome =
+    match span with
+    | None -> run ()
+    | Some phase -> Telemetry.Span.timed (tele r) phase run
+  in
+  if traced then begin
+    let now = Telemetry.Clock.now_ns_int () in
+    let oc =
+      match outcome with
+      | Oracle.Succeeded (Engine.Session.Rows rs) ->
+          Trace.Event.Rows (List.length rs.Engine.Executor.rs_rows)
+      | Oracle.Succeeded (Engine.Session.Affected n) -> Trace.Event.Affected n
+      | Oracle.Succeeded Engine.Session.Done -> Trace.Event.Done
+      | Oracle.Failed e -> Trace.Event.Error e.Engine.Errors.message
+      | Oracle.Crashed msg -> Trace.Event.Crashed msg
+    in
+    Trace.record_at r.recorder ~now_ns:now
+      (Trace.Event.Statement { stmt; outcome = oc; dur_ns = now - t0 })
+  end;
+  outcome
+
+(* the oracles' verdict on an event, as a report stamped with [phase] *)
+let report r ~phase event =
+  match dispatch r event with
+  | Some (kind, message) -> record r ~phase kind message
+  | None -> None
+
+let rec exec_all r = function
+  | [] -> None
+  | stmt :: rest ->
+      report r ~phase:"gen_db" (Oracle.Statement (stmt, execute r stmt))
+      |? fun () -> exec_all r rest
+
+(* ---- step 1: random database ---- *)
+let generate r =
+  let config = r.config in
+  let gen_cfg =
+    Gen_db.Config.(
+      make config.Config.dialect |> with_rng r.rng
+      |> with_max_rows config.Config.max_rows
+      |> with_extra_statements config.Config.extra_statements)
+  in
+  Telemetry.Span.timed (tele r) Telemetry.Phase.Gen_db @@ fun () ->
+  exec_all r (Gen_db.initial_statements gen_cfg) |? fun () ->
+  (* initial data *)
+  let fills =
+    Schema_info.tables_of_session r.session
+    |> List.concat_map (fun (ti : Schema_info.table_info) ->
+           List.init
+             (Rng.int_in r.rng 1 (max 1 (config.Config.max_rows / 2)))
+             (fun _ ->
+               Gen_db.insert_stmt
+                 ~existing_rows:
+                   (Schema_info.rows_of_table r.session ti.Schema_info.ti_name)
+                 gen_cfg ti))
+  in
+  exec_all r fills |? fun () ->
+  let rec extra n =
+    if n <= 0 then exec_all r (Gen_db.fill_statements gen_cfg r.session)
+    else
+      exec_all r (Gen_db.random_statements gen_cfg r.session) |? fun () ->
+      extra (n - 1)
+  in
+  extra config.Config.extra_statements
+
+(* whole-database oracles (e.g. metamorphic partition checks) *)
+let database_ready r = report r ~phase:"database_ready" Oracle.Database_ready
+
+let literals row =
+  "(" ^ String.concat ", " (List.map Value.to_sql_literal row) ^ ")"
+
+(* ---- steps 3-7 for one query: synthesize and rectify (retrying
+   expressions the interpreter cannot evaluate), run the query, check
+   containment ---- *)
+let check r ~rng ?shape ?pred ~negative prepared =
+  let config = r.config in
+  let rec attempt tries =
+    if tries <= 0 then None
+    else
+      match
+        Gen_query.synthesize ~rectify:config.Config.rectify
+          ~target:(if negative then Tvl.False else Tvl.True)
+          ~telemetry:(tele r) ?shape ?pred ~rng ~pivot:prepared
+          ~max_depth:config.Config.max_depth
+            (* expression targets are unsound for the negative variant: a
+               different row may project to the same value *)
+          ~check_expressions:(config.Config.check_expressions && not negative)
+          ()
+      with
+      | Ok t ->
+          r.truths <- t.Gen_query.raw_truths @ r.truths;
+          Some t
+      | Error _ ->
+          r.interp_failures <- r.interp_failures + 1;
+          Telemetry.inc (tele r) "pqs_rectify_retries_total";
+          attempt (tries - 1)
+  in
+  Option.bind (attempt 5) @@ fun t ->
+  (* clause-combination frontier: count the synthesized query's points
+     for the round's stats; when guided, the bias state steering later
+     shape plans takes them at once *)
+  Gen_bias.count r.points t.Gen_query.query;
+  if config.Config.guided then
+    r.bias :=
+      Frontier.union !(r.bias)
+        (Frontier.of_points ~seed:r.db_seed
+           (Gen_bias.fingerprint t.Gen_query.query));
+  if Trace.enabled r.recorder then
+    List.iter
+      (fun (raw, verdict, rectified) ->
+        Trace.record r.recorder
+          (Trace.Event.Expr { raw; verdict; rectified }))
+      (List.rev t.Gen_query.provenance);
+  r.queries <- r.queries + 1;
+  if negative then r.negative_checks <- r.negative_checks + 1;
+  let stmt = Gen_query.containment_stmt t in
+  let found =
+    match execute ~span:Telemetry.Phase.Containment r stmt with
+    | Oracle.Succeeded (Engine.Session.Rows rs) -> (
+        r.row_checks <- r.row_checks + 1;
+        let rows = rs.Engine.Executor.rs_rows in
+        match
+          dispatch r
+            (Oracle.Containment_check
+               {
+                 Oracle.check_stmt = stmt;
+                 negative;
+                 pivot_found = rows <> [];
+                 check_pivot = Gen_query.rows prepared;
+               })
+        with
+        | None -> None
+        | Some (kind, message) ->
+            if
+              (not config.Config.verify_ground_truth)
+              || Reducer.correct_engine_agrees ~dialect:config.Config.dialect
+                   ~oracle:kind (List.rev r.log)
+            then
+              record r ~phase:"containment"
+                ~expected:(literals t.Gen_query.expected_row)
+                ~actual:
+                  (String.concat "; "
+                     (List.map (fun row -> literals (Array.to_list row)) rows))
+                kind message
+            else begin
+              r.false_positives <- r.false_positives + 1;
+              None
+            end)
+    | Oracle.Succeeded _ -> None
+    | outcome ->
+        report r ~phase:"containment" (Oracle.Statement (stmt, outcome))
+  in
+  (* a passing (or unconfirmed) check leaves the log, to keep
+     reproduction scripts small *)
+  if Option.is_none found then r.log <- List.tl r.log;
+  found
+
+(* ---- step 2: one pivot and its queries ---- *)
+let pivot r sources =
+  let config = r.config in
+  let dialect = config.Config.dialect in
+  r.pivots <- r.pivots + 1;
+  let prepare rows =
+    Gen_query.prepare ~dialect
+      ~case_sensitive_like:
+        (Engine.Options.case_sensitive_like (Engine.Session.options r.session))
+      rows
+  in
+  (* Guidance is strictly additive: blind iterations draw from the main
+     stream exactly as an unguided round would, so every blind detection
+     is preserved.  On top, each blind query gains an extra rectified
+     conjunct rotated through cold predicate kinds, and — once shape
+     guidance has warmed up — the pivot gains one extra query aimed at a
+     cold clause combination, both drawn entirely from the private
+     stream. *)
+  let shape =
+    match r.guided_rng with
+    | Some grng -> Gen_bias.plan ~rng:grng ~dialect !(r.bias)
+    | None -> None
+  in
+  let pred =
+    match (r.guided_rng, shape) with
+    | Some grng, None ->
+        Gen_bias.cold_pred ~rng:grng ~dialect !(r.bias)
+        |> Option.map (fun k -> (grng, k))
+    | _ -> None
+  in
+  (* one random row per chosen table/view *)
+  let rows, prepared =
+    Telemetry.Span.timed (tele r) Telemetry.Phase.Pivot @@ fun () ->
+    let rows = Corpus.pick_pivot r.rng sources in
+    (rows, prepare rows)
+  in
+  if Trace.enabled r.recorder then
+    List.iter
+      (fun ((ti : Schema_info.table_info), row) ->
+        Trace.record r.recorder
+          (Trace.Event.Pivot
+             {
+               source = ti.Schema_info.ti_name;
+               row = Array.to_list (Array.map Value.to_sql_literal row);
+             }))
+      rows;
+  (* the guided extra query comes first and picks its own pivot from the
+     private stream, so the shape's join arity can be realized regardless
+     of the blind pivot's *)
+  let guided =
+    match (r.guided_rng, shape) with
+    | Some grng, Some s ->
+        let k =
+          min (max 1 s.Gen_bias.sh_tables) (min 2 (List.length sources))
+        in
+        Rng.sample grng k sources
+        |> List.map (fun ((ti : Schema_info.table_info), rs) ->
+               (ti, Rng.pick grng rs))
+        |> prepare
+        |> check r ~rng:grng ~shape:s ~negative:false
+    | _ -> None
+  in
+  let rec blind q =
+    if q <= 0 then None
+    else
+      (* Section 7 extension: occasionally rectify to FALSE and require the
+         pivot row to be absent.  Restricted to single-table pivots: with
+         joins, a LEFT JOIN's NULL-extended rows could coincide with the
+         expected tuple.  No pred conjunct there: it would rectify to
+         FALSE, and an extra FALSE conjunct can only shrink the result set,
+         which could mask a non-containment violation the blind query would
+         have caught. *)
+      let negative = List.length rows = 1 && Rng.chance r.rng 0.2 in
+      check r ~rng:r.rng ?pred:(if negative then None else pred) ~negative
+        prepared
+      |? fun () -> blind (q - 1)
+  in
+  guided |? fun () -> blind config.Config.queries_per_pivot
+
+(* ---- steps 2-7: the containment phase runs only SELECTs, so the tables
+   and views are read once for all of the round's pivots ---- *)
+let containment r =
+  let tables, views =
+    Telemetry.Span.timed (tele r) Telemetry.Phase.Pivot @@ fun () ->
+    ( Corpus.sources r.session,
+      Schema_info.view_pivot_sources r.session
+      |> List.filter (fun (_, rows) -> rows <> []) )
+  in
+  let rec pivots k =
+    if k <= 0 then None
+    else
+      (* views join the candidate pool occasionally (paper Sec. 4.2) *)
+      match
+        if views <> [] && Rng.chance r.rng 0.25 then tables @ views
+        else tables
+      with
+      | [] -> None
+      | sources -> pivot r sources |? fun () -> pivots (k - 1)
+  in
+  pivots r.config.Config.pivots_per_db
+
+(* the round's [Stats.t], built once from its counters and its report *)
+let finish r ~plan_base fired =
+  let config = r.config in
+  let db_seed = r.db_seed in
+  (* --trace-sample N: keep the full trace of every Nth healthy round, so
+     there is flight-recorder data to compare bundles against *)
+  (match (fired, config.Config.bundle_dir) with
+  | None, Some dir
+    when config.Config.trace_sample > 0
+         && db_seed mod config.Config.trace_sample = 0
+         && Trace.enabled r.recorder -> (
+      try
+        Trace.mkdir_p dir;
+        Trace.write_text
+          (Filename.concat dir (Printf.sprintf "round-%06d-trace.json" db_seed))
+          (Trace.to_json r.recorder)
+      with Sys_error _ | Unix.Unix_error (_, _, _) -> ())
+  | _ -> ());
+  let frontier = Gen_bias.tally_frontier ~seed:db_seed r.points in
+  (* planner-path frontier points: whatever access paths this round drove
+     the coverage instrument through *)
+  let frontier =
+    match config.Config.coverage with
+    | None -> frontier
+    | Some cov ->
+        let f =
+          Frontier.of_points ~seed:db_seed
+            (List.concat_map
+               (fun (p, before) ->
+                 List.init (max 0 (Engine.Coverage.hit_count cov p - before))
+                   (fun _ -> p))
+               plan_base)
+        in
+        if config.Config.guided then r.bias := Frontier.union !(r.bias) f;
+        Frontier.union frontier f
+  in
+  (* a round ends at its first report, so it diverged at most once *)
+  let diverged kind =
+    match fired with
+    | Some rep when rep.Bug_report.oracle = kind -> 1
+    | _ -> 0
+  in
+  (* every containment query that returned rows reached the re-executing
+     oracles, when they are configured *)
+  let oracles = List.map Oracle.name config.Config.oracles in
+  let s =
+    {
+      Stats.empty with
+      databases = 1;
+      pivots = r.pivots;
+      queries = r.queries;
+      statements = r.statements;
+      interp_failures = r.interp_failures;
+      false_positives = r.false_positives;
+      reports = Option.to_list fired;
+      truth_values =
+        List.map
+          (fun tv -> (tv, List.length (List.filter (Tvl.equal tv) r.truths)))
+          [ Tvl.True; Tvl.False; Tvl.Unknown ];
+      negative_checks = r.negative_checks;
+      plan_checks = (if List.mem "plan_diff" oracles then r.row_checks else 0);
+      plan_divergences = diverged Bug_report.Plan_diff;
+      const_checks = (if List.mem "const_opt" oracles then r.row_checks else 0);
+      const_divergences = diverged Bug_report.Const_opt;
+      frontier;
+    }
+  in
+  (* volume counters are bulk-incremented from the round's [Stats] rather
+     than one [inc] per statement: same exported totals, no per-statement
+     registry traffic on the hot path *)
+  Telemetry.inc (tele r) ~by:s.Stats.statements "pqs_statements_total";
+  Telemetry.inc (tele r) ~by:s.Stats.queries "pqs_queries_total";
+  Telemetry.inc (tele r) ~by:s.Stats.pivots "pqs_pivots_total";
+  s
+
 let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
   let open Config in
-  let tele = config.telemetry in
-  let stats = ref { Stats.empty with Stats.databases = 1 } in
-  let rng = Rng.make ~seed:db_seed in
-  (* the frontier accumulated across rounds (guided bias state); a local
-     ref when the caller does not thread one through *)
-  let bias = match bias with Some b -> b | None -> ref Frontier.empty in
-  (* shape planning draws from a private stream so that guidance leaves
-     the synthesis stream untouched: a guided and a blind round diverge
-     only through the shape overrides themselves *)
-  let guided_rng =
-    if config.guided then Some (Rng.make ~seed:(db_seed + 7757)) else None
-  in
   (* planner-path frontier points come from the coverage instrument: the
      delta over this round is what the round itself exercised *)
   let plan_base =
@@ -105,565 +504,52 @@ let run_round ?recorder ?bias (config : Config.t) ~db_seed : Stats.t =
           (fun p -> (p, Engine.Coverage.hit_count cov p))
           (Gen_bias.plan_points config.dialect)
   in
-  (* the round's clause-combination points, folded into its stats once *)
-  let points = Gen_bias.tally () in
   let recorder =
     match recorder with Some r -> r | None -> recorder_for config
   in
   Trace.begin_round recorder ~seed:db_seed ~dialect:config.dialect;
   let session =
     Engine.Session.create ~seed:db_seed ~bugs:config.bugs
-      ?coverage:config.coverage ~telemetry:tele ~recorder config.dialect
+      ?coverage:config.coverage ~telemetry:config.telemetry ~recorder
+      config.dialect
   in
-  let ctx =
+  let r =
     {
-      Oracle.ctx_dialect = config.dialect;
-      ctx_session = session;
-      ctx_db_seed = db_seed;
-      (* a private stream: oracle randomness must not perturb synthesis *)
-      ctx_rng = Rng.make ~seed:(db_seed + 104651);
-      ctx_telemetry = tele;
+      config;
+      db_seed;
+      session;
+      ctx =
+        {
+          Oracle.ctx_dialect = config.dialect;
+          ctx_session = session;
+          ctx_db_seed = db_seed;
+          (* a private stream: oracles must not perturb synthesis *)
+          ctx_rng = Rng.make ~seed:(db_seed + 104651);
+          ctx_telemetry = config.telemetry;
+        };
+      rng = Rng.make ~seed:db_seed;
+      (* shape planning draws from a private stream so that guidance leaves
+         the synthesis stream untouched: a guided and a blind round diverge
+         only through the shape overrides themselves *)
+      guided_rng =
+        (if config.guided then Some (Rng.make ~seed:(db_seed + 7757))
+         else None);
+      bias = (match bias with Some b -> b | None -> ref Frontier.empty);
+      recorder;
+      points = Gen_bias.tally ();
+      log = [];
+      pivots = 0;
+      queries = 0;
+      statements = 0;
+      interp_failures = 0;
+      false_positives = 0;
+      negative_checks = 0;
+      row_checks = 0;
+      truths = [];
     }
   in
-  let log = ref [] in
-  (* the funnel phase the round is currently in; stamped into reports and
-     repro bundles so triage starts from where the oracle fired *)
-  let phase = ref "gen_db" in
-  let plan_diff_enabled =
-    List.exists
-      (fun o -> String.equal (Oracle.name o) "plan_diff")
-      config.oracles
-  in
-  let const_opt_enabled =
-    List.exists
-      (fun o -> String.equal (Oracle.name o) "const_opt")
-      config.oracles
-  in
-  let record ?expected ?actual kind message =
-    let stmts = List.rev !log in
-    Trace.record recorder
-      (Trace.Event.Oracle_fired
-         { oracle = Bug_report.oracle_token kind; message; phase = !phase });
-    let bundle =
-      match config.bundle_dir with
-      | Some dir when Trace.enabled recorder -> (
-          let plan =
-            match !log with
-            | A.Select_stmt stmt_q :: _ ->
-                Engine.Session.plan_lines session stmt_q
-            | _ -> []
-          in
-          let b =
-            {
-              Trace.Bundle.b_seed = db_seed;
-              b_dialect = config.dialect;
-              b_oracle = Bug_report.oracle_token kind;
-              b_message = message;
-              b_phase = !phase;
-              b_bugs =
-                List.map Engine.Bug.show (Engine.Bug.to_list config.bugs);
-              b_statements = stmts;
-              b_expected = expected;
-              b_actual = actual;
-              b_plan = plan;
-              b_trace_json = Trace.to_json recorder;
-            }
-          in
-          try Some (Trace.Bundle.write ~dir b)
-          with Sys_error _ | Unix.Unix_error (_, _, _) -> None)
-      | _ -> None
-    in
-    let r =
-      {
-        Bug_report.dialect = config.dialect;
-        oracle = kind;
-        message;
-        statements = stmts;
-        reduced = None;
-        seed = db_seed;
-        phase = !phase;
-        bundle;
-      }
-    in
-    (match kind with
-    | Bug_report.Plan_diff ->
-        stats :=
-          {
-            !stats with
-            Stats.plan_divergences = (!stats).Stats.plan_divergences + 1;
-          }
-    | Bug_report.Const_opt ->
-        stats :=
-          {
-            !stats with
-            Stats.const_divergences = (!stats).Stats.const_divergences + 1;
-          }
-    | _ -> ());
-    stats := Stats.add_report !stats r;
-    Some r
-  in
-  let dispatch event = Oracle.first_report config.oracles ctx event in
-  (* execute one statement under the statement-level oracles; returns a
-     report if one fired *)
-  (* mirror an engine outcome into a flight-recorder statement event *)
-  let trace_stmt stmt outcome t0 =
-    if Trace.enabled recorder then begin
-      let now = Telemetry.Clock.now_ns_int () in
-      let oc =
-        match outcome with
-        | Oracle.Succeeded (Engine.Session.Rows rs) ->
-            Trace.Event.Rows (List.length rs.Engine.Executor.rs_rows)
-        | Oracle.Succeeded (Engine.Session.Affected n) ->
-            Trace.Event.Affected n
-        | Oracle.Succeeded Engine.Session.Done -> Trace.Event.Done
-        | Oracle.Failed e -> Trace.Event.Error e.Engine.Errors.message
-        | Oracle.Crashed msg -> Trace.Event.Crashed msg
-      in
-      Trace.record_at recorder ~now_ns:now
-        (Trace.Event.Statement { stmt; outcome = oc; dur_ns = now - t0 })
-    end
-  in
-  let exec stmt : Bug_report.t option =
-    log := stmt :: !log;
-    stats := { !stats with Stats.statements = (!stats).Stats.statements + 1 };
-    let t0 = if Trace.enabled recorder then Telemetry.Clock.now_ns_int () else 0 in
-    let outcome =
-      match Engine.Session.execute session stmt with
-      | Ok r -> Oracle.Succeeded r
-      | Error e -> Oracle.Failed e
-      | exception Engine.Errors.Crash msg -> Oracle.Crashed msg
-    in
-    trace_stmt stmt outcome t0;
-    match dispatch (Oracle.Statement (stmt, outcome)) with
-    | Some (kind, message) -> record kind message
-    | None -> None
-  in
-  let rec exec_all = function
-    | [] -> None
-    | stmt :: rest -> (
-        match exec stmt with Some r -> Some r | None -> exec_all rest)
-  in
-  let gen_cfg =
-    Gen_db.Config.(
-      make config.dialect |> with_rng rng
-      |> with_table_count config.table_count
-      |> with_max_rows config.max_rows
-      |> with_extra_statements config.extra_statements)
-  in
-  (* ---- step 1: random database ---- *)
-  let generation () =
-    Telemetry.Span.timed tele Telemetry.Phase.Gen_db @@ fun () ->
-    match exec_all (Gen_db.initial_statements gen_cfg) with
-    | Some r -> Some r
-    | None -> (
-        (* initial data *)
-        let fills =
-          Schema_info.tables_of_session session
-          |> List.concat_map (fun (ti : Schema_info.table_info) ->
-                 List.init
-                   (Rng.int_in rng 1 (max 1 (config.max_rows / 2)))
-                   (fun _ ->
-                     Gen_db.insert_stmt
-                       ~existing_rows:
-                         (Schema_info.rows_of_table session
-                            ti.Schema_info.ti_name)
-                       gen_cfg ti))
-        in
-        match exec_all fills with
-        | Some r -> Some r
-        | None ->
-            let rec extra n =
-              if n <= 0 then None
-              else
-                match exec_all (Gen_db.random_statements gen_cfg session) with
-                | Some r -> Some r
-                | None -> extra (n - 1)
-            in
-            let r = extra config.extra_statements in
-            (match r with
-            | Some _ -> r
-            | None -> exec_all (Gen_db.fill_statements gen_cfg session)))
-  in
-  let round () =
-    match generation () with
-    | Some r -> Some r
-    | None -> (
-        phase := "database_ready";
-        (* whole-database oracles (e.g. metamorphic partition checks) *)
-        match dispatch Oracle.Database_ready with
-        | Some (kind, message) -> record kind message
-        | None ->
-            phase := "containment";
-            (* ---- steps 2-7 ---- *)
-            (* the containment phase runs only SELECTs, so the tables and
-               views are read once for all of the round's pivots *)
-            let tables, views =
-              Telemetry.Span.timed tele Telemetry.Phase.Pivot @@ fun () ->
-              ( Corpus.sources session,
-                Schema_info.view_pivot_sources session
-                |> List.filter (fun (_, rows) -> rows <> []) )
-            in
-            (* views join the candidate pool occasionally (paper
-               Sec. 4.2) *)
-            let pivot_sources () =
-              if views <> [] && Rng.chance rng 0.25 then tables @ views
-              else tables
-            in
-            let prepare rows =
-              Gen_query.prepare ~dialect:config.dialect
-                ~case_sensitive_like:
-                  (Engine.Options.case_sensitive_like
-                     (Engine.Session.options session))
-                rows
-            in
-            let rec pivots k =
-              if k <= 0 then None
-              else
-                match pivot_sources () with
-                | [] -> None
-                | sources -> (
-                    stats :=
-                      { !stats with Stats.pivots = (!stats).Stats.pivots + 1 };
-                    (* step 2: one random row per chosen table/view *)
-                    (* Guidance is strictly additive: blind iterations draw
-                       from the main stream exactly as an unguided round
-                       would, so every blind detection is preserved.  On
-                       top, each blind query gains an extra rectified
-                       conjunct rotated through cold predicate kinds, and —
-                       once shape guidance has warmed up — the pivot gains
-                       one extra query aimed at a cold clause combination,
-                       both drawn entirely from the private stream. *)
-                    let shape =
-                      match guided_rng with
-                      | Some grng ->
-                          Gen_bias.plan ~rng:grng ~dialect:config.dialect !bias
-                      | None -> None
-                    in
-                    let pred =
-                      match (guided_rng, shape) with
-                      | Some grng, None ->
-                          Gen_bias.cold_pred ~rng:grng
-                            ~dialect:config.dialect !bias
-                          |> Option.map (fun k -> (grng, k))
-                      | _ -> None
-                    in
-                    let pivot, prepared =
-                      Telemetry.Span.timed tele Telemetry.Phase.Pivot
-                      @@ fun () ->
-                      let pivot = Corpus.pick_pivot rng sources in
-                      (pivot, prepare pivot)
-                    in
-                    (* the guided extra query picks its own pivot from the
-                       private stream so the shape's join arity can be
-                       realized regardless of the blind pivot's *)
-                    let guided_prepared =
-                      match (guided_rng, shape) with
-                      | Some grng, Some s ->
-                          let k =
-                            min
-                              (max 1 s.Gen_bias.sh_tables)
-                              (min 2 (List.length sources))
-                          in
-                          Rng.sample grng k sources
-                          |> List.map
-                               (fun ((ti : Schema_info.table_info), rows) ->
-                                 (ti, Rng.pick grng rows))
-                          |> prepare
-                      | _ -> prepared
-                    in
-                    if Trace.enabled recorder then
-                      List.iter
-                        (fun ((ti : Schema_info.table_info), row) ->
-                          Trace.record recorder
-                            (Trace.Event.Pivot
-                               {
-                                 source = ti.Schema_info.ti_name;
-                                 row =
-                                   Array.to_list
-                                     (Array.map Value.to_sql_literal row);
-                               }))
-                        pivot;
-                    let rec queries q =
-                      if q <= 0 then None
-                      else
-                        (* iterations above queries_per_pivot are the guided
-                           extra query: every draw comes from the private
-                           stream, so the blind iterations stay
-                           byte-identical to an unguided round *)
-                        let extra = q > config.queries_per_pivot in
-                        let qrng =
-                          if extra then Option.get guided_rng else rng
-                        in
-                        let qshape = if extra then shape else None in
-                        let qpivot = if extra then guided_prepared else prepared in
-                        (* Section 7 extension: occasionally rectify to FALSE
-                           and require the pivot row to be absent.  Restricted
-                           to single-table pivots: with joins, a LEFT JOIN's
-                           NULL-extended rows could coincide with the expected
-                           tuple. *)
-                        let negative =
-                          (not extra)
-                          && config.check_non_containment
-                          && List.length pivot = 1
-                          && Rng.chance rng 0.2
-                        in
-                        (* no pred conjunct on negative queries: there it
-                           would rectify to FALSE, and an extra FALSE
-                           conjunct can only shrink the result set — i.e.
-                           it could mask a non-containment violation the
-                           blind query would have caught *)
-                        let qpred =
-                          if extra || negative then None else pred
-                        in
-                        let target = if negative then Tvl.False else Tvl.True in
-                        (* steps 3-5 with retries on oracle-uncomputable
-                           exprs *)
-                        let rec attempt tries =
-                          if tries <= 0 then None
-                          else
-                            match
-                              Gen_query.synthesize ~rectify:config.rectify
-                                ~target ~telemetry:tele ?shape:qshape
-                                ?pred:qpred ~rng:qrng
-                                ~pivot:qpivot
-                                ~max_depth:config.max_depth
-                                  (* expression targets are unsound for the
-                                     negative variant: a different row may
-                                     project to the same value *)
-                                ~check_expressions:
-                                  (config.check_expressions && not negative)
-                                ()
-                            with
-                            | Ok t ->
-                                stats :=
-                                  List.fold_left Stats.bump_truth !stats
-                                    t.Gen_query.raw_truths;
-                                Some t
-                            | Error _ ->
-                                stats :=
-                                  {
-                                    !stats with
-                                    Stats.interp_failures =
-                                      (!stats).Stats.interp_failures + 1;
-                                  };
-                                Telemetry.inc tele "pqs_rectify_retries_total";
-                                attempt (tries - 1)
-                        in
-                        match attempt 5 with
-                        | None -> queries (q - 1)
-                        | Some t -> (
-                            (* clause-combination frontier: count the
-                               synthesized query's points for the round's
-                               stats; when guided, the bias state steering
-                               later shape plans takes them at once *)
-                            Gen_bias.count points t.Gen_query.query;
-                            if config.guided then
-                              bias :=
-                                Frontier.union !bias
-                                  (Frontier.of_points ~seed:db_seed
-                                     (Gen_bias.fingerprint t.Gen_query.query));
-                            if Trace.enabled recorder then
-                              List.iter
-                                (fun (raw, verdict, rectified) ->
-                                  Trace.record recorder
-                                    (Trace.Event.Expr
-                                       { raw; verdict; rectified }))
-                                (List.rev t.Gen_query.provenance);
-                            stats :=
-                              {
-                                !stats with
-                                Stats.queries = (!stats).Stats.queries + 1;
-                              };
-                            if negative then
-                              stats :=
-                                {
-                                  !stats with
-                                  Stats.negative_checks =
-                                    (!stats).Stats.negative_checks + 1;
-                                };
-                            let stmt = Gen_query.containment_stmt t in
-                            log := stmt :: !log;
-                            stats :=
-                              {
-                                !stats with
-                                Stats.statements =
-                                  (!stats).Stats.statements + 1;
-                              };
-                            let drop_and_continue () =
-                              log := List.tl !log;
-                              queries (q - 1)
-                            in
-                            (* the span must cover only the engine call, not
-                               the recursive continuation below *)
-                            let ct0 =
-                              if Trace.enabled recorder then
-                                Telemetry.Clock.now_ns_int ()
-                              else 0
-                            in
-                            let outcome =
-                              Telemetry.Span.timed tele Telemetry.Phase.Containment
-                                (fun () ->
-                                  match
-                                    Engine.Session.execute session stmt
-                                  with
-                                  | r -> `Res r
-                                  | exception Engine.Errors.Crash msg ->
-                                      `Crash msg)
-                            in
-                            trace_stmt stmt
-                              (match outcome with
-                              | `Res (Ok r) -> Oracle.Succeeded r
-                              | `Res (Error e) -> Oracle.Failed e
-                              | `Crash msg -> Oracle.Crashed msg)
-                              ct0;
-                            match outcome with
-                            | `Res (Ok (Engine.Session.Rows rs)) -> (
-                                let pivot_found =
-                                  rs.Engine.Executor.rs_rows <> []
-                                in
-                                if plan_diff_enabled then
-                                  stats :=
-                                    {
-                                      !stats with
-                                      Stats.plan_checks =
-                                        (!stats).Stats.plan_checks + 1;
-                                    };
-                                if const_opt_enabled then
-                                  stats :=
-                                    {
-                                      !stats with
-                                      Stats.const_checks =
-                                        (!stats).Stats.const_checks + 1;
-                                    };
-                                match
-                                  dispatch
-                                    (Oracle.Containment_check
-                                       {
-                                         Oracle.check_stmt = stmt;
-                                         negative;
-                                         pivot_found;
-                                         check_pivot = Gen_query.rows qpivot;
-                                       })
-                                with
-                                | Some (kind, message) ->
-                                    if
-                                      confirm_report config kind
-                                        (List.rev !log)
-                                    then
-                                      let expected =
-                                        "("
-                                        ^ String.concat ", "
-                                            (List.map Value.to_sql_literal
-                                               t.Gen_query.expected_row)
-                                        ^ ")"
-                                      in
-                                      let actual =
-                                        String.concat "; "
-                                          (List.map
-                                             (fun r ->
-                                               "("
-                                               ^ String.concat ", "
-                                                   (Array.to_list
-                                                      (Array.map
-                                                         Value.to_sql_literal r))
-                                               ^ ")")
-                                             rs.Engine.Executor.rs_rows)
-                                      in
-                                      record ~expected ~actual kind message
-                                    else begin
-                                      stats :=
-                                        {
-                                          !stats with
-                                          Stats.false_positives =
-                                            (!stats).Stats.false_positives + 1;
-                                        };
-                                      (* drop the offending query from the
-                                         log *)
-                                      drop_and_continue ()
-                                    end
-                                | None ->
-                                    (* check passed: drop it from the log to
-                                       keep reproduction scripts small *)
-                                    drop_and_continue ())
-                            | `Res (Ok _) -> drop_and_continue ()
-                            | `Res (Error e) -> (
-                                match
-                                  dispatch
-                                    (Oracle.Statement (stmt, Oracle.Failed e))
-                                with
-                                | Some (kind, message) -> record kind message
-                                | None -> drop_and_continue ())
-                            | `Crash msg -> (
-                                match
-                                  dispatch
-                                    (Oracle.Statement
-                                       (stmt, Oracle.Crashed msg))
-                                with
-                                | Some (kind, message) -> record kind message
-                                | None -> drop_and_continue ()))
-                    in
-                    match
-                      queries
-                        (config.queries_per_pivot
-                        + (match shape with Some _ -> 1 | None -> 0))
-                    with
-                    | Some r -> Some r
-                    | None -> pivots (k - 1))
-            in
-            pivots config.pivots_per_db)
-  in
-  let fired = round () in
-  stats :=
-    {
-      !stats with
-      Stats.frontier =
-        Frontier.union (!stats).Stats.frontier
-          (Gen_bias.tally_frontier ~seed:db_seed points);
-    };
-  (* --trace-sample N: keep the full trace of every Nth healthy round, so
-     there is flight-recorder data to compare bundles against *)
-  (match (fired, config.bundle_dir) with
-  | None, Some dir
-    when config.trace_sample > 0
-         && db_seed mod config.trace_sample = 0
-         && Trace.enabled recorder -> (
-      try
-        Trace.mkdir_p dir;
-        Trace.write_text
-          (Filename.concat dir
-             (Printf.sprintf "round-%06d-trace.json" db_seed))
-          (Trace.to_json recorder)
-      with Sys_error _ | Unix.Unix_error (_, _, _) -> ())
-  | _ -> ());
-  (* planner-path frontier points: whatever access paths this round drove
-     the coverage instrument through *)
-  (match config.coverage with
-  | Some cov ->
-      let deltas =
-        List.concat_map
-          (fun (p, before) ->
-            let d = Engine.Coverage.hit_count cov p - before in
-            List.init (max 0 d) (fun _ -> p))
-          plan_base
-      in
-      if deltas <> [] then begin
-        let f = Frontier.of_points ~seed:db_seed deltas in
-        stats :=
-          {
-            !stats with
-            Stats.frontier = Frontier.union (!stats).Stats.frontier f;
-          };
-        if config.guided then bias := Frontier.union !bias f
-      end
-  | None -> ());
-  (* volume counters are bulk-incremented from the round's [Stats] rather
-     than one [inc] per statement: same exported totals, no per-statement
-     registry traffic on the hot path *)
-  let s = !stats in
-  Telemetry.inc tele ~by:s.Stats.statements "pqs_statements_total";
-  Telemetry.inc tele ~by:s.Stats.queries "pqs_queries_total";
-  Telemetry.inc tele ~by:s.Stats.pivots "pqs_pivots_total";
-  s
+  finish r ~plan_base
+    (generate r |? fun () -> database_ready r |? fun () -> containment r)
 
 let run ?(stop_on_first = false) ~max_queries config =
   (* databases are also capped so rounds that never reach the query stage

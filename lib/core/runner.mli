@@ -3,6 +3,10 @@
     Each database round: generate a random database (step 1), then for a
     number of pivot choices (step 2) synthesize rectified queries (steps
     3–5), run them on the engine (step 6) and check containment (step 7).
+    About one in five checks on a single-table pivot is rectified to FALSE
+    instead and requires the pivot row to be absent: the paper's Section 7
+    non-containment variant, which also catches defects that wrongly
+    include rows.
     Which checks count as findings is decided by the pluggable {!Oracle}
     set in the config; the paper's error/crash/containment trio is the
     default.  Workers on distinct databases are independent {!run_round}
@@ -20,7 +24,6 @@ module Config : sig
     dialect : Sqlval.Dialect.t;
     bugs : Engine.Bug.set;
     seed : int;
-    table_count : int;
     max_rows : int;
     extra_statements : int;
     pivots_per_db : int;
@@ -34,10 +37,6 @@ module Config : sig
     rectify : bool;  (** disable only for the no-rectification ablation *)
     coverage : Engine.Coverage.t option;
         (** engine feature-coverage instrumentation (Table 4) *)
-    check_non_containment : bool;
-        (** also issue rectified-to-FALSE queries and require the pivot row
-            to be absent — the paper's Section 7 future-work variant, which
-            additionally catches defects that wrongly *include* rows *)
     oracles : Oracle.t list;  (** consulted in order; first report wins *)
     telemetry : Telemetry.t;
         (** metrics registry for phase spans and counters;
@@ -69,7 +68,6 @@ module Config : sig
   val make :
     ?bugs:Engine.Bug.set ->
     ?seed:int ->
-    ?table_count:int ->
     ?max_rows:int ->
     ?extra_statements:int ->
     ?pivots_per_db:int ->
@@ -79,7 +77,6 @@ module Config : sig
     ?verify_ground_truth:bool ->
     ?rectify:bool ->
     ?coverage:Engine.Coverage.t ->
-    ?check_non_containment:bool ->
     ?oracles:Oracle.t list ->
     ?telemetry:Telemetry.t ->
     ?trace:bool ->
@@ -102,9 +99,6 @@ module Config : sig
 end
 
 type config = Config.t
-
-type stats = Stats.t
-(** Alias kept for readability of older call sites; see {!Stats}. *)
 
 (** The flight recorder a round under [config] needs: a ring buffer when
     tracing, bundle output or trace sampling is on, {!Trace.noop}

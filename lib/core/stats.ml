@@ -117,10 +117,6 @@ let merge a b =
   }
 
 let merge_all = List.fold_left merge empty
-let add_report t r = { t with reports = t.reports @ [ r ] }
-
-let bump_truth t truth =
-  set_truth truth (truth_count t.truth_values truth + 1) t
 
 let summary t =
   Printf.sprintf

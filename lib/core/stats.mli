@@ -30,14 +30,17 @@ type t = {
           oracle (ROADMAP item 5) *)
   lint_diagnostics : int;  (** always 0, like [lint_checks] *)
   plan_checks : int;
-      (** containment checks the plan-diff oracle re-executed under forced
-          plans *)
+      (** containment checks that returned rows while the plan-diff oracle
+          was configured: the checks that reached it *)
   plan_divergences : int;
       (** plan-diff oracle reports recorded (cross-plan result
           disagreements) *)
   const_checks : int;
-      (** containment checks the const-opt oracle re-executed after
-          constant substitution and simplification *)
+      (** containment checks that returned rows while the const-opt oracle
+          was configured: the checks that reached it.  The oracle samples
+          them and re-executes only some (positive checks that found the
+          pivot and that it could simplify); its own
+          [pqs_const_checks_total] counter counts those re-executions *)
   const_divergences : int;
       (** const-opt oracle reports recorded (original vs simplified
           result disagreements) *)
@@ -53,8 +56,8 @@ val empty : t
 
 (** [merge a b] adds every counter, appends [b]'s reports after [a]'s and
     sums the truth-value distributions.  Associative; [empty] is a left and
-    right identity (truth values are kept in canonical key order, which
-    both [empty] and {!bump_truth} maintain). *)
+    right identity (truth values are kept in canonical key order, as
+    [empty] and every round's stats hold them). *)
 val merge : t -> t -> t
 
 (** The additive counters — every field except [reports] and [frontier],
@@ -70,12 +73,6 @@ val with_counters : t -> (string -> int) -> t
 
 (** Fold {!merge} over the list, left to right, starting from {!empty}. *)
 val merge_all : t list -> t
-
-(** Append one report (chronologically last). *)
-val add_report : t -> Bug_report.t -> t
-
-(** Count one raw truth value. *)
-val bump_truth : t -> Tvl.t -> t
 
 (** One-line [key=value] summary for CLIs and traces. *)
 val summary : t -> string

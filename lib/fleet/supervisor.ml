@@ -65,12 +65,7 @@ let worker_loop fleet (rc : Pqs.Runner.config) ~shard ~slot ~lo ~hi =
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
       0o644
   in
-  (* same nursery sizing rationale as Campaign.run *)
-  let () =
-    let g = Gc.get () in
-    if g.Gc.minor_heap_size < 1 lsl 21 then
-      Gc.set { g with Gc.minor_heap_size = 1 lsl 21 }
-  in
+  Pqs.Campaign.size_minor_heap ();
   let recorder = Pqs.Runner.recorder_for rc in
   let bias = ref Frontier.empty in
   let bugs = rc.Pqs.Runner.Config.bugs in

@@ -259,6 +259,102 @@ let test_draw_order () =
         "26f31fd746a69dee8178e8b974b02214" );
     ]
 
+(* Runner golden: what [Runner.run_round] returns over seeds 1-60 in every
+   dialect, under five configurations (the bug-free default, every
+   injected bug, every bug with the plan-diff and const-opt oracles, every
+   bug with the metamorphic oracle, and guided generation, whose bias is
+   threaded through the seeds as a one-domain campaign does).  Each round
+   is digested through its counters, its frontier's points and each
+   report's oracle, phase, message and statements.  The digests were taken
+   before the round was split into named stages; any change to what a
+   round counts, records or reports moves them. *)
+let round_digest dialect ~all_bugs ~flags ~guided =
+  let bugs =
+    if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
+    else Engine.Bug.empty_set
+  in
+  let oracles =
+    Pqs.Oracle.defaults
+    @ List.filter_map
+        (fun (e : Pqs.Oracle.Registry.entry) ->
+          match e.reg_flag with
+          | Some flag when List.mem flag flags -> Some (e.reg_make ())
+          | _ -> None)
+        (Pqs.Oracle.Registry.all ())
+  in
+  let config =
+    Pqs.Runner.Config.make ~bugs ~oracles
+      ~coverage:(Engine.Coverage.create ()) ~guided dialect
+  in
+  let bias = ref Frontier.empty in
+  let buf = Buffer.create 65536 in
+  for db_seed = 1 to 60 do
+    let s = Pqs.Runner.run_round ~bias config ~db_seed in
+    List.iter
+      (fun (name, n) -> Printf.bprintf buf "%s=%d " name n)
+      (Pqs.Stats.counters s);
+    Printf.bprintf buf "\n%s\n"
+      (Frontier.to_json ~universe:[] s.Pqs.Stats.frontier);
+    List.iter
+      (fun (r : Pqs.Bug_report.t) ->
+        Printf.bprintf buf "%s|%s|%s\n"
+          (Pqs.Bug_report.oracle_token r.Pqs.Bug_report.oracle)
+          r.Pqs.Bug_report.phase r.Pqs.Bug_report.message;
+        List.iter
+          (fun st ->
+            Buffer.add_string buf (Sqlast.Sql_printer.stmt dialect st);
+            Buffer.add_char buf '\n')
+          r.Pqs.Bug_report.statements)
+      s.Pqs.Stats.reports
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_round_golden () =
+  let configs =
+    [
+      ("default", false, [], false);
+      ("all-bugs", true, [], false);
+      ("all-bugs plan-diff const-opt", true, [ "plan-diff"; "const-opt" ], false);
+      ("all-bugs metamorphic", true, [ "metamorphic" ], false);
+      ("guided", false, [], true);
+    ]
+  in
+  List.iter
+    (fun (dialect, digests) ->
+      List.iter2
+        (fun (label, all_bugs, flags, guided) expected ->
+          Alcotest.(check string)
+            (Dialect.name dialect ^ " " ^ label)
+            expected
+            (round_digest dialect ~all_bugs ~flags ~guided))
+        configs digests)
+    [
+      ( Dialect.Sqlite_like,
+        [
+          "3df34874b1fae986441d0bee699f5625";
+          "78fecf27bd9d717f7e7d3467ff8946e3";
+          "944d37c01cece7039941004cd7ed63f3";
+          "629f7f07de0063f37b96c5b1d3522b94";
+          "0ebfe587343ad27d5af14fd17b6bb2c2";
+        ] );
+      ( Dialect.Mysql_like,
+        [
+          "c66b0e8159ec0ae79f3343ec2e8b0a18";
+          "fff30f694585a639dbe0994bc5dd29ca";
+          "8554cfc2229ce9e4274e556c7f52a109";
+          "16ec363c66a7e77ef142972afed0c1ed";
+          "e387383fe91d95f86e6309748c3d6004";
+        ] );
+      ( Dialect.Postgres_like,
+        [
+          "a7dba224492d646a9e094f6a42f3c464";
+          "c00064a752db58b334eecaebd232dcd2";
+          "976df008cc46d1503eb1b89ab2788ea8";
+          "36873f3ac34f34c21d4b567c2b4237c1";
+          "ffdb44f2e4013e1c66f9a2ddac8ca0f4";
+        ] );
+    ]
+
 let () =
   Alcotest.run "pqs"
     [
@@ -304,4 +400,6 @@ let () =
       ("reduction", [ Alcotest.test_case "reduce report" `Slow test_reduction ]);
       ( "synthesis",
         [ Alcotest.test_case "draw order" `Quick test_draw_order ] );
+      ( "runner",
+        [ Alcotest.test_case "round golden" `Quick test_round_golden ] );
     ]
