@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test smoke lint plandiff constopt fleet fmt bench telemetry trace frontier profile clean
+.PHONY: all build test smoke lint plandiff constopt fleet fmt telemetry trace frontier profile clean
 
 all: build
 
@@ -34,28 +34,25 @@ fmt:
 		echo "ocamlformat not installed; skipping fmt check"; \
 	fi
 
-bench:
-	$(DUNE) exec bench/main.exe -- campaign
-
 # Telemetry overhead gate: the same campaign with a live registry vs the
 # noop sink (interleaved, best-of-6), asserting identical bug sets and a
 # <5% wall-time overhead.  Writes BENCH_telemetry.json.
 telemetry:
-	$(DUNE) exec bench/main.exe -- quick telemetry
+	$(DUNE) exec bench/main.exe -- telemetry
 
 # Flight-recorder overhead gate: the same campaign with the ring-buffer
 # recorder on vs the noop sink (interleaved, best-of-6), asserting
 # identical bug sets and a <5% wall-time overhead.  Writes
 # BENCH_trace.json.
 trace:
-	$(DUNE) exec bench/main.exe -- quick trace
+	$(DUNE) exec bench/main.exe -- trace
 
 # Coverage-guided generation gate: per-bug blind vs guided time to first
 # detection (guided must re-detect everything blind does — guidance is
 # strictly additive), plus the frontier-accounting overhead estimate
 # (<5% of a blind campaign).  Writes BENCH_frontier.json.
 frontier:
-	$(DUNE) exec bench/main.exe -- quick frontier
+	$(DUNE) exec bench/main.exe -- frontier
 
 # Plan-space differential oracle: bug-free sweeps in every dialect must
 # find no divergence (soundness), each targeted planner-bug sweep must
@@ -68,7 +65,7 @@ plandiff:
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_skip_scan_distinct
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_or_index_dedup
 	$(DUNE) exec bin/sqlancer.exe -- plan-diff -d sqlite -s 1 --databases 300 -b Sq_desc_index_range
-	$(DUNE) exec bench/main.exe -- quick plandiff
+	$(DUNE) exec bench/main.exe -- plandiff
 
 # Constant-optimization oracle gate: the bug-free seed sweep in every
 # dialect must pass (soundness: the simplifier is semantics-preserving),
@@ -82,7 +79,7 @@ constopt:
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_null_and
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_affinity_cmp
 	$(DUNE) exec bin/sqlancer.exe -- const-opt -d sqlite -s 1 --databases 300 -b Sq_fold_not_null_true
-	$(DUNE) exec bench/main.exe -- quick constopt
+	$(DUNE) exec bench/main.exe -- constopt
 
 # Fleet observability gate: scaling (per-core efficiency >= 0.8 at 4
 # workers, core-aware so single-core CI is interpretable), exact merge
@@ -91,7 +88,7 @@ constopt:
 # tail is requeued with no seed lost or double-merged).  Writes
 # BENCH_fleet.json.
 fleet:
-	$(DUNE) exec bench/main.exe -- quick fleet
+	$(DUNE) exec bench/main.exe -- fleet
 
 # Sampling profile of one benchmark workload (W=hunt-default, query-heavy,
 # write-heavy-j2 or bug-hunt): writes profile-$(W).folded (collapsed

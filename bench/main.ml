@@ -1,15 +1,12 @@
-(* Benchmark and evaluation harness.
+(* The CI gate benches and the Bechamel micro-benchmarks.
 
-   `dune exec bench/main.exe` regenerates every table and figure of the
-   paper's evaluation (paper-vs-measured side by side) and then runs the
-   Bechamel micro-benchmarks.  Individual targets:
+     dune exec bench/main.exe -- [telemetry trace frontier plandiff
+                                  constopt fleet micro]
 
-     main.exe [quick|full] [table1 table2 table3 table4 figure2 figure3
-                            perf baselines ablations metamorphic micro]
-
-   `quick` (default) uses the full detection budgets but smaller
-   coverage/throughput/ablation budgets (~5 min total); `full` is the
-   evaluation-grade configuration recorded in EXPERIMENTS.md (~10 min). *)
+   No target runs them all.  Each gate's budget is a constant in its
+   module (`Experiments.*_bench`); `make telemetry` and the like run one
+   gate each.  An unknown target exits 2 before anything runs.  The
+   paper's tables and figures are `bin/experiments.exe`'s. *)
 
 open Bechamel
 open Toolkit
@@ -140,115 +137,28 @@ let run_micro () =
   |> List.iter (fun (name, ns) -> Printf.printf "  %-42s %12s ns/run\n" name ns)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment harness                                                   *)
+(* Targets                                                              *)
 
-type budgets = {
-  detection_budget : int;
-  detection_seeds : int list;
-  coverage_queries : int;
-  throughput_queries : int;
-  ablation_queries : int;
-  fuzzer_budget : int;
-  difftest_budget : int;
-}
-
-(* detection budgets match full mode: hunts terminate at the first finding,
-   so large budgets only cost time for genuinely missed bugs *)
-let quick =
-  {
-    detection_budget = 30000;
-    detection_seeds = [ 7; 77; 777 ];
-    coverage_queries = 1500;
-    throughput_queries = 1500;
-    ablation_queries = 1000;
-    fuzzer_budget = 3000;
-    difftest_budget = 1500;
-  }
-
-let full =
-  {
-    detection_budget = 30000;
-    detection_seeds = [ 7; 77; 777 ];
-    coverage_queries = 5000;
-    throughput_queries = 5000;
-    ablation_queries = 2000;
-    fuzzer_budget = 8000;
-    difftest_budget = 3000;
-  }
-
-let detections = ref None
-
-let get_detections b =
-  match !detections with
-  | Some d -> d
-  | None ->
-      Printf.printf
-        "\nHunting all %d catalog bugs (budget %d queries x %d seeds)...\n%!"
-        (List.length Engine.Bug.all)
-        b.detection_budget
-        (List.length b.detection_seeds);
-      let d =
-        Experiments.Detection.run_all ~budget:b.detection_budget
-          ~seeds:b.detection_seeds ~progress:true ()
-      in
-      detections := Some d;
-      d
-
-let run_target b = function
-  | "table1" -> Experiments.Table1.run ()
-  | "table2" -> Experiments.Table2.run (get_detections b)
-  | "table3" -> Experiments.Table3.run (get_detections b)
-  | "table4" -> Experiments.Table4.run ~coverage_queries:b.coverage_queries ()
-  | "figure2" -> detections := Some (Experiments.Figure2.run (get_detections b))
-  | "figure3" -> detections := Some (Experiments.Figure3.run (get_detections b))
-  | "perf" -> Experiments.Throughput.run ~queries:b.throughput_queries ()
-  | "campaign" ->
-      Experiments.Campaign_bench.run ~domains:4
-        ~databases:(b.throughput_queries / 25) ()
-  | "telemetry" ->
-      Experiments.Telemetry_bench.run ~databases:(b.throughput_queries / 3) ()
-  | "trace" ->
-      Experiments.Trace_bench.run ~databases:(b.throughput_queries / 3) ()
-  | "frontier" ->
-      Experiments.Frontier_bench.run ~budget:(b.throughput_queries / 5)
-        ~overhead_databases:(b.throughput_queries / 12) ()
-  | "plandiff" ->
-      Experiments.Plandiff_bench.run ~databases:(b.throughput_queries / 3) ()
-  | "constopt" ->
-      Experiments.Constopt_bench.run ~databases:(b.throughput_queries / 3) ()
-  | "fleet" ->
-      Experiments.Fleet_bench.run ~workers:4
-        ~databases:(b.throughput_queries / 8) ()
-  | "baselines" ->
-      Experiments.Baseline_cmp.run ~fuzzer_budget:b.fuzzer_budget
-        ~difftest_budget:b.difftest_budget (get_detections b)
-  | "ablations" -> Experiments.Ablations.run ~queries:b.ablation_queries ()
-  | "metamorphic" ->
-      Experiments.Metamorphic_ext.run ~checks:b.ablation_queries ()
-  | "micro" -> run_micro ()
-  | other -> Printf.printf "unknown target: %s\n" other
-
-let all_targets =
+let targets =
   [
-    "table1"; "table2"; "table3"; "table4"; "figure2"; "figure3"; "perf";
-    "campaign"; "telemetry"; "trace"; "frontier"; "plandiff"; "constopt";
-    "fleet";
-    "baselines";
-    "ablations";
-    "metamorphic"; "micro";
+    ("telemetry", Experiments.Telemetry_bench.run);
+    ("trace", Experiments.Trace_bench.run);
+    ("frontier", Experiments.Frontier_bench.run);
+    ("plandiff", Experiments.Plandiff_bench.run);
+    ("constopt", Experiments.Constopt_bench.run);
+    ("fleet", Experiments.Fleet_bench.run);
+    ("micro", run_micro);
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let mode_name, b, targets =
-    match args with
-    | "full" :: rest -> ("full", full, rest)
-    | "quick" :: rest -> ("quick", quick, rest)
-    | rest -> ("quick", quick, rest)
+  let names =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst targets
+    | names -> names
   in
-  let targets = if targets = [] then all_targets else targets in
-  Printf.printf
-    "PQS reproduction evaluation (%s mode) — paper: Rigger & Su, Testing \
-     Database Engines via Pivoted Query Synthesis, OSDI 2020\n"
-    mode_name;
-  List.iter (run_target b) targets
+  match List.filter (fun t -> not (List.mem_assoc t targets)) names with
+  | t :: _ ->
+      Printf.eprintf "unknown target: %s (targets: %s)\n" t
+        (String.concat " " (List.map fst targets));
+      exit 2
+  | [] -> List.iter (fun t -> List.assoc t targets ()) names

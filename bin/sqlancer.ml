@@ -898,16 +898,12 @@ let metamorphic dialect seed checks bug =
     Pqs.Metamorphic.run ~seed ~bugs:(bugs_of_option bug) ~max_checks:checks
       dialect
   in
-  Printf.printf "checks=%d skipped=%d violations=%d
-"
+  Printf.printf "checks=%d skipped=%d violations=%d\n"
     stats.Pqs.Metamorphic.checks stats.Pqs.Metamorphic.skipped
     (List.length stats.Pqs.Metamorphic.findings);
   List.iter
     (fun (msg, script) ->
-      Printf.printf "
-%s
-%s
-" msg
+      Printf.printf "\n%s\n%s\n" msg
         (Sqlast.Sql_printer.script dialect script))
     stats.Pqs.Metamorphic.findings;
   if stats.Pqs.Metamorphic.findings = [] then 0 else 1

@@ -347,14 +347,7 @@ let () =
     | A.F_sub _ -> []
   in
   let recheck ~dialect ~bugs ~oracle:_ stmts =
-    let session = Engine.Session.create ~bugs dialect in
-    (try
-       List.iter
-         (fun stmt ->
-           match Engine.Session.execute session stmt with
-           | Ok _ | Error _ -> ())
-         stmts
-     with Engine.Errors.Crash _ -> ());
+    let session = Oracle.Registry.replay ~dialect ~bugs stmts in
     match List.rev stmts with
     | A.Select_stmt
         (A.Q_compound (A.Intersect, A.Q_values _, A.Q_select sel) as q)
@@ -382,14 +375,9 @@ let () =
             [ [] ] infos
           |> List.map List.rev
         in
-        let rec take n = function
-          | [] -> []
-          | _ when n <= 0 -> []
-          | x :: rest -> x :: take (n - 1) rest
-        in
         List.exists
           (fun pivot -> reproduce session ~pivot q)
-          (take 64 candidates)
+          (List.filteri (fun i _ -> i < 64) candidates)
     | _ -> false
   in
   Oracle.Registry.register

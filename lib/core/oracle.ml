@@ -137,6 +137,17 @@ module Registry = struct
     List.find_opt
       (fun e -> List.exists (Bug_report.equal_oracle kind) e.reg_kinds)
       !entries
+
+  let replay ~dialect ~bugs stmts =
+    let session = Engine.Session.create ~bugs dialect in
+    (try
+       List.iter
+         (fun stmt ->
+           match Engine.Session.execute session stmt with
+           | Ok _ | Error _ -> ())
+         stmts
+     with Engine.Errors.Crash _ -> ());
+    session
 end
 
 (* the paper's trio is always on and rechecks by replaying the script *)

@@ -151,4 +151,13 @@ module Registry : sig
 
   (** The entry whose [reg_kinds] contains the report kind. *)
   val find_kind : Bug_report.oracle -> entry option
+
+  val replay :
+    dialect:Sqlval.Dialect.t ->
+    bugs:Engine.Bug.set ->
+    Sqlast.Ast.stmt list ->
+    Engine.Session.t
+  (** The prologue of a [Custom] recheck: run the script on a fresh
+      session, ignoring statement errors and stopping at the first crash,
+      and return the session for the oracle to re-derive its verdict on. *)
 end

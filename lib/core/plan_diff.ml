@@ -129,11 +129,6 @@ and sub_sites session (it : A.from_item) acc =
       sub_sites session right (sub_sites session left acc)
   | A.F_sub { sub; _ } -> scan_sites session sub acc
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 (* ------------------------------------------------------------------ *)
 (* Minimal per-site reproductions                                      *)
 
@@ -199,7 +194,8 @@ let rec cap_groups n = function
   | g :: rest ->
       let k = List.length g.vg_forces in
       if k <= n then g :: cap_groups (n - k) rest
-      else [ { g with vg_forces = take n g.vg_forces } ]
+      else
+        [ { g with vg_forces = List.filteri (fun i _ -> i < n) g.vg_forces } ]
 
 let variant_groups ?(max_plans = 4) session (q : A.query) :
     variant_group list =
@@ -272,7 +268,7 @@ let enumerate_forced ?(max_plans = 4) session (q : A.query) :
         [ { Engine.Executor.f_sites = []; f_swap_join = true } ]
       else []
     in
-    take max_plans (swaps @ sites)
+    List.filteri (fun i _ -> i < max_plans) (swaps @ sites)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +414,7 @@ let check_join_orders ?(max_pairs = 2) session : outcome =
           | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
           | _ -> []
         in
-        take max_pairs (consecutive ts)
+        List.filteri (fun i _ -> i < max_pairs) (consecutive ts)
   in
   run_groups session
     (List.map
@@ -608,14 +604,7 @@ let exclusive_seeds (r : sweep_result) =
    multi-plan comparison, so reduced scripts must keep diverging *)
 let () =
   let recheck ~dialect ~bugs ~oracle:_ stmts =
-    let session = Engine.Session.create ~bugs dialect in
-    (try
-       List.iter
-         (fun stmt ->
-           match Engine.Session.execute session stmt with
-           | Ok _ | Error _ -> ())
-         stmts
-     with Engine.Errors.Crash _ -> ());
+    let session = Oracle.Registry.replay ~dialect ~bugs stmts in
     let diverged check =
       match check session with
       | oc -> oc.oc_divergence <> None

@@ -68,7 +68,7 @@ let depth_sweep ~samples =
       (max_depth, float_of_int !sizes /. float_of_int samples, !failures))
     [ 2; 4; 6; 8; 10 ]
 
-let run ?(queries = 1500) () =
+let run ~queries () =
   (* 1. rectification *)
   let rows =
     rectification ~queries

@@ -41,7 +41,7 @@ let count_class detections oracle =
            oracle)
        detections)
 
-let run ?(fuzzer_budget = 5000) ?(difftest_budget = 2000) (det : Detection.t) =
+let run ~fuzzer_budget ~difftest_budget (det : Detection.t) =
   let pqs_found = List.length (Detection.detected det) in
   let fuzz = fuzzer_detections ~budget:fuzzer_budget in
   let diff = difftest_detections ~budget:difftest_budget in

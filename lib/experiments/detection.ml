@@ -27,8 +27,10 @@ let hunt_bug ~budget ~seeds bug =
   in
   go seeds
 
-let run_all ?(budget = 30000) ?(seeds = [ 7; 77; 777 ]) ?(progress = false) ()
-    =
+let budget = 30000
+let seeds = [ 7; 77; 777 ]
+
+let run_all ?(progress = false) () =
   List.map
     (fun bug ->
       let report = hunt_bug ~budget ~seeds bug in

@@ -9,10 +9,17 @@ type outcome = {
 
 type t = outcome list
 
-(** Hunt each bug with the given per-seed query budget (seeds are retried
-    in order until a finding).  [progress] prints one line per bug. *)
-val run_all :
-  ?budget:int -> ?seeds:int list -> ?progress:bool -> unit -> t
+(** The detection budget: each hunt runs up to [budget] queries per seed,
+    retrying [seeds] in order until a finding.  The paper driver
+    ([bin/experiments.exe], both modes) and the detection-matrix test
+    read these. *)
+val budget : int
+
+val seeds : int list
+
+(** Hunt each bug at the detection budget.  [progress] prints one line
+    per bug. *)
+val run_all : ?progress:bool -> unit -> t
 
 val detected : t -> outcome list
 val missed : t -> outcome list

@@ -100,7 +100,11 @@ let json ~dialect ~databases ~workers ~cores ~rate1 ~raten ~scaling
     ]
   ^ "\n"
 
-let run ?(workers = 4) ?(databases = 192) ?(out = "BENCH_fleet.json") () =
+let workers = 4
+let databases = 187
+let out = "BENCH_fleet.json"
+
+let run () =
   let dialect = Dialect.Sqlite_like in
   let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect) in
   let seed_lo = 1 and seed_hi = 1 + databases in

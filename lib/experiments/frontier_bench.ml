@@ -88,8 +88,11 @@ let json ~budget ~bugs ~speedup ~meets_target ~blind_detected
     @ [ "  ]"; "}" ])
   ^ "\n"
 
-let run ?(budget = 2000) ?(overhead_databases = 80)
-    ?(out = "BENCH_frontier.json") () =
+let budget = 300
+let overhead_databases = 125
+let out = "BENCH_frontier.json"
+
+let run () =
   let dialect = Dialect.Sqlite_like in
   let catalog = Engine.Bug.for_dialect dialect in
   let rows =

@@ -7,7 +7,7 @@
 
 open Sqlval
 
-let run ?(checks = 1000) () =
+let run ~checks () =
   let rows =
     List.map
       (fun d ->

@@ -37,7 +37,10 @@ let json ~dialect ~databases ~off_wall ~on_wall ~overhead ~identical
     ]
   ^ "\n"
 
-let run ?(databases = 300) ?(out = "BENCH_plandiff.json") () =
+let databases = 500
+let out = "BENCH_plandiff.json"
+
+let run () =
   let dialect = Dialect.Sqlite_like in
   let seed_lo = 1 and seed_hi = 1 + databases in
   let campaign ~plan_diff () =

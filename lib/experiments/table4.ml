@@ -69,7 +69,7 @@ let coverage_run dialect ~queries =
   ignore (Pqs.Runner.run ~max_queries:queries config);
   cov
 
-let run ?(coverage_queries = 2000) () =
+let run ~coverage_queries () =
   (match find_repo_root (Sys.getcwd ()) with
   | None ->
       Printf.printf

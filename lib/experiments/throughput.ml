@@ -35,7 +35,7 @@ let rows_sweep ~queries =
       (max_rows, stats, elapsed))
     [ 5; 15; 30; 100 ]
 
-let run ?(queries = 2000) () =
+let run ~queries () =
   let rows =
     per_dialect ~queries
     |> List.map (fun (d, (stats : Pqs.Stats.t), elapsed) ->

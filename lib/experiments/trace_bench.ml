@@ -31,7 +31,10 @@ let json ~dialect ~databases ~off_wall ~on_wall ~overhead ~identical
     ]
   ^ "\n"
 
-let run ?(databases = 300) ?(out = "BENCH_trace.json") () =
+let databases = 500
+let out = "BENCH_trace.json"
+
+let run () =
   let dialect = Dialect.Sqlite_like in
   let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect) in
   let seed_lo = 1 and seed_hi = 1 + databases in

@@ -16,10 +16,10 @@ let strip_reports (s : Pqs.Stats.t) = { s with Pqs.Stats.reports = [] }
 let test_determinism () =
   let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect Dialect.Sqlite_like) in
   let config = Pqs.Runner.Config.make ~bugs Dialect.Sqlite_like in
-  let seq = Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:25 config in
-  let par = Pqs.Campaign.run ~domains:4 ~seed_lo:1 ~seed_hi:25 config in
+  let seq = Pqs.Campaign.run ~domains:1 ~seed_lo:1 ~seed_hi:65 config in
+  let par = Pqs.Campaign.run ~domains:4 ~seed_lo:1 ~seed_hi:65 config in
   Alcotest.(check int)
-    "same database count" 25 (par.Pqs.Campaign.stats.Pqs.Stats.databases + 1);
+    "same database count" 65 (par.Pqs.Campaign.stats.Pqs.Stats.databases + 1);
   Alcotest.(check bool) "campaign found bugs to compare" true
     (Pqs.Campaign.reports seq <> []);
   Alcotest.(check (list (pair (pair int string) (pair string string))))
@@ -33,7 +33,7 @@ let test_determinism () =
   (* and outcomes come back in ascending seed order regardless of worker *)
   let seeds = List.map (fun o -> o.Pqs.Campaign.seed) par.Pqs.Campaign.outcomes in
   Alcotest.(check (list int)) "outcomes sorted by seed"
-    (List.init 24 (fun i -> i + 1))
+    (List.init 64 (fun i -> i + 1))
     seeds
 
 let test_coverage_merging () =

@@ -306,7 +306,7 @@ let test_detects bug () =
 let test_detection_matrix () =
   (* the cross-oracle matrix: hunting the whole injected catalog, every
      bug class must fall to at least one oracle *)
-  let d = Experiments.Detection.run_all ~budget:30000 ~seeds:[ 7; 77; 777 ] () in
+  let d = Experiments.Detection.run_all () in
   let missed =
     Experiments.Detection.missed d
     |> List.map (fun (o : Experiments.Detection.outcome) ->
