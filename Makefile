@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test smoke lint plandiff constopt fleet fmt telemetry trace frontier profile clean
+.PHONY: all build test smoke lint plandiff constopt fleet fmt telemetry trace frontier profile loc clean
 
 all: build
 
@@ -97,6 +97,15 @@ fleet:
 W ?= hunt-default
 profile:
 	$(DUNE) exec bench/profile.exe -- --workload $(W)
+
+# Source line counts of lib/, bin/ and bench/ (.ml, .mli and dune files),
+# the figures CHANGES.md and ROADMAP.md record.
+loc:
+	@for d in lib bin bench; do \
+		printf '%-6s ' $$d; \
+		find $$d \( -name '*.ml' -o -name '*.mli' -o -name dune \) -print0 \
+			| xargs -0 cat | wc -l; \
+	done
 
 clean:
 	$(DUNE) clean

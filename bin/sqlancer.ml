@@ -8,8 +8,8 @@
      # hunt a specific injected bug and print the reduced reproduction
      sqlancer hunt --dialect sqlite --bug Sq_partial_index_implies_not_null
 
-     # free run against a correct engine (should find nothing)
-     sqlancer run --dialect postgres --queries 5000 *)
+     # a campaign against a correct engine (should find nothing)
+     sqlancer campaign --dialect postgres --databases 300 *)
 
 open Cmdliner
 
@@ -189,7 +189,7 @@ let hunt_cmd =
       const hunt $ dialect_arg $ bug_arg $ seed_arg $ queries_arg $ no_reduce
       $ bundles_arg $ trace_sample_arg)
 
-(* ---- run ---- *)
+(* ---- campaign ---- *)
 
 let metrics_arg =
   Arg.(
@@ -203,44 +203,8 @@ let metrics_arg =
 let write_metrics tele = function
   | None -> ()
   | Some path ->
-      Telemetry.write_file tele path;
+      Telemetry.write_file_atomic tele path;
       Printf.printf "metrics written to %s\n" path
-
-let run dialect seed queries all_bugs extra_oracles metrics bundles
-    trace_sample =
-  let bugs =
-    if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
-    else Engine.Bug.empty_set
-  in
-  let oracles = oracles_of extra_oracles in
-  let telemetry =
-    if metrics = None then Telemetry.noop else Telemetry.create ()
-  in
-  let config =
-    Pqs.Runner.Config.make ~seed ~bugs ~oracles ~telemetry
-      ?bundle_dir:bundles ~trace_sample dialect
-  in
-  let stats = Pqs.Runner.run ~max_queries:queries config in
-  print_endline (Pqs.Stats.summary stats);
-  write_metrics telemetry metrics;
-  List.iter (print_report ~reduce:true ~bugs) stats.Pqs.Stats.reports;
-  if stats.Pqs.Stats.reports = [] then 0 else 1
-
-let run_cmd =
-  let all_bugs =
-    Arg.(
-      value & flag
-      & info [ "all-bugs" ]
-          ~doc:"enable every catalog bug of the dialect (default: none)")
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"run the PQS loop and report findings")
-    Term.(
-      const run $ dialect_arg $ seed_arg $ queries_arg $ all_bugs
-      $ oracle_flags $ metrics_arg $ bundles_arg
-      $ trace_sample_arg)
-
-(* ---- campaign ---- *)
 
 (* campaign findings, deduplicated by minimized-repro fingerprint: the
    same engine defect found from many seeds prints once, with a count *)
@@ -784,9 +748,6 @@ let sweep_databases =
     & info [ "databases" ] ~docv:"N"
         ~doc:"seed range size: one database per seed")
 
-let sweep_queries_per_seed ~doc =
-  Arg.(value & opt int 3 & info [ "queries-per-seed" ] ~docv:"N" ~doc)
-
 let sweep_bug =
   Arg.(
     value
@@ -809,10 +770,9 @@ let sweep_exit bug divergences =
     divergences;
   if (divergences <> []) = Option.is_some bug then 0 else 1
 
-let lint dialect seed databases queries_per_seed =
+let lint dialect seed databases =
   let r =
-    Pqs.Corpus.lint ~queries_per_seed ~seed_lo:seed
-      ~seed_hi:(seed + databases - 1) dialect
+    Pqs.Corpus.lint ~seed_lo:seed ~seed_hi:(seed + databases - 1) dialect
   in
   Printf.printf "seeds=%d statements=%d queries=%d findings=%d\n"
     r.Pqs.Corpus.lint_seeds r.Pqs.Corpus.lint_statements
@@ -828,14 +788,11 @@ let lint_cmd =
           containment queries over it; a query's type error, or a \
           generated statement or query that does not survive printer and \
           parser, is a generator or parser defect")
-    Term.(
-      const lint $ dialect_arg $ seed_arg $ sweep_databases
-      $ sweep_queries_per_seed ~doc:"containment queries checked per seed")
+    Term.(const lint $ dialect_arg $ seed_arg $ sweep_databases)
 
-let plan_diff dialect seed databases queries_per_seed max_plans bug =
+let plan_diff dialect seed databases bug =
   let r =
-    Pqs.Plan_diff.sweep ~queries_per_seed ~max_plans
-      ~bugs:(bugs_of_option bug) ~seed_lo:seed
+    Pqs.Plan_diff.sweep ~bugs:(bugs_of_option bug) ~seed_lo:seed
       ~seed_hi:(seed + databases - 1) dialect
   in
   let exclusive = Pqs.Plan_diff.exclusive_seeds r in
@@ -850,12 +807,6 @@ let plan_diff dialect seed databases queries_per_seed max_plans bug =
   sweep_exit bug r.Pqs.Plan_diff.pd_divergences
 
 let plan_diff_cmd =
-  let max_plans =
-    Arg.(
-      value & opt int 4
-      & info [ "max-plans" ] ~docv:"N"
-          ~doc:"forced-plan fan-out cap per query")
-  in
   Cmd.v
     (Cmd.info "plan-diff"
        ~doc:
@@ -863,14 +814,12 @@ let plan_diff_cmd =
           corpus: every query executed under each enumerable plan, result \
           multisets cross-checked")
     Term.(
-      const plan_diff $ dialect_arg $ seed_arg $ sweep_databases
-      $ sweep_queries_per_seed ~doc:"pivoted queries checked per seed"
-      $ max_plans $ sweep_bug)
+      const plan_diff $ dialect_arg $ seed_arg $ sweep_databases $ sweep_bug)
 
-let const_opt dialect seed databases queries_per_seed bug =
+let const_opt dialect seed databases bug =
   let r =
-    Pqs.Const_opt.sweep ~queries_per_seed ~bugs:(bugs_of_option bug)
-      ~seed_lo:seed ~seed_hi:(seed + databases - 1) dialect
+    Pqs.Const_opt.sweep ~bugs:(bugs_of_option bug) ~seed_lo:seed
+      ~seed_hi:(seed + databases - 1) dialect
   in
   Printf.printf
     "seeds=%d queries=%d const-checks=%d rewrites=%d divergences=%d\n"
@@ -887,9 +836,7 @@ let const_opt_cmd =
           corpus: pivot values folded into each containment query as \
           constants, the simplified variant re-executed and cross-checked")
     Term.(
-      const const_opt $ dialect_arg $ seed_arg $ sweep_databases
-      $ sweep_queries_per_seed ~doc:"pivoted queries checked per seed"
-      $ sweep_bug)
+      const const_opt $ dialect_arg $ seed_arg $ sweep_databases $ sweep_bug)
 
 (* ---- metamorphic ---- *)
 
@@ -937,7 +884,6 @@ let () =
             list_bugs_cmd;
             list_oracles_cmd;
             hunt_cmd;
-            run_cmd;
             campaign_cmd;
             fleet_cmd;
             top_cmd;

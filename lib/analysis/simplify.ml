@@ -325,7 +325,10 @@ let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
   in
   simp ~bool_ctx:true "query.where" root
 
-let simplify ?(max_passes = 4) (env : E.env) (e : A.expr) : result =
+(* rewrite passes before giving up on a fixpoint *)
+let max_passes = 4
+
+let simplify (env : E.env) (e : A.expr) : result =
   let trail = ref [] in
   let rec go n e =
     if n <= 0 then e

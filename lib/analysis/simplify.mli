@@ -32,4 +32,4 @@ type result = {
 
 (** Simplify under the given environment (build one with
     {!Const_fold.env} / {!Const_fold.const_env}). *)
-val simplify : ?max_passes:int -> Engine.Eval.env -> Sqlast.Ast.expr -> result
+val simplify : Engine.Eval.env -> Sqlast.Ast.expr -> result

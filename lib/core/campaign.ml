@@ -275,18 +275,6 @@ let run ?domains ?trace ?chrome_trace ?frontier_json ?metrics_every
               (Frontier.points o.round.Stats.frontier))
           outcomes
       end;
-      (* final periodic export: the full post-join registry (with the
-         phase histograms the mid-run snapshots cannot carry) *)
-      (match (metrics_every, metrics_path) with
-      | Some _, Some path -> (
-          let reg =
-            if telemetry_enabled then config.Runner.Config.telemetry
-            else
-              progress_registry ~domains ~seeds:(List.length seeds) ~elapsed
-                ~dialect stats
-          in
-          try Telemetry.write_file_atomic reg path with Sys_error _ -> ())
-      | _ -> ());
       (match frontier_json with
       | Some path -> (
           let bundles =

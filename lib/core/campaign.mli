@@ -79,8 +79,10 @@ val size_minor_heap : unit -> unit
       rename ({!Telemetry.write_atomic}) so a Prometheus scraper never
       reads a partial file.  Mid-run snapshots carry the merged counter
       and frontier-gauge projection of the completed rounds (worker
-      registries are single-owner, so phase histograms appear only in
-      the final export written when the campaign ends).
+      registries are single-owner, so phase histograms appear only once
+      they merge into [config]'s registry after the join).  [run] writes
+      no final export: the caller writes that registry once it returns
+      ([sqlancer campaign --metrics] does, atomically).
     @param metrics_path
       target of the periodic export: Prometheus text format, or a JSON
       snapshot when the path ends in [.json]

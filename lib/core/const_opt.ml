@@ -282,8 +282,8 @@ let directed_probes (ti : Schema_info.table_info) (row : Value.t array) :
       in
       (probe_a :: probe_c :: Option.to_list probe_b)
 
-let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set) ~seed_lo
-    ~seed_hi dialect : sweep_result =
+let sweep ?(bugs = Engine.Bug.empty_set) ~seed_lo ~seed_hi dialect :
+    sweep_result =
   let queries = ref 0 in
   let checks = ref 0 and rewrites = ref 0 in
   let divergences = ref [] in
@@ -306,7 +306,7 @@ let sweep ?(queries_per_seed = 3) ?(bugs = Engine.Bug.empty_set) ~seed_lo
                   (seed, message session q' r) :: !divergences
           | _ -> ())
     in
-    for _ = 1 to queries_per_seed do
+    for _ = 1 to Corpus.queries_per_seed do
       match Corpus.query db sources with
       | Some (pivot, t) -> (
           match Gen_query.containment_stmt t with

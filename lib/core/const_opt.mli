@@ -66,7 +66,6 @@ type sweep_result = {
     divergences (the soundness gate); with one of the constant-folding
     bugs injected it must find them. *)
 val sweep :
-  ?queries_per_seed:int ->
   ?bugs:Engine.Bug.set ->
   seed_lo:int ->
   seed_hi:int ->

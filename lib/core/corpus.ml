@@ -82,6 +82,8 @@ let query db = function
       in
       attempt 5
 
+let queries_per_seed = 3
+
 type lint = {
   lint_seeds : int;
   lint_statements : int;
@@ -99,7 +101,7 @@ let fold_negated_literals =
     | A.Unary (A.Neg, A.Lit (Value.Real f)) -> A.Lit (Value.Real (-.f))
     | e -> e)
 
-let lint ?(queries_per_seed = 3) ~seed_lo ~seed_hi dialect =
+let lint ~seed_lo ~seed_hi dialect =
   let statements = ref 0 and queries = ref 0 and findings = ref [] in
   let text s = Sqlast.Sql_printer.stmt dialect (fold_negated_literals s) in
   let note seed sql problem =

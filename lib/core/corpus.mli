@@ -48,6 +48,9 @@ val pick_pivot : Rng.t -> source list -> pivot
     a draw when [sources] is empty). *)
 val query : t -> source list -> (pivot * Gen_query.t) option
 
+(** Queries each seed sweep draws per seed with {!query} (3). *)
+val queries_per_seed : int
+
 type lint = {
   lint_seeds : int;
   lint_statements : int;  (** generated DDL/DML statements round-tripped *)
@@ -59,12 +62,11 @@ type lint = {
 (** The [lint] sweep ([sqlancer lint], [make lint]): build each seed's
     database in [seed_lo..seed_hi] on the bug-free engine, print and
     re-parse every statement of its {!t.script}, then draw
-    [queries_per_seed] (default 3) containment queries with {!query} and
-    run, print and re-parse each one.  A finding is a query the engine
+    {!queries_per_seed} containment queries with {!query} and run, print
+    and re-parse each one.  A finding is a query the engine
     rejects with [Type_error] (the generator emitted an ill-typed
     statement) or a statement that does not come back from printer→parser
     as the same AST, modulo the parser's fold of a negated numeric
     literal ([- 5] reads as the literal [-5]).  Replay and reduction
     depend on that round trip. *)
-val lint :
-  ?queries_per_seed:int -> seed_lo:int -> seed_hi:int -> Dialect.t -> lint
+val lint : seed_lo:int -> seed_hi:int -> Dialect.t -> lint

@@ -78,7 +78,10 @@ let containment : t =
         else Pass
     | _ -> Pass)
 
-let metamorphic ?(checks_per_db = 4) () : t =
+(* partition checks per database *)
+let checks_per_db = 4
+
+let metamorphic () : t =
   make ~name:"metamorphic" (fun ctx -> function
     | Database_ready ->
         let tables = Schema_info.tables_of_session ctx.ctx_session in

@@ -87,10 +87,9 @@ val crash_oracle : t
 val containment : t
 
 (** Metamorphic aggregate-partition oracle (paper Section 7 future work):
-    on [Database_ready], checks up to [checks_per_db] random partition
-    relations via {!Metamorphic.check}.  Reports under
-    {!Bug_report.Metamorphic}. *)
-val metamorphic : ?checks_per_db:int -> unit -> t
+    on [Database_ready], checks up to four random partition relations via
+    {!Metamorphic.check}.  Reports under {!Bug_report.Metamorphic}. *)
+val metamorphic : unit -> t
 
 (** [error_oracle; crash_oracle; containment] — the paper's oracle set and
     the runner default. *)

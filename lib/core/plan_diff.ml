@@ -3,37 +3,24 @@
    PQS validates one execution per query, so planner defects that only
    fire under a particular access path (skip scans, OR-index dedup, DESC
    index ranges) are caught only when the default plan happens to take
-   that path.  This oracle turns the planner itself into a test surface:
-   each synthesized SELECT is re-executed under every enumerable plan
-   ({!Engine.Planner.enumerate} + forced join orders) and the result
-   multisets are cross-checked.  Any divergence is a bug by construction —
-   with no injected defects every enumerated path is a sound superset of
-   the matching rows and the executor re-applies the WHERE filter, so all
-   plans must agree.
+   that path.  Here each scan site of a synthesized SELECT runs under its
+   enumerable plans ({!Engine.Planner.enumerate}) and each join under
+   both join orders, and the result multisets must agree: with no
+   injected defect every enumerated path is a sound superset of the
+   matching rows and the executor re-applies the WHERE filter.
 
-   The differential does not re-run the whole query per plan — the
+   Only minimal witnesses run per plan, never the whole query: the
    projections, sorts, compound arms and subqueries around a scan are
-   plan-invariant, so re-evaluating them per forced plan would roughly
-   double the campaign's query cost for no extra signal.  Instead each
-   scan site is reduced to a minimal reproduction
-   [SELECT (DISTINCT) * FROM site WHERE site-where] (DISTINCT copied from
-   the owning select because distinct-sensitive access paths behave
-   differently under it), and only that witness is executed under the
-   default and each forced plan.  The join-order swap is likewise checked
-   through minimal two-table witnesses, once per database
-   ({!check_join_orders}) since its signal does not depend on the
-   surrounding query.  Witnesses carry no LIMIT/OFFSET/GROUP BY/ORDER
-   BY, so their results are scan-order-insensitive by construction and
-   can be compared as multisets under {!Engine.Executor.Row_eq}, the
-   same typed row identity the engine's own DISTINCT and compound dedup
-   use (integral Reals and Bools are Ints; other Reals match on their 12
-   significant digits).  A divergence report therefore already carries a
-   minimal, self-contained witness query.
-
-   ({!query_stable} remains the guard for whole-query forcing via
-   {!enumerate_forced}: LIMIT/OFFSET break ties by scan order, and a
-   grouped select picks representative tuples in scan order unless every
-   output is a group key or an order-insensitive aggregate.)
+   plan-invariant, and re-running them would roughly double the
+   campaign's query cost for no extra signal.  A scan site's witness is
+   [SELECT (DISTINCT) * FROM site WHERE site-where], with [max_plans]
+   forced runs per query in all; the join swap's is a two-table product,
+   checked once per database over [max_pairs] table pairs
+   ({!check_join_orders}).  Witnesses carry no LIMIT/OFFSET/GROUP BY/ORDER
+   BY, so their results are scan-order-insensitive and compare as
+   multisets under {!Engine.Executor.Row_eq}, the row identity of the
+   engine's own DISTINCT and compound dedup.  A divergence report
+   therefore already carries a minimal, self-contained witness query.
 
    Campaign neutrality: re-executions go through
    {!Engine.Session.query_forced} (no statement counting, no coverage
@@ -43,91 +30,11 @@
 open Sqlval
 module A = Sqlast.Ast
 
-(* ------------------------------------------------------------------ *)
-(* Order-stability guard                                               *)
+(* Forced runs per synthesized query, summed over its scan sites. *)
+let max_plans = 4
 
-let agg_order_insensitive = function
-  | A.A_count_star | A.A_count | A.A_min | A.A_max -> true
-  | A.A_sum | A.A_avg | A.A_total -> false
-
-let select_has_agg (s : A.select) =
-  s.A.sel_group_by <> []
-  || List.exists
-       (function
-         | A.Sel_expr (e, _) -> A.has_agg e
-         | A.Star | A.Table_star _ -> false)
-       s.A.sel_items
-  || (match s.A.sel_having with Some h -> A.has_agg h | None -> false)
-
-(* Is one output expression of an aggregate select independent of which
-   tuple represents its group?  Either it is a whole order-insensitive
-   aggregate, or it is aggregate-free and equal to a group key. *)
-let agg_output_stable group_by e =
-  match e with
-  | A.Agg (f, _) -> agg_order_insensitive f
-  | e ->
-      (not (A.has_agg e)) && List.exists (fun g -> A.equal_expr g e) group_by
-
-let rec query_stable (q : A.query) =
-  match q with
-  | A.Q_values _ -> true
-  | A.Q_compound (_, a, b) -> query_stable a && query_stable b
-  | A.Q_select s ->
-      s.A.sel_limit = None
-      && s.A.sel_offset = None
-      && List.for_all from_stable s.A.sel_from
-      && (if select_has_agg s then
-            s.A.sel_having = None
-            && List.for_all
-                 (function
-                   | A.Sel_expr (e, _) -> agg_output_stable s.A.sel_group_by e
-                   | A.Star | A.Table_star _ -> false)
-                 s.A.sel_items
-            && List.for_all
-                 (fun (e, _) -> agg_output_stable s.A.sel_group_by e)
-                 s.A.sel_order_by
-          else true)
-
-and from_stable = function
-  | A.F_table _ -> true
-  | A.F_join { left; right; _ } -> from_stable left && from_stable right
-  | A.F_sub { sub; _ } -> query_stable sub
-
-(* ------------------------------------------------------------------ *)
-(* Forced-plan enumeration                                             *)
-
-(* Single-base-table scan sites (the shapes the planner handles), each
-   with its effective alias, WHERE clause — the key under which the
-   executor applies a forced path — and the owning select's DISTINCT
-   flag (distinct-sensitive paths must see it). *)
-let rec scan_sites session (q : A.query) acc =
-  match q with
-  | A.Q_values _ -> acc
-  | A.Q_compound (_, a, b) -> scan_sites session b (scan_sites session a acc)
-  | A.Q_select s -> (
-      let acc =
-        List.fold_left (fun acc it -> sub_sites session it acc) acc s.A.sel_from
-      in
-      match s.A.sel_from with
-      | [ A.F_table { name; alias } ] -> (
-          let catalog = Engine.Session.catalog session in
-          match Storage.Catalog.find_table catalog name with
-          | Some ts ->
-              ( Option.value ~default:name alias,
-                name,
-                ts.Storage.Catalog.schema,
-                s.A.sel_where,
-                s.A.sel_distinct )
-              :: acc
-          | None -> acc)
-      | _ -> acc)
-
-and sub_sites session (it : A.from_item) acc =
-  match it with
-  | A.F_table _ -> acc
-  | A.F_join { left; right; _ } ->
-      sub_sites session right (sub_sites session left acc)
-  | A.F_sub { sub; _ } -> scan_sites session sub acc
+(* Catalog table pairs the per-database join-order check swaps. *)
+let max_pairs = 2
 
 (* ------------------------------------------------------------------ *)
 (* Minimal per-site reproductions                                      *)
@@ -149,43 +56,93 @@ let minimal_select ~distinct ~from ~where =
       sel_offset = None;
     }
 
-(* Selects whose own FROM the executor can run right-major (a two-item
-   comma FROM or an inner/cross F_join), shallowly: joins inside an F_sub
-   are collected as their own sites by the recursion. *)
-let rec join_sites (q : A.query) acc =
-  match q with
-  | A.Q_values _ -> acc
-  | A.Q_compound (_, a, b) -> join_sites b (join_sites a acc)
-  | A.Q_select s ->
-      let acc =
-        List.fold_left (fun acc it -> item_join_sites it acc) acc s.A.sel_from
-      in
-      let swappable =
-        (match s.A.sel_from with [ _; _ ] -> true | _ -> false)
-        || List.exists item_has_swappable s.A.sel_from
-      in
-      if swappable then (s.A.sel_distinct, s.A.sel_from, s.A.sel_where) :: acc
-      else acc
-
-and item_join_sites (it : A.from_item) acc =
-  match it with
-  | A.F_table _ -> acc
-  | A.F_join { left; right; _ } ->
-      item_join_sites right (item_join_sites left acc)
-  | A.F_sub { sub; _ } -> join_sites sub acc
-
-and item_has_swappable = function
-  | A.F_table _ | A.F_sub _ -> false
-  | A.F_join { kind = A.Inner | A.Cross; _ } -> true
-  | A.F_join { kind = A.Left; left; right; _ } ->
-      item_has_swappable left || item_has_swappable right
-
 (* One comparison unit: a minimal witness query and the forced plans to
    re-run it under (each compared against its default execution). *)
 type variant_group = {
   vg_query : A.query;
   vg_forces : Engine.Executor.forced list;
 }
+
+(* One single-base-table scan site (the shape the planner handles): its
+   witness and one force per enumerated path other than the planner's
+   default, keyed by the site's effective alias and WHERE clause as the
+   executor applies a forced path.  DISTINCT is copied from the owning
+   select because distinct-sensitive paths must see it. *)
+let site_group session ~name ~alias ~where ~distinct =
+  let catalog = Engine.Session.catalog session in
+  match Storage.Catalog.find_table catalog name with
+  | None -> None
+  | Some ts -> (
+      let schema = ts.Storage.Catalog.schema in
+      (* coverage is stripped: plan enumeration is oracle work and must
+         not add coverage hits the campaign would not have *)
+      let env =
+        {
+          (Engine.Executor.table_env (Engine.Session.ctx session) schema
+             ~alias)
+          with
+          Engine.Eval.coverage = None;
+        }
+      in
+      let default = Engine.Planner.choose env catalog schema ~where in
+      let dsig = Engine.Planner.signature default in
+      let force p =
+        {
+          Engine.Executor.f_sites =
+            [
+              {
+                Engine.Executor.fs_alias = String.lowercase_ascii alias;
+                fs_table = String.lowercase_ascii name;
+                fs_where = where;
+                fs_path = p;
+              };
+            ];
+          f_swap_join = false;
+        }
+      in
+      match
+        Engine.Planner.enumerate env catalog schema ~where
+        |> List.filter (fun p -> Engine.Planner.signature p <> dsig)
+      with
+      | [] -> None
+      | paths ->
+          Some
+            {
+              vg_query =
+                minimal_select ~distinct
+                  ~from:[ A.F_table { name; alias = Some alias } ]
+                  ~where;
+              vg_forces = List.map force paths;
+            })
+
+(* Prepends each scan site's group to [acc], visiting a select's FROM
+   subqueries before its own site. *)
+let rec site_groups session (q : A.query) acc =
+  match q with
+  | A.Q_values _ -> acc
+  | A.Q_compound (_, a, b) -> site_groups session b (site_groups session a acc)
+  | A.Q_select s -> (
+      let acc =
+        List.fold_left (fun acc it -> item_groups session it acc) acc
+          s.A.sel_from
+      in
+      match s.A.sel_from with
+      | [ A.F_table { name; alias } ] -> (
+          match
+            site_group session ~name
+              ~alias:(Option.value ~default:name alias)
+              ~where:s.A.sel_where ~distinct:s.A.sel_distinct
+          with
+          | Some g -> g :: acc
+          | None -> acc)
+      | _ -> acc)
+
+and item_groups session (it : A.from_item) acc =
+  match it with
+  | A.F_table _ -> acc
+  | A.F_join { left; right; _ } ->
+      item_groups session right (item_groups session left acc)
+  | A.F_sub { sub; _ } -> site_groups session sub acc
 
 (* Cap the total forced-run fan-out at [n], keeping group order. *)
 let rec cap_groups n = function
@@ -196,80 +153,6 @@ let rec cap_groups n = function
       if k <= n then g :: cap_groups (n - k) rest
       else
         [ { g with vg_forces = List.filteri (fun i _ -> i < n) g.vg_forces } ]
-
-let variant_groups ?(max_plans = 4) session (q : A.query) :
-    variant_group list =
-  let ctx = Engine.Session.ctx session in
-  let catalog = Engine.Session.catalog session in
-  let site_groups =
-    scan_sites session q []
-    |> List.filter_map (fun (alias, table, schema, where, distinct) ->
-           (* coverage is stripped: plan enumeration is oracle work and
-              must not add coverage hits the campaign would not have *)
-           let env =
-             {
-               (Engine.Executor.table_env ctx schema ~alias) with
-               Engine.Eval.coverage = None;
-             }
-           in
-           let default = Engine.Planner.choose env catalog schema ~where in
-           let dsig = Engine.Planner.signature default in
-           match
-             Engine.Planner.enumerate env catalog schema ~where
-             |> List.filter (fun p -> Engine.Planner.signature p <> dsig)
-           with
-           | [] -> None
-           | paths ->
-               Some
-                 {
-                   vg_query =
-                     minimal_select ~distinct
-                       ~from:
-                         [ A.F_table { name = table; alias = Some alias } ]
-                       ~where;
-                   vg_forces =
-                     List.map
-                       (fun p ->
-                         {
-                           Engine.Executor.f_sites =
-                             [
-                               {
-                                 Engine.Executor.fs_alias =
-                                   String.lowercase_ascii alias;
-                                 fs_table = String.lowercase_ascii table;
-                                 fs_where = where;
-                                 fs_path = p;
-                               };
-                             ];
-                           f_swap_join = false;
-                         })
-                       paths;
-                 })
-  in
-  cap_groups max_plans site_groups
-
-(* All forced-plan variants of [q] worth comparing against the default
-   execution of [q] itself: the join-order swap (one global toggle, when
-   a swappable join is present) plus one force per (scan site,
-   non-default enumerated path), capped at [max_plans] with the swap
-   first.  Empty when the query is not order-stable — unlike the minimal
-   witnesses of {!variant_groups}, whole-query comparison is only sound
-   on scan-order-insensitive queries. *)
-let enumerate_forced ?(max_plans = 4) session (q : A.query) :
-    Engine.Executor.forced list =
-  if not (query_stable q) then []
-  else begin
-    let sites =
-      variant_groups ~max_plans:Stdlib.max_int session q
-      |> List.concat_map (fun g -> g.vg_forces)
-    in
-    let swaps =
-      if join_sites q [] <> [] then
-        [ { Engine.Executor.f_sites = []; f_swap_join = true } ]
-      else []
-    in
-    List.filteri (fun i _ -> i < max_plans) (swaps @ sites)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The differential check                                              *)
@@ -287,8 +170,6 @@ type divergence = {
 }
 
 type outcome = { oc_plans : int; oc_divergence : divergence option }
-
-let no_outcome = { oc_plans = 0; oc_divergence = None }
 
 (* The query whose plans are compared: a containment check is
    [VALUES (pivot) INTERSECT query] and the INTERSECT would mask any
@@ -313,75 +194,61 @@ let message d =
     (String.concat " | " d.dv_default_plan)
     (String.concat " | " d.dv_forced_plan)
 
-(* Run all groups until the first divergence; within the divergent group
+(* Run the groups until the first divergence; within the divergent group
    every plan runs so the report carries all cardinalities. *)
 let run_groups session (groups : variant_group list) : outcome =
   let run force w =
-    try
-      match Engine.Session.query_forced session ~force w with
-      | Ok rs -> Some rs
-      | Error _ -> None
-    with Engine.Errors.Crash _ -> None
+    match Engine.Session.query_forced session ~force w with
+    | Ok rs -> Some rs.Engine.Executor.rs_rows
+    | Error _ | (exception Engine.Errors.Crash _) -> None
   in
-  let plans = ref 0 in
-  let divergence = ref None in
-  List.iter
-    (fun g ->
-      if Option.is_none !divergence then begin
-        plans := !plans + List.length g.vg_forces;
-        match run Engine.Executor.no_force g.vg_query with
-        | None -> ()
-        | Some base ->
-            let base_rows = List.length base.Engine.Executor.rs_rows in
-            let results =
-              List.map
-                (fun force ->
-                  let label = Engine.Executor.show_forced force in
-                  match run force g.vg_query with
-                  | None -> (force, label, -1, None)
-                  | Some rs ->
-                      ( force,
-                        label,
-                        List.length rs.Engine.Executor.rs_rows,
-                        Some rs.Engine.Executor.rs_rows ))
-                g.vg_forces
-            in
-            let cards =
-              ("default", base_rows)
-              :: List.map (fun (_, l, n, _) -> (l, n)) results
-            in
-            divergence :=
-              List.find_map
-                (fun (force, _, n, c) ->
-                  match c with
-                  | Some rows
-                    when not
-                           (Engine.Executor.same_multiset
-                              base.Engine.Executor.rs_rows rows) ->
-                      Some
-                        {
-                          dv_witness =
-                            Sqlast.Sql_printer.query
-                              (Engine.Session.dialect session)
-                              g.vg_query;
-                          dv_forced = force;
-                          dv_default_rows = base_rows;
-                          dv_forced_rows = n;
-                          dv_cardinalities = cards;
-                          dv_default_plan =
-                            Engine.Session.plan_lines session g.vg_query;
-                          dv_forced_plan =
-                            Engine.Session.plan_lines ~force session
-                              g.vg_query;
-                        }
-                  | _ -> None)
-                results
-      end)
-    groups;
-  { oc_plans = !plans; oc_divergence = !divergence }
+  let diverge g =
+    match run Engine.Executor.no_force g.vg_query with
+    | None -> None
+    | Some base ->
+        let results =
+          List.map (fun force -> (force, run force g.vg_query)) g.vg_forces
+        in
+        let card (f, r) =
+          ( Engine.Executor.show_forced f,
+            match r with Some rows -> List.length rows | None -> -1 )
+        in
+        List.find_map
+          (fun (force, rows) ->
+            match rows with
+            | Some rows when not (Engine.Executor.same_multiset base rows) ->
+                Some
+                  {
+                    dv_witness =
+                      Sqlast.Sql_printer.query
+                        (Engine.Session.dialect session)
+                        g.vg_query;
+                    dv_forced = force;
+                    dv_default_rows = List.length base;
+                    dv_forced_rows = List.length rows;
+                    dv_cardinalities =
+                      ("default", List.length base) :: List.map card results;
+                    dv_default_plan =
+                      Engine.Session.plan_lines session g.vg_query;
+                    dv_forced_plan =
+                      Engine.Session.plan_lines ~force session g.vg_query;
+                  }
+            | _ -> None)
+          results
+  in
+  let rec go plans = function
+    | [] -> { oc_plans = plans; oc_divergence = None }
+    | g :: rest -> (
+        let plans = plans + List.length g.vg_forces in
+        match diverge g with
+        | Some _ as d -> { oc_plans = plans; oc_divergence = d }
+        | None -> go plans rest)
+  in
+  go 0 groups
 
-let check_query ?max_plans session (q : A.query) : outcome =
-  run_groups session (variant_groups ?max_plans session (target_query q))
+let check_query session (q : A.query) : outcome =
+  run_groups session
+    (cap_groups max_plans (site_groups session (target_query q) []))
 
 (* The join-order differential.  The executor's swapped join produces the
    same combination multiset as the default order for any inner/cross
@@ -390,7 +257,7 @@ let check_query ?max_plans session (q : A.query) : outcome =
    table pairs rather than once per synthesized query (per-query swap
    re-execution costs ~2x the join, the dominant query cost, for a
    signal identical across queries sharing the join shape). *)
-let check_join_orders ?(max_pairs = 2) session : outcome =
+let check_join_orders session : outcome =
   let swap = { Engine.Executor.f_sites = []; f_swap_join = true } in
   let witness a b =
     minimal_select ~distinct:false
@@ -424,7 +291,7 @@ let check_join_orders ?(max_pairs = 2) session : outcome =
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
 
-let oracle ?(max_plans = 4) () : Oracle.t =
+let oracle () : Oracle.t =
   Oracle.make ~name:"plan_diff" (fun ctx event ->
       let checked oc =
         if oc.oc_plans > 0 then
@@ -441,7 +308,7 @@ let oracle ?(max_plans = 4) () : Oracle.t =
       | Oracle.Containment_check { Oracle.check_stmt = A.Select_stmt q; _ } ->
           Telemetry.Span.timed ctx.Oracle.ctx_telemetry
             Telemetry.Phase.Plan_diff (fun () ->
-              checked (check_query ~max_plans ctx.Oracle.ctx_session q))
+              checked (check_query ctx.Oracle.ctx_session q))
       | Oracle.Database_ready ->
           Telemetry.Span.timed ctx.Oracle.ctx_telemetry
             Telemetry.Phase.Plan_diff (fun () ->
@@ -536,8 +403,8 @@ let directed_probes (ti : Schema_info.table_info) (row : Value.t array) =
      ]
    else [])
 
-let sweep ?(queries_per_seed = 3) ?(max_plans = 4)
-    ?(bugs = Engine.Bug.empty_set) ~seed_lo ~seed_hi dialect : sweep_result =
+let sweep ?(bugs = Engine.Bug.empty_set) ~seed_lo ~seed_hi dialect :
+    sweep_result =
   let queries = ref 0 and plans = ref 0 in
   let containment_seeds = ref [] in
   let divergences = ref [] in
@@ -556,10 +423,10 @@ let sweep ?(queries_per_seed = 3) ?(max_plans = 4)
     in
     let check q =
       incr queries;
-      record (fun () -> check_query ~max_plans session q)
+      record (fun () -> check_query session q)
     in
     let sources = Corpus.sources session in
-    for _ = 1 to queries_per_seed do
+    for _ = 1 to Corpus.queries_per_seed do
       match Corpus.query db sources with
       | None -> ()
       | Some (_, t) ->

@@ -24,21 +24,8 @@
 
 open Sqlval
 
-(** Is the query's result multiset independent of scan order, making a
-    cross-plan comparison sound?  Exposed for the property tests. *)
-val query_stable : Sqlast.Ast.query -> bool
-
-(** All forced-plan variants of the query worth comparing against its
-    default execution: the join-order swap (when a swappable join is
-    present), then one {!Engine.Executor.forced} per (single-table scan
-    site, enumerated path other than the planner's default choice), capped
-    at [max_plans] (default 4).  Empty when the query is not
-    {!query_stable}.  Deterministic: no randomness is drawn. *)
-val enumerate_forced :
-  ?max_plans:int ->
-  Engine.Session.t ->
-  Sqlast.Ast.query ->
-  Engine.Executor.forced list
+(** Forced runs per synthesized query, summed over its scan sites (4). *)
+val max_plans : int
 
 (** One cross-plan disagreement. *)
 type divergence = {
@@ -59,8 +46,6 @@ type outcome = {
   oc_divergence : divergence option;  (** first disagreement, if any *)
 }
 
-val no_outcome : outcome
-
 (** The one-line report message carried by the {!Bug_report.Plan_diff}
     bug report: witness SQL, forced-plan label, both cardinalities, the
     full per-plan cardinality list and both annotated plans. *)
@@ -70,22 +55,22 @@ val message : divergence -> string
     [VALUES (pivot) INTERSECT q] is unwrapped to [q] first (the INTERSECT
     would mask divergences away from the pivot row).  Each scan site of
     the query yields a minimal witness query, executed once under the
-    default plan and once under each forced plan; the first disagreeing
-    witness is reported.  All executions go through
+    default plan and once under each non-default enumerated plan, up to
+    {!max_plans} forced runs in all; the first disagreeing witness is
+    reported.  All executions go through
     {!Engine.Session.query_forced} — no statement counting, no coverage,
     no randomness.  Plans that error or hit the simulated SEGFAULT are
     recorded with cardinality [-1] and skipped for comparison. *)
-val check_query :
-  ?max_plans:int -> Engine.Session.t -> Sqlast.Ast.query -> outcome
+val check_query : Engine.Session.t -> Sqlast.Ast.query -> outcome
 
 (** The join-order differential: compare
     [SELECT * FROM a AS pd_l, b AS pd_r] under the default and the
-    swapped join order, over up to [max_pairs] (default 2) consecutive
-    catalog table pairs (a self-join when the catalog has one table).
+    swapped join order, over up to two consecutive catalog table pairs
+    (a self-join when the catalog has one table).
     Join-order agreement is a property of the join machinery and the
     stored data, not of the surrounding query, so the oracle runs this
     once per database rather than once per synthesized query. *)
-val check_join_orders : ?max_pairs:int -> Engine.Session.t -> outcome
+val check_join_orders : Engine.Session.t -> outcome
 
 (** The oracle: runs {!check_query} on every [Containment_check] event
     and {!check_join_orders} on [Database_ready], times itself under
@@ -94,7 +79,7 @@ val check_join_orders : ?max_pairs:int -> Engine.Session.t -> outcome
     Campaign-neutral by construction (see {!Engine.Session.query_forced});
     append it after [Oracle.defaults] so the paper's oracles keep report
     priority. *)
-val oracle : ?max_plans:int -> unit -> Oracle.t
+val oracle : unit -> Oracle.t
 
 (** {1 Seed-corpus sweep} ([make plandiff] / [sqlancer plan-diff] /
     the detection tests) *)
@@ -110,14 +95,12 @@ type sweep_result = {
       (** every plan divergence, tagged with its seed *)
 }
 
-(** Draw a database and [queries_per_seed] pivoted queries per seed from
-    {!Corpus}, add deterministic plan-space indexes and directed
-    access-path probes, and run {!check_query} on each,
-    also recording whether the plain containment check would have fired —
-    the data behind the per-oracle detection matrix. *)
+(** Draw a database and {!Corpus.queries_per_seed} pivoted queries per
+    seed from {!Corpus}, add deterministic plan-space indexes and directed
+    access-path probes, and run {!check_query} on each, also recording
+    whether the plain containment check would have fired — the data
+    behind the per-oracle detection matrix. *)
 val sweep :
-  ?queries_per_seed:int ->
-  ?max_plans:int ->
   ?bugs:Engine.Bug.set ->
   seed_lo:int ->
   seed_hi:int ->

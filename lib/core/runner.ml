@@ -10,7 +10,6 @@ module Config = struct
     extra_statements : int;
     pivots_per_db : int;
     queries_per_pivot : int;
-    max_depth : int;
     check_expressions : bool;
     verify_ground_truth : bool;
     rectify : bool;
@@ -25,11 +24,11 @@ module Config = struct
 
   let make ?(bugs = Engine.Bug.empty_set) ?(seed = 1) ?(max_rows = 6)
       ?(extra_statements = 8) ?(pivots_per_db = 4)
-      ?(queries_per_pivot = 6) ?(max_depth = 4) ?(check_expressions = true)
+      ?(queries_per_pivot = 6) ?(check_expressions = true)
       ?(verify_ground_truth = true) ?(rectify = true) ?coverage
       ?(oracles = Oracle.defaults) ?(telemetry = Telemetry.noop)
-      ?(trace = false) ?bundle_dir
-      ?(trace_sample = 0) ?(guided = false) dialect =
+      ?(trace = false) ?bundle_dir ?(trace_sample = 0) ?(guided = false)
+      dialect =
     {
       dialect;
       bugs;
@@ -38,7 +37,6 @@ module Config = struct
       extra_statements;
       pivots_per_db;
       queries_per_pivot;
-      max_depth;
       check_expressions;
       verify_ground_truth;
       rectify;
@@ -57,6 +55,9 @@ module Config = struct
 end
 
 type config = Config.t
+
+(* expression depth bound (paper Algorithm 1) *)
+let max_depth = 4
 
 (* flight recorder: enabled when tracing is requested or when repro
    bundles / trace samples may need to be written; otherwise the noop
@@ -242,7 +243,7 @@ let check r ~rng ?shape ?pred ~negative prepared =
         Gen_query.synthesize ~rectify:config.Config.rectify
           ~target:(if negative then Tvl.False else Tvl.True)
           ~telemetry:(tele r) ?shape ?pred ~rng ~pivot:prepared
-          ~max_depth:config.Config.max_depth
+          ~max_depth
             (* expression targets are unsound for the negative variant: a
                different row may project to the same value *)
           ~check_expressions:(config.Config.check_expressions && not negative)

@@ -28,7 +28,6 @@ module Config : sig
     extra_statements : int;
     pivots_per_db : int;
     queries_per_pivot : int;
-    max_depth : int;  (** expression depth bound (paper Algorithm 1) *)
     check_expressions : bool;  (** expressions-on-columns extension *)
     verify_ground_truth : bool;
         (** replay containment findings on a correct engine before
@@ -72,7 +71,6 @@ module Config : sig
     ?extra_statements:int ->
     ?pivots_per_db:int ->
     ?queries_per_pivot:int ->
-    ?max_depth:int ->
     ?check_expressions:bool ->
     ?verify_ground_truth:bool ->
     ?rectify:bool ->

@@ -17,6 +17,47 @@ let header =
    minidb> <paste the script>\n\
    ```\n"
 
+(* the bundle workflow, after the header: from a campaign's finding to
+   the operator that loses the row *)
+let triage =
+  {|
+## How to triage a repro bundle
+
+Campaigns run with `--bundles DIR` leave one
+`bundle-<seed>-<oracle>/` directory per finding; a bug report's text
+output names its bundle path.  Working through one:
+
+1. **Confirm it reproduces.** `sqlancer replay <dir>/repro.sql` re-runs
+   the script under the bug set named in the header and re-checks the
+   verdict; `FAIL` here means a flaky or environment-dependent finding —
+   stop and investigate the nondeterminism first.  Exit code 0 means
+   every bundle passed.
+2. **Read the header.** The `-- key: value` lines of `repro.sql` give
+   the dialect, seed, oracle token, the funnel phase in which the oracle
+   fired (`gen_db` / `database_ready` / `containment`), and the enabled
+   bugs.  A finding in `gen_db` indicts DDL/DML handling; `containment`
+   indicts the query path.
+3. **Compare expected vs actual.** `bundle.json` holds the pivot row the
+   oracle expected and the result set the engine returned, plus the
+   annotated access plan of the failing query.  A plan line naming a
+   partial/expression index is the first suspect for row-losing bugs.
+4. **Walk the event log.** `trace.json` is the round's flight-recorder
+   history: every statement with outcome and latency, the pivot choice,
+   each expression's interpreter verdict and rectification, the planner
+   decision, and per-operator rows in/out with B-tree visit counts.  The
+   operator whose `rows_out` first disagrees with the interpreter's
+   expectation localizes the defect; compare against a healthy round's
+   `round-<seed>-trace.json` (written with `--trace-sample N`) when the
+   failure mode is unclear.
+5. **Re-run interactively.** Paste the script into the REPL (as above)
+   and use `EXPLAIN ANALYZE <query>` to watch the per-operator row
+   counts live while toggling `.bugs`.
+
+Bundles are re-derived after reduction (`-- reduced: true` appears in
+the header), so the script you replay is the minimized one the report
+prints.
+|}
+
 let entry buf (o : Detection.outcome) =
   let bug = o.Detection.bug in
   let info = Engine.Bug.info bug in
@@ -41,6 +82,7 @@ let generate ?(path = "BUGS.md") (det : Detection.t) =
   let det = Detection.with_reductions det in
   let buf = Buffer.create 16384 in
   Buffer.add_string buf header;
+  Buffer.add_string buf triage;
   List.iter
     (fun d ->
       Buffer.add_string buf

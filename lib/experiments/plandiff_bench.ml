@@ -26,7 +26,7 @@ let json ~dialect ~databases ~off_wall ~on_wall ~overhead ~identical
       Printf.sprintf "  \"statements\": %d," statements;
       Printf.sprintf "  \"plan_checks\": %d," plan_checks;
       Printf.sprintf "  \"reports\": %d," reports;
-      "  \"max_plans\": 4,";
+      Printf.sprintf "  \"max_plans\": %d," Pqs.Plan_diff.max_plans;
       Printf.sprintf "  \"oracle_off_wall_s\": %.4f," off_wall;
       Printf.sprintf "  \"oracle_on_wall_s\": %.4f," on_wall;
       Printf.sprintf "  \"overhead_fraction\": %.4f," overhead;
@@ -47,7 +47,7 @@ let run () =
     Gc.full_major ();
     let oracles =
       if plan_diff then
-        Pqs.Oracle.defaults @ [ Pqs.Plan_diff.oracle ~max_plans:4 () ]
+        Pqs.Oracle.defaults @ [ Pqs.Plan_diff.oracle () ]
       else Pqs.Oracle.defaults
     in
     let config = Pqs.Runner.Config.make ~oracles dialect in

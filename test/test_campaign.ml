@@ -141,6 +141,38 @@ let test_trace_exact_merge () =
             (Fleet.Aggregate.totals (Fleet.Fleet_view.aggregate v)))
         [ 1; 2 ])
 
+(* ---------- the periodic metrics export ---------- *)
+
+(* [metrics_path] is written only mid-run, each time by atomic rename;
+   the one export at exit is the caller's ([sqlancer campaign --metrics]) *)
+let test_metrics_export () =
+  let path = Filename.temp_file "pqs_metrics" ".prom" in
+  Sys.remove path;
+  let config =
+    Pqs.Runner.Config.make ~telemetry:(Telemetry.create ()) Dialect.Sqlite_like
+  in
+  let run every =
+    ignore
+      (Pqs.Campaign.run ~domains:1 ~metrics_every:every ~metrics_path:path
+         ~seed_lo:1 ~seed_hi:9 config)
+  in
+  run 1e9;
+  Alcotest.(check bool) "no export at exit" false (Sys.file_exists path);
+  run 0.0;
+  let text = read_file path in
+  Alcotest.(check bool) "mid-run snapshot carries the round counter" true
+    (String.length text > 0
+    && List.exists
+         (String.starts_with ~prefix:"pqs_rounds_total")
+         (String.split_on_char '\n' text));
+  Alcotest.(check bool) "last write is a mid-run snapshot" false
+    (List.exists
+       (String.starts_with ~prefix:"pqs_phase_seconds")
+       (String.split_on_char '\n' text));
+  Alcotest.(check bool) "no temp file left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path
+
 (* ---------- soundness: zero unconfirmed verdicts ---------- *)
 
 (* On the engine without injected bugs every oracle verdict is a false
@@ -268,6 +300,8 @@ let () =
           Alcotest.test_case "coverage merging" `Quick test_coverage_merging;
           Alcotest.test_case "heartbeat trace exact merge" `Quick
             test_trace_exact_merge;
+          Alcotest.test_case "periodic metrics export" `Quick
+            test_metrics_export;
         ] );
       ( "soundness",
         [

@@ -2,12 +2,13 @@
 
    - enumeration: [Planner.enumerate] puts the full scan first, always
      contains the planner's default choice, never repeats a signature,
-     and is deterministic; [Plan_diff.enumerate_forced] is deterministic
-     and empty on order-unstable queries (LIMIT/OFFSET);
+     and is deterministic;
    - soundness: on the correct engine every forced plan produces the
-     default plan's result multiset — checked directly on a fixture and
-     over a 1,000-seed generated-database sweep (zero divergences), with
-     the per-database join-order witnesses included;
+     default plan's result multiset — checked directly on a fixture
+     (each scan site under every enumerated path, and the join swap) and,
+     through the oracle's per-site witnesses, over a 1,000-seed
+     generated-database sweep (zero divergences), with the per-database
+     join-order witnesses included;
    - detection: each targeted planner bug (skip-scan/DISTINCT, OR-union
      dedup, DESC-index range) diverges on a bounded seed sweep, on seeds
      where the containment oracle stays silent ([exclusive_seeds]); the
@@ -139,6 +140,39 @@ let where_shapes session name =
         Some (A.Binary (A.Gt, A.col c0, A.Lit v));
       ]
 
+(* a forced plan that runs one scan site under [path] *)
+let site_force name where path =
+  {
+    Engine.Executor.f_sites =
+      [
+        {
+          Engine.Executor.fs_alias = name;
+          fs_table = name;
+          fs_where = where;
+          fs_path = path;
+        };
+      ];
+    f_swap_join = false;
+  }
+
+let swap_force = { Engine.Executor.f_sites = []; f_swap_join = true }
+
+(* every forced plan of one fixture query: its single-table scan site
+   under each enumerated path other than the planner's default, or the
+   join swap on a two-table FROM *)
+let fixture_forces session (q : A.query) =
+  match q with
+  | A.Q_select { A.sel_from = [ A.F_table { name; _ } ]; sel_where; _ } ->
+      let paths, default = enumerate_paths session name ~where:sel_where in
+      let dsig = Engine.Planner.signature default in
+      List.filter_map
+        (fun p ->
+          if Engine.Planner.signature p = dsig then None
+          else Some (site_force name sel_where p))
+        paths
+  | A.Q_select { A.sel_from = [ _; _ ]; _ } -> [ swap_force ]
+  | _ -> []
+
 (* ---------- enumeration properties ---------- *)
 
 let each_site session f =
@@ -181,15 +215,6 @@ let test_enumerate_contains_default () =
 
 let test_enumerate_deterministic () =
   let session = fixture () in
-  List.iter
-    (fun sql ->
-      let q = parse_query sql in
-      let show l = List.map Engine.Executor.show_forced l in
-      Alcotest.(check (list string))
-        ("same forces twice for " ^ sql)
-        (show (Pqs.Plan_diff.enumerate_forced session q))
-        (show (Pqs.Plan_diff.enumerate_forced session q)))
-    fixture_queries;
   each_site session (fun name where ->
       let paths1, _ = enumerate_paths session name ~where in
       let paths2, _ = enumerate_paths session name ~where in
@@ -198,29 +223,11 @@ let test_enumerate_deterministic () =
         (List.map Engine.Planner.signature paths1)
         (List.map Engine.Planner.signature paths2))
 
-let test_stability_guard () =
-  let session = fixture () in
-  let stable sql = Pqs.Plan_diff.query_stable (parse_query sql) in
-  Alcotest.(check bool) "plain select is stable" true
-    (stable "SELECT * FROM t0 WHERE c0 > 1");
-  Alcotest.(check bool) "LIMIT breaks stability" false
-    (stable "SELECT * FROM t0 LIMIT 2");
-  Alcotest.(check bool) "order-insensitive aggregate is stable" true
-    (stable "SELECT COUNT(*) FROM t0");
-  Alcotest.(check bool) "no forces for an unstable query" true
-    (Pqs.Plan_diff.enumerate_forced session
-       (parse_query "SELECT * FROM t0 WHERE c0 > 1 LIMIT 2")
-    = []);
-  Alcotest.(check bool) "forces exist for the stable equivalent" true
-    (Pqs.Plan_diff.enumerate_forced session
-       (parse_query "SELECT * FROM t0 WHERE c0 > 1")
-    <> [])
-
 (* ---------- soundness on the correct engine ---------- *)
 
 let test_forced_equals_default () =
   let session = fixture () in
-  let compared = ref 0 in
+  let compared = ref 0 and swapped = ref false in
   List.iter
     (fun sql ->
       let q = parse_query sql in
@@ -230,6 +237,7 @@ let test_forced_equals_default () =
           List.iter
             (fun force ->
               incr compared;
+              if force.Engine.Executor.f_swap_join then swapped := true;
               match Engine.Session.query_forced session ~force q with
               | Error e -> Alcotest.fail (Engine.Errors.show e)
               | Ok forced ->
@@ -241,9 +249,10 @@ let test_forced_equals_default () =
                     (Engine.Executor.same_multiset
                        default.Engine.Executor.rs_rows
                        forced.Engine.Executor.rs_rows))
-            (Pqs.Plan_diff.enumerate_forced ~max_plans:16 session q))
+            (fixture_forces session q))
     fixture_queries;
-  Alcotest.(check bool) "fixture exercises several plans" true (!compared >= 4)
+  Alcotest.(check bool) "fixture exercises several plans" true (!compared >= 4);
+  Alcotest.(check bool) "fixture exercises the join swap" true !swapped
 
 let test_bug_free_sweep () =
   let r =
@@ -336,23 +345,20 @@ let test_explain_forced () =
   Alcotest.(check (list string)) "default plan"
     [ "SCAN t0 USING index-eq(i_desc)"; "DISTINCT" ]
     (Engine.Session.plan_lines session q);
-  match Pqs.Plan_diff.enumerate_forced session q with
-  | [ force ] ->
-      Alcotest.(check string) "the non-default path is the full scan"
-        "t0=full-scan"
-        (Engine.Executor.show_forced force);
-      Alcotest.(check (list string)) "forced plan is annotated"
-        [ "SCAN t0 USING full-scan (forced)"; "DISTINCT" ]
-        (Engine.Session.plan_lines ~force session q)
-  | l ->
-      Alcotest.fail
-        (Printf.sprintf "expected exactly one non-default plan, got %d"
-           (List.length l))
+  let force =
+    site_force "t0"
+      (Some (A.Binary (A.Eq, A.col "c0", A.Lit (Value.Int 2L))))
+      Engine.Planner.Full_scan
+  in
+  Alcotest.(check string) "the force names the full scan" "t0=full-scan"
+    (Engine.Executor.show_forced force);
+  Alcotest.(check (list string)) "forced plan is annotated"
+    [ "SCAN t0 USING full-scan (forced)"; "DISTINCT" ]
+    (Engine.Session.plan_lines ~force session q)
 
 let test_explain_forced_swap () =
   let session = fixture () in
   let q = parse_query "SELECT * FROM t0, t1 WHERE c0 = d0" in
-  let swap = { Engine.Executor.f_sites = []; f_swap_join = true } in
   Alcotest.(check (list string)) "default join plan"
     [ "SCAN t0 USING full-scan"; "SCAN t1 USING full-scan" ]
     (Engine.Session.plan_lines session q);
@@ -362,7 +368,7 @@ let test_explain_forced_swap () =
       "SCAN t1 USING full-scan";
       "SWAP JOIN ORDER (forced)";
     ]
-    (Engine.Session.plan_lines ~force:swap session q)
+    (Engine.Session.plan_lines ~force:swap_force session q)
 
 (* ---------- golden: the divergence record and repro bundle ---------- *)
 
@@ -555,7 +561,6 @@ let () =
           Alcotest.test_case "default choice enumerated, no duplicates" `Quick
             test_enumerate_contains_default;
           Alcotest.test_case "deterministic" `Quick test_enumerate_deterministic;
-          Alcotest.test_case "order-stability guard" `Quick test_stability_guard;
         ] );
       ( "soundness",
         [

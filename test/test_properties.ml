@@ -159,13 +159,34 @@ let prop_order_by_sorted =
       in
       List.length out = List.length rows && sorted keys)
 
+(* DISTINCT over [rows]; no two output rows may be equal under
+   [Executor.Row_eq], the identity DISTINCT itself uses (display strings
+   are not: [0] and ['0'] print alike) *)
+let distinct_rows rows =
+  let s = session () in
+  table_of_rows s rows;
+  run_rows s (select ~distinct:true ())
+
+let rec no_duplicate_rows = function
+  | [] -> true
+  | r :: rest ->
+      (not (List.exists (Engine.Executor.Row_eq.equal r) rest))
+      && no_duplicate_rows rest
+
 let prop_distinct_no_duplicates =
   QCheck.Test.make ~name:"DISTINCT output has no duplicates" ~count:300
-    rows_arb (fun rows ->
-      let s = session () in
-      table_of_rows s rows;
-      let out = canonical (run_rows s (select ~distinct:true ())) in
-      List.length out = List.length (List.sort_uniq compare out))
+    rows_arb (fun rows -> no_duplicate_rows (distinct_rows rows))
+
+let test_distinct_int_text () =
+  let out =
+    distinct_rows
+      [
+        [ Value.Int Int64.max_int; Value.Int 0L ];
+        [ Value.Int Int64.max_int; Value.Text "0" ];
+      ]
+  in
+  Alcotest.(check int) "0 and '0' are two rows" 2 (List.length out);
+  Alcotest.(check bool) "no duplicates" true (no_duplicate_rows out)
 
 let prop_distinct_idempotent =
   QCheck.Test.make ~name:"DISTINCT is idempotent" ~count:200 rows_arb
@@ -447,6 +468,10 @@ let () =
             prop_order_by_sorted;
             prop_distinct_no_duplicates;
             prop_distinct_idempotent;
+          ]
+        @ [
+            Alcotest.test_case "DISTINCT keeps 0 and '0' apart" `Quick
+              test_distinct_int_text;
           ] );
       ( "row identity",
         Alcotest.test_case "fixed cases" `Quick test_row_identity_cases
