@@ -2,46 +2,38 @@ module A = Sqlast.Ast
 
 type check = A.stmt list -> bool
 
+(* How a replay on a fresh session ended.  Nothing else is kept: no
+   caller reads an error's text. *)
 type replay_outcome = {
   crashed : bool;
   unexpected_error : bool;
+      (* an error outside the statement's expected list; once one is seen
+         the later errors are not classified *)
   final_select_rows : int option;
-      (* None when the final statement is not a row-returning SELECT or it
-         errored *)
-  any_error_message : string option;
+      (* None when the final statement is not a row-returning SELECT, it
+         errored or the replay crashed *)
 }
 
 let replay ~dialect ~bugs (stmts : A.stmt list) : replay_outcome =
   let session = Engine.Session.create ~bugs dialect in
-  let crashed = ref false in
-  let unexpected = ref false in
-  let last_rows = ref None in
-  let err_msg = ref None in
-  let n = List.length stmts in
-  (try
-     List.iteri
-       (fun i stmt ->
-         if not !crashed then
-           match Engine.Session.execute session stmt with
-           | Ok (Engine.Session.Rows rs) ->
-               if i = n - 1 then
-                 last_rows := Some (List.length rs.Engine.Executor.rs_rows)
-           | Ok _ -> ()
-           | Error e ->
-               if not (Expected_errors.is_expected dialect stmt e) then begin
-                 unexpected := true;
-                 if !err_msg = None then err_msg := Some (Engine.Errors.show e)
-               end)
-       stmts
-   with Engine.Errors.Crash msg ->
-     crashed := true;
-     err_msg := Some msg);
-  {
-    crashed = !crashed;
-    unexpected_error = !unexpected;
-    final_select_rows = !last_rows;
-    any_error_message = !err_msg;
-  }
+  let ended ?rows ~crashed unexpected =
+    { crashed; unexpected_error = unexpected; final_select_rows = rows }
+  in
+  let rec go unexpected = function
+    | [] -> ended ~crashed:false unexpected
+    | stmt :: rest -> (
+        match Engine.Session.execute session stmt with
+        | exception Engine.Errors.Crash _ -> ended ~crashed:true unexpected
+        | Ok (Engine.Session.Rows rs) when rest = [] ->
+            ended ~crashed:false unexpected
+              ~rows:(List.length rs.Engine.Executor.rs_rows)
+        | Ok _ -> go unexpected rest
+        | Error e ->
+            go
+              (unexpected || not (Expected_errors.is_expected dialect stmt e))
+              rest)
+  in
+  go false stmts
 
 (* ground truth for the containment kinds: on a correct engine the final
    SELECT must fetch the pivot row (containment) or fetch no row
@@ -60,7 +52,11 @@ let correct_engine_agrees ~dialect ~oracle stmts =
       true
 
 (* the [Replay_outcome] recheck strategy: re-run the script and decide
-   from how it ended *)
+   from how it ended.  The containment kinds replay the correct engine
+   first: both replays are deterministic, so the order cannot change a
+   verdict, and a candidate that loses the pivot row's ground truth (a
+   deleted INSERT) is far likelier than one that loses the bug, so the
+   correct replay settles most failing candidates alone. *)
 let replay_check ~dialect ~bugs ~oracle stmts =
   match oracle with
   | Bug_report.Crash -> (replay ~dialect ~bugs stmts).crashed
@@ -69,14 +65,15 @@ let replay_check ~dialect ~bugs ~oracle stmts =
       o.unexpected_error && not o.crashed
   | Bug_report.Containment ->
       (* the buggy engine misses the pivot row *)
-      (replay ~dialect ~bugs stmts).final_select_rows = Some 0
-      && correct_engine_agrees ~dialect ~oracle stmts
+      correct_engine_agrees ~dialect ~oracle stmts
+      && (replay ~dialect ~bugs stmts).final_select_rows = Some 0
   | Bug_report.Non_containment ->
       (* inverted: the buggy engine fetches a row *)
+      correct_engine_agrees ~dialect ~oracle stmts
+      &&
       (match (replay ~dialect ~bugs stmts).final_select_rows with
       | Some n -> n > 0
       | None -> false)
-      && correct_engine_agrees ~dialect ~oracle stmts
   | Bug_report.Metamorphic | Bug_report.Plan_diff | Bug_report.Const_opt ->
       (* these kinds declare [Not_recheckable] or [Custom] strategies in
          the registry; reaching here means a registration is missing *)
@@ -99,17 +96,14 @@ let manifestation_check ~dialect ~bugs ~oracle : check =
 (* one pass of greedy single-statement deletion; [keep_last] protects the
    detecting query *)
 let drop_pass check stmts =
-  let n = List.length stmts in
-  let rec go i current =
-    if i >= List.length current - 1 then current
+  let rec go i len current =
+    if i >= len - 1 then current
     else
       let candidate = List.filteri (fun j _ -> j <> i) current in
-      if List.length candidate < List.length current && check candidate then
-        go i candidate
-      else go (i + 1) current
+      if check candidate then go i (len - 1) candidate
+      else go (i + 1) len current
   in
-  ignore n;
-  go 0 stmts
+  go 0 (List.length stmts) stmts
 
 (* trim multi-row INSERTs row by row *)
 let trim_inserts check stmts =

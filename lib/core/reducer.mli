@@ -10,7 +10,11 @@
     with the same injected-bug set; for containment-class findings the
     script is additionally replayed on a *correct* engine (empty bug set)
     to confirm the pivot row is genuinely expected — the role the paper's
-    manual verification played. *)
+    manual verification played.  That correct replay runs first: both
+    replays are deterministic, so the order changes no verdict, but a
+    candidate that drops a statement the pivot row needs fails on the
+    correct engine far more often than one that loses the bug fails on the
+    buggy engine, so most failing candidates cost one replay, not two. *)
 
 type check = Sqlast.Ast.stmt list -> bool
 (** Does the bug still manifest for this script? *)

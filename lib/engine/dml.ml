@@ -84,31 +84,39 @@ let pk_index ctx (ts : Storage.Catalog.table_state) =
                 ix.Storage.Index.definition
               = List.map String.lowercase_ascii schema.Storage.Schema.primary_key)
 
-(* Listing 4 injection: [ix] is the primary-key index of a sqlite WITHOUT
-   ROWID table ... *)
-let buggy_pk_index ctx (ts : Storage.Catalog.table_state) ix =
-  ts.Storage.Catalog.schema.Storage.Schema.without_rowid
-  && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-  && bug ctx Bug.Sq_nocase_unique_pk_collapse
-  && Option.fold ~none:false
-       ~some:(fun pk -> pk.Storage.Index.index_name = ix.Storage.Index.index_name)
-       (pk_index ctx ts)
+(* Listing 4 injection, decided once per statement: the primary-key index
+   of a sqlite WITHOUT ROWID table ... *)
+let buggy_pk_index ctx (ts : Storage.Catalog.table_state) =
+  if
+    ts.Storage.Catalog.schema.Storage.Schema.without_rowid
+    && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+    && bug ctx Bug.Sq_nocase_unique_pk_collapse
+  then pk_index ctx ts
+  else None
 
 (* ... whose PK column also carries a NOCASE index: the PK probe folds
    case *)
-let nocase_pk_collapse ctx ts ix =
-  buggy_pk_index ctx ts ix
-  && List.exists
-       (fun other ->
-         other.Storage.Index.index_name <> ix.Storage.Index.index_name
-         && Array.exists
-              (fun c -> Collation.equal c Collation.Nocase)
-              other.Storage.Index.collations)
-       (indexes_of ctx ts)
+let nocase_pk_collapse ctx ts = function
+  | Some pk
+    when List.exists
+           (fun other ->
+             other.Storage.Index.index_name <> pk.Storage.Index.index_name
+             && Array.exists
+                  (fun c -> Collation.equal c Collation.Nocase)
+                  other.Storage.Index.collations)
+           (indexes_of ctx ts) ->
+      Some pk
+  | _ -> None
+
+let is_index (ix : Storage.Index.t) = function
+  | Some (o : Storage.Index.t) ->
+      o.Storage.Index.index_name = ix.Storage.Index.index_name
+  | None -> false
 
 (* Conflicting rowids for a candidate row across all unique indexes;
-   returns (index, conflicting rowids) pairs. *)
-let unique_conflicts_for ctx ts m =
+   returns (index, conflicting rowids) pairs.  [collapse] is the
+   statement's {!nocase_pk_collapse}. *)
+let unique_conflicts_for ~collapse m =
   let rowid = m.Ddl.row.Storage.Row.rowid in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -120,7 +128,7 @@ let unique_conflicts_for ctx ts m =
           | Ddl.Absent | Ddl.Pending -> go acc rest
           | Ddl.Failed e -> Error e
           | Ddl.Key key ->
-              let collapse = nocase_pk_collapse ctx ts ix in
+              let collapse = is_index ix collapse in
               let key =
                 if collapse then
                   Array.map
@@ -281,15 +289,20 @@ let insert ctx ~table ~columns ~rows ~action =
       in
       go [] columns
   in
-  let env = Executor.eval_env ctx in
+  (* literals are stored as they are; only other expressions need an env *)
+  let env = lazy (Executor.eval_env ctx) in
   let p = Ddl.plan ctx ts in
   let heap = ts.Storage.Catalog.heap in
+  let rowid_alias = rowid_alias_column ctx schema in
+  let buggy_pk = buggy_pk_index ctx ts in
+  let collapse = nocase_pk_collapse ctx ts buggy_pk in
   (* the defaults of the columns the statement leaves out *)
   let default_of =
     Array.mapi
       (fun i (col : Storage.Schema.column) ->
         match col.Storage.Schema.default with
-        | Some d when not (List.mem i targets) -> Some (Eval.compile env d)
+        | Some d when not (List.mem i targets) ->
+            Some (Eval.compile (Lazy.force env) d)
         | _ -> None)
       schema.Storage.Schema.columns
   in
@@ -333,10 +346,13 @@ let insert ctx ~table ~columns ~rows ~action =
           | [], [] -> Ok ()
           | i :: ts', e :: es ->
               let col = schema.Storage.Schema.columns.(i) in
-              let e = Eval.compile env e in
-              let* v = e () in
+              let* raw =
+                match e with
+                | A.Lit v -> Ok v
+                | e -> Eval.compile (Lazy.force env) e ()
+              in
               let* v =
-                match store_value ctx col v with
+                match store_value ctx col raw with
                 | Ok v -> Ok v
                 | Error e ->
                     if action = A.On_conflict_ignore then Ok Value.Null
@@ -357,8 +373,8 @@ let insert ctx ~table ~columns ~rows ~action =
                       let lo, hi = Datatype.int_range width in
                       (stored = lo || stored = hi)
                       &&
-                      match e () with
-                      | Ok (Value.Int orig) -> orig < lo || orig > hi
+                      match raw with
+                      | Value.Int orig -> orig < lo || orig > hi
                       | _ -> false)
                   | _ -> false
                 then
@@ -375,27 +391,20 @@ let insert ctx ~table ~columns ~rows ~action =
         assign targets exprs
       in
       (* sqlite rowid alias: NULL primary key auto-assigns *)
-      (match rowid_alias_column ctx schema with
+      (match rowid_alias with
       | Some i when Value.is_null values.(i) ->
           values.(i) <- Value.Int heap.Storage.Heap.next_rowid
       | _ -> ());
-      let* () =
-        match not_null_check ctx schema values with
-        | Ok () -> Ok ()
-        | Error _ when action = A.On_conflict_ignore -> Ok () (* skip row *)
+      (* a failed NOT NULL or CHECK aborts the statement, or under IGNORE
+         skips the row *)
+      let admit = function
+        | Ok () -> Ok true
+        | Error _ when action = A.On_conflict_ignore -> Ok false
         | Error e -> Error e
       in
-      let* () =
-        match check_constraints ctx p schema values with
-        | Ok () -> Ok ()
-        | Error _ when action = A.On_conflict_ignore -> Ok ()
-        | Error e -> Error e
-      in
-      (* second chance for IGNORE: re-check and skip *)
-      if
-        Result.is_error (not_null_check ctx schema values)
-        || Result.is_error (check_constraints ctx p schema values)
-      then Ok false
+      let* not_null = admit (not_null_check ctx schema values) in
+      let* checked = admit (check_constraints ctx p schema values) in
+      if not (not_null && checked) then Ok false
       else begin
         let candidate =
           Storage.Row.make ~rowid:heap.Storage.Heap.next_rowid values
@@ -413,11 +422,11 @@ let insert ctx ~table ~columns ~rows ~action =
               Error e
         in
         cov ctx "dml.unique_check";
-        let* conflicts = unique_conflicts_for ctx ts m in
+        let* conflicts = unique_conflicts_for ~collapse m in
         match (conflicts, action) with
         | [], _ -> insert_row ()
         | _ :: _, A.On_conflict_ignore -> Ok false
-        | (ix, _) :: _, A.On_conflict_abort when buggy_pk_index ctx ts ix ->
+        | (ix, _) :: _, A.On_conflict_abort when is_index ix buggy_pk ->
             (* Listing 4: the insert "succeeds" but the table's primary-key
                b-tree (the WITHOUT ROWID storage) keeps only the first,
                case-folded entry — so scans see one row while the heap (and
@@ -538,6 +547,7 @@ let update ctx ~table ~assignments ~where ~action =
   in
   let unique (ip : Ddl.index_plan) = ip.Ddl.ix.Storage.Index.unique in
   let uniques = List.filter unique p.Ddl.indexes in
+  let collapse = nocase_pk_collapse ctx ts (buggy_pk_index ctx ts) in
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
     Ddl.set_row p row.Storage.Row.values;
     let* matches =
@@ -583,7 +593,7 @@ let update ctx ~table ~assignments ~where ~action =
       let* () = force old_m maintained in
       let* () = force new_m uniques in
       ignore (detach old_m maintained);
-      let* conflicts = unique_conflicts_for ctx ts new_m in
+      let* conflicts = unique_conflicts_for ~collapse new_m in
       match (conflicts, action) with
       | [], _ -> (
           ignore

@@ -25,7 +25,9 @@ type t = { code : code; message : string }
 let pp fmt t = Format.fprintf fmt "[%s] %s" (show_code t.code) t.message
 let show t = Format.asprintf "%a" pp t
 let make code message = { code; message }
-let makef code fmt = Format.kasprintf (fun message -> { code; message }) fmt
+(* [Printf], not [Format]: replayed scripts raise errors by the thousand,
+   and no message needs a pretty-printing directive *)
+let makef code fmt = Printf.ksprintf (fun message -> { code; message }) fmt
 
 type severity = Ordinary | Corruption | Internal
 

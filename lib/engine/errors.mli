@@ -35,7 +35,7 @@ type t = { code : code; message : string }
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 val make : code -> string -> t
-val makef : code -> ('a, Format.formatter, unit, t) format4 -> 'a
+val makef : code -> ('a, unit, string, t) format4 -> 'a
 
 (** Severity classes used by the error oracle. *)
 type severity =

@@ -2,10 +2,13 @@ open Sqlval
 
 (* The options with engine-visible semantics are mirrored into fields:
    the engine reads them per row, and a field read is all that costs.
-   [set] is the only writer of [values], so it keeps them in sync. *)
+   [set] is the only writer of [values], so it keeps them in sync.  A new
+   session shares its dialect's default table until its first [set]
+   copies it: most sessions (every reducer replay) never set an option. *)
 type t = {
   dialect : Dialect.t;
-  values : (string, Value.t) Hashtbl.t;
+  mutable values : (string, Value.t) Hashtbl.t;
+  mutable shared : bool;  (** [values] is the dialect's default table *)
   mutable like_pragma_touched : bool;
   mutable case_sensitive_like : bool;
   mutable reverse_unordered_selects : bool;
@@ -50,8 +53,6 @@ let sync t =
   t.reverse_unordered_selects <- truthy (get t "reverse_unordered_selects");
   t.ignore_check_constraints <- truthy (get t "ignore_check_constraints")
 
-let copy t = { t with values = Hashtbl.copy t.values }
-
 let defaults dialect =
   let values = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace values k v) (known dialect);
@@ -59,6 +60,7 @@ let defaults dialect =
     {
       dialect;
       values;
+      shared = true;
       like_pragma_touched = false;
       case_sensitive_like = false;
       reverse_unordered_selects = false;
@@ -68,17 +70,21 @@ let defaults dialect =
   sync t;
   t
 
-(* each dialect's defaults are built once and only ever copied *)
+(* each dialect's defaults are built once; their tables are never written *)
 let sqlite_defaults = defaults Dialect.Sqlite_like
 let mysql_defaults = defaults Dialect.Mysql_like
 let postgres_defaults = defaults Dialect.Postgres_like
 
+(* a fresh record, so its mutable fields are the session's own *)
 let create dialect =
-  copy
+  {
     (match dialect with
     | Dialect.Sqlite_like -> sqlite_defaults
     | Dialect.Mysql_like -> mysql_defaults
     | Dialect.Postgres_like -> postgres_defaults)
+    with
+    shared = true;
+  }
 
 let set t name value =
   let name = String.lowercase_ascii name in
@@ -103,6 +109,10 @@ let set t name value =
              name)
       else begin
         if name = "case_sensitive_like" then t.like_pragma_touched <- true;
+        if t.shared then begin
+          t.values <- Hashtbl.copy t.values;
+          t.shared <- false
+        end;
         Hashtbl.replace t.values name value;
         sync t;
         Ok ()

@@ -6,8 +6,8 @@
 
 type t
 
+(** A fresh option table at the dialect's defaults. *)
 val create : Sqlval.Dialect.t -> t
-val copy : t -> t
 
 (** Known option names for the dialect with their default values. *)
 val known : Sqlval.Dialect.t -> (string * Sqlval.Value.t) list

@@ -76,9 +76,15 @@ let name_equal a b =
   in
   go 0
 
+(* a plain loop, not [String.exists] and its per-character closure call:
+   compiled column references and catalog lookups lower every name they
+   see *)
 let lower_name s =
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then String.lowercase_ascii s
-  else s
+  let rec upper i =
+    i < String.length s
+    && match String.unsafe_get s i with 'A' .. 'Z' -> true | _ -> upper (i + 1)
+  in
+  if upper 0 then String.lowercase_ascii s else s
 
 let find_column t name =
   let rec go i =

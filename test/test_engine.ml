@@ -888,6 +888,55 @@ let test_distinct_nul_bytes () =
       "SELECT * FROM t0 UNION SELECT * FROM t0";
     ]
 
+(* Error text golden: [Errors.show] of one error from each kind of
+   formatted-message site (no such table or column, UNIQUE, NOT NULL,
+   CHECK, value/column arity, unknown INSERT column, function arity), the
+   same in every dialect.  The texts were taken while messages were built
+   with [Format]; they pin that the [Printf] build prints the same bytes. *)
+let test_error_text () =
+  let sql s =
+    match Sqlparse.Parser.parse_stmt s with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Sqlparse.Parser.show_error e)
+  in
+  let expected =
+    [
+      "[No_such_table] no such table: t9";
+      "[No_such_column] no such column: c9";
+      "[Unique_violation] UNIQUE constraint failed: t0.c0";
+      "[Not_null_violation] NOT NULL constraint failed: t0.c1";
+      "[Check_violation] CHECK constraint failed: t0";
+      "[Syntax_error] 1 values for 3 columns";
+      "[No_such_column] table t0 has no column named c9";
+      "[Invalid_function] wrong number of arguments to ABS";
+    ]
+  in
+  List.iter
+    (fun dialect ->
+      let session = Engine.Session.create dialect in
+      List.iter
+        (fun s -> ignore (exec session (sql s)))
+        [
+          "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT NOT NULL, c2 INT CHECK (c2 > 0))";
+          "INSERT INTO t0 VALUES (1, 1, 1)";
+        ];
+      let shown =
+        List.map
+          (fun s -> Engine.Errors.show (exec_err session (sql s)))
+          [
+            "SELECT * FROM t9";
+            "SELECT c9 FROM t0";
+            "INSERT INTO t0 VALUES (1, 2, 2)";
+            "INSERT INTO t0 VALUES (2, NULL, 2)";
+            "INSERT INTO t0 VALUES (3, 3, -3)";
+            "INSERT INTO t0 VALUES (4)";
+            "INSERT INTO t0(c9) VALUES (4)";
+            "SELECT ABS(1, 2)";
+          ]
+      in
+      Alcotest.(check (list string)) (Dialect.name dialect) expected shown)
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -895,6 +944,7 @@ let () =
         [
           Alcotest.test_case "create/insert/select" `Quick test_create_insert_select;
           Alcotest.test_case "dialect gates" `Quick test_dialect_gates;
+          Alcotest.test_case "error text" `Quick test_error_text;
           Alcotest.test_case "unique constraints" `Quick test_unique_constraint;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "index scan equivalence" `Quick test_index_scan_equivalence;

@@ -355,6 +355,131 @@ let test_round_golden () =
         ] );
     ]
 
+(* Reducer golden: every report [Runner.run_round] raises over seeds 1-100
+   with the dialect's whole bug catalog (the bug-hunt workload's shape),
+   reduced through a counting [manifestation_check].  Per dialect: the
+   number of reports, one digest of the reduced scripts and the number of
+   checks the reductions made.  The values were taken before rechecks
+   replayed the correct engine first; a change to any verdict the reducer
+   sees moves them. *)
+let hunt_reports =
+  let memo = Hashtbl.create 3 in
+  fun dialect ->
+    match Hashtbl.find_opt memo dialect with
+    | Some r -> r
+    | None ->
+        let bugs =
+          Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
+        in
+        let config = Pqs.Runner.Config.make ~bugs dialect in
+        let reports =
+          List.concat_map
+            (fun db_seed ->
+              (Pqs.Runner.run_round config ~db_seed).Pqs.Stats.reports)
+            (List.init 100 succ)
+        in
+        Hashtbl.replace memo dialect (bugs, reports);
+        (bugs, reports)
+
+(* reduce each report with [check] wrapped by [observe candidate verdict] *)
+let reduce_hunt dialect ~observe =
+  let bugs, reports = hunt_reports dialect in
+  List.map
+    (fun (r : Pqs.Bug_report.t) ->
+      let check =
+        Pqs.Reducer.manifestation_check ~dialect ~bugs
+          ~oracle:r.Pqs.Bug_report.oracle
+      in
+      let counted stmts =
+        let verdict = check stmts in
+        observe r stmts verdict;
+        verdict
+      in
+      Pqs.Reducer.reduce counted r.Pqs.Bug_report.statements)
+    reports
+
+let test_reduction_golden () =
+  List.iter
+    (fun (dialect, reports, digest, checks) ->
+      let n = ref 0 in
+      let reduced = reduce_hunt dialect ~observe:(fun _ _ _ -> incr n) in
+      let name = Dialect.name dialect in
+      Alcotest.(check int) (name ^ " reports") reports (List.length reduced);
+      Alcotest.(check string)
+        (name ^ " reduced scripts") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n--\n"
+                 (List.map (Sqlast.Sql_printer.script dialect) reduced))));
+      Alcotest.(check int) (name ^ " checks") checks !n)
+    [
+      (Dialect.Sqlite_like, 85, "bcc0443d3598fed4837072384720b1ff", 1728);
+      (Dialect.Mysql_like, 50, "55a96fd8e86ebc36d39dabee4d7b897e", 933);
+      (Dialect.Postgres_like, 34, "7a6a043ec9c7da21afc5b8f1b0998ab5", 457);
+    ]
+
+(* The replay recheck as first written, buggy engine first, computed here
+   without the reducer: replay on the buggy engine, then, for the
+   containment kinds, on the correct one.  Returns (crashed, unexpected
+   error, rows of a final SELECT). *)
+let replay_outcome ~dialect ~bugs stmts =
+  let session = Engine.Session.create ~bugs dialect in
+  let last = List.length stmts - 1 in
+  let rec go i unexpected rows = function
+    | [] -> (false, unexpected, rows)
+    | st :: rest -> (
+        match Engine.Session.execute session st with
+        | exception Engine.Errors.Crash _ -> (true, unexpected, None)
+        | Ok (Engine.Session.Rows rs) ->
+            let rows =
+              if i = last then Some (List.length rs.Engine.Executor.rs_rows)
+              else rows
+            in
+            go (i + 1) unexpected rows rest
+        | Ok _ -> go (i + 1) unexpected rows rest
+        | Error e ->
+            go (i + 1)
+              (unexpected
+              || not (Pqs.Expected_errors.is_expected dialect st e))
+              rows rest)
+  in
+  go 0 false None stmts
+
+let buggy_first ~dialect ~bugs (oracle : Pqs.Bug_report.oracle) stmts =
+  let crashed, unexpected, rows = replay_outcome ~dialect ~bugs stmts in
+  let correct () =
+    let _, _, rows =
+      replay_outcome ~dialect ~bugs:Engine.Bug.empty_set stmts
+    in
+    rows
+  in
+  let fetched = function Some n -> n > 0 | None -> false in
+  match oracle with
+  | Pqs.Bug_report.Crash -> crashed
+  | Pqs.Bug_report.Error_oracle -> unexpected && not crashed
+  | Pqs.Bug_report.Containment -> rows = Some 0 && fetched (correct ())
+  | Pqs.Bug_report.Non_containment -> fetched rows && correct () = Some 0
+  | o ->
+      Alcotest.failf "unexpected %s report in a bug hunt"
+        (Pqs.Bug_report.oracle_token o)
+
+let test_verdict_equality () =
+  List.iter
+    (fun dialect ->
+      let bugs, _ = hunt_reports dialect in
+      let candidates = ref 0 in
+      ignore
+        (reduce_hunt dialect ~observe:(fun r stmts verdict ->
+             incr candidates;
+             if verdict <> buggy_first ~dialect ~bugs r.Pqs.Bug_report.oracle stmts
+             then
+               Alcotest.failf "%s seed %d: verdict %b differs on\n%s"
+                 (Dialect.name dialect) r.Pqs.Bug_report.seed verdict
+                 (Sqlast.Sql_printer.script dialect stmts)));
+      Alcotest.(check bool)
+        (Dialect.name dialect ^ " candidates checked") true (!candidates > 0))
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+
 let () =
   Alcotest.run "pqs"
     [
@@ -397,7 +522,13 @@ let () =
               | None -> Alcotest.fail "bitmapset bug not detected"
               | Some _ -> ());
         ] );
-      ("reduction", [ Alcotest.test_case "reduce report" `Slow test_reduction ]);
+      ( "reduction",
+        [
+          Alcotest.test_case "reduce report" `Slow test_reduction;
+          Alcotest.test_case "reducer golden" `Quick test_reduction_golden;
+          Alcotest.test_case "verdicts equal buggy-first" `Quick
+            test_verdict_equality;
+        ] );
       ( "synthesis",
         [ Alcotest.test_case "draw order" `Quick test_draw_order ] );
       ( "runner",
