@@ -62,6 +62,38 @@ let bench_query dialect =
     ~name:(Printf.sprintf "select/%s" (Sqlval.Dialect.name dialect))
     (Staged.stage (fun () -> ignore (Engine.Session.execute session query)))
 
+(* One evaluation of a rectified-shape predicate on a fixture row, as a
+   WHERE clause runs it (boolean context) and as a projection item does
+   (value context): the per-node cost of the expression closures. *)
+let bench_eval dialect =
+  let session = eval_fixture dialect in
+  let ctx = Engine.Session.ctx session in
+  let schema =
+    match Storage.Catalog.find_table ctx.Engine.Executor.catalog "t0" with
+    | Some ts -> ts.Storage.Catalog.schema
+    | None -> assert false
+  in
+  let env = Engine.Executor.table_env ctx schema ~alias:"t0" in
+  env.Engine.Eval.cur := [| [| Sqlval.Value.Int 2L; Sqlval.Value.Text "b" |] |];
+  let e =
+    match
+      Sqlparse.Parser.parse_expr "NOT ((c0 > 1) IS NULL) AND (c1 <> 'zz')"
+    with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  let pred = Engine.Eval.compile_pred env e
+  and value = Engine.Eval.compile env e in
+  let name context =
+    Printf.sprintf "eval/%s %s" (Sqlval.Dialect.name dialect) context
+  in
+  [
+    Test.make ~name:(name "boolean")
+      (Staged.stage (fun () -> ignore (Sys.opaque_identity (pred ()))));
+    Test.make ~name:(name "value")
+      (Staged.stage (fun () -> ignore (Sys.opaque_identity (value ()))));
+  ]
+
 let bench_parse =
   let sql =
     "SELECT DISTINCT t0.c0, t0.c1 FROM t0, t1 WHERE ((t0.c0 IS NOT 1) AND \
@@ -112,6 +144,7 @@ let run_micro () =
     Test.make_grouped ~name:"micro"
       ([ bench_btree; bench_parse ]
       @ List.map bench_query dialects
+      @ List.concat_map bench_eval dialects
       @ List.map bench_synthesize dialects)
   in
   let cfg =

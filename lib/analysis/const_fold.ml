@@ -67,8 +67,8 @@ let env ?(case_sensitive_like = false) dialect (bindings : binding list) :
 let const_env ?case_sensitive_like dialect =
   E.const_env ?case_sensitive_like dialect
 
-let fold env e = Result.to_option (E.compile env e ())
-let fold_tvl env e = Result.to_option (E.truth env (E.compile env e))
+let fold env e = Result.to_option (E.run (E.compile env e))
+let fold_tvl env e = Result.to_option (E.run (E.compile_pred env e))
 
 (* Does [e] expose column metadata (declared type / collation) to an
    enclosing comparison?  [Eval.column_meta] and [Eval.explicit_collation]
@@ -79,29 +79,33 @@ let fold_tvl env e = Result.to_option (E.truth env (E.compile env e))
 let metadata_free env e =
   E.column_meta env e = None && E.explicit_collation env e = None
 
-(* values compare structurally; [Stdlib.compare] keeps NaN equal to
-   itself, which is what replay determinism needs *)
-let same_result (a : (Value.t, Engine.Errors.t) result)
-    (b : (Value.t, Engine.Errors.t) result) =
-  match (a, b) with
-  | Ok va, Ok vb -> Stdlib.compare va vb = 0
+(* the same truth value, or errors of the same code *)
+let same_result a b =
+  match (E.run a, E.run b) with
+  | Ok ta, Ok tb -> Tvl.equal ta tb
   | Error ea, Error eb -> Engine.Errors.equal_code ea.code eb.code
   | _ -> false
 
 let compare_substitutable env op ea eb va vb =
+  let prep ea eb =
+    E.compare_prep env op (E.operand env ea) (E.operand env eb)
+  in
   same_result
-    (E.compare_apply env (E.compare_prep env op ea eb) va vb)
-    (E.compare_apply env (E.compare_prep env op (A.Lit va) (A.Lit vb)) va vb)
+    (fun () -> E.compare_apply env (prep ea eb) va vb)
+    (fun () -> E.compare_apply env (prep (A.Lit va) (A.Lit vb)) va vb)
 
 let between_substitutable env ~negated ~arg ~lo ~hi va vl vh =
+  let prep arg lo hi =
+    E.between_prep env ~negated ~arg:(E.operand env arg) ~lo:(E.operand env lo)
+      ~hi:(E.operand env hi)
+  in
   same_result
-    (E.between_apply env (E.between_prep env ~negated ~arg ~lo ~hi) va vl vh)
-    (E.between_apply env
-       (E.between_prep env ~negated ~arg:(A.Lit va) ~lo:(A.Lit vl)
-          ~hi:(A.Lit vh))
-       va vl vh)
+    (fun () -> E.between_apply env (prep arg lo hi) va vl vh)
+    (fun () ->
+      E.between_apply env (prep (A.Lit va) (A.Lit vl) (A.Lit vh)) va vl vh)
 
 let like_substitutable env ~negated ~arg va vp esc =
+  let prep arg = E.like_prep env ~negated ~arg:(E.operand env arg) in
   same_result
-    (E.like_apply env (E.like_prep env ~negated ~arg) va vp esc)
-    (E.like_apply env (E.like_prep env ~negated ~arg:(A.Lit va)) va vp esc)
+    (fun () -> E.like_apply env (prep arg) va vp esc)
+    (fun () -> E.like_apply env (prep (A.Lit va)) va vp esc)

@@ -62,8 +62,7 @@ let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
   let fold = Const_fold.fold env in
   (* the truth value of a literal operand, if syntactically a literal *)
   let lit_tvl = function
-    | A.Lit v -> (
-        match E.value_tvl env v with Ok t -> Some t | Error _ -> None)
+    | A.Lit v -> Result.to_option (E.run (fun () -> E.value_tvl env v))
     | _ -> None
   in
   (* fold a metadata-insensitive node to the literal of its value *)
@@ -230,10 +229,8 @@ let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
               | None -> Some None
               | Some se -> (
                   match fold se with
-                  | Some ev -> (
-                      match E.like_escape_char ev with
-                      | Ok c -> Some c
-                      | Error _ -> None)
+                  | Some ev ->
+                      Result.to_option (E.run (fun () -> E.like_escape_char ev))
                   | None -> None)
             in
             match (fold sarg, fold spat, esc_char) with

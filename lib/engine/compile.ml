@@ -1,7 +1,8 @@
 (* The query executor: a push pipeline over compiled expressions.
 
-   Each expression of a query is compiled once by Eval.compile into a
-   closure over the env's current tuple.  A SELECT runs as one nested
+   Each expression of a query is compiled once by Eval.compile (values)
+   or Eval.compile_pred (WHERE, ON, HAVING) into a closure over the
+   env's current tuple.  A SELECT runs as one nested
    loop over its materialized FROM sources, keeping the rows WHERE
    accepts, then one projection loop that pushes each row, with its
    ORDER BY keys, through stages built once per SELECT (DISTINCT, ORDER
@@ -9,11 +10,11 @@
    collects the result set.  All expression semantics — every dialect
    quirk and injected bug — live in Eval.
 
-   The per-row loops (FROM/WHERE, projection, the ORDER BY key walk, the
-   aggregate's per-tuple evaluation) follow Eval's per-row rule: results
-   are bound with explicit matches and the walks are top-level
-   functions, so a row allocates only what it keeps.  [let*] is for
-   per-statement code. *)
+   The per-row loops (FROM/WHERE, the join's ON, projection, the ORDER
+   BY key walk, VALUES) follow Eval's per-row rule: they take bare
+   values and truth values, and an evaluation error raises out of them
+   to the one [Eval.run] around each loop, so a row allocates only what
+   it keeps.  Results and [let*] are for per-statement code. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -73,10 +74,9 @@ let rec proj_width (tuple : Value.t array array) n = function
 (* Project the tuple currently in [c.cur] through the compiled item
    list ([tuple] is the same array the caller stored into [c.cur]) into
    [out], which is [proj_width] wide. *)
-let project_into out (tuple : Value.t array array) projs :
-    (Value.t array, Errors.t) result =
+let project_into out (tuple : Value.t array array) projs : Value.t array =
   let rec go pos = function
-    | [] -> Ok out
+    | [] -> out
     | p :: rest -> (
         match p with
         | P_star ->
@@ -91,13 +91,10 @@ let project_into out (tuple : Value.t array array) projs :
             let vs = tuple.(i) in
             Array.blit vs 0 out pos (Array.length vs);
             go (pos + Array.length vs) rest
-        | P_error e -> Error e
-        | P_expr t -> (
-            match t () with
-            | Error e -> Error e
-            | Ok v ->
-                out.(pos) <- v;
-                go (pos + 1) rest))
+        | P_error e -> Eval.fail e
+        | P_expr t ->
+            out.(pos) <- t ();
+            go (pos + 1) rest)
   in
   go 0 projs
 
@@ -120,8 +117,9 @@ type source = {
    forced join swap puts the second of a two-item comma FROM outside.
    Each source tuple is blitted into the env's scratch tuple at its
    bindings' offset, WHERE runs there, and only a surviving row gets a
-   fresh combined tuple.  Returns the survivors, in loop order. *)
-let from_where ctx (c : Eval.env) pred sources =
+   fresh combined tuple.  Returns the survivors, in loop order, or
+   WHERE's first error. *)
+let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources =
   let filter_t0 = Executor.op_clock ctx in
   let scratch = !(c.Eval.cur) in
   let _, placed =
@@ -137,34 +135,26 @@ let from_where ctx (c : Eval.env) pred sources =
   in
   let n = ref 0 and kept = ref [] in
   let keep () = kept := Array.copy scratch :: !kept in
-  (* explicit matches, not [let*]: no closure per tuple *)
   let rec nest = function
     | [] -> (
         incr n;
         match pred with
-        | None ->
-            keep ();
-            Ok ()
-        | Some p -> (
+        | None -> keep ()
+        | Some (p : Eval.pred) -> (
             match p () with
-            | Error e -> Error e
-            | Ok v -> (
-                match Eval.value_tvl c v with
-                | Ok Tvl.True ->
-                    keep ();
-                    Ok ()
-                | Ok (Tvl.False | Tvl.Unknown) -> Ok ()
-                | Error e -> Error e)))
+            | Tvl.True -> keep ()
+            | Tvl.False | Tvl.Unknown -> ()))
     | (off, tuples) :: inner ->
         let rec each = function
-          | [] -> Ok ()
-          | t :: rest -> (
+          | [] -> ()
+          | t :: rest ->
               Array.blit t 0 scratch off (Array.length t);
-              match nest inner with Ok () -> each rest | Error e -> Error e)
+              nest inner;
+              each rest
         in
         each tuples
   in
-  let* () = nest loops in
+  let* () = Eval.run (fun () -> nest loops) in
   let rows = List.rev !kept in
   if Option.is_some pred && Executor.tracing ctx then
     Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:!n
@@ -288,13 +278,10 @@ let limit_stage ctx (s : A.select) next =
    [row] with them down [chain].  Top-level, so no closure is built per
    row. *)
 let rec push_keyed chain row acc = function
-  | [] ->
-      chain.push row (List.rev acc);
-      Ok ()
-  | (t : Eval.thunk) :: rest -> (
-      match t () with
-      | Ok v -> push_keyed chain row (v :: acc) rest
-      | Error e -> Error e)
+  | [] -> chain.push row (List.rev acc)
+  | (t : Eval.thunk) :: rest ->
+      let v = t () in
+      push_keyed chain row (v :: acc) rest
 
 (* The chain a SELECT's rows are pushed through, ending in [put].  A
    probed SELECT (see [run_select]) has no DISTINCT or ORDER BY stage. *)
@@ -326,10 +313,13 @@ let stages ctx c (s : A.select) ~probe put =
    tuple.  The implicit single group over no rows has no representative
    tuple, so its column references fail to resolve.  Each group that
    passes HAVING goes to [emit] (the SELECT's projection step) with its
-   env, representative tuple, items and keys. *)
+   env, representative tuple, items and keys.  Runs inside the
+   projection's [Eval.run]: the aggregation operator's own errors are
+   raised there too. *)
 let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
   cov_ctx ctx "exec.group_by";
   let agg_t0 = Executor.op_clock ctx in
+  let get = function Ok v -> v | Error e -> Eval.fail e in
   let compiled = ref [] in
   (* each expression's thunk, compiled on first use, found by identity *)
   let rec thunk_of e = function
@@ -344,64 +334,52 @@ let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
     c.Eval.cur := tuple;
     t ()
   in
-  let substitute group e = Executor.substitute_aggs ctx ~eval group e in
-  let* groups = Executor.group_tuples ctx ~eval s tuples in
+  let substitute group e = get (Executor.substitute_aggs ctx ~eval group e) in
+  let groups = get (Executor.group_tuples ctx ~eval s tuples) in
   let kept = ref 0 in
-  let rec go = function
-    | [] -> Ok ()
-    | group :: rest ->
-        let gc, rep =
-          match group with
-          | t :: _ -> (c, t)
-          | [] -> (make_env ctx [], [||])
+  List.iter
+    (fun group ->
+      let gc, rep =
+        match group with
+        | t :: _ -> (c, t)
+        | [] -> (make_env ctx [], [||])
+      in
+      let at_rep compile e =
+        let t = compile gc e in
+        gc.Eval.cur := rep;
+        t ()
+      in
+      let keep =
+        match s.A.sel_having with
+        | None -> true
+        | Some h ->
+            cov_ctx ctx "exec.having";
+            Tvl.equal (at_rep Eval.compile_pred (substitute group h)) Tvl.True
+      in
+      if keep then begin
+        let items =
+          List.map
+            (function
+              | A.Sel_expr (e, a) -> A.Sel_expr (substitute group e, a)
+              | it -> it)
+            s.A.sel_items
         in
-        let at_rep e =
-          let t = Eval.compile gc e in
-          gc.Eval.cur := rep;
-          t ()
+        (* each key is substituted, compiled and evaluated in turn *)
+        let keys =
+          List.map
+            (fun (e, _) () -> at_rep Eval.compile (substitute group e))
+            s.A.sel_order_by
         in
-        let* keep =
-          match s.A.sel_having with
-          | None -> Ok true
-          | Some h ->
-              cov_ctx ctx "exec.having";
-              let* h' = substitute group h in
-              let* v = at_rep h' in
-              let* t = Eval.value_tvl gc v in
-              Ok (Tvl.equal t Tvl.True)
-        in
-        if not keep then go rest
-        else
-          let* items =
-            let rec sub acc = function
-              | [] -> Ok (List.rev acc)
-              | A.Sel_expr (e, a) :: more ->
-                  let* e' = substitute group e in
-                  sub (A.Sel_expr (e', a) :: acc) more
-              | it :: more -> sub (it :: acc) more
-            in
-            sub [] s.A.sel_items
-          in
-          (* each key is substituted, compiled and evaluated in turn *)
-          let keys =
-            List.map
-              (fun (e, _) () ->
-                let* e' = substitute group e in
-                at_rep e')
-              s.A.sel_order_by
-          in
-          incr kept;
-          let* () = emit gc rep (compile_items gc items) keys in
-          go rest
-  in
-  let* () = go groups in
+        incr kept;
+        emit gc rep (compile_items gc items) keys
+      end)
+    groups;
   if Executor.tracing ctx then
     Executor.op_event ctx ~op:"AGGREGATE"
       ~detail:(if s.A.sel_group_by = [] then "" else "GROUP BY")
       ~rows_in:(List.length tuples) ~rows_out:!kept
       ~batches:(batches_of (List.length tuples))
-      ~t0:agg_t0 ();
-  Ok ()
+      ~t0:agg_t0 ()
 
 (* A derived row source (view or FROM subquery): one binding whose
    columns are untyped and binary-collated. *)
@@ -480,16 +458,14 @@ let rec run_select ?sink ctx (s : A.select) :
     let c = make_env ctx [] in
     let* columns = Executor.output_columns ~named [] s.A.sel_items in
     let projs = compile_items c s.A.sel_items in
-    let* row = project [||] projs in
-    let* keep =
-      match where with
-      | None -> Ok true
-      | Some w ->
-          let* v = Eval.compile c w () in
-          let* t = Eval.value_tvl c v in
-          Ok (Tvl.equal t Tvl.True)
+    let* () =
+      Eval.run (fun () ->
+          let row = project [||] projs in
+          match where with
+          | Some w when not (Tvl.equal (Eval.compile_pred c w ()) Tvl.True) ->
+              ()
+          | _ -> put row)
     in
-    if keep then put row;
     Ok { Executor.rs_columns = columns; rs_rows = collected () }
   end
   else begin
@@ -518,7 +494,7 @@ let rec run_select ?sink ctx (s : A.select) :
       make_env ctx (List.concat_map (fun src -> src.src_layout) sources)
     in
     let* rows =
-      from_where ctx c (Option.map (Eval.compile c) where) sources
+      from_where ctx c (Option.map (Eval.compile_pred c) where) sources
     in
     (* output columns come from the FROM's layout, with or without
        tuples: [*] and [t.*] over an empty table name its columns *)
@@ -540,23 +516,17 @@ let rec run_select ?sink ctx (s : A.select) :
         end
         else project tuple projs
       in
-      match row with
-      | Error e -> Error e
-      | Ok row -> push_keyed chain row [] keys
+      push_keyed chain row [] keys
     in
     let* () =
-      if Executor.select_has_agg s then aggregate ctx c s rows ~emit
-      else
-        let projs = compile_items c s.A.sel_items in
-        let keys = List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by in
-        let rec go = function
-          | [] -> Ok ()
-          | tuple :: rest -> (
-              match emit c tuple projs keys with
-              | Ok () -> go rest
-              | Error e -> Error e)
-        in
-        go rows
+      Eval.run (fun () ->
+          if Executor.select_has_agg s then aggregate ctx c s rows ~emit
+          else
+            let projs = compile_items c s.A.sel_items in
+            let keys =
+              List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by
+            in
+            List.iter (fun tuple -> emit c tuple projs keys) rows)
     in
     if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
     if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
@@ -595,25 +565,16 @@ and run_query ?sink ctx (q : A.query) :
              only other expressions need an env and a compile *)
           let c = lazy (make_env ctx []) in
           let put, collected = sink_or_collect sink in
-          let rec go = function
-            | [] -> Ok ()
-            | exprs :: rest ->
-                let row = Array.make width Value.Null in
-                let rec fill i = function
-                  | [] -> Ok ()
-                  | A.Lit v :: more ->
-                      row.(i) <- v;
-                      fill (i + 1) more
-                  | e :: more ->
-                      let* v = Eval.compile (Lazy.force c) e () in
-                      row.(i) <- v;
-                      fill (i + 1) more
-                in
-                let* () = fill 0 exprs in
-                put row;
-                go rest
+          let row exprs =
+            let row = Array.make width Value.Null in
+            List.iteri
+              (fun i -> function
+                | A.Lit v -> row.(i) <- v
+                | e -> row.(i) <- Eval.compile (Lazy.force c) e ())
+              exprs;
+            put row
           in
-          let* () = go rows in
+          let* () = Eval.run (fun () -> List.iter row rows) in
           Ok
             { Executor.rs_columns = values_columns width; rs_rows = collected () }
       | A.Q_compound (op, qa, qb) -> run_compound ?sink ctx op qa qb)
@@ -799,7 +760,7 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
     | A.Cross, _ | _, None -> None
     | _, Some cond ->
         let c = make_env ctx full_layout in
-        Some (c, Eval.compile c cond)
+        Some (c, Eval.compile_pred c cond)
   in
   (* the NULL-padded right extension for unmatched LEFT rows: shaped
      like the first right tuple, or built from the schemas when the
@@ -844,19 +805,13 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
   (* does ON hold for the outer tuple already blitted and inner [i]? *)
   let on_holds i =
     match con with
-    | None -> Ok true
-    | Some (c, p) -> (
+    | None -> true
+    | Some (c, p) ->
         Array.blit i 0 !(c.Eval.cur) inner_off (Array.length i);
-        match p () with
-        | Error e -> Error e
-        | Ok v -> (
-            match Eval.value_tvl c v with
-            | Ok Tvl.True -> Ok true
-            | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-            | Error e -> Error e))
+        Tvl.equal (p ()) Tvl.True
   in
   let rec go acc = function
-    | [] -> Ok (List.rev acc)
+    | [] -> List.rev acc
     | o :: rest ->
         (match con with
         | Some (c, _) ->
@@ -864,19 +819,14 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
         | None -> ());
         let rec walk matches = function
           | [] ->
-              Ok
-                (if matches = [] && kind = A.Left then [ Array.append o ext ]
-                 else matches)
-          | i :: more -> (
-              match on_holds i with
-              | Ok hit ->
-                  walk (if hit then combine o i :: matches else matches) more
-              | Error e -> Error e)
+              if matches = [] && kind = A.Left then [ Array.append o ext ]
+              else matches
+          | i :: more ->
+              walk (if on_holds i then combine o i :: matches else matches) more
         in
-        let* matches = walk [] inner in
-        go (List.rev_append matches acc) rest
+        go (List.rev_append (walk [] inner) acc) rest
   in
-  let* tuples = go [] outer in
+  let* tuples = Eval.run (fun () -> go [] outer) in
   if Executor.tracing ctx then
     Executor.op_event ctx ~op:"JOIN"
       ~detail:

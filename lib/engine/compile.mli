@@ -1,8 +1,9 @@
 (** The query executor: a push pipeline over compiled expressions.
 
-    Each expression of a query is compiled once by {!Eval.compile} into
-    a closure over a mutable current tuple (column references become
-    array-slot reads resolved at compile time).  A SELECT runs as one
+    Each expression of a query is compiled once by {!Eval.compile} (or,
+    for WHERE, ON and HAVING, {!Eval.compile_pred}) into a closure over a
+    mutable current tuple (column references become array-slot reads
+    resolved at compile time).  A SELECT runs as one
     nested loop over its materialized FROM sources (scans, joins, views,
     derived tables), WHERE evaluated on each tuple, then one projection
     loop that pushes each surviving row, with its ORDER BY keys, through
@@ -17,7 +18,8 @@
     one place.  Aggregation goes through {!Executor.group_tuples} and
     {!Executor.substitute_aggs}, so {!run_query} is total over the query
     AST.  The per-row loops follow {!Eval}'s rule: they allocate only the
-    rows and values they produce. *)
+    rows and values they produce, and each runs inside one {!Eval.run}
+    that turns the first evaluation error into the statement's error. *)
 
 val run_query :
   Executor.ctx -> Sqlast.Ast.query -> (Executor.result_set, Errors.t) result

@@ -21,13 +21,13 @@ let err code fmt = Errors.makef code fmt
 type index_plan = {
   ix : Storage.Index.t;
   slot : int;
-  compiled : (Eval.thunk array * Eval.thunk option) Lazy.t;
+  compiled : (Eval.thunk array * Eval.pred option) Lazy.t;
 }
 
 type plan = {
   env : Eval.env;
   version : int;
-  checks : Eval.thunk list Lazy.t;
+  checks : Eval.pred list Lazy.t;
   indexes : index_plan list;
 }
 
@@ -36,7 +36,7 @@ type Storage.Catalog.compiled += Plan of plan
 let compile_index env slot (ix : Storage.Index.t) =
   let key (ic : A.indexed_column) = Eval.compile env ic.A.ic_expr in
   let keys () = Array.of_list (List.map key ix.Storage.Index.definition) in
-  let where () = Option.map (Eval.compile env) ix.Storage.Index.where in
+  let where () = Option.map (Eval.compile_pred env) ix.Storage.Index.where in
   { ix; slot; compiled = lazy (keys (), where ()) }
 
 let plan ctx (ts : Storage.Catalog.table_state) =
@@ -57,7 +57,7 @@ let plan ctx (ts : Storage.Catalog.table_state) =
         {
           env;
           version = schema.Storage.Schema.version;
-          checks = lazy (List.map (Eval.compile env) checks);
+          checks = lazy (List.map (Eval.compile_pred env) checks);
           indexes =
             List.mapi (compile_index env)
               (Storage.Catalog.indexes_on ctx.Executor.catalog
@@ -70,11 +70,7 @@ let plan ctx (ts : Storage.Catalog.table_state) =
 let set_row p values = !(p.env.Eval.cur).(0) <- values
 
 (* Is [pred], compiled against the plan's env, TRUE on the row last set? *)
-let holds p pred =
-  match Eval.truth p.env pred with
-  | Ok Tvl.True -> Ok true
-  | Ok (Tvl.False | Tvl.Unknown) -> Ok false
-  | Error e -> Error e
+let holds pred = Result.map (Tvl.equal Tvl.True) (Eval.run pred)
 
 (* ------------------------------------------------------------------ *)
 (* Index entries                                                        *)
@@ -84,26 +80,12 @@ type entry = Pending | Absent | Key of Value.t array | Failed of Errors.t
 let eval_entry p ip values =
   set_row p values;
   let keys, where = Lazy.force ip.compiled in
-  let run_key () =
-    let key = Array.make (Array.length keys) Value.Null in
-    let rec go i =
-      if i = Array.length keys then Key key
-      else
-        match keys.(i) () with
-        | Ok v ->
-            key.(i) <- v;
-            go (i + 1)
-        | Error e -> Failed e
-    in
-    go 0
+  let entry () =
+    match where with
+    | Some pred when not (Tvl.equal (pred ()) Tvl.True) -> Absent
+    | _ -> Key (Array.map (fun key -> key ()) keys)
   in
-  match where with
-  | None -> run_key ()
-  | Some pred -> (
-      match holds p pred with
-      | Ok true -> run_key ()
-      | Ok false -> Absent
-      | Error e -> Failed e)
+  match Eval.run entry with Ok entry -> entry | Error e -> Failed e
 
 (* One row's entries under every index of its plan, each evaluated at
    most once, on first use. *)
@@ -570,7 +552,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
               let* default_value =
                 match default with
                 | None -> Ok Value.Null
-                | Some e -> Eval.compile (Executor.eval_env ctx) e ()
+                | Some e -> Eval.run (Eval.compile (Executor.eval_env ctx) e)
               in
               let col =
                 {

@@ -33,14 +33,14 @@ val drop_view :
 type index_plan = {
   ix : Storage.Index.t;
   slot : int;  (** position in [plan.indexes] and in a row's entry memo *)
-  compiled : (Eval.thunk array * Eval.thunk option) Lazy.t;
+  compiled : (Eval.thunk array * Eval.pred option) Lazy.t;
       (** key columns and partial-index predicate *)
 }
 
 type plan = {
   env : Eval.env;  (** {!Executor.table_env} under the table's name *)
   version : int;  (** the {!Storage.Schema.version} compiled *)
-  checks : Eval.thunk list Lazy.t;
+  checks : Eval.pred list Lazy.t;
   indexes : index_plan list;  (** the table's indexes, catalog order *)
 }
 
@@ -49,11 +49,12 @@ type plan = {
     one (cached in turn). *)
 val plan : Executor.ctx -> Storage.Catalog.table_state -> plan
 
-(** Place a row's values in the env's tuple, for CHECK and WHERE thunks. *)
+(** Place a row's values in the env's tuple, for CHECK and WHERE
+    predicates. *)
 val set_row : plan -> Sqlval.Value.t array -> unit
 
 (** Is a predicate compiled against the plan's env TRUE on that row? *)
-val holds : plan -> Eval.thunk -> (bool, Errors.t) result
+val holds : Eval.pred -> (bool, Errors.t) result
 
 (** A row's entry under one index.  [Absent]: the row fails the partial
     predicate; [Failed]: a key or predicate failed to evaluate (e.g.

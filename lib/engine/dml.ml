@@ -224,7 +224,7 @@ let check_constraints (ctx : Executor.ctx) (p : Ddl.plan)
     let rec go = function
       | [] -> Ok ()
       | check :: rest -> (
-          match Eval.truth p.Ddl.env check with
+          match Eval.run check with
           | Ok (Tvl.True | Tvl.Unknown) -> go rest
           | Ok Tvl.False ->
               Error
@@ -323,7 +323,7 @@ let insert ctx ~table ~columns ~rows ~action =
               match default_of.(i) with
               | Some d ->
                   cov ctx "dml.default_value";
-                  let* v = d () in
+                  let* v = Eval.run d in
                   let* v = store_value ctx col v in
                   values.(i) <- v;
                   Ok ()
@@ -349,7 +349,7 @@ let insert ctx ~table ~columns ~rows ~action =
               let* raw =
                 match e with
                 | A.Lit v -> Ok v
-                | e -> Eval.compile (Lazy.force env) e ()
+                | e -> Eval.run (Eval.compile (Lazy.force env) e)
               in
               let* v =
                 match store_value ctx col raw with
@@ -528,7 +528,7 @@ let update ctx ~table ~assignments ~where ~action =
     go [] assignments
   in
   let p = Ddl.plan ctx ts in
-  let where = Option.map (Eval.compile p.Ddl.env) where in
+  let where = Option.map (Eval.compile_pred p.Ddl.env) where in
   let targets =
     List.map (fun (i, col, e) -> (i, col, Eval.compile p.Ddl.env e)) targets
   in
@@ -551,7 +551,7 @@ let update ctx ~table ~assignments ~where ~action =
   let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
     Ddl.set_row p row.Storage.Row.values;
     let* matches =
-      match where with None -> Ok true | Some w -> Ddl.holds p w
+      match where with None -> Ok true | Some w -> Ddl.holds w
     in
     if not matches then Ok false
     else begin
@@ -560,7 +560,7 @@ let update ctx ~table ~assignments ~where ~action =
         let rec apply = function
           | [] -> Ok ()
           | (i, col, e) :: rest ->
-              let* v = e () in
+              let* v = Eval.run e in
               let* v = store_value ctx col v in
               (* taint tracking for the injected postgres index-NULL bug *)
               if
@@ -656,14 +656,14 @@ let delete ctx ~table ~where =
   cov ctx "dml.delete";
   let* ts = find_table ctx table in
   let p = Ddl.plan ctx ts in
-  let where = Option.map (Eval.compile p.Ddl.env) where in
+  let where = Option.map (Eval.compile_pred p.Ddl.env) where in
   let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
   let rec go n = function
     | [] -> Ok n
     | (row : Storage.Row.t) :: rest ->
         Ddl.set_row p row.Storage.Row.values;
         let* matches =
-          match where with None -> Ok true | Some w -> Ddl.holds p w
+          match where with None -> Ok true | Some w -> Ddl.holds w
         in
         if matches then
           let* () = remove_row p ts row in

@@ -1,14 +1,16 @@
 (* Expressions compile to closures over the env's current tuple.
 
-   The per-row rule: a compiled closure, and every helper it calls per
-   evaluation, allocates only the values it produces.  Results are bound
-   with explicit [match ... with Error e -> Error e | Ok v -> ...], never
-   [let*]: without flambda each [let*] allocates its continuation
-   closure on every evaluation.  Truth values, the dialects' boolean
-   results, NULL and each literal come back as [Ok]s built once, and the
-   walks over IN lists, CASE branches and function arguments are
-   top-level functions rather than closures made per evaluation.  Only
-   code that runs once per compilation may build closures freely. *)
+   The per-row rule: a compiled closure returns a bare result — a value
+   from [compile], a truth value from [compile_pred] — and an error
+   leaves it as the private [Eval_error], raised with [raise_notrace]
+   and caught once per statement by [run].  So a node neither wraps its
+   result nor re-matches its operands' errors, and a boolean node in a
+   boolean context never encodes its truth value as a dialect value for
+   its parent to decode.  Operands are bound with [let], in SQL
+   evaluation order (OCaml evaluates a call's arguments right to left).
+   The walks over IN items, CASE branches and function arguments are
+   top-level functions rather than closures made per evaluation; only
+   code that runs once per compilation builds closures. *)
 
 open Sqlval
 module A = Sqlast.Ast
@@ -103,12 +105,16 @@ let cov env point =
 
 let bug env b = Bug.on env.bugs b
 
-(* The shared results of the per-row rule (see the top of the file). *)
-let ok_null : (Value.t, Errors.t) result = Ok Value.Null
-let ok_pg_true : (Value.t, Errors.t) result = Ok (Value.Bool true)
-let ok_pg_false : (Value.t, Errors.t) result = Ok (Value.Bool false)
-let ok_int_true : (Value.t, Errors.t) result = Ok (Value.Int 1L)
-let ok_int_false : (Value.t, Errors.t) result = Ok (Value.Int 0L)
+(* ------------------------------------------------------------------ *)
+(* Errors                                                              *)
+
+(* An evaluation error, on its way from the failing node to the
+   statement's [run].  Only [fail] raises it and only [run] catches it;
+   [Errors.Crash] passes through. *)
+exception Eval_error of Errors.t
+
+let fail e = raise_notrace (Eval_error e)
+let run f = match f () with v -> Ok v | exception Eval_error e -> Error e
 
 let bool_value dialect (t : Tvl.t) : Value.t =
   match dialect with
@@ -123,34 +129,20 @@ let bool_value dialect (t : Tvl.t) : Value.t =
       | Tvl.False -> Value.Int 0L
       | Tvl.Unknown -> Value.Null)
 
-(* [Ok (bool_value dialect t)], shared *)
-let bool_result dialect (t : Tvl.t) : (Value.t, Errors.t) result =
-  match dialect with
-  | Dialect.Postgres_like -> (
-      match t with
-      | Tvl.True -> ok_pg_true
-      | Tvl.False -> ok_pg_false
-      | Tvl.Unknown -> ok_null)
-  | Dialect.Sqlite_like | Dialect.Mysql_like -> (
-      match t with
-      | Tvl.True -> ok_int_true
-      | Tvl.False -> ok_int_false
-      | Tvl.Unknown -> ok_null)
-
-let coerce_tvl env (v : Value.t) : (Tvl.t, Errors.t) result =
+let coerce_tvl env (v : Value.t) : Tvl.t =
   match Coerce.to_tvl env.dialect v with
-  | Ok t -> Tvl.ok t
-  | Error msg -> Error (Errors.make Errors.Type_error msg)
+  | Ok t -> t
+  | Error msg -> fail (Errors.make Errors.Type_error msg)
 
 (* Truth value of a value, with the mysql TEXT-double truncation bug
    injected here so that every boolean context inherits it. *)
-let value_tvl env (v : Value.t) : (Tvl.t, Errors.t) result =
+let value_tvl env (v : Value.t) : Tvl.t =
   match v with
   | Value.Text s
     when Dialect.equal env.dialect Dialect.Mysql_like
          && bug env Bug.My_text_double_bool_trunc -> (
       match Numeric.numeric_prefix s with
-      | `Real r -> Tvl.ok (Tvl.of_bool (Int64.of_float (Float.trunc r) <> 0L))
+      | `Real r -> Tvl.of_bool (Int64.of_float (Float.trunc r) <> 0L)
       | `Int _ | `None -> coerce_tvl env v)
   | _ -> coerce_tvl env v
 
@@ -171,21 +163,35 @@ let rec column_meta env (e : A.expr) : (Datatype.t * Collation.t) option =
   | A.Unary (A.Pos, inner) -> column_meta env inner
   | _ -> None
 
-let rec explicit_collation env (e : A.expr) : Collation.t option =
+(* An operand's static side: its expression and its [column_meta],
+   taken while compiling it so that a column reference resolves once. *)
+type operand = { o_expr : A.expr; o_meta : (Datatype.t * Collation.t) option }
+
+let operand env e = { o_expr = e; o_meta = column_meta env e }
+
+(* an explicit COLLATE, or a non-BINARY column collation *)
+let rec explicit_of (e : A.expr) meta =
   match e with
   | A.Collate (_, c) -> Some c
   | A.Col _ -> (
-      match column_meta env e with
+      match meta with
       | Some (_, c) when not (Collation.equal c Collation.Binary) -> Some c
       | _ -> None)
-  | A.Unary (A.Pos, inner) -> explicit_collation env inner
+  | A.Unary (A.Pos, inner) -> explicit_of inner meta
   | _ -> None
 
-let comparison_collation env a b =
-  match explicit_collation env a with
+let explicit_collation env e = explicit_of e (column_meta env e)
+
+let operand_collation a b =
+  match explicit_of a.o_expr a.o_meta with
   | Some c -> c
   | None -> (
-      match explicit_collation env b with Some c -> c | None -> Collation.Binary)
+      match explicit_of b.o_expr b.o_meta with
+      | Some c -> c
+      | None -> Collation.Binary)
+
+let comparison_collation env a b =
+  operand_collation (operand env a) (operand env b)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -207,12 +213,12 @@ let adjust_text v =
    once per (expression pair, binding layout) and reused per row — the
    query executor (Engine.Compile) does exactly that via the [*_prep]
    entry points. *)
-let sqlite_affinity_prep env ea eb : (Value.t -> Value.t) * (Value.t -> Value.t)
+let sqlite_affinity_prep env a b : (Value.t -> Value.t) * (Value.t -> Value.t)
     =
   if bug env Bug.Sq_affinity_compare_skip then (Fun.id, Fun.id)
   else
-    let affinity_of e =
-      Option.map (fun (dt, _) -> Datatype.affinity dt) (column_meta env e)
+    let affinity_of o =
+      Option.map (fun (dt, _) -> Datatype.affinity dt) o.o_meta
     in
     let numericish = function
       | Some Datatype.A_integer | Some Datatype.A_real | Some Datatype.A_numeric
@@ -223,7 +229,7 @@ let sqlite_affinity_prep env ea eb : (Value.t -> Value.t) * (Value.t -> Value.t)
           false
     in
     let textish aff = aff = Some Datatype.A_text in
-    let aa = affinity_of ea and ab = affinity_of eb in
+    let aa = affinity_of a and ab = affinity_of b in
     if numericish aa && not (numericish ab) then (Fun.id, adjust_numeric)
     else if numericish ab && not (numericish aa) then (adjust_numeric, Fun.id)
     else if textish aa && ab = None then (Fun.id, adjust_text)
@@ -254,8 +260,9 @@ let pg_comparable (a : Value.t) (b : Value.t) =
   | _ -> false
 
 let pg_type_mismatch a b =
-  Errors.makef Errors.Type_error "operator does not exist: %s vs %s"
-    (Value.show a) (Value.show b)
+  fail
+    (Errors.makef Errors.Type_error "operator does not exist: %s vs %s"
+       (Value.show a) (Value.show b))
 
 let op_of_compare op c =
   match op with
@@ -277,8 +284,8 @@ let mysql_compare env coll (va : Value.t) (vb : Value.t) =
 let literal_int (e : A.expr) =
   match e with A.Lit (Value.Int i) -> Some i | _ -> None
 
-let int_column_width env e =
-  match column_meta env e with
+let int_column_width o =
+  match o.o_meta with
   | Some (Datatype.Int { width; _ }, _) -> Some width
   | _ -> None
 
@@ -294,8 +301,8 @@ type cmp_prep = {
   cp_fb : Value.t -> Value.t;
 }
 
-let compare_prep env op ea eb : cmp_prep =
-  let coll = comparison_collation env ea eb in
+let compare_prep env op a b : cmp_prep =
+  let coll = operand_collation a b in
   let null_safe = match op with A.Null_safe_eq -> true | _ -> false in
   (* mysql Listing 12 class: <=> against an out-of-range literal *)
   let out_of_range_nullsafe =
@@ -303,19 +310,19 @@ let compare_prep env op ea eb : cmp_prep =
     && Dialect.equal env.dialect Dialect.Mysql_like
     && bug env Bug.My_null_safe_eq_out_of_range
     &&
-    let beyond e_col e_lit =
-      match (int_column_width env e_col, literal_int e_lit) with
+    let beyond col lit =
+      match (int_column_width col, literal_int lit.o_expr) with
       | Some w, Some i ->
           let lo, hi = Datatype.int_range w in
           i < lo || i > hi
       | _ -> false
     in
-    beyond ea eb || beyond eb ea
+    beyond a b || beyond b a
   in
   let fa, fb =
     match env.dialect with
     | Dialect.Sqlite_like -> (
-        let fa, fb = sqlite_affinity_prep env ea eb in
+        let fa, fb = sqlite_affinity_prep env a b in
         (* Listing-7-style folding bug: literals carry no affinity, but the
            buggy constant folder coerces a text literal compared against a
            numeric literal anyway, so 'abc' > 5 goes through 0 > 5. *)
@@ -324,7 +331,7 @@ let compare_prep env op ea eb : cmp_prep =
             | Value.Int _ | Value.Real _ -> true
             | _ -> false
           and textish = function Value.Text _ -> true | _ -> false in
-          match (ea, eb) with
+          match (a.o_expr, b.o_expr) with
           | A.Lit la, A.Lit lb when numericish la && textish lb ->
               (fa, Coerce.to_numeric)
           | A.Lit la, A.Lit lb when textish la && numericish lb ->
@@ -342,9 +349,8 @@ let compare_prep env op ea eb : cmp_prep =
     cp_fb = fb;
   }
 
-let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) :
-    (Value.t, Errors.t) result =
-  if p.cp_oor_nullsafe then bool_result env.dialect Tvl.Unknown
+let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) : Tvl.t =
+  if p.cp_oor_nullsafe then Tvl.Unknown
   else if p.cp_null_safe then begin
     (* null-safe equality never yields NULL *)
     let eq =
@@ -360,56 +366,52 @@ let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) :
     in
     if Dialect.equal env.dialect Dialect.Postgres_like
        && not (pg_comparable va vb)
-    then Error (pg_type_mismatch va vb)
-    else bool_result env.dialect (Tvl.of_bool eq)
+    then pg_type_mismatch va vb
+    else Tvl.of_bool eq
   end
-  else if Value.is_null va || Value.is_null vb then
-    bool_result env.dialect Tvl.Unknown
+  else if Value.is_null va || Value.is_null vb then Tvl.Unknown
   else
     match env.dialect with
     | Dialect.Sqlite_like ->
-        bool_result env.dialect
-          (Tvl.of_bool
-             (op_of_compare p.cp_op
-                (compare_values env p.cp_coll (p.cp_fa va) (p.cp_fb vb))))
+        Tvl.of_bool
+          (op_of_compare p.cp_op
+             (compare_values env p.cp_coll (p.cp_fa va) (p.cp_fb vb)))
     | Dialect.Mysql_like ->
-        bool_result env.dialect
-          (Tvl.of_bool
-             (op_of_compare p.cp_op (mysql_compare env p.cp_coll va vb)))
+        Tvl.of_bool (op_of_compare p.cp_op (mysql_compare env p.cp_coll va vb))
     | Dialect.Postgres_like ->
-        if not (pg_comparable va vb) then Error (pg_type_mismatch va vb)
+        if not (pg_comparable va vb) then pg_type_mismatch va vb
         else
-          bool_result env.dialect
-            (Tvl.of_bool
-               (op_of_compare p.cp_op (compare_values env p.cp_coll va vb)))
+          Tvl.of_bool
+            (op_of_compare p.cp_op (compare_values env p.cp_coll va vb))
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                          *)
 
-let overflow_error = Errors.make Errors.Out_of_range "BIGINT value is out of range"
+let overflow_error =
+  Errors.make Errors.Out_of_range "BIGINT value is out of range"
+let division_by_zero = Errors.make Errors.Division_by_zero "division by zero"
 
-(* postgres arithmetic takes numbers (and NULL) only: the error for any
-   other operand *)
-let pg_operand_error (v : Value.t) =
+(* postgres arithmetic takes numbers (and NULL) only *)
+let pg_check_operand (v : Value.t) =
   match v with
-  | Value.Int _ | Value.Real _ | Value.Null -> None
+  | Value.Int _ | Value.Real _ | Value.Null -> ()
   | _ ->
-      Some
+      fail
         (Errors.makef Errors.Type_error
            "operator does not exist for operand %s" (Value.show v))
 
 (* an integer result, or the dialect's answer to its overflow *)
-let checked_int env (r : int64 option) real_f x y : (Value.t, Errors.t) result =
+let checked_int env (r : int64 option) real_f x y : Value.t =
   match r with
-  | Some r -> Ok (Value.Int r)
+  | Some r -> Value.Int r
   | None -> (
       match env.dialect with
       | Dialect.Sqlite_like ->
           (* sqlite promotes overflowing integer arithmetic to REAL *)
-          Ok (Value.Real (real_f (Int64.to_float x) (Int64.to_float y)))
-      | Dialect.Mysql_like | Dialect.Postgres_like -> Error overflow_error)
+          Value.Real (real_f (Int64.to_float x) (Int64.to_float y))
+      | Dialect.Mysql_like | Dialect.Postgres_like -> fail overflow_error)
 
-let int_arith env op (x : int64) (y : int64) : (Value.t, Errors.t) result =
+let int_arith env op (x : int64) (y : int64) : Value.t =
   match op with
   | A.Add -> checked_int env (Numeric.checked_add x y) ( +. ) x y
   | A.Sub -> checked_int env (Numeric.checked_sub x y) ( -. ) x y
@@ -418,63 +420,52 @@ let int_arith env op (x : int64) (y : int64) : (Value.t, Errors.t) result =
       match env.dialect with
       | Dialect.Mysql_like ->
           (* mysql / is always real division; NULL on zero *)
-          if y = 0L then Ok Value.Null
-          else Ok (Value.Real (Int64.to_float x /. Int64.to_float y))
+          if y = 0L then Value.Null
+          else Value.Real (Int64.to_float x /. Int64.to_float y)
       | Dialect.Sqlite_like -> (
           match Numeric.checked_div x y with
-          | Some r -> Ok (Value.Int r)
+          | Some r -> Value.Int r
           | None ->
-              if y = 0L then Ok Value.Null
-              else Ok (Value.Real (Int64.to_float x /. Int64.to_float y)))
+              if y = 0L then Value.Null
+              else Value.Real (Int64.to_float x /. Int64.to_float y))
       | Dialect.Postgres_like -> (
           match Numeric.checked_div x y with
-          | Some r -> Ok (Value.Int r)
-          | None ->
-              if y = 0L then
-                Error (Errors.make Errors.Division_by_zero "division by zero")
-              else Error overflow_error))
+          | Some r -> Value.Int r
+          | None -> fail (if y = 0L then division_by_zero else overflow_error)))
   | A.Rem -> (
       match Numeric.checked_rem x y with
-      | Some r -> Ok (Value.Int r)
+      | Some r -> Value.Int r
       | None -> (
           match env.dialect with
-          | Dialect.Sqlite_like | Dialect.Mysql_like -> Ok Value.Null
-          | Dialect.Postgres_like ->
-              Error (Errors.make Errors.Division_by_zero "division by zero")))
+          | Dialect.Sqlite_like | Dialect.Mysql_like -> Value.Null
+          | Dialect.Postgres_like -> fail division_by_zero))
   | _ -> invalid_arg "int_arith"
 
-let real_arith env op (x : float) (y : float) : (Value.t, Errors.t) result =
+(* real division or remainder by zero *)
+let real_by_zero env =
+  match env.dialect with
+  | Dialect.Sqlite_like | Dialect.Mysql_like -> Value.Null
+  | Dialect.Postgres_like -> fail division_by_zero
+
+let real_arith env op (x : float) (y : float) : Value.t =
   match op with
-  | A.Add -> Ok (Value.Real (x +. y))
-  | A.Sub -> Ok (Value.Real (x -. y))
-  | A.Mul -> Ok (Value.Real (x *. y))
-  | A.Div ->
-      if y = 0.0 then
-        match env.dialect with
-        | Dialect.Sqlite_like | Dialect.Mysql_like -> Ok Value.Null
-        | Dialect.Postgres_like ->
-            Error (Errors.make Errors.Division_by_zero "division by zero")
-      else Ok (Value.Real (x /. y))
-  | A.Rem ->
-      if y = 0.0 then
-        match env.dialect with
-        | Dialect.Sqlite_like | Dialect.Mysql_like -> Ok Value.Null
-        | Dialect.Postgres_like ->
-            Error (Errors.make Errors.Division_by_zero "division by zero")
-      else Ok (Value.Real (Float.rem x y))
+  | A.Add -> Value.Real (x +. y)
+  | A.Sub -> Value.Real (x -. y)
+  | A.Mul -> Value.Real (x *. y)
+  | A.Div -> if y = 0.0 then real_by_zero env else Value.Real (x /. y)
+  | A.Rem -> if y = 0.0 then real_by_zero env else Value.Real (Float.rem x y)
   | _ -> invalid_arg "real_arith"
 
-let num_arith env op (na : Value.t) (nb : Value.t) : (Value.t, Errors.t) result
-    =
+let num_arith env op (na : Value.t) (nb : Value.t) : Value.t =
   match (na, nb) with
   | Value.Int x, Value.Int y -> int_arith env op x y
   | Value.Real x, Value.Real y -> real_arith env op x y
   | Value.Int x, Value.Real y -> real_arith env op (Int64.to_float x) y
   | Value.Real x, Value.Int y -> real_arith env op x (Int64.to_float y)
-  | _ -> ok_null
+  | _ -> Value.Null
 
-let arith env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
-  if Value.is_null va || Value.is_null vb then ok_null
+let arith env op (va : Value.t) (vb : Value.t) : Value.t =
+  if Value.is_null va || Value.is_null vb then Value.Null
   else
     (* paper Listing 2 class: TEXT operand routes subtraction through
        double precision, losing low bits of large integers *)
@@ -497,43 +488,40 @@ let arith env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
       in
       let r = to_f va -. to_f vb in
       if Numeric.real_is_exact_int r || Float.is_integer r then
-        Ok (Value.Int (Int64.of_float r))
-      else Ok (Value.Real r)
+        Value.Int (Int64.of_float r)
+      else Value.Real r
     else
       match env.dialect with
       | Dialect.Sqlite_like | Dialect.Mysql_like ->
           num_arith env op (Coerce.to_numeric va) (Coerce.to_numeric vb)
-      | Dialect.Postgres_like -> (
-          match pg_operand_error va with
-          | Some e -> Error e
-          | None -> (
-              match pg_operand_error vb with
-              | Some e -> Error e
-              | None -> num_arith env op va vb))
+      | Dialect.Postgres_like ->
+          pg_check_operand va;
+          pg_check_operand vb;
+          num_arith env op va vb
 
 (* Bitwise operators work on 64-bit integers; operands are cast the way
    sqlite's CAST AS INTEGER does. *)
 let to_int64 (v : Value.t) : int64 option =
   match Coerce.sqlite_cast_int v with Value.Int i -> Some i | _ -> None
 
-let bitop env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
-  if Value.is_null va || Value.is_null vb then Ok Value.Null
+let bitop env op (va : Value.t) (vb : Value.t) : Value.t =
+  if Value.is_null va || Value.is_null vb then Value.Null
   else
     match env.dialect with
     | Dialect.Postgres_like -> (
         match (va, vb) with
         | Value.Int x, Value.Int y -> (
             match op with
-            | A.Bit_and -> Ok (Value.Int (Int64.logand x y))
-            | A.Bit_or -> Ok (Value.Int (Int64.logor x y))
+            | A.Bit_and -> Value.Int (Int64.logand x y)
+            | A.Bit_or -> Value.Int (Int64.logor x y)
             | A.Shift_left ->
-                if y < 0L || y > 63L then Ok (Value.Int 0L)
-                else Ok (Value.Int (Int64.shift_left x (Int64.to_int y)))
+                if y < 0L || y > 63L then Value.Int 0L
+                else Value.Int (Int64.shift_left x (Int64.to_int y))
             | A.Shift_right ->
-                if y < 0L || y > 63L then Ok (Value.Int 0L)
-                else Ok (Value.Int (Int64.shift_right x (Int64.to_int y)))
+                if y < 0L || y > 63L then Value.Int 0L
+                else Value.Int (Int64.shift_right x (Int64.to_int y))
             | _ -> invalid_arg "bitop")
-        | _ -> Error (pg_type_mismatch va vb))
+        | _ -> pg_type_mismatch va vb)
     | Dialect.Sqlite_like | Dialect.Mysql_like -> (
         match (to_int64 va, to_int64 vb) with
         | Some x, Some y -> (
@@ -547,12 +535,12 @@ let bitop env op (va : Value.t) (vb : Value.t) : (Value.t, Errors.t) result =
               else Int64.shift_right x (Int64.to_int y)
             in
             match op with
-            | A.Bit_and -> Ok (Value.Int (Int64.logand x y))
-            | A.Bit_or -> Ok (Value.Int (Int64.logor x y))
-            | A.Shift_left -> Ok (Value.Int (shift true x y))
-            | A.Shift_right -> Ok (Value.Int (shift false x y))
+            | A.Bit_and -> Value.Int (Int64.logand x y)
+            | A.Bit_or -> Value.Int (Int64.logor x y)
+            | A.Shift_left -> Value.Int (shift true x y)
+            | A.Shift_right -> Value.Int (shift false x y)
             | _ -> invalid_arg "bitop")
-        | _ -> Ok Value.Null)
+        | _ -> Value.Null)
 
 (* ------------------------------------------------------------------ *)
 (* Scalar functions                                                    *)
@@ -575,13 +563,17 @@ let func_available dialect (f : A.func) =
       true
 
 let wrong_arity name =
-  Errors.makef Errors.Invalid_function "wrong number of arguments to %s" name
+  fail
+    (Errors.makef Errors.Invalid_function "wrong number of arguments to %s"
+       name)
+
+let type_error msg = fail (Errors.make Errors.Type_error msg)
 
 let pg_wants_text name (v : Value.t) =
   match v with
-  | Value.Text _ | Value.Null -> Ok ()
+  | Value.Text _ | Value.Null -> ()
   | _ ->
-      Error
+      fail
         (Errors.makef Errors.Type_error "function %s(%s) does not exist" name
            (Value.show v))
 
@@ -592,172 +584,158 @@ let text_of env (v : Value.t) = Coerce.to_text env.dialect v
    INTEGER affinity (the injected intended-class bug below). *)
 type func_prep = { fp_nullif_coll : Collation.t; fp_typeof_int : bool }
 
-let func_prep env (f : A.func) (arg_exprs : A.expr list) : func_prep =
+let func_prep env (f : A.func) (args : operand list) : func_prep =
   {
     fp_nullif_coll =
-      (match (f, arg_exprs) with
-      | A.F_nullif, [ x; y ] -> comparison_collation env x y
+      (match (f, args) with
+      | A.F_nullif, [ x; y ] -> operand_collation x y
       | _ -> Collation.Binary);
     fp_typeof_int =
-      (match (f, arg_exprs) with
-      | A.F_typeof, [ e ] -> (
+      (match (f, args) with
+      | A.F_typeof, [ o ] -> (
           bug env Bug.Sq_intended_typeof_affinity
           &&
-          match column_meta env e with
+          match o.o_meta with
           | Some (dt, _) -> Datatype.affinity dt = Datatype.A_integer
           | None -> false)
       | _ -> false);
   }
 
 let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
-    (Value.t, Errors.t) result =
+    Value.t =
   let strict_pg = Dialect.equal env.dialect Dialect.Postgres_like in
   let any_null = List.exists Value.is_null args in
   match (f, args) with
   | A.F_abs, [ v ] ->
-      if any_null then ok_null
+      if any_null then Value.Null
       else (
         match Coerce.to_numeric v with
         | Value.Int i -> (
             if strict_pg && not (Value.is_numeric v) then
-              Error (Errors.make Errors.Type_error "abs(non-numeric)")
+              type_error "abs(non-numeric)"
             else
               match Numeric.checked_neg i with
-              | Some n -> Ok (Value.Int (if i < 0L then n else i))
+              | Some n -> Value.Int (if i < 0L then n else i)
               | None -> (
                   match env.dialect with
                   | Dialect.Sqlite_like ->
-                      Error
-                        (Errors.make Errors.Out_of_range "integer overflow")
-                  | _ -> Error overflow_error))
-        | Value.Real r -> Ok (Value.Real (Float.abs r))
-        | _ -> Ok (Value.Int 0L))
-  | A.F_abs, _ -> Error (wrong_arity "ABS")
+                      fail (Errors.make Errors.Out_of_range "integer overflow")
+                  | _ -> fail overflow_error))
+        | Value.Real r -> Value.Real (Float.abs r)
+        | _ -> Value.Int 0L)
+  | A.F_abs, _ -> wrong_arity "ABS"
   | A.F_length, [ v ] ->
-      if any_null then ok_null
+      if any_null then Value.Null
       else (
         match v with
-        | Value.Text s -> Ok (Value.Int (Int64.of_int (String.length s)))
-        | Value.Blob s -> Ok (Value.Int (Int64.of_int (String.length s)))
+        | Value.Text s | Value.Blob s ->
+            Value.Int (Int64.of_int (String.length s))
         | _ ->
-            if strict_pg then
-              Error (Errors.make Errors.Type_error "length(non-text)")
-            else
-              Ok (Value.Int (Int64.of_int (String.length (text_of env v)))))
-  | A.F_length, _ -> Error (wrong_arity "LENGTH")
+            if strict_pg then type_error "length(non-text)"
+            else Value.Int (Int64.of_int (String.length (text_of env v))))
+  | A.F_length, _ -> wrong_arity "LENGTH"
   | (A.F_lower | A.F_upper), [ v ] ->
-      if any_null then ok_null
-      else (
-        match if strict_pg then pg_wants_text "lower" v else Ok () with
-        | Error e -> Error e
-        | Ok () ->
-            let s = text_of env v in
-            let s' =
-              match f with
-              | A.F_lower -> String.lowercase_ascii s
-              | _ -> String.uppercase_ascii s
-            in
-            Ok (Value.Text s'))
-  | (A.F_lower | A.F_upper), _ -> Error (wrong_arity "LOWER/UPPER")
-  | A.F_coalesce, [] -> Error (wrong_arity "COALESCE")
+      if any_null then Value.Null
+      else begin
+        if strict_pg then pg_wants_text "lower" v;
+        let s = text_of env v in
+        Value.Text
+          (match f with
+          | A.F_lower -> String.lowercase_ascii s
+          | _ -> String.uppercase_ascii s)
+      end
+  | (A.F_lower | A.F_upper), _ -> wrong_arity "LOWER/UPPER"
+  | A.F_coalesce, [] -> wrong_arity "COALESCE"
   | A.F_coalesce, vs -> (
       match List.find_opt (fun v -> not (Value.is_null v)) vs with
-      | Some v -> Ok v
-      | None -> Ok Value.Null)
-  | A.F_ifnull, [ a; b ] -> Ok (if Value.is_null a then b else a)
-  | A.F_ifnull, _ -> Error (wrong_arity "IFNULL")
+      | Some v -> v
+      | None -> Value.Null)
+  | A.F_ifnull, [ a; b ] -> if Value.is_null a then b else a
+  | A.F_ifnull, _ -> wrong_arity "IFNULL"
   | A.F_nullif, [ a; b ] ->
-      if Value.is_null a then Ok Value.Null
-      else if Value.is_null b then Ok a
-      else if compare_values env fp.fp_nullif_coll a b = 0 then Ok Value.Null
-      else Ok a
-  | A.F_nullif, _ -> Error (wrong_arity "NULLIF")
+      if Value.is_null a then Value.Null
+      else if Value.is_null b then a
+      else if compare_values env fp.fp_nullif_coll a b = 0 then Value.Null
+      else a
+  | A.F_nullif, _ -> wrong_arity "NULLIF"
   | A.F_typeof, [ v ] ->
       (* intended-class injection: TYPEOF reports the declared affinity for
          text stored in INTEGER columns (devs: works as documented) *)
       let declared_int = fp.fp_typeof_int in
-      let name =
-        match v with
+      Value.Text
+        (match v with
         | Value.Null -> "null"
         | Value.Int _ -> "integer"
         | Value.Real _ -> "real"
         | Value.Text _ -> if declared_int then "integer" else "text"
         | Value.Blob _ -> "blob"
-        | Value.Bool _ -> "integer"
-      in
-      Ok (Value.Text name)
-  | A.F_typeof, _ -> Error (wrong_arity "TYPEOF")
+        | Value.Bool _ -> "integer")
+  | A.F_typeof, _ -> wrong_arity "TYPEOF"
   | (A.F_trim | A.F_ltrim | A.F_rtrim), [ v ] ->
-      if any_null then ok_null
-      else (
-        match if strict_pg then pg_wants_text "trim" v else Ok () with
-        | Error e -> Error e
-        | Ok () ->
-            let s = text_of env v in
-            let ltrim s =
-              let n = String.length s in
-              let i = ref 0 in
-              while !i < n && s.[!i] = ' ' do
-                incr i
-              done;
-              String.sub s !i (n - !i)
-            in
-            let rtrim s =
-              let n = ref (String.length s) in
-              while !n > 0 && s.[!n - 1] = ' ' do
-                decr n
-              done;
-              String.sub s 0 !n
-            in
-            let s' =
-              match f with
-              | A.F_trim -> ltrim (rtrim s)
-              | A.F_ltrim -> ltrim s
-              | _ -> rtrim s
-            in
-            Ok (Value.Text s'))
-  | (A.F_trim | A.F_ltrim | A.F_rtrim), _ -> Error (wrong_arity "TRIM")
-  | A.F_substr, ([ _; _ ] | [ _; _; _ ]) ->
-      if any_null then ok_null
-      else (
-        match args with
-        | v :: rest ->
-            let s = text_of env v in
-            let nums =
-              List.map
-                (fun x ->
-                  match Coerce.to_numeric x with
-                  | Value.Int i -> Int64.to_int i
-                  | Value.Real r -> int_of_float r
-                  | _ -> 0)
-                rest
-            in
-            let len = String.length s in
-            let start, count =
-              match nums with
-              | [ st ] -> (st, len)
-              | [ st; ct ] -> (st, ct)
-              | _ -> (1, len)
-            in
-            (* 1-based; negative start counts from the end (sqlite) *)
-            let start0 =
-              if start > 0 then start - 1
-              else if start < 0 then Stdlib.max 0 (len + start)
-              else 0
-            in
-            let count = Stdlib.max 0 count in
-            let start0 = Stdlib.min start0 len in
-            let count = Stdlib.min count (len - start0) in
-            Ok (Value.Text (String.sub s start0 count))
-        | [] -> Error (wrong_arity "SUBSTR"))
-  | A.F_substr, _ -> Error (wrong_arity "SUBSTR")
+      if any_null then Value.Null
+      else begin
+        if strict_pg then pg_wants_text "trim" v;
+        let s = text_of env v in
+        let ltrim s =
+          let n = String.length s in
+          let i = ref 0 in
+          while !i < n && s.[!i] = ' ' do
+            incr i
+          done;
+          String.sub s !i (n - !i)
+        in
+        let rtrim s =
+          let n = ref (String.length s) in
+          while !n > 0 && s.[!n - 1] = ' ' do
+            decr n
+          done;
+          String.sub s 0 !n
+        in
+        Value.Text
+          (match f with
+          | A.F_trim -> ltrim (rtrim s)
+          | A.F_ltrim -> ltrim s
+          | _ -> rtrim s)
+      end
+  | (A.F_trim | A.F_ltrim | A.F_rtrim), _ -> wrong_arity "TRIM"
+  | A.F_substr, (v :: ([ _ ] | [ _; _ ] as rest)) ->
+      if any_null then Value.Null
+      else
+        let s = text_of env v in
+        let nums =
+          List.map
+            (fun x ->
+              match Coerce.to_numeric x with
+              | Value.Int i -> Int64.to_int i
+              | Value.Real r -> int_of_float r
+              | _ -> 0)
+            rest
+        in
+        let len = String.length s in
+        let start, count =
+          match nums with
+          | [ st ] -> (st, len)
+          | [ st; ct ] -> (st, ct)
+          | _ -> (1, len)
+        in
+        (* 1-based; negative start counts from the end (sqlite) *)
+        let start0 =
+          if start > 0 then start - 1
+          else if start < 0 then Stdlib.max 0 (len + start)
+          else 0
+        in
+        let count = Stdlib.max 0 count in
+        let start0 = Stdlib.min start0 len in
+        let count = Stdlib.min count (len - start0) in
+        Value.Text (String.sub s start0 count)
+  | A.F_substr, _ -> wrong_arity "SUBSTR"
   | A.F_replace, [ s; from_s; to_s ] ->
-      if any_null then ok_null
-      else (
+      if any_null then Value.Null
+      else
         let s = text_of env s
         and f_ = text_of env from_s
         and t_ = text_of env to_s in
-        if f_ = "" then Ok (Value.Text s)
+        if f_ = "" then Value.Text s
         else begin
           let buf = Buffer.create (String.length s) in
           let flen = String.length f_ in
@@ -773,12 +751,12 @@ let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
             end
           done;
           Buffer.add_string buf (String.sub s !i (String.length s - !i));
-          Ok (Value.Text (Buffer.contents buf))
-        end)
-  | A.F_replace, _ -> Error (wrong_arity "REPLACE")
+          Value.Text (Buffer.contents buf)
+        end
+  | A.F_replace, _ -> wrong_arity "REPLACE"
   | A.F_instr, [ hay; needle ] ->
-      if any_null then ok_null
-      else (
+      if any_null then Value.Null
+      else
         let h = text_of env hay and n = text_of env needle in
         let hl = String.length h and nl = String.length n in
         let rec find i =
@@ -786,157 +764,120 @@ let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
           else if String.sub h i nl = n then i + 1
           else find (i + 1)
         in
-        Ok (Value.Int (Int64.of_int (find 0))))
-  | A.F_instr, _ -> Error (wrong_arity "INSTR")
+        Value.Int (Int64.of_int (find 0))
+  | A.F_instr, _ -> wrong_arity "INSTR"
   | A.F_hex, [ v ] ->
-      if any_null then ok_null
-      else (
+      if any_null then Value.Null
+      else
         let s = text_of env v in
         let buf = Buffer.create (2 * String.length s) in
         String.iter
           (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
           s;
-        Ok (Value.Text (Buffer.contents buf)))
-  | A.F_hex, _ -> Error (wrong_arity "HEX")
-  | A.F_round, ([ _ ] | [ _; _ ]) ->
-      if any_null then ok_null
-      else (
-        match args with
-        | v :: rest ->
-            let digits =
-              match rest with
-              | [ d ] -> (
-                  match Coerce.to_numeric d with
-                  | Value.Int i -> Int64.to_int i
-                  | Value.Real r -> int_of_float r
-                  | _ -> 0)
-              | _ -> 0
-            in
-            if strict_pg && not (Value.is_numeric v) then
-              Error (Errors.make Errors.Type_error "round(non-numeric)")
-            else (
-              match Coerce.to_numeric v with
-            | Value.Int i when digits >= 0 -> Ok (Value.Real (Int64.to_float i))
-            | Value.Int i -> Ok (Value.Real (Int64.to_float i))
-            | Value.Real r ->
-                let scale = 10.0 ** float_of_int (Stdlib.max 0 digits) in
-                Ok (Value.Real (Float.round (r *. scale) /. scale))
-            | _ -> Ok (Value.Real 0.0))
-        | [] -> Error (wrong_arity "ROUND"))
-  | A.F_round, _ -> Error (wrong_arity "ROUND")
+        Value.Text (Buffer.contents buf)
+  | A.F_hex, _ -> wrong_arity "HEX"
+  | A.F_round, (v :: ([] | [ _ ] as rest)) ->
+      if any_null then Value.Null
+      else
+        let digits =
+          match rest with
+          | [ d ] -> (
+              match Coerce.to_numeric d with
+              | Value.Int i -> Int64.to_int i
+              | Value.Real r -> int_of_float r
+              | _ -> 0)
+          | _ -> 0
+        in
+        if strict_pg && not (Value.is_numeric v) then
+          type_error "round(non-numeric)"
+        else (
+          match Coerce.to_numeric v with
+          | Value.Int i -> Value.Real (Int64.to_float i)
+          | Value.Real r ->
+              let scale = 10.0 ** float_of_int (Stdlib.max 0 digits) in
+              Value.Real (Float.round (r *. scale) /. scale)
+          | _ -> Value.Real 0.0)
+  | A.F_round, _ -> wrong_arity "ROUND"
   | A.F_sign, [ v ] ->
-      if any_null then ok_null
+      if any_null then Value.Null
       else (
         match Coerce.to_numeric v with
-        | Value.Int i -> Ok (Value.Int (Int64.of_int (compare i 0L)))
-        | Value.Real r -> Ok (Value.Int (Int64.of_int (compare r 0.0)))
-        | _ -> Ok Value.Null)
-  | A.F_sign, _ -> Error (wrong_arity "SIGN")
-  | (A.F_least | A.F_greatest), [] -> Error (wrong_arity "LEAST/GREATEST")
+        | Value.Int i -> Value.Int (Int64.of_int (compare i 0L))
+        | Value.Real r -> Value.Int (Int64.of_int (compare r 0.0))
+        | _ -> Value.Null)
+  | A.F_sign, _ -> wrong_arity "SIGN"
+  | (A.F_least | A.F_greatest), [] -> wrong_arity "LEAST/GREATEST"
   | (A.F_least | A.F_greatest), vs ->
-      let pick cmp_keep =
-        (* mysql: NULL poisons; postgres: NULLs are skipped *)
-        let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
-        if Dialect.equal env.dialect Dialect.Mysql_like
-           && List.length non_null <> List.length vs
-        then Ok Value.Null
-        else if non_null = [] then Ok Value.Null
-        else if
-          Dialect.equal env.dialect Dialect.Mysql_like
-          && bug env Bug.My_least_mixed_types
-          && List.exists Value.is_numeric non_null
-          && List.exists
-               (fun v -> match v with Value.Text _ -> true | _ -> false)
-               non_null
-        then
-          (* buggy: lexicographic over text renderings *)
-          let best =
+      let keep c = match f with A.F_least -> c < 0 | _ -> c > 0 in
+      (* mysql: NULL poisons; postgres: NULLs are skipped *)
+      let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
+      let mysql = Dialect.equal env.dialect Dialect.Mysql_like in
+      if mysql && List.compare_lengths non_null vs <> 0 then Value.Null
+      else (
+        match non_null with
+        | [] -> Value.Null
+        | first :: rest ->
+            let cmp =
+              if
+                mysql
+                && bug env Bug.My_least_mixed_types
+                && List.exists Value.is_numeric non_null
+                && List.exists
+                     (fun v -> match v with Value.Text _ -> true | _ -> false)
+                     non_null
+              then fun v acc ->
+                (* buggy: lexicographic over text renderings *)
+                String.compare (text_of env v) (text_of env acc)
+              else fun v acc -> Value.compare_total v acc
+            in
             List.fold_left
-              (fun acc v ->
-                let ta = text_of env acc and tv = text_of env v in
-                if cmp_keep (String.compare tv ta) then v else acc)
-              (List.hd non_null) (List.tl non_null)
-          in
-          Ok best
-        else
-          let best =
-            List.fold_left
-              (fun acc v ->
-                if cmp_keep (Value.compare_total v acc) then v else acc)
-              (List.hd non_null) (List.tl non_null)
-          in
-          Ok best
-      in
-      (match f with
-      | A.F_least -> pick (fun c -> c < 0)
-      | _ -> pick (fun c -> c > 0))
-  | A.F_quote, [ v ] -> Ok (Value.Text (Value.to_sql_literal v))
-  | A.F_quote, _ -> Error (wrong_arity "QUOTE")
+              (fun acc v -> if keep (cmp v acc) then v else acc)
+              first rest)
+  | A.F_quote, [ v ] -> Value.Text (Value.to_sql_literal v)
+  | A.F_quote, _ -> wrong_arity "QUOTE"
 
 (* ------------------------------------------------------------------ *)
-(* Value-level predicate bodies                                        *)
+(* Value-level operator bodies                                         *)
 
-(* The post-operand-evaluation bodies of the predicates: every dialect
+(* The post-operand-evaluation bodies of the operators: every dialect
    quirk and injected bug that depends only on operand *values* (plus
    statically resolvable column metadata) lives here, and {!compile}
    below calls them from its closures. *)
 
-let neg_value env (v : Value.t) : (Value.t, Errors.t) result =
-  if Value.is_null v then Ok Value.Null
+let neg_value env (v : Value.t) : Value.t =
+  if Value.is_null v then Value.Null
   else
     match env.dialect with
     | Dialect.Postgres_like -> (
-        match pg_operand_error v with
-        | Some e -> Error e
-        | None -> (
+        pg_check_operand v;
         match v with
         | Value.Int i -> (
             match Numeric.checked_neg i with
-            | Some r -> Ok (Value.Int r)
-            | None -> Error overflow_error)
-        | Value.Real r -> Ok (Value.Real (-.r))
-        | _ -> ok_null))
+            | Some r -> Value.Int r
+            | None -> fail overflow_error)
+        | Value.Real r -> Value.Real (-.r)
+        | _ -> Value.Null)
     | Dialect.Sqlite_like | Dialect.Mysql_like -> (
         match Coerce.to_numeric v with
         | Value.Int i -> (
             match Numeric.checked_neg i with
-            | Some r -> Ok (Value.Int r)
-            | None -> Ok (Value.Real 9.223372036854775808e18))
-        | Value.Real r -> Ok (Value.Real (-.r))
-        | _ -> Ok Value.Null)
+            | Some r -> Value.Int r
+            | None -> Value.Real 9.223372036854775808e18)
+        | Value.Real r -> Value.Real (-.r)
+        | _ -> Value.Null)
 
-let bit_not_value env (v : Value.t) : (Value.t, Errors.t) result =
-  if Value.is_null v then Ok Value.Null
+let bit_not_value env (v : Value.t) : Value.t =
+  if Value.is_null v then Value.Null
   else
     match env.dialect with
     | Dialect.Postgres_like -> (
         match v with
-        | Value.Int i -> Ok (Value.Int (Int64.lognot i))
-        | _ -> Error (Errors.make Errors.Type_error "~ requires integer"))
+        | Value.Int i -> Value.Int (Int64.lognot i)
+        | _ -> type_error "~ requires integer")
     | Dialect.Sqlite_like | Dialect.Mysql_like -> (
         match to_int64 v with
-        | Some i -> Ok (Value.Int (Int64.lognot i))
-        | None -> Ok Value.Null)
-
-let is_finish env ~negated t =
-  bool_result env.dialect (if negated then Tvl.not_ t else t)
-
-let is_bool_value env ~negated ~(want : Tvl.t) (v : Value.t) :
-    (Value.t, Errors.t) result =
-  match v with
-  | Value.Null ->
-      (* IS TRUE/FALSE of NULL is FALSE; IS NOT TRUE of NULL is TRUE —
-         unless the injected Listing-1-adjacent bug flips it *)
-      if
-        negated
-        && Dialect.equal env.dialect Dialect.Sqlite_like
-        && bug env Bug.Sq_is_not_true_null
-      then bool_result env.dialect Tvl.False
-      else is_finish env ~negated Tvl.False
-  | _ -> (
-      match value_tvl env v with
-      | Error e -> Error e
-      | Ok t -> is_finish env ~negated (Tvl.of_bool (Tvl.equal t want)))
+        | Some i -> Value.Int (Int64.lognot i)
+        | None -> Value.Null)
 
 (* The static slice of a BETWEEN: collation choice and the two sqlite
    affinity adjustments, all metadata-driven. *)
@@ -953,9 +894,9 @@ let between_prep env ~negated ~arg ~lo ~hi : between_prep =
        && Dialect.equal env.dialect Dialect.Sqlite_like
     then Collation.Binary
     else
-      match explicit_collation env arg with
+      match explicit_of arg.o_expr arg.o_meta with
       | Some c -> c
-      | None -> comparison_collation env lo hi
+      | None -> operand_collation lo hi
   in
   let adj a b =
     match env.dialect with
@@ -973,10 +914,10 @@ let between_cmp env (p : between_prep) (fa, fb) (v : Value.t) (w : Value.t) =
   | Dialect.Postgres_like -> compare_values env p.bp_coll v w
 
 let between_apply env (p : between_prep) (v : Value.t) (vl : Value.t)
-    (vh : Value.t) : (Value.t, Errors.t) result =
+    (vh : Value.t) : Tvl.t =
   if Dialect.equal env.dialect Dialect.Postgres_like
      && not (pg_comparable v vl && pg_comparable v vh)
-  then Error (pg_type_mismatch v vl)
+  then pg_type_mismatch v vl
   else
     let ge_lo =
       if Value.is_null v || Value.is_null vl then Tvl.Unknown
@@ -987,7 +928,7 @@ let between_apply env (p : between_prep) (v : Value.t) (vl : Value.t)
       else Tvl.of_bool (between_cmp env p p.bp_hi v vh <= 0)
     in
     let t = Tvl.and_ ge_lo le_hi in
-    bool_result env.dialect (if p.bp_negated then Tvl.not_ t else t)
+    if p.bp_negated then Tvl.not_ t else t
 
 (* the IN-list walk fell off the end without a match: NULL items poison
    the verdict to UNKNOWN unless the injected bug forces FALSE *)
@@ -1000,12 +941,12 @@ let in_empty_tvl env ~saw_null : Tvl.t =
     else Tvl.Unknown
   else Tvl.False
 
-let like_escape_char (ve : Value.t) : (char option, Errors.t) result =
+let like_escape_char (ve : Value.t) : char option =
   match ve with
-  | Value.Text s when String.length s = 1 -> Ok (Some s.[0])
-  | Value.Null -> Ok None
+  | Value.Text s when String.length s = 1 -> Some s.[0]
+  | Value.Null -> None
   | _ ->
-      Error
+      fail
         (Errors.make Errors.Invalid_function
            "ESCAPE expression must be a single character")
 
@@ -1028,7 +969,7 @@ let like_prep env ~negated ~arg : like_prep =
         if
           bug env Bug.Sq_nocase_like_case_sensitive
           &&
-          match column_meta env arg with
+          match arg.o_meta with
           | Some (_, Collation.Nocase) -> true
           | _ -> false
         then true
@@ -1040,12 +981,12 @@ let like_prep env ~negated ~arg : like_prep =
     Dialect.equal env.dialect Dialect.Sqlite_like
     && ((bug env Bug.Sq_like_int_affinity_opt
          &&
-         match column_meta env arg with
+         match arg.o_meta with
          | Some (dt, _) -> Datatype.affinity dt = Datatype.A_integer
          | None -> false)
        || (bug env Bug.Sq_dup_like_opt_nocase
            &&
-           match column_meta env arg with
+           match arg.o_meta with
            | Some (dt, c) ->
                Datatype.affinity dt = Datatype.A_integer
                && Collation.equal c Collation.Nocase
@@ -1058,15 +999,13 @@ let like_prep env ~negated ~arg : like_prep =
   }
 
 let like_apply env (lp : like_prep) (v : Value.t) (p : Value.t)
-    (esc : char option) : (Value.t, Errors.t) result =
-  if Value.is_null v || Value.is_null p then bool_result env.dialect Tvl.Unknown
+    (esc : char option) : Tvl.t =
+  if Value.is_null v || Value.is_null p then Tvl.Unknown
   else if
     Dialect.equal env.dialect Dialect.Postgres_like
     && not (match (v, p) with Value.Text _, Value.Text _ -> true | _ -> false)
-  then Error (pg_type_mismatch v p)
+  then pg_type_mismatch v p
   else
-    let negated = lp.lp_negated in
-    let case_sensitive = lp.lp_case_sensitive in
     let matched =
       if lp.lp_int_affinity_buggy then
         (* the optimized LIKE ranges over numeric keys: non-numeric text
@@ -1078,14 +1017,13 @@ let like_apply env (lp : like_prep) (v : Value.t) (p : Value.t)
         | Some a, Some b -> a = b
         | _ -> false
       else
-        Like_matcher.like ~case_sensitive ?escape:esc
+        Like_matcher.like ~case_sensitive:lp.lp_case_sensitive ?escape:esc
           ~pattern:(text_of env p) (text_of env v)
     in
-    bool_result env.dialect (Tvl.of_bool (if negated then not matched else matched))
+    Tvl.of_bool (matched <> lp.lp_negated)
 
-let glob_value env ~negated (v : Value.t) (p : Value.t) :
-    (Value.t, Errors.t) result =
-  if Value.is_null v || Value.is_null p then bool_result env.dialect Tvl.Unknown
+let glob_tvl env ~negated (v : Value.t) (p : Value.t) : Tvl.t =
+  if Value.is_null v || Value.is_null p then Tvl.Unknown
   else
     let pat = text_of env p in
     let pat =
@@ -1106,29 +1044,29 @@ let glob_value env ~negated (v : Value.t) (p : Value.t) :
       end
       else pat
     in
-    let matched = Like_matcher.glob ~pattern:pat (text_of env v) in
-    bool_result env.dialect (Tvl.of_bool (if negated then not matched else matched))
+    Tvl.of_bool (Like_matcher.glob ~pattern:pat (text_of env v) <> negated)
 
-let cast_value env ty (v : Value.t) : (Value.t, Errors.t) result =
+let cast_value env ty (v : Value.t) : Value.t =
   (* mysql unsigned-cast bug: negative integers keep their signed value *)
   match (env.dialect, ty) with
   | Dialect.Mysql_like, Datatype.Int { unsigned = true; _ }
     when bug env Bug.My_unsigned_cast_signed_compare
          || bug env Bug.My_dup_unsigned_compare -> (
       match Coerce.to_numeric v with
-      | Value.Int i -> Ok (Value.Int i) (* buggy: stays signed *)
-      | Value.Real r -> Ok (Value.Int (Int64.of_float (Float.round r)))
-      | Value.Null -> ok_null
-      | _ -> Ok (Value.Int 0L))
+      | Value.Int i -> Value.Int i (* buggy: stays signed *)
+      | Value.Real r -> Value.Int (Int64.of_float (Float.round r))
+      | Value.Null -> Value.Null
+      | _ -> Value.Int 0L)
   | _ -> (
       match Coerce.cast env.dialect ty v with
-      | Ok v -> Ok v
-      | Error msg -> Error (Errors.make Errors.Type_error msg))
+      | Ok v -> v
+      | Error msg -> type_error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-type thunk = unit -> (Value.t, Errors.t) result
+type thunk = unit -> Value.t
+type pred = unit -> Tvl.t
 
 let func_point = function
   | A.F_abs -> "abs"
@@ -1152,9 +1090,6 @@ let func_point = function
   | A.F_greatest -> "greatest"
   | A.F_quote -> "quote"
 
-let truth env (t : thunk) =
-  match t () with Error e -> Error e | Ok v -> value_tvl env v
-
 (* The walks a closure makes per evaluation over its IN items, CASE
    branches or function arguments, kept top-level so that no closure is
    built per evaluation (see the per-row rule at the top). *)
@@ -1162,20 +1097,14 @@ let truth env (t : thunk) =
 (* IN: the first item equal to [v] makes the verdict TRUE; past the end,
    [in_empty_tvl] decides *)
 let rec in_walk env (v : Value.t) saw_null = function
-  | [] -> Tvl.ok (in_empty_tvl env ~saw_null)
+  | [] -> in_empty_tvl env ~saw_null
   | (prep, (ci : thunk)) :: rest -> (
-      match ci () with
-      | Error e -> Error e
-      | Ok vi -> (
-          if Value.is_null vi then in_walk env v true rest
-          else
-            match compare_apply env prep v vi with
-            | Error e -> Error e
-            | Ok r -> (
-                match value_tvl env r with
-                | Error e -> Error e
-                | Ok Tvl.True -> Tvl.ok Tvl.True
-                | Ok (Tvl.False | Tvl.Unknown) -> in_walk env v saw_null rest)))
+      let vi = ci () in
+      if Value.is_null vi then in_walk env v true rest
+      else
+        match compare_apply env prep v vi with
+        | Tvl.True -> Tvl.True
+        | Tvl.False | Tvl.Unknown -> in_walk env v saw_null rest)
 
 (* a CASE branch is taken on TRUE, and on UNKNOWN under the injected
    NULL-WHEN bug *)
@@ -1183,319 +1112,89 @@ let case_taken ~buggy_null_when t =
   Tvl.equal t Tvl.True || (buggy_null_when && Tvl.equal t Tvl.Unknown)
 
 (* searched CASE: WHEN conditions in boolean context *)
-let rec case_walk env ~buggy_null_when (celse : thunk) = function
+let rec case_walk ~buggy_null_when (celse : thunk) = function
   | [] -> celse ()
-  | ((ccond : thunk), (cres : thunk)) :: rest -> (
-      match truth env ccond with
-      | Error e -> Error e
-      | Ok t ->
-          if case_taken ~buggy_null_when t then cres ()
-          else case_walk env ~buggy_null_when celse rest)
+  | ((ccond : pred), (cres : thunk)) :: rest ->
+      if case_taken ~buggy_null_when (ccond ()) then cres ()
+      else case_walk ~buggy_null_when celse rest
 
 (* simple CASE: each WHEN value compared with the operand's [v] *)
 let rec case_operand_walk env ~buggy_null_when (celse : thunk) (v : Value.t) =
   function
   | [] -> celse ()
-  | (prep, (ccond : thunk), (cres : thunk)) :: rest -> (
-      match ccond () with
-      | Error e -> Error e
-      | Ok vc -> (
-          match compare_apply env prep v vc with
-          | Error e -> Error e
-          | Ok r -> (
-              match value_tvl env r with
-              | Error e -> Error e
-              | Ok t ->
-                  if case_taken ~buggy_null_when t then cres ()
-                  else case_operand_walk env ~buggy_null_when celse v rest)))
+  | (prep, (ccond : thunk), (cres : thunk)) :: rest ->
+      let vc = ccond () in
+      if case_taken ~buggy_null_when (compare_apply env prep v vc) then cres ()
+      else case_operand_walk env ~buggy_null_when celse v rest
 
 (* function arguments, left to right *)
-let rec eval_args acc = function
-  | [] -> Ok (List.rev acc)
-  | (t : thunk) :: rest -> (
-      match t () with Error e -> Error e | Ok v -> eval_args (v :: acc) rest)
+let rec eval_args = function
+  | [] -> []
+  | (t : thunk) :: rest ->
+      let v = t () in
+      v :: eval_args rest
+
+(* mysql Listing 13 class: NOT(NOT x) folded to x's value, in value and
+   boolean context alike *)
+let double_negation_folded env (inner : A.expr) =
+  match inner with
+  | A.Unary (A.Not, _) ->
+      Dialect.equal env.dialect Dialect.Mysql_like
+      && bug env Bug.My_double_negation_fold
+  | _ -> false
 
 (* An expression becomes a closure over [env.cur]: column references are
    resolved to slots, dialect rejections, the mysql double-negation fold
-   and every operator's metadata prep happen here, once.  Per run, the
-   closures keep SQL's evaluation order and short circuits, fire each
-   coverage point once per node evaluated, and report the first error in
+   and every operator's metadata prep happen here, once.  [compile]
+   writes the value operators and [compile_pred] the boolean ones, each
+   once; either wraps the other's closures for its own context.  Per run,
+   the closures keep SQL's evaluation order and short circuits, fire each
+   coverage point once per node evaluated, and raise the first error in
    evaluation order. *)
 let rec compile env (e : A.expr) : thunk =
   let dialect = env.dialect in
   match e with
-  | A.Lit v ->
-      let r = Ok v in
-      fun () -> r
-  | A.Col { table; column } -> (
-      match resolve_slot env.layout ~table ~column with
-      | Ok (bi, i, _, _) ->
-          let cur = env.cur in
-          fun () -> Ok (!cur).(bi).(i)
-      | Error err -> fun () -> Error err)
-  | A.Collate (inner, _) -> compile env inner
+  | A.Lit v -> fun () -> v
+  | A.Col _ | A.Collate _ | A.Unary (A.Pos, _) -> fst (compile_operand env e)
   | A.Agg _ ->
       let err =
         Errors.make Errors.Invalid_function
           "misuse of aggregate function in scalar context"
       in
-      fun () -> Error err
-  | A.Unary (A.Not, inner) -> (
-      match inner with
-      | A.Unary (A.Not, grandchild)
-        when Dialect.equal dialect Dialect.Mysql_like
-             && Bug.on env.bugs Bug.My_double_negation_fold ->
-          (* mysql Listing 13 class: NOT(NOT x) folded away; the inner
-             NOT's coverage point is skipped *)
-          let cg = compile env grandchild in
-          fun () ->
-            cov env "unop.not";
-            cg ()
-      (* constant folder treats the NULL literal as FALSE under NOT *)
-      | A.Lit Value.Null
-        when Dialect.equal dialect Dialect.Sqlite_like
-             && Bug.on env.bugs Bug.Sq_fold_not_null_true ->
-          fun () ->
-            cov env "unop.not";
-            bool_result dialect Tvl.True
-      | _ ->
-          let ci = compile env inner in
-          fun () ->
-            cov env "unop.not";
-            match truth env ci with
-            | Error e -> Error e
-            | Ok t -> bool_result dialect (Tvl.not_ t))
-  | A.Unary (A.Neg, inner) -> (
+      fun () -> fail err
+  | A.Unary (A.Not, (A.Unary (A.Not, grandchild) as inner))
+    when double_negation_folded env inner ->
+      (* the inner NOT's coverage point is skipped *)
+      let cg = compile env grandchild in
+      fun () ->
+        cov env "unop.not";
+        cg ()
+  | A.Unary (A.Neg, inner) ->
       let ci = compile env inner in
       fun () ->
         cov env "unop.neg";
-        match ci () with Error e -> Error e | Ok v -> neg_value env v)
-  | A.Unary (A.Pos, inner) ->
-      let ci = compile env inner in
-      fun () ->
-        cov env "unop.pos";
-        ci ()
-  | A.Unary (A.Bit_not, inner) -> (
+        neg_value env (ci ())
+  | A.Unary (A.Bit_not, inner) ->
       let ci = compile env inner in
       fun () ->
         cov env "unop.bit_not";
-        match ci () with Error e -> Error e | Ok v -> bit_not_value env v)
-  | A.Binary (op, a, b) -> compile_binary env op a b
-  | A.Is { negated; arg; rhs } -> compile_is env ~negated arg rhs
-  | A.Between { negated; arg; lo; hi } -> (
-      let ca = compile env arg in
-      let cl = compile env lo in
-      let ch = compile env hi in
-      let prep = between_prep env ~negated ~arg ~lo ~hi in
-      fun () ->
-        cov env "pred.between";
-        match ca () with
-        | Error e -> Error e
-        | Ok v -> (
-            match cl () with
-            | Error e -> Error e
-            | Ok vl -> (
-                match ch () with
-                | Error e -> Error e
-                | Ok vh -> between_apply env prep v vl vh)))
-  | A.In_list { negated; arg; list } -> (
-      let ca = compile env arg in
-      let items =
-        List.map
-          (fun item -> (compare_prep env A.Eq arg item, compile env item))
-          list
-      in
-      fun () ->
-        cov env "pred.in";
-        match ca () with
-        | Error e -> Error e
-        | Ok v -> (
-            if Value.is_null v then bool_result dialect Tvl.Unknown
-            else
-              match in_walk env v false items with
-              | Error e -> Error e
-              | Ok t -> bool_result dialect (if negated then Tvl.not_ t else t)))
-  | A.Like { negated; arg; pattern; escape } -> (
-      let ca = compile env arg in
-      let cp = compile env pattern in
-      let cesc = Option.map (compile env) escape in
-      let prep = like_prep env ~negated ~arg in
-      fun () ->
-        cov env "pred.like";
-        match ca () with
-        | Error e -> Error e
-        | Ok v -> (
-            match cp () with
-            | Error e -> Error e
-            | Ok p -> (
-                match cesc with
-                | None -> like_apply env prep v p None
-                | Some ce -> (
-                    match ce () with
-                    | Error e -> Error e
-                    | Ok ve -> (
-                        match like_escape_char ve with
-                        | Error e -> Error e
-                        | Ok esc -> like_apply env prep v p esc)))))
-  | A.Glob { negated; arg; pattern } -> (
-      if not (Dialect.equal dialect Dialect.Sqlite_like) then
-        let err =
-          Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
-        in
-        fun () ->
-          cov env "pred.glob";
-          Error err
-      else
-        let ca = compile env arg in
-        let cp = compile env pattern in
-        fun () ->
-          cov env "pred.glob";
-          match ca () with
-          | Error e -> Error e
-          | Ok v -> (
-              match cp () with
-              | Error e -> Error e
-              | Ok p -> glob_value env ~negated v p))
-  | A.Cast (ty, inner) -> (
-      let ci = compile env inner in
-      fun () ->
-        cov env "pred.cast";
-        match ci () with Error e -> Error e | Ok v -> cast_value env ty v)
-  | A.Func (f, args) -> (
-      let point = "func." ^ func_point f in
-      if not (func_available dialect f) then
-        let err =
-          Errors.makef Errors.Invalid_function "no such function in %s dialect"
-            (Dialect.name dialect)
-        in
-        fun () ->
-          cov env point;
-          Error err
-      else
-        let cargs = List.map (compile env) args in
-        let fp = func_prep env f args in
-        fun () ->
-          cov env point;
-          match eval_args [] cargs with
-          | Error e -> Error e
-          | Ok vs -> apply_func env fp f vs)
-  | A.Case { operand; branches; else_ } -> (
-      let buggy_null_when =
-        Dialect.equal dialect Dialect.Sqlite_like
-        && Bug.on env.bugs Bug.Sq_case_null_when
-      in
-      let celse =
-        match else_ with Some e -> compile env e | None -> fun () -> ok_null
-      in
-      match operand with
-      | None ->
-          let cbranches =
-            List.map
-              (fun (cond, result) -> (compile env cond, compile env result))
-              branches
-          in
-          fun () ->
-            cov env "pred.case";
-            case_walk env ~buggy_null_when celse cbranches
-      | Some op_expr ->
-          let cop = compile env op_expr in
-          let cbranches =
-            List.map
-              (fun (cond, result) ->
-                ( compare_prep env A.Eq op_expr cond,
-                  compile env cond,
-                  compile env result ))
-              branches
-          in
-          fun () ->
-            cov env "pred.case";
-            match cop () with
-            | Error e -> Error e
-            | Ok v -> case_operand_walk env ~buggy_null_when celse v cbranches)
-
-and compile_binary env op a b : thunk =
-  let dialect = env.dialect in
-  match op with
-  | A.And
-    when (match (a, b) with
-         | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
-         | _ -> false)
-         && Dialect.equal dialect Dialect.Sqlite_like
-         && Bug.on env.bugs Bug.Sq_fold_null_and ->
-      (* constant folder rewrites `NULL AND x` to NULL without checking
-         whether x is FALSE; the operands are never evaluated *)
-      fun () ->
-        cov env "binop.and";
-        bool_result dialect Tvl.Unknown
-  | A.And -> (
-      let ca = compile env a in
-      let cb = compile env b in
-      fun () ->
-        cov env "binop.and";
-        match truth env ca with
-        | Error e -> Error e
-        | Ok Tvl.False -> bool_result dialect Tvl.False
-        | Ok ta -> (
-            match truth env cb with
-            | Error e -> Error e
-            | Ok tb -> bool_result dialect (Tvl.and_ ta tb)))
-  | A.Or -> (
-      let ca = compile env a in
-      let cb = compile env b in
-      fun () ->
-        cov env "binop.or";
-        match truth env ca with
-        | Error e -> Error e
-        | Ok Tvl.True -> bool_result dialect Tvl.True
-        | Ok ta -> (
-            match truth env cb with
-            | Error e -> Error e
-            | Ok tb -> bool_result dialect (Tvl.or_ ta tb)))
-  | A.Concat when Dialect.equal dialect Dialect.Mysql_like ->
+        bit_not_value env (ci ())
+  | A.Binary (A.Concat, a, b) when Dialect.equal dialect Dialect.Mysql_like ->
       (* mysql: || is logical OR by default; both coverage points fire *)
-      let c_or = compile_binary env A.Or a b in
+      let c_or = compile_pred env (A.Binary (A.Or, a, b)) in
       fun () ->
         cov env "binop.concat";
-        c_or ()
-  | A.Concat -> (
+        bool_value dialect (c_or ())
+  | A.Binary (A.Concat, a, b) ->
       let ca = compile env a in
       let cb = compile env b in
       fun () ->
         cov env "binop.concat";
-        match ca () with
-        | Error e -> Error e
-        | Ok va -> (
-            match cb () with
-            | Error e -> Error e
-            | Ok vb ->
-                if Value.is_null va || Value.is_null vb then ok_null
-                else
-                  Ok
-                    (Value.Text
-                       (Coerce.to_text dialect va ^ Coerce.to_text dialect vb))))
-  | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq -> (
-      let point =
-        match op with
-        | A.Eq -> "binop.eq"
-        | A.Neq -> "binop.neq"
-        | A.Lt -> "binop.lt"
-        | A.Le -> "binop.le"
-        | A.Gt -> "binop.gt"
-        | A.Ge -> "binop.ge"
-        | _ -> "binop.nullsafe_eq"
-      in
-      let ca = compile env a in
-      let cb = compile env b in
-      let prep = compare_prep env op a b in
-      fun () ->
-        cov env point;
-        match ca () with
-        | Error e -> Error e
-        | Ok va -> (
-            match cb () with
-            | Error e -> Error e
-            | Ok vb -> compare_apply env prep va vb))
-  | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> (
+        let va = ca () in
+        let vb = cb () in
+        if Value.is_null va || Value.is_null vb then Value.Null
+        else Value.Text (Coerce.to_text dialect va ^ Coerce.to_text dialect vb)
+  | A.Binary (((A.Add | A.Sub | A.Mul | A.Div | A.Rem) as op), a, b) ->
       let point =
         match op with
         | A.Add -> "binop.add"
@@ -1508,11 +1207,11 @@ and compile_binary env op a b : thunk =
       let cb = compile env b in
       fun () ->
         cov env point;
-        match ca () with
-        | Error e -> Error e
-        | Ok va -> (
-            match cb () with Error e -> Error e | Ok vb -> arith env op va vb))
-  | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right ->
+        let va = ca () in
+        let vb = cb () in
+        arith env op va vb
+  | A.Binary
+      (((A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right) as op), a, b) ->
       let point =
         match op with
         | A.Bit_and -> "binop.bit_and"
@@ -1524,61 +1223,277 @@ and compile_binary env op a b : thunk =
       let cb = compile env b in
       fun () ->
         cov env point;
-        match ca () with
-        | Error e -> Error e
-        | Ok va -> (
-            match cb () with Error e -> Error e | Ok vb -> bitop env op va vb)
+        let va = ca () in
+        let vb = cb () in
+        bitop env op va vb
+  | A.Cast (ty, inner) ->
+      let ci = compile env inner in
+      fun () ->
+        cov env "pred.cast";
+        cast_value env ty (ci ())
+  | A.Func (f, args) ->
+      let point = "func." ^ func_point f in
+      if not (func_available dialect f) then
+        let err =
+          Errors.makef Errors.Invalid_function "no such function in %s dialect"
+            (Dialect.name dialect)
+        in
+        fun () ->
+          cov env point;
+          fail err
+      else
+        let cargs, oargs = List.split (List.map (compile_operand env) args) in
+        let fp = func_prep env f oargs in
+        fun () ->
+          cov env point;
+          apply_func env fp f (eval_args cargs)
+  | A.Case { operand; branches; else_ } -> (
+      let buggy_null_when =
+        Dialect.equal dialect Dialect.Sqlite_like
+        && Bug.on env.bugs Bug.Sq_case_null_when
+      in
+      let celse =
+        match else_ with
+        | Some e -> compile env e
+        | None -> fun () -> Value.Null
+      in
+      match operand with
+      | None ->
+          let cbranches =
+            List.map
+              (fun (cond, result) ->
+                (compile_pred env cond, compile env result))
+              branches
+          in
+          fun () ->
+            cov env "pred.case";
+            case_walk ~buggy_null_when celse cbranches
+      | Some op_expr ->
+          let cop, oop = compile_operand env op_expr in
+          let cbranches =
+            List.map
+              (fun (cond, result) ->
+                let ccond, ocond = compile_operand env cond in
+                (compare_prep env A.Eq oop ocond, ccond, compile env result))
+              branches
+          in
+          fun () ->
+            cov env "pred.case";
+            case_operand_walk env ~buggy_null_when celse (cop ()) cbranches)
+  | A.Unary (A.Not, _)
+  | A.Binary
+      ( ( A.And | A.Or | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge
+        | A.Null_safe_eq ),
+        _,
+        _ )
+  | A.Is _ | A.Between _ | A.In_list _ | A.Like _ | A.Glob _ ->
+      let p = compile_pred env e in
+      fun () -> bool_value dialect (p ())
 
-and compile_is env ~negated arg rhs : thunk =
+(* A boolean context — WHERE, ON, HAVING, CASE WHEN, CHECK, a partial
+   index's predicate, an operand of AND/OR/NOT/IS TRUE — compiled to a
+   closure that returns the truth value itself.  A value operator here
+   is [compile]'s closure read through [value_tvl]. *)
+and compile_pred env (e : A.expr) : pred =
   let dialect = env.dialect in
-  (* IS [NOT] over two scalars: null-safe equality, its truth value given
-     to [finish] *)
-  let null_safe other finish =
-    let ca = compile env arg in
-    let cb = compile env other in
-    let prep = compare_prep env A.Null_safe_eq arg other in
+  match e with
+  | A.Collate (inner, _) -> compile_pred env inner
+  | A.Unary (A.Not, inner) when not (double_negation_folded env inner) -> (
+      match inner with
+      | A.Lit Value.Null
+        when Dialect.equal dialect Dialect.Sqlite_like
+             && Bug.on env.bugs Bug.Sq_fold_not_null_true ->
+          (* constant folder treats the NULL literal as FALSE under NOT *)
+          fun () ->
+            cov env "unop.not";
+            Tvl.True
+      | _ ->
+          let ci = compile_pred env inner in
+          fun () ->
+            cov env "unop.not";
+            Tvl.not_ (ci ()))
+  | A.Binary (A.And, a, b)
+    when (match (a, b) with
+         | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
+         | _ -> false)
+         && Dialect.equal dialect Dialect.Sqlite_like
+         && Bug.on env.bugs Bug.Sq_fold_null_and ->
+      (* constant folder rewrites `NULL AND x` to NULL without checking
+         whether x is FALSE; the operands are never evaluated *)
+      fun () ->
+        cov env "binop.and";
+        Tvl.Unknown
+  | A.Binary (A.And, a, b) -> (
+      let ca = compile_pred env a in
+      let cb = compile_pred env b in
+      fun () ->
+        cov env "binop.and";
+        match ca () with Tvl.False -> Tvl.False | ta -> Tvl.and_ ta (cb ()))
+  | A.Binary (A.Or, a, b) -> (
+      let ca = compile_pred env a in
+      let cb = compile_pred env b in
+      fun () ->
+        cov env "binop.or";
+        match ca () with Tvl.True -> Tvl.True | ta -> Tvl.or_ ta (cb ()))
+  | A.Binary
+      ( (( A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ) as op),
+        a,
+        b ) ->
+      let point =
+        match op with
+        | A.Eq -> "binop.eq"
+        | A.Neq -> "binop.neq"
+        | A.Lt -> "binop.lt"
+        | A.Le -> "binop.le"
+        | A.Gt -> "binop.gt"
+        | A.Ge -> "binop.ge"
+        | _ -> "binop.nullsafe_eq"
+      in
+      let ca, oa = compile_operand env a in
+      let cb, ob = compile_operand env b in
+      let prep = compare_prep env op oa ob in
+      fun () ->
+        cov env point;
+        let va = ca () in
+        let vb = cb () in
+        compare_apply env prep va vb
+  | A.Is { negated; arg; rhs } -> compile_is env ~negated arg rhs
+  | A.Between { negated; arg; lo; hi } ->
+      let ca, arg = compile_operand env arg in
+      let cl, lo = compile_operand env lo in
+      let ch, hi = compile_operand env hi in
+      let prep = between_prep env ~negated ~arg ~lo ~hi in
+      fun () ->
+        cov env "pred.between";
+        let v = ca () in
+        let vl = cl () in
+        let vh = ch () in
+        between_apply env prep v vl vh
+  | A.In_list { negated; arg; list } ->
+      let ca, arg = compile_operand env arg in
+      let items =
+        List.map
+          (fun item ->
+            let ci, item = compile_operand env item in
+            (compare_prep env A.Eq arg item, ci))
+          list
+      in
+      fun () ->
+        cov env "pred.in";
+        let v = ca () in
+        if Value.is_null v then Tvl.Unknown
+        else
+          let t = in_walk env v false items in
+          if negated then Tvl.not_ t else t
+  | A.Like { negated; arg; pattern; escape } ->
+      let ca, arg = compile_operand env arg in
+      let cp = compile env pattern in
+      let cesc = Option.map (compile env) escape in
+      let prep = like_prep env ~negated ~arg in
+      fun () ->
+        cov env "pred.like";
+        let v = ca () in
+        let p = cp () in
+        let esc =
+          match cesc with None -> None | Some ce -> like_escape_char (ce ())
+        in
+        like_apply env prep v p esc
+  | A.Glob { negated; arg; pattern } ->
+      if not (Dialect.equal dialect Dialect.Sqlite_like) then
+        let err =
+          Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
+        in
+        fun () ->
+          cov env "pred.glob";
+          fail err
+      else
+        let ca = compile env arg in
+        let cp = compile env pattern in
+        fun () ->
+          cov env "pred.glob";
+          let v = ca () in
+          let p = cp () in
+          glob_tvl env ~negated v p
+  | _ ->
+      let c = compile env e in
+      fun () -> value_tvl env (c ())
+
+(* [compile] of an operand, with its static side; column references,
+   COLLATE and unary [+] resolve here *)
+and compile_operand env (e : A.expr) : thunk * operand =
+  match e with
+  | A.Col { table; column } -> (
+      match resolve_slot env.layout ~table ~column with
+      | Ok (bi, i, dt, coll) ->
+          let cur = env.cur in
+          ( (fun () -> (!cur).(bi).(i)),
+            { o_expr = e; o_meta = Some (dt, coll) } )
+      | Error err -> ((fun () -> fail err), { o_expr = e; o_meta = None }))
+  | A.Collate (inner, c) ->
+      let ci, o = compile_operand env inner in
+      let dt = match o.o_meta with Some (dt, _) -> dt | None -> Datatype.Any in
+      (ci, { o_expr = e; o_meta = Some (dt, c) })
+  | A.Unary (A.Pos, inner) ->
+      let ci, o = compile_operand env inner in
+      ( (fun () ->
+          cov env "unop.pos";
+          ci ()),
+        { o with o_expr = e } )
+  | A.Cast (ty, _) ->
+      (compile env e, { o_expr = e; o_meta = Some (ty, Collation.Binary) })
+  | _ -> (compile env e, { o_expr = e; o_meta = None })
+
+and compile_is env ~negated arg rhs : pred =
+  let dialect = env.dialect in
+  let finish t = if negated then Tvl.not_ t else t in
+  (* IS [NOT] over two scalars: null-safe equality, [flip]ped for IS
+     DISTINCT FROM *)
+  let null_safe other ~flip =
+    let ca, oa = compile_operand env arg in
+    let cb, ob = compile_operand env other in
+    let prep = compare_prep env A.Null_safe_eq oa ob in
     fun () ->
       cov env "pred.is";
-      match ca () with
-      | Error e -> Error e
-      | Ok va -> (
-          match cb () with
-          | Error e -> Error e
-          | Ok vb -> (
-              match compare_apply env prep va vb with
-              | Error e -> Error e
-              | Ok r -> (
-                  match value_tvl env r with
-                  | Error e -> Error e
-                  | Ok t -> finish t)))
+      let va = ca () in
+      let vb = cb () in
+      let t = compare_apply env prep va vb in
+      finish (if flip then Tvl.not_ t else t)
   in
   let rejected msg =
     let err = Errors.make Errors.Invalid_function msg in
     fun () ->
       cov env "pred.is";
-      Error err
+      fail err
   in
   match rhs with
-  | A.Is_null -> (
+  | A.Is_null ->
       let ca = compile env arg in
       fun () ->
         cov env "pred.is";
-        match ca () with
-        | Error e -> Error e
-        | Ok v -> is_finish env ~negated (Tvl.of_bool (Value.is_null v)))
+        finish (Tvl.of_bool (Value.is_null (ca ())))
   | A.Is_true | A.Is_false -> (
       let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
-      let ca = compile env arg in
+      (* IS TRUE/FALSE of NULL is FALSE; IS NOT TRUE of NULL is TRUE —
+         unless the injected Listing-1-adjacent bug flips it *)
+      let of_null =
+        if
+          negated
+          && Dialect.equal dialect Dialect.Sqlite_like
+          && bug env Bug.Sq_is_not_true_null
+        then Tvl.False
+        else finish Tvl.False
+      in
+      let ca = compile_pred env arg in
       fun () ->
         cov env "pred.is";
         match ca () with
-        | Error e -> Error e
-        | Ok v -> is_bool_value env ~negated ~want v)
+        | Tvl.Unknown -> of_null
+        | t -> finish (Tvl.of_bool (Tvl.equal t want)))
   | A.Is_expr other ->
       if not (Dialect.equal dialect Dialect.Sqlite_like) then
         rejected "IS over scalars is sqlite-specific"
-      else null_safe other (fun t -> is_finish env ~negated t)
+      else null_safe other ~flip:false
   | A.Is_distinct_from other ->
       if not (Dialect.equal dialect Dialect.Postgres_like) then
         rejected "IS DISTINCT FROM is postgres-specific"
-      else null_safe other (fun t -> is_finish env ~negated (Tvl.not_ t))
+      else null_safe other ~flip:true

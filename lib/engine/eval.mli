@@ -5,7 +5,9 @@
     implicit conversions, LIKE handling, operator folding).  Queries
     ({!Compile}), writes ({!Dml}, {!Ddl}), the planner's constants and the
     constant folder ({!Analysis.Const_fold}) all evaluate through
-    {!compile}.  The PQS oracle interpreter ({!Pqs.Interp}) re-implements
+    {!compile} and {!compile_pred}, whose closures return bare values
+    and truth values and raise their errors to one {!run} per statement.
+    The PQS oracle interpreter ({!Pqs.Interp}) re-implements
     the same semantics independently and is never bug-injected; with the
     bug set empty, a qcheck property (projections of random expressions)
     and the executor tests (an expression battery as SELECT WHERE,
@@ -50,22 +52,37 @@ val with_layout : env -> binding list -> env
 
 (** {1 Compilation} *)
 
-type thunk = unit -> (Value.t, Errors.t) result
+(** A compiled value expression.  It raises an evaluation error, which
+    only {!run} catches. *)
+type thunk = unit -> Value.t
+
+(** A compiled boolean context.  It raises like a {!thunk}. *)
+type pred = unit -> Tvl.t
 
 (** Compile an expression once against [env]'s layout; each call of the
     result evaluates it on the tuple then in [env.cur]. *)
 val compile : env -> Sqlast.Ast.expr -> thunk
 
-(** Run a compiled expression in boolean context (WHERE/JOIN/HAVING,
-    CHECK, partial-index predicates). *)
-val truth : env -> thunk -> (Tvl.t, Errors.t) result
+(** Compile an expression for a boolean context (WHERE/ON/HAVING, CASE
+    WHEN, CHECK, partial-index predicates): each call returns what
+    {!value_tvl} makes of {!compile}'s value, error included, without
+    building that value. *)
+val compile_pred : env -> Sqlast.Ast.expr -> pred
+
+(** [run f] calls [f] and returns its result, or the first evaluation
+    error raised in it.  Callers wrap a statement's evaluation in one
+    [run]; [Errors.Crash] is not caught. *)
+val run : (unit -> 'a) -> ('a, Errors.t) result
+
+(** Raise an evaluation error, for the caller's {!run} to catch. *)
+val fail : Errors.t -> 'a
 
 (** Dialect encoding of a three-valued result: INTEGER 0/1/NULL for sqlite
     and mysql, BOOLEAN/NULL for postgres. *)
 val bool_value : Dialect.t -> Tvl.t -> Value.t
 
-(** Truth value of a value in boolean context. *)
-val value_tvl : env -> Value.t -> (Tvl.t, Errors.t) result
+(** Truth value of a value in boolean context; raises like a {!thunk}. *)
+val value_tvl : env -> Value.t -> Tvl.t
 
 (** {1 Static metadata} *)
 
@@ -88,50 +105,39 @@ val explicit_collation : env -> Sqlast.Ast.expr -> Collation.t option
 
     Each metadata-sensitive operator splits into a static prep, computed
     once from the operand expressions and the layout, and an apply over
-    operand values.  {!compile} uses them; the constant folder runs them
-    both ways to decide whether an operand may become a literal. *)
+    operand values that raises like a {!thunk}.  {!compile_pred} uses
+    them; the constant folder runs them both ways to decide whether an
+    operand may become a literal. *)
+
+(** An operand expression with its static column metadata. *)
+type operand
+
+val operand : env -> Sqlast.Ast.expr -> operand
 
 (** Comparison operators ([=], [<>], [<], [<=], [>], [>=], [<=>]):
     collation, affinity adjustments, metadata-gated bug decisions. *)
 type cmp_prep
 
-val compare_prep :
-  env -> Sqlast.Ast.binop -> Sqlast.Ast.expr -> Sqlast.Ast.expr -> cmp_prep
+val compare_prep : env -> Sqlast.Ast.binop -> operand -> operand -> cmp_prep
 
-val compare_apply :
-  env -> cmp_prep -> Value.t -> Value.t -> (Value.t, Errors.t) result
+val compare_apply : env -> cmp_prep -> Value.t -> Value.t -> Tvl.t
 
 (** [\[NOT\] BETWEEN]. *)
 type between_prep
 
 val between_prep :
-  env ->
-  negated:bool ->
-  arg:Sqlast.Ast.expr ->
-  lo:Sqlast.Ast.expr ->
-  hi:Sqlast.Ast.expr ->
-  between_prep
+  env -> negated:bool -> arg:operand -> lo:operand -> hi:operand -> between_prep
 
 val between_apply :
-  env ->
-  between_prep ->
-  Value.t ->
-  Value.t ->
-  Value.t ->
-  (Value.t, Errors.t) result
+  env -> between_prep -> Value.t -> Value.t -> Value.t -> Tvl.t
 
 (** Decode an evaluated ESCAPE operand to its escape character. *)
-val like_escape_char : Value.t -> (char option, Errors.t) result
+val like_escape_char : Value.t -> char option
 
 (** [\[NOT\] LIKE]. *)
 type like_prep
 
-val like_prep : env -> negated:bool -> arg:Sqlast.Ast.expr -> like_prep
+val like_prep : env -> negated:bool -> arg:operand -> like_prep
 
 val like_apply :
-  env ->
-  like_prep ->
-  Value.t ->
-  Value.t ->
-  char option ->
-  (Value.t, Errors.t) result
+  env -> like_prep -> Value.t -> Value.t -> char option -> Tvl.t

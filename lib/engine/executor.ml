@@ -688,18 +688,12 @@ let select_has_agg (s : A.select) =
 (* Aggregates                                                          *)
 
 (* The aggregation operator works over whatever tuple representation the
-   pipeline carries; [eval] evaluates an expression against one tuple. *)
-type 'tuple tuple_eval = 'tuple -> A.expr -> (Value.t, Errors.t) result
+   pipeline carries; [eval] evaluates an expression against one tuple,
+   raising its error to the caller's [Eval.run]. *)
+type 'tuple tuple_eval = 'tuple -> A.expr -> Value.t
 
-let eval_over ~eval tuples e =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | tuple :: rest -> (
-        match eval tuple e with
-        | Error err -> Error err
-        | Ok v -> go (v :: acc) rest)
-  in
-  go [] tuples
+(* [e] over each tuple, in order *)
+let eval_over ~eval tuples e = List.map (fun tuple -> eval tuple e) tuples
 
 let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
   match agg with
@@ -729,13 +723,13 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
           match arg with
           | None -> Ok (Value.Int (Int64.of_int (List.length tuples)))
           | Some a ->
-              let* vs = eval_over ~eval tuples a in
+              let vs = eval_over ~eval tuples a in
               let n = List.length (List.filter (fun v -> not (Value.is_null v)) vs) in
               Ok (Value.Int (Int64.of_int n)))
       | A.A_sum | A.A_avg | A.A_total -> (
           let* vs =
             match arg with
-            | Some a -> eval_over ~eval tuples a
+            | Some a -> Ok (eval_over ~eval tuples a)
             | None -> Error (Errors.make Errors.Invalid_function "SUM requires an argument")
           in
           let nums =
@@ -809,7 +803,7 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
       | A.A_min | A.A_max -> (
           let* vs =
             match arg with
-            | Some a -> eval_over ~eval tuples a
+            | Some a -> Ok (eval_over ~eval tuples a)
             | None -> Error (Errors.make Errors.Invalid_function "MIN requires an argument")
           in
           let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
@@ -878,28 +872,16 @@ let group_tuples ctx ~eval (s : A.select) tuples =
     in
     let table = Row_tbl.create 16 in
     let order = ref [] in
-    (* the group key of [tuple], built in [acc] *)
-    let rec keys tuple acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | g :: more -> (
-          match eval tuple g with
-          | Error e -> Error e
-          | Ok v -> keys tuple (v :: acc) more)
-    in
-    let rec go = function
-      | [] -> Ok ()
-      | tuple :: rest -> (
-          match keys tuple [] group_exprs with
-          | Error e -> Error e
-          | Ok k ->
-              (match Row_tbl.find_opt table k with
-              | Some group -> Row_tbl.replace table k (tuple :: group)
-              | None ->
-                  Row_tbl.replace table k [ tuple ];
-                  order := k :: !order);
-              go rest)
-    in
-    let* () = go tuples in
+    List.iter
+      (fun tuple ->
+        (* the group key of [tuple] *)
+        let k = Array.of_list (List.map (eval tuple) group_exprs) in
+        match Row_tbl.find_opt table k with
+        | Some group -> Row_tbl.replace table k (tuple :: group)
+        | None ->
+            Row_tbl.replace table k [ tuple ];
+            order := k :: !order)
+      tuples;
     Ok (List.rev_map (fun k -> List.rev (Row_tbl.find table k)) !order)
   end
 

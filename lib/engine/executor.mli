@@ -144,8 +144,10 @@ val output_columns :
     aggregate HAVING). *)
 val select_has_agg : Sqlast.Ast.select -> bool
 
-(** Evaluates an expression against one tuple of the pipeline. *)
-type 'tuple tuple_eval = 'tuple -> Sqlast.Ast.expr -> (Value.t, Errors.t) result
+(** Evaluates an expression against one tuple of the pipeline, raising
+    its error to the caller's {!Eval.run}: [group_tuples] and
+    [substitute_aggs] run inside one. *)
+type 'tuple tuple_eval = 'tuple -> Sqlast.Ast.expr -> Value.t
 
 (** The groups of an aggregate SELECT, in first-occurrence order: one
     group per distinct GROUP BY key, or a single group over every tuple

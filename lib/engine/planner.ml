@@ -71,7 +71,7 @@ let rec conjuncts = function
    engine semantics; planner constants must match run-time values. *)
 let const_value env e =
   if A.expr_columns e = [] then
-    match Eval.compile env e () with Ok v -> Some v | Error _ -> None
+    Result.to_option (Eval.run (Eval.compile env e))
   else None
 
 (* Is [e] a bare reference to [column] (possibly qualified)? *)
