@@ -94,6 +94,41 @@ let bench_eval dialect =
       (Staged.stage (fun () -> ignore (Sys.opaque_identity (value ()))));
   ]
 
+(* REAL to text as [Coerce.to_text] runs it, over integral values (the
+   digits-and-".0" path) and fractional ones (the runtime's [%.17g]). *)
+let bench_real_text =
+  let make name values =
+    let i = ref 0 in
+    Test.make ~name:("value/real_text " ^ name)
+      (Staged.stage (fun () ->
+           i := (!i + 1) land 7;
+           ignore (Sys.opaque_identity (Sqlval.Value.float_to_text values.(!i)))))
+  in
+  [
+    make "int" [| 0.; 1.; -3.; 42.; 1000.; -65536.; 123456789.; 7. |];
+    make "frac" [| 0.5; -1.25; 0.1; 3.14159; 1e20; -2.5e-7; 1. /. 3.; 99.9 |];
+  ]
+
+(* The plan-diff comparison of a 94-row join-order witness: count the
+   default order's rows, then check the swapped order's against them.
+   Rows are six values wide, with two REALs, fractional in 3 of 4 rows. *)
+let bench_rows_compare =
+  let row i =
+    let open Sqlval.Value in
+    [|
+      Int (Int64.of_int (i mod 7)); Text ("v" ^ string_of_int (i mod 5));
+      Real (float_of_int i /. 4.); Int (Int64.of_int i); Null;
+      Real (float_of_int (i mod 3));
+    |]
+  in
+  let default = List.init 94 row in
+  let swapped = List.rev default in
+  Test.make ~name:"rows/compare"
+    (Staged.stage (fun () ->
+         ignore
+           (Sys.opaque_identity
+              (Pqs.Plan_diff.matches (Pqs.Plan_diff.counts default) swapped))))
+
 let bench_parse =
   let sql =
     "SELECT DISTINCT t0.c0, t0.c1 FROM t0, t1 WHERE ((t0.c0 IS NOT 1) AND \
@@ -142,7 +177,8 @@ let run_micro () =
   Printf.printf "\n== Micro-benchmarks (Bechamel, ns/run) ==\n%!";
   let tests =
     Test.make_grouped ~name:"micro"
-      ([ bench_btree; bench_parse ]
+      ([ bench_btree; bench_parse; bench_rows_compare ]
+      @ bench_real_text
       @ List.map bench_query dialects
       @ List.concat_map bench_eval dialects
       @ List.map bench_synthesize dialects)

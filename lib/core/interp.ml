@@ -754,12 +754,7 @@ and apply env f vs arg_exprs =
           Ok (Value.Int (Int64.of_int (find 0))))
   | A.F_hex, [ v ] ->
       null_or (fun () ->
-          let s = text v in
-          let buf = Buffer.create (2 * String.length s) in
-          String.iter
-            (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
-            s;
-          Ok (Value.Text (Buffer.contents buf)))
+          Ok (Value.Text (Value.hex_of_string (text v))))
   | A.F_round, (v :: rest as all) when List.length all >= 1 && List.length all <= 2 ->
       null_or (fun () ->
           if strict && not (Value.is_numeric v) then Error "round(non-numeric)"

@@ -63,6 +63,17 @@ val message : divergence -> string
     recorded with cardinality [-1] and skipped for comparison. *)
 val check_query : Engine.Session.t -> Sqlast.Ast.query -> outcome
 
+(** The multiset the comparison holds: the default plan's rows, each
+    distinct row (under {!Engine.Executor.Row_eq}) counted once in an
+    {!Engine.Executor.Row_tbl}. *)
+type counts
+
+val counts : Value.t array list -> counts
+
+(** Do [rows] equal the counted multiset?  Leaves the counts as they
+    were, so one [counts] serves every forced plan of a witness. *)
+val matches : counts -> Value.t array list -> bool
+
 (** The join-order differential: compare
     [SELECT * FROM a AS pd_l, b AS pd_r] under the default and the
     swapped join order, over up to two consecutive catalog table pairs

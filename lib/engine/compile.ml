@@ -188,10 +188,7 @@ let distinct_stage ctx next =
     push =
       (fun row keys ->
         incr n_in;
-        if not (Executor.Row_tbl.mem seen row) then begin
-          Executor.Row_tbl.add seen row ();
-          next.push row keys
-        end);
+        if Executor.Row_tbl.add_new seen row () then next.push row keys);
     finish =
       (fun () ->
         Executor.op_event ctx ~op:"DISTINCT" ~rows_in:!n_in
@@ -618,7 +615,7 @@ and run_compound ?sink ctx op qa qb =
       let* () = same_width rb in
       let rows = left @ rb.Executor.rs_rows in
       let rows, detail =
-        if op = A.Union then (Executor.dedup ~row:Fun.id rows, "UNION")
+        if op = A.Union then (Executor.dedup rows, "UNION")
         else (rows, "UNION ALL")
       in
       finish ~t0 ~detail ~right_rows:(List.length rb.Executor.rs_rows) rows
@@ -626,21 +623,28 @@ and run_compound ?sink ctx op qa qb =
       let t0 = Executor.op_clock ctx in
       (* one mark per distinct left key, shared by its equal rows: a
          single left row (the containment check's VALUES) is compared,
-         not hashed; more are hashed into a table sized to them, so it
-         never grows *)
-      let mark_of, keys =
+         not hashed; more are hashed into a table sized to them, whose
+         keys are the distinct left rows in first-occurrence order *)
+      let want = op = A.Intersect in
+      let mark_of, keys, marked =
         match left with
         | [ l ] ->
             let met = ref false in
-            ((fun r -> if Executor.Row_eq.equal l r then Some met else None), 1)
+            ( (fun r -> if Executor.Row_eq.equal l r then Some met else None),
+              1,
+              fun () -> if !met = want then left else [] )
         | _ ->
             let marks = Executor.Row_tbl.create (List.length left) in
             List.iter
               (fun r ->
-                if not (Executor.Row_tbl.mem marks r) then
-                  Executor.Row_tbl.add marks r (ref false))
+                ignore (Executor.Row_tbl.find_or_add marks r (fun () -> ref false)))
               left;
-            (Executor.Row_tbl.find_opt marks, Executor.Row_tbl.length marks)
+            ( Executor.Row_tbl.find_opt marks,
+              Executor.Row_tbl.length marks,
+              fun () ->
+                Executor.Row_tbl.fold
+                  (fun r met acc -> if !met = want then r :: acc else acc)
+                  marks [] )
       in
       (* once every left key is met the answer is known; later right
          rows still run, for their errors, but are not looked up *)
@@ -656,17 +660,9 @@ and run_compound ?sink ctx op qa qb =
       in
       let* rb = run_query ~sink ctx qb in
       let* () = same_width rb in
-      let want = op = A.Intersect in
-      let rows =
-        Executor.dedup ~row:Fun.id
-          (List.filter
-             (fun r ->
-               match mark_of r with Some met -> !met = want | None -> false)
-             left)
-      in
       finish ~t0
         ~detail:(if want then "INTERSECT (probe)" else "EXCEPT (probe)")
-        ~right_rows:!probed rows
+        ~right_rows:!probed (marked ())
 
 (* One FROM item, materialized: scan-site bug behaviour and access paths
    come from Executor.scan_rows; the join's ON predicate is compiled once

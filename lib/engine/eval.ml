@@ -769,12 +769,7 @@ let apply_func env (fp : func_prep) (f : A.func) (args : Value.t list) :
   | A.F_hex, [ v ] ->
       if any_null then Value.Null
       else
-        let s = text_of env v in
-        let buf = Buffer.create (2 * String.length s) in
-        String.iter
-          (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
-          s;
-        Value.Text (Buffer.contents buf)
+        Value.Text (Value.hex_of_string (text_of env v))
   | A.F_hex, _ -> wrong_arity "HEX"
   | A.F_round, (v :: ([] | [ _ ] as rest)) ->
       if any_null then Value.Null

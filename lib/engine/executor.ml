@@ -621,59 +621,166 @@ module Row_eq = struct
         | Some i, Some j -> Int64.equal i j
         | _ -> false)
 
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (value_equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
+  (* top-level rather than a local closure over [a] and [b], which
+     would be allocated per comparison *)
+  let rec equal_below a b i =
+    i < 0 || (value_equal a.(i) b.(i) && equal_below a b (i - 1))
 
+  let equal a b =
+    Array.length a = Array.length b && equal_below a b (Array.length a - 1)
+
+  (* An integer's hash, mixed in OCaml: the multiply spreads the low bits
+     upward and the shift folds the high bits back down. *)
+  let int_hash i =
+    let h = i * 0x1E3779B97F4A7C15 in
+    h lxor (h lsr 32)
+
+  (* Equal values hash alike: Int, Bool and integral Real through their
+     integer; any other Real through the printed form it is compared
+     by. *)
   let value_hash = function
     | Value.Null -> 0
-    | Value.Int i -> Hashtbl.hash i
-    | Value.Bool b -> Hashtbl.hash (if b then 1L else 0L)
+    | Value.Int i -> int_hash (Int64.to_int i)
+    | Value.Bool b -> int_hash (Bool.to_int b)
     | Value.Real r ->
-        if Numeric.real_is_exact_int r then Hashtbl.hash (Int64.of_float r)
+        if Numeric.real_is_exact_int r then int_hash (int_of_float r)
         else Hashtbl.hash (string_of_float r)
     | Value.Text s -> Hashtbl.hash s
     | Value.Blob s -> Hashtbl.hash s + 1
 
-  let hash a = Array.fold_left (fun h v -> (h * 31) + value_hash v) 7 a
+  let hash a =
+    let h = ref 7 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 31) + value_hash (Array.unsafe_get a i)
+    done;
+    !h
 end
 
-module Row_tbl = Hashtbl.Make (Row_eq)
+(* Entries in insertion order, each with its hash beside its key, and
+   chained in [heads]/[next] by entry number + 1 (0 ends a chain), at
+   most two per head on average.  A probe compares hashes before rows;
+   growing relinks the stored hashes without rehashing a row.  The
+   arrays are allocated at the first add; up to 256 keys each fits the
+   minor heap. *)
+module Row_tbl = struct
+  type 'a t = {
+    hint : int;
+    mutable heads : int array;
+    mutable next : int array;
+    mutable keys : Value.t array array;
+    mutable hashes : int array;
+    mutable vals : 'a array;
+    mutable size : int;
+  }
 
-let dedup ~row items =
-  match items with
-  | [] | [ _ ] -> items
+  let create hint =
+    {
+      hint = Stdlib.max 4 hint;
+      heads = [||];
+      next = [||];
+      keys = [||];
+      hashes = [||];
+      vals = [||];
+      size = 0;
+    }
+
+  let length t = t.size
+
+  (* The entry holding a row equal to [key] (hash [h]) along the chain
+     from entry [e1 - 1], or -1.  The loop takes the table rather than
+     closing over it, so a probe allocates nothing. *)
+  let rec find_from t key h e1 =
+    if e1 = 0 then -1
+    else
+      let e = e1 - 1 in
+      if
+        Array.unsafe_get t.hashes e = h
+        && Row_eq.equal (Array.unsafe_get t.keys e) key
+      then e
+      else find_from t key h (Array.unsafe_get t.next e)
+
+  let find t key h =
+    if t.size = 0 then -1
+    else
+      find_from t key h
+        (Array.unsafe_get t.heads (h land (Array.length t.heads - 1)))
+
+  let find_opt t key =
+    let e = find t key (Row_eq.hash key) in
+    if e < 0 then None else Some (Array.unsafe_get t.vals e)
+
+  let link t e =
+    let b = t.hashes.(e) land (Array.length t.heads - 1) in
+    t.next.(e) <- t.heads.(b);
+    t.heads.(b) <- e + 1
+
+  let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+  (* Append entry [key -> v] (hash [h]).  The first add sizes the entry
+     arrays to the hint, at most 256: [Array.make] of more words than
+     the minor heap takes forces a minor collection when its fill value
+     is young, as [v] usually is.  A full table doubles each entry array
+     onto itself instead, which forces none, and relinks every entry
+     into half as many heads. *)
+  let add t key h v =
+    let e = t.size in
+    if e = Array.length t.keys then begin
+      if e = 0 then begin
+        let n = Stdlib.min t.hint 256 in
+        t.keys <- Array.make n key;
+        t.hashes <- Array.make n 0;
+        t.next <- Array.make n 0;
+        t.vals <- Array.make n v
+      end
+      else begin
+        t.keys <- Array.append t.keys t.keys;
+        t.hashes <- Array.append t.hashes t.hashes;
+        t.next <- Array.append t.next t.next;
+        t.vals <- Array.append t.vals t.vals
+      end;
+      t.heads <- Array.make (pow2_at_least (Array.length t.keys / 2) 2) 0;
+      for i = 0 to e - 1 do
+        link t i
+      done
+    end;
+    t.keys.(e) <- key;
+    t.hashes.(e) <- h;
+    t.vals.(e) <- v;
+    t.size <- e + 1;
+    link t e
+
+  let find_or_add t key make =
+    let h = Row_eq.hash key in
+    let e = find t key h in
+    if e >= 0 then Array.unsafe_get t.vals e
+    else begin
+      let v = make () in
+      add t key h v;
+      v
+    end
+
+  let add_new t key v =
+    let h = Row_eq.hash key in
+    find t key h < 0
+    && begin
+         add t key h v;
+         true
+       end
+
+  let fold f t acc =
+    let acc = ref acc in
+    for e = t.size - 1 downto 0 do
+      acc := f t.keys.(e) t.vals.(e) !acc
+    done;
+    !acc
+end
+
+let dedup rows =
+  match rows with
+  | [] | [ _ ] -> rows
   | _ ->
-      let seen = Row_tbl.create 16 in
-      List.filter
-        (fun item ->
-          let r = row item in
-          if Row_tbl.mem seen r then false
-          else begin
-            Row_tbl.replace seen r ();
-            true
-          end)
-        items
-
-let same_multiset a b =
-  List.compare_lengths a b = 0
-  &&
-  let counts = Row_tbl.create 16 in
-  List.iter
-    (fun r ->
-      Row_tbl.replace counts r
-        (1 + Option.value ~default:0 (Row_tbl.find_opt counts r)))
-    a;
-  List.for_all
-    (fun r ->
-      match Row_tbl.find_opt counts r with
-      | Some n when n > 0 ->
-          Row_tbl.replace counts r (n - 1);
-          true
-      | _ -> false)
-    b
+      let seen = Row_tbl.create (List.length rows) in
+      List.filter (fun r -> Row_tbl.add_new seen r ()) rows
 
 let select_has_agg (s : A.select) =
   s.A.sel_group_by <> []
@@ -870,19 +977,15 @@ let group_tuples ctx ~eval (s : A.select) tuples =
         | _ -> s.A.sel_group_by
       else s.A.sel_group_by
     in
-    let table = Row_tbl.create 16 in
-    let order = ref [] in
+    let groups = Row_tbl.create 16 in
     List.iter
       (fun tuple ->
         (* the group key of [tuple] *)
         let k = Array.of_list (List.map (eval tuple) group_exprs) in
-        match Row_tbl.find_opt table k with
-        | Some group -> Row_tbl.replace table k (tuple :: group)
-        | None ->
-            Row_tbl.replace table k [ tuple ];
-            order := k :: !order)
+        let group = Row_tbl.find_or_add groups k (fun () -> ref []) in
+        group := tuple :: !group)
       tuples;
-    Ok (List.rev_map (fun k -> List.rev (Row_tbl.find table k)) !order)
+    Ok (Row_tbl.fold (fun _ group acc -> List.rev !group :: acc) groups [])
   end
 
 let substitute_aggs ctx ~eval group e : (A.expr, Errors.t) result =

@@ -85,16 +85,43 @@ val table_env : ctx -> Storage.Schema.table -> alias:string -> Eval.env
     - other [Real]s are equal when their [string_of_float] forms (12
       significant digits) are, so [0.1+0.2] equals [0.3];
     - [Text] and [Blob] compare bytes and are never equal to each other;
-      [NULL] equals [NULL]. *)
+      [NULL] equals [NULL].
+
+    [hash] agrees with [equal]: it mixes the integer of an [Int], [Bool]
+    or integral [Real] in OCaml, and hashes any other [Real] by the
+    printed form it is compared by. *)
 module Row_eq : Hashtbl.HashedType with type t = Value.t array
 
-module Row_tbl : Hashtbl.S with type key = Value.t array
+(** A table keyed by rows under {!Row_eq}, for the row-keyed operators
+    (DISTINCT, GROUP BY, UNION dedup, the INTERSECT/EXCEPT marks) and the
+    plan-diff comparison.  Each operation hashes its row once; the hash
+    is stored with the key, so growing never rehashes a row.  Keys keep
+    their insertion order, and a key is the first row added under it. *)
+module Row_tbl : sig
+  type 'a t
 
-(** First-occurrence deduplication of items under {!Row_eq} of [row]. *)
-val dedup : row:('a -> Value.t array) -> 'a list -> 'a list
+  (** An empty table expecting about [n] keys; nothing is allocated
+      until the first add. *)
+  val create : int -> 'a t
 
-(** Are the two row lists equal as multisets under {!Row_eq}? *)
-val same_multiset : Value.t array list -> Value.t array list -> bool
+  val length : 'a t -> int
+  val find_opt : 'a t -> Value.t array -> 'a option
+
+  (** The value of the key equal to [row], first binding [row] to
+      [make ()] when there is none. *)
+  val find_or_add : 'a t -> Value.t array -> (unit -> 'a) -> 'a
+
+  (** Bind [row] to [v] unless an equal key is bound; [true] when it
+      was not (the row is new). *)
+  val add_new : 'a t -> Value.t array -> 'a -> bool
+
+  (** Fold over the keys from the last added to the first, so a fold
+      that conses builds a list in insertion order. *)
+  val fold : (Value.t array -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
+
+(** First-occurrence deduplication of rows under {!Row_eq}. *)
+val dedup : Value.t array list -> Value.t array list
 
 (** Rows of one table including postgres-inherited children (projected onto
     the parent's columns), in scan order. *)

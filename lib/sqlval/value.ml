@@ -72,10 +72,17 @@ let compare_collated collation a b =
 let compare_total ?(collation = Collation.Binary) a b =
   compare_collated collation a b
 
+let hex_digits = "0123456789ABCDEF"
+
 let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c))) s;
-  Buffer.contents buf
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
 
 let escape_single_quotes s =
   let buf = Buffer.create (String.length s + 2) in
@@ -85,19 +92,40 @@ let escape_single_quotes s =
     s;
   Buffer.contents buf
 
-let float_to_sql f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+(* The C primitive behind [Printf]'s [%g]: the same bytes, without
+   interpreting a format per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [Printf "%.1f"] of an integral [f] with |f| < 1e15: its integer's
+   decimal digits followed by [".0"], written into one string. *)
+let integral_text f =
+  let n = int_of_float f in
+  let neg = n < 0 || Float.sign_bit f in
+  let a = abs n in
+  let rec digits a k = if a < 10 then k else digits (a / 10) (k + 1) in
+  let len = digits a 1 + if neg then 3 else 2 in
+  let b = Bytes.create len in
+  if neg then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_set b (len - 2) '.';
+  Bytes.unsafe_set b (len - 1) '0';
+  let rec fill a i =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (a mod 10)));
+    if a >= 10 then fill (a / 10) (i - 1)
+  in
+  fill a (len - 3);
+  Bytes.unsafe_to_string b
+
+let float_to_text f =
+  if Float.is_integer f && Float.abs f < 1e15 then integral_text f
   else if Float.is_nan f then "(0.0/0.0)"
   else if f = Float.infinity then "1e999"
   else if f = Float.neg_infinity then "-1e999"
-  else Printf.sprintf "%.17g" f
-
-let float_to_text = float_to_sql
+  else format_float "%.17g" f
 
 let to_sql_literal = function
   | Null -> "NULL"
   | Int i -> Int64.to_string i
-  | Real r -> float_to_sql r
+  | Real r -> float_to_text r
   | Text s -> "'" ^ escape_single_quotes s ^ "'"
   | Blob s -> "X'" ^ hex_of_string s ^ "'"
   | Bool true -> "TRUE"
@@ -106,7 +134,7 @@ let to_sql_literal = function
 let to_display = function
   | Null -> "NULL"
   | Int i -> Int64.to_string i
-  | Real r -> float_to_sql r
+  | Real r -> float_to_text r
   | Text s -> s
   | Blob s -> "x'" ^ hex_of_string s ^ "'"
   | Bool b -> if b then "t" else "f"

@@ -43,8 +43,18 @@ val compare_int_real : int64 -> float -> int
 val to_sql_literal : t -> string
 
 (** Canonical text rendering of a float, shared by the SQL printer and the
-    TEXT coercions so that printing and re-parsing round-trips. *)
+    TEXT coercions (the engine's and the PQS interpreter's) so that
+    printing and re-parsing round-trips: [Printf "%.1f"] for an integral
+    value with |f| < 1e15, [Printf "%.17g"] otherwise, and
+    [(0.0/0.0)], [1e999], [-1e999] for NaN and the infinities.  It makes
+    no [Printf] call: an integral value writes its integer's digits and
+    [".0"] (keeping the sign of [-0.0]), any other goes straight to the
+    runtime's float formatter. *)
 val float_to_text : float -> string
+
+(** Upper-case hex digits of each byte, two per byte (the text of
+    [HEX()] and of [X'..'] literals), from a 16-digit table. *)
+val hex_of_string : string -> string
 
 (** Human-readable rendering used by result-set printers ([NULL] unquoted). *)
 val to_display : t -> string

@@ -1033,7 +1033,7 @@ let test_probe_equivalence () =
       match (outcome session left, outcome session right) with
       | Ok l, Ok r ->
           let keep x = List.exists (Ex.Row_eq.equal x) r = (op = A.Intersect) in
-          Ok (Ex.dedup ~row:Fun.id (List.filter keep l))
+          Ok (Ex.dedup (List.filter keep l))
       | (Error _ as e), _ | _, (Error _ as e) -> e
     in
     let q = A.Q_compound (op, left, right) in
@@ -1106,19 +1106,27 @@ let test_compiled_session () =
 (* Per-row allocation of the SELECT path: minor words per table row of
    each query, over 20 executions after one warm-up, on a 1,000-row
    sqlite table of (i, NULL).  The totals include the scan, WHERE, the
-   projection and, for the INTERSECT, the probe.  Each bound is 1.25x
-   the figure of evaluation closures that return bare values and truth
+   projection and, for the INTERSECT, the probe; for DISTINCT and UNION,
+   the keyed row table (whose arrays past 256 words are major-heap and
+   not counted) and the collected result.  Each bound is 1.15x the
+   figure of evaluation closures that return bare values and truth
    values and raise their errors (8.6-8.7 words/row WHERE-only, 22.8 for
-   the INTERSECT); a closure allocated per evaluated node per row
-   exceeds it. *)
+   the INTERSECT) and of a row table that stores each row's hash beside
+   it and probes without a closure (33.0 DISTINCT, 74.5 UNION).  An [Ok]
+   per column read and a dialect value per boolean node exceed every
+   WHERE and INTERSECT bound (10.6-12.8 and 30.9 words/row), and a
+   [Hashtbl] of rows, with a bucket cell per key and a closure per
+   comparison, the DISTINCT and UNION ones (42.7 and 102.1). *)
 let alloc_queries =
   [
-    ("SELECT c0 FROM t WHERE c0 < 0", 10.8);
-    ("SELECT c0 FROM t WHERE c0 < 0 AND c1 IS NULL", 10.9);
-    ("SELECT c0 FROM t WHERE c0 IN (-1, -2, -3)", 10.9);
-    ("SELECT c0 FROM t WHERE c0 > 2000 OR c0 BETWEEN -5 AND -1", 10.9);
+    ("SELECT c0 FROM t WHERE c0 < 0", 9.9);
+    ("SELECT c0 FROM t WHERE c0 < 0 AND c1 IS NULL", 10.0);
+    ("SELECT c0 FROM t WHERE c0 IN (-1, -2, -3)", 10.0);
+    ("SELECT c0 FROM t WHERE c0 > 2000 OR c0 BETWEEN -5 AND -1", 10.0);
     ( "VALUES (5, NULL) INTERSECT SELECT c0, c1 FROM t WHERE c0 > 0",
-      28.5 );
+      26.2 );
+    ("SELECT DISTINCT c0 FROM t", 37.9);
+    ("SELECT c0 FROM t UNION SELECT c0 FROM t", 85.7);
   ]
 
 let test_per_row_allocation () =

@@ -937,6 +937,38 @@ let test_error_text () =
       Alcotest.(check (list string)) (Dialect.name dialect) expected shown)
     [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
 
+(* HEX() golden: the hex text of INT, REAL, TEXT and BLOB values, from
+   table columns and from literals, in every dialect.  The texts were
+   taken while each byte was printed with [Printf "%02X"]; they pin the
+   table-driven encoder to the same bytes. *)
+let test_hex_golden () =
+  let expected =
+    [
+      "2D32313437343833363438|31652B3230|6361665C|0A1B";
+      "37|2D312E35||";
+      "615A|323535|2D312E35|00FF7F||NULL|322E30|"
+      ^ "302E3130303030303030303030303030303031|2D302E30|"
+      ^ "302E3333333333333333333333333333333331";
+    ]
+  in
+  List.iter
+    (fun dialect ->
+      let session = Engine.Session.create dialect in
+      ok_all "setup"
+        (script session
+           [
+             "CREATE TABLE h(c0 INT, c1 REAL, c2 TEXT, c3 BLOB)";
+             "INSERT INTO h VALUES (-2147483648, 1e20, 'caf\\', X'0A1b'), \
+              (7, -1.5, '', X'')";
+           ]);
+      Alcotest.(check (list string))
+        (Dialect.name dialect) expected
+        (row_lines session "SELECT HEX(c0), HEX(c1), HEX(c2), HEX(c3) FROM h"
+        @ row_lines session
+            "SELECT HEX('aZ'), HEX(255), HEX(-1.5), HEX(X'00ff7f'), HEX(''), \
+             HEX(NULL), HEX(2.0), HEX(0.1), HEX(-0.0), HEX(1.0/3)"))
+    [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -945,6 +977,7 @@ let () =
           Alcotest.test_case "create/insert/select" `Quick test_create_insert_select;
           Alcotest.test_case "dialect gates" `Quick test_dialect_gates;
           Alcotest.test_case "error text" `Quick test_error_text;
+          Alcotest.test_case "HEX() text" `Quick test_hex_golden;
           Alcotest.test_case "unique constraints" `Quick test_unique_constraint;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "index scan equivalence" `Quick test_index_scan_equivalence;

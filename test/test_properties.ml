@@ -451,6 +451,187 @@ let test_row_identity_cases () =
   Alcotest.(check bool) "widths differ" false
     (R.equal [| Value.Int 1L |] [| Value.Int 1L; Value.Null |])
 
+(* ---------- the keyed row table against a naive reference ---------- *)
+
+(* The row-keyed operators and the plan-diff multiset comparison, each
+   against an O(n^2) reference that compares rows with [Row_eq.equal]
+   only: no hash, so a hash that splits equal rows or a table that loses
+   an entry or reorders its keys shows. *)
+let row_eq = Engine.Executor.Row_eq.equal
+
+let naive_dedup rows =
+  List.rev
+    (List.fold_left
+       (fun acc r -> if List.exists (row_eq r) acc then acc else r :: acc)
+       [] rows)
+
+let naive_count rows r = List.length (List.filter (row_eq r) rows)
+
+let naive_same_multiset a b =
+  List.compare_lengths a b = 0
+  && List.for_all (fun r -> naive_count a r = naive_count b r) (a @ b)
+
+let show_row r = String.concat "," (List.map Value.show (Array.to_list r))
+let show_rows rows = String.concat "; " (List.map show_row rows)
+
+(* 1-40 rows of one width (1-3) from the identity generator (enough
+   distinct rows to grow a table past its initial size), and a second
+   list: a reordering of the first, the reordering with one row replaced
+   or dropped, or an independent list *)
+let keyed_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 3 >>= fun width ->
+    let row = map Array.of_list (list_repeat width identity_value_gen) in
+    list_size (1 -- 40) row >>= fun a ->
+    shuffle_l a >>= fun shuffled ->
+    row >>= fun other ->
+    int_range 0 (List.length a - 1) >>= fun k ->
+    list_size (0 -- 40) row >>= fun indep ->
+    oneofl
+      [
+        shuffled;
+        List.mapi (fun i r -> if i = k then other else r) shuffled;
+        List.filteri (fun i _ -> i <> k) shuffled;
+        indep;
+      ]
+    >|= fun b -> (a, b)
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> "[" ^ show_rows a ^ "] vs [" ^ show_rows b ^ "]")
+    gen
+
+let prop_multiset_matches_naive =
+  QCheck.Test.make ~name:"plan-diff multiset = naive count" ~count:2000
+    keyed_arb (fun (a, b) ->
+      let c = Pqs.Plan_diff.counts a in
+      let expected = naive_same_multiset a b in
+      (* a check leaves the counts as they were: the same answer twice,
+         and the default's own rows reversed still match afterwards *)
+      Pqs.Plan_diff.matches c b = expected
+      && Pqs.Plan_diff.matches c b = expected
+      && Pqs.Plan_diff.matches c (List.rev a))
+
+(* [SELECT DISTINCT * FROM (VALUES a)], [VALUES a UNION VALUES b] and
+   [SELECT cols, COUNT(star) FROM (VALUES a) GROUP BY cols] on the
+   engine: first occurrences in first-occurrence order, and each group
+   as its first row and its size *)
+let from_values rows : A.from_item =
+  A.F_sub { sub = values_query (List.map Array.to_list rows); alias = "v" }
+
+let columns rows =
+  List.init (Array.length (List.hd rows)) (fun i ->
+      A.col (Printf.sprintf "column%d" (i + 1)))
+
+let prop_keyed_operators_match_naive =
+  QCheck.Test.make ~name:"DISTINCT, UNION, GROUP BY = naive dedup"
+    ~count:1000 keyed_arb (fun (a, b) ->
+      let s = session () in
+      let select ~distinct ~items ~group_by =
+        A.Q_select
+          {
+            A.sel_distinct = distinct;
+            sel_items = items;
+            sel_from = [ from_values a ];
+            sel_where = None;
+            sel_group_by = group_by;
+            sel_having = None;
+            sel_order_by = [];
+            sel_limit = None;
+            sel_offset = None;
+          }
+      in
+      let check what expected got =
+        show_rows expected = show_rows got
+        || QCheck.Test.fail_reportf "%s: expected [%s], got [%s]" what
+             (show_rows expected) (show_rows got)
+      in
+      let distinct =
+        run_rows s (select ~distinct:true ~items:[ A.Star ] ~group_by:[])
+      in
+      let groups =
+        let cols = columns a in
+        run_rows s
+          (select ~distinct:false
+             ~items:
+               (List.map (fun c -> A.Sel_expr (c, None)) cols
+               @ [ A.Sel_expr (A.Agg (A.A_count_star, None), None) ])
+             ~group_by:cols)
+      in
+      let naive_groups =
+        List.map
+          (fun r ->
+            Array.append r [| Value.Int (Int64.of_int (naive_count a r)) |])
+          (naive_dedup a)
+      in
+      check "DISTINCT" (naive_dedup a) distinct
+      && check "GROUP BY" naive_groups groups
+      &&
+      if b = [] || Array.length (List.hd b) <> Array.length (List.hd a) then
+        true
+      else
+        check "UNION" (naive_dedup (a @ b))
+          (run_rows s
+             (A.Q_compound
+                ( A.Union,
+                  values_query (List.map Array.to_list a),
+                  values_query (List.map Array.to_list b) ))))
+
+(* ---------- REAL text against Printf ---------- *)
+
+(* [Value.float_to_text] makes no Printf call; this is the Printf
+   rendering it must print byte for byte *)
+let printf_float_text f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else if Float.is_nan f then "(0.0/0.0)"
+  else if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else Printf.sprintf "%.17g" f
+
+(* random bit patterns (every class: denormals, NaNs, huge and tiny),
+   integral values on both sides of 1e15, and dyadic fractions *)
+let float_text_arb =
+  QCheck.make ~print:(fun f -> Printf.sprintf "%h" f)
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map Int64.float_of_bits ui64);
+          ( 2,
+            map
+              (fun (i, e) -> Float.ldexp (Int64.to_float i) e)
+              (pair int64 (int_range (-60) 0)) );
+          ( 2,
+            map
+              (fun i -> float_of_int i)
+              (oneof
+                 [
+                   int_range (-1000) 1000;
+                   int_range (-999_999_999_999_999) 999_999_999_999_999;
+                   int_range (-(1 lsl 60)) (1 lsl 60);
+                 ]) );
+          ( 2,
+            map
+              (fun (k, j) -> float_of_int k /. Float.ldexp 1.0 j)
+              (pair (int_range (-100_000) 100_000) (int_range 1 30)) );
+        ])
+
+let prop_float_text_printf =
+  QCheck.Test.make ~name:"REAL text = Printf reference" ~count:20000
+    float_text_arb (fun f -> Value.float_to_text f = printf_float_text f)
+
+let test_float_text_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" f) (printf_float_text f) (Value.float_to_text f))
+    [
+      0.0; -0.0; 1.0; -1.0; 0.5; -0.5; 999999999999999.0;
+      -999999999999999.0; 1e15; -1e15; 1e16; 5e-324; 2.2250738585072014e-308;
+      Float.max_float; -.Float.max_float; Float.min_float; Float.nan;
+      -.Float.nan; Float.infinity; Float.neg_infinity; 0.1; 1.0 /. 3.0;
+      9007199254740993.0; 4611686018427387904.0;
+    ]
+
 let () =
   Alcotest.run "properties"
     [
@@ -476,7 +657,14 @@ let () =
       ( "row identity",
         Alcotest.test_case "fixed cases" `Quick test_row_identity_cases
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_row_identity_matches_printed_key ] );
+             [
+               prop_row_identity_matches_printed_key;
+               prop_multiset_matches_naive;
+               prop_keyed_operators_match_naive;
+             ] );
+      ( "REAL text",
+        Alcotest.test_case "edge cases" `Quick test_float_text_edges
+        :: List.map QCheck_alcotest.to_alcotest [ prop_float_text_printf ] );
       ( "round trips",
         List.map QCheck_alcotest.to_alcotest [ prop_literal_roundtrip ] );
       ( "determinism",
