@@ -32,6 +32,45 @@ let bench_btree =
            ignore (T.remove ~veq:Int.equal t (i * 7 mod 50) i)
          done))
 
+(* The same through [Storage.Index], on mixed [Value.t array] keys (ints,
+   texts, reals, NULLs and two-column tuples, with duplicates): the key
+   comparison, search and node shifting of an index write. *)
+let bench_index =
+  let open Sqlval.Value in
+  let keys =
+    Array.init 100 (fun i ->
+        let n = Int64.of_int (i * 7 mod 50) in
+        match i mod 5 with
+        | 0 -> [| Int n |]
+        | 1 -> [| Text (Int64.to_string n) |]
+        | 2 -> [| Real (Int64.to_float n /. 4.) |]
+        | 3 -> [| Null |]
+        | _ -> [| Int n; Text "x" |])
+  in
+  let rowids = Array.init 100 Int64.of_int in
+  let definition =
+    [
+      {
+        Sqlast.Ast.ic_expr = Sqlast.Ast.col "c0";
+        ic_collate = None;
+        ic_desc = false;
+      };
+    ]
+  in
+  Test.make ~name:"index insert+remove x100"
+    (Staged.stage (fun () ->
+         let ix =
+           Storage.Index.create ~name:"i0" ~table:"t0" ~unique:false
+             ~definition ~collations:[| Sqlval.Collation.Binary |] ~where:None
+         in
+         for i = 0 to 99 do
+           Storage.Index.add ix ~key:keys.(i) ~rowid:rowids.(i)
+         done;
+         for i = 0 to 49 do
+           let i = i * 2 in
+           ignore (Storage.Index.remove ix ~key:keys.(i) ~rowid:rowids.(i))
+         done))
+
 let eval_fixture dialect =
   let session = Engine.Session.create dialect in
   let stmts =
@@ -173,11 +212,13 @@ let bench_synthesize dialect =
                (Engine.Session.execute session (Pqs.Gen_query.containment_stmt t))
          | Error _ -> ()))
 
+(* ns and minor words per run, each the OLS slope over the run count: an
+   allocating comparator or walk shows up in the second column. *)
 let run_micro () =
-  Printf.printf "\n== Micro-benchmarks (Bechamel, ns/run) ==\n%!";
+  Printf.printf "\n== Micro-benchmarks (Bechamel) ==\n%!";
   let tests =
     Test.make_grouped ~name:"micro"
-      ([ bench_btree; bench_parse; bench_rows_compare ]
+      ([ bench_btree; bench_index; bench_parse; bench_rows_compare ]
       @ bench_real_text
       @ List.map bench_query dialects
       @ List.concat_map bench_eval dialects
@@ -186,24 +227,25 @@ let run_micro () =
   let cfg =
     Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ~stabilize:false ()
   in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let raw = Benchmark.all cfg instances tests in
+  let analyze instance =
     Analyze.all
       (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |])
-      Instance.monotonic_clock raw
+      instance raw
   in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> Printf.sprintf "%.0f" e
-        | _ -> "?"
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.sort compare !rows
-  |> List.iter (fun (name, ns) -> Printf.printf "  %-42s %12s ns/run\n" name ns)
+  let ns = analyze Instance.monotonic_clock
+  and words = analyze Instance.minor_allocated in
+  let estimate results name =
+    match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+    | Some (Some (e :: _)) -> Printf.sprintf "%.0f" e
+    | _ -> "?"
+  in
+  Printf.printf "  %-42s %12s %14s\n" "" "ns/run" "minor w/run";
+  Hashtbl.to_seq_keys raw |> List.of_seq |> List.sort compare
+  |> List.iter (fun name ->
+         Printf.printf "  %-42s %12s %14s\n" name
+           (estimate ns name) (estimate words name))
 
 (* ------------------------------------------------------------------ *)
 (* Targets                                                              *)

@@ -44,7 +44,16 @@ val statements_per_sec : t -> float
 
 (** Grow the minor heap to 2M words (never shrink it), so that a round's
     garbage dies young.  {!run} and the fleet's worker processes call it
-    before their first round. *)
+    before their first round.
+
+    Do not tune this size against [perfbench]: its calibration kernel
+    runs in the measured process and shares this minor heap, so a
+    nursery size moves the kernel as well as the campaign.  A 64k-word
+    nursery read hunt-default ×1.14 after calibration while the kernel
+    itself ran ~18% slower (median ~952 → ~778 calls/s over six
+    interleaved rounds): the gain was the divisor's, not the campaign's.
+    See EXPERIMENTS.md, "The index write path without per-operation
+    allocation". *)
 val size_minor_heap : unit -> unit
 
 (** Run the campaign.

@@ -77,15 +77,16 @@ let holds pred = Result.map (Tvl.equal Tvl.True) (Eval.run pred)
 
 type entry = Pending | Absent | Key of Value.t array | Failed of Errors.t
 
+let entry_of (keys, where) =
+  match where with
+  | Some pred when not (Tvl.equal (pred ()) Tvl.True) -> Absent
+  | _ -> Key (Array.map (fun key -> key ()) keys)
+
+let failed e = Failed e
+
 let eval_entry p ip values =
   set_row p values;
-  let keys, where = Lazy.force ip.compiled in
-  let entry () =
-    match where with
-    | Some pred when not (Tvl.equal (pred ()) Tvl.True) -> Absent
-    | _ -> Key (Array.map (fun key -> key ()) keys)
-  in
-  match Eval.run entry with Ok entry -> entry | Error e -> Failed e
+  Eval.catch entry_of (Lazy.force ip.compiled) ~error:failed
 
 (* One row's entries under every index of its plan, each evaluated at
    most once, on first use. *)
@@ -118,39 +119,41 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
+(* Add each row's entry under [ip] in scan order; stops at the first key
+   that fails to evaluate or conflicts. *)
+let rec add_entries (ts : Storage.Catalog.table_state) p ip = function
+  | [] -> Ok ()
+  | (row : Storage.Row.t) :: rest -> (
+      match eval_entry p ip row.Storage.Row.values with
+      | Pending | Absent -> add_entries ts p ip rest
+      | Failed e -> Error e
+      | Key key ->
+          let rowid = row.Storage.Row.rowid in
+          if Storage.Index.unique_conflicts ip.ix ~key ~rowid <> [] then
+            Error
+              (err Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
+                 ts.Storage.Catalog.schema.Storage.Schema.table_name
+                 ip.ix.Storage.Index.index_name)
+          else begin
+            Storage.Index.add ip.ix ~key ~rowid;
+            add_entries ts p ip rest
+          end)
+
 let build_index_entries ctx (ts : Storage.Catalog.table_state)
     (ix : Storage.Index.t) : (unit, Errors.t) result =
   Storage.Index.clear ix;
-  let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
-  let p = plan ctx ts in
-  (* a new index is not in the plan yet *)
-  let ip =
-    match List.find_opt (fun ip -> ip.ix == ix) p.indexes with
-    | Some ip -> ip
-    | None -> compile_index p.env (-1) ix
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | (row : Storage.Row.t) :: rest -> (
-        match eval_entry p ip row.Storage.Row.values with
-        | Pending | Absent -> go rest
-        | Failed e -> Error e
-        | Key key ->
-            let conflicts =
-              Storage.Index.unique_conflicts ix ~key
-                ~rowid:row.Storage.Row.rowid
-            in
-            if conflicts <> [] then
-              Error
-                (err Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
-                   ts.Storage.Catalog.schema.Storage.Schema.table_name
-                   ix.Storage.Index.index_name)
-            else begin
-              Storage.Index.add ix ~key ~rowid:row.Storage.Row.rowid;
-              go rest
-            end)
-  in
-  go rows
+  (* an empty heap needs no plan: each implicit index of a CREATE TABLE
+     lands here, and adding the index invalidates the plan at once *)
+  if Storage.Heap.row_count ts.Storage.Catalog.heap = 0 then Ok ()
+  else
+    let p = plan ctx ts in
+    (* a new index is not in the plan yet *)
+    let ip =
+      match List.find_opt (fun ip -> ip.ix == ix) p.indexes with
+      | Some ip -> ip
+      | None -> compile_index p.env (-1) ix
+    in
+    add_entries ts p ip (Storage.Heap.to_list ts.Storage.Catalog.heap)
 
 (* ------------------------------------------------------------------ *)
 (* CREATE TABLE                                                         *)

@@ -24,31 +24,28 @@ let indexes_of ctx (ts : Storage.Catalog.table_state) =
   Storage.Catalog.indexes_on ctx.Executor.catalog
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
-(* Apply [f] to each of [ips] holding an entry for the row, with the
-   entry's key; stops at the first key that fails to evaluate. *)
-let iter_entries m ips f =
-  let rec go = function
-    | [] -> Ok ()
-    | (ip : Ddl.index_plan) :: rest -> (
-        match Ddl.entry m ip with
-        | Ddl.Key key ->
-            f ip.Ddl.ix key;
-            go rest
-        | Ddl.Absent | Ddl.Pending -> go rest
-        | Ddl.Failed e -> Error e)
-  in
-  go ips
+(* Apply [apply] to each of [ips] holding an entry for the row, with the
+   entry's key and the row's rowid; stops at the first key that fails to
+   evaluate.  The [apply]s are top-level, so a row builds no closure. *)
+let rec iter_entries m apply = function
+  | [] -> Ok ()
+  | (ip : Ddl.index_plan) :: rest -> (
+      match Ddl.entry m ip with
+      | Ddl.Key key ->
+          apply ip.Ddl.ix ~key ~rowid:m.Ddl.row.Storage.Row.rowid;
+          iter_entries m apply rest
+      | Ddl.Absent | Ddl.Pending -> iter_entries m apply rest
+      | Ddl.Failed e -> Error e)
 
-let attach m ips =
-  let rowid = m.Ddl.row.Storage.Row.rowid in
-  iter_entries m ips (fun ix key -> Storage.Index.add ix ~key ~rowid)
+let attach m ips = iter_entries m Storage.Index.add ips
+let remove_entry ix ~key ~rowid = ignore (Storage.Index.remove ix ~key ~rowid)
 
 (* Undoing a failed [attach] over the same [ips] detaches exactly the
    entries it added: it stops at the same memoized failure. *)
-let detach m ips =
-  let rowid = m.Ddl.row.Storage.Row.rowid in
-  iter_entries m ips (fun ix key ->
-      ignore (Storage.Index.remove ix ~key ~rowid))
+let detach m ips = iter_entries m remove_entry ips
+
+(* Evaluate the entries without touching an index. *)
+let force m ips = iter_entries m (fun _ ~key:_ ~rowid:_ -> ()) ips
 
 let remove_row p ts (row : Storage.Row.t) =
   let* () = detach (Ddl.row_entries p row) p.Ddl.indexes in
@@ -113,72 +110,63 @@ let is_index (ix : Storage.Index.t) = function
       o.Storage.Index.index_name = ix.Storage.Index.index_name
   | None -> false
 
-(* Conflicting rowids for a candidate row across all unique indexes;
-   returns (index, conflicting rowids) pairs.  [collapse] is the
-   statement's {!nocase_pk_collapse}. *)
-let unique_conflicts_for ~collapse m =
-  let rowid = m.Ddl.row.Storage.Row.rowid in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (ip : Ddl.index_plan) :: rest -> (
-        let ix = ip.Ddl.ix in
-        if not ix.Storage.Index.unique then go acc rest
-        else
-          match Ddl.entry m ip with
-          | Ddl.Absent | Ddl.Pending -> go acc rest
-          | Ddl.Failed e -> Error e
-          | Ddl.Key key ->
-              let collapse = is_index ix collapse in
-              let key =
-                if collapse then
-                  Array.map
-                    (fun v ->
-                      match v with
-                      | Value.Text s ->
-                          Value.Text (Collation.key Collation.Nocase s)
-                      | _ -> v)
-                    key
-                else key
-              in
-              let conflicts =
-                Storage.Index.find_rowids ix key
-                |> List.filter (fun id -> not (Int64.equal id rowid))
-              in
-              let conflicts =
-                if Array.exists Value.is_null key then [] else conflicts
-              in
-              (* the buggy folded key may not hit the binary index
-                 entries: probe under NOCASE manually *)
-              let conflicts =
-                if
-                  conflicts = [] && collapse
-                  && Array.exists
-                       (function Value.Text _ -> true | _ -> false)
-                       key
-                then begin
-                  let acc = ref [] in
-                  Storage.Index.iter
-                    (fun k id ->
-                      if
-                        (not (Int64.equal id rowid))
-                        && Array.length k = Array.length key
-                        && Array.for_all2
-                             (fun a b ->
-                               match (a, b) with
-                               | Value.Text x, Value.Text y ->
-                                   Collation.equal_under Collation.Nocase x y
-                               | _ -> Value.equal a b)
-                             k key
-                      then acc := id :: !acc)
-                    ix;
-                  !acc
-                end
-                else conflicts
-              in
-              if conflicts = [] then go acc rest
-              else go ((ix, conflicts) :: acc) rest)
+(* Listing 4's conflicts: the candidate's key folded under NOCASE, and
+   when that misses, a NOCASE scan of the whole index. *)
+let collapsed_conflicts ix ~rowid key =
+  let key =
+    Array.map
+      (fun v ->
+        match v with
+        | Value.Text s -> Value.Text (Collation.key Collation.Nocase s)
+        | _ -> v)
+      key
   in
-  go [] m.Ddl.plan.Ddl.indexes
+  match Storage.Index.unique_conflicts ix ~key ~rowid with
+  | [] when Array.exists (function Value.Text _ -> true | _ -> false) key ->
+      (* the buggy folded key may not hit the binary index entries: probe
+         under NOCASE manually *)
+      let acc = ref [] in
+      Storage.Index.iter
+        (fun k id ->
+          if
+            (not (Int64.equal id rowid))
+            && Array.length k = Array.length key
+            && Array.for_all2
+                 (fun a b ->
+                   match (a, b) with
+                   | Value.Text x, Value.Text y ->
+                       Collation.equal_under Collation.Nocase x y
+                   | _ -> Value.equal a b)
+                 k key
+          then acc := id :: !acc)
+        ix;
+      !acc
+  | conflicts -> conflicts
+
+(* Conflicting rowids for a candidate row across the unique indexes of
+   [ips], consed onto [acc] as (index, conflicting rowids) pairs.
+   [collapse] is the statement's {!nocase_pk_collapse}. *)
+let rec conflicts_from collapse m acc = function
+  | [] -> Ok (List.rev acc)
+  | (ip : Ddl.index_plan) :: rest -> (
+      let ix = ip.Ddl.ix in
+      if not ix.Storage.Index.unique then conflicts_from collapse m acc rest
+      else
+        match Ddl.entry m ip with
+        | Ddl.Absent | Ddl.Pending -> conflicts_from collapse m acc rest
+        | Ddl.Failed e -> Error e
+        | Ddl.Key key -> (
+            let rowid = m.Ddl.row.Storage.Row.rowid in
+            match
+              if is_index ix collapse then collapsed_conflicts ix ~rowid key
+              else Storage.Index.unique_conflicts ix ~key ~rowid
+            with
+            | [] -> conflicts_from collapse m acc rest
+            | conflicts ->
+                conflicts_from collapse m ((ix, conflicts) :: acc) rest))
+
+let unique_conflicts_for ~collapse m =
+  conflicts_from collapse m [] m.Ddl.plan.Ddl.indexes
 
 let unique_error (ts : Storage.Catalog.table_state) (ix : Storage.Index.t) =
   let col =
@@ -589,7 +577,6 @@ let update ctx ~table ~assignments ~where ~action =
       (* evaluate the keys the detach and the unique check need before
          touching an index, so a key that fails to evaluate leaves the old
          row indexed; then detach it, so self-conflicts don't count *)
-      let force m ips = iter_entries m ips (fun _ _ -> ()) in
       let* () = force old_m maintained in
       let* () = force new_m uniques in
       ignore (detach old_m maintained);

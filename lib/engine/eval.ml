@@ -109,12 +109,13 @@ let bug env b = Bug.on env.bugs b
 (* Errors                                                              *)
 
 (* An evaluation error, on its way from the failing node to the
-   statement's [run].  Only [fail] raises it and only [run] catches it;
-   [Errors.Crash] passes through. *)
+   statement's [run] (or [catch]).  Only [fail] raises it and only those
+   two catch it; [Errors.Crash] passes through. *)
 exception Eval_error of Errors.t
 
 let fail e = raise_notrace (Eval_error e)
 let run f = match f () with v -> Ok v | exception Eval_error e -> Error e
+let catch f x ~error = try f x with Eval_error e -> error e
 
 let bool_value dialect (t : Tvl.t) : Value.t =
   match dialect with

@@ -74,6 +74,11 @@ val compile_pred : env -> Sqlast.Ast.expr -> pred
     [run]; [Errors.Crash] is not caught. *)
 val run : (unit -> 'a) -> ('a, Errors.t) result
 
+(** [catch f x ~error] is [f x], or [error e] for the first evaluation
+    error [e] raised in it: {!run} for a top-level [f], which builds
+    neither a closure nor a result block. *)
+val catch : ('a -> 'b) -> 'a -> error:(Errors.t -> 'b) -> 'b
+
 (** Raise an evaluation error, for the caller's {!run} to catch. *)
 val fail : Errors.t -> 'a
 

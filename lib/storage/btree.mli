@@ -51,6 +51,10 @@ end) : sig
       property-based tests. *)
   val check_invariants : 'v t -> unit
 
+  (** Entry counts of the nodes in walk order (a node, then its subtrees
+      left to right); the tests pin node shapes with it. *)
+  val shape : 'v t -> int list
+
   (** [(nodes_visited, entries_scanned)] accumulated by read-path traversals
       ({!iter}, {!iter_range}, {!find_all}, …) over the tree's lifetime.
       Insert/delete rebalancing is not counted.  Telemetry scrapes deltas of

@@ -9,21 +9,20 @@
 open Sqlval
 
 (* Int/Int and Text/Text, the common pairs, skip [compare_total]'s class
-   ranking and collation dispatch; both orders are the ones it applies. *)
-let key_compare (a : Value.t array) (b : Value.t array) =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la || i >= lb then compare la lb
-    else
-      let c =
-        match (a.(i), b.(i)) with
-        | Value.Int x, Value.Int y -> Int64.compare x y
-        | Value.Text x, Value.Text y -> String.compare x y
-        | x, y -> Value.compare_total x y
-      in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+   ranking and collation dispatch; both orders are the ones it applies.
+   Top-level, so a comparison allocates nothing. *)
+let rec key_compare_from (a : Value.t array) (b : Value.t array) la lb i =
+  if i >= la || i >= lb then Int.compare la lb
+  else
+    let c =
+      match (a.(i), b.(i)) with
+      | Value.Int x, Value.Int y -> Int64.compare x y
+      | Value.Text x, Value.Text y -> String.compare x y
+      | x, y -> Value.compare_total x y
+    in
+    if c <> 0 then c else key_compare_from a b la lb (i + 1)
+
+let key_compare a b = key_compare_from a b (Array.length a) (Array.length b) 0
 
 module Tree = Btree.Make (struct
   type key = Value.t array
@@ -72,14 +71,15 @@ let is_binary = function Collation.Binary -> true | _ -> false
 
 let canonical_key t (raw : Value.t array) : Value.t array =
   if Array.for_all is_binary t.collations then raw
-  else
-    Array.mapi
-      (fun i v ->
-        match v with
-        | Value.Text s when i < Array.length t.collations ->
-            Value.Text (Collation.key t.collations.(i) s)
-        | _ -> v)
-      raw
+  else begin
+    let key = Array.copy raw in
+    for i = 0 to min (Array.length raw) (Array.length t.collations) - 1 do
+      match raw.(i) with
+      | Value.Text s -> key.(i) <- Value.Text (Collation.key t.collations.(i) s)
+      | _ -> ()
+    done;
+    key
+  end
 
 let add t ~key ~rowid = Tree.insert t.tree (canonical_key t key) rowid
 
@@ -88,16 +88,21 @@ let remove t ~key ~rowid =
 
 let find_rowids t key = Tree.find_all t.tree (canonical_key t key)
 
+let rec without rowid = function
+  | [] -> []
+  | id :: rest ->
+      if Int64.equal id rowid then without rowid rest
+      else id :: without rowid rest
+
 (* Rowids of entries equal to [key] other than [rowid]; non-empty means a
-   UNIQUE violation when inserting [rowid]. *)
+   UNIQUE violation when inserting [rowid].  The probe runs for a NULL key
+   too, so the tree's read profile does not depend on the key. *)
 let unique_conflicts t ~key ~rowid =
   if not t.unique then []
   else
-    find_rowids t key
-    |> List.filter (fun id -> not (Int64.equal id rowid))
-    |> List.filter (fun _ ->
-           (* NULLs never conflict in SQL UNIQUE semantics *)
-           not (Array.exists Value.is_null key))
+    let ids = find_rowids t key in
+    (* NULLs never conflict in SQL UNIQUE semantics *)
+    if Array.exists Value.is_null key then [] else without rowid ids
 
 let iter_range ?lo ?hi f t =
   let lo = Option.map (fun (k, incl) -> (canonical_key t k, incl)) lo in
@@ -114,3 +119,4 @@ let copy t =
 
 let check_invariants t = Tree.check_invariants t.tree
 let tree_profile t = Tree.profile t.tree
+let tree_shape t = Tree.shape t.tree

@@ -76,3 +76,7 @@ val check_invariants : t -> unit
     (see {!Btree.Make.profile}); telemetry scrapes deltas around index
     operations. *)
 val tree_profile : t -> int * int
+
+(** Entry counts of the backing B-tree's nodes in walk order (see
+    {!Btree.Make.shape}). *)
+val tree_shape : t -> int list

@@ -285,6 +285,194 @@ let test_index_rtrim () =
   Alcotest.(check (list int64)) "rtrim lookup ignores trailing spaces" [ 1L ]
     (Storage.Index.find_rowids ix [| Value.Text "x      " |])
 
+(* ---------- B-tree node shapes and allocation ---------- *)
+
+(* Node shapes and read-path visit counts after fixed op sequences with
+   duplicate keys, removes and an index copy.  The expected figures were
+   recorded from the copy-on-write node layout that preceded in-place
+   shifting: the CLRS algorithm, and so every shape and count, must not
+   depend on how a node stores its slots. *)
+let profile_delta profile f =
+  let n0, e0 = profile () in
+  let r = f () in
+  let n1, e1 = profile () in
+  (r, [ n1 - n0; e1 - e0 ])
+
+let test_btree_shape_golden () =
+  let t = Itree.create () in
+  for i = 0 to 299 do
+    Itree.insert t (i * 37 mod 41) i
+  done;
+  for i = 0 to 299 do
+    if i mod 3 = 1 then
+      ignore (Itree.remove ~veq:Int.equal t (i * 37 mod 41) i)
+  done;
+  Alcotest.(check bool) "remove absent" false
+    (Itree.remove ~veq:Int.equal t 5 1000);
+  Itree.check_invariants t;
+  let profile () = Itree.profile t in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "shape after removes"
+    [
+      6; 5; 5; 5; 4; 4; 4; 3; 6; 4; 4; 4; 4; 3; 4; 3; 5; 5; 4; 3;
+      4; 4; 4; 4; 4; 4; 4; 3; 4; 4; 3; 5; 4; 3; 4; 4; 4; 4; 4; 4;
+      4; 6; 4; 4; 3; 5; 4; 3; 4;
+    ]
+    (Itree.shape t);
+  let (), iter_cost =
+    profile_delta profile (fun () -> Itree.iter (fun _ _ -> ()) t)
+  in
+  Alcotest.check ints "iter profile" [ 49; 200 ] iter_cost;
+  let found, find_cost = profile_delta profile (fun () -> Itree.find_all t 5) in
+  Alcotest.check ints "find_all 5" [ 9; 50; 132; 173; 255; 296 ] found;
+  Alcotest.check ints "find_all profile" [ 6; 28 ] find_cost;
+  for i = 300 to 399 do
+    Itree.insert t (i mod 7) i
+  done;
+  Alcotest.check ints "shape after reinserts"
+    [
+      2; 3; 4; 5; 3; 3; 3; 5; 4; 3; 3; 3; 4; 3; 4; 3; 3; 6; 3; 3;
+      6; 3; 6; 3; 3; 3; 6; 3; 3; 4; 3; 3; 3; 4; 3; 4; 3; 3; 4; 4;
+      4; 3; 4; 3; 4; 3; 5; 5; 4; 3; 4; 4; 4; 3; 4; 4; 4; 4; 3; 4;
+      4; 3; 5; 4; 3; 4; 4; 4; 4; 4; 4; 4; 6; 4; 4; 3; 5; 4; 3; 4;
+    ]
+    (Itree.shape t);
+  for i = 0 to 399 do
+    let k = if i < 300 then i * 37 mod 41 else i mod 7 in
+    ignore (Itree.remove ~veq:Int.equal t k i)
+  done;
+  Alcotest.check ints "shape when empty" [ 0 ] (Itree.shape t);
+  Itree.check_invariants t;
+  let ix = mk_index () in
+  let key i =
+    match i mod 5 with
+    | 0 -> [| Value.Int (Int64.of_int (i mod 13)) |]
+    | 1 -> [| Value.Text (string_of_int (i mod 11)) |]
+    | 2 -> [| Value.Real (float_of_int (i mod 9) /. 2.) |]
+    | 3 -> [| Value.Null |]
+    | _ -> [| Value.Int (Int64.of_int (i mod 13)); Value.Text "x" |]
+  in
+  for i = 0 to 149 do
+    Storage.Index.add ix ~key:(key i) ~rowid:(Int64.of_int i)
+  done;
+  for i = 0 to 149 do
+    if i mod 4 = 0 then
+      ignore (Storage.Index.remove ix ~key:(key i) ~rowid:(Int64.of_int i))
+  done;
+  Storage.Index.check_invariants ix;
+  Alcotest.check ints "index shape"
+    [
+      3; 7; 4; 3; 4; 3; 3; 4; 3; 3; 4; 4; 4; 5; 4; 4; 5; 3; 3; 3;
+      3; 6; 5; 4; 4; 5; 3; 3; 3;
+    ]
+    (Storage.Index.tree_shape ix);
+  let copy, copy_cost =
+    profile_delta (fun () -> Storage.Index.tree_profile ix) (fun () ->
+        Storage.Index.copy ix)
+  in
+  Alcotest.check ints "copy profile" [ 29; 112 ] copy_cost;
+  Alcotest.check ints "copy shape"
+    [
+      5; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3; 3;
+      3; 3; 3; 3; 3; 3; 7; 3; 3; 3; 3; 3; 3; 3; 4;
+    ]
+    (Storage.Index.tree_shape copy);
+  let found, find_cost =
+    profile_delta (fun () -> Storage.Index.tree_profile copy) (fun () ->
+        Storage.Index.find_rowids copy [| Value.Int 3L |])
+  in
+  Alcotest.(check (list int64)) "copy find" [ 42L; 55L; 87L ] found;
+  Alcotest.check ints "copy find profile" [ 5; 17 ] find_cost
+
+(* [Index.key_compare]'s fast paths agree in sign with the lexicographic
+   [Value.compare_total] order, shorter tuples first, over every pair of
+   keys of length 0 to 2 drawn from ROADMAP item 4's 18 values. *)
+let test_key_compare_reference () =
+  let values =
+    Value.
+      [
+        Null; Int 0L; Int 1L; Int (-1L); Int Int64.max_int; Int Int64.min_int;
+        Real 1.5; Real 0.0; Real (-0.5); Text ""; Text "a"; Text "A";
+        Text "a "; Text "1"; Text "10"; Text "1.5"; Blob "1"; Bool true;
+      ]
+  in
+  let keys =
+    [ [||] ]
+    @ List.map (fun v -> [| v |]) values
+    @ List.concat_map (fun a -> List.map (fun b -> [| a; b |]) values) values
+  in
+  let rec reference a b i =
+    if i >= Array.length a || i >= Array.length b then
+      compare (Array.length a) (Array.length b)
+    else
+      let c = Value.compare_total a.(i) b.(i) in
+      if c <> 0 then c else reference a b (i + 1)
+  in
+  let sign c = compare c 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let got = sign (Storage.Index.key_compare a b)
+          and want = sign (reference a b 0) in
+          if got <> want then
+            Alcotest.failf "key_compare [%s] [%s]: %d, reference %d"
+              (String.concat "; " (Array.to_list (Array.map Value.show a)))
+              (String.concat "; " (Array.to_list (Array.map Value.show b)))
+              got want)
+        keys)
+    keys
+
+module Stree = Storage.Btree.Make (struct
+  type key = string
+
+  let compare = String.compare
+end)
+
+(* A removed entry leaves its node's slots: once collected, neither its
+   key nor its value is reachable from the tree, whatever shifts, splits,
+   merges and rotations the removes caused. *)
+let test_btree_no_retention () =
+  let n = 300 in
+  let keys = Weak.create n and values = Weak.create n in
+  let t = Stree.create () in
+  let fill () =
+    for i = 0 to n - 1 do
+      let k = String.concat "" [ "k"; string_of_int (i mod 40) ] in
+      let v = Bytes.make 8 (Char.chr (i mod 256)) in
+      Weak.set keys i (Some k);
+      Weak.set values i (Some v);
+      Stree.insert t k v
+    done
+  in
+  fill ();
+  let removed i = i mod 3 <> 0 in
+  for i = 0 to n - 1 do
+    if removed i then
+      match (Weak.get keys i, Weak.get values i) with
+      | Some k, Some v -> assert (Stree.remove ~veq:( == ) t k v)
+      | _ -> Alcotest.fail "collected while live"
+  done;
+  Stree.check_invariants t;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    let live = Weak.check values i in
+    if removed i && live then Alcotest.failf "removed value %d retained" i;
+    if not (removed i || live) then Alcotest.failf "live value %d collected" i
+  done;
+  Alcotest.(check int) "length" (n / 3) (Stree.length (Sys.opaque_identity t));
+  for i = 0 to n - 1 do
+    match (Weak.get keys i, Weak.get values i) with
+    | Some k, Some v -> ignore (Stree.remove ~veq:( == ) t k v)
+    | _ -> ()
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    if Weak.check values i || Weak.check keys i then
+      Alcotest.failf "entry %d retained by an empty tree" i
+  done;
+  Alcotest.(check bool) "empty" true (Stree.is_empty (Sys.opaque_identity t))
+
 (* ---------- Catalog ---------- *)
 
 let mk_schema name =
@@ -347,6 +535,9 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_btree_duplicates;
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
+          Alcotest.test_case "shape golden" `Quick test_btree_shape_golden;
+          Alcotest.test_case "removed entries not retained" `Quick
+            test_btree_no_retention;
         ] );
       ( "heap",
         [
@@ -358,6 +549,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_index_basic;
           Alcotest.test_case "nocase unique" `Quick test_index_collation;
           Alcotest.test_case "rtrim lookup" `Quick test_index_rtrim;
+          Alcotest.test_case "key_compare reference" `Quick
+            test_key_compare_reference;
         ] );
       ( "catalog",
         [
