@@ -1,8 +1,6 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 type t = {
   query : A.select;
   expected_row : Value.t list;
@@ -137,7 +135,13 @@ let variant p mask =
 
 let conjunct_counts = Rng.weighted [ (4, 1); (3, 2); (1, 3) ]
 
-let synthesize ?(rectify = true) ?(target = Tvl.True)
+(* A condition or target the interpreter refuses abandons the check:
+   [synthesize] catches the refusal once. *)
+exception Refused of string
+
+let get = function Ok v -> v | Error msg -> raise_notrace (Refused msg)
+
+let synthesize_exn ?(rectify = true) ?(target = Tvl.True)
     ?(telemetry = Telemetry.noop) ?shape ?pred ~rng ~pivot:p ~max_depth
     ~check_expressions () =
   (* which pivot tables this check reads through a derived table *)
@@ -169,18 +173,20 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
         | Tvl.False -> Rectify.rectify_to_false
         | Tvl.True | Tvl.Unknown -> Rectify.rectify
       in
-      let* c, t = rectifier ~telemetry env raw in
+      let c, t = get (rectifier ~telemetry env raw) in
       truths := t :: !truths;
       prov := (raw, t, c) :: !prov;
-      Ok c
+      c
     else
       (* no-rectification ablation: use the raw condition *)
-      let* t =
-        Telemetry.Span.timed telemetry Telemetry.Phase.Interp (fun () -> Interp.eval_tvl env raw)
+      let t =
+        get
+          (Telemetry.Span.timed telemetry Telemetry.Phase.Interp (fun () ->
+               Interp.eval_tvl env raw))
       in
       truths := t :: !truths;
       prov := (raw, t, raw) :: !prov;
-      Ok raw
+      raw
   in
   let condition () =
     let raw =
@@ -206,19 +212,19 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
   (* WHERE is an AND of one to three rectified conjuncts: each conjunct is
      TRUE for the pivot, hence so is the conjunction, and bare conjuncts
      are what the planner's index paths key on *)
-  let* where =
+  let where =
     let n =
       match shape with
       | Some s -> max 1 (min 3 s.Gen_bias.sh_where)
       | None -> Rng.draw rng conjunct_counts
     in
     let rec build acc k =
-      if k = 0 then Ok acc
+      if k = 0 then acc
       else
-        let* c = condition () in
+        let c = condition () in
         build (A.Binary (A.And, acc, c)) (k - 1)
     in
-    let* first =
+    let first =
       match shape with
       | Some { Gen_bias.sh_pred = Some kind; _ } -> targeted_condition kind
       | _ -> condition ()
@@ -232,21 +238,21 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
      around the row the oracle checks — a blind run's detections are
      preserved and the targeted kind is exercised on top (a conjunct that
      fails to rectify is simply dropped) *)
-  let* where =
+  let where =
     match (shape, pred) with
     | None, Some (pred_rng, kind) -> (
         let pctx = { gen_ctx with Gen_expr.rng = pred_rng } in
         match Gen_expr.predicate_of_kind pctx kind with
-        | None -> Ok where
+        | None -> where
         | Some raw -> (
             match one_condition raw with
-            | Ok c -> Ok (A.Binary (A.And, where, c))
-            | Error _ -> Ok where))
-    | _ -> Ok where
+            | c -> A.Binary (A.And, where, c)
+            | exception Refused _ -> where))
+    | _ -> where
   in
-  let* from, where =
+  let from =
     match tables with
-    | [ _ ] -> Ok ([ from_of 0 ], where)
+    | [ _ ] -> [ from_of 0 ]
     | [ _; _ ] ->
         let explicit, kind =
           match shape with
@@ -262,15 +268,10 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
         in
         if explicit then
           (* explicit JOIN with a rectified ON *)
-          let* on = condition () in
-          Ok
-            ( [
-                A.F_join
-                  { kind; left = from_of 0; right = from_of 1; on = Some on };
-              ],
-              where )
-        else Ok ([ from_of 0; from_of 1 ], where)
-    | ts -> Ok (List.mapi (fun i _ -> from_of i) ts, where)
+          let on = condition () in
+          [ A.F_join { kind; left = from_of 0; right = from_of 1; on = Some on } ]
+        else [ from_of 0; from_of 1 ]
+    | ts -> List.mapi (fun i _ -> from_of i) ts
   in
   (* targets: every column of every pivot table, qualified; with the
      expressions-on-columns extension some targets become scalar
@@ -279,7 +280,7 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
   (* a shape with GROUP BY needs every target to stay a plain column, so
      the expression/aggregate target extensions are suppressed for it *)
   let want_group = match shape with Some s -> s.Gen_bias.sh_group | None -> false in
-  let* targets =
+  let targets =
     if
       check_expressions && column_targets <> [] && (not want_group)
       && Rng.chance rng 0.5
@@ -288,27 +289,29 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
       let n = List.length column_targets in
       let k = Rng.int rng n in
       let rec build i acc = function
-        | [] -> Ok (List.rev acc)
+        | [] -> List.rev acc
         | (col, v) :: rest ->
             if i = k then
               let e =
                 Telemetry.Span.timed telemetry Telemetry.Phase.Gen_expr (fun () ->
                     Gen_expr.scalar gen_ctx)
               in
-              let* ev =
-                Telemetry.Span.timed telemetry Telemetry.Phase.Interp (fun () -> Interp.eval env e)
+              let ev =
+                get
+                  (Telemetry.Span.timed telemetry Telemetry.Phase.Interp
+                     (fun () -> Interp.eval env e))
               in
               build (i + 1) ((e, ev) :: acc) rest
             else build (i + 1) ((col, v) :: acc) rest
       in
       build 0 [] column_targets
     end
-    else Ok column_targets
+    else column_targets
   in
-  let* () = if targets = [] then Error "no columns to select" else Ok () in
+  if targets = [] then raise_notrace (Refused "no columns to select");
   (* single-row aggregate testing (paper Section 3.2: aggregates can be
      partially tested when only a single row is present) *)
-  let* targets =
+  let targets =
     match tables with
     | [ ti ]
       when ti.Schema_info.ti_row_count = 1 && (not want_group)
@@ -317,15 +320,16 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
           Telemetry.Span.timed telemetry Telemetry.Phase.Gen_expr (fun () ->
               Gen_expr.scalar gen_ctx)
         in
-        let* v =
-          Telemetry.Span.timed telemetry Telemetry.Phase.Interp (fun () ->
-              Interp.eval env scalar_e)
+        let v =
+          get
+            (Telemetry.Span.timed telemetry Telemetry.Phase.Interp (fun () ->
+                 Interp.eval env scalar_e))
         in
         let agg =
           Rng.pick rng [ Sqlast.Ast.A_min; Sqlast.Ast.A_max ]
         in
-        Ok (targets @ [ (A.Agg (agg, Some scalar_e), v) ])
-    | _ -> Ok targets
+        targets @ [ (A.Agg (agg, Some scalar_e), v) ]
+    | _ -> targets
   in
   (* GROUP BY over all selected plain columns: every distinct row is its
      own group, so the pivot row must still be contained (the Listing 15
@@ -369,13 +373,21 @@ let synthesize ?(rectify = true) ?(target = Tvl.True)
       sel_offset = None;
     }
   in
-  Ok
-    {
-      query;
-      expected_row = List.map snd targets;
-      raw_truths = !truths;
-      provenance = !prov;
-    }
+  {
+    query;
+    expected_row = List.map snd targets;
+    raw_truths = !truths;
+    provenance = !prov;
+  }
+
+let synthesize ?rectify ?target ?telemetry ?shape ?pred ~rng ~pivot
+    ~max_depth ~check_expressions () =
+  match
+    synthesize_exn ?rectify ?target ?telemetry ?shape ?pred ~rng ~pivot
+      ~max_depth ~check_expressions ()
+  with
+  | t -> Ok t
+  | exception Refused msg -> Error msg
 
 let containment_stmt t =
   let values_row = List.map (fun v -> A.Lit v) t.expected_row in

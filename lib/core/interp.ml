@@ -1,8 +1,6 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 type binding = {
   b_value : Value.t;
   b_type : Datatype.t;
@@ -14,13 +12,6 @@ type env = {
   case_sensitive_like : bool;
   lookup : table:string option -> column:string -> (binding, string) result;
 }
-
-let const_env ?(case_sensitive_like = false) dialect =
-  {
-    dialect;
-    case_sensitive_like;
-    lookup = (fun ~table:_ ~column -> Error ("no such column: " ^ column));
-  }
 
 (* Each pivot column's binding is built once; a lookup compares names
    case-insensitively without allocating.  A column name resolves when
@@ -74,14 +65,28 @@ let env_of_pivot ?(case_sensitive_like = false) dialect pivot =
   { dialect; case_sensitive_like; lookup }
 
 (* ------------------------------------------------------------------ *)
+(* refusals                                                            *)
+
+(* The interpreter refuses an expression it cannot evaluate on the pivot
+   (an unknown column, a dialect's type error, ...).  A node returns a
+   bare value; a refusal leaves it as [Refused], raised with
+   [raise_notrace] and caught once per expression by {!eval} and
+   {!eval_tvl}.  Operands are bound with [let], left to right (OCaml
+   evaluates a call's arguments right to left), so the first refusal in
+   that order is the expression's. *)
+exception Refused of string
+
+let refuse msg = raise_notrace (Refused msg)
+let get = function Ok v -> v | Error msg -> refuse msg
+
+(* ------------------------------------------------------------------ *)
 (* helpers                                                             *)
 
 let is_sqlite env = Dialect.equal env.dialect Dialect.Sqlite_like
 let is_mysql env = Dialect.equal env.dialect Dialect.Mysql_like
 let is_pg env = Dialect.equal env.dialect Dialect.Postgres_like
 
-let truth env (v : Value.t) : (Tvl.t, string) result =
-  Coerce.to_tvl env.dialect v
+let truth env (v : Value.t) : Tvl.t = get (Coerce.to_tvl env.dialect v)
 
 let encode env (t : Tvl.t) : Value.t =
   if is_pg env then
@@ -95,6 +100,7 @@ let encode env (t : Tvl.t) : Value.t =
     | Tvl.False -> Value.Int 0L
     | Tvl.Unknown -> Value.Null
 
+(* An unresolvable column has no metadata here; evaluating it refuses. *)
 let rec meta_of env (e : A.expr) : (Datatype.t * Collation.t) option =
   match e with
   | A.Col { table; column } -> (
@@ -165,13 +171,11 @@ let mysql_cmp_values a b =
 (* ------------------------------------------------------------------ *)
 (* main interpreter                                                    *)
 
-let rec eval env (e : A.expr) : (Value.t, string) result =
+let rec value env (e : A.expr) : Value.t =
   match e with
-  | A.Lit v -> Ok v
-  | A.Col { table; column } ->
-      let* b = env.lookup ~table ~column in
-      Ok b.b_value
-  | A.Collate (inner, _) -> eval env inner
+  | A.Lit v -> v
+  | A.Col { table; column } -> (get (env.lookup ~table ~column)).b_value
+  | A.Collate (inner, _) -> value env inner
   | A.Unary (op, inner) -> unary env op inner
   | A.Binary (op, a, b) -> binary env op a b
   | A.Is { negated; arg; rhs } -> is_pred env ~negated arg rhs
@@ -181,59 +185,55 @@ let rec eval env (e : A.expr) : (Value.t, string) result =
       like env ~negated arg pattern escape
   | A.Glob { negated; arg; pattern } -> glob env ~negated arg pattern
   | A.Cast (ty, inner) ->
-      let* v = eval env inner in
-      Coerce.cast env.dialect ty v
+      let v = value env inner in
+      get (Coerce.cast env.dialect ty v)
   | A.Func (f, args) -> func env f args
-  | A.Agg _ -> Error "aggregate in oracle interpreter"
+  | A.Agg _ -> refuse "aggregate in oracle interpreter"
   | A.Case { operand; branches; else_ } -> case env operand branches else_
 
-and eval_tvl env e =
-  let* v = eval env e in
-  truth env v
+and tvl env e = truth env (value env e)
 
 and unary env op inner =
   match op with
-  | A.Not ->
-      let* t = eval_tvl env inner in
-      Ok (encode env (Tvl.not_ t))
-  | A.Pos -> eval env inner
+  | A.Not -> encode env (Tvl.not_ (tvl env inner))
+  | A.Pos -> value env inner
   | A.Neg -> (
-      let* v = eval env inner in
-      if Value.is_null v then Ok Value.Null
+      let v = value env inner in
+      if Value.is_null v then Value.Null
       else if is_pg env then
         match v with
         | Value.Int i -> (
             match Numeric.checked_neg i with
-            | Some r -> Ok (Value.Int r)
-            | None -> Error "BIGINT value is out of range")
-        | Value.Real r -> Ok (Value.Real (-.r))
-        | _ -> Error "operator does not exist: - non-numeric"
+            | Some r -> Value.Int r
+            | None -> refuse "BIGINT value is out of range")
+        | Value.Real r -> Value.Real (-.r)
+        | _ -> refuse "operator does not exist: - non-numeric"
       else
         match Coerce.to_numeric v with
         | Value.Int i -> (
             match Numeric.checked_neg i with
-            | Some r -> Ok (Value.Int r)
-            | None -> Ok (Value.Real 9.223372036854775808e18))
-        | Value.Real r -> Ok (Value.Real (-.r))
-        | _ -> Ok Value.Null)
+            | Some r -> Value.Int r
+            | None -> Value.Real 9.223372036854775808e18)
+        | Value.Real r -> Value.Real (-.r)
+        | _ -> Value.Null)
   | A.Bit_not -> (
-      let* v = eval env inner in
-      if Value.is_null v then Ok Value.Null
+      let v = value env inner in
+      if Value.is_null v then Value.Null
       else if is_pg env then
         match v with
-        | Value.Int i -> Ok (Value.Int (Int64.lognot i))
-        | _ -> Error "~ requires integer"
+        | Value.Int i -> Value.Int (Int64.lognot i)
+        | _ -> refuse "~ requires integer"
       else
         match Coerce.sqlite_cast_int v with
-        | Value.Int i -> Ok (Value.Int (Int64.lognot i))
-        | _ -> Ok Value.Null)
+        | Value.Int i -> Value.Int (Int64.lognot i)
+        | _ -> Value.Null)
 
-and compare_tvl env op ea eb va vb : (Tvl.t, string) result =
+and compare_tvl env op ea eb va vb : Tvl.t =
   let coll = cmp_collation env ea eb in
   let null_safe = op = A.Null_safe_eq in
   if null_safe then begin
     if is_pg env && not (pg_comparable va vb) then
-      Error "operator does not exist (mismatched types)"
+      refuse "operator does not exist (mismatched types)"
     else
       let eq =
         match (va, vb) with
@@ -247,11 +247,11 @@ and compare_tvl env op ea eb va vb : (Tvl.t, string) result =
             in
             Value.compare_total ~collation:coll va vb = 0
       in
-      Ok (Tvl.of_bool eq)
+      Tvl.of_bool eq
   end
-  else if Value.is_null va || Value.is_null vb then Ok Tvl.Unknown
+  else if Value.is_null va || Value.is_null vb then Tvl.Unknown
   else if is_pg env && not (pg_comparable va vb) then
-    Error "operator does not exist (mismatched types)"
+    refuse "operator does not exist (mismatched types)"
   else
     let va, vb =
       if is_sqlite env then affinity_adjust env ea eb va vb
@@ -269,55 +269,53 @@ and compare_tvl env op ea eb va vb : (Tvl.t, string) result =
       | A.Ge -> c >= 0
       | _ -> invalid_arg "compare_tvl"
     in
-    Ok (Tvl.of_bool holds)
+    Tvl.of_bool holds
 
 and binary env op a b =
   match op with
   | A.And ->
-      let* ta = eval_tvl env a in
-      if Tvl.equal ta Tvl.False then Ok (encode env Tvl.False)
+      let ta = tvl env a in
+      if Tvl.equal ta Tvl.False then encode env Tvl.False
       else
-        let* tb = eval_tvl env b in
-        Ok (encode env (Tvl.and_ ta tb))
+        let tb = tvl env b in
+        encode env (Tvl.and_ ta tb)
   | A.Or ->
-      let* ta = eval_tvl env a in
-      if Tvl.equal ta Tvl.True then Ok (encode env Tvl.True)
+      let ta = tvl env a in
+      if Tvl.equal ta Tvl.True then encode env Tvl.True
       else
-        let* tb = eval_tvl env b in
-        Ok (encode env (Tvl.or_ ta tb))
+        let tb = tvl env b in
+        encode env (Tvl.or_ ta tb)
   | A.Concat when is_mysql env -> binary env A.Or a b
   | A.Concat ->
-      let* va = eval env a in
-      let* vb = eval env b in
-      if Value.is_null va || Value.is_null vb then Ok Value.Null
+      let va = value env a in
+      let vb = value env b in
+      if Value.is_null va || Value.is_null vb then Value.Null
       else
-        Ok
-          (Value.Text
-             (Coerce.to_text env.dialect va ^ Coerce.to_text env.dialect vb))
+        Value.Text
+          (Coerce.to_text env.dialect va ^ Coerce.to_text env.dialect vb)
   | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ->
-      let* va = eval env a in
-      let* vb = eval env b in
-      let* t = compare_tvl env op a b va vb in
-      Ok (encode env t)
+      let va = value env a in
+      let vb = value env b in
+      encode env (compare_tvl env op a b va vb)
   | A.Add | A.Sub | A.Mul | A.Div | A.Rem -> arith env op a b
   | A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right -> bitop env op a b
 
 and arith env op ea eb =
-  let* va = eval env ea in
-  let* vb = eval env eb in
-  if Value.is_null va || Value.is_null vb then Ok Value.Null
+  let va = value env ea in
+  let vb = value env eb in
+  if Value.is_null va || Value.is_null vb then Value.Null
   else
-    let* na, nb =
+    let na, nb =
       if is_pg env then
         let num v =
           match v with
-          | Value.Int _ | Value.Real _ -> Ok v
-          | _ -> Error "operator does not exist (non-numeric operand)"
+          | Value.Int _ | Value.Real _ -> v
+          | _ -> refuse "operator does not exist (non-numeric operand)"
         in
-        let* x = num va in
-        let* y = num vb in
-        Ok (x, y)
-      else Ok (Coerce.to_numeric va, Coerce.to_numeric vb)
+        let x = num va in
+        let y = num vb in
+        (x, y)
+      else (Coerce.to_numeric va, Coerce.to_numeric vb)
     in
     let as_real x y f =
       let fx = match x with Value.Int i -> Int64.to_float i | Value.Real r -> r | _ -> 0.0 in
@@ -327,38 +325,37 @@ and arith env op ea eb =
     match (na, nb) with
     | Value.Int x, Value.Int y -> (
         let overflowed real_op =
-          if is_sqlite env then
-            Ok (Value.Real (as_real na nb real_op))
-          else Error "BIGINT value is out of range"
+          if is_sqlite env then Value.Real (as_real na nb real_op)
+          else refuse "BIGINT value is out of range"
         in
         match op with
         | A.Add -> (
             match Numeric.checked_add x y with
-            | Some r -> Ok (Value.Int r)
+            | Some r -> Value.Int r
             | None -> overflowed ( +. ))
         | A.Sub -> (
             match Numeric.checked_sub x y with
-            | Some r -> Ok (Value.Int r)
+            | Some r -> Value.Int r
             | None -> overflowed ( -. ))
         | A.Mul -> (
             match Numeric.checked_mul x y with
-            | Some r -> Ok (Value.Int r)
+            | Some r -> Value.Int r
             | None -> overflowed ( *. ))
         | A.Div ->
             if is_mysql env then
-              if y = 0L then Ok Value.Null
-              else Ok (Value.Real (Int64.to_float x /. Int64.to_float y))
+              if y = 0L then Value.Null
+              else Value.Real (Int64.to_float x /. Int64.to_float y)
             else if y = 0L then
-              if is_pg env then Error "division by zero" else Ok Value.Null
+              if is_pg env then refuse "division by zero" else Value.Null
             else if x = Int64.min_int && y = -1L then
-              if is_pg env then Error "BIGINT value is out of range"
-              else Ok (Value.Real 9.223372036854775808e18)
-            else Ok (Value.Int (Int64.div x y))
+              if is_pg env then refuse "BIGINT value is out of range"
+              else Value.Real 9.223372036854775808e18
+            else Value.Int (Int64.div x y)
         | A.Rem ->
             if y = 0L then
-              if is_pg env then Error "division by zero" else Ok Value.Null
-            else if x = Int64.min_int && y = -1L then Ok (Value.Int 0L)
-            else Ok (Value.Int (Int64.rem x y))
+              if is_pg env then refuse "division by zero" else Value.Null
+            else if x = Int64.min_int && y = -1L then Value.Int 0L
+            else Value.Int (Int64.rem x y)
         | _ -> invalid_arg "arith")
     | (Value.Int _ | Value.Real _), (Value.Int _ | Value.Real _) -> (
         let f op x y =
@@ -372,28 +369,28 @@ and arith env op ea eb =
         in
         match op with
         | (A.Div | A.Rem) when as_real na nb (fun _ y -> y) = 0.0 ->
-            if is_pg env then Error "division by zero" else Ok Value.Null
-        | _ -> Ok (Value.Real (as_real na nb (f op))))
-    | _ -> Ok Value.Null
+            if is_pg env then refuse "division by zero" else Value.Null
+        | _ -> Value.Real (as_real na nb (f op)))
+    | _ -> Value.Null
 
 and bitop env op ea eb =
-  let* va = eval env ea in
-  let* vb = eval env eb in
-  if Value.is_null va || Value.is_null vb then Ok Value.Null
+  let va = value env ea in
+  let vb = value env eb in
+  if Value.is_null va || Value.is_null vb then Value.Null
   else if is_pg env then
     match (va, vb) with
     | Value.Int x, Value.Int y -> (
         match op with
-        | A.Bit_and -> Ok (Value.Int (Int64.logand x y))
-        | A.Bit_or -> Ok (Value.Int (Int64.logor x y))
+        | A.Bit_and -> Value.Int (Int64.logand x y)
+        | A.Bit_or -> Value.Int (Int64.logor x y)
         | A.Shift_left ->
-            if y < 0L || y > 63L then Ok (Value.Int 0L)
-            else Ok (Value.Int (Int64.shift_left x (Int64.to_int y)))
+            if y < 0L || y > 63L then Value.Int 0L
+            else Value.Int (Int64.shift_left x (Int64.to_int y))
         | A.Shift_right ->
-            if y < 0L || y > 63L then Ok (Value.Int 0L)
-            else Ok (Value.Int (Int64.shift_right x (Int64.to_int y)))
+            if y < 0L || y > 63L then Value.Int 0L
+            else Value.Int (Int64.shift_right x (Int64.to_int y))
         | _ -> invalid_arg "bitop")
-    | _ -> Error "operator does not exist (bitop on non-integers)"
+    | _ -> refuse "operator does not exist (bitop on non-integers)"
   else
     match (Coerce.sqlite_cast_int va, Coerce.sqlite_cast_int vb) with
     | Value.Int x, Value.Int y -> (
@@ -404,44 +401,35 @@ and bitop env op ea eb =
           else Int64.shift_right x (Int64.to_int y)
         in
         match op with
-        | A.Bit_and -> Ok (Value.Int (Int64.logand x y))
-        | A.Bit_or -> Ok (Value.Int (Int64.logor x y))
-        | A.Shift_left -> Ok (Value.Int (shift true x y))
-        | A.Shift_right -> Ok (Value.Int (shift false x y))
+        | A.Bit_and -> Value.Int (Int64.logand x y)
+        | A.Bit_or -> Value.Int (Int64.logor x y)
+        | A.Shift_left -> Value.Int (shift true x y)
+        | A.Shift_right -> Value.Int (shift false x y)
         | _ -> invalid_arg "bitop")
-    | _ -> Ok Value.Null
+    | _ -> Value.Null
 
 and is_pred env ~negated arg rhs =
-  let finish t =
-    let t = if negated then Tvl.not_ t else t in
-    Ok (encode env t)
-  in
+  let finish t = encode env (if negated then Tvl.not_ t else t) in
   match rhs with
-  | A.Is_null ->
-      let* v = eval env arg in
-      finish (Tvl.of_bool (Value.is_null v))
+  | A.Is_null -> finish (Tvl.of_bool (Value.is_null (value env arg)))
   | A.Is_true | A.Is_false -> (
-      let* v = eval env arg in
-      match v with
+      match value env arg with
       | Value.Null -> finish Tvl.False
-      | _ ->
+      | v ->
           let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
-          let* t = truth env v in
-          finish (Tvl.of_bool (Tvl.equal t want)))
+          finish (Tvl.of_bool (Tvl.equal (truth env v) want)))
   | A.Is_expr other ->
-      if not (is_sqlite env) then Error "IS over scalars is sqlite-specific"
+      if not (is_sqlite env) then refuse "IS over scalars is sqlite-specific"
       else
-        let* va = eval env arg in
-        let* vb = eval env other in
-        let* t = compare_tvl env A.Null_safe_eq arg other va vb in
-        finish t
+        let va = value env arg in
+        let vb = value env other in
+        finish (compare_tvl env A.Null_safe_eq arg other va vb)
   | A.Is_distinct_from other ->
-      if not (is_pg env) then Error "IS DISTINCT FROM is postgres-specific"
+      if not (is_pg env) then refuse "IS DISTINCT FROM is postgres-specific"
       else
-        let* va = eval env arg in
-        let* vb = eval env other in
-        let* t = compare_tvl env A.Null_safe_eq arg other va vb in
-        finish (Tvl.not_ t)
+        let va = value env arg in
+        let vb = value env other in
+        finish (Tvl.not_ (compare_tvl env A.Null_safe_eq arg other va vb))
 
 and between env ~negated arg lo hi =
   let coll =
@@ -449,11 +437,11 @@ and between env ~negated arg lo hi =
     | Some c -> c
     | None -> cmp_collation env lo hi
   in
-  let* v = eval env arg in
-  let* vl = eval env lo in
-  let* vh = eval env hi in
+  let v = value env arg in
+  let vl = value env lo in
+  let vh = value env hi in
   if is_pg env && not (pg_comparable v vl && pg_comparable v vh) then
-    Error "operator does not exist (mismatched types)"
+    refuse "operator does not exist (mismatched types)"
   else
     let cmp x ex y ey =
       if Value.is_null x || Value.is_null y then None
@@ -476,47 +464,44 @@ and between env ~negated arg lo hi =
       | Some c -> Tvl.of_bool (c <= 0)
     in
     let t = Tvl.and_ ge_lo le_hi in
-    let t = if negated then Tvl.not_ t else t in
-    Ok (encode env t)
+    encode env (if negated then Tvl.not_ t else t)
 
 and in_list env ~negated arg list =
-  let* v = eval env arg in
-  if Value.is_null v then Ok (encode env Tvl.Unknown)
+  let v = value env arg in
+  if Value.is_null v then encode env Tvl.Unknown
   else
     let rec walk saw_null = function
-      | [] -> Ok (if saw_null then Tvl.Unknown else Tvl.False)
+      | [] -> if saw_null then Tvl.Unknown else Tvl.False
       | item :: rest ->
-          let* vi = eval env item in
+          let vi = value env item in
           if Value.is_null vi then walk true rest
-          else
-            let* t = compare_tvl env A.Eq arg item v vi in
-            if Tvl.equal t Tvl.True then Ok Tvl.True else walk saw_null rest
+          else if Tvl.equal (compare_tvl env A.Eq arg item v vi) Tvl.True then
+            Tvl.True
+          else walk saw_null rest
     in
-    let* t = walk false list in
-    let t = if negated then Tvl.not_ t else t in
-    Ok (encode env t)
+    let t = walk false list in
+    encode env (if negated then Tvl.not_ t else t)
 
 and like env ~negated arg pattern escape =
-  let* v = eval env arg in
-  let* p = eval env pattern in
-  let* esc =
+  let v = value env arg in
+  let p = value env pattern in
+  let esc =
     match escape with
-    | None -> Ok None
+    | None -> None
     | Some e -> (
-        let* ve = eval env e in
-        match ve with
-        | Value.Text s when String.length s = 1 -> Ok (Some s.[0])
-        | Value.Null -> Ok None
-        | _ -> Error "ESCAPE expression must be a single character")
+        match value env e with
+        | Value.Text s when String.length s = 1 -> Some s.[0]
+        | Value.Null -> None
+        | _ -> refuse "ESCAPE expression must be a single character")
   in
-  if Value.is_null v || Value.is_null p then Ok (encode env Tvl.Unknown)
+  if Value.is_null v || Value.is_null p then encode env Tvl.Unknown
   else if
     is_pg env
     && not
          (match (v, p) with
          | Value.Text _, Value.Text _ -> true
          | _ -> false)
-  then Error "operator does not exist (LIKE on non-text)"
+  then refuse "operator does not exist (LIKE on non-text)"
   else
     let case_sensitive =
       match env.dialect with
@@ -530,14 +515,14 @@ and like env ~negated arg pattern escape =
         (Coerce.to_text env.dialect v)
     in
     let t = Tvl.of_bool matched in
-    Ok (encode env (if negated then Tvl.not_ t else t))
+    encode env (if negated then Tvl.not_ t else t)
 
 and glob env ~negated arg pattern =
-  if not (is_sqlite env) then Error "GLOB is sqlite-specific"
+  if not (is_sqlite env) then refuse "GLOB is sqlite-specific"
   else
-    let* v = eval env arg in
-    let* p = eval env pattern in
-    if Value.is_null v || Value.is_null p then Ok (encode env Tvl.Unknown)
+    let v = value env arg in
+    let p = value env pattern in
+    if Value.is_null v || Value.is_null p then encode env Tvl.Unknown
     else
       let matched =
         Like_matcher.glob
@@ -545,26 +530,30 @@ and glob env ~negated arg pattern =
           (Coerce.to_text env.dialect v)
       in
       let t = Tvl.of_bool matched in
-      Ok (encode env (if negated then Tvl.not_ t else t))
+      encode env (if negated then Tvl.not_ t else t)
 
 and case env operand branches else_ =
+  let otherwise () =
+    match else_ with Some e -> value env e | None -> Value.Null
+  in
   match operand with
   | None ->
       let rec walk = function
-        | [] -> ( match else_ with Some e -> eval env e | None -> Ok Value.Null)
+        | [] -> otherwise ()
         | (cond, result) :: rest ->
-            let* t = eval_tvl env cond in
-            if Tvl.equal t Tvl.True then eval env result else walk rest
+            if Tvl.equal (tvl env cond) Tvl.True then value env result
+            else walk rest
       in
       walk branches
   | Some op_expr ->
-      let* v = eval env op_expr in
+      let v = value env op_expr in
       let rec walk = function
-        | [] -> ( match else_ with Some e -> eval env e | None -> Ok Value.Null)
+        | [] -> otherwise ()
         | (cond, result) :: rest ->
-            let* vc = eval env cond in
-            let* t = compare_tvl env A.Eq op_expr cond v vc in
-            if Tvl.equal t Tvl.True then eval env result else walk rest
+            let vc = value env cond in
+            if Tvl.equal (compare_tvl env A.Eq op_expr cond v vc) Tvl.True then
+              value env result
+            else walk rest
       in
       walk branches
 
@@ -585,86 +574,81 @@ and func env f args =
     | (A.F_least | A.F_greatest), Dialect.Sqlite_like -> false
     | _ -> true
   in
-  if not available then Error "no such function in this dialect"
+  if not available then refuse "no such function in this dialect"
   else
-    let* vs =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | a :: rest ->
-            let* v = eval env a in
-            go (v :: acc) rest
-      in
-      go [] args
+    let rec values = function
+      | [] -> []
+      | a :: rest ->
+          let v = value env a in
+          v :: values rest
     in
-    apply env f vs args
+    apply env f (values args) args
 
 and apply env f vs arg_exprs =
   let strict = is_pg env in
   let text v = Coerce.to_text env.dialect v in
   let any_null = List.exists Value.is_null vs in
-  let null_or k = if any_null then Ok Value.Null else k () in
+  let null_or k = if any_null then Value.Null else k () in
   match (f, vs) with
   | A.F_abs, [ v ] ->
       null_or (fun () ->
-          if strict && not (Value.is_numeric v) then Error "abs(non-numeric)"
+          if strict && not (Value.is_numeric v) then refuse "abs(non-numeric)"
           else
             match Coerce.to_numeric v with
             | Value.Int i ->
                 if i = Int64.min_int then
-                  if is_sqlite env then Error "integer overflow"
-                  else Error "BIGINT value is out of range"
-                else Ok (Value.Int (Int64.abs i))
-            | Value.Real r -> Ok (Value.Real (Float.abs r))
-            | _ -> Ok (Value.Int 0L))
+                  if is_sqlite env then refuse "integer overflow"
+                  else refuse "BIGINT value is out of range"
+                else Value.Int (Int64.abs i)
+            | Value.Real r -> Value.Real (Float.abs r)
+            | _ -> Value.Int 0L)
   | A.F_length, [ v ] ->
       null_or (fun () ->
           match v with
           | Value.Text s | Value.Blob s ->
-              Ok (Value.Int (Int64.of_int (String.length s)))
+              Value.Int (Int64.of_int (String.length s))
           | _ ->
-              if strict then Error "length(non-text)"
-              else Ok (Value.Int (Int64.of_int (String.length (text v)))))
+              if strict then refuse "length(non-text)"
+              else Value.Int (Int64.of_int (String.length (text v))))
   | A.F_lower, [ v ] ->
       null_or (fun () ->
           if strict && not (match v with Value.Text _ -> true | _ -> false)
-          then Error "lower(non-text)"
-          else Ok (Value.Text (String.lowercase_ascii (text v))))
+          then refuse "lower(non-text)"
+          else Value.Text (String.lowercase_ascii (text v)))
   | A.F_upper, [ v ] ->
       null_or (fun () ->
           if strict && not (match v with Value.Text _ -> true | _ -> false)
-          then Error "upper(non-text)"
-          else Ok (Value.Text (String.uppercase_ascii (text v))))
-  | A.F_coalesce, [] -> Error "COALESCE needs arguments"
+          then refuse "upper(non-text)"
+          else Value.Text (String.uppercase_ascii (text v)))
+  | A.F_coalesce, [] -> refuse "COALESCE needs arguments"
   | A.F_coalesce, vs -> (
       match List.find_opt (fun v -> not (Value.is_null v)) vs with
-      | Some v -> Ok v
-      | None -> Ok Value.Null)
-  | A.F_ifnull, [ a; b ] -> Ok (if Value.is_null a then b else a)
+      | Some v -> v
+      | None -> Value.Null)
+  | A.F_ifnull, [ a; b ] -> if Value.is_null a then b else a
   | A.F_nullif, [ a; b ] ->
-      if Value.is_null a then Ok Value.Null
-      else if Value.is_null b then Ok a
+      if Value.is_null a then Value.Null
+      else if Value.is_null b then a
       else
         let coll =
-          match (arg_exprs, arg_exprs) with
-          | a0 :: b0 :: _, _ -> cmp_collation env a0 b0
+          match arg_exprs with
+          | a0 :: b0 :: _ -> cmp_collation env a0 b0
           | _ -> Collation.Binary
         in
-        if Value.compare_total ~collation:coll a b = 0 then Ok Value.Null
-        else Ok a
+        if Value.compare_total ~collation:coll a b = 0 then Value.Null else a
   | A.F_typeof, [ v ] ->
-      Ok
-        (Value.Text
-           (match v with
-           | Value.Null -> "null"
-           | Value.Int _ -> "integer"
-           | Value.Real _ -> "real"
-           | Value.Text _ -> "text"
-           | Value.Blob _ -> "blob"
-           | Value.Bool _ -> "integer"))
+      Value.Text
+        (match v with
+        | Value.Null -> "null"
+        | Value.Int _ -> "integer"
+        | Value.Real _ -> "real"
+        | Value.Text _ -> "text"
+        | Value.Blob _ -> "blob"
+        | Value.Bool _ -> "integer")
   | A.F_trim, [ v ] ->
       null_or (fun () ->
           if strict && not (match v with Value.Text _ -> true | _ -> false)
-          then Error "trim(non-text)"
+          then refuse "trim(non-text)"
           else begin
             (* spaces only, unlike String.trim *)
             let s = text v in
@@ -672,27 +656,27 @@ and apply env f vs arg_exprs =
             let i = ref 0 and j = ref n in
             while !i < n && s.[!i] = ' ' do incr i done;
             while !j > !i && s.[!j - 1] = ' ' do decr j done;
-            Ok (Value.Text (String.sub s !i (!j - !i)))
+            Value.Text (String.sub s !i (!j - !i))
           end)
   | A.F_ltrim, [ v ] ->
       null_or (fun () ->
           if strict && not (match v with Value.Text _ -> true | _ -> false)
-          then Error "ltrim(non-text)"
+          then refuse "ltrim(non-text)"
           else
             let s = text v in
             let n = String.length s in
             let i = ref 0 in
             while !i < n && s.[!i] = ' ' do incr i done;
-            Ok (Value.Text (String.sub s !i (n - !i))))
+            Value.Text (String.sub s !i (n - !i)))
   | A.F_rtrim, [ v ] ->
       null_or (fun () ->
           if strict && not (match v with Value.Text _ -> true | _ -> false)
-          then Error "rtrim(non-text)"
+          then refuse "rtrim(non-text)"
           else
             let s = text v in
             let j = ref (String.length s) in
             while !j > 0 && s.[!j - 1] = ' ' do decr j done;
-            Ok (Value.Text (String.sub s 0 !j)))
+            Value.Text (String.sub s 0 !j))
   | A.F_substr, (v :: rest as all) when List.length all >= 2 && List.length all <= 3 ->
       null_or (fun () ->
           let s = text v in
@@ -720,11 +704,11 @@ and apply env f vs arg_exprs =
           let count = max 0 count in
           let start0 = min start0 len in
           let count = min count (len - start0) in
-          Ok (Value.Text (String.sub s start0 count)))
+          Value.Text (String.sub s start0 count))
   | A.F_replace, [ s; f_; t_ ] ->
       null_or (fun () ->
           let s = text s and f_ = text f_ and t_ = text t_ in
-          if f_ = "" then Ok (Value.Text s)
+          if f_ = "" then Value.Text s
           else begin
             let buf = Buffer.create (String.length s) in
             let flen = String.length f_ in
@@ -740,7 +724,7 @@ and apply env f vs arg_exprs =
               end
             done;
             Buffer.add_string buf (String.sub s !i (String.length s - !i));
-            Ok (Value.Text (Buffer.contents buf))
+            Value.Text (Buffer.contents buf)
           end)
   | A.F_instr, [ hay; needle ] ->
       null_or (fun () ->
@@ -751,13 +735,12 @@ and apply env f vs arg_exprs =
             else if String.sub h i nl = n then i + 1
             else find (i + 1)
           in
-          Ok (Value.Int (Int64.of_int (find 0))))
+          Value.Int (Int64.of_int (find 0)))
   | A.F_hex, [ v ] ->
-      null_or (fun () ->
-          Ok (Value.Text (Value.hex_of_string (text v))))
+      null_or (fun () -> Value.Text (Value.hex_of_string (text v)))
   | A.F_round, (v :: rest as all) when List.length all >= 1 && List.length all <= 2 ->
       null_or (fun () ->
-          if strict && not (Value.is_numeric v) then Error "round(non-numeric)"
+          if strict && not (Value.is_numeric v) then refuse "round(non-numeric)"
           else
             let digits =
               match rest with
@@ -769,75 +752,34 @@ and apply env f vs arg_exprs =
               | _ -> 0
             in
             match Coerce.to_numeric v with
-            | Value.Int i -> Ok (Value.Real (Int64.to_float i))
+            | Value.Int i -> Value.Real (Int64.to_float i)
             | Value.Real r ->
                 let scale = 10.0 ** float_of_int (max 0 digits) in
-                Ok (Value.Real (Float.round (r *. scale) /. scale))
-            | _ -> Ok (Value.Real 0.0))
+                Value.Real (Float.round (r *. scale) /. scale)
+            | _ -> Value.Real 0.0)
   | A.F_sign, [ v ] ->
       null_or (fun () ->
           match Coerce.to_numeric v with
-          | Value.Int i -> Ok (Value.Int (Int64.of_int (compare i 0L)))
-          | Value.Real r -> Ok (Value.Int (Int64.of_int (compare r 0.0)))
-          | _ -> Ok Value.Null)
-  | (A.F_least | A.F_greatest), [] -> Error "LEAST/GREATEST need arguments"
+          | Value.Int i -> Value.Int (Int64.of_int (compare i 0L))
+          | Value.Real r -> Value.Int (Int64.of_int (compare r 0.0))
+          | _ -> Value.Null)
+  | (A.F_least | A.F_greatest), [] -> refuse "LEAST/GREATEST need arguments"
   | (A.F_least | A.F_greatest), vs ->
       let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
-      if is_mysql env && List.length non_null <> List.length vs then
-        Ok Value.Null
-      else if non_null = [] then Ok Value.Null
+      if is_mysql env && List.length non_null <> List.length vs then Value.Null
+      else if non_null = [] then Value.Null
       else
         let keep =
           match f with A.F_least -> fun c -> c < 0 | _ -> fun c -> c > 0
         in
-        Ok
-          (List.fold_left
-             (fun acc v -> if keep (Value.compare_total v acc) then v else acc)
-             (List.hd non_null) (List.tl non_null))
-  | A.F_quote, [ v ] -> Ok (Value.Text (Value.to_sql_literal v))
-  | _, _ -> Error "wrong number of arguments"
+        List.fold_left
+          (fun acc v -> if keep (Value.compare_total v acc) then v else acc)
+          (List.hd non_null) (List.tl non_null)
+  | A.F_quote, [ v ] -> Value.Text (Value.to_sql_literal v)
+  | _, _ -> refuse "wrong number of arguments"
 
 (* ------------------------------------------------------------------ *)
-(* compiled containment checks                                         *)
+(* entry points: one catch per expression                              *)
 
-(* The rectifier evaluates an expression, then re-evaluates a decorated
-   form of the same expression (NOT e, e IS NULL) to double-check its own
-   output — under the tree walker that is up to three full AST walks per
-   pivot.  A compiled check shares one memoized evaluation of the base
-   expression and derives the decorated forms by value-level combinators
-   whose semantics provably match the corresponding AST nodes:
-
-   - [not_]: [unary env A.Not e] is [encode (not (truth (eval e)))];
-   - [is_null]: [is_pred ~negated:false e A.Is_null] is
-     [encode (of_bool (is_null (eval e)))];
-
-   so rectification's postcondition still checks real evaluations, just
-   without walking [e] again. *)
-module Compiled = struct
-  type t = { value : (Value.t, string) result Lazy.t; env : env }
-
-  let compile env e = { value = lazy (eval env e); env }
-  let value t = Lazy.force t.value
-
-  let tvl t =
-    let* v = value t in
-    truth t.env v
-
-  let not_ t =
-    {
-      t with
-      value =
-        lazy
-          (let* tv = tvl t in
-           Ok (encode t.env (Tvl.not_ tv)));
-    }
-
-  let is_null t =
-    {
-      t with
-      value =
-        lazy
-          (let* v = value t in
-           Ok (encode t.env (Tvl.of_bool (Value.is_null v))));
-    }
-end
+let eval env e = match value env e with v -> Ok v | exception Refused msg -> Error msg
+let eval_tvl env e = match tvl env e with t -> Ok t | exception Refused msg -> Error msg

@@ -11,8 +11,22 @@
     executor tests require SELECT WHERE, projection, ORDER BY and DELETE
     WHERE to match its verdicts.
 
-    As the paper notes, the interpreter is deliberately naive — it operates
-    on single literals, so neither query planning nor performance matter. *)
+    As the paper notes, the interpreter is deliberately naive: it operates
+    on single literals, so it needs no query planning.  It still runs for
+    every synthesized condition and target (tens of thousands of times a
+    second in a campaign), so it is written like the engine's evaluator:
+    each node returns a bare value, and a refusal leaves by one private
+    exception, caught once per expression by {!eval} and {!eval_tvl}.
+
+    Refusal contract: the interpreter refuses an expression it cannot
+    evaluate on the pivot (an unknown or ambiguous column, a dialect's
+    type error, a function the dialect lacks, ...).  Operands are
+    evaluated left to right, and AND/OR/CASE short-circuit as SQL does,
+    so the error is the message of the first refusal in that order; an
+    operand the evaluation never reaches cannot refuse.  Looking up a
+    column's declared type or collation (for affinity and collation
+    rules) is not an evaluation: an unresolvable column has no metadata
+    there, and refuses only when its value is evaluated. *)
 
 open Sqlval
 
@@ -28,8 +42,6 @@ type env = {
   lookup : table:string option -> column:string -> (binding, string) result;
 }
 
-val const_env : ?case_sensitive_like:bool -> Dialect.t -> env
-
 (** Environment over one pivot row per table: unqualified columns resolve
     across all tables (ambiguity is an error, as in SQL). *)
 val env_of_pivot :
@@ -40,30 +52,3 @@ val env_of_pivot :
 
 val eval : env -> Sqlast.Ast.expr -> (Value.t, string) result
 val eval_tvl : env -> Sqlast.Ast.expr -> (Tvl.t, string) result
-
-(** Compiled containment checks: evaluate an expression once, memoize the
-    result, and derive the truth values of its rectified decorations
-    ([NOT e], [e IS NULL]) from the memoized value instead of re-walking
-    the AST.  The combinators are value-level translations of the
-    corresponding AST nodes, so a {!Compiled.t} always agrees with
-    {!eval} on the equivalent expression; {!Rectify} still performs its
-    postcondition check against them. *)
-module Compiled : sig
-  type t
-
-  (** Translate [e] under [env] into a compiled check.  Evaluation is
-      deferred and memoized: forcing {!value} (or {!tvl}) walks the AST
-      at most once for the lifetime of the value. *)
-  val compile : env -> Sqlast.Ast.expr -> t
-
-  val value : t -> (Value.t, string) result
-  val tvl : t -> (Tvl.t, string) result
-
-  (** The compiled form of [A.Unary (A.Not, e)], sharing [e]'s memoized
-      evaluation. *)
-  val not_ : t -> t
-
-  (** The compiled form of [A.Is { negated = false; arg = e; rhs =
-      A.Is_null }], sharing [e]'s memoized evaluation. *)
-  val is_null : t -> t
-end

@@ -16,26 +16,19 @@ let decoration ~target ~t e =
   else
     A.Is { negated = not (Tvl.equal target Tvl.True); arg = e; rhs = A.Is_null }
 
-(* [e] is translated once ({!Interp.Compiled}); the decorated
-   re-evaluation shares its memoized value, so the oracle's check of its
-   own output (the rectified expression must evaluate to [target]) costs
-   a combinator application instead of another AST walk.  Runs inside
-   the "rectify" span, so its evaluations are not counted again under
+(* [e] is evaluated once.  The postcondition (the rectified expression
+   evaluates to [target]) is checked by the interpreter's own NOT and
+   IS NULL nodes over [e]'s value: the decoration applied to that value
+   as a literal, instead of another walk of [e].  Runs inside the
+   "rectify" span, so its evaluations are not counted again under
    "interp". *)
 let rectify_to ~telemetry ~target env e =
   Telemetry.Span.timed telemetry Telemetry.Phase.Rectify @@ fun () ->
-  let open Interp.Compiled in
-  let c = compile env e in
-  let* t = tvl c in
-  let rectified = decoration ~target ~t e in
-  let check_c =
-    if Tvl.equal t target then c
-    else if not (Tvl.equal t Tvl.Unknown) then not_ c
-    else if Tvl.equal target Tvl.True then is_null c
-    else not_ (is_null c)
-  in
-  let* check = tvl check_c in
-  if Tvl.equal check target then Ok (rectified, t) else fail telemetry
+  let* v = Interp.eval env e in
+  let* t = Interp.eval_tvl env (A.Lit v) in
+  let* check = Interp.eval_tvl env (decoration ~target ~t (A.Lit v)) in
+  if Tvl.equal check target then Ok (decoration ~target ~t e, t)
+  else fail telemetry
 
 let rectify ?(telemetry = Telemetry.noop) env (e : A.expr) =
   rectify_to ~telemetry ~target:Tvl.True env e

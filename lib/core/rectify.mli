@@ -15,10 +15,10 @@
     [phase="interp"]), and postcondition
     failures bump [pqs_rectify_postcondition_failures_total].
 
-    The expression is translated once ({!Interp.Compiled}); the
-    postcondition re-check — the rectified expression must evaluate to
-    the target — is derived from the memoized value instead of another
-    walk of the AST. *)
+    The expression is evaluated once; the postcondition re-check (the
+    rectified expression must evaluate to the target) applies the
+    interpreter's NOT / IS NULL to that value instead of walking the
+    expression again. *)
 val rectify :
   ?telemetry:Telemetry.t ->
   Interp.env ->

@@ -480,6 +480,178 @@ let test_verdict_equality () =
         (Dialect.name dialect ^ " candidates checked") true (!candidates > 0))
     [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
 
+(* The interpreter over one pivot row t0(c0 = 1, c1 = 'a'); any other
+   column name refuses with "no such column". *)
+let pivot_env dialect =
+  let col name ty =
+    {
+      Pqs.Schema_info.ci_name = name;
+      ci_type = ty;
+      ci_collation = Collation.Binary;
+      ci_not_null = false;
+    }
+  in
+  let ti =
+    {
+      Pqs.Schema_info.ti_name = "t0";
+      ti_columns = [ col "c0" Datatype.Any; col "c1" Datatype.Text ];
+      ti_without_rowid = false;
+      ti_engine = None;
+      ti_has_children = false;
+      ti_row_count = 1;
+    }
+  in
+  Pqs.Interp.env_of_pivot dialect [ (ti, [| Value.Int 1L; Value.Text "a" |]) ]
+
+let parse_expr sql =
+  match Sqlparse.Parser.parse_expr sql with
+  | Ok e -> e
+  | Error e -> Alcotest.fail (Sqlparse.Parser.show_error e)
+
+let show_eval = function
+  | Ok v -> "Ok " ^ Value.show v
+  | Error msg -> "Error " ^ msg
+
+(* Refusal order: operands are evaluated left to right and the first
+   refusal's message is the expression's; short-circuit AND/OR do not
+   evaluate a right operand their left one decides. *)
+let test_refusal_order () =
+  let cases =
+    [
+      ( Dialect.Sqlite_like,
+        [
+          ("x + y", "Error no such column: x");
+          ("x = y", "Error no such column: x");
+          ("x || y", "Error no such column: x");
+          ("x & y", "Error no such column: x");
+          ("c0 < y", "Error no such column: y");
+          ("x IS y", "Error no such column: x");
+          ("x IN (y, z)", "Error no such column: x");
+          ("c0 IN (y, z)", "Error no such column: y");
+          ("x LIKE y ESCAPE z", "Error no such column: x");
+          ("c1 LIKE y ESCAPE z", "Error no such column: y");
+          ("x GLOB y", "Error no such column: x");
+          ("coalesce(c0, x, y)", "Error no such column: x");
+          ("CASE x WHEN y THEN z END", "Error no such column: x");
+          ("CASE WHEN x THEN y END", "Error no such column: x");
+          ("CASE WHEN c0 THEN y ELSE z END", "Error no such column: y");
+          ("0 AND x", "Ok (Int 0L)");
+          ("1 OR x", "Ok (Int 1L)");
+          ("NULL AND x", "Error no such column: x");
+          ("NULL OR x", "Error no such column: x");
+          ("1 AND x", "Error no such column: x");
+          ("x AND 0", "Error no such column: x");
+          ("x BETWEEN y AND z", "Error no such column: x");
+          ("c0 BETWEEN y AND z", "Error no such column: y");
+          ("c0 BETWEEN 0 AND z", "Error no such column: z");
+          ("NOT x", "Error no such column: x");
+          ("x IS NULL", "Error no such column: x");
+        ] );
+      ( Dialect.Postgres_like,
+        [
+          ("(1 / 0) + (1 + 'a')", "Error division by zero");
+          ("(1 + 'a') + (1 / 0)",
+           "Error operator does not exist (non-numeric operand)");
+          ("(1 / 0) = x", "Error division by zero");
+          ("1 = 'a'", "Error operator does not exist (mismatched types)");
+          ("FALSE AND (1 + 'a') = 2", "Ok (Bool false)");
+          ("TRUE OR (1 + 'a') = 2", "Ok (Bool true)");
+          ("NULL AND (1 + 'a') = 2",
+           "Error operator does not exist (non-numeric operand)");
+          ("(1 / 0) BETWEEN (1 + 'a') AND x", "Error division by zero");
+          ("x IS DISTINCT FROM (1 / 0)", "Error no such column: x");
+          ("1 IN ('a', 1 / 0)",
+           "Error operator does not exist (mismatched types)");
+          ("greatest(1 / 0, 1 + 'a')", "Error division by zero");
+          ("x GLOB y", "Error GLOB is sqlite-specific");
+          ("ifnull(x, y)", "Error no such function in this dialect");
+        ] );
+    ]
+  in
+  List.iter
+    (fun (dialect, cases) ->
+      let env = pivot_env dialect in
+      List.iter
+        (fun (sql, want) ->
+          Alcotest.(check string)
+            (Dialect.name dialect ^ ": " ^ sql)
+            want
+            (show_eval (Pqs.Interp.eval env (parse_expr sql))))
+        cases)
+    cases
+
+(* Rectification (paper Algorithm 3) over every raw truth value and both
+   targets: the decoration is identity on a match, NOT on a definite
+   mismatch and IS [NOT] NULL on NULL, and the rectified expression
+   evaluates to the target.  A refusal is an error, not a postcondition
+   failure. *)
+let test_rectify_decoration () =
+  let show_tvl = Tvl.show in
+  List.iter
+    (fun (dialect, raws) ->
+      let env = pivot_env dialect in
+      List.iter
+        (fun (sql, raw) ->
+          let e = parse_expr sql in
+          List.iter
+            (fun target ->
+              let tele = Telemetry.create () in
+              let rectify =
+                if Tvl.equal target Tvl.True then Pqs.Rectify.rectify
+                else Pqs.Rectify.rectify_to_false
+              in
+              let label =
+                Printf.sprintf "%s: %s to %s" (Dialect.name dialect) sql
+                  (show_tvl target)
+              in
+              match rectify ~telemetry:tele env e with
+              | Error msg -> Alcotest.failf "%s refused: %s" label msg
+              | Ok (rectified, t) ->
+                  Alcotest.(check string) (label ^ ": raw truth")
+                    (show_tvl raw) (show_tvl t);
+                  let want =
+                    if Tvl.equal raw target then e
+                    else if not (Tvl.equal raw Tvl.Unknown) then
+                      A.Unary (A.Not, e)
+                    else
+                      A.Is
+                        {
+                          negated = Tvl.equal target Tvl.False;
+                          arg = e;
+                          rhs = A.Is_null;
+                        }
+                  in
+                  Alcotest.(check bool) (label ^ ": decoration") true
+                    (rectified = want);
+                  Alcotest.(check string) (label ^ ": rectified truth")
+                    ("Ok " ^ show_tvl target)
+                    (match Pqs.Interp.eval_tvl env rectified with
+                    | Ok t -> "Ok " ^ show_tvl t
+                    | Error msg -> "Error " ^ msg);
+                  Alcotest.(check int) (label ^ ": no postcondition failure")
+                    0
+                    (Telemetry.counter_value tele
+                       "pqs_rectify_postcondition_failures_total"))
+            [ Tvl.True; Tvl.False ])
+        raws)
+    [
+      ( Dialect.Sqlite_like,
+        [ ("c0 = 1", Tvl.True); ("c0 = 2", Tvl.False); ("c0 = NULL", Tvl.Unknown) ] );
+      ( Dialect.Postgres_like,
+        [
+          ("c1 = 'a'", Tvl.True); ("c1 < 'a'", Tvl.False); ("c0 > NULL", Tvl.Unknown);
+        ] );
+    ];
+  let tele = Telemetry.create () in
+  let env = pivot_env Dialect.Postgres_like in
+  (match Pqs.Rectify.rectify ~telemetry:tele env (parse_expr "1 + 'a'") with
+  | Ok _ -> Alcotest.fail "postgres 1 + 'a' rectified"
+  | Error msg ->
+      Alcotest.(check string) "refusal message"
+        "operator does not exist (non-numeric operand)" msg);
+  Alcotest.(check int) "a refusal is no postcondition failure" 0
+    (Telemetry.counter_value tele "pqs_rectify_postcondition_failures_total")
+
 let () =
   Alcotest.run "pqs"
     [
@@ -531,6 +703,12 @@ let () =
         ] );
       ( "synthesis",
         [ Alcotest.test_case "draw order" `Quick test_draw_order ] );
+      ( "interpreter",
+        [
+          Alcotest.test_case "refusal order" `Quick test_refusal_order;
+          Alcotest.test_case "rectify decoration" `Quick
+            test_rectify_decoration;
+        ] );
       ( "runner",
         [ Alcotest.test_case "round golden" `Quick test_round_golden ] );
     ]
