@@ -703,7 +703,7 @@ let () =
         ] );
       ( "synthesis",
         [ Alcotest.test_case "draw order" `Quick test_draw_order ] );
-      ( "interpreter",
+      ( "interp",
         [
           Alcotest.test_case "refusal order" `Quick test_refusal_order;
           Alcotest.test_case "rectify decoration" `Quick
