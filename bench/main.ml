@@ -133,6 +133,35 @@ let bench_eval dialect =
       (Staged.stage (fun () -> ignore (Sys.opaque_identity (value ()))));
   ]
 
+(* One containment check, [VALUES (pivot) INTERSECT SELECT ...], over a
+   20-row sqlite table with a rectified-shape WHERE that every row
+   passes: the pivot is the first row the probe meets, or the last. *)
+let bench_probe =
+  let session = Engine.Session.create Sqlval.Dialect.Sqlite_like in
+  let parse sql =
+    match Sqlparse.Parser.parse_stmt sql with
+    | Ok s -> s
+    | Error _ -> assert false
+  in
+  List.iter
+    (fun sql -> ignore (Engine.Session.execute session (parse sql)))
+    ("CREATE TABLE t0(c0 INT, c1 TEXT)"
+    :: List.init 20 (fun i ->
+           Printf.sprintf "INSERT INTO t0(c0, c1) VALUES (%d, 'v%d')" (i + 1)
+             (i + 1)));
+  let check name pivot =
+    let stmt =
+      parse
+        (Printf.sprintf
+           "VALUES (%d, 'v%d') INTERSECT SELECT c0, c1 FROM t0 WHERE NOT \
+            ((c0 > 0) IS NULL) AND (c1 <> 'zz')"
+           pivot pivot)
+    in
+    Test.make ~name:("probe/" ^ name)
+      (Staged.stage (fun () -> ignore (Engine.Session.execute session stmt)))
+  in
+  [ check "match-first" 1; check "match-last" 20 ]
+
 (* REAL to text as [Coerce.to_text] runs it, over integral values (the
    digits-and-".0" path) and fractional ones (the runtime's [%.17g]). *)
 let bench_real_text =
@@ -219,7 +248,7 @@ let run_micro () =
   let tests =
     Test.make_grouped ~name:"micro"
       ([ bench_btree; bench_index; bench_parse; bench_rows_compare ]
-      @ bench_real_text
+      @ bench_real_text @ bench_probe
       @ List.map bench_query dialects
       @ List.concat_map bench_eval dialects
       @ List.map bench_synthesize dialects)

@@ -337,9 +337,10 @@ let sweep ?(bugs = Engine.Bug.empty_set) ~seed_lo ~seed_hi dialect :
 
 (* The reducer recheck replays the script, then re-derives the verdict by
    trying every candidate pivot assignment of the final containment
-   query's FROM tables (the bundle does not record which row was the
-   pivot): reproduced iff some assignment makes the original query
-   nonempty and its simplified variant empty. *)
+   query's FROM tables and views, the pivot sources a round draws from
+   (the bundle does not record which row was the pivot): reproduced iff
+   some assignment makes the original query nonempty and its simplified
+   variant empty. *)
 let () =
   let rec from_tables = function
     | A.F_table { name; _ } -> [ name ]
@@ -356,23 +357,24 @@ let () =
           List.concat_map from_tables sel.A.sel_from
           |> List.map String.lowercase_ascii
         in
-        let infos =
-          Schema_info.tables_of_session session
-          |> List.filter (fun (ti : Schema_info.table_info) ->
+        let sources =
+          List.map
+            (fun (ti : Schema_info.table_info) ->
+              (ti, Schema_info.rows_of_table session ti.Schema_info.ti_name))
+            (Schema_info.tables_of_session session)
+          @ Schema_info.view_pivot_sources session
+          |> List.filter (fun ((ti : Schema_info.table_info), _) ->
                  List.mem
                    (String.lowercase_ascii ti.Schema_info.ti_name)
                    names)
         in
         let candidates =
           List.fold_left
-            (fun acc (ti : Schema_info.table_info) ->
-              let rows =
-                Schema_info.rows_of_table session ti.Schema_info.ti_name
-              in
+            (fun acc (ti, rows) ->
               List.concat_map
                 (fun pivot -> List.map (fun r -> (ti, r) :: pivot) rows)
                 acc)
-            [ [] ] infos
+            [ [] ] sources
           |> List.map List.rev
         in
         List.exists

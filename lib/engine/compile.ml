@@ -2,16 +2,20 @@
 
    Each expression of a query is compiled once by Eval.compile (values)
    or Eval.compile_pred (WHERE, ON, HAVING) into a closure over the
-   env's current tuple.  A SELECT runs as one nested
-   loop over its materialized FROM sources, keeping the rows WHERE
-   accepts, then one projection loop that pushes each row, with its
-   ORDER BY keys, through stages built once per SELECT (DISTINCT, ORDER
-   BY, LIMIT/OFFSET) into a sink: the caller's, or the default one that
-   collects the result set.  All expression semantics — every dialect
-   quirk and injected bug — live in Eval.
+   env's current tuple.  A SELECT runs as one nested loop over its
+   materialized FROM sources that evaluates WHERE on each tuple and
+   projects each tuple WHERE accepts as soon as it does, pushing the
+   row, with its ORDER BY keys, through stages built once per SELECT
+   (DISTINCT, ORDER BY, LIMIT/OFFSET) into a sink: the caller's, or the
+   default one that collects the result set.  A WHERE error ends the
+   loop; the first projection or key error is held until WHERE has run
+   on every tuple, and is the SELECT's error only if WHERE raised none.
+   A set probe's SELECT stops once its answer is settled, when nothing
+   left in it can fail.  All expression semantics — every dialect quirk
+   and injected bug — live in Eval.
 
-   The per-row loops (FROM/WHERE, the join's ON, projection, the ORDER
-   BY key walk, VALUES) follow Eval's per-row rule: they take bare
+   The per-row loops (FROM/WHERE with projection, the join's ON, the
+   ORDER BY key walk, VALUES) follow Eval's per-row rule: they take bare
    values and truth values, and an evaluation error raises out of them
    to the one [Eval.run] around each loop, so a row allocates only what
    it keeps.  Results and [let*] are for per-statement code. *)
@@ -40,23 +44,32 @@ type proj =
   | P_error of Errors.t  (* t.* naming no binding: fails at projection *)
   | P_expr of Eval.thunk
 
+(* The compiled items, and whether projecting them is infallible. *)
 let compile_items c items =
-  List.map
-    (function
-      | A.Star -> P_star
-      | A.Table_star t -> (
-          let tl = String.lowercase_ascii t in
-          let rec find i = function
-            | [] ->
-                P_error
-                  (Errors.makef Errors.No_such_table "no such table: %s" tl)
-            | b :: rest ->
-                if b.Eval.b_alias = tl then P_binding i
-                else find (i + 1) rest
-          in
-          find 0 c.Eval.layout)
-      | A.Sel_expr (e, _) -> P_expr (Eval.compile c e))
-    items
+  let ok = ref true in
+  let projs =
+    List.map
+      (function
+        | A.Star -> P_star
+        | A.Table_star t -> (
+            let tl = String.lowercase_ascii t in
+            let rec find i = function
+              | [] ->
+                  ok := false;
+                  P_error
+                    (Errors.makef Errors.No_such_table "no such table: %s" tl)
+              | b :: rest ->
+                  if b.Eval.b_alias = tl then P_binding i
+                  else find (i + 1) rest
+            in
+            find 0 c.Eval.layout)
+        | A.Sel_expr (e, _) ->
+            let t, infallible = Eval.compile_checked c e in
+            ok := !ok && infallible;
+            P_expr t)
+      items
+  in
+  (projs, !ok)
 
 (* The output width of the compiled item list over [tuple]. *)
 let rec proj_width (tuple : Value.t array array) n = function
@@ -113,14 +126,17 @@ type source = {
   src_tuples : Value.t array array list;
 }
 
+(* The FROM tuples WHERE evaluated, and those it accepted. *)
+type filter_counts = { mutable tuples : int; mutable accepted : int }
+
 (* One nested loop over the sources, in textual order except that the
    forced join swap puts the second of a two-item comma FROM outside.
    Each source tuple is blitted into the env's scratch tuple at its
-   bindings' offset, WHERE runs there, and only a surviving row gets a
-   fresh combined tuple.  Returns the survivors, in loop order, or
-   WHERE's first error. *)
-let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources =
-  let filter_t0 = Executor.op_clock ctx in
+   bindings' offset, WHERE runs there, and [accept ()] runs on each
+   tuple WHERE accepts while it is still in the scratch.  WHERE's errors
+   raise out of the loop. *)
+let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources counts
+    ~accept =
   let scratch = !(c.Eval.cur) in
   let _, placed =
     List.fold_left
@@ -133,11 +149,13 @@ let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources =
     | [ a; b ] when Executor.swap_join_forced ctx -> [ b; a ]
     | loops -> loops
   in
-  let n = ref 0 and kept = ref [] in
-  let keep () = kept := Array.copy scratch :: !kept in
+  let keep () =
+    counts.accepted <- counts.accepted + 1;
+    accept ()
+  in
   let rec nest = function
     | [] -> (
-        incr n;
+        counts.tuples <- counts.tuples + 1;
         match pred with
         | None -> keep ()
         | Some (p : Eval.pred) -> (
@@ -154,12 +172,16 @@ let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources =
         in
         each tuples
   in
-  let* () = Eval.run (fun () -> nest loops) in
-  let rows = List.rev !kept in
-  if Option.is_some pred && Executor.tracing ctx then
-    Executor.op_event ctx ~op:"FILTER" ~detail:"WHERE" ~rows_in:!n
-      ~rows_out:(List.length rows) ~batches:(batches_of !n) ~t0:filter_t0 ();
-  Ok rows
+  nest loops
+
+(* The loop's FILTER event, when there is a WHERE; [stopped] marks a
+   probe that ended at its answer. *)
+let filter_event ctx ~where ~stopped ~t0 counts =
+  if Option.is_some where && Executor.tracing ctx then
+    Executor.op_event ctx ~op:"FILTER"
+      ~detail:(if stopped then "WHERE (stopped)" else "WHERE")
+      ~rows_in:counts.tuples ~rows_out:counts.accepted
+      ~batches:(batches_of counts.tuples) ~t0 ()
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
@@ -171,11 +193,17 @@ type stage = {
   finish : unit -> unit;
 }
 
-(* The sink a query delivers to: the caller's, or by default one that
-   collects the result set, returned by the second function (empty under
-   the caller's sink). *)
+(* Where a query's rows go instead of into its result set: [put] takes
+   each row, and [settled ()] is true once no later row can change the
+   answer [put]'s owner is computing (a set probe whose left keys are
+   all met). *)
+type sink = { put : Value.t array -> unit; settled : unit -> bool }
+
+(* The row function a query delivers to: the caller's sink, or by
+   default one that collects the result set, returned by the second
+   function (empty under the caller's sink). *)
 let sink_or_collect = function
-  | Some f -> (f, fun () -> [])
+  | Some s -> (s.put, fun () -> [])
   | None ->
       let acc = ref [] in
       ((fun row -> acc := row :: !acc), fun () -> List.rev !acc)
@@ -368,7 +396,7 @@ let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
             s.A.sel_order_by
         in
         incr kept;
-        emit gc rep (compile_items gc items) keys
+        emit gc rep (fst (compile_items gc items)) keys
       end)
     groups;
   if Executor.tracing ctx then
@@ -428,16 +456,27 @@ let values_columns width =
 (* ------------------------------------------------------------------ *)
 (* SELECT                                                              *)
 
+(* Raised by a probed SELECT's loop once its answer is settled and
+   nothing left in it can fail; caught right outside the loop. *)
+exception Settled
+
 (* One compiled-and-executed SELECT, its rows delivered to [sink] (a
    row sink: INTERSECT and EXCEPT probe their right operand with one) or
-   collected.  FROM and WHERE run to completion before any projection,
-   so WHERE's errors come first.  Under a sink and without LIMIT/OFFSET
-   the SELECT is probed: its chain has no DISTINCT or ORDER BY stage,
-   since neither changes which rows a set probe sees, and each row is
-   projected into one reused buffer.  Every item and ORDER BY key is
-   still evaluated in row order, so errors surface as in the full
-   pipeline, and the DISTINCT and ORDER BY coverage points are still
-   hit. *)
+   collected.  One loop runs FROM and WHERE, and projects each tuple
+   WHERE accepts and pushes it down the stages as soon as WHERE accepts
+   it.  A WHERE error ends the SELECT at once.  The first projection or
+   ORDER BY key error is held: projection stops, WHERE runs on over the
+   remaining tuples, and the held error is the SELECT's only if WHERE
+   raised none, so WHERE's errors still come first.  Under a sink and
+   without LIMIT/OFFSET the SELECT is probed: its chain has no DISTINCT
+   or ORDER BY stage, since neither changes which rows a set probe sees,
+   and each row is projected into one reused buffer.  Every item and
+   ORDER BY key is still evaluated in row order, and the DISTINCT and
+   ORDER BY coverage points are still hit.  A probed SELECT stops once
+   the sink is settled, if its WHERE, items and ORDER BY keys are all
+   infallible: no row left could change the answer or raise.  An
+   aggregate SELECT collects copies of the accepted tuples for
+   [aggregate] and runs to the end. *)
 let rec run_select ?sink ctx (s : A.select) :
     (Executor.result_set, Errors.t) result =
   let where = s.A.sel_where in
@@ -454,7 +493,7 @@ let rec run_select ?sink ctx (s : A.select) :
     in
     let c = make_env ctx [] in
     let* columns = Executor.output_columns ~named [] s.A.sel_items in
-    let projs = compile_items c s.A.sel_items in
+    let projs, _ = compile_items c s.A.sel_items in
     let* () =
       Eval.run (fun () ->
           let row = project [||] projs in
@@ -490,12 +529,17 @@ let rec run_select ?sink ctx (s : A.select) :
     let c =
       make_env ctx (List.concat_map (fun src -> src.src_layout) sources)
     in
-    let* rows =
-      from_where ctx c (Option.map (Eval.compile_pred c) where) sources
+    let scratch = !(c.Eval.cur) in
+    let pred, where_infallible =
+      match where with
+      | None -> (None, true)
+      | Some w ->
+          let p, infallible = Eval.compile_pred_checked c w in
+          (Some p, infallible)
     in
     (* output columns come from the FROM's layout, with or without
        tuples: [*] and [t.*] over an empty table name its columns *)
-    let* columns = Executor.output_columns ~named c.Eval.layout s.A.sel_items in
+    let columns = Executor.output_columns ~named c.Eval.layout s.A.sel_items in
     let probe =
       Option.is_some sink && s.A.sel_limit = None && s.A.sel_offset = None
     in
@@ -503,28 +547,73 @@ let rec run_select ?sink ctx (s : A.select) :
     (* the projection step: rows go on to stages that may keep them,
        except under a probe, whose sink only looks them up *)
     let buf = ref [||] in
-    let emit (c : Eval.env) tuple projs keys =
-      c.Eval.cur := tuple;
-      let row =
-        if probe then begin
-          let w = proj_width tuple 0 projs in
-          if Array.length !buf <> w then buf := Array.make w Value.Null;
-          project_into !buf tuple projs
-        end
-        else project tuple projs
-      in
-      push_keyed chain row [] keys
+    let project_row tuple projs =
+      if probe then begin
+        let w = proj_width tuple 0 projs in
+        if Array.length !buf <> w then buf := Array.make w Value.Null;
+        project_into !buf tuple projs
+      end
+      else project tuple projs
     in
+    let filter_t0 = Executor.op_clock ctx in
+    let counts = { tuples = 0; accepted = 0 } in
     let* () =
-      Eval.run (fun () ->
-          if Executor.select_has_agg s then aggregate ctx c s rows ~emit
-          else
-            let projs = compile_items c s.A.sel_items in
-            let keys =
-              List.map (fun (e, _) -> Eval.compile c e) s.A.sel_order_by
-            in
-            List.iter (fun tuple -> emit c tuple projs keys) rows)
+      if Executor.select_has_agg s then begin
+        let kept = ref [] in
+        let* () =
+          Eval.run (fun () ->
+              from_where ctx c pred sources counts ~accept:(fun () ->
+                  kept := Array.copy scratch :: !kept))
+        in
+        filter_event ctx ~where ~stopped:false ~t0:filter_t0 counts;
+        let* _ = columns in
+        let emit (gc : Eval.env) tuple projs keys =
+          gc.Eval.cur := tuple;
+          push_keyed chain (project_row tuple projs) [] keys
+        in
+        Eval.run (fun () -> aggregate ctx c s (List.rev !kept) ~emit)
+      end
+      else begin
+        let projs, items_infallible = compile_items c s.A.sel_items in
+        let keys, keys_infallible =
+          List.fold_right
+            (fun (e, _) (keys, ok) ->
+              let k, infallible = Eval.compile_checked c e in
+              (k :: keys, ok && infallible))
+            s.A.sel_order_by ([], true)
+        in
+        let settled =
+          match sink with
+          | Some sink
+            when probe && where_infallible && items_infallible
+                 && keys_infallible ->
+              sink.settled
+          | _ -> fun () -> false
+        in
+        (* the held error; an output-column error precedes every
+           projection error *)
+        let held =
+          ref (match columns with Ok _ -> None | Error e -> Some e)
+        in
+        let project_push () =
+          push_keyed chain (project_row scratch projs) [] keys;
+          if settled () then raise_notrace Settled
+        in
+        let hold e = held := Some e in
+        let accept () =
+          if Option.is_none !held then Eval.catch project_push () ~error:hold
+        in
+        let* stopped =
+          Eval.run (fun () ->
+              match from_where ctx c pred sources counts ~accept with
+              | () -> false
+              | exception Settled -> true)
+        in
+        filter_event ctx ~where ~stopped ~t0:filter_t0 counts;
+        match !held with Some e -> Error e | None -> Ok ()
+      end
     in
+    let* columns = columns in
     if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
     if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
     if s.A.sel_offset <> None then cov_ctx ctx "exec.limit";
@@ -646,10 +735,12 @@ and run_compound ?sink ctx op qa qb =
                   (fun r met acc -> if !met = want then r :: acc else acc)
                   marks [] )
       in
-      (* once every left key is met the answer is known; later right
-         rows still run, for their errors, but are not looked up *)
+      (* once every left key is met the answer is settled: a probed
+         SELECT that nothing left can fail stops there (see
+         [run_select]), and otherwise later right rows still run, for
+         their errors, but are not looked up *)
       let probed = ref 0 and unmet = ref keys in
-      let sink r =
+      let put r =
         incr probed;
         if !unmet > 0 then
           match mark_of r with
@@ -658,6 +749,7 @@ and run_compound ?sink ctx op qa qb =
               decr unmet
           | Some _ | None -> ()
       in
+      let sink = { put; settled = (fun () -> !unmet = 0) } in
       let* rb = run_query ~sink ctx qb in
       let* () = same_width rb in
       finish ~t0

@@ -1139,57 +1139,103 @@ let double_negation_folded env (inner : A.expr) =
       && bug env Bug.My_double_negation_fold
   | _ -> false
 
+(* Each compile also reports whether its closure is infallible: [true]
+   only when the node's own arm cannot raise for this dialect and bug
+   set and every child is infallible.  The fact sits in the arm that
+   builds the closure, beside the raise sites it vouches for, and an arm
+   that does not vouch reports [false].  Postgres is the strict dialect:
+   its truth values, comparisons, arithmetic, casts and several
+   functions reject mistyped operands, which the other two coerce. *)
+let lenient env = not (Dialect.equal env.dialect Dialect.Postgres_like)
+
+(* [arith]: postgres rejects operands and fails on overflow and on
+   division by zero, mysql fails on + - * overflow, and sqlite promotes
+   to REAL or returns NULL *)
+let arith_infallible env (op : A.binop) =
+  match env.dialect with
+  | Dialect.Sqlite_like -> true
+  | Dialect.Mysql_like -> ( match op with A.Div | A.Rem -> true | _ -> false)
+  | Dialect.Postgres_like -> false
+
+(* [apply_func] of [f] over [n] arguments: an arity it accepts, and a
+   body that cannot fail.  ABS overflows, and postgres rejects the
+   non-text or non-numeric arguments of LENGTH, LOWER/UPPER, the trims
+   and ROUND. *)
+let func_infallible env (f : A.func) n =
+  func_available env.dialect f
+  &&
+  match (f, n) with
+  | (A.F_length | A.F_lower | A.F_upper | A.F_trim | A.F_ltrim | A.F_rtrim), 1
+  | A.F_round, (1 | 2) ->
+      lenient env
+  | (A.F_typeof | A.F_hex | A.F_sign | A.F_quote), 1
+  | (A.F_ifnull | A.F_nullif | A.F_instr), 2
+  | A.F_substr, (2 | 3)
+  | A.F_replace, 3 ->
+      true
+  | (A.F_coalesce | A.F_least | A.F_greatest), n -> n >= 1
+  | _ -> false
+
 (* An expression becomes a closure over [env.cur]: column references are
    resolved to slots, dialect rejections, the mysql double-negation fold
-   and every operator's metadata prep happen here, once.  [compile]
-   writes the value operators and [compile_pred] the boolean ones, each
-   once; either wraps the other's closures for its own context.  Per run,
-   the closures keep SQL's evaluation order and short circuits, fire each
-   coverage point once per node evaluated, and raise the first error in
-   evaluation order. *)
-let rec compile env (e : A.expr) : thunk =
+   and every operator's metadata prep happen here, once.
+   [compile_checked] writes the value operators and
+   [compile_pred_checked] the boolean ones, each once; either wraps the
+   other's closures for its own context.  Per run, the closures keep
+   SQL's evaluation order and short circuits, fire each coverage point
+   once per node evaluated, and raise the first error in evaluation
+   order. *)
+let rec compile_checked env (e : A.expr) : thunk * bool =
   let dialect = env.dialect in
   match e with
-  | A.Lit v -> fun () -> v
-  | A.Col _ | A.Collate _ | A.Unary (A.Pos, _) -> fst (compile_operand env e)
+  | A.Lit v -> ((fun () -> v), true)
+  | A.Col _ | A.Collate _ | A.Unary (A.Pos, _) ->
+      let c, _, ok = compile_operand env e in
+      (c, ok)
   | A.Agg _ ->
       let err =
         Errors.make Errors.Invalid_function
           "misuse of aggregate function in scalar context"
       in
-      fun () -> fail err
+      ((fun () -> fail err), false)
   | A.Unary (A.Not, (A.Unary (A.Not, grandchild) as inner))
     when double_negation_folded env inner ->
       (* the inner NOT's coverage point is skipped *)
-      let cg = compile env grandchild in
-      fun () ->
-        cov env "unop.not";
-        cg ()
+      let cg, ok = compile_checked env grandchild in
+      ( (fun () ->
+          cov env "unop.not";
+          cg ()),
+        ok )
   | A.Unary (A.Neg, inner) ->
-      let ci = compile env inner in
-      fun () ->
-        cov env "unop.neg";
-        neg_value env (ci ())
+      let ci, ok = compile_checked env inner in
+      ( (fun () ->
+          cov env "unop.neg";
+          neg_value env (ci ())),
+        ok && lenient env )
   | A.Unary (A.Bit_not, inner) ->
-      let ci = compile env inner in
-      fun () ->
-        cov env "unop.bit_not";
-        bit_not_value env (ci ())
+      let ci, ok = compile_checked env inner in
+      ( (fun () ->
+          cov env "unop.bit_not";
+          bit_not_value env (ci ())),
+        ok && lenient env )
   | A.Binary (A.Concat, a, b) when Dialect.equal dialect Dialect.Mysql_like ->
       (* mysql: || is logical OR by default; both coverage points fire *)
-      let c_or = compile_pred env (A.Binary (A.Or, a, b)) in
-      fun () ->
-        cov env "binop.concat";
-        bool_value dialect (c_or ())
+      let c_or, ok = compile_pred_checked env (A.Binary (A.Or, a, b)) in
+      ( (fun () ->
+          cov env "binop.concat";
+          bool_value dialect (c_or ())),
+        ok )
   | A.Binary (A.Concat, a, b) ->
-      let ca = compile env a in
-      let cb = compile env b in
-      fun () ->
-        cov env "binop.concat";
-        let va = ca () in
-        let vb = cb () in
-        if Value.is_null va || Value.is_null vb then Value.Null
-        else Value.Text (Coerce.to_text dialect va ^ Coerce.to_text dialect vb)
+      let ca, ok_a = compile_checked env a in
+      let cb, ok_b = compile_checked env b in
+      ( (fun () ->
+          cov env "binop.concat";
+          let va = ca () in
+          let vb = cb () in
+          if Value.is_null va || Value.is_null vb then Value.Null
+          else
+            Value.Text (Coerce.to_text dialect va ^ Coerce.to_text dialect vb)),
+        ok_a && ok_b )
   | A.Binary (((A.Add | A.Sub | A.Mul | A.Div | A.Rem) as op), a, b) ->
       let point =
         match op with
@@ -1199,13 +1245,14 @@ let rec compile env (e : A.expr) : thunk =
         | A.Div -> "binop.div"
         | _ -> "binop.rem"
       in
-      let ca = compile env a in
-      let cb = compile env b in
-      fun () ->
-        cov env point;
-        let va = ca () in
-        let vb = cb () in
-        arith env op va vb
+      let ca, ok_a = compile_checked env a in
+      let cb, ok_b = compile_checked env b in
+      ( (fun () ->
+          cov env point;
+          let va = ca () in
+          let vb = cb () in
+          arith env op va vb),
+        ok_a && ok_b && arith_infallible env op )
   | A.Binary
       (((A.Bit_and | A.Bit_or | A.Shift_left | A.Shift_right) as op), a, b) ->
       let point =
@@ -1215,18 +1262,20 @@ let rec compile env (e : A.expr) : thunk =
         | A.Shift_left -> "binop.shl"
         | _ -> "binop.shr"
       in
-      let ca = compile env a in
-      let cb = compile env b in
-      fun () ->
-        cov env point;
-        let va = ca () in
-        let vb = cb () in
-        bitop env op va vb
+      let ca, ok_a = compile_checked env a in
+      let cb, ok_b = compile_checked env b in
+      ( (fun () ->
+          cov env point;
+          let va = ca () in
+          let vb = cb () in
+          bitop env op va vb),
+        ok_a && ok_b && lenient env )
   | A.Cast (ty, inner) ->
-      let ci = compile env inner in
-      fun () ->
-        cov env "pred.cast";
-        cast_value env ty (ci ())
+      let ci, ok = compile_checked env inner in
+      ( (fun () ->
+          cov env "pred.cast";
+          cast_value env ty (ci ())),
+        ok && lenient env )
   | A.Func (f, args) ->
       let point = "func." ^ func_point f in
       if not (func_available dialect f) then
@@ -1234,48 +1283,62 @@ let rec compile env (e : A.expr) : thunk =
           Errors.makef Errors.Invalid_function "no such function in %s dialect"
             (Dialect.name dialect)
         in
-        fun () ->
-          cov env point;
-          fail err
+        ( (fun () ->
+            cov env point;
+            fail err),
+          false )
       else
-        let cargs, oargs = List.split (List.map (compile_operand env) args) in
-        let fp = func_prep env f oargs in
-        fun () ->
-          cov env point;
-          apply_func env fp f (eval_args cargs)
+        let compiled = List.map (compile_operand env) args in
+        let cargs = List.map (fun (c, _, _) -> c) compiled in
+        let fp = func_prep env f (List.map (fun (_, o, _) -> o) compiled) in
+        ( (fun () ->
+            cov env point;
+            apply_func env fp f (eval_args cargs)),
+          func_infallible env f (List.length args)
+          && List.for_all (fun (_, _, ok) -> ok) compiled )
   | A.Case { operand; branches; else_ } -> (
       let buggy_null_when =
         Dialect.equal dialect Dialect.Sqlite_like
         && Bug.on env.bugs Bug.Sq_case_null_when
       in
-      let celse =
+      let celse, ok_else =
         match else_ with
-        | Some e -> compile env e
-        | None -> fun () -> Value.Null
+        | Some e -> compile_checked env e
+        | None -> ((fun () -> Value.Null), true)
       in
       match operand with
       | None ->
+          let ok = ref ok_else in
           let cbranches =
             List.map
               (fun (cond, result) ->
-                (compile_pred env cond, compile env result))
+                let ccond, ok_c = compile_pred_checked env cond in
+                let cres, ok_r = compile_checked env result in
+                ok := !ok && ok_c && ok_r;
+                (ccond, cres))
               branches
           in
-          fun () ->
-            cov env "pred.case";
-            case_walk ~buggy_null_when celse cbranches
+          ( (fun () ->
+              cov env "pred.case";
+              case_walk ~buggy_null_when celse cbranches),
+            !ok )
       | Some op_expr ->
-          let cop, oop = compile_operand env op_expr in
+          (* each WHEN value is compared with the operand *)
+          let cop, oop, ok_op = compile_operand env op_expr in
+          let ok = ref (ok_else && ok_op && lenient env) in
           let cbranches =
             List.map
               (fun (cond, result) ->
-                let ccond, ocond = compile_operand env cond in
-                (compare_prep env A.Eq oop ocond, ccond, compile env result))
+                let ccond, ocond, ok_c = compile_operand env cond in
+                let cres, ok_r = compile_checked env result in
+                ok := !ok && ok_c && ok_r;
+                (compare_prep env A.Eq oop ocond, ccond, cres))
               branches
           in
-          fun () ->
-            cov env "pred.case";
-            case_operand_walk env ~buggy_null_when celse (cop ()) cbranches)
+          ( (fun () ->
+              cov env "pred.case";
+              case_operand_walk env ~buggy_null_when celse (cop ()) cbranches),
+            !ok ))
   | A.Unary (A.Not, _)
   | A.Binary
       ( ( A.And | A.Or | A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge
@@ -1283,31 +1346,34 @@ let rec compile env (e : A.expr) : thunk =
         _,
         _ )
   | A.Is _ | A.Between _ | A.In_list _ | A.Like _ | A.Glob _ ->
-      let p = compile_pred env e in
-      fun () -> bool_value dialect (p ())
+      let p, ok = compile_pred_checked env e in
+      ((fun () -> bool_value dialect (p ())), ok)
 
 (* A boolean context — WHERE, ON, HAVING, CASE WHEN, CHECK, a partial
    index's predicate, an operand of AND/OR/NOT/IS TRUE — compiled to a
    closure that returns the truth value itself.  A value operator here
-   is [compile]'s closure read through [value_tvl]. *)
-and compile_pred env (e : A.expr) : pred =
+   is [compile_checked]'s closure read through [value_tvl], which only
+   postgres's non-boolean values fail. *)
+and compile_pred_checked env (e : A.expr) : pred * bool =
   let dialect = env.dialect in
   match e with
-  | A.Collate (inner, _) -> compile_pred env inner
+  | A.Collate (inner, _) -> compile_pred_checked env inner
   | A.Unary (A.Not, inner) when not (double_negation_folded env inner) -> (
       match inner with
       | A.Lit Value.Null
         when Dialect.equal dialect Dialect.Sqlite_like
              && Bug.on env.bugs Bug.Sq_fold_not_null_true ->
           (* constant folder treats the NULL literal as FALSE under NOT *)
-          fun () ->
-            cov env "unop.not";
-            Tvl.True
+          ( (fun () ->
+              cov env "unop.not";
+              Tvl.True),
+            true )
       | _ ->
-          let ci = compile_pred env inner in
-          fun () ->
-            cov env "unop.not";
-            Tvl.not_ (ci ()))
+          let ci, ok = compile_pred_checked env inner in
+          ( (fun () ->
+              cov env "unop.not";
+              Tvl.not_ (ci ())),
+            ok ))
   | A.Binary (A.And, a, b)
     when (match (a, b) with
          | A.Lit Value.Null, _ | _, A.Lit Value.Null -> true
@@ -1316,21 +1382,24 @@ and compile_pred env (e : A.expr) : pred =
          && Bug.on env.bugs Bug.Sq_fold_null_and ->
       (* constant folder rewrites `NULL AND x` to NULL without checking
          whether x is FALSE; the operands are never evaluated *)
-      fun () ->
-        cov env "binop.and";
-        Tvl.Unknown
-  | A.Binary (A.And, a, b) -> (
-      let ca = compile_pred env a in
-      let cb = compile_pred env b in
-      fun () ->
-        cov env "binop.and";
-        match ca () with Tvl.False -> Tvl.False | ta -> Tvl.and_ ta (cb ()))
-  | A.Binary (A.Or, a, b) -> (
-      let ca = compile_pred env a in
-      let cb = compile_pred env b in
-      fun () ->
-        cov env "binop.or";
-        match ca () with Tvl.True -> Tvl.True | ta -> Tvl.or_ ta (cb ()))
+      ( (fun () ->
+          cov env "binop.and";
+          Tvl.Unknown),
+        true )
+  | A.Binary (A.And, a, b) ->
+      let ca, ok_a = compile_pred_checked env a in
+      let cb, ok_b = compile_pred_checked env b in
+      ( (fun () ->
+          cov env "binop.and";
+          match ca () with Tvl.False -> Tvl.False | ta -> Tvl.and_ ta (cb ())),
+        ok_a && ok_b )
+  | A.Binary (A.Or, a, b) ->
+      let ca, ok_a = compile_pred_checked env a in
+      let cb, ok_b = compile_pred_checked env b in
+      ( (fun () ->
+          cov env "binop.or";
+          match ca () with Tvl.True -> Tvl.True | ta -> Tvl.or_ ta (cb ())),
+        ok_a && ok_b )
   | A.Binary
       ( (( A.Eq | A.Neq | A.Lt | A.Le | A.Gt | A.Ge | A.Null_safe_eq ) as op),
         a,
@@ -1345,129 +1414,151 @@ and compile_pred env (e : A.expr) : pred =
         | A.Ge -> "binop.ge"
         | _ -> "binop.nullsafe_eq"
       in
-      let ca, oa = compile_operand env a in
-      let cb, ob = compile_operand env b in
+      let ca, oa, ok_a = compile_operand env a in
+      let cb, ob, ok_b = compile_operand env b in
       let prep = compare_prep env op oa ob in
-      fun () ->
-        cov env point;
-        let va = ca () in
-        let vb = cb () in
-        compare_apply env prep va vb
+      (* [compare_apply] fails only on postgres's type mismatch *)
+      ( (fun () ->
+          cov env point;
+          let va = ca () in
+          let vb = cb () in
+          compare_apply env prep va vb),
+        ok_a && ok_b && lenient env )
   | A.Is { negated; arg; rhs } -> compile_is env ~negated arg rhs
   | A.Between { negated; arg; lo; hi } ->
-      let ca, arg = compile_operand env arg in
-      let cl, lo = compile_operand env lo in
-      let ch, hi = compile_operand env hi in
+      let ca, arg, ok_a = compile_operand env arg in
+      let cl, lo, ok_l = compile_operand env lo in
+      let ch, hi, ok_h = compile_operand env hi in
       let prep = between_prep env ~negated ~arg ~lo ~hi in
-      fun () ->
-        cov env "pred.between";
-        let v = ca () in
-        let vl = cl () in
-        let vh = ch () in
-        between_apply env prep v vl vh
+      ( (fun () ->
+          cov env "pred.between";
+          let v = ca () in
+          let vl = cl () in
+          let vh = ch () in
+          between_apply env prep v vl vh),
+        ok_a && ok_l && ok_h && lenient env )
   | A.In_list { negated; arg; list } ->
-      let ca, arg = compile_operand env arg in
+      let ca, arg, ok_a = compile_operand env arg in
+      let ok = ref (ok_a && lenient env) in
       let items =
         List.map
           (fun item ->
-            let ci, item = compile_operand env item in
+            let ci, item, ok_i = compile_operand env item in
+            ok := !ok && ok_i;
             (compare_prep env A.Eq arg item, ci))
           list
       in
-      fun () ->
-        cov env "pred.in";
-        let v = ca () in
-        if Value.is_null v then Tvl.Unknown
-        else
-          let t = in_walk env v false items in
-          if negated then Tvl.not_ t else t
+      ( (fun () ->
+          cov env "pred.in";
+          let v = ca () in
+          if Value.is_null v then Tvl.Unknown
+          else
+            let t = in_walk env v false items in
+            if negated then Tvl.not_ t else t),
+        !ok )
   | A.Like { negated; arg; pattern; escape } ->
-      let ca, arg = compile_operand env arg in
-      let cp = compile env pattern in
-      let cesc = Option.map (compile env) escape in
+      let ca, arg, ok_a = compile_operand env arg in
+      let cp, ok_p = compile_checked env pattern in
+      let cesc = Option.map (compile_checked env) escape in
       let prep = like_prep env ~negated ~arg in
-      fun () ->
-        cov env "pred.like";
-        let v = ca () in
-        let p = cp () in
-        let esc =
-          match cesc with None -> None | Some ce -> like_escape_char (ce ())
-        in
-        like_apply env prep v p esc
+      (* an ESCAPE operand fails unless it is one character, and postgres
+         matches text only *)
+      ( (fun () ->
+          cov env "pred.like";
+          let v = ca () in
+          let p = cp () in
+          let esc =
+            match cesc with
+            | None -> None
+            | Some (ce, _) -> like_escape_char (ce ())
+          in
+          like_apply env prep v p esc),
+        ok_a && ok_p && Option.is_none escape && lenient env )
   | A.Glob { negated; arg; pattern } ->
       if not (Dialect.equal dialect Dialect.Sqlite_like) then
         let err =
           Errors.make Errors.Invalid_function "GLOB is sqlite-specific"
         in
-        fun () ->
-          cov env "pred.glob";
-          fail err
+        ( (fun () ->
+            cov env "pred.glob";
+            fail err),
+          false )
       else
-        let ca = compile env arg in
-        let cp = compile env pattern in
-        fun () ->
-          cov env "pred.glob";
-          let v = ca () in
-          let p = cp () in
-          glob_tvl env ~negated v p
+        let ca, ok_a = compile_checked env arg in
+        let cp, ok_p = compile_checked env pattern in
+        ( (fun () ->
+            cov env "pred.glob";
+            let v = ca () in
+            let p = cp () in
+            glob_tvl env ~negated v p),
+          ok_a && ok_p )
   | _ ->
-      let c = compile env e in
-      fun () -> value_tvl env (c ())
+      let c, ok = compile_checked env e in
+      ((fun () -> value_tvl env (c ())), ok && lenient env)
 
-(* [compile] of an operand, with its static side; column references,
-   COLLATE and unary [+] resolve here *)
-and compile_operand env (e : A.expr) : thunk * operand =
+(* [compile_checked] of an operand, with its static side; column
+   references, COLLATE and unary [+] resolve here *)
+and compile_operand env (e : A.expr) : thunk * operand * bool =
   match e with
   | A.Col { table; column } -> (
       match resolve_slot env.layout ~table ~column with
       | Ok (bi, i, dt, coll) ->
           let cur = env.cur in
           ( (fun () -> (!cur).(bi).(i)),
-            { o_expr = e; o_meta = Some (dt, coll) } )
-      | Error err -> ((fun () -> fail err), { o_expr = e; o_meta = None }))
+            { o_expr = e; o_meta = Some (dt, coll) },
+            true )
+      | Error err ->
+          ((fun () -> fail err), { o_expr = e; o_meta = None }, false))
   | A.Collate (inner, c) ->
-      let ci, o = compile_operand env inner in
+      let ci, o, ok = compile_operand env inner in
       let dt = match o.o_meta with Some (dt, _) -> dt | None -> Datatype.Any in
-      (ci, { o_expr = e; o_meta = Some (dt, c) })
+      (ci, { o_expr = e; o_meta = Some (dt, c) }, ok)
   | A.Unary (A.Pos, inner) ->
-      let ci, o = compile_operand env inner in
+      let ci, o, ok = compile_operand env inner in
       ( (fun () ->
           cov env "unop.pos";
           ci ()),
-        { o with o_expr = e } )
+        { o with o_expr = e },
+        ok )
   | A.Cast (ty, _) ->
-      (compile env e, { o_expr = e; o_meta = Some (ty, Collation.Binary) })
-  | _ -> (compile env e, { o_expr = e; o_meta = None })
+      let c, ok = compile_checked env e in
+      (c, { o_expr = e; o_meta = Some (ty, Collation.Binary) }, ok)
+  | _ ->
+      let c, ok = compile_checked env e in
+      (c, { o_expr = e; o_meta = None }, ok)
 
-and compile_is env ~negated arg rhs : pred =
+and compile_is env ~negated arg rhs : pred * bool =
   let dialect = env.dialect in
   let finish t = if negated then Tvl.not_ t else t in
   (* IS [NOT] over two scalars: null-safe equality, [flip]ped for IS
      DISTINCT FROM *)
   let null_safe other ~flip =
-    let ca, oa = compile_operand env arg in
-    let cb, ob = compile_operand env other in
+    let ca, oa, ok_a = compile_operand env arg in
+    let cb, ob, ok_b = compile_operand env other in
     let prep = compare_prep env A.Null_safe_eq oa ob in
-    fun () ->
-      cov env "pred.is";
-      let va = ca () in
-      let vb = cb () in
-      let t = compare_apply env prep va vb in
-      finish (if flip then Tvl.not_ t else t)
+    ( (fun () ->
+        cov env "pred.is";
+        let va = ca () in
+        let vb = cb () in
+        let t = compare_apply env prep va vb in
+        finish (if flip then Tvl.not_ t else t)),
+      ok_a && ok_b && lenient env )
   in
   let rejected msg =
     let err = Errors.make Errors.Invalid_function msg in
-    fun () ->
-      cov env "pred.is";
-      fail err
+    ( (fun () ->
+        cov env "pred.is";
+        fail err),
+      false )
   in
   match rhs with
   | A.Is_null ->
-      let ca = compile env arg in
-      fun () ->
-        cov env "pred.is";
-        finish (Tvl.of_bool (Value.is_null (ca ())))
-  | A.Is_true | A.Is_false -> (
+      let ca, ok = compile_checked env arg in
+      ( (fun () ->
+          cov env "pred.is";
+          finish (Tvl.of_bool (Value.is_null (ca ())))),
+        ok )
+  | A.Is_true | A.Is_false ->
       let want = match rhs with A.Is_true -> Tvl.True | _ -> Tvl.False in
       (* IS TRUE/FALSE of NULL is FALSE; IS NOT TRUE of NULL is TRUE —
          unless the injected Listing-1-adjacent bug flips it *)
@@ -1479,12 +1570,13 @@ and compile_is env ~negated arg rhs : pred =
         then Tvl.False
         else finish Tvl.False
       in
-      let ca = compile_pred env arg in
-      fun () ->
-        cov env "pred.is";
-        match ca () with
-        | Tvl.Unknown -> of_null
-        | t -> finish (Tvl.of_bool (Tvl.equal t want)))
+      let ca, ok = compile_pred_checked env arg in
+      ( (fun () ->
+          cov env "pred.is";
+          match ca () with
+          | Tvl.Unknown -> of_null
+          | t -> finish (Tvl.of_bool (Tvl.equal t want))),
+        ok )
   | A.Is_expr other ->
       if not (Dialect.equal dialect Dialect.Sqlite_like) then
         rejected "IS over scalars is sqlite-specific"
@@ -1493,3 +1585,6 @@ and compile_is env ~negated arg rhs : pred =
       if not (Dialect.equal dialect Dialect.Postgres_like) then
         rejected "IS DISTINCT FROM is postgres-specific"
       else null_safe other ~flip:true
+
+let compile env e = fst (compile_checked env e)
+let compile_pred env e = fst (compile_pred_checked env e)

@@ -69,6 +69,21 @@ val compile : env -> Sqlast.Ast.expr -> thunk
     building that value. *)
 val compile_pred : env -> Sqlast.Ast.expr -> pred
 
+(** {!compile}, also reporting whether the closure is infallible: [true]
+    only if no evaluation of it can raise, on any tuple, under [env]'s
+    dialect and bug set.  Each node vouches for itself and needs every
+    child to be infallible too; a node that does not vouch (an
+    unresolved column, a misused aggregate, a function outside the
+    dialect or with the wrong arity, ABS, LIKE ... ESCAPE, GLOB outside
+    sqlite, a rejected IS form, postgres's typed operators and truth
+    values, mysql and postgres integer overflow and division) counts as
+    fallible.  A compound query's set probe stops early only over
+    infallible expressions. *)
+val compile_checked : env -> Sqlast.Ast.expr -> thunk * bool
+
+(** {!compile_pred}, with the same infallibility report. *)
+val compile_pred_checked : env -> Sqlast.Ast.expr -> pred * bool
+
 (** [run f] calls [f] and returns its result, or the first evaluation
     error raised in it.  Callers wrap a statement's evaluation in one
     [run]; [Errors.Crash] is not caught. *)

@@ -13,11 +13,13 @@
    TRUE that the engine leaves out, a row it judges FALSE or NULL that
    the engine returns, or an engine error on a query the interpreter
    evaluates on every row.  Rows the interpreter refuses are not
-   compared.
+   compared.  Each expression the engine compiles as infallible
+   ([Eval.compile_pred_checked]) is also evaluated on every row, and
+   must not raise on any.
 
    Run: dune exec test/exprtable/exprtable.exe -- [-d DIALECT] [-b BUG]...
    Prints one summary line per dialect and the first disagreements; exits
-   1 iff there is a disagreement.  With an injected expression bug on
+   1 iff there is a disagreement or an infallible expression raised.  With an injected expression bug on
    (e.g. -b My_double_negation_fold -d mysql) it must find one. *)
 
 open Sqlval
@@ -225,6 +227,8 @@ type counts = {
   mutable engine_errors : int;
   mutable refusals : int;
   mutable disagreements : int;
+  mutable infallible : int;
+  mutable infallible_errors : int;
 }
 
 let max_shown = 10
@@ -291,6 +295,13 @@ let run_table ~bugs dialect counts (ta, tb) =
         (key, row, Pqs.Interp.env_of_pivot dialect [ (ti, row) ]))
       (Pqs.Schema_info.rows_of_table session "t0")
   in
+  let env =
+    let ctx = Engine.Session.ctx session in
+    match Storage.Catalog.find_table ctx.Engine.Executor.catalog "t0" with
+    | Some ts ->
+        Engine.Executor.table_env ctx ts.Storage.Catalog.schema ~alias:"t0"
+    | None -> failwith "no t0"
+  in
   let member = Hashtbl.create 512 in
   counts.tables <- counts.tables + 1;
   List.iter
@@ -317,6 +328,22 @@ let run_table ~bugs dialect counts (ta, tb) =
         counts.disagreements <- counts.disagreements + 1;
         counts.disagreements <= max_shown
       in
+      (match Engine.Eval.compile_pred_checked env e with
+      | pred, true ->
+          counts.infallible <- counts.infallible + 1;
+          List.iter
+            (fun (_, row, _) ->
+              env.Engine.Eval.cur := [| row |];
+              match Engine.Eval.run pred with
+              | Ok _ -> ()
+              | Error err ->
+                  counts.infallible_errors <- counts.infallible_errors + 1;
+                  if counts.infallible_errors <= max_shown then
+                    report dialect (type_name ta) (type_name tb) e
+                      "compiled infallible, but raised %s on row (%s)"
+                      (Engine.Errors.show err) (show_row row))
+            rows
+      | _, false -> ());
       match Engine.Session.query session query with
       | Error err ->
           counts.engine_errors <- counts.engine_errors + 1;
@@ -359,6 +386,8 @@ let run_dialect ~bugs dialect =
       engine_errors = 0;
       refusals = 0;
       disagreements = 0;
+      infallible = 0;
+      infallible_errors = 0;
     }
   in
   let types = column_types dialect in
@@ -367,11 +396,13 @@ let run_dialect ~bugs dialect =
     types;
   Printf.printf
     "exprtable %s: tables=%d queries=%d row_verdicts=%d engine_errors=%d \
-     interp_refusals=%d disagreements=%d\n\
+     interp_refusals=%d disagreements=%d infallible=%d \
+     infallible_errors=%d\n\
      %!"
     (Dialect.name dialect) counts.tables counts.queries counts.verdicts
-    counts.engine_errors counts.refusals counts.disagreements;
-  counts.disagreements
+    counts.engine_errors counts.refusals counts.disagreements counts.infallible
+    counts.infallible_errors;
+  counts.disagreements + counts.infallible_errors
 
 let () =
   let dialects = ref [] and bugs = ref [] in
@@ -400,7 +431,7 @@ let () =
     "exprtable [-d DIALECT]... [-b BUG]...";
   let dialects = if !dialects = [] then Dialect.all else !dialects in
   let bugs = Engine.Bug.set_of_list !bugs in
-  let disagreements =
+  let failures =
     List.fold_left (fun n d -> n + run_dialect ~bugs d) 0 dialects
   in
-  exit (if disagreements = 0 then 0 else 1)
+  exit (if failures = 0 then 0 else 1)

@@ -12,6 +12,8 @@
      rows it does not judge TRUE, in every dialect;
    - every expression-level injected bug is visible through the
      executor: its witness query disagrees with the interpreter;
+   - an expression compiled as infallible never raises on the fixture
+     rows, and shapes that can raise compile as fallible;
    - coverage parity: a compiled expression fires exactly the coverage
      points, with their multiplicity, of a golden table captured from the
      AST-walking evaluator the compiled one replaced;
@@ -24,6 +26,8 @@
    - the INTERSECT/EXCEPT probe: corpus containment statements and their
      EXCEPT twins (seeds 1-200 per dialect, bug-free and with the whole
      catalog) equal the result derived from the right SELECT run alone;
+     a probe settled early keeps the results and first errors of a full
+     run, and one whose WHERE, items and keys are infallible stops;
    - live rounds agree with replays of their logged scripts, and a
      campaign's per-seed rounds equal standalone rounds. *)
 
@@ -1164,26 +1168,32 @@ let test_per_row_allocation () =
 
 (* ---------- boolean and value contexts agree ---------- *)
 
+(* The env of the fixture's [t0]. *)
+let t0_env session =
+  let ctx = Engine.Session.ctx session in
+  let schema =
+    match Storage.Catalog.find_table ctx.Ex.catalog "t0" with
+    | Some ts -> ts.Storage.Catalog.schema
+    | None -> Alcotest.fail "no t0"
+  in
+  Ex.table_env ctx schema ~alias:"t0"
+
 (* [Eval.compile_pred] writes the boolean operators once and
    [Eval.compile] the value ones, each wrapping the other: on every
    generated expression and fixture row, the truth value (or error) of
    the one must be [Eval.value_tvl] of the other's value (or the same
-   error), bug-free and under each dialect's whole catalog. *)
+   error), bug-free and under each dialect's whole catalog.  And an
+   expression either context compiles as infallible returns no error
+   there. *)
 let test_bool_value_agreement () =
-  let checked = ref 0 in
+  let checked = ref 0 and infallible_checked = ref 0 in
   List.iter
     (fun dialect ->
       List.iter
         (fun bugs ->
           let session = fixture ~bugs dialect in
-          let ctx = Engine.Session.ctx session in
           let ti = table_info session "t0" in
-          let schema =
-            match Storage.Catalog.find_table ctx.Ex.catalog "t0" with
-            | Some ts -> ts.Storage.Catalog.schema
-            | None -> Alcotest.fail "no t0"
-          in
-          let env = Ex.table_env ctx schema ~alias:"t0" in
+          let env = t0_env session in
           let rows = Pqs.Schema_info.rows_of_table session "t0" in
           let pool =
             List.concat_map Array.to_list rows
@@ -1203,8 +1213,19 @@ let test_bool_value_agreement () =
             in
             List.iter
               (fun e ->
-                let pred = Engine.Eval.compile_pred env e
-                and value = Engine.Eval.compile env e in
+                let pred, pred_ok = Engine.Eval.compile_pred_checked env e
+                and value, value_ok = Engine.Eval.compile_checked env e in
+                let infallible context ok = function
+                  | Error err when ok ->
+                      Alcotest.failf
+                        "%s, %d bugs, %s: compiled infallible in %s context, \
+                         but raised %s"
+                        (Dialect.name dialect)
+                        (List.length (Engine.Bug.to_list bugs))
+                        (Sqlast.Sql_printer.expr dialect e)
+                        context (Engine.Errors.show err)
+                  | _ -> if ok then incr infallible_checked
+                in
                 List.iter
                   (fun row ->
                     env.Engine.Eval.cur := [| row |];
@@ -1213,6 +1234,8 @@ let test_bool_value_agreement () =
                       Engine.Eval.run (fun () ->
                           Engine.Eval.value_tvl env (value ()))
                     in
+                    infallible "boolean" pred_ok via_pred;
+                    infallible "value" value_ok (Engine.Eval.run value);
                     incr checked;
                     if show via_pred <> show via_value then
                       Alcotest.failf "%s, %d bugs, %s: %s in boolean context, %s \
@@ -1229,7 +1252,9 @@ let test_bool_value_agreement () =
           Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect);
         ])
     [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ];
-  Alcotest.(check bool) "compared enough evaluations" true (!checked > 15000)
+  Alcotest.(check bool) "compared enough evaluations" true (!checked > 15000);
+  Alcotest.(check bool) "checked enough infallible evaluations" true
+    (!infallible_checked > 20000)
 
 (* ---------- first error in evaluation order ---------- *)
 
@@ -1447,6 +1472,18 @@ let error_order_golden =
         "rows ";
         "rows ";
       ] );
+    ( "SELECT x2 FROM t0 WHERE c0 < 2 OR x1 = 1",
+      [
+        "error [No_such_column] no such column: x1";
+        "error [No_such_column] no such column: x1";
+        "error [No_such_column] no such column: x1";
+      ] );
+    ( "VALUES (1) INTERSECT SELECT x2 FROM t0 WHERE c0 < 2 OR x1 = 1",
+      [
+        "error [No_such_column] no such column: x1";
+        "error [No_such_column] no such column: x1";
+        "error [No_such_column] no such column: x1";
+      ] );
     ( "SELECT x1, x2 FROM t0",
       [
         "error [No_such_column] no such column: x1";
@@ -1568,6 +1605,156 @@ let test_error_order () =
         error_order_dialects expected)
     error_order_golden
 
+(* ---------- a probe that meets its answer early ---------- *)
+
+(* Each statement runs on a fresh session of its dialect holding [t];
+   the outcome is its rows or its first error.  The golden was captured
+   before probed SELECTs stopped at their answer: an error on a row
+   after the match still surfaces, and EXCEPT and an INTERSECT with
+   several left rows return the same rows. *)
+let sqlite_t =
+  [
+    "CREATE TABLE t(c0 INTEGER, c1 TEXT)";
+    "INSERT INTO t(c0, c1) VALUES (1, 'a'), (2, 'b'), (3, 'c'), (2, 'b')";
+  ]
+
+let probe_golden =
+  [
+    ( Dialect.Sqlite_like,
+      [
+        "CREATE TABLE t(c0 INTEGER)";
+        "INSERT INTO t(c0) VALUES (1), (-9223372036854775808)";
+      ],
+      "VALUES (1) INTERSECT SELECT c0 FROM t WHERE abs(c0) >= 0",
+      "error [Out_of_range] integer overflow" );
+    ( Dialect.Postgres_like,
+      [
+        "CREATE TABLE t(c0 BIGINT, c1 TEXT)";
+        "INSERT INTO t(c0, c1) VALUES (1, 'a'), (2, 'b')";
+      ],
+      "VALUES (1) INTERSECT SELECT c0 FROM t WHERE c0 = 1 OR c1 > 0",
+      "error [Type_error] operator does not exist: (Text \"b\") vs (Int 0L)" );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (1) EXCEPT SELECT c0 FROM t WHERE c0 > 0",
+      "rows " );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (2), (1) EXCEPT SELECT c0 FROM t WHERE c0 < 3",
+      "rows " );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (3, 'c'), (9, 'z') EXCEPT SELECT c0, c1 FROM t",
+      "rows (Int 9L)|(Text \"z\")" );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (1), (2), (7) INTERSECT SELECT c0 FROM t WHERE c0 > 0",
+      "rows (Int 1L); (Int 2L)" );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (2), (1), (2) INTERSECT SELECT DISTINCT c0 FROM t ORDER BY c0",
+      "rows (Int 2L); (Int 1L)" );
+    ( Dialect.Sqlite_like,
+      sqlite_t,
+      "VALUES (1) INTERSECT SELECT c0 FROM t WHERE c0 > 0 ORDER BY c1 + 1",
+      "rows (Int 1L)" );
+  ]
+
+let probe_outcome_in session sql =
+  match Engine.Session.execute session (parse_sql sql) with
+  | Ok (Engine.Session.Rows rs) -> "rows " ^ show_rows rs.Ex.rs_rows
+  | Ok _ -> "not rows"
+  | Error e -> "error " ^ Engine.Errors.show e
+
+let probe_outcome dialect setup sql =
+  let session = Engine.Session.create dialect in
+  List.iter (exec session) setup;
+  probe_outcome_in session sql
+
+let test_probe_golden () =
+  List.iter
+    (fun (dialect, setup, sql, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s (%s)" sql (Dialect.name dialect))
+        want
+        (probe_outcome dialect setup sql))
+    probe_golden
+
+(* A probed SELECT whose WHERE, items and keys are infallible stops at
+   the match: on a table whose first row matches, its FILTER event says
+   so and reads fewer tuples than the same SELECT run alone.  A fallible
+   WHERE runs to the end. *)
+let test_probe_stops () =
+  let dialect = Dialect.Sqlite_like in
+  let recorder = Trace.create ~capacity:256 () in
+  let session = Engine.Session.create ~recorder dialect in
+  List.iter (exec session) sqlite_t;
+  let filter sql =
+    Trace.begin_round recorder ~seed:0 ~dialect;
+    ignore (probe_outcome_in session sql);
+    match
+      List.filter_map
+        (fun (e : Trace.entry) ->
+          match e.Trace.event with
+          | Trace.Event.Op { op = "FILTER"; detail; rows_in; rows_out; _ } ->
+              Some (detail, rows_in, rows_out)
+          | _ -> None)
+        (Trace.events recorder)
+    with
+    | [ f ] -> f
+    | _ -> Alcotest.failf "%s: expected one FILTER event" sql
+  in
+  let event = Alcotest.(triple string int int) in
+  Alcotest.check event "alone" ("WHERE", 4, 4)
+    (filter "SELECT c0 FROM t WHERE c0 > 0");
+  Alcotest.check event "probed" ("WHERE (stopped)", 1, 1)
+    (filter "VALUES (1) INTERSECT SELECT c0 FROM t WHERE c0 > 0");
+  Alcotest.check event "two left keys" ("WHERE (stopped)", 2, 2)
+    (filter "VALUES (2), (1) EXCEPT SELECT c0 FROM t WHERE c0 > 0");
+  Alcotest.check event "fallible WHERE" ("WHERE", 4, 4)
+    (filter "VALUES (1) INTERSECT SELECT c0 FROM t WHERE abs(c0) > 0");
+  Alcotest.check event "fallible item" ("WHERE", 4, 4)
+    (filter "VALUES (1) INTERSECT SELECT abs(c0) FROM t WHERE c0 > 0");
+  Alcotest.check event "LIMIT" ("WHERE", 4, 4)
+    (filter "VALUES (1) INTERSECT SELECT c0 FROM t WHERE c0 > 0 LIMIT 9");
+  Alcotest.check event "never met" ("WHERE", 4, 4)
+    (filter "VALUES (7) INTERSECT SELECT c0 FROM t WHERE c0 > 0")
+
+(* ---------- infallible expressions ---------- *)
+
+(* Shapes that can raise come out fallible in both contexts; a plain
+   sqlite comparison conjunction is infallible. *)
+let test_fallible_cases () =
+  let infallible dialect sql =
+    let env = t0_env (fixture dialect) in
+    let e =
+      match Sqlparse.Parser.parse_expr sql with
+      | Ok e -> e
+      | Error err -> Alcotest.fail (Sqlparse.Parser.show_error err)
+    in
+    let _, value_ok = Engine.Eval.compile_checked env e
+    and _, pred_ok = Engine.Eval.compile_pred_checked env e in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (%s): both contexts agree" sql (Dialect.name dialect))
+      value_ok pred_ok;
+    value_ok
+  in
+  List.iter
+    (fun (dialect, sql) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s) is fallible" sql (Dialect.name dialect))
+        false (infallible dialect sql))
+    [
+      (Dialect.Sqlite_like, "abs(c0)");
+      (Dialect.Sqlite_like, "c1 LIKE c3 ESCAPE c0");
+      (Dialect.Sqlite_like, "x1 = 1");
+      (Dialect.Sqlite_like, "sum(c0) > 1");
+      (Dialect.Postgres_like, "c0 = 'a'");
+      (Dialect.Mysql_like, "c0 + 9223372036854775807");
+    ];
+  Alcotest.(check bool) "sqlite comparisons are infallible" true
+    (infallible Dialect.Sqlite_like "(c0 > 1) AND (c1 <> 'zz') OR c2 IS NULL")
+
 let () =
   Alcotest.run "compile"
     [
@@ -1582,6 +1769,7 @@ let () =
             test_error_order;
           Alcotest.test_case "boolean and value contexts agree" `Quick
             test_bool_value_agreement;
+          Alcotest.test_case "fallible shapes" `Quick test_fallible_cases;
         ] );
       ( "sweep",
         [
@@ -1604,6 +1792,10 @@ let () =
         [
           Alcotest.test_case "INTERSECT/EXCEPT probe equals the full pipeline"
             `Quick test_probe_equivalence;
+          Alcotest.test_case "a settled probe keeps results and errors" `Quick
+            test_probe_golden;
+          Alcotest.test_case "a settled infallible probe stops" `Quick
+            test_probe_stops;
         ] );
       ( "api",
         [

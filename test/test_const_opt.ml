@@ -419,6 +419,31 @@ let test_reducer () =
             (List.length reduced >= 2)
       | _ -> Alcotest.fail "detecting SELECT not kept last")
 
+(* A round draws pivots from views too, so the recheck tries the rows of
+   a view the containment query reads: the fixture's divergence, read
+   through a view, reproduces. *)
+let test_recheck_view () =
+  let q =
+    match fixture_check (fixture_session ()) with
+    | _, A.Q_compound (op, values, A.Q_select sel) ->
+        A.Q_compound
+          ( op,
+            values,
+            A.Q_select
+              { sel with A.sel_from = [ A.F_table { name = "v0"; alias = None } ] }
+          )
+    | _ -> Alcotest.fail "fixture check is not a compound"
+  in
+  let statements =
+    List.map parse_sql
+      (List.filter (fun s -> not (contains_sub "SELECT" s)) repro_script
+      @ [ "CREATE VIEW v0 AS SELECT * FROM t0" ])
+    @ [ A.Select_stmt q ]
+  in
+  Alcotest.(check bool) "divergence over a view reproduces" true
+    (Pqs.Reducer.manifestation_check ~dialect:Dialect.Sqlite_like
+       ~bugs:fold_bugs ~oracle:Pqs.Bug_report.Const_opt statements)
+
 let test_stats_merge () =
   let a =
     { Pqs.Stats.empty with Pqs.Stats.const_checks = 3; const_divergences = 1 }
@@ -481,6 +506,8 @@ let () =
             test_oracle_token;
           Alcotest.test_case "repro bundle replays" `Quick test_bundle_replay;
           Alcotest.test_case "reducer keeps the witness" `Quick test_reducer;
+          Alcotest.test_case "recheck pivots on views" `Quick
+            test_recheck_view;
           Alcotest.test_case "stats counters merge" `Quick test_stats_merge;
         ] );
     ]
