@@ -79,15 +79,10 @@ let site_group session ~name ~alias ~where ~distinct =
   | None -> None
   | Some ts -> (
       let schema = ts.Storage.Catalog.schema in
-      (* coverage is stripped: plan enumeration is oracle work and must
-         not add coverage hits the campaign would not have *)
+      (* the planner counts no coverage, so plan enumeration (oracle
+         work) adds no hits the campaign would not have *)
       let env =
-        {
-          (Engine.Executor.table_env (Engine.Session.ctx session) schema
-             ~alias)
-          with
-          Engine.Eval.coverage = None;
-        }
+        Engine.Executor.table_env (Engine.Session.ctx session) schema ~alias
       in
       let default = Engine.Planner.choose env catalog schema ~where in
       let dsig = Engine.Planner.signature default in

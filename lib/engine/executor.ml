@@ -271,7 +271,6 @@ let pk_index_of ctx (schema : Storage.Schema.table) =
    scan everything. *)
 let rec path_rowids ?(distinct = false) ctx (path : Planner.path) :
     int64 list option =
-  ignore distinct;
   match path with
   | Planner.Full_scan -> None
   | Planner.Index_eq { index; key } ->
@@ -393,6 +392,34 @@ let fetch_tuples heap rowids =
   in
   go [] rowids
 
+(* The access path of one base-table scan site, and whether it was
+   forced: a join side takes the full scan, any other site the forced
+   path that matches it, else the planner's default.  The planner's env
+   resolves the table's columns (values irrelevant) so collation and
+   affinity checks see the schema. *)
+let scan_path ctx ~in_join ~alias ~table (schema : Storage.Schema.table)
+    ~where =
+  if in_join then (Planner.Full_scan, false)
+  else
+    match forced_path_for ctx ~alias ~table ~where with
+    | Some p -> (p, true)
+    | None ->
+        ( Telemetry.Span.timed ctx.telemetry Telemetry.Phase.Plan (fun () ->
+              Planner.choose (table_env ctx schema ~alias) ctx.catalog schema
+                ~where),
+          false )
+
+(* coverage points of the paths, in [plan_index] order *)
+let plan_points = Array.map (fun label -> "plan." ^ label) plan_labels
+
+(* An executed scan's coverage: its path, and a DESC index range read. *)
+let count_plan ctx path =
+  match ctx.coverage with
+  | None -> ()
+  | Some c ->
+      Coverage.hit c plan_points.(plan_index path);
+      if Planner.reads_desc_range path then Coverage.hit c "plan.desc_index"
+
 (* Scan one base table under [where]: injected planner/index bug gates,
    access-path choice (with forced-plan override), rowid fetch, and the
    SCAN flight-recorder annotation, which reports how many [block_size]
@@ -484,33 +511,16 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             | Some A.E_csv -> cov ctx "ddl.engine_csv"
             | Some A.E_myisam -> cov ctx "ddl.engine_myisam"
             | Some A.E_innodb | None -> ());
-            (* planner only for single-table queries; its env resolves the
-               table's columns (values irrelevant) so collation/affinity
-               checks see the schema *)
-            let forced =
-              if fctx.in_join then None
-              else forced_path_for ctx ~alias:alias_name ~table:name ~where
+            let path, forced =
+              scan_path ctx ~in_join:fctx.in_join ~alias:alias_name ~table:name
+                schema ~where
             in
-            let path =
-              if fctx.in_join then Planner.Full_scan
-              else
-                let path =
-                  match forced with
-                  | Some p -> p
-                  | None ->
-                      Telemetry.Span.timed ctx.telemetry Telemetry.Phase.Plan
-                        (fun () ->
-                          Planner.choose
-                            (table_env ctx schema ~alias:alias_name)
-                            ctx.catalog schema ~where)
-                in
-                Telemetry.inc_handle ctx.profile.p_plan.(plan_index path);
-                path
-            in
+            if not fctx.in_join then
+              Telemetry.inc_handle ctx.profile.p_plan.(plan_index path);
+            count_plan ctx path;
             let shown_path =
               if tracing ctx then
-                Planner.show_path path
-                ^ if Option.is_some forced then " (forced)" else ""
+                Planner.show_path path ^ if forced then " (forced)" else ""
               else ""
             in
             if tracing ctx && not fctx.in_join then
@@ -540,7 +550,6 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             let rows =
               match path_rowids ~distinct:fctx.select.A.sel_distinct ctx path with
               | None ->
-                  cov ctx "plan.full_scan";
                   let rows = full_scan () in
                   if Telemetry.enabled ctx.telemetry then
                     Telemetry.inc_handle ~by:(List.length rows)

@@ -142,9 +142,27 @@ val swap_join_forced : ctx -> bool
     walks only when it is reached). *)
 type from_ctx = { in_join : bool; select : Sqlast.Ast.select }
 
+(** The access path of one base-table scan site and whether it was
+    forced: a join side ([in_join]) takes the full scan, any other site
+    the {!ctx.force} path that matches it ({!forced_path_for}), else
+    {!Planner.choose}'s default.  {!scan_rows} and EXPLAIN both take the
+    path from here, so EXPLAIN prints the path the scan takes.  Counts
+    nothing. *)
+val scan_path :
+  ctx ->
+  in_join:bool ->
+  alias:string ->
+  table:string ->
+  Storage.Schema.table ->
+  where:Sqlast.Ast.expr option ->
+  Planner.path * bool
+
 (** Scan one base table under [where]: injected planner/index bug gates,
-    access-path choice (honouring {!ctx.force}), rowid fetch, and the
-    SCAN flight-recorder annotation.  Returns the rows as one-binding
+    access-path choice ({!scan_path}), rowid fetch, and the SCAN
+    flight-recorder annotation.  Each executed scan counts its path: the
+    coverage point [plan.<Planner.label path>] (and [plan.desc_index] when
+    {!Planner.reads_desc_range}), and, outside a join, one
+    [minidb_plan_choices_total] choice.  Returns the rows as one-binding
     tuples ([[| values |]]), the shape {!Compile}'s FROM loop reads.  The
     SCAN event reports how many [block_size] batches the rows make. *)
 val scan_rows :

@@ -12,7 +12,7 @@ let swap_forced ctx =
   | Some f -> f.Executor.f_swap_join
   | None -> false
 
-let rec from_lines ctx (item : A.from_item) ~where : string list =
+let rec from_lines ctx ~in_join (item : A.from_item) ~where : string list =
   match item with
   | A.F_table { name; alias } -> (
       let label =
@@ -20,26 +20,14 @@ let rec from_lines ctx (item : A.from_item) ~where : string list =
       in
       match Storage.Catalog.find_table ctx.Executor.catalog name with
       | Some ts ->
-          let alias_name = Option.value ~default:name alias in
           let path, forced =
-            match
-              Executor.forced_path_for ctx ~alias:alias_name ~table:name ~where
-            with
-            | Some p -> (p, " (forced)")
-            | None ->
-                (* the same null-binding table-scoped env the executor
-                   plans with: column collations must resolve identically
-                   or EXPLAIN can print a different path than the one the
-                   executor takes *)
-                ( Planner.choose
-                    (Executor.table_env ctx ts.Storage.Catalog.schema
-                       ~alias:alias_name)
-                    ctx.Executor.catalog ts.Storage.Catalog.schema ~where,
-                  "" )
+            Executor.scan_path ctx ~in_join
+              ~alias:(Option.value ~default:name alias)
+              ~table:name ts.Storage.Catalog.schema ~where
           in
           [
             Printf.sprintf "SCAN %s USING %s%s" label (Planner.show_path path)
-              forced;
+              (if forced then " (forced)" else "");
           ]
       | None ->
           if Storage.Catalog.view_exists ctx.Executor.catalog name then
@@ -58,8 +46,8 @@ let rec from_lines ctx (item : A.from_item) ~where : string list =
             kw ^ " (forced swap)"
         | _ -> kw
       in
-      from_lines ctx left ~where:None
-      @ from_lines ctx right ~where:None
+      from_lines ctx ~in_join:true left ~where:None
+      @ from_lines ctx ~in_join:true right ~where:None
       @ [ kw ]
   | A.F_sub { alias; _ } -> [ Printf.sprintf "MATERIALIZE SUBQUERY AS %s" alias ]
 
@@ -78,9 +66,11 @@ let rec query_lines ctx (q : A.query) : string list =
   | A.Q_select s ->
       let scans =
         match s.A.sel_from with
-        | [ single ] -> from_lines ctx single ~where:s.A.sel_where
+        | [ single ] -> from_lines ctx ~in_join:false single ~where:s.A.sel_where
         | items ->
-            List.concat_map (fun it -> from_lines ctx it ~where:None) items
+            List.concat_map
+              (fun it -> from_lines ctx ~in_join:true it ~where:None)
+              items
             @
             if List.length items = 2 && swap_forced ctx then
               [ "SWAP JOIN ORDER (forced)" ]

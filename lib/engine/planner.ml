@@ -32,8 +32,6 @@ let rec show_path = function
       "skip-scan(" ^ index.Storage.Index.index_name ^ ")"
   | Or_union ps -> "or-union(" ^ String.concat "," (List.map show_path ps) ^ ")"
 
-let pp_path fmt p = Format.pp_print_string fmt (show_path p)
-
 (* Structural identity of a path: [show_path] omits probe keys and range
    bounds, so two different probes over the same index would collapse.
    Used to dedup enumerated candidates and to recognise the default. *)
@@ -74,6 +72,11 @@ let const_value env e =
     Result.to_option (Eval.run (Eval.compile env e))
   else None
 
+let non_null_const env e =
+  match const_value env e with
+  | Some v -> not (Value.is_null v)
+  | None -> false
+
 (* Is [e] a bare reference to [column] (possibly qualified)? *)
 let is_column_ref column = function
   | A.Col { column = c; _ } -> String.lowercase_ascii c = String.lowercase_ascii column
@@ -109,29 +112,19 @@ let implies_predicate env ~where ~predicate =
           match conj with
           (* sound: c = <non-null constant> implies c NOT NULL *)
           | A.Binary (A.Eq, a, b) -> (
-              let check side other =
-                is_column_ref col side
-                &&
-                match const_value env other with
-                | Some v -> not (Value.is_null v)
-                | None -> false
-              in
-              check a b || check b a)
+              (is_column_ref col a && non_null_const env b)
+              || (is_column_ref col b && non_null_const env a))
           (* unsound (Listing 1): c IS NOT <non-null constant>, including
              the NOT-wrapped spellings the rectifier produces *)
           | A.Is { negated = true; arg; rhs = A.Is_expr other }
           | A.Unary
               (A.Not, A.Is { negated = false; arg; rhs = A.Is_expr other })
           | A.Unary (A.Not, A.Binary (A.Null_safe_eq, arg, other))
-            when buggy && is_column_ref col arg -> (
-              match const_value env other with
-              | Some v -> not (Value.is_null v)
-              | None -> false)
+            when buggy && is_column_ref col arg ->
+              non_null_const env other
           | A.Unary (A.Not, A.Binary (A.Null_safe_eq, other, arg))
-            when buggy && is_column_ref col arg -> (
-              match const_value env other with
-              | Some v -> not (Value.is_null v)
-              | None -> false)
+            when buggy && is_column_ref col arg ->
+              non_null_const env other
           | _ -> false))
     where
 
@@ -171,10 +164,37 @@ let probe_class_ok env (table : Storage.Schema.table) column (v : Value.t) =
           | Datatype.Text | Datatype.Blob | Datatype.Bool), _ ->
             false)
 
-let cov env point =
-  match env.Eval.coverage with
-  | None -> ()
-  | Some c -> Coverage.hit c point
+(* The leading index column's DESC flag. *)
+let desc_leading (ix : Storage.Index.t) =
+  match ix.Storage.Index.definition with
+  | ic :: _ -> ic.A.ic_desc
+  | [] -> false
+
+let rec reads_desc_range = function
+  | Index_range { index; _ } -> desc_leading index
+  | Or_union ps -> List.exists reads_desc_range ps
+  | Full_scan | Index_eq _ | Index_like_prefix _ | Partial_index_scan _
+  | Skip_scan _ ->
+      false
+
+(* [lit OP col] read as [col OP' lit]: the comparison with its operands
+   swapped. *)
+let flip = function
+  | A.Lt -> A.Gt
+  | A.Le -> A.Ge
+  | A.Gt -> A.Lt
+  | A.Ge -> A.Le
+  | op -> op
+
+(* A comparison of [col] with another operand, as (operator, operand)
+   with [col] on the left; [col OP lit] is read first, so it wins when
+   both sides name the column. *)
+let comparison_with col = function
+  | A.Binary (((A.Eq | A.Lt | A.Le | A.Gt | A.Ge) as op), a, b) ->
+      if is_column_ref col a then Some (op, b)
+      else if is_column_ref col b then Some (flip op, a)
+      else None
+  | _ -> None
 
 (* Try to derive a probe/range path for one conjunct against one index.
    Only single-column indexes are probed: the b-tree compares full key
@@ -186,117 +206,61 @@ let conjunct_path env table (ix : Storage.Index.t) conj =
   match leading_column ix with
   | None -> None
   | Some col -> (
-      (* an index probe is valid only when the comparison collation equals
-         the index key collation *)
-      let coll_ok other_side =
-        let coll = Eval.comparison_collation env (A.col col) other_side in
-        Collation.equal coll (index_collation ix)
-      in
-      match conj with
-      | A.Binary (A.Eq, a, b) when is_column_ref col a -> (
-          match const_value env b with
+      match comparison_with col conj with
+      | Some (op, other) -> (
+          match const_value env other with
           | Some v
             when (not (Value.is_null v))
-                 && coll_ok b
-                 && probe_class_ok env table col v ->
-              Some (Index_eq { index = ix; key = [| probe_value env table col v |] })
-          | _ -> None)
-      | A.Binary (A.Eq, a, b) when is_column_ref col b -> (
-          match const_value env a with
-          | Some v
-            when (not (Value.is_null v))
-                 && coll_ok a
-                 && probe_class_ok env table col v ->
-              Some (Index_eq { index = ix; key = [| probe_value env table col v |] })
-          | _ -> None)
-      | A.Binary (((A.Lt | A.Le | A.Gt | A.Ge) as op), a, b)
-        when is_column_ref col a -> (
-          match const_value env b with
-          | Some v
-            when (not (Value.is_null v))
-                 && coll_ok b
+                 (* an index probe is valid only when the comparison
+                    collation equals the index key collation *)
+                 && Collation.equal
+                      (Eval.comparison_collation env (A.col col) other)
+                      (index_collation ix)
                  && probe_class_ok env table col v -> (
               let v = probe_value env table col v in
-              let desc =
-                match ix.Storage.Index.definition with
-                | ic :: _ -> ic.A.ic_desc
-                | [] -> false
-              in
-              let strict_lo_bug =
-                desc
-                && Dialect.equal env.Eval.dialect Dialect.Sqlite_like
-                && Bug.on env.Eval.bugs Bug.Sq_desc_index_range
-              in
-              if desc then cov env "plan.desc_index";
+              let range lo hi = Some (Index_range { index = ix; lo; hi }) in
               match op with
+              | A.Eq -> Some (Index_eq { index = ix; key = [| v |] })
               | A.Gt ->
-                  if strict_lo_bug then
+                  if
+                    desc_leading ix
+                    && Dialect.equal env.Eval.dialect Dialect.Sqlite_like
+                    && Bug.on env.Eval.bugs Bug.Sq_desc_index_range
+                  then
                     (* buggy: strict lower bound over a DESC index yields
                        an empty candidate set *)
-                    Some
-                      (Index_range
-                         { index = ix; lo = Some (v, false); hi = Some (v, false) })
-                  else Some (Index_range { index = ix; lo = Some (v, false); hi = None })
-              | A.Ge -> Some (Index_range { index = ix; lo = Some (v, true); hi = None })
-              | A.Lt -> Some (Index_range { index = ix; lo = None; hi = Some (v, false) })
-              | A.Le -> Some (Index_range { index = ix; lo = None; hi = Some (v, true) })
+                    range (Some (v, false)) (Some (v, false))
+                  else range (Some (v, false)) None
+              | A.Ge -> range (Some (v, true)) None
+              | A.Lt -> range None (Some (v, false))
+              | A.Le -> range None (Some (v, true))
               | _ -> None)
           | _ -> None)
-      | A.Binary (((A.Lt | A.Le | A.Gt | A.Ge) as op), a, b)
-        when is_column_ref col b -> (
-          (* mirrored orientation: lit OP col *)
-          match const_value env a with
-          | Some v
-            when (not (Value.is_null v))
-                 && coll_ok a
-                 && probe_class_ok env table col v -> (
-              let v = probe_value env table col v in
-              let desc =
-                match ix.Storage.Index.definition with
-                | ic :: _ -> ic.A.ic_desc
-                | [] -> false
+      | None -> (
+          match conj with
+          | A.Like
+              { negated = false; arg; pattern = A.Lit (Value.Text pat); escape = None }
+            when is_column_ref col arg ->
+              let case_sensitive =
+                match env.Eval.dialect with
+                | Dialect.Postgres_like -> true
+                | Dialect.Mysql_like -> false
+                | Dialect.Sqlite_like -> env.Eval.case_sensitive_like
               in
-              let strict_lo_bug =
-                desc
-                && Dialect.equal env.Eval.dialect Dialect.Sqlite_like
-                && Bug.on env.Eval.bugs Bug.Sq_desc_index_range
+              let compatible =
+                (case_sensitive
+                && Collation.equal (index_collation ix) Collation.Binary)
+                || ((not case_sensitive)
+                   && Collation.equal (index_collation ix) Collation.Nocase)
               in
-              if desc then cov env "plan.desc_index";
-              match op with
-              | A.Lt ->
-                  (* lit < col ⇔ col > lit *)
-                  if strict_lo_bug then
-                    Some
-                      (Index_range
-                         { index = ix; lo = Some (v, false); hi = Some (v, false) })
-                  else
-                    Some (Index_range { index = ix; lo = Some (v, false); hi = None })
-              | A.Le -> Some (Index_range { index = ix; lo = Some (v, true); hi = None })
-              | A.Gt -> Some (Index_range { index = ix; lo = None; hi = Some (v, false) })
-              | A.Ge -> Some (Index_range { index = ix; lo = None; hi = Some (v, true) })
-              | _ -> None)
-          | _ -> None)
-      | A.Like { negated = false; arg; pattern = A.Lit (Value.Text pat); escape = None }
-        when is_column_ref col arg -> (
-          let case_sensitive =
-            match env.Eval.dialect with
-            | Dialect.Postgres_like -> true
-            | Dialect.Mysql_like -> false
-            | Dialect.Sqlite_like -> env.Eval.case_sensitive_like
-          in
-          let compatible =
-            (case_sensitive && Collation.equal (index_collation ix) Collation.Binary)
-            || ((not case_sensitive)
-               && Collation.equal (index_collation ix) Collation.Nocase)
-          in
-          let prefix = Like_matcher.literal_prefix pat in
-          if
-            compatible
-            && String.length prefix > 0
-            && probe_class_ok env table col (Value.Text prefix)
-          then Some (Index_like_prefix { index = ix; prefix })
-          else None)
-      | _ -> None)
+              let prefix = Like_matcher.literal_prefix pat in
+              if
+                compatible
+                && String.length prefix > 0
+                && probe_class_ok env table col (Value.Text prefix)
+              then Some (Index_like_prefix { index = ix; prefix })
+              else None
+          | _ -> None))
 
 (* A skip-scan candidate: a multi-column index whose later column is
    constrained by an equality conjunct (the Listing 6 setting). *)
@@ -318,168 +282,105 @@ let skip_scan_applicable cs (ix : Storage.Index.t) =
       | _ -> false)
     cs
 
-(* usable indexes under a WHERE conjunction: total indexes always;
-   partial indexes only when the predicate is implied *)
-let usable_indexes env indexes cs =
-  List.filter
-    (fun ix ->
-      match ix.Storage.Index.where with
-      | None -> true
-      | Some pred -> implies_predicate env ~where:cs ~predicate:pred)
-    indexes
+(* A scan site's candidate paths, in groups, each group computed only as
+   far as it is read. *)
+type candidates = {
+  skips : path Seq.t; (* skip scans, not gated on ANALYZE *)
+  probes : path Seq.t; (* index probes, index-major, conjunct-minor *)
+  ors : path option Seq.t;
+      (* per OR conjunct, the union of each arm's first probe; [None]
+         when an arm has none *)
+  partials : path Seq.t; (* scans of the usable partial indexes *)
+}
 
-let choose env catalog (table : Storage.Schema.table) ~where =
-  let indexes =
-    Storage.Catalog.indexes_on catalog table.Storage.Schema.table_name
-  in
+let no_candidates =
+  { skips = Seq.empty; probes = Seq.empty; ors = Seq.empty; partials = Seq.empty }
+
+(* The planner counts no coverage: only an executed scan counts its plan,
+   so its constant folding runs without the coverage instrument. *)
+let candidates env catalog (table : Storage.Schema.table) ~where =
+  let env = { env with Eval.coverage = None } in
+  let name = table.Storage.Schema.table_name in
+  match where with
   (* a parent table's indexes do not cover postgres-inherited child rows:
      inheritance scans always go through the full append scan *)
-  if Storage.Catalog.children_of catalog table.Storage.Schema.table_name <> []
-  then Full_scan
-  else
-  match where with
-  | None -> Full_scan
-  | Some w -> (
+  | _ when Storage.Catalog.children_of catalog name <> [] -> no_candidates
+  | None -> no_candidates
+  | Some w ->
       let cs = conjuncts w in
-      let usable = usable_indexes env indexes cs in
-      (* 0. after ANALYZE the statistics make a multi-column index look
-         cheap: a skip-scan is preferred when a later index column is
-         constrained (the Listing 6 setting) *)
-      let skip_scan_of () =
-        if not catalog.Storage.Catalog.analyzed then None
-        else List.find_opt (skip_scan_applicable cs) usable
-      in
-      match skip_scan_of () with
-      | Some ix ->
-          cov env "plan.skip_scan";
-          Skip_scan { index = ix }
-      | None ->
-      (* 1. probe/range on a conjunct *)
-      let probe =
-        List.fold_left
-          (fun acc ix ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                List.fold_left
-                  (fun acc conj ->
-                    match acc with
-                    | Some _ -> acc
-                    | None -> conjunct_path env table ix conj)
-                  None cs)
-          None usable
-      in
-      match probe with
-      | Some p ->
-          (match p with
-          | Index_eq _ -> cov env "plan.index_eq"
-          | Index_range _ -> cov env "plan.index_range"
-          | Index_like_prefix _ -> cov env "plan.index_like_prefix"
-          | _ -> ());
-          p
-      | None -> (
-          (* 2. OR of two indexable equalities *)
-          let or_path =
-            let or_conjunct =
-              List.find_opt
-                (function A.Binary (A.Or, _, _) -> true | _ -> false)
-                cs
-            in
-            match or_conjunct with
-            | Some (A.Binary (A.Or, a, b)) -> (
-                let pa =
-                  List.fold_left
-                    (fun acc ix ->
-                      match acc with
-                      | Some _ -> acc
-                      | None -> conjunct_path env table ix a)
-                    None usable
-                in
-                let pb =
-                  List.fold_left
-                    (fun acc ix ->
-                      match acc with
-                      | Some _ -> acc
-                      | None -> conjunct_path env table ix b)
-                    None usable
-                in
-                match (pa, pb) with
-                | Some x, Some y ->
-                    cov env "plan.or_union";
-                    Some (Or_union [ x; y ])
-                | _ -> None)
-            | Some _ | None -> None
-          in
-          match or_path with
-          | Some p -> p
-          | None -> (
-              (* 3. scan a usable partial index covering the predicate *)
-              let partial =
-                List.find_opt (fun ix -> ix.Storage.Index.where <> None) usable
-              in
-              match partial with
-              | Some ix ->
-                  cov env "plan.partial_index";
-                  Partial_index_scan { index = ix }
-              | None ->
-                  cov env "plan.full_scan";
-                  Full_scan)))
-
-(* Enumerate every access path the engine could soundly take for [table]
-   under [where].  The list always starts with [Full_scan]; the
-   distinctive paths (skip scans, OR unions) come before plain probes so
-   a bounded fan-out keeps the plans most likely to disagree.  Unlike
-   [choose], the skip-scan candidate is not gated on ANALYZE: the
-   executor re-applies the full WHERE to every candidate row and indexes
-   store NULL keys, so any index read is a sound superset of the
-   matching rows regardless of statistics. *)
-let enumerate env catalog (table : Storage.Schema.table) ~where =
-  let indexes =
-    Storage.Catalog.indexes_on catalog table.Storage.Schema.table_name
-  in
-  if Storage.Catalog.children_of catalog table.Storage.Schema.table_name <> []
-  then [ Full_scan ]
-  else
-    match where with
-    | None -> [ Full_scan ]
-    | Some w ->
-        let cs = conjuncts w in
-        let usable = usable_indexes env indexes cs in
-        let skips =
-          List.filter (skip_scan_applicable cs) usable
-          |> List.map (fun ix -> Skip_scan { index = ix })
-        in
-        let first_path c =
-          List.fold_left
-            (fun acc ix ->
-              match acc with Some _ -> acc | None -> conjunct_path env table ix c)
-            None usable
-        in
-        let ors =
-          List.filter_map
-            (function
-              | A.Binary (A.Or, a, b) -> (
-                  match (first_path a, first_path b) with
-                  | Some x, Some y -> Some (Or_union [ x; y ])
-                  | _ -> None)
-              | _ -> None)
-            cs
-        in
-        let probes =
-          List.concat_map
-            (fun ix -> List.filter_map (conjunct_path env table ix) cs)
-            usable
-        in
-        let partials =
-          List.filter (fun ix -> ix.Storage.Index.where <> None) usable
-          |> List.map (fun ix -> Partial_index_scan { index = ix })
-        in
-        let seen = Hashtbl.create 8 in
+      (* usable indexes under the conjunction: total indexes always,
+         partial indexes only when their predicate is implied *)
+      let usable =
         List.filter
-          (fun p ->
-            let s = signature p in
-            if Hashtbl.mem seen s then false
-            else (
-              Hashtbl.add seen s ();
-              true))
-          (Full_scan :: (skips @ ors @ probes @ partials))
+          (fun ix ->
+            match ix.Storage.Index.where with
+            | None -> true
+            | Some pred -> implies_predicate env ~where:cs ~predicate:pred)
+          (Storage.Catalog.indexes_on catalog name)
+      in
+      let indexes = List.to_seq usable in
+      let first_probe c =
+        List.find_map (fun ix -> conjunct_path env table ix c) usable
+      in
+      {
+        skips =
+          Seq.filter_map
+            (fun ix ->
+              if skip_scan_applicable cs ix then Some (Skip_scan { index = ix })
+              else None)
+            indexes;
+        probes =
+          Seq.flat_map
+            (fun ix -> Seq.filter_map (conjunct_path env table ix) (List.to_seq cs))
+            indexes;
+        ors =
+          Seq.filter_map
+            (function
+              | A.Binary (A.Or, a, b) ->
+                  Some
+                    (match (first_probe a, first_probe b) with
+                    | Some x, Some y -> Some (Or_union [ x; y ])
+                    | _ -> None)
+              | _ -> None)
+            (List.to_seq cs);
+        partials =
+          Seq.filter_map
+            (fun ix ->
+              if ix.Storage.Index.where <> None then
+                Some (Partial_index_scan { index = ix })
+              else None)
+            indexes;
+      }
+
+let choose env catalog (table : Storage.Schema.table) ~where =
+  let c = candidates env catalog table ~where in
+  let first s f = match s () with Seq.Cons (p, _) -> p | Seq.Nil -> f () in
+  (* 0. after ANALYZE the statistics make a multi-column index look
+     cheap: a skip-scan is preferred when a later index column is
+     constrained (the Listing 6 setting) *)
+  let skips =
+    if catalog.Storage.Catalog.analyzed then c.skips else Seq.empty
+  in
+  first skips @@ fun () ->
+  (* 1. probe/range on a conjunct *)
+  first c.probes @@ fun () ->
+  (* 2. OR of two indexable conjuncts: the first OR conjunct only *)
+  match c.ors () with
+  | Seq.Cons (Some p, _) -> p
+  | Seq.Cons (None, _) | Seq.Nil ->
+      (* 3. scan a usable partial index covering the predicate *)
+      first c.partials @@ fun () -> Full_scan
+
+let enumerate env catalog (table : Storage.Schema.table) ~where =
+  let c = candidates env catalog table ~where in
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun p ->
+      let s = signature p in
+      if Hashtbl.mem seen s then false
+      else (
+        Hashtbl.add seen s ();
+        true))
+    (Full_scan
+    :: List.concat_map List.of_seq
+         [ c.skips; Seq.filter_map Fun.id c.ors; c.probes; c.partials ])

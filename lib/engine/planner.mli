@@ -29,7 +29,6 @@ type path =
   | Skip_scan of { index : Storage.Index.t }
   | Or_union of path list
 
-val pp_path : Format.formatter -> path -> unit
 val show_path : path -> string
 
 (** Structural identity of a path, including probe keys and range bounds
@@ -44,13 +43,22 @@ val label : path -> string
 (** Split an expression into its top-level AND conjuncts. *)
 val conjuncts : Sqlast.Ast.expr -> Sqlast.Ast.expr list
 
-(** Does the WHERE conjunction imply the partial index predicate?  The
-    sound rules accept a syntactically equal conjunct and the
-    equality-implies-NOT-NULL rule; the buggy rule (Listing 1) also accepts
-    [c IS NOT lit]. *)
-val implies_predicate :
-  Eval.env -> where:Sqlast.Ast.expr list -> predicate:Sqlast.Ast.expr -> bool
+(** Does the path read a DESC index range, directly or inside an OR
+    union?  An executed scan counts [plan.desc_index] when it does. *)
+val reads_desc_range : path -> bool
 
+(** The default access path: a policy over {!enumerate}'s candidates.
+    In order it takes a skip scan (only after ANALYZE), the first index
+    probe (index-major, conjunct-minor), the union of the first OR
+    conjunct's arms (when both arms have a probe), the first usable
+    partial index, and otherwise the full scan.  It builds only the
+    candidates it reads.
+
+    Neither [choose] nor {!enumerate} counts coverage: they plan in a
+    coverage-free copy of the environment, so their constant folding
+    counts nothing either.  The executed scan counts its own plan
+    ({!Executor.scan_rows}), so EXPLAIN and plan enumeration leave the
+    coverage counts as they are. *)
 val choose :
   Eval.env ->
   Storage.Catalog.t ->
@@ -59,12 +67,14 @@ val choose :
   path
 
 (** Every access path the engine could soundly take for this scan, the
-    full scan always first and [signature]-deduplicated.  The skip-scan
-    candidates are not gated on ANALYZE (any index read is a sound
-    superset since the executor re-applies the WHERE filter), so the
-    result is a superset of what [choose] can pick; it always contains
-    [choose]'s answer for the same arguments.  Deterministic: depends
-    only on the catalog, the schema and the WHERE clause. *)
+    full scan always first and [signature]-deduplicated: the skip scans,
+    the OR unions, the index probes, then the partial-index scans, so a
+    bounded fan-out keeps the plans most likely to disagree.  The
+    skip-scan candidates are not gated on ANALYZE (any index read is a
+    sound superset since the executor re-applies the WHERE filter, and
+    indexes store NULL keys), so the result always contains [choose]'s
+    answer for the same arguments.  Deterministic: depends only on the
+    catalog, the schema and the WHERE clause. *)
 val enumerate :
   Eval.env ->
   Storage.Catalog.t ->

@@ -106,12 +106,8 @@ let enumerate_paths session name ~where =
   | Some ts ->
       let schema = ts.Storage.Catalog.schema in
       let env =
-        {
-          (Engine.Executor.table_env (Engine.Session.ctx session) schema
-             ~alias:name)
-          with
-          Engine.Eval.coverage = None;
-        }
+        Engine.Executor.table_env (Engine.Session.ctx session) schema
+          ~alias:name
       in
       ( Engine.Planner.enumerate env catalog schema ~where,
         Engine.Planner.choose env catalog schema ~where )
@@ -222,6 +218,175 @@ let test_enumerate_deterministic () =
         ("same enumeration twice for " ^ name)
         (List.map Engine.Planner.signature paths1)
         (List.map Engine.Planner.signature paths2))
+
+(* ---------- planner golden ---------- *)
+
+(* The WHERE shapes the golden walks at one table's scan site: no filter,
+   and for each column against each of the first two rows' values an
+   equality and the four ranges in both orientations ([col OP lit] and
+   [lit OP col]), an OR and an AND with the next column, a LIKE prefix
+   and a NOT NULL test.  The drawn containment queries' own single-table
+   WHERE clauses are added by the caller. *)
+let golden_shapes session (ti : Pqs.Schema_info.table_info) =
+  let cols =
+    List.map
+      (fun (ci : Pqs.Schema_info.column_info) -> A.col ci.Pqs.Schema_info.ci_name)
+      ti.Pqs.Schema_info.ti_columns
+  in
+  let rows =
+    List.filteri (fun i _ -> i < 2)
+      (Pqs.Schema_info.rows_of_table session ti.Pqs.Schema_info.ti_name)
+  in
+  let n = List.length cols in
+  let shapes =
+    List.concat_map
+      (fun row ->
+        List.concat
+          (List.mapi
+             (fun i c ->
+               let v = A.Lit (if i < Array.length row then row.(i) else Value.Null) in
+               let j = (i + 1) mod n in
+               let c' = List.nth cols j in
+               let v' =
+                 A.Lit (if j < Array.length row then row.(j) else Value.Null)
+               in
+               let like =
+                 match v with
+                 | A.Lit (Value.Text s) when String.length s > 0 ->
+                     [
+                       A.Like
+                         {
+                           negated = false;
+                           arg = c;
+                           pattern = A.Lit (Value.Text (String.sub s 0 1 ^ "%"));
+                           escape = None;
+                         };
+                     ]
+                 | _ -> []
+               in
+               List.concat_map
+                 (fun op -> [ A.Binary (op, c, v); A.Binary (op, v, c) ])
+                 [ A.Eq; A.Lt; A.Le; A.Gt; A.Ge ]
+               @ [
+                   A.Binary (A.Or, A.Binary (A.Eq, c, v), A.Binary (A.Eq, v', c'));
+                   A.Binary (A.And, A.Binary (A.Gt, v, c), A.Binary (A.Eq, c', v'));
+                   A.Is { negated = true; arg = c; rhs = A.Is_null };
+                 ]
+               @ like)
+             cols))
+      rows
+  in
+  None :: List.map Option.some shapes
+
+(* Every scan site of the seed corpus (seeds 1-60) in each dialect:
+   each table under {!golden_shapes} and each drawn containment query's
+   single-table WHERE, planned with the DESC-range bug off and on, first
+   over the generated indexes, then again after adding a DESC index on
+   the first column, a composite index and a plain index on the second
+   column, and running ANALYZE (random DDL rarely makes a DESC
+   single-column index).  One line per site and bug set holds [choose]'s
+   signature and [enumerate]'s signatures; the digest of all of them was
+   taken before the planner's candidate generation and comparison arms
+   were merged, so any change to an access-path decision shows here. *)
+let test_planner_golden () =
+  let desc_bug = Engine.Bug.singleton Engine.Bug.Sq_desc_index_range in
+  let digest dialect =
+    let buf = Buffer.create (1 lsl 16) in
+    for seed = 1 to 60 do
+      let corpus = Pqs.Corpus.build ~seed dialect in
+      let session = corpus.Pqs.Corpus.session in
+      let catalog = Engine.Session.catalog session in
+      let drawn =
+        let sources = Pqs.Corpus.sources session in
+        List.init Pqs.Corpus.queries_per_seed (fun _ ->
+            Pqs.Corpus.query corpus sources)
+        |> List.filter_map (function
+             | Some (_, { Pqs.Gen_query.query = { A.sel_from = [ A.F_table { name; _ } ]; sel_where; _ }; _ }) ->
+                 Some (String.lowercase_ascii name, sel_where)
+             | _ -> None)
+      in
+      let plan_sites () =
+      List.iter
+        (fun (ti : Pqs.Schema_info.table_info) ->
+          let name = ti.Pqs.Schema_info.ti_name in
+          match Storage.Catalog.find_table catalog name with
+          | None -> ()
+          | Some ts ->
+              let schema = ts.Storage.Catalog.schema in
+              let wheres =
+                golden_shapes session ti
+                @ List.filter_map
+                    (fun (n, w) ->
+                      if n = String.lowercase_ascii name then Some w else None)
+                    drawn
+              in
+              List.iter
+                (fun where ->
+                  List.iter
+                    (fun bugs ->
+                      let env =
+                        {
+                          (Engine.Executor.table_env
+                             (Engine.Session.ctx session) schema ~alias:name)
+                          with
+                          Engine.Eval.bugs;
+                        }
+                      in
+                      Buffer.add_string buf
+                        (Engine.Planner.signature
+                           (Engine.Planner.choose env catalog schema ~where));
+                      List.iter
+                        (fun p ->
+                          Buffer.add_char buf ' ';
+                          Buffer.add_string buf (Engine.Planner.signature p))
+                        (Engine.Planner.enumerate env catalog schema ~where);
+                      Buffer.add_char buf '\n')
+                    [ Engine.Bug.empty_set; desc_bug ])
+                wheres)
+        (Pqs.Schema_info.tables_of_session session)
+      in
+      plan_sites ();
+      List.iter
+        (fun (ti : Pqs.Schema_info.table_info) ->
+          let t = ti.Pqs.Schema_info.ti_name in
+          let ic ?(desc = false) (ci : Pqs.Schema_info.column_info) =
+            { A.ic_expr = A.col ci.Pqs.Schema_info.ci_name; ic_collate = None; ic_desc = desc }
+          in
+          let mk suffix columns =
+            Pqs.Corpus.exec corpus
+              (A.Create_index
+                 {
+                   A.ci_name = "gx_" ^ t ^ "_" ^ suffix;
+                   ci_if_not_exists = false;
+                   ci_table = t;
+                   ci_unique = false;
+                   ci_columns = columns;
+                   ci_where = None;
+                 })
+          in
+          match ti.Pqs.Schema_info.ti_columns with
+          | c0 :: c1 :: _ ->
+              mk "desc" [ ic ~desc:true c0 ];
+              mk "comp" [ ic c0; ic c1 ];
+              mk "one" [ ic c1 ]
+          | [ c0 ] -> mk "desc" [ ic ~desc:true c0 ]
+          | [] -> ())
+        (Pqs.Schema_info.tables_of_session session);
+      Pqs.Corpus.exec corpus (A.Analyze None);
+      plan_sites ()
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  List.iter
+    (fun (dialect, expected) ->
+      Alcotest.(check string)
+        ("planner digest " ^ Dialect.show dialect)
+        expected (digest dialect))
+    [
+      (Dialect.Sqlite_like, "4d35937626bb1ec295d80dddb4738b57");
+      (Dialect.Mysql_like, "ff429adae450ff3d3ac32fb35af0c070");
+      (Dialect.Postgres_like, "19a31d09f5229c17a4f3557329c4fee6");
+    ]
 
 (* ---------- soundness on the correct engine ---------- *)
 
@@ -564,6 +729,7 @@ let () =
           Alcotest.test_case "default choice enumerated, no duplicates" `Quick
             test_enumerate_contains_default;
           Alcotest.test_case "deterministic" `Quick test_enumerate_deterministic;
+          Alcotest.test_case "planner golden" `Quick test_planner_golden;
         ] );
       ( "soundness",
         [

@@ -266,8 +266,10 @@ let test_draw_order () =
    threaded through the seeds as a one-domain campaign does).  Each round
    is digested through its counters, its frontier's points and each
    report's oracle, phase, message and statements.  The digests were taken
-   before the round was split into named stages; any change to what a
-   round counts, records or reports moves them. *)
+   before the round was split into named stages, and retaken when only the
+   executed scan came to count its plan (the frontier's plan.* hit counts
+   moved; with the plan.* points left out, the digests did not); any
+   change to what a round counts, records or reports moves them. *)
 let round_digest dialect ~all_bugs ~flags ~guided =
   let bugs =
     if all_bugs then Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect)
@@ -331,27 +333,27 @@ let test_round_golden () =
     [
       ( Dialect.Sqlite_like,
         [
-          "3df34874b1fae986441d0bee699f5625";
-          "78fecf27bd9d717f7e7d3467ff8946e3";
-          "944d37c01cece7039941004cd7ed63f3";
-          "629f7f07de0063f37b96c5b1d3522b94";
-          "0ebfe587343ad27d5af14fd17b6bb2c2";
+          "0e3d60723340ef20c9e22307f608fea4";
+          "330db1f28e0a5292331e1e46801d0c02";
+          "c493174b107bd3d2d1b5b6570ce7c73f";
+          "6928998d7e847c34f6c39eaca8075e2a";
+          "89ad9e036080ddf656e1791884ad9876";
         ] );
       ( Dialect.Mysql_like,
         [
-          "c66b0e8159ec0ae79f3343ec2e8b0a18";
-          "fff30f694585a639dbe0994bc5dd29ca";
-          "8554cfc2229ce9e4274e556c7f52a109";
-          "16ec363c66a7e77ef142972afed0c1ed";
-          "e387383fe91d95f86e6309748c3d6004";
+          "b179d6dc6498b6a875d78f6131621ad1";
+          "587ba27d2a03f071d2bfb31f126526d2";
+          "1420f218f4bde55b6c85e66ff62cd9db";
+          "51f28a7948b72d3570a37a4b05b77345";
+          "fc678d21dbd3ef54c83652bb33e7ec6e";
         ] );
       ( Dialect.Postgres_like,
         [
-          "a7dba224492d646a9e094f6a42f3c464";
-          "c00064a752db58b334eecaebd232dcd2";
-          "976df008cc46d1503eb1b89ab2788ea8";
-          "36873f3ac34f34c21d4b567c2b4237c1";
-          "ffdb44f2e4013e1c66f9a2ddac8ca0f4";
+          "a28de3a54cb8afb19158c3bc05fbf587";
+          "1b2d5fd88868dec935c9a16dc45e6626";
+          "a2938512f50d227ae97f45bba40d48ea";
+          "e302927023a99cae57a924b9973546d0";
+          "9015263d5170b3e4e3fad4573cf2abd3";
         ] );
     ]
 

@@ -353,13 +353,25 @@ let test_campaign_bundles () =
   let bugs = Engine.Bug.set_of_list (Engine.Bug.for_dialect dialect) in
   let dir = fresh_dir "pqs_bundles" in
   let run config = Pqs.Campaign.run ~domains:2 ~seed_lo:1 ~seed_hi:21 config in
-  let off = run (Pqs.Runner.Config.make ~bugs dialect) in
-  let on = run (Pqs.Runner.Config.make ~bugs ~bundle_dir:dir dialect) in
+  let coverage () = Engine.Coverage.create () in
+  let off = run (Pqs.Runner.Config.make ~bugs ~coverage:(coverage ()) dialect) in
+  let on =
+    run
+      (Pqs.Runner.Config.make ~bugs ~coverage:(coverage ()) ~bundle_dir:dir
+         dialect)
+  in
   Alcotest.(check bool) "campaign found bugs to compare" true
     (Pqs.Campaign.reports off <> []);
   Alcotest.(check bool) "identical report sets with tracing + bundles on" true
     (List.map report_key (Pqs.Campaign.reports off)
     = List.map report_key (Pqs.Campaign.reports on));
+  (* a bundle's EXPLAIN lines plan the query again; only an executed
+     scan counts its plan, so the frontier does not move *)
+  let frontier (c : Pqs.Campaign.t) =
+    Frontier.to_json ~universe:[] c.Pqs.Campaign.stats.Pqs.Stats.frontier
+  in
+  Alcotest.(check string) "identical frontiers with bundles on" (frontier off)
+    (frontier on);
   List.iter (check_bundle bugs) (Pqs.Campaign.reports on);
   (* reduction rewrites the bundle script in place; the reduced script
      must still replay to the same verdict *)
