@@ -60,8 +60,8 @@ val tally : unit -> tally
 val count : tally -> Sqlast.Ast.select -> unit
 
 (** The counted points, each with its count as hits and [seed] as
-    [first_seed]: equal to [Frontier.union_all] of [Frontier.of_points
-    ~seed (fingerprint q)] over the counted queries. *)
+    [first_seed]: the {!Frontier.union} of [Frontier.of_points ~seed
+    (fingerprint q)] over the counted queries. *)
 val tally_frontier : seed:int -> tally -> Frontier.t
 
 (** Every frontier point reachable for the dialect, in stable display

@@ -26,7 +26,6 @@ module Config = struct
   let with_rng rng t = { t with rng }
   let with_table_count table_count t = { t with table_count }
   let with_max_columns max_columns t = { t with max_columns }
-  let with_min_rows min_rows t = { t with min_rows }
   let with_max_rows max_rows t = { t with max_rows }
   let with_extra_statements extra_statements t = { t with extra_statements }
 end

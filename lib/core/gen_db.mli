@@ -35,7 +35,6 @@ module Config : sig
   val with_rng : Rng.t -> t -> t
   val with_table_count : int -> t -> t
   val with_max_columns : int -> t -> t
-  val with_min_rows : int -> t -> t
   val with_max_rows : int -> t -> t
   val with_extra_statements : int -> t -> t
 end

@@ -54,23 +54,6 @@ let tables_of_session session =
             })
     (Storage.Catalog.table_names catalog)
 
-let views_of_session session =
-  let catalog = Engine.Session.catalog session in
-  List.filter_map
-    (fun name ->
-      match Storage.Catalog.find_view catalog name with
-      | None -> None
-      | Some v -> (
-          (* derive output column names by running the view query *)
-          match
-            Engine.Compile.run_query
-              (Engine.Session.ctx session)
-              v.Storage.Catalog.view_query
-          with
-          | Ok rs -> Some (name, rs.Engine.Executor.rs_columns)
-          | Error _ -> Some (name, [])))
-    (Storage.Catalog.view_names catalog)
-
 let contains_substring needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

@@ -27,9 +27,6 @@ val pp_table_info : Format.formatter -> table_info -> unit
 (** Snapshot of the user tables (not views), in creation order. *)
 val tables_of_session : Engine.Session.t -> table_info list
 
-(** Views, with their (derived) output column names. *)
-val views_of_session : Engine.Session.t -> (string * string list) list
-
 (** Existing index names (for DROP INDEX / REINDEX generation). *)
 val index_names_of_session : Engine.Session.t -> string list
 

@@ -10,14 +10,6 @@ let state_name = function
   | Killed -> "killed"
   | Crashed -> "crashed"
 
-let state_of_name = function
-  | "running" -> Some Running
-  | "done" -> Some Done
-  | "stalled" -> Some Stalled
-  | "killed" -> Some Killed
-  | "crashed" -> Some Crashed
-  | _ -> None
-
 type shard = {
   sh_shard : int;
   sh_slot : int;

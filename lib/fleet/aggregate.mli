@@ -25,7 +25,6 @@ type shard_state =
   | Crashed  (** exited abnormally on its own (lease tail requeued) *)
 
 val state_name : shard_state -> string
-val state_of_name : string -> shard_state option
 
 type shard = {
   sh_shard : int;

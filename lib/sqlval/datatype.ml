@@ -71,14 +71,3 @@ let affinity = function
   | Text -> A_text
   | Blob -> A_none
   | Bool -> A_numeric
-
-let admits ty v =
-  match (ty, v) with
-  | _, Value.Null -> true
-  | Any, _ -> true
-  | (Int _ | Serial), Value.Int _ -> true
-  | Real, Value.(Real _ | Int _) -> true
-  | Text, Value.Text _ -> true
-  | Blob, Value.Blob _ -> true
-  | Bool, Value.Bool _ -> true
-  | (Int _ | Serial | Real | Text | Blob | Bool), _ -> false

@@ -42,7 +42,3 @@ type affinity = A_integer | A_real | A_text | A_blob | A_numeric | A_none
 val pp_affinity : Format.formatter -> affinity -> unit
 val equal_affinity : affinity -> affinity -> bool
 val affinity : t -> affinity
-
-(** Does a value of this exact storage class need no conversion? Used by the
-    strict (postgres-like) dialect for insert type checking. *)
-val admits : t -> Value.t -> bool

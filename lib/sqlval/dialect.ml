@@ -19,7 +19,3 @@ let display_name = function
   | Sqlite_like -> "SQLite"
   | Mysql_like -> "MySQL"
   | Postgres_like -> "PostgreSQL"
-
-let implicit_bool_conversion = function
-  | Sqlite_like | Mysql_like -> true
-  | Postgres_like -> false

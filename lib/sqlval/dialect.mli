@@ -20,8 +20,3 @@ val of_name : string -> t option
 (** Display name used in tables, mirroring the paper: "SQLite", "MySQL",
     "PostgreSQL". *)
 val display_name : t -> string
-
-(** Does the dialect convert arbitrary values to booleans implicitly in a
-    boolean context?  True for sqlite-like and mysql-like; the
-    postgres-like dialect requires genuine booleans (paper Section 3.2). *)
-val implicit_bool_conversion : t -> bool

@@ -68,8 +68,6 @@ let drop_table t name =
 
 let table_names t = List.map (fun (_, ts) -> ts.schema.Schema.table_name) t.tables
 
-let iter_tables f t = List.iter (fun (_, ts) -> f ts) t.tables
-
 (* postgres table inheritance: direct children of a table *)
 let children_of t name =
   List.filter_map
@@ -136,7 +134,6 @@ let statistics_on t table = List.filter (fun (_, s) -> norm s.stat_table = norm 
 
 let corrupt t msg = if t.corruption = None then t.corruption <- Some msg
 let corruption t = t.corruption
-let clear_corruption t = t.corruption <- None
 
 (* ---- snapshots (transactions) ---- *)
 

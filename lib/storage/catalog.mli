@@ -50,7 +50,6 @@ val add_table : t -> Schema.table -> table_state
 val drop_table : t -> string -> bool
 
 val table_names : t -> string list
-val iter_tables : (table_state -> unit) -> t -> unit
 
 (** Direct postgres-inheritance children of a table. *)
 val children_of : t -> string -> string list
@@ -86,7 +85,6 @@ val statistics_on : t -> string -> statistics list
 val corrupt : t -> string -> unit
 
 val corruption : t -> string option
-val clear_corruption : t -> unit
 
 (** {2 Snapshots (transactions)} *)
 

@@ -10,9 +10,6 @@ type t = {
   (* read-path profiling: full scans started and rows they produced *)
   mutable scans : int;
   mutable rows_scanned : int;
-  (* point fetches by rowid: flight-recorder operator annotations read
-     deltas of this around index-driven lookups *)
-  mutable lookups : int;
   mutable order : int64 list option; (* sorted rowids, [None] when stale *)
 }
 
@@ -22,12 +19,10 @@ let create () =
     next_rowid = 1L;
     scans = 0;
     rows_scanned = 0;
-    lookups = 0;
     order = None;
   }
 
 let profile h = (h.scans, h.rows_scanned)
-let lookup_count h = h.lookups
 
 let note_scan h =
   h.scans <- h.scans + 1;
@@ -59,9 +54,7 @@ let delete h rowid =
   Hashtbl.remove h.rows rowid;
   h.order <- None
 
-let find h rowid =
-  h.lookups <- h.lookups + 1;
-  Hashtbl.find_opt h.rows rowid
+let find h rowid = Hashtbl.find_opt h.rows rowid
 
 let rowids_sorted h =
   match h.order with
@@ -93,7 +86,6 @@ let copy h =
     next_rowid = h.next_rowid;
     scans = 0;
     rows_scanned = 0;
-    lookups = 0;
     order = h.order;
   }
 
@@ -105,11 +97,5 @@ let deep_copy h =
     next_rowid = h.next_rowid;
     scans = 0;
     rows_scanned = 0;
-    lookups = 0;
     order = h.order;
   }
-
-let nth_row h n =
-  match List.nth_opt (rowids_sorted h) n with
-  | None -> None
-  | Some id -> Hashtbl.find_opt h.rows id

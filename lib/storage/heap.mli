@@ -10,7 +10,6 @@ type t = {
   mutable next_rowid : int64;
   mutable scans : int;  (** full scans started (read-path profiling) *)
   mutable rows_scanned : int;  (** rows those scans produced *)
-  mutable lookups : int;  (** point fetches by rowid ({!find}) *)
   mutable order : int64 list option;
       (** cached {!rowids_sorted}; [None] when a write made it stale *)
 }
@@ -46,12 +45,6 @@ val copy : t -> t
 (** Deep copy: fresh rows, used by transaction snapshots. *)
 val deep_copy : t -> t
 
-val nth_row : t -> int -> Row.t option
-
 (** [(scans, rows_scanned)] accumulated by {!iter}/{!to_list} over this
     heap's lifetime; copies start from zero. *)
 val profile : t -> int * int
-
-(** Point fetches by rowid since creation; flight-recorder operator
-    annotations read deltas of this around index-driven row lookups. *)
-val lookup_count : t -> int

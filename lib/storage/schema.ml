@@ -94,23 +94,7 @@ let find_column t name =
   in
   go 0
 
-let column_index t name =
-  match find_column t name with Some (i, _) -> Some i | None -> None
-
-let column_names t = Array.to_list (Array.map (fun c -> c.name) t.columns)
 let width t = Array.length t.columns
-
-let has_explicit_pk t = t.primary_key <> []
-
-(* All UNIQUE column sets that must be enforced: the PK, column-level
-   uniques, and table-level uniques. *)
-let unique_sets t =
-  let col_uniques =
-    Array.to_list t.columns
-    |> List.filter_map (fun c -> if c.single_unique then Some [ c.name ] else None)
-  in
-  let pk = if t.primary_key = [] then [] else [ t.primary_key ] in
-  pk @ col_uniques @ t.table_uniques
 
 let copy_table t =
   {

@@ -77,14 +77,7 @@ val lower_name : string -> string
 (** Case-insensitive column lookup; returns the index and the column. *)
 val find_column : table -> string -> (int * column) option
 
-val column_index : table -> string -> int option
-val column_names : table -> string list
 val width : table -> int
-val has_explicit_pk : table -> bool
-
-(** All UNIQUE column sets that must be enforced: the PK, column-level
-    uniques, and table-level uniques. *)
-val unique_sets : table -> string list list
 
 (** Copy with fresh mutable arrays (transaction snapshots). *)
 val copy_table : table -> table

@@ -44,8 +44,6 @@ let rec union a b =
       else if c > 0 then (pb, eb) :: union a rb
       else (pa, combine ea eb) :: union ra rb
 
-let union_all = List.fold_left union empty
-
 let copy t =
   List.map
     (fun (p, e) -> (String.sub p 0 (String.length p), { e with hits = e.hits }))

@@ -38,8 +38,6 @@ val of_points : seed:int -> string list -> t
     counts add, [first_seed] takes the minimum. *)
 val union : t -> t -> t
 
-val union_all : t list -> t
-
 (** A copy that shares no point string or entry with [t].  A frontier
     merged from many rounds' frontiers shares theirs, and keeping it
     would keep alive every major-heap pool those were allocated in. *)

@@ -284,6 +284,8 @@ module Bundle = struct
       Printf.sprintf "-- message: %s" (one_line b.b_message);
     ]
 
+  (* the [repro.sql] content: a [-- key: value] self-describing header
+     followed by the replayable script *)
   let script_text b =
     String.concat "\n"
       (header b

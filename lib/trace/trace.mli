@@ -133,10 +133,6 @@ module Bundle : sig
     b_trace_json : string;  (** drained recorder ({!to_json}) *)
   }
 
-  (** The [repro.sql] content: a [-- key: value] self-describing header
-      followed by the replayable script. *)
-  val script_text : t -> string
-
   (** [bundle-<seed>-<oracle>], the directory written by {!write}. *)
   val dir_name : t -> string
 
