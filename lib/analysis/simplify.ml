@@ -303,8 +303,19 @@ let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
               match Const_fold.fold_tvl env scond with
               | Some Tvl.True ->
                   let res' = simp ~bool_ctx:false (loc ^ ".then") res in
-                  note "truncate-case" bloc scond res';
-                  (List.rev kept, Some res')
+                  if kept = [] && E.column_meta env res' <> None then begin
+                    (* the CASE would collapse to a metadata-bearing root
+                       (a column, CAST or COLLATE), handing an enclosing
+                       comparison an affinity or collation the CASE does
+                       not have: the taken branch stays a one-branch CASE *)
+                    if rest <> [] || else_ <> None then
+                      note "truncate-case" bloc scond res';
+                    ([ (scond, res') ], None)
+                  end
+                  else begin
+                    note "truncate-case" bloc scond res';
+                    (List.rev kept, Some res')
+                  end
               | Some (Tvl.False | Tvl.Unknown) ->
                   note "prune-case-branch" bloc scond
                     (A.Lit (E.bool_value dialect Tvl.False));
@@ -316,7 +327,15 @@ let one_pass (env : E.env) ~trail (root : A.expr) : A.expr =
                     rest)
         in
         match walk 1 [] branches with
-        | [], Some r -> r
+        | [], Some r when E.column_meta env r = None -> r
+        | [], Some r ->
+            (* an ELSE result with metadata: the same one-branch CASE *)
+            A.Case
+              {
+                operand = None;
+                branches = [ (A.Lit (E.bool_value dialect Tvl.True), r) ];
+                else_ = None;
+              }
         | [], None -> A.Lit Value.Null
         | kept, else' -> A.Case { operand = None; branches = kept; else_ = else' })
   in
