@@ -7,11 +7,6 @@
 
 module A = Sqlast.Ast
 
-let swap_forced ctx =
-  match ctx.Executor.force with
-  | Some f -> f.Executor.f_swap_join
-  | None -> false
-
 let rec from_lines ctx ~in_join (item : A.from_item) ~where : string list =
   match item with
   | A.F_table { name; alias } -> (
@@ -42,7 +37,7 @@ let rec from_lines ctx ~in_join (item : A.from_item) ~where : string list =
       in
       let kw =
         match kind with
-        | (A.Inner | A.Cross) when swap_forced ctx ->
+        | (A.Inner | A.Cross) when Executor.swap_join_forced ctx ->
             kw ^ " (forced swap)"
         | _ -> kw
       in
@@ -72,7 +67,7 @@ let rec query_lines ctx (q : A.query) : string list =
               (fun it -> from_lines ctx ~in_join:true it ~where:None)
               items
             @
-            if List.length items = 2 && swap_forced ctx then
+            if List.length items = 2 && Executor.swap_join_forced ctx then
               [ "SWAP JOIN ORDER (forced)" ]
             else []
       in

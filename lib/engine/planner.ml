@@ -282,24 +282,30 @@ let skip_scan_applicable cs (ix : Storage.Index.t) =
       | _ -> false)
     cs
 
-(* A scan site's candidate paths, in groups, each group computed only as
-   far as it is read. *)
+(* A scan site's candidate paths, in groups; each group calls its
+   argument on its candidates in order, computed one at a time, so a
+   caller that raises out of it computes no later candidate. *)
 type candidates = {
-  skips : path Seq.t; (* skip scans, not gated on ANALYZE *)
-  probes : path Seq.t; (* index probes, index-major, conjunct-minor *)
-  ors : path option Seq.t;
+  skips : (path -> unit) -> unit; (* skip scans, not gated on ANALYZE *)
+  probes : (path -> unit) -> unit;
+      (* index probes, index-major, conjunct-minor *)
+  ors : (path option -> unit) -> unit;
       (* per OR conjunct, the union of each arm's first probe; [None]
          when an arm has none *)
-  partials : path Seq.t; (* scans of the usable partial indexes *)
+  partials : (path -> unit) -> unit; (* scans of the usable partial indexes *)
 }
 
 let no_candidates =
-  { skips = Seq.empty; probes = Seq.empty; ors = Seq.empty; partials = Seq.empty }
+  let none _ = () in
+  { skips = none; probes = none; ors = none; partials = none }
 
 (* The planner counts no coverage: only an executed scan counts its plan,
    so its constant folding runs without the coverage instrument. *)
 let candidates env catalog (table : Storage.Schema.table) ~where =
-  let env = { env with Eval.coverage = None } in
+  let env =
+    if Option.is_none env.Eval.coverage then env
+    else { env with Eval.coverage = None }
+  in
   let name = table.Storage.Schema.table_name in
   match where with
   (* a parent table's indexes do not cover postgres-inherited child rows:
@@ -310,69 +316,82 @@ let candidates env catalog (table : Storage.Schema.table) ~where =
       let cs = conjuncts w in
       (* usable indexes under the conjunction: total indexes always,
          partial indexes only when their predicate is implied *)
-      let usable =
+      match
         List.filter
           (fun ix ->
             match ix.Storage.Index.where with
             | None -> true
             | Some pred -> implies_predicate env ~where:cs ~predicate:pred)
           (Storage.Catalog.indexes_on catalog name)
-      in
-      let indexes = List.to_seq usable in
+      with
+      | [] -> no_candidates
+      | usable ->
       let first_probe c =
         List.find_map (fun ix -> conjunct_path env table ix c) usable
       in
       {
         skips =
-          Seq.filter_map
-            (fun ix ->
-              if skip_scan_applicable cs ix then Some (Skip_scan { index = ix })
-              else None)
-            indexes;
+          (fun f ->
+            List.iter
+              (fun ix ->
+                if skip_scan_applicable cs ix then f (Skip_scan { index = ix }))
+              usable);
         probes =
-          Seq.flat_map
-            (fun ix -> Seq.filter_map (conjunct_path env table ix) (List.to_seq cs))
-            indexes;
+          (fun f ->
+            List.iter
+              (fun ix ->
+                List.iter
+                  (fun c -> Option.iter f (conjunct_path env table ix c))
+                  cs)
+              usable);
         ors =
-          Seq.filter_map
-            (function
-              | A.Binary (A.Or, a, b) ->
-                  Some
-                    (match (first_probe a, first_probe b) with
-                    | Some x, Some y -> Some (Or_union [ x; y ])
-                    | _ -> None)
-              | _ -> None)
-            (List.to_seq cs);
+          (fun f ->
+            List.iter
+              (function
+                | A.Binary (A.Or, a, b) ->
+                    f
+                      (match (first_probe a, first_probe b) with
+                      | Some x, Some y -> Some (Or_union [ x; y ])
+                      | _ -> None)
+                | _ -> ())
+              cs);
         partials =
-          Seq.filter_map
-            (fun ix ->
-              if ix.Storage.Index.where <> None then
-                Some (Partial_index_scan { index = ix })
-              else None)
-            indexes;
+          (fun f ->
+            List.iter
+              (fun ix ->
+                if ix.Storage.Index.where <> None then
+                  f (Partial_index_scan { index = ix }))
+              usable);
       }
+
+exception Chosen of path
 
 let choose env catalog (table : Storage.Schema.table) ~where =
   let c = candidates env catalog table ~where in
-  let first s f = match s () with Seq.Cons (p, _) -> p | Seq.Nil -> f () in
-  (* 0. after ANALYZE the statistics make a multi-column index look
-     cheap: a skip-scan is preferred when a later index column is
-     constrained (the Listing 6 setting) *)
-  let skips =
-    if catalog.Storage.Catalog.analyzed then c.skips else Seq.empty
-  in
-  first skips @@ fun () ->
-  (* 1. probe/range on a conjunct *)
-  first c.probes @@ fun () ->
-  (* 2. OR of two indexable conjuncts: the first OR conjunct only *)
-  match c.ors () with
-  | Seq.Cons (Some p, _) -> p
-  | Seq.Cons (None, _) | Seq.Nil ->
-      (* 3. scan a usable partial index covering the predicate *)
-      first c.partials @@ fun () -> Full_scan
+  let take p = raise_notrace (Chosen p) in
+  match
+    (* 0. after ANALYZE the statistics make a multi-column index look
+       cheap: a skip-scan is preferred when a later index column is
+       constrained (the Listing 6 setting) *)
+    if catalog.Storage.Catalog.analyzed then c.skips take;
+    (* 1. probe/range on a conjunct *)
+    c.probes take;
+    (* 2. OR of two indexable conjuncts: the first OR conjunct only *)
+    (try c.ors (fun o -> Option.iter take o; raise_notrace Exit)
+     with Exit -> ());
+    (* 3. scan a usable partial index covering the predicate *)
+    c.partials take
+  with
+  | () -> Full_scan
+  | exception Chosen p -> p
 
 let enumerate env catalog (table : Storage.Schema.table) ~where =
   let c = candidates env catalog table ~where in
+  let all group =
+    let acc = ref [] in
+    group (fun p -> acc := p :: !acc);
+    List.rev !acc
+  in
   let seen = Hashtbl.create 8 in
   List.filter
     (fun p ->
@@ -382,5 +401,10 @@ let enumerate env catalog (table : Storage.Schema.table) ~where =
         Hashtbl.add seen s ();
         true))
     (Full_scan
-    :: List.concat_map List.of_seq
-         [ c.skips; Seq.filter_map Fun.id c.ors; c.probes; c.partials ])
+    :: List.concat
+         [
+           all c.skips;
+           List.filter_map Fun.id (all c.ors);
+           all c.probes;
+           all c.partials;
+         ])
