@@ -295,24 +295,22 @@ type candidates = {
   partials : (path -> unit) -> unit; (* scans of the usable partial indexes *)
 }
 
-let no_candidates =
-  let none _ = () in
-  { skips = none; probes = none; ors = none; partials = none }
-
-(* The planner counts no coverage: only an executed scan counts its plan,
-   so its constant folding runs without the coverage instrument. *)
+(* The candidate groups of a scan site; [None] when the full scan is
+   its only path.  The planner counts no coverage: only an executed scan
+   counts its plan, so its constant folding runs without the coverage
+   instrument. *)
 let candidates env catalog (table : Storage.Schema.table) ~where =
-  let env =
-    if Option.is_none env.Eval.coverage then env
-    else { env with Eval.coverage = None }
-  in
   let name = table.Storage.Schema.table_name in
-  match where with
+  match (where, Storage.Catalog.indexes_on catalog name) with
+  | None, _ | _, [] -> None
   (* a parent table's indexes do not cover postgres-inherited child rows:
      inheritance scans always go through the full append scan *)
-  | _ when Storage.Catalog.children_of catalog name <> [] -> no_candidates
-  | None -> no_candidates
-  | Some w ->
+  | _ when Storage.Catalog.children_of catalog name <> [] -> None
+  | Some w, indexes -> (
+      let env =
+        if Option.is_none env.Eval.coverage then env
+        else { env with Eval.coverage = None }
+      in
       let cs = conjuncts w in
       (* usable indexes under the conjunction: total indexes always,
          partial indexes only when their predicate is implied *)
@@ -322,89 +320,95 @@ let candidates env catalog (table : Storage.Schema.table) ~where =
             match ix.Storage.Index.where with
             | None -> true
             | Some pred -> implies_predicate env ~where:cs ~predicate:pred)
-          (Storage.Catalog.indexes_on catalog name)
+          indexes
       with
-      | [] -> no_candidates
+      | [] -> None
       | usable ->
-      let first_probe c =
-        List.find_map (fun ix -> conjunct_path env table ix c) usable
-      in
-      {
-        skips =
-          (fun f ->
-            List.iter
-              (fun ix ->
-                if skip_scan_applicable cs ix then f (Skip_scan { index = ix }))
-              usable);
-        probes =
-          (fun f ->
-            List.iter
-              (fun ix ->
-                List.iter
-                  (fun c -> Option.iter f (conjunct_path env table ix c))
-                  cs)
-              usable);
-        ors =
-          (fun f ->
-            List.iter
-              (function
-                | A.Binary (A.Or, a, b) ->
-                    f
-                      (match (first_probe a, first_probe b) with
-                      | Some x, Some y -> Some (Or_union [ x; y ])
-                      | _ -> None)
-                | _ -> ())
-              cs);
-        partials =
-          (fun f ->
-            List.iter
-              (fun ix ->
-                if ix.Storage.Index.where <> None then
-                  f (Partial_index_scan { index = ix }))
-              usable);
-      }
+          let first_probe c =
+            List.find_map (fun ix -> conjunct_path env table ix c) usable
+          in
+          Some
+            {
+              skips =
+                (fun f ->
+                  List.iter
+                    (fun ix ->
+                      if skip_scan_applicable cs ix then
+                        f (Skip_scan { index = ix }))
+                    usable);
+              probes =
+                (fun f ->
+                  List.iter
+                    (fun ix ->
+                      List.iter
+                        (fun c -> Option.iter f (conjunct_path env table ix c))
+                        cs)
+                    usable);
+              ors =
+                (fun f ->
+                  List.iter
+                    (function
+                      | A.Binary (A.Or, a, b) ->
+                          f
+                            (match (first_probe a, first_probe b) with
+                            | Some x, Some y -> Some (Or_union [ x; y ])
+                            | _ -> None)
+                      | _ -> ())
+                    cs);
+              partials =
+                (fun f ->
+                  List.iter
+                    (fun ix ->
+                      if ix.Storage.Index.where <> None then
+                        f (Partial_index_scan { index = ix }))
+                    usable);
+            })
 
 exception Chosen of path
 
 let choose env catalog (table : Storage.Schema.table) ~where =
-  let c = candidates env catalog table ~where in
-  let take p = raise_notrace (Chosen p) in
-  match
-    (* 0. after ANALYZE the statistics make a multi-column index look
-       cheap: a skip-scan is preferred when a later index column is
-       constrained (the Listing 6 setting) *)
-    if catalog.Storage.Catalog.analyzed then c.skips take;
-    (* 1. probe/range on a conjunct *)
-    c.probes take;
-    (* 2. OR of two indexable conjuncts: the first OR conjunct only *)
-    (try c.ors (fun o -> Option.iter take o; raise_notrace Exit)
-     with Exit -> ());
-    (* 3. scan a usable partial index covering the predicate *)
-    c.partials take
-  with
-  | () -> Full_scan
-  | exception Chosen p -> p
+  match candidates env catalog table ~where with
+  | None -> Full_scan
+  | Some c -> (
+      let take p = raise_notrace (Chosen p) in
+      match
+        (* 0. after ANALYZE the statistics make a multi-column index look
+           cheap: a skip-scan is preferred when a later index column is
+           constrained (the Listing 6 setting) *)
+        if catalog.Storage.Catalog.analyzed then c.skips take;
+        (* 1. probe/range on a conjunct *)
+        c.probes take;
+        (* 2. OR of two indexable conjuncts: the first OR conjunct only *)
+        (try c.ors (fun o -> Option.iter take o; raise_notrace Exit)
+         with Exit -> ());
+        (* 3. scan a usable partial index covering the predicate *)
+        c.partials take
+      with
+      | () -> Full_scan
+      | exception Chosen p -> p)
 
 let enumerate env catalog (table : Storage.Schema.table) ~where =
-  let c = candidates env catalog table ~where in
-  let all group =
-    let acc = ref [] in
-    group (fun p -> acc := p :: !acc);
-    List.rev !acc
-  in
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun p ->
-      let s = signature p in
-      if Hashtbl.mem seen s then false
-      else (
-        Hashtbl.add seen s ();
-        true))
-    (Full_scan
-    :: List.concat
-         [
-           all c.skips;
-           List.filter_map Fun.id (all c.ors);
-           all c.probes;
-           all c.partials;
-         ])
+  match candidates env catalog table ~where with
+  | None -> [ Full_scan ]
+  | Some c ->
+      let all group =
+        let acc = ref [] in
+        group (fun p -> acc := p :: !acc);
+        List.rev !acc
+      in
+      let seen = Hashtbl.create 8 in
+      List.filter
+        (fun p ->
+          let s = signature p in
+          if Hashtbl.mem seen s then false
+          else (
+            Hashtbl.add seen s ();
+            true))
+        (Full_scan
+        :: List.concat
+             [
+               all c.skips;
+               List.filter_map Fun.id (all c.ors);
+               all c.probes;
+               all c.partials;
+             ])
