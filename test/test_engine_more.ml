@@ -692,6 +692,531 @@ let test_write_plan_invalidation () =
   Alcotest.(check int) "'A2' matches" 2 (like_true ());
   check_consistent "after the flip" s
 
+(* ---------- statement outcomes ---------- *)
+
+(* A digest of the database: every table's rows with their rowids, every
+   index's (key, rowid) entries and the view names, in name order. *)
+let compare_name (a, _) (b, _) = compare a b
+
+let state_digest s =
+  let cat = Engine.Session.catalog s in
+  let b = Buffer.create 256 in
+  let add_values vs =
+    Array.iter
+      (fun v ->
+        Buffer.add_string b (Value.show v);
+        Buffer.add_char b ',')
+      vs
+  in
+  List.iter
+    (fun (name, (ts : Storage.Catalog.table_state)) ->
+      Buffer.add_string b ("table " ^ name ^ ":");
+      List.iter
+        (fun (r : Storage.Row.t) ->
+          Buffer.add_string b (Int64.to_string r.Storage.Row.rowid ^ "=");
+          add_values r.Storage.Row.values)
+        (Storage.Heap.to_list ts.Storage.Catalog.heap))
+    (List.sort compare_name cat.Storage.Catalog.tables);
+  List.iter
+    (fun (name, ix) ->
+      Buffer.add_string b ("index " ^ name ^ ":");
+      List.iter
+        (fun (k, id) ->
+          add_values k;
+          Buffer.add_string b ("@" ^ Int64.to_string id ^ ";"))
+        (index_entries ix))
+    (List.sort compare_name cat.Storage.Catalog.indexes);
+  List.iter
+    (fun v -> Buffer.add_string b ("view " ^ v ^ ";"))
+    (List.sort compare (Engine.Session.view_names s));
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 8
+
+(* Run [sqls] on [s] and describe each statement's outcome (the error, or
+   the affected or row count) and the database digest after it.  The
+   pseudo-statement [corrupt] marks the database corrupted. *)
+let transcript s sqls =
+  List.map
+    (fun sql ->
+      let outcome =
+        if sql = "corrupt" then begin
+          Storage.Catalog.corrupt (Engine.Session.catalog s)
+            "database disk image is malformed";
+          "-"
+        end
+        else
+          match Sqlparse.Parser.parse_stmt sql with
+          | Error e ->
+              Alcotest.failf "parse failed (%s): %s" sql
+                (Sqlparse.Parser.show_error e)
+          | Ok stmt -> (
+              match Engine.Session.execute s stmt with
+              | Ok (Engine.Session.Rows rs) ->
+                  Printf.sprintf "rows %d" (List.length rs.Engine.Executor.rs_rows)
+              | Ok (Engine.Session.Affected n) -> Printf.sprintf "affected %d" n
+              | Ok Engine.Session.Done -> "ok"
+              | Error e -> Engine.Errors.show e
+              | exception Engine.Errors.Crash m -> "crash " ^ m)
+      in
+      Printf.sprintf "%s => %s | %s" sql outcome (state_digest s))
+    sqls
+
+(* One script per dialect through every statement-level error path: DDL
+   errors; NOT NULL, CHECK and UNIQUE failures with and without IGNORE;
+   an index key that fails to evaluate mid-INSERT (the row and its
+   earlier entries are undone) and mid-UPDATE (the old row version is
+   restored); a DELETE whose WHERE raises after its first row; transaction
+   state errors; options in the wrong dialect; maintenance errors; and the
+   corruption gate. *)
+let outcome_script d =
+  let sqlite = Dialect.equal d Dialect.Sqlite_like in
+  let insert ~ignore table values =
+    match (ignore, d) with
+    | false, _ -> Printf.sprintf "INSERT INTO %s VALUES %s" table values
+    | true, Dialect.Sqlite_like ->
+        Printf.sprintf "INSERT OR IGNORE INTO %s VALUES %s" table values
+    | true, Dialect.Mysql_like ->
+        Printf.sprintf "INSERT IGNORE INTO %s VALUES %s" table values
+    | true, Dialect.Postgres_like ->
+        Printf.sprintf "INSERT INTO %s VALUES %s ON CONFLICT DO NOTHING" table
+          values
+  in
+  let update ~ignore rest =
+    if not ignore then "UPDATE " ^ rest
+    else if sqlite then "UPDATE OR IGNORE " ^ rest
+    else "UPDATE IGNORE " ^ rest
+  in
+  let both f = [ f ~ignore:false; f ~ignore:true ] in
+  let min_int = "(-9223372036854775807 - 1)" in
+  List.concat
+    [
+      [
+        "CREATE TABLE t0(c0 INT NOT NULL, c1 BIGINT, c2 INT UNIQUE, CHECK (c1 < 100))";
+        "CREATE TABLE t0(c0 INT)";
+        "CREATE TABLE t1(c0 INT, c0 INT)";
+        "CREATE TABLE t1(c0 INT) WITHOUT ROWID";
+        "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 INT, PRIMARY KEY (c1))";
+        "CREATE INDEX i0 ON t9(c0)";
+        "CREATE INDEX i0 ON t0(c9)";
+        "DROP TABLE t9";
+        "DROP INDEX i9";
+        "DROP VIEW v9";
+        "ALTER TABLE t9 ADD COLUMN c3 INT";
+        "ALTER TABLE t0 RENAME COLUMN c9 TO c8";
+        "ALTER TABLE t0 ADD COLUMN c1 INT";
+        "ALTER TABLE t0 DROP COLUMN c2";
+        "CREATE VIEW v0 AS SELECT c9 FROM t0";
+        "CREATE VIEW v0 AS SELECT c0 FROM t0";
+        "CREATE VIEW v0 AS SELECT c1 FROM t0";
+        "CREATE INDEX i1 ON t0(c0)";
+        "CREATE INDEX i1 ON t0(c1)";
+        "CREATE INDEX i2 ON t0(ABS(c1))";
+        insert ~ignore:false "t0(c0, c1, c2)" "(1, 1, 1)";
+      ];
+      both (fun ~ignore -> insert ~ignore "t0(c0, c1, c2)" "(NULL, 2, 2)");
+      both (fun ~ignore -> insert ~ignore "t0(c0, c1, c2)" "(2, 200, 2)");
+      both (fun ~ignore -> insert ~ignore "t0(c0, c1, c2)" "(3, 3, 1)");
+      [
+        insert ~ignore:false "t0(c0, c1, c2)" "(4, 4, 4), (5, 5, 5), (6, 6, 1)";
+        insert ~ignore:true "t0(c0, c1, c2)" "(6, 6, 1), (10, 10, 10)";
+        "CREATE VIEW v1 AS SELECT c9 FROM t0";
+        insert ~ignore:false "t0(c0, c1, c2)" ("(7, " ^ min_int ^ ", 7)");
+        insert ~ignore:false "t0(c9)" "(1)";
+        insert ~ignore:false "t0(c0)" "(1, 2)";
+        insert ~ignore:false "t9(c0)" "(1)";
+        insert ~ignore:false "v0(c0)" "(1)";
+        "UPDATE t0 SET c1 = " ^ min_int ^ " WHERE c0 = 1";
+        "UPDATE t0 SET c9 = 1";
+      ];
+      both (fun ~ignore -> update ~ignore "t0 SET c0 = NULL WHERE c0 = 4");
+      both (fun ~ignore -> update ~ignore "t0 SET c1 = 500 WHERE c0 = 4");
+      both (fun ~ignore -> update ~ignore "t0 SET c2 = 1 WHERE c0 = 5");
+      [
+        "UPDATE t0 SET c1 = c1 + 10 WHERE c0 >= 4";
+        "CREATE TABLE t3(c0 BIGINT)";
+        "INSERT INTO t3 VALUES (1), " ^ min_int ^ ", (3)";
+        "DELETE FROM t3 WHERE ABS(c0) > 0";
+        "DELETE FROM t9";
+        "SELECT c9 FROM t0";
+        "SELECT * FROM t0 WHERE c0 > 1";
+        "CREATE TABLE t4(c0 TINYINT)";
+      ];
+      both (fun ~ignore -> insert ~ignore "t4(c0)" "(1000), ('x'), (-1000)");
+      [
+        "BEGIN";
+        "BEGIN";
+        insert ~ignore:false "t0(c0, c1, c2)" "(8, 8, 8)";
+        "ROLLBACK";
+        "ROLLBACK";
+        "COMMIT";
+        "BEGIN";
+        "COMMIT";
+        "SET foo = 1";
+        "SET GLOBAL key_cache_division_limit = 50";
+        "PRAGMA case_sensitive_like = 1";
+        "PRAGMA foo";
+        "PRAGMA foo = 1";
+        "VACUUM";
+        "VACUUM FULL";
+        "REINDEX";
+        "REINDEX i9";
+        "ANALYZE";
+        "CHECK TABLE t0";
+        "CHECK TABLE t9";
+        "REPAIR TABLE t0";
+        "REPAIR TABLE t9";
+        "CREATE STATISTICS s0 ON c0 FROM t0";
+        "CREATE STATISTICS s0 ON c0, c9 FROM t0";
+        "CREATE STATISTICS s0 ON c0, c1 FROM t9";
+        "CREATE STATISTICS s0 ON c0, c1 FROM t0";
+        "CREATE STATISTICS s0 ON c0, c1 FROM t0";
+        "DISCARD ALL";
+        "EXPLAIN SELECT * FROM t0 WHERE c0 = 1";
+        "corrupt";
+        "SELECT * FROM t0";
+        insert ~ignore:false "t0(c0, c1, c2)" "(9, 9, 9)";
+        "CREATE TABLE t5(c0 INT)";
+        "VACUUM";
+        "REINDEX";
+        "ANALYZE";
+        "BEGIN";
+        "PRAGMA foo";
+        "ROLLBACK";
+      ];
+    ]
+
+(* Pinned from the engine: a changed line is a change in what a statement
+   reports or leaves behind. *)
+let outcome_golden =
+  [
+    ( "Sqlite_like",
+      [
+      "CREATE TABLE t0(c0 INT NOT NULL, c1 BIGINT, c2 INT UNIQUE, CHECK (c1 < 100)) => ok | 4c763465";
+      "CREATE TABLE t0(c0 INT) => [Object_exists] table t0 already exists | 4c763465";
+      "CREATE TABLE t1(c0 INT, c0 INT) => [Syntax_error] duplicate column name in table t1 | 4c763465";
+      "CREATE TABLE t1(c0 INT) WITHOUT ROWID => [Syntax_error] PRIMARY KEY missing on table t1 WITHOUT ROWID | 4c763465";
+      "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 INT, PRIMARY KEY (c1)) => [Syntax_error] multiple primary keys for table t1 | 4c763465";
+      "CREATE INDEX i0 ON t9(c0) => [No_such_table] no such table: t9 | 4c763465";
+      "CREATE INDEX i0 ON t0(c9) => [No_such_column] no such column: c9 | 4c763465";
+      "DROP TABLE t9 => [No_such_table] no such table: t9 | 4c763465";
+      "DROP INDEX i9 => [No_such_index] no such index: i9 | 4c763465";
+      "DROP VIEW v9 => [No_such_view] no such view: v9 | 4c763465";
+      "ALTER TABLE t9 ADD COLUMN c3 INT => [No_such_table] no such table: t9 | 4c763465";
+      "ALTER TABLE t0 RENAME COLUMN c9 TO c8 => [No_such_column] no such column: c9 | 4c763465";
+      "ALTER TABLE t0 ADD COLUMN c1 INT => [Object_exists] duplicate column name: c1 | 4c763465";
+      "ALTER TABLE t0 DROP COLUMN c2 => [Syntax_error] cannot drop column c2: used by an index, CHECK or primary key | 4c763465";
+      "CREATE VIEW v0 AS SELECT c9 FROM t0 => ok | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c0 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c1 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE INDEX i1 ON t0(c0) => ok | 21da6478";
+      "CREATE INDEX i1 ON t0(c1) => [Object_exists] index i1 already exists | 21da6478";
+      "CREATE INDEX i2 ON t0(ABS(c1)) => ok | 67506b16";
+      "INSERT INTO t0(c0, c1, c2) VALUES (1, 1, 1) => affected 1 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) => [Not_null_violation] NOT NULL constraint failed: t0.c0 | fa656ad0";
+      "INSERT OR IGNORE INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (2, 200, 2) => [Check_violation] CHECK constraint failed: t0 | fa656ad0";
+      "INSERT OR IGNORE INTO t0(c0, c1, c2) VALUES (2, 200, 2) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (3, 3, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | fa656ad0";
+      "INSERT OR IGNORE INTO t0(c0, c1, c2) VALUES (3, 3, 1) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (4, 4, 4), (5, 5, 5), (6, 6, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | 96cc2409";
+      "INSERT OR IGNORE INTO t0(c0, c1, c2) VALUES (6, 6, 1), (10, 10, 10) => affected 1 | a1f9392a";
+      "CREATE VIEW v1 AS SELECT c9 FROM t0 => [No_such_column] no such column: c9 | a1f9392a";
+      "INSERT INTO t0(c0, c1, c2) VALUES (7, (-9223372036854775807 - 1), 7) => [Out_of_range] integer overflow | a1f9392a";
+      "INSERT INTO t0(c9) VALUES (1) => [No_such_column] table t0 has no column named c9 | a1f9392a";
+      "INSERT INTO t0(c0) VALUES (1, 2) => [Syntax_error] 2 values for 1 columns | a1f9392a";
+      "INSERT INTO t9(c0) VALUES (1) => [No_such_table] no such table: t9 | a1f9392a";
+      "INSERT INTO v0(c0) VALUES (1) => [Unsupported] cannot modify view v0 | a1f9392a";
+      "UPDATE t0 SET c1 = (-9223372036854775807 - 1) WHERE c0 = 1 => [Out_of_range] integer overflow | a1f9392a";
+      "UPDATE t0 SET c9 = 1 => [No_such_column] no such column: c9 | a1f9392a";
+      "UPDATE t0 SET c0 = NULL WHERE c0 = 4 => [Not_null_violation] NOT NULL constraint failed: t0.c0 | a1f9392a";
+      "UPDATE OR IGNORE t0 SET c0 = NULL WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = 500 WHERE c0 = 4 => [Check_violation] CHECK constraint failed: t0 | a1f9392a";
+      "UPDATE OR IGNORE t0 SET c1 = 500 WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c2 = 1 WHERE c0 = 5 => [Unique_violation] UNIQUE constraint failed: t0.c2 | a1f9392a";
+      "UPDATE OR IGNORE t0 SET c2 = 1 WHERE c0 = 5 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = c1 + 10 WHERE c0 >= 4 => affected 3 | ccf79eba";
+      "CREATE TABLE t3(c0 BIGINT) => ok | ac4c6ee6";
+      "INSERT INTO t3 VALUES (1), (-9223372036854775807 - 1), (3) => affected 3 | a8e32885";
+      "DELETE FROM t3 WHERE ABS(c0) > 0 => [Out_of_range] integer overflow | 66efbaa4";
+      "DELETE FROM t9 => [No_such_table] no such table: t9 | 66efbaa4";
+      "SELECT c9 FROM t0 => [No_such_column] no such column: c9 | 66efbaa4";
+      "SELECT * FROM t0 WHERE c0 > 1 => rows 3 | 66efbaa4";
+      "CREATE TABLE t4(c0 TINYINT) => ok | 86181956";
+      "INSERT INTO t4(c0) VALUES (1000), ('x'), (-1000) => affected 3 | c3c64ee4";
+      "INSERT OR IGNORE INTO t4(c0) VALUES (1000), ('x'), (-1000) => affected 3 | eeb36c7d";
+      "BEGIN => ok | eeb36c7d";
+      "BEGIN => [Txn_state] cannot start a transaction within a transaction | eeb36c7d";
+      "INSERT INTO t0(c0, c1, c2) VALUES (8, 8, 8) => affected 1 | 0bcb225c";
+      "ROLLBACK => ok | eeb36c7d";
+      "ROLLBACK => [Txn_state] cannot rollback - no transaction is active | eeb36c7d";
+      "COMMIT => [Txn_state] cannot commit - no transaction is active | eeb36c7d";
+      "BEGIN => ok | eeb36c7d";
+      "COMMIT => ok | eeb36c7d";
+      "SET foo = 1 => [Syntax_error] SET is not supported; use PRAGMA | eeb36c7d";
+      "SET GLOBAL key_cache_division_limit = 50 => [Syntax_error] SET is not supported; use PRAGMA | eeb36c7d";
+      "PRAGMA case_sensitive_like = 1 => ok | eeb36c7d";
+      "PRAGMA foo => ok | eeb36c7d";
+      "PRAGMA foo = 1 => ok | eeb36c7d";
+      "VACUUM => ok | 4b2e72b3";
+      "VACUUM FULL => [Syntax_error] VACUUM FULL is postgres-specific | 4b2e72b3";
+      "REINDEX => ok | 4b2e72b3";
+      "REINDEX i9 => ok | 4b2e72b3";
+      "ANALYZE => ok | 4b2e72b3";
+      "CHECK TABLE t0 => [Syntax_error] CHECK TABLE is mysql-specific | 4b2e72b3";
+      "CHECK TABLE t9 => [Syntax_error] CHECK TABLE is mysql-specific | 4b2e72b3";
+      "REPAIR TABLE t0 => [Syntax_error] REPAIR TABLE is mysql-specific | 4b2e72b3";
+      "REPAIR TABLE t9 => [Syntax_error] REPAIR TABLE is mysql-specific | 4b2e72b3";
+      "CREATE STATISTICS s0 ON c0 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 4b2e72b3";
+      "CREATE STATISTICS s0 ON c0, c9 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 4b2e72b3";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t9 => [Syntax_error] CREATE STATISTICS is postgres-specific | 4b2e72b3";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 4b2e72b3";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 4b2e72b3";
+      "DISCARD ALL => [Syntax_error] DISCARD is postgres-specific | 4b2e72b3";
+      "EXPLAIN SELECT * FROM t0 WHERE c0 = 1 => rows 1 | 4b2e72b3";
+      "corrupt => - | 4b2e72b3";
+      "SELECT * FROM t0 => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "INSERT INTO t0(c0, c1, c2) VALUES (9, 9, 9) => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "CREATE TABLE t5(c0 INT) => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "VACUUM => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "REINDEX => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "ANALYZE => [Malformed_database] database disk image is malformed | 4b2e72b3";
+      "BEGIN => ok | 4b2e72b3";
+      "PRAGMA foo => ok | 4b2e72b3";
+      "ROLLBACK => ok | 4b2e72b3";
+      ] );
+    ( "Mysql_like",
+      [
+      "CREATE TABLE t0(c0 INT NOT NULL, c1 BIGINT, c2 INT UNIQUE, CHECK (c1 < 100)) => ok | 4c763465";
+      "CREATE TABLE t0(c0 INT) => [Object_exists] table t0 already exists | 4c763465";
+      "CREATE TABLE t1(c0 INT, c0 INT) => [Syntax_error] duplicate column name in table t1 | 4c763465";
+      "CREATE TABLE t1(c0 INT) WITHOUT ROWID => [Syntax_error] WITHOUT ROWID is sqlite-specific | 4c763465";
+      "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 INT, PRIMARY KEY (c1)) => [Syntax_error] multiple primary keys for table t1 | 4c763465";
+      "CREATE INDEX i0 ON t9(c0) => [No_such_table] no such table: t9 | 4c763465";
+      "CREATE INDEX i0 ON t0(c9) => [No_such_column] no such column: c9 | 4c763465";
+      "DROP TABLE t9 => [No_such_table] no such table: t9 | 4c763465";
+      "DROP INDEX i9 => [No_such_index] no such index: i9 | 4c763465";
+      "DROP VIEW v9 => [No_such_view] no such view: v9 | 4c763465";
+      "ALTER TABLE t9 ADD COLUMN c3 INT => [No_such_table] no such table: t9 | 4c763465";
+      "ALTER TABLE t0 RENAME COLUMN c9 TO c8 => [No_such_column] no such column: c9 | 4c763465";
+      "ALTER TABLE t0 ADD COLUMN c1 INT => [Object_exists] duplicate column name: c1 | 4c763465";
+      "ALTER TABLE t0 DROP COLUMN c2 => [Syntax_error] cannot drop column c2: used by an index, CHECK or primary key | 4c763465";
+      "CREATE VIEW v0 AS SELECT c9 FROM t0 => ok | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c0 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c1 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE INDEX i1 ON t0(c0) => ok | 21da6478";
+      "CREATE INDEX i1 ON t0(c1) => [Object_exists] index i1 already exists | 21da6478";
+      "CREATE INDEX i2 ON t0(ABS(c1)) => ok | 67506b16";
+      "INSERT INTO t0(c0, c1, c2) VALUES (1, 1, 1) => affected 1 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) => [Not_null_violation] NOT NULL constraint failed: t0.c0 | fa656ad0";
+      "INSERT IGNORE INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (2, 200, 2) => [Check_violation] CHECK constraint failed: t0 | fa656ad0";
+      "INSERT IGNORE INTO t0(c0, c1, c2) VALUES (2, 200, 2) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (3, 3, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | fa656ad0";
+      "INSERT IGNORE INTO t0(c0, c1, c2) VALUES (3, 3, 1) => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (4, 4, 4), (5, 5, 5), (6, 6, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | 96cc2409";
+      "INSERT IGNORE INTO t0(c0, c1, c2) VALUES (6, 6, 1), (10, 10, 10) => affected 1 | a1f9392a";
+      "CREATE VIEW v1 AS SELECT c9 FROM t0 => [No_such_column] no such column: c9 | a1f9392a";
+      "INSERT INTO t0(c0, c1, c2) VALUES (7, (-9223372036854775807 - 1), 7) => [Out_of_range] BIGINT value is out of range | a1f9392a";
+      "INSERT INTO t0(c9) VALUES (1) => [No_such_column] table t0 has no column named c9 | a1f9392a";
+      "INSERT INTO t0(c0) VALUES (1, 2) => [Syntax_error] 2 values for 1 columns | a1f9392a";
+      "INSERT INTO t9(c0) VALUES (1) => [No_such_table] no such table: t9 | a1f9392a";
+      "INSERT INTO v0(c0) VALUES (1) => [Unsupported] cannot modify view v0 | a1f9392a";
+      "UPDATE t0 SET c1 = (-9223372036854775807 - 1) WHERE c0 = 1 => [Out_of_range] BIGINT value is out of range | a1f9392a";
+      "UPDATE t0 SET c9 = 1 => [No_such_column] no such column: c9 | a1f9392a";
+      "UPDATE t0 SET c0 = NULL WHERE c0 = 4 => [Not_null_violation] NOT NULL constraint failed: t0.c0 | a1f9392a";
+      "UPDATE IGNORE t0 SET c0 = NULL WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = 500 WHERE c0 = 4 => [Check_violation] CHECK constraint failed: t0 | a1f9392a";
+      "UPDATE IGNORE t0 SET c1 = 500 WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c2 = 1 WHERE c0 = 5 => [Unique_violation] UNIQUE constraint failed: t0.c2 | a1f9392a";
+      "UPDATE IGNORE t0 SET c2 = 1 WHERE c0 = 5 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = c1 + 10 WHERE c0 >= 4 => affected 3 | ccf79eba";
+      "CREATE TABLE t3(c0 BIGINT) => ok | ac4c6ee6";
+      "INSERT INTO t3 VALUES (1), (-9223372036854775807 - 1), (3) => affected 3 | a8e32885";
+      "DELETE FROM t3 WHERE ABS(c0) > 0 => [Out_of_range] BIGINT value is out of range | 66efbaa4";
+      "DELETE FROM t9 => [No_such_table] no such table: t9 | 66efbaa4";
+      "SELECT c9 FROM t0 => [No_such_column] no such column: c9 | 66efbaa4";
+      "SELECT * FROM t0 WHERE c0 > 1 => rows 3 | 66efbaa4";
+      "CREATE TABLE t4(c0 TINYINT) => ok | 86181956";
+      "INSERT INTO t4(c0) VALUES (1000), ('x'), (-1000) => affected 3 | 7e146b30";
+      "INSERT IGNORE INTO t4(c0) VALUES (1000), ('x'), (-1000) => affected 3 | 6776d96a";
+      "BEGIN => ok | 6776d96a";
+      "BEGIN => [Txn_state] cannot start a transaction within a transaction | 6776d96a";
+      "INSERT INTO t0(c0, c1, c2) VALUES (8, 8, 8) => affected 1 | 91e0e0eb";
+      "ROLLBACK => ok | 6776d96a";
+      "ROLLBACK => [Txn_state] cannot rollback - no transaction is active | 6776d96a";
+      "COMMIT => [Txn_state] cannot commit - no transaction is active | 6776d96a";
+      "BEGIN => ok | 6776d96a";
+      "COMMIT => ok | 6776d96a";
+      "SET foo = 1 => [Invalid_option] unknown option or pragma: foo | 6776d96a";
+      "SET GLOBAL key_cache_division_limit = 50 => ok | 6776d96a";
+      "PRAGMA case_sensitive_like = 1 => [Syntax_error] PRAGMA is sqlite-specific | 6776d96a";
+      "PRAGMA foo => [Syntax_error] PRAGMA is sqlite-specific | 6776d96a";
+      "PRAGMA foo = 1 => [Syntax_error] PRAGMA is sqlite-specific | 6776d96a";
+      "VACUUM => [Syntax_error] VACUUM is not supported; use OPTIMIZE | 6776d96a";
+      "VACUUM FULL => [Syntax_error] VACUUM is not supported; use OPTIMIZE | 6776d96a";
+      "REINDEX => [Syntax_error] REINDEX is not supported | 6776d96a";
+      "REINDEX i9 => [Syntax_error] REINDEX is not supported | 6776d96a";
+      "ANALYZE => ok | 6776d96a";
+      "CHECK TABLE t0 => ok | 6776d96a";
+      "CHECK TABLE t9 => [No_such_table] no such table: t9 | 6776d96a";
+      "REPAIR TABLE t0 => ok | 6776d96a";
+      "REPAIR TABLE t9 => [No_such_table] no such table: t9 | 6776d96a";
+      "CREATE STATISTICS s0 ON c0 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 6776d96a";
+      "CREATE STATISTICS s0 ON c0, c9 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 6776d96a";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t9 => [Syntax_error] CREATE STATISTICS is postgres-specific | 6776d96a";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 6776d96a";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => [Syntax_error] CREATE STATISTICS is postgres-specific | 6776d96a";
+      "DISCARD ALL => [Syntax_error] DISCARD is postgres-specific | 6776d96a";
+      "EXPLAIN SELECT * FROM t0 WHERE c0 = 1 => rows 1 | 6776d96a";
+      "corrupt => - | 6776d96a";
+      "SELECT * FROM t0 => [Malformed_database] database disk image is malformed | 6776d96a";
+      "INSERT INTO t0(c0, c1, c2) VALUES (9, 9, 9) => [Malformed_database] database disk image is malformed | 6776d96a";
+      "CREATE TABLE t5(c0 INT) => [Malformed_database] database disk image is malformed | 6776d96a";
+      "VACUUM => [Malformed_database] database disk image is malformed | 6776d96a";
+      "REINDEX => [Malformed_database] database disk image is malformed | 6776d96a";
+      "ANALYZE => [Malformed_database] database disk image is malformed | 6776d96a";
+      "BEGIN => ok | 6776d96a";
+      "PRAGMA foo => [Syntax_error] PRAGMA is sqlite-specific | 6776d96a";
+      "ROLLBACK => ok | 6776d96a";
+      ] );
+    ( "Postgres_like",
+      [
+      "CREATE TABLE t0(c0 INT NOT NULL, c1 BIGINT, c2 INT UNIQUE, CHECK (c1 < 100)) => ok | 4c763465";
+      "CREATE TABLE t0(c0 INT) => [Object_exists] table t0 already exists | 4c763465";
+      "CREATE TABLE t1(c0 INT, c0 INT) => [Syntax_error] duplicate column name in table t1 | 4c763465";
+      "CREATE TABLE t1(c0 INT) WITHOUT ROWID => [Syntax_error] WITHOUT ROWID is sqlite-specific | 4c763465";
+      "CREATE TABLE t1(c0 INT PRIMARY KEY, c1 INT, PRIMARY KEY (c1)) => [Syntax_error] multiple primary keys for table t1 | 4c763465";
+      "CREATE INDEX i0 ON t9(c0) => [No_such_table] no such table: t9 | 4c763465";
+      "CREATE INDEX i0 ON t0(c9) => [No_such_column] no such column: c9 | 4c763465";
+      "DROP TABLE t9 => [No_such_table] no such table: t9 | 4c763465";
+      "DROP INDEX i9 => [No_such_index] no such index: i9 | 4c763465";
+      "DROP VIEW v9 => [No_such_view] no such view: v9 | 4c763465";
+      "ALTER TABLE t9 ADD COLUMN c3 INT => [No_such_table] no such table: t9 | 4c763465";
+      "ALTER TABLE t0 RENAME COLUMN c9 TO c8 => [No_such_column] no such column: c9 | 4c763465";
+      "ALTER TABLE t0 ADD COLUMN c1 INT => [Object_exists] duplicate column name: c1 | 4c763465";
+      "ALTER TABLE t0 DROP COLUMN c2 => [Syntax_error] cannot drop column c2: used by an index, CHECK or primary key | 4c763465";
+      "CREATE VIEW v0 AS SELECT c9 FROM t0 => ok | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c0 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE VIEW v0 AS SELECT c1 FROM t0 => [Object_exists] view v0 already exists | 6336ac00";
+      "CREATE INDEX i1 ON t0(c0) => ok | 21da6478";
+      "CREATE INDEX i1 ON t0(c1) => [Object_exists] index i1 already exists | 21da6478";
+      "CREATE INDEX i2 ON t0(ABS(c1)) => ok | 67506b16";
+      "INSERT INTO t0(c0, c1, c2) VALUES (1, 1, 1) => affected 1 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) => [Not_null_violation] NOT NULL constraint failed: t0.c0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (NULL, 2, 2) ON CONFLICT DO NOTHING => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (2, 200, 2) => [Check_violation] CHECK constraint failed: t0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (2, 200, 2) ON CONFLICT DO NOTHING => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (3, 3, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (3, 3, 1) ON CONFLICT DO NOTHING => affected 0 | fa656ad0";
+      "INSERT INTO t0(c0, c1, c2) VALUES (4, 4, 4), (5, 5, 5), (6, 6, 1) => [Unique_violation] UNIQUE constraint failed: t0.c2 | 96cc2409";
+      "INSERT INTO t0(c0, c1, c2) VALUES (6, 6, 1), (10, 10, 10) ON CONFLICT DO NOTHING => affected 1 | a1f9392a";
+      "CREATE VIEW v1 AS SELECT c9 FROM t0 => [No_such_column] no such column: c9 | a1f9392a";
+      "INSERT INTO t0(c0, c1, c2) VALUES (7, (-9223372036854775807 - 1), 7) => [Out_of_range] BIGINT value is out of range | a1f9392a";
+      "INSERT INTO t0(c9) VALUES (1) => [No_such_column] table t0 has no column named c9 | a1f9392a";
+      "INSERT INTO t0(c0) VALUES (1, 2) => [Syntax_error] 2 values for 1 columns | a1f9392a";
+      "INSERT INTO t9(c0) VALUES (1) => [No_such_table] no such table: t9 | a1f9392a";
+      "INSERT INTO v0(c0) VALUES (1) => [Unsupported] cannot modify view v0 | a1f9392a";
+      "UPDATE t0 SET c1 = (-9223372036854775807 - 1) WHERE c0 = 1 => [Out_of_range] BIGINT value is out of range | a1f9392a";
+      "UPDATE t0 SET c9 = 1 => [No_such_column] no such column: c9 | a1f9392a";
+      "UPDATE t0 SET c0 = NULL WHERE c0 = 4 => [Not_null_violation] NOT NULL constraint failed: t0.c0 | a1f9392a";
+      "UPDATE IGNORE t0 SET c0 = NULL WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = 500 WHERE c0 = 4 => [Check_violation] CHECK constraint failed: t0 | a1f9392a";
+      "UPDATE IGNORE t0 SET c1 = 500 WHERE c0 = 4 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c2 = 1 WHERE c0 = 5 => [Unique_violation] UNIQUE constraint failed: t0.c2 | a1f9392a";
+      "UPDATE IGNORE t0 SET c2 = 1 WHERE c0 = 5 => affected 0 | a1f9392a";
+      "UPDATE t0 SET c1 = c1 + 10 WHERE c0 >= 4 => affected 3 | ccf79eba";
+      "CREATE TABLE t3(c0 BIGINT) => ok | ac4c6ee6";
+      "INSERT INTO t3 VALUES (1), (-9223372036854775807 - 1), (3) => affected 3 | a8e32885";
+      "DELETE FROM t3 WHERE ABS(c0) > 0 => [Out_of_range] BIGINT value is out of range | 66efbaa4";
+      "DELETE FROM t9 => [No_such_table] no such table: t9 | 66efbaa4";
+      "SELECT c9 FROM t0 => [No_such_column] no such column: c9 | 66efbaa4";
+      "SELECT * FROM t0 WHERE c0 > 1 => rows 3 | 66efbaa4";
+      "CREATE TABLE t4(c0 TINYINT) => ok | 86181956";
+      "INSERT INTO t4(c0) VALUES (1000), ('x'), (-1000) => [Type_error] integer out of range | 86181956";
+      "INSERT INTO t4(c0) VALUES (1000), ('x'), (-1000) ON CONFLICT DO NOTHING => affected 3 | e54d3751";
+      "BEGIN => ok | e54d3751";
+      "BEGIN => [Txn_state] cannot start a transaction within a transaction | e54d3751";
+      "INSERT INTO t0(c0, c1, c2) VALUES (8, 8, 8) => affected 1 | 47230788";
+      "ROLLBACK => ok | e54d3751";
+      "ROLLBACK => [Txn_state] cannot rollback - no transaction is active | e54d3751";
+      "COMMIT => [Txn_state] cannot commit - no transaction is active | e54d3751";
+      "BEGIN => ok | e54d3751";
+      "COMMIT => ok | e54d3751";
+      "SET foo = 1 => [Invalid_option] unknown option or pragma: foo | e54d3751";
+      "SET GLOBAL key_cache_division_limit = 50 => [Invalid_option] unknown option or pragma: key_cache_division_limit | e54d3751";
+      "PRAGMA case_sensitive_like = 1 => [Syntax_error] PRAGMA is sqlite-specific | e54d3751";
+      "PRAGMA foo => [Syntax_error] PRAGMA is sqlite-specific | e54d3751";
+      "PRAGMA foo = 1 => [Syntax_error] PRAGMA is sqlite-specific | e54d3751";
+      "VACUUM => ok | ca123ff8";
+      "VACUUM FULL => ok | ca123ff8";
+      "REINDEX => ok | ca123ff8";
+      "REINDEX i9 => ok | ca123ff8";
+      "ANALYZE => ok | ca123ff8";
+      "CHECK TABLE t0 => [Syntax_error] CHECK TABLE is mysql-specific | ca123ff8";
+      "CHECK TABLE t9 => [Syntax_error] CHECK TABLE is mysql-specific | ca123ff8";
+      "REPAIR TABLE t0 => [Syntax_error] REPAIR TABLE is mysql-specific | ca123ff8";
+      "REPAIR TABLE t9 => [Syntax_error] REPAIR TABLE is mysql-specific | ca123ff8";
+      "CREATE STATISTICS s0 ON c0 FROM t0 => [Syntax_error] extended statistics require at least 2 columns | ca123ff8";
+      "CREATE STATISTICS s0 ON c0, c9 FROM t0 => [No_such_column] no such column: c9 | ca123ff8";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t9 => [No_such_table] no such table: t9 | ca123ff8";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => ok | ca123ff8";
+      "CREATE STATISTICS s0 ON c0, c1 FROM t0 => [Object_exists] statistics s0 already exist | ca123ff8";
+      "DISCARD ALL => ok | ca123ff8";
+      "EXPLAIN SELECT * FROM t0 WHERE c0 = 1 => rows 1 | ca123ff8";
+      "corrupt => - | ca123ff8";
+      "SELECT * FROM t0 => [Malformed_database] database disk image is malformed | ca123ff8";
+      "INSERT INTO t0(c0, c1, c2) VALUES (9, 9, 9) => [Malformed_database] database disk image is malformed | ca123ff8";
+      "CREATE TABLE t5(c0 INT) => [Malformed_database] database disk image is malformed | ca123ff8";
+      "VACUUM => [Malformed_database] database disk image is malformed | ca123ff8";
+      "REINDEX => [Malformed_database] database disk image is malformed | ca123ff8";
+      "ANALYZE => [Malformed_database] database disk image is malformed | ca123ff8";
+      "BEGIN => ok | ca123ff8";
+      "PRAGMA foo => [Syntax_error] PRAGMA is sqlite-specific | ca123ff8";
+      "ROLLBACK => ok | ca123ff8";
+      ] );
+    ( "mysql ignore clamp",
+      [
+      "CREATE TABLE t4(c0 TINYINT, c1 INT) => ok | 080dac98";
+      "INSERT IGNORE INTO t4 VALUES (5, 1), (1000, 2), (7, 3) => [Internal_error] Data truncated for column 'c0' despite IGNORE | fc2cf8f3";
+      "INSERT INTO t4 VALUES (1000, 4) => affected 1 | 2ac03d0f";
+      ] );
+  ]
+
+let test_statement_outcomes () =
+  let run name ?(bugs = []) d sqls =
+    let s = Engine.Session.create ~bugs:(Engine.Bug.set_of_list bugs) d in
+    (name, transcript s sqls)
+  in
+  let runs =
+    List.map
+      (fun d -> run (Dialect.show d) d (outcome_script d))
+      [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
+    @ [
+        (* mysql's injected IGNORE-clamp defect errors where a clamp
+           succeeds *)
+        run "mysql ignore clamp" ~bugs:[ Engine.Bug.My_intended_ignore_clamp ]
+          Dialect.Mysql_like
+          [
+            "CREATE TABLE t4(c0 TINYINT, c1 INT)";
+            "INSERT IGNORE INTO t4 VALUES (5, 1), (1000, 2), (7, 3)";
+            "INSERT INTO t4 VALUES (1000, 4)";
+          ];
+      ]
+  in
+  List.iter
+    (fun (name, lines) ->
+      if List.assoc_opt name outcome_golden <> Some lines then begin
+        Printf.printf "(%S,\n [\n" name;
+        List.iter (fun l -> Printf.printf "  %S;\n" l) lines;
+        Printf.printf " ]);\n"
+      end)
+    runs;
+  List.iter
+    (fun (name, lines) ->
+      Alcotest.(check (list string)) name
+        (Option.value ~default:[] (List.assoc_opt name outcome_golden))
+        lines)
+    runs
+
 let () =
   Alcotest.run "engine-more"
     [
@@ -739,6 +1264,11 @@ let () =
             test_failed_update_keeps_entries;
           Alcotest.test_case "write-plan invalidation" `Quick
             test_write_plan_invalidation;
+        ] );
+      ( "statement outcomes",
+        [
+          Alcotest.test_case "errors, undo and state per statement" `Quick
+            test_statement_outcomes;
         ] );
       ( "planner-soundness",
         List.map QCheck_alcotest.to_alcotest
