@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test smoke lint exprtable plandiff constopt fleet fmt telemetry trace frontier profile loc clean
+.PHONY: all build test smoke lint exprtable plandiff constopt fleet fmt telemetry trace frontier profile loc identity clean
 
 all: build
 
@@ -114,6 +114,17 @@ loc:
 		find $$d \( -name '*.ml' -o -name '*.mli' -o -name dune \) -print0 \
 			| xargs -0 cat | wc -l; \
 	done
+
+# Identity battery (a few minutes): 24 campaigns with bundles, frontier
+# snapshots and heartbeat traces, the -j 1/-j 2 determinism probe, the
+# plan-diff and const-opt 1,000-seed sweeps, lint at 5,000 seeds, the six
+# targeted-bug sweeps and `experiments.exe full table2`, written under
+# $(OUT) with timing fields stripped.  Two builds behave the same when
+# `diff -r` of their outputs is empty.
+OUT ?= identity-out
+identity: build
+	sh test/identity.sh $(CURDIR)/_build/default/bin/sqlancer.exe \
+		$(CURDIR)/_build/default/bin/experiments.exe $(OUT)
 
 clean:
 	$(DUNE) clean
