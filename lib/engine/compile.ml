@@ -14,16 +14,17 @@
    left in it can fail.  All expression semantics — every dialect quirk
    and injected bug — live in Eval.
 
-   The per-row loops (FROM/WHERE with projection, the join's ON, the
-   ORDER BY key walk, VALUES) follow Eval's per-row rule: they take bare
-   values and truth values, and an evaluation error raises out of them
-   to the one [Eval.run] around each loop, so a row allocates only what
-   it keeps.  Results and [let*] are for per-statement code. *)
+   Every function here returns a bare value and raises its error with
+   [Eval.fail], like Eval's closures: the first error raised ends the
+   query, and the statement's one [Eval.run] (Session) or the exported
+   [run_query]'s makes it the result.  So the per-row loops (FROM/WHERE
+   with projection, the join's ON, the ORDER BY key walk, VALUES)
+   allocate only what they keep.  The one catch is the projection's held
+   error. *)
 
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
 let batches_of = Executor.batches_of
 
 (* The row under evaluation is a tuple: one value array per FROM-clause
@@ -338,13 +339,10 @@ let stages ctx c (s : A.select) ~probe put =
    tuple.  The implicit single group over no rows has no representative
    tuple, so its column references fail to resolve.  Each group that
    passes HAVING goes to [emit] (the SELECT's projection step) with its
-   env, representative tuple, items and keys.  Runs inside the
-   projection's [Eval.run]: the aggregation operator's own errors are
-   raised there too. *)
+   env, representative tuple, items and keys. *)
 let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
   cov_ctx ctx "exec.group_by";
   let agg_t0 = Executor.op_clock ctx in
-  let get = function Ok v -> v | Error e -> Eval.fail e in
   let compiled = ref [] in
   (* each expression's thunk, compiled on first use, found by identity *)
   let rec thunk_of e = function
@@ -359,8 +357,8 @@ let aggregate ctx (c : Eval.env) (s : A.select) tuples ~emit =
     c.Eval.cur := tuple;
     t ()
   in
-  let substitute group e = get (Executor.substitute_aggs ctx ~eval group e) in
-  let groups = get (Executor.group_tuples ctx ~eval s tuples) in
+  let substitute group e = Executor.substitute_aggs ctx ~eval group e in
+  let groups = Executor.group_tuples ctx ~eval s tuples in
   let kept = ref 0 in
   List.iter
     (fun group ->
@@ -477,8 +475,7 @@ exception Settled
    infallible: no row left could change the answer or raise.  An
    aggregate SELECT collects copies of the accepted tuples for
    [aggregate] and runs to the end. *)
-let rec run_select ?sink ctx (s : A.select) :
-    (Executor.result_set, Errors.t) result =
+let rec run_select ?sink ctx (s : A.select) : Executor.result_set =
   let where = s.A.sel_where in
   let put, collected = sink_or_collect sink in
   (* under a sink only the width is read: expression items go unnamed *)
@@ -486,23 +483,16 @@ let rec run_select ?sink ctx (s : A.select) :
   if s.A.sel_from = [] then begin
     (* constant SELECT: project once, keep the row if WHERE passes;
        DISTINCT/ORDER BY/LIMIT do not apply *)
-    let* () =
-      if List.exists (function A.Star -> true | _ -> false) s.A.sel_items
-      then Error (no_tables_error ctx.Executor.dialect)
-      else Ok ()
-    in
+    if List.exists (function A.Star -> true | _ -> false) s.A.sel_items then
+      Eval.fail (no_tables_error ctx.Executor.dialect);
     let c = make_env ctx [] in
-    let* columns = Executor.output_columns ~named [] s.A.sel_items in
+    let columns = Executor.output_columns ~named [] s.A.sel_items in
     let projs, _ = compile_items c s.A.sel_items in
-    let* () =
-      Eval.run (fun () ->
-          let row = project [||] projs in
-          match where with
-          | Some w when not (Tvl.equal (Eval.compile_pred c w ()) Tvl.True) ->
-              ()
-          | _ -> put row)
-    in
-    Ok { Executor.rs_columns = columns; rs_rows = collected () }
+    let row = project [||] projs in
+    (match where with
+    | Some w when not (Tvl.equal (Eval.compile_pred c w ()) Tvl.True) -> ()
+    | _ -> put row);
+    { Executor.rs_columns = columns; rs_rows = collected () }
   end
   else begin
     let base_table_count =
@@ -517,15 +507,7 @@ let rec run_select ?sink ctx (s : A.select) :
     (* materialize each comma item in textual order (scans and their
        flight-recorder events keep that order under a forced join
        swap) *)
-    let* sources =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-            let* src = materialize ctx fctx ~where item in
-            go (src :: acc) rest
-      in
-      go [] s.A.sel_from
-    in
+    let sources = List.map (materialize ctx fctx ~where) s.A.sel_from in
     let c =
       make_env ctx (List.concat_map (fun src -> src.src_layout) sources)
     in
@@ -537,9 +519,18 @@ let rec run_select ?sink ctx (s : A.select) :
           let p, infallible = Eval.compile_pred_checked c w in
           (Some p, infallible)
     in
+    (* the held error: an output-column error, or else the first
+       projection error; WHERE's errors come before it *)
+    let held = ref None in
+    let hold e = held := Some e in
     (* output columns come from the FROM's layout, with or without
        tuples: [*] and [t.*] over an empty table name its columns *)
-    let columns = Executor.output_columns ~named c.Eval.layout s.A.sel_items in
+    let columns =
+      Eval.catch (Executor.output_columns ~named c.Eval.layout) s.A.sel_items
+        ~error:(fun e ->
+          hold e;
+          [])
+    in
     let probe =
       Option.is_some sink && s.A.sel_limit = None && s.A.sel_offset = None
     in
@@ -557,96 +548,77 @@ let rec run_select ?sink ctx (s : A.select) :
     in
     let filter_t0 = Executor.op_clock ctx in
     let counts = { tuples = 0; accepted = 0 } in
-    let* () =
-      if Executor.select_has_agg s then begin
-        let kept = ref [] in
-        let* () =
-          Eval.run (fun () ->
-              from_where ctx c pred sources counts ~accept:(fun () ->
-                  kept := Array.copy scratch :: !kept))
-        in
-        filter_event ctx ~where ~stopped:false ~t0:filter_t0 counts;
-        let* _ = columns in
-        let emit (gc : Eval.env) tuple projs keys =
-          gc.Eval.cur := tuple;
-          push_keyed chain (project_row tuple projs) [] keys
-        in
-        Eval.run (fun () -> aggregate ctx c s (List.rev !kept) ~emit)
-      end
-      else begin
-        let projs, items_infallible = compile_items c s.A.sel_items in
-        let keys, keys_infallible =
-          List.fold_right
-            (fun (e, _) (keys, ok) ->
-              let k, infallible = Eval.compile_checked c e in
-              (k :: keys, ok && infallible))
-            s.A.sel_order_by ([], true)
-        in
-        let settled =
-          match sink with
-          | Some sink
-            when probe && where_infallible && items_infallible
-                 && keys_infallible ->
-              sink.settled
-          | _ -> fun () -> false
-        in
-        (* the held error; an output-column error precedes every
-           projection error *)
-        let held =
-          ref (match columns with Ok _ -> None | Error e -> Some e)
-        in
-        let project_push () =
-          push_keyed chain (project_row scratch projs) [] keys;
-          if settled () then raise_notrace Settled
-        in
-        let hold e = held := Some e in
-        let accept () =
-          if Option.is_none !held then Eval.catch project_push () ~error:hold
-        in
-        let* stopped =
-          Eval.run (fun () ->
-              match from_where ctx c pred sources counts ~accept with
-              | () -> false
-              | exception Settled -> true)
-        in
-        filter_event ctx ~where ~stopped ~t0:filter_t0 counts;
-        match !held with Some e -> Error e | None -> Ok ()
-      end
-    in
-    let* columns = columns in
+    if Executor.select_has_agg s then begin
+      let kept = ref [] in
+      from_where ctx c pred sources counts ~accept:(fun () ->
+          kept := Array.copy scratch :: !kept);
+      filter_event ctx ~where ~stopped:false ~t0:filter_t0 counts;
+      Option.iter Eval.fail !held;
+      let emit (gc : Eval.env) tuple projs keys =
+        gc.Eval.cur := tuple;
+        push_keyed chain (project_row tuple projs) [] keys
+      in
+      aggregate ctx c s (List.rev !kept) ~emit
+    end
+    else begin
+      let projs, items_infallible = compile_items c s.A.sel_items in
+      let keys, keys_infallible =
+        List.fold_right
+          (fun (e, _) (keys, ok) ->
+            let k, infallible = Eval.compile_checked c e in
+            (k :: keys, ok && infallible))
+          s.A.sel_order_by ([], true)
+      in
+      let settled =
+        match sink with
+        | Some sink
+          when probe && where_infallible && items_infallible && keys_infallible
+          ->
+            sink.settled
+        | _ -> fun () -> false
+      in
+      let project_push () =
+        push_keyed chain (project_row scratch projs) [] keys;
+        if settled () then raise_notrace Settled
+      in
+      let accept () =
+        if Option.is_none !held then Eval.catch project_push () ~error:hold
+      in
+      let stopped =
+        match from_where ctx c pred sources counts ~accept with
+        | () -> false
+        | exception Settled -> true
+      in
+      filter_event ctx ~where ~stopped ~t0:filter_t0 counts;
+      Option.iter Eval.fail !held
+    end;
     if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
     if s.A.sel_order_by <> [] then cov_ctx ctx "exec.order_by";
     if s.A.sel_offset <> None then cov_ctx ctx "exec.limit";
     if s.A.sel_limit <> None then cov_ctx ctx "exec.limit";
     chain.finish ();
-    Ok { Executor.rs_columns = columns; rs_rows = collected () }
+    { Executor.rs_columns = columns; rs_rows = collected () }
   end
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-and run_query ?sink ctx (q : A.query) :
-    (Executor.result_set, Errors.t) result =
+and run_query ?sink ctx (q : A.query) : Executor.result_set =
   (* corruption gates every read (paper: 'malformed database' is always an
      unexpected error) *)
   match Storage.Catalog.corruption ctx.Executor.catalog with
-  | Some msg -> Error (Errors.make Errors.Malformed_database msg)
+  | Some msg -> Eval.fail (Errors.make Errors.Malformed_database msg)
   | None -> (
       match q with
       | A.Q_select s -> run_select ?sink ctx s
       | A.Q_values rows ->
           cov_ctx ctx "exec.values";
           let width = match rows with r :: _ -> List.length r | [] -> 0 in
-          let* () =
-            let rec check i = function
-              | [] -> Ok ()
-              | r :: rest ->
-                  if List.length r <> width then
-                    Error (ragged_values_error ctx.Executor.dialect ~row:i)
-                  else check (i + 1) rest
-            in
-            check 1 rows
-          in
+          List.iteri
+            (fun i r ->
+              if List.length r <> width then
+                Eval.fail (ragged_values_error ctx.Executor.dialect ~row:(i + 1)))
+            rows;
           (* a literal is its value (what its compiled closure returns);
              only other expressions need an env and a compile *)
           let c = lazy (make_env ctx []) in
@@ -660,9 +632,8 @@ and run_query ?sink ctx (q : A.query) :
               exprs;
             put row
           in
-          let* () = Eval.run (fun () -> List.iter row rows) in
-          Ok
-            { Executor.rs_columns = values_columns width; rs_rows = collected () }
+          List.iter row rows;
+          { Executor.rs_columns = values_columns width; rs_rows = collected () }
       | A.Q_compound (op, qa, qb) -> run_compound ?sink ctx op qa qb)
 
 (* UNION [ALL] concatenates its operands' rows.  INTERSECT and EXCEPT
@@ -676,16 +647,15 @@ and run_compound ?sink ctx op qa qb =
   | A.Union | A.Union_all -> cov_ctx ctx "exec.compound_union"
   | A.Intersect -> cov_ctx ctx "exec.compound_intersect"
   | A.Except -> cov_ctx ctx "exec.compound_except");
-  let* ra = run_query ctx qa in
+  let ra = run_query ctx qa in
   let left = ra.Executor.rs_rows in
   let same_width (rb : Executor.result_set) =
     if List.compare_lengths ra.Executor.rs_columns rb.Executor.rs_columns <> 0
     then
-      Error
+      Eval.fail
         (Errors.make Errors.Syntax_error
            "SELECTs to the left and right of a compound operator do not \
             have the same number of result columns")
-    else Ok ()
   in
   let finish ~t0 ~detail ~right_rows rows =
     if Executor.tracing ctx then begin
@@ -695,13 +665,13 @@ and run_compound ?sink ctx op qa qb =
     end;
     let put, collected = sink_or_collect sink in
     List.iter put rows;
-    Ok { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = collected () }
+    { Executor.rs_columns = ra.Executor.rs_columns; rs_rows = collected () }
   in
   match op with
   | A.Union | A.Union_all ->
-      let* rb = run_query ctx qb in
+      let rb = run_query ctx qb in
       let t0 = Executor.op_clock ctx in
-      let* () = same_width rb in
+      same_width rb;
       let rows = left @ rb.Executor.rs_rows in
       let rows, detail =
         if op = A.Union then (Executor.dedup rows, "UNION")
@@ -750,8 +720,8 @@ and run_compound ?sink ctx op qa qb =
           | Some _ | None -> ()
       in
       let sink = { put; settled = (fun () -> !unmet = 0) } in
-      let* rb = run_query ~sink ctx qb in
-      let* () = same_width rb in
+      let rb = run_query ~sink ctx qb in
+      same_width rb;
       finish ~t0
         ~detail:(if want then "INTERSECT (probe)" else "EXCEPT (probe)")
         ~right_rows:!probed (marked ())
@@ -759,31 +729,29 @@ and run_compound ?sink ctx op qa qb =
 (* One FROM item, materialized: scan-site bug behaviour and access paths
    come from Executor.scan_rows; the join's ON predicate is compiled once
    against the combined layout. *)
-and materialize ctx fctx ~where (item : A.from_item) :
-    (source, Errors.t) result =
+and materialize ctx fctx ~where (item : A.from_item) : source =
   match item with
   | A.F_table { name; alias } -> (
       let alias_name = Option.value ~default:name alias in
       match Storage.Catalog.find_table ctx.Executor.catalog name with
       | Some ts ->
-          let* tuples =
+          let tuples =
             Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
           in
-          Ok
-            {
+          {
               src_layout =
                 [
                   Eval.binding_of_table ts.Storage.Catalog.schema
                     ~alias:alias_name;
                 ];
-              src_tuples = tuples;
-            }
+            src_tuples = tuples;
+          }
       | None -> (
           match Storage.Catalog.find_view ctx.Executor.catalog name with
           | Some v ->
               cov_ctx ctx "exec.view_expand";
               let view_t0 = Executor.op_clock ctx in
-              let* rs = run_query ctx v.Storage.Catalog.view_query in
+              let rs = run_query ctx v.Storage.Catalog.view_query in
               let rows =
                 (* injected: WHERE pushdown into a DISTINCT view drops the
                    last row *)
@@ -808,27 +776,26 @@ and materialize ctx fctx ~where (item : A.from_item) :
                   ~rows_out:(List.length rows)
                   ~batches:(batches_of (List.length rows))
                   ~t0:view_t0 ();
-              Ok (derived_source ~alias:alias_name rs.Executor.rs_columns rows)
+              derived_source ~alias:alias_name rs.Executor.rs_columns rows
           | None ->
-              Error
-                (Errors.makef Errors.No_such_table "no such table: %s" name)))
+              Eval.failf Errors.No_such_table "no such table: %s" name))
   | A.F_sub { sub; alias } ->
       (* derived table: materialize the subquery *)
       cov_ctx ctx "exec.subquery";
       let sub_t0 = Executor.op_clock ctx in
-      let* rs = run_query ctx sub in
+      let rs = run_query ctx sub in
       (if Executor.tracing ctx then
          let n = List.length rs.Executor.rs_rows in
          Executor.op_event ctx ~op:"SUBQUERY" ~detail:alias ~rows_in:n
            ~rows_out:n ~batches:(batches_of n) ~t0:sub_t0 ());
-      Ok (derived_source ~alias rs.Executor.rs_columns rs.Executor.rs_rows)
+      derived_source ~alias rs.Executor.rs_columns rs.Executor.rs_rows
   | A.F_join { kind; left; right; on } ->
       (match kind with
       | A.Inner -> cov_ctx ctx "exec.join_inner"
       | A.Left -> cov_ctx ctx "exec.join_left"
       | A.Cross -> cov_ctx ctx "exec.join_cross");
-      let* l = materialize ctx fctx ~where:None left in
-      let* r = materialize ctx fctx ~where:None right in
+      let l = materialize ctx fctx ~where:None left in
+      let r = materialize ctx fctx ~where:None right in
       run_join ctx ~kind ~on ~right_item:right l r
 
 (* Nested-loop join over two materialized sides.  The ON predicate is
@@ -838,8 +805,7 @@ and materialize ctx fctx ~where (item : A.from_item) :
    (LEFT joins are never swapped: their NULL extension is asymmetric);
    bindings concatenate in textual order either way.  Each outer tuple's
    matches come out last-first. *)
-and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
-    (source, Errors.t) result =
+and run_join ctx ~kind ~on ~right_item (l : source) (r : source) : source =
   let join_t0 = Executor.op_clock ctx in
   let nl = List.length l.src_layout in
   let full_layout = l.src_layout @ r.src_layout in
@@ -914,7 +880,7 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
         in
         go (List.rev_append (walk [] inner) acc) rest
   in
-  let* tuples = Eval.run (fun () -> go [] outer) in
+  let tuples = go [] outer in
   if Executor.tracing ctx then
     Executor.op_event ctx ~op:"JOIN"
       ~detail:
@@ -927,7 +893,8 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) :
       ~rows_out:(List.length tuples)
       ~batches:(batches_of (List.length tuples))
       ~t0:join_t0 ();
-  Ok { src_layout = out_layout; src_tuples = tuples }
+  { src_layout = out_layout; src_tuples = tuples }
 
 (* Sinks stay internal: only the compound operators probe. *)
-let run_query ctx q = run_query ctx q
+let query ctx q = run_query ctx q
+let run_query ctx q = Eval.run (fun () -> run_query ctx q)

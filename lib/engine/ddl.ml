@@ -1,12 +1,8 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 let cov (ctx : Executor.ctx) point =
   match ctx.Executor.coverage with None -> () | Some c -> Coverage.hit c point
-
-let err code fmt = Errors.makef code fmt
 
 (* ------------------------------------------------------------------ *)
 (* Write plans                                                          *)
@@ -69,9 +65,6 @@ let plan ctx (ts : Storage.Catalog.table_state) =
 
 let set_row p values = !(p.env.Eval.cur).(0) <- values
 
-(* Is [pred], compiled against the plan's env, TRUE on the row last set? *)
-let holds pred = Result.map (Tvl.equal Tvl.True) (Eval.run pred)
-
 (* ------------------------------------------------------------------ *)
 (* Index entries                                                        *)
 
@@ -119,33 +112,29 @@ let resolved_collations (schema : Storage.Schema.table)
              | _ -> Collation.Binary))
        definition)
 
-(* Add each row's entry under [ip] in scan order; stops at the first key
-   that fails to evaluate or conflicts. *)
-let rec add_entries (ts : Storage.Catalog.table_state) p ip = function
-  | [] -> Ok ()
-  | (row : Storage.Row.t) :: rest -> (
+(* Add each row's entry under [ip] in scan order; raises at the first
+   key that fails to evaluate or conflicts. *)
+let add_entries (ts : Storage.Catalog.table_state) p ip rows =
+  List.iter
+    (fun (row : Storage.Row.t) ->
       match eval_entry p ip row.Storage.Row.values with
-      | Pending | Absent -> add_entries ts p ip rest
-      | Failed e -> Error e
+      | Pending | Absent -> ()
+      | Failed e -> Eval.fail e
       | Key key ->
           let rowid = row.Storage.Row.rowid in
           if Storage.Index.unique_conflicts ip.ix ~key ~rowid <> [] then
-            Error
-              (err Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
-                 ts.Storage.Catalog.schema.Storage.Schema.table_name
-                 ip.ix.Storage.Index.index_name)
-          else begin
-            Storage.Index.add ip.ix ~key ~rowid;
-            add_entries ts p ip rest
-          end)
+            Eval.failf Errors.Unique_violation "UNIQUE constraint failed: %s.%s"
+              ts.Storage.Catalog.schema.Storage.Schema.table_name
+              ip.ix.Storage.Index.index_name
+          else Storage.Index.add ip.ix ~key ~rowid)
+    rows
 
 let build_index_entries ctx (ts : Storage.Catalog.table_state)
-    (ix : Storage.Index.t) : (unit, Errors.t) result =
+    (ix : Storage.Index.t) =
   Storage.Index.clear ix;
   (* an empty heap needs no plan: each implicit index of a CREATE TABLE
      lands here, and adding the index invalidates the plan at once *)
-  if Storage.Heap.row_count ts.Storage.Catalog.heap = 0 then Ok ()
-  else
+  if Storage.Heap.row_count ts.Storage.Catalog.heap > 0 then
     let p = plan ctx ts in
     (* a new index is not in the plan yet *)
     let ip =
@@ -161,27 +150,20 @@ let build_index_entries ctx (ts : Storage.Catalog.table_state)
 let check_column_type (ctx : Executor.ctx) (c : A.column_def) =
   match (ctx.Executor.dialect, c.A.col_type) with
   | Dialect.Sqlite_like, Datatype.Serial ->
-      Error (err Errors.Syntax_error "SERIAL is not supported by sqlite")
-  | Dialect.Sqlite_like, Datatype.Int { unsigned = true; _ } ->
-      Error (err Errors.Syntax_error "unsigned types are mysql-specific")
-  | Dialect.Sqlite_like, _ -> Ok ()
-  | Dialect.Mysql_like, Datatype.Any ->
-      Error (err Errors.Syntax_error "column %s requires a type" c.A.col_name)
+      Eval.failf Errors.Syntax_error "SERIAL is not supported by sqlite"
+  | (Dialect.Sqlite_like | Dialect.Postgres_like), Datatype.Int { unsigned = true; _ }
+    ->
+      Eval.failf Errors.Syntax_error "unsigned types are mysql-specific"
+  | (Dialect.Mysql_like | Dialect.Postgres_like), Datatype.Any ->
+      Eval.failf Errors.Syntax_error "column %s requires a type" c.A.col_name
   | Dialect.Mysql_like, Datatype.Serial ->
-      Error (err Errors.Syntax_error "SERIAL shorthand not modeled for mysql")
-  | Dialect.Mysql_like, _ -> Ok ()
-  | Dialect.Postgres_like, Datatype.Any ->
-      Error (err Errors.Syntax_error "column %s requires a type" c.A.col_name)
-  | Dialect.Postgres_like, Datatype.Int { unsigned = true; _ } ->
-      Error (err Errors.Syntax_error "unsigned types are mysql-specific")
-  | Dialect.Postgres_like, Datatype.Blob ->
-      Ok () (* bytea *)
-  | Dialect.Postgres_like, _ -> Ok ()
+      Eval.failf Errors.Syntax_error "SERIAL shorthand not modeled for mysql"
+  | _ -> ()
 
 let implicit_index_name table n = Printf.sprintf "%s_autoindex_%d" table n
 
 let create_unique_index_internal ctx (ts : Storage.Catalog.table_state)
-    ~name ~columns : (unit, Errors.t) result =
+    ~name ~columns =
   let schema = ts.Storage.Catalog.schema in
   let definition =
     List.map
@@ -193,80 +175,63 @@ let create_unique_index_internal ctx (ts : Storage.Catalog.table_state)
     Storage.Index.create ~name ~table:schema.Storage.Schema.table_name
       ~unique:true ~definition ~collations ~where:None
   in
-  let* () = build_index_entries ctx ts ix in
-  Storage.Catalog.add_index ctx.Executor.catalog ix;
-  Ok ()
+  build_index_entries ctx ts ix;
+  Storage.Catalog.add_index ctx.Executor.catalog ix
 
-let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
+let create_table ctx (ct : A.create_table) =
   cov ctx "ddl.create_table";
   let catalog = ctx.Executor.catalog in
   let name = ct.A.ct_name in
   if Storage.Catalog.table_exists catalog name
      || Storage.Catalog.view_exists catalog name
-  then
-    if ct.A.ct_if_not_exists then Ok ()
-    else Error (err Errors.Object_exists "table %s already exists" name)
+  then begin
+    if not ct.A.ct_if_not_exists then
+      Eval.failf Errors.Object_exists "table %s already exists" name
+  end
   else begin
     (* dialect feature gates *)
-    let* () =
-      if ct.A.ct_without_rowid then begin
-        let has_pk =
+    if ct.A.ct_without_rowid then begin
+      let has_pk =
           List.exists
             (function
               | A.T_primary_key _ -> true
               | A.T_unique _ | A.T_check _ -> false)
             ct.A.ct_constraints
-          || List.exists
-               (fun c -> List.mem A.C_primary_key c.A.col_constraints)
-               ct.A.ct_columns
-        in
-        if not (Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like) then
-          Error (err Errors.Syntax_error "WITHOUT ROWID is sqlite-specific")
-        else if has_pk then begin
-          cov ctx "ddl.without_rowid";
-          Ok ()
-        end
-        else
-          Error
-            (err Errors.Syntax_error
-               "PRIMARY KEY missing on table %s WITHOUT ROWID" name)
-      end
-      else Ok ()
-    in
-    let* () =
-      match ct.A.ct_engine with
-      | Some _ when not (Dialect.equal ctx.Executor.dialect Dialect.Mysql_like)
-        ->
-          Error (err Errors.Syntax_error "ENGINE is mysql-specific")
-      | _ -> Ok ()
-    in
-    let* parent =
+        || List.exists
+             (fun c -> List.mem A.C_primary_key c.A.col_constraints)
+             ct.A.ct_columns
+      in
+      if not (Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like) then
+        Eval.failf Errors.Syntax_error "WITHOUT ROWID is sqlite-specific"
+      else if has_pk then cov ctx "ddl.without_rowid"
+      else
+        Eval.failf Errors.Syntax_error "PRIMARY KEY missing on table %s WITHOUT ROWID"
+          name
+    end;
+    (match ct.A.ct_engine with
+    | Some _ when not (Dialect.equal ctx.Executor.dialect Dialect.Mysql_like) ->
+        Eval.failf Errors.Syntax_error "ENGINE is mysql-specific"
+    | _ -> ());
+    let parent =
       match ct.A.ct_inherits with
-      | None -> Ok None
-      | Some p ->
+      | None -> None
+      | Some p -> (
           if not (Dialect.equal ctx.Executor.dialect Dialect.Postgres_like)
-          then Error (err Errors.Syntax_error "INHERITS is postgres-specific")
-          else (
-            cov ctx "ddl.inherits";
-            match Storage.Catalog.find_table catalog p with
-            | Some ts -> Ok (Some ts.Storage.Catalog.schema)
-            | None -> Error (err Errors.No_such_table "no such table: %s" p))
+          then Eval.failf Errors.Syntax_error "INHERITS is postgres-specific";
+          cov ctx "ddl.inherits";
+          match Storage.Catalog.find_table catalog p with
+          | Some ts -> Some ts.Storage.Catalog.schema
+          | None -> Eval.failf Errors.No_such_table "no such table: %s" p)
     in
-    let rec check_cols = function
-      | [] -> Ok ()
-      | c :: rest ->
-          let* () = check_column_type ctx c in
-          if c.A.col_type = Datatype.Serial then cov ctx "ddl.serial";
-          check_cols rest
-    in
-    let* () = check_cols ct.A.ct_columns in
+    List.iter
+      (fun c ->
+        check_column_type ctx c;
+        if c.A.col_type = Datatype.Serial then cov ctx "ddl.serial")
+      ct.A.ct_columns;
     (* duplicate column names *)
     let names = List.map (fun c -> String.lowercase_ascii c.A.col_name) ct.A.ct_columns in
-    let* () =
-      if List.length (List.sort_uniq compare names) <> List.length names then
-        Error (err Errors.Syntax_error "duplicate column name in table %s" name)
-      else Ok ()
-    in
+    if List.length (List.sort_uniq compare names) <> List.length names then
+      Eval.failf Errors.Syntax_error "duplicate column name in table %s" name;
     (* primary key resolution *)
     let col_pk =
       List.filter_map
@@ -282,12 +247,10 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
           | A.T_unique _ | A.T_check _ -> None)
         ct.A.ct_constraints
     in
-    let* primary_key =
+    let primary_key =
       match (col_pk, table_pk) with
-      | [], [] -> Ok []
-      | pk, [] -> Ok pk
-      | [], [ pk ] -> Ok pk
-      | _ -> Error (err Errors.Syntax_error "multiple primary keys for table %s" name)
+      | pk, [] | [], [ pk ] -> pk
+      | _ -> Eval.failf Errors.Syntax_error "multiple primary keys for table %s" name
     in
     (* columns: parent's first (postgres merges same-named), then own *)
     let own_columns =
@@ -380,20 +343,9 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
       incr counter;
       implicit_index_name name !counter
     in
-    let* () =
-      if primary_key = [] then Ok ()
-      else
-        create_unique_index_internal ctx ts ~name:(next_name ())
-          ~columns:primary_key
-    in
-    let rec make_uniques = function
-      | [] -> Ok ()
-      | cols :: rest ->
-          let* () =
-            create_unique_index_internal ctx ts ~name:(next_name ()) ~columns:cols
-          in
-          make_uniques rest
-    in
+    if primary_key <> [] then
+      create_unique_index_internal ctx ts ~name:(next_name ())
+        ~columns:primary_key;
     let single_uniques =
       List.filter_map
         (fun (c : A.column_def) ->
@@ -401,7 +353,10 @@ let create_table ctx (ct : A.create_table) : (unit, Errors.t) result =
           else None)
         ct.A.ct_columns
     in
-    make_uniques (single_uniques @ table_uniques)
+    List.iter
+      (fun cols ->
+        create_unique_index_internal ctx ts ~name:(next_name ()) ~columns:cols)
+      (single_uniques @ table_uniques)
   end
 
 let drop_table ctx ~if_exists name =
@@ -410,14 +365,11 @@ let drop_table ctx ~if_exists name =
   if Storage.Catalog.table_exists catalog name then begin
     (* refuse to drop a parent with children (postgres needs CASCADE) *)
     if Storage.Catalog.children_of catalog name <> [] then
-      Error (err Errors.Txn_state "cannot drop table %s: other objects depend on it" name)
-    else begin
-      ignore (Storage.Catalog.drop_table catalog name);
-      Ok ()
-    end
+      Eval.failf Errors.Txn_state "cannot drop table %s: other objects depend on it"
+        name;
+    ignore (Storage.Catalog.drop_table catalog name)
   end
-  else if if_exists then Ok ()
-  else Error (err Errors.No_such_table "no such table: %s" name)
+  else if not if_exists then Eval.failf Errors.No_such_table "no such table: %s" name
 
 (* ------------------------------------------------------------------ *)
 (* ALTER TABLE                                                          *)
@@ -458,10 +410,10 @@ let rename_refs catalog (schema : Storage.Schema.table) ~table
         else (k, ix))
       catalog.Storage.Catalog.indexes
 
-let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
+let alter_table ctx name (action : A.alter_action) =
   let catalog = ctx.Executor.catalog in
   match Storage.Catalog.find_table catalog name with
-  | None -> Error (err Errors.No_such_table "no such table: %s" name)
+  | None -> Eval.failf Errors.No_such_table "no such table: %s" name
   | Some ts -> (
       let schema = ts.Storage.Catalog.schema in
       (* every action changes what the table's write plan compiles *)
@@ -470,7 +422,7 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
       | A.Rename_table new_name ->
           cov ctx "ddl.alter_rename_table";
           if Storage.Catalog.table_exists catalog new_name then
-            Error (err Errors.Object_exists "table %s already exists" new_name)
+            Eval.failf Errors.Object_exists "table %s already exists" new_name
           else begin
             catalog.Storage.Catalog.tables <-
               List.map
@@ -497,18 +449,15 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                   when String.lowercase_ascii t = String.lowercase_ascii name
                   ->
                     Some (A.Col { table = Some new_name; column })
-                | _ -> None);
-            Ok ()
+                | _ -> None)
           end
       | A.Rename_column { old_name; new_name } -> (
           cov ctx "ddl.alter_rename_column";
           match Storage.Schema.find_column schema old_name with
-          | None ->
-              Error (err Errors.No_such_column "no such column: %s" old_name)
+          | None -> Eval.failf Errors.No_such_column "no such column: %s" old_name
           | Some (i, col) ->
               if Storage.Schema.find_column schema new_name <> None then
-                Error
-                  (err Errors.Object_exists "duplicate column name: %s" new_name)
+                Eval.failf Errors.Object_exists "duplicate column name: %s" new_name
               else begin
                 schema.Storage.Schema.columns.(i) <-
                   { col with Storage.Schema.name = new_name };
@@ -535,27 +484,25 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       String.lowercase_ascii column
                       = String.lowercase_ascii old_name
                     then Some (A.Col { table; column = new_name })
-                    else None);
-                Ok ()
+                    else None)
               end)
       | A.Add_column cd -> (
           cov ctx "ddl.alter_add_column";
-          let* () = check_column_type ctx cd in
+          check_column_type ctx cd;
           match Storage.Schema.find_column schema cd.A.col_name with
           | Some _ ->
-              Error
-                (err Errors.Object_exists "duplicate column name: %s"
-                   cd.A.col_name)
+              Eval.failf Errors.Object_exists "duplicate column name: %s"
+                cd.A.col_name
           | None ->
               let default =
                 List.find_map
                   (function A.C_default e -> Some e | _ -> None)
                   cd.A.col_constraints
               in
-              let* default_value =
+              let default_value =
                 match default with
-                | None -> Ok Value.Null
-                | Some e -> Eval.run (Eval.compile (Executor.eval_env ctx) e)
+                | None -> Value.Null
+                | Some e -> Eval.compile (Executor.eval_env ctx) e ()
               in
               let col =
                 {
@@ -572,10 +519,8 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
               if col.Storage.Schema.not_null && default = None
                  && Storage.Heap.row_count ts.Storage.Catalog.heap > 0
               then
-                Error
-                  (err Errors.Not_null_violation
-                     "cannot add NOT NULL column %s without default"
-                     cd.A.col_name)
+                Eval.failf Errors.Not_null_violation
+                  "cannot add NOT NULL column %s without default" cd.A.col_name
               else begin
                 schema.Storage.Schema.checks <-
                   schema.Storage.Schema.checks
@@ -592,13 +537,12 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                       (Storage.Heap.insert_with_rowid heap
                          ~rowid:r.Storage.Row.rowid
                          (Array.append r.Storage.Row.values [| default_value |])))
-                  (Storage.Heap.to_list heap);
-                Ok ()
+                  (Storage.Heap.to_list heap)
               end)
       | A.Drop_column cname -> (
           cov ctx "ddl.alter_drop_column";
           match Storage.Schema.find_column schema cname with
-          | None -> Error (err Errors.No_such_column "no such column: %s" cname)
+          | None -> Eval.failf Errors.No_such_column "no such column: %s" cname
           | Some (i, col) ->
               let names e =
                 A.expr_columns e
@@ -618,13 +562,12 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                                ix.Storage.Index.where)
               in
               if col.Storage.Schema.in_primary_key || referenced then
-                Error
-                  (err Errors.Syntax_error
-                     "cannot drop column %s: used by an index, CHECK or \
-                      primary key"
-                     cname)
+                Eval.failf Errors.Syntax_error
+                  "cannot drop column %s: used by an index, CHECK or primary \
+                   key"
+                  cname
               else if Array.length schema.Storage.Schema.columns <= 1 then
-                Error (err Errors.Syntax_error "cannot drop the only column")
+                Eval.failf Errors.Syntax_error "cannot drop the only column"
               else begin
                 schema.Storage.Schema.columns <-
                   Array.of_list
@@ -643,35 +586,29 @@ let alter_table ctx name (action : A.alter_action) : (unit, Errors.t) result =
                     ignore
                       (Storage.Heap.insert_with_rowid heap
                          ~rowid:r.Storage.Row.rowid values))
-                  (Storage.Heap.to_list heap);
-                Ok ()
+                  (Storage.Heap.to_list heap)
               end))
 
 (* ------------------------------------------------------------------ *)
 (* CREATE INDEX / views                                                 *)
 
-let create_index ctx (ci : A.create_index) : (unit, Errors.t) result =
+let create_index ctx (ci : A.create_index) =
   cov ctx "ddl.create_index";
   let catalog = ctx.Executor.catalog in
-  if Storage.Catalog.index_exists catalog ci.A.ci_name then
-    if ci.A.ci_if_not_exists then Ok ()
-    else Error (err Errors.Object_exists "index %s already exists" ci.A.ci_name)
+  if Storage.Catalog.index_exists catalog ci.A.ci_name then begin
+    if not ci.A.ci_if_not_exists then
+      Eval.failf Errors.Object_exists "index %s already exists" ci.A.ci_name
+  end
   else
     match Storage.Catalog.find_table catalog ci.A.ci_table with
-    | None -> Error (err Errors.No_such_table "no such table: %s" ci.A.ci_table)
+    | None -> Eval.failf Errors.No_such_table "no such table: %s" ci.A.ci_table
     | Some ts ->
         let schema = ts.Storage.Catalog.schema in
-        let* () =
-          if ci.A.ci_where <> None then
-            if Dialect.equal ctx.Executor.dialect Dialect.Mysql_like then
-              Error
-                (err Errors.Syntax_error "partial indexes are not supported")
-            else begin
-              cov ctx "ddl.partial_index_def";
-              Ok ()
-            end
-          else Ok ()
-        in
+        if ci.A.ci_where <> None then begin
+          if Dialect.equal ctx.Executor.dialect Dialect.Mysql_like then
+            Eval.failf Errors.Syntax_error "partial indexes are not supported";
+          cov ctx "ddl.partial_index_def"
+        end;
         if ci.A.ci_unique then cov ctx "ddl.unique_index";
         let has_expr =
           List.exists
@@ -692,43 +629,37 @@ let create_index ctx (ci : A.create_index) : (unit, Errors.t) result =
             | None -> [])
           |> List.filter (fun (_, c) -> Storage.Schema.find_column schema c = None)
         in
-        let* () =
-          match missing with
-          | [] -> Ok ()
-          | (_, c) :: _ ->
-              Error (err Errors.No_such_column "no such column: %s" c)
-        in
+        (match missing with
+        | [] -> ()
+        | (_, c) :: _ -> Eval.failf Errors.No_such_column "no such column: %s" c);
         let collations = resolved_collations schema ci.A.ci_columns in
         let ix =
           Storage.Index.create ~name:ci.A.ci_name ~table:ci.A.ci_table
             ~unique:ci.A.ci_unique ~definition:ci.A.ci_columns ~collations
             ~where:ci.A.ci_where
         in
-        let* () = build_index_entries ctx ts ix in
-        Storage.Catalog.add_index catalog ix;
-        Ok ()
+        build_index_entries ctx ts ix;
+        Storage.Catalog.add_index catalog ix
 
 let drop_index ctx ~if_exists name =
   cov ctx "ddl.drop_index";
-  if Storage.Catalog.drop_index ctx.Executor.catalog name then Ok ()
-  else if if_exists then Ok ()
-  else Error (err Errors.No_such_index "no such index: %s" name)
+  if (not (Storage.Catalog.drop_index ctx.Executor.catalog name)) && not if_exists
+  then Eval.failf Errors.No_such_index "no such index: %s" name
 
 let create_view ctx name query =
   cov ctx "ddl.create_view";
   let catalog = ctx.Executor.catalog in
   if Storage.Catalog.view_exists catalog name
      || Storage.Catalog.table_exists catalog name
-  then Error (err Errors.Object_exists "view %s already exists" name)
-  else
+  then Eval.failf Errors.Object_exists "view %s already exists" name
+  else begin
     (* validate by running once *)
-    let* _rs = Compile.run_query ctx query in
+    ignore (Compile.query ctx query);
     Storage.Catalog.add_view catalog
-      { Storage.Catalog.view_name = name; view_query = query };
-    Ok ()
+      { Storage.Catalog.view_name = name; view_query = query }
+  end
 
 let drop_view ctx ~if_exists name =
   cov ctx "ddl.drop_view";
-  if Storage.Catalog.drop_view ctx.Executor.catalog name then Ok ()
-  else if if_exists then Ok ()
-  else Error (err Errors.No_such_view "no such view: %s" name)
+  if (not (Storage.Catalog.drop_view ctx.Executor.catalog name)) && not if_exists
+  then Eval.failf Errors.No_such_view "no such view: %s" name

@@ -5,26 +5,15 @@
     engines and unsigned types, postgres's SERIAL, strict typing and table
     inheritance. *)
 
-val create_table :
-  Executor.ctx -> Sqlast.Ast.create_table -> (unit, Errors.t) result
+(** Each statement raises its error with {!Eval.fail}. *)
 
-val drop_table :
-  Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
-
-val alter_table :
-  Executor.ctx -> string -> Sqlast.Ast.alter_action -> (unit, Errors.t) result
-
-val create_index :
-  Executor.ctx -> Sqlast.Ast.create_index -> (unit, Errors.t) result
-
-val drop_index :
-  Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
-
-val create_view :
-  Executor.ctx -> string -> Sqlast.Ast.query -> (unit, Errors.t) result
-
-val drop_view :
-  Executor.ctx -> if_exists:bool -> string -> (unit, Errors.t) result
+val create_table : Executor.ctx -> Sqlast.Ast.create_table -> unit
+val drop_table : Executor.ctx -> if_exists:bool -> string -> unit
+val alter_table : Executor.ctx -> string -> Sqlast.Ast.alter_action -> unit
+val create_index : Executor.ctx -> Sqlast.Ast.create_index -> unit
+val drop_index : Executor.ctx -> if_exists:bool -> string -> unit
+val create_view : Executor.ctx -> string -> Sqlast.Ast.query -> unit
+val drop_view : Executor.ctx -> if_exists:bool -> string -> unit
 
 (** A table's write plan: its row expressions compiled once per schema
     version and kept on its catalog entry.  CHECKs, index keys and
@@ -53,12 +42,10 @@ val plan : Executor.ctx -> Storage.Catalog.table_state -> plan
     predicates. *)
 val set_row : plan -> Sqlval.Value.t array -> unit
 
-(** Is a predicate compiled against the plan's env TRUE on that row? *)
-val holds : Eval.pred -> (bool, Errors.t) result
-
 (** A row's entry under one index.  [Absent]: the row fails the partial
     predicate; [Failed]: a key or predicate failed to evaluate (e.g.
-    overflow in an expression index); [Pending] only inside a memo. *)
+    overflow in an expression index), caught and kept, so the writes that
+    share the memo see the same failure; [Pending] only inside a memo. *)
 type entry =
   | Pending
   | Absent
@@ -76,10 +63,7 @@ val row_entries : plan -> Storage.Row.t -> row_entries
 val entry : row_entries -> index_plan -> entry
 
 (** Build (or rebuild) the entries of one index from its table's rows;
-    shared with REINDEX/VACUUM.  Reports a UNIQUE violation when the
-    rebuilt keys conflict. *)
+    shared with REINDEX/VACUUM.  Raises a UNIQUE violation when the
+    rebuilt keys conflict, or the first key that fails to evaluate. *)
 val build_index_entries :
-  Executor.ctx ->
-  Storage.Catalog.table_state ->
-  Storage.Index.t ->
-  (unit, Errors.t) result
+  Executor.ctx -> Storage.Catalog.table_state -> Storage.Index.t -> unit

@@ -1,8 +1,6 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 let cov (ctx : Executor.ctx) point =
   match ctx.Executor.coverage with None -> () | Some c -> Coverage.hit c point
 
@@ -11,11 +9,11 @@ let err code fmt = Errors.makef code fmt
 
 let find_table (ctx : Executor.ctx) table =
   match Storage.Catalog.find_table ctx.Executor.catalog table with
-  | Some ts -> Ok ts
+  | Some ts -> ts
   | None ->
       if Storage.Catalog.view_exists ctx.Executor.catalog table then
-        Error (err Errors.Unsupported "cannot modify view %s" table)
-      else Error (err Errors.No_such_table "no such table: %s" table)
+        Eval.failf Errors.Unsupported "cannot modify view %s" table
+      else Eval.failf Errors.No_such_table "no such table: %s" table
 
 (* ------------------------------------------------------------------ *)
 (* Index maintenance helpers                                            *)
@@ -25,17 +23,17 @@ let indexes_of ctx (ts : Storage.Catalog.table_state) =
     ts.Storage.Catalog.schema.Storage.Schema.table_name
 
 (* Apply [apply] to each of [ips] holding an entry for the row, with the
-   entry's key and the row's rowid; stops at the first key that fails to
+   entry's key and the row's rowid; raises at the first key that fails to
    evaluate.  The [apply]s are top-level, so a row builds no closure. *)
 let rec iter_entries m apply = function
-  | [] -> Ok ()
+  | [] -> ()
   | (ip : Ddl.index_plan) :: rest -> (
       match Ddl.entry m ip with
       | Ddl.Key key ->
           apply ip.Ddl.ix ~key ~rowid:m.Ddl.row.Storage.Row.rowid;
           iter_entries m apply rest
       | Ddl.Absent | Ddl.Pending -> iter_entries m apply rest
-      | Ddl.Failed e -> Error e)
+      | Ddl.Failed e -> Eval.fail e)
 
 let attach m ips = iter_entries m Storage.Index.add ips
 let remove_entry ix ~key ~rowid = ignore (Storage.Index.remove ix ~key ~rowid)
@@ -44,25 +42,25 @@ let remove_entry ix ~key ~rowid = ignore (Storage.Index.remove ix ~key ~rowid)
    entries it added: it stops at the same memoized failure. *)
 let detach m ips = iter_entries m remove_entry ips
 
+(* An undo step: it stops at the failure the undone step raised, and
+   that error is already the statement's. *)
+let undo step m ips = Eval.catch (step m) ips ~error:ignore
+
 (* Evaluate the entries without touching an index. *)
 let force m ips = iter_entries m (fun _ ~key:_ ~rowid:_ -> ()) ips
 
 let remove_row p ts (row : Storage.Row.t) =
-  let* () = detach (Ddl.row_entries p row) p.Ddl.indexes in
-  Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid;
-  Ok ()
+  detach (Ddl.row_entries p row) p.Ddl.indexes;
+  Storage.Heap.delete ts.Storage.Catalog.heap row.Storage.Row.rowid
 
 (* OR REPLACE: remove every row the candidate conflicts with *)
 let remove_victims p ts conflicts =
   List.concat_map snd conflicts
   |> List.sort_uniq Int64.compare
-  |> List.fold_left
-       (fun acc id ->
-         let* () = acc in
+  |> List.iter (fun id ->
          match Storage.Heap.find ts.Storage.Catalog.heap id with
          | Some victim -> remove_row p ts victim
-         | None -> Ok ())
-       (Ok ())
+         | None -> ())
 
 (* The implicit primary-key index is the first autoindex over the PK
    columns; used by the Listing 4 injection. *)
@@ -147,14 +145,14 @@ let collapsed_conflicts ix ~rowid key =
    [ips], consed onto [acc] as (index, conflicting rowids) pairs.
    [collapse] is the statement's {!nocase_pk_collapse}. *)
 let rec conflicts_from collapse m acc = function
-  | [] -> Ok (List.rev acc)
+  | [] -> List.rev acc
   | (ip : Ddl.index_plan) :: rest -> (
       let ix = ip.Ddl.ix in
       if not ix.Storage.Index.unique then conflicts_from collapse m acc rest
       else
         match Ddl.entry m ip with
         | Ddl.Absent | Ddl.Pending -> conflicts_from collapse m acc rest
-        | Ddl.Failed e -> Error e
+        | Ddl.Failed e -> Eval.fail e
         | Ddl.Key key -> (
             let rowid = m.Ddl.row.Storage.Row.rowid in
             match
@@ -182,19 +180,14 @@ let unique_error (ts : Storage.Catalog.table_state) (ix : Storage.Index.t) =
 
 let not_null_check (ctx : Executor.ctx) (schema : Storage.Schema.table) values
     =
-  let rec go i =
-    if i >= Array.length schema.Storage.Schema.columns then Ok ()
-    else
-      let col = schema.Storage.Schema.columns.(i) in
+  Array.iteri
+    (fun i (col : Storage.Schema.column) ->
       if col.Storage.Schema.not_null && Value.is_null values.(i) then begin
         cov ctx "dml.not_null_check";
-        Error
-          (err Errors.Not_null_violation "NOT NULL constraint failed: %s.%s"
-             schema.Storage.Schema.table_name col.Storage.Schema.name)
-      end
-      else go (i + 1)
-  in
-  go 0
+        Eval.failf Errors.Not_null_violation "NOT NULL constraint failed: %s.%s"
+          schema.Storage.Schema.table_name col.Storage.Schema.name
+      end)
+    schema.Storage.Schema.columns
 
 (* CHECK constraint enforcement: a check passes when it evaluates TRUE or
    NULL (SQL semantics); the sqlite pragma ignore_check_constraints skips
@@ -205,29 +198,28 @@ let check_constraints (ctx : Executor.ctx) (p : Ddl.plan)
     Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
     && Options.ignore_check_constraints ctx.Executor.options
   in
-  if skip || schema.Storage.Schema.checks = [] then Ok ()
-  else begin
+  if not (skip || schema.Storage.Schema.checks = []) then begin
     cov ctx "dml.check_constraint";
     Ddl.set_row p values;
-    let rec go = function
-      | [] -> Ok ()
-      | check :: rest -> (
-          match Eval.run check with
-          | Ok (Tvl.True | Tvl.Unknown) -> go rest
-          | Ok Tvl.False ->
-              Error
-                (err Errors.Check_violation "CHECK constraint failed: %s"
-                   schema.Storage.Schema.table_name)
-          | Error e -> Error e)
-    in
-    go (Lazy.force p.Ddl.checks)
+    List.iter
+      (fun (check : Eval.pred) ->
+        match check () with
+        | Tvl.True | Tvl.Unknown -> ()
+        | Tvl.False ->
+            Eval.failf Errors.Check_violation "CHECK constraint failed: %s"
+              schema.Storage.Schema.table_name)
+      (Lazy.force p.Ddl.checks)
   end
 
-(* Coerce one value into its column, per dialect. *)
-let store_value (ctx : Executor.ctx) (col : Storage.Schema.column) v =
-  Result.map_error
-    (fun msg -> Errors.make Errors.Type_error msg)
-    (Coerce.store ctx.Executor.dialect col.Storage.Schema.ty v)
+(* Coerce one value into its column, per dialect; with [null_on_error]
+   (IGNORE, as in mysql's non-strict mode) a value the column cannot
+   store becomes NULL. *)
+let store_value ?(null_on_error = false) (ctx : Executor.ctx)
+    (col : Storage.Schema.column) v =
+  match Coerce.store ctx.Executor.dialect col.Storage.Schema.ty v with
+  | Ok v -> v
+  | Error _ when null_on_error -> Value.Null
+  | Error msg -> Eval.fail (Errors.make Errors.Type_error msg)
 
 (* sqlite: a single-column INTEGER PRIMARY KEY is an alias for the rowid;
    inserting NULL assigns the next rowid *)
@@ -257,25 +249,21 @@ let insert ctx ~table ~columns ~rows ~action =
   | A.On_conflict_ignore -> cov ctx "dml.insert_ignore"
   | A.On_conflict_replace -> cov ctx "dml.insert_replace"
   | A.On_conflict_abort -> ());
-  let* ts = find_table ctx table in
+  let ts = find_table ctx table in
   let schema = ts.Storage.Catalog.schema in
   let ncols = Array.length schema.Storage.Schema.columns in
   (* map provided column names to indices *)
-  let* targets =
-    if columns = [] then
-      Ok (List.init ncols (fun i -> i))
+  let targets =
+    if columns = [] then List.init ncols (fun i -> i)
     else
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | c :: rest -> (
-            match Storage.Schema.find_column schema c with
-            | Some (i, _) -> go (i :: acc) rest
-            | None ->
-                Error
-                  (err Errors.No_such_column "table %s has no column named %s"
-                     table c))
-      in
-      go [] columns
+      List.map
+        (fun c ->
+          match Storage.Schema.find_column schema c with
+          | Some (i, _) -> i
+          | None ->
+              Eval.failf Errors.No_such_column "table %s has no column named %s"
+                table c)
+        columns
   in
   (* literals are stored as they are; only other expressions need an env *)
   let env = lazy (Executor.eval_env ctx) in
@@ -284,6 +272,7 @@ let insert ctx ~table ~columns ~rows ~action =
   let rowid_alias = rowid_alias_column ctx schema in
   let buggy_pk = buggy_pk_index ctx ts in
   let collapse = nocase_pk_collapse ctx ts buggy_pk in
+  let ignore_errors = action = A.On_conflict_ignore in
   (* the defaults of the columns the statement leaves out *)
   let default_of =
     Array.mapi
@@ -294,169 +283,130 @@ let insert ctx ~table ~columns ~rows ~action =
         | _ -> None)
       schema.Storage.Schema.columns
   in
-  let insert_one exprs : (bool, Errors.t) result =
-    if List.length exprs <> List.length targets then
-      Error
-        (err Errors.Syntax_error "%d values for %d columns" (List.length exprs)
-           (List.length targets))
+  (* a failed NOT NULL or CHECK aborts the statement, or under IGNORE
+     skips the row *)
+  let admits check values =
+    if ignore_errors then
+      Eval.catch (fun () -> check values; true) () ~error:(fun _ -> false)
     else begin
-      (* start from defaults/NULLs *)
-      let values = Array.make ncols Value.Null in
-      let* () =
-        let rec defaults i =
-          if i >= ncols then Ok ()
-          else
-            let col = schema.Storage.Schema.columns.(i) in
-            let* () =
-              match default_of.(i) with
-              | Some d ->
-                  cov ctx "dml.default_value";
-                  let* v = Eval.run d in
-                  let* v = store_value ctx col v in
-                  values.(i) <- v;
-                  Ok ()
-              | _ -> Ok ()
-            in
-            (* postgres SERIAL auto-assignment *)
-            (match col.Storage.Schema.ty with
-            | Datatype.Serial when not (List.mem i targets) ->
-                values.(i) <- Value.Int schema.Storage.Schema.serial_next;
-                schema.Storage.Schema.serial_next <-
-                  Int64.add schema.Storage.Schema.serial_next 1L
-            | _ -> ());
-            defaults (i + 1)
-        in
-        defaults 0
-      in
-      let* () =
-        let rec assign targets exprs =
-          match (targets, exprs) with
-          | [], [] -> Ok ()
-          | i :: ts', e :: es ->
-              let col = schema.Storage.Schema.columns.(i) in
-              let* raw =
-                match e with
-                | A.Lit v -> Ok v
-                | e -> Eval.run (Eval.compile (Lazy.force env) e)
-              in
-              let* v =
-                match store_value ctx col raw with
-                | Ok v -> Ok v
-                | Error e ->
-                    if action = A.On_conflict_ignore then Ok Value.Null
-                      (* mysql non-strict IGNORE: NULL fallback *)
-                    else Error e
-              in
-              (* injected (intended-class): INSERT IGNORE still errors on
-                 clamped out-of-range values *)
-              let* () =
-                if
-                  action = A.On_conflict_ignore
-                  && Dialect.equal ctx.Executor.dialect Dialect.Mysql_like
-                  && bug ctx Bug.My_intended_ignore_clamp
-                  &&
-                  match (col.Storage.Schema.ty, v) with
-                  | Datatype.Int { width; unsigned = false }, Value.Int stored
-                    -> (
-                      let lo, hi = Datatype.int_range width in
-                      (stored = lo || stored = hi)
-                      &&
-                      match raw with
-                      | Value.Int orig -> orig < lo || orig > hi
-                      | _ -> false)
-                  | _ -> false
-                then
-                  Error
-                    (err Errors.Internal_error
-                       "Data truncated for column '%s' despite IGNORE"
-                       col.Storage.Schema.name)
-                else Ok ()
-              in
-              values.(i) <- v;
-              assign ts' es
-          | _ -> Error (err Errors.Syntax_error "values/columns arity mismatch")
-        in
-        assign targets exprs
-      in
-      (* sqlite rowid alias: NULL primary key auto-assigns *)
-      (match rowid_alias with
-      | Some i when Value.is_null values.(i) ->
-          values.(i) <- Value.Int heap.Storage.Heap.next_rowid
-      | _ -> ());
-      (* a failed NOT NULL or CHECK aborts the statement, or under IGNORE
-         skips the row *)
-      let admit = function
-        | Ok () -> Ok true
-        | Error _ when action = A.On_conflict_ignore -> Ok false
-        | Error e -> Error e
-      in
-      let* not_null = admit (not_null_check ctx schema values) in
-      let* checked = admit (check_constraints ctx p schema values) in
-      if not (not_null && checked) then Ok false
-      else begin
-        let candidate =
-          Storage.Row.make ~rowid:heap.Storage.Heap.next_rowid values
-        in
-        let m = Ddl.row_entries p candidate in
-        (* the heap gives the candidate's rowid to the next insert *)
-        let insert_row () =
-          ignore (Storage.Heap.insert heap values);
-          match attach m p.Ddl.indexes with
-          | Ok () -> Ok true
-          | Error e ->
-              (* atomicity: index-key evaluation failed, undo the row *)
-              ignore (detach m p.Ddl.indexes);
-              Storage.Heap.delete heap candidate.Storage.Row.rowid;
-              Error e
-        in
-        cov ctx "dml.unique_check";
-        let* conflicts = unique_conflicts_for ~collapse m in
-        match (conflicts, action) with
-        | [], _ -> insert_row ()
-        | _ :: _, A.On_conflict_ignore -> Ok false
-        | (ix, _) :: _, A.On_conflict_abort when is_index ix buggy_pk ->
-            (* Listing 4: the insert "succeeds" but the table's primary-key
-               b-tree (the WITHOUT ROWID storage) keeps only the first,
-               case-folded entry — so scans see one row while the heap (and
-               the pivot-row selection) holds both *)
-            ignore (Storage.Heap.insert heap values);
-            let* () =
-              attach m
-                (List.filter
-                   (fun (other : Ddl.index_plan) ->
-                     other.Ddl.ix.Storage.Index.index_name
-                     <> ix.Storage.Index.index_name)
-                   p.Ddl.indexes)
-            in
-            Ok true
-        | (ix, _) :: _, A.On_conflict_abort -> Error (unique_error ts ix)
-        | conflicts, _ ->
-            (* OR REPLACE *)
-            let* () = remove_victims p ts conflicts in
-            (* Listing 10-style corruption: OR REPLACE resolving conflicts
-               on two unique indexes at once *)
-            if
-              action = A.On_conflict_replace
-              && List.length conflicts >= 2
-              && bug ctx Bug.Sq_or_replace_two_unique_corrupt
-              && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-            then
-              Storage.Catalog.corrupt ctx.Executor.catalog
-                "database disk image is malformed";
-            insert_row ()
-      end
+      check values;
+      true
     end
   in
-  (* sqlite WITHOUT ROWID + real-affinity PK + blob key: corruption *)
-  let* inserted =
-    let rec go n = function
-      | [] -> Ok n
-      | exprs :: rest ->
-          let* ok = insert_one exprs in
-          go (if ok then n + 1 else n) rest
-    in
-    go 0 rows
+  (* whether the row was inserted *)
+  let insert_one exprs =
+    if List.length exprs <> List.length targets then
+      Eval.failf Errors.Syntax_error "%d values for %d columns" (List.length exprs)
+        (List.length targets);
+    (* start from defaults/NULLs *)
+    let values = Array.make ncols Value.Null in
+    Array.iteri
+      (fun i (col : Storage.Schema.column) ->
+        (match default_of.(i) with
+        | Some d ->
+            cov ctx "dml.default_value";
+            values.(i) <- store_value ctx col (d ())
+        | None -> ());
+        (* postgres SERIAL auto-assignment *)
+        match col.Storage.Schema.ty with
+        | Datatype.Serial when not (List.mem i targets) ->
+            values.(i) <- Value.Int schema.Storage.Schema.serial_next;
+            schema.Storage.Schema.serial_next <-
+              Int64.add schema.Storage.Schema.serial_next 1L
+        | _ -> ())
+      schema.Storage.Schema.columns;
+    List.iter2
+      (fun i e ->
+        let col = schema.Storage.Schema.columns.(i) in
+        let raw =
+          match e with
+          | A.Lit v -> v
+          | e -> Eval.compile (Lazy.force env) e ()
+        in
+        let v = store_value ~null_on_error:ignore_errors ctx col raw in
+        (* injected (intended-class): INSERT IGNORE still errors on
+           clamped out-of-range values *)
+        if
+          ignore_errors
+          && Dialect.equal ctx.Executor.dialect Dialect.Mysql_like
+          && bug ctx Bug.My_intended_ignore_clamp
+          &&
+          match (col.Storage.Schema.ty, v) with
+          | Datatype.Int { width; unsigned = false }, Value.Int stored -> (
+              let lo, hi = Datatype.int_range width in
+              (stored = lo || stored = hi)
+              &&
+              match raw with
+              | Value.Int orig -> orig < lo || orig > hi
+              | _ -> false)
+          | _ -> false
+        then
+          Eval.failf Errors.Internal_error
+            "Data truncated for column '%s' despite IGNORE"
+            col.Storage.Schema.name;
+        values.(i) <- v)
+      targets exprs;
+    (* sqlite rowid alias: NULL primary key auto-assigns *)
+    (match rowid_alias with
+    | Some i when Value.is_null values.(i) ->
+        values.(i) <- Value.Int heap.Storage.Heap.next_rowid
+    | _ -> ());
+    let not_null = admits (not_null_check ctx schema) values in
+    let checked = admits (check_constraints ctx p schema) values in
+    if not (not_null && checked) then false
+    else begin
+      let candidate =
+        Storage.Row.make ~rowid:heap.Storage.Heap.next_rowid values
+      in
+      let m = Ddl.row_entries p candidate in
+      (* the heap gives the candidate's rowid to the next insert *)
+      let insert_row () =
+        ignore (Storage.Heap.insert heap values);
+        Eval.catch (attach m) p.Ddl.indexes ~error:(fun e ->
+            (* atomicity: index-key evaluation failed, undo the row *)
+            undo detach m p.Ddl.indexes;
+            Storage.Heap.delete heap candidate.Storage.Row.rowid;
+            Eval.fail e);
+        true
+      in
+      cov ctx "dml.unique_check";
+      match (unique_conflicts_for ~collapse m, action) with
+      | [], _ -> insert_row ()
+      | _ :: _, A.On_conflict_ignore -> false
+      | (ix, _) :: _, A.On_conflict_abort when is_index ix buggy_pk ->
+          (* Listing 4: the insert "succeeds" but the table's primary-key
+             b-tree (the WITHOUT ROWID storage) keeps only the first,
+             case-folded entry — so scans see one row while the heap (and
+             the pivot-row selection) holds both *)
+          ignore (Storage.Heap.insert heap values);
+          attach m
+            (List.filter
+               (fun (other : Ddl.index_plan) ->
+                 other.Ddl.ix.Storage.Index.index_name
+                 <> ix.Storage.Index.index_name)
+               p.Ddl.indexes);
+          true
+      | (ix, _) :: _, A.On_conflict_abort -> Eval.fail (unique_error ts ix)
+      | conflicts, _ ->
+          (* OR REPLACE *)
+          remove_victims p ts conflicts;
+          (* Listing 10-style corruption: OR REPLACE resolving conflicts
+             on two unique indexes at once *)
+          if
+            action = A.On_conflict_replace
+            && List.length conflicts >= 2
+            && bug ctx Bug.Sq_or_replace_two_unique_corrupt
+            && Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+          then
+            Storage.Catalog.corrupt ctx.Executor.catalog
+              "database disk image is malformed";
+          insert_row ()
+    end
   in
+  let inserted =
+    List.fold_left (fun n exprs -> if insert_one exprs then n + 1 else n) 0 rows
+  in
+  (* sqlite WITHOUT ROWID + real-affinity PK + blob key: corruption *)
   (if
      Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
      && bug ctx Bug.Sq_blob_pk_without_rowid_corrupt
@@ -480,7 +430,7 @@ let insert ctx ~table ~columns ~rows ~action =
      if has_blob_pk then
        Storage.Catalog.corrupt ctx.Executor.catalog
          "database disk image is malformed");
-  Ok inserted
+  inserted
 
 (* ------------------------------------------------------------------ *)
 (* UPDATE                                                               *)
@@ -491,29 +441,23 @@ let update ctx ~table ~assignments ~where ~action =
   | A.On_conflict_ignore -> cov ctx "dml.update_ignore"
   | A.On_conflict_replace -> cov ctx "dml.update_replace"
   | A.On_conflict_abort -> ());
-  let* ts = find_table ctx table in
+  let ts = find_table ctx table in
   let schema = ts.Storage.Catalog.schema in
   (* mysql CSV-engine update defect *)
-  let* () =
-    if
-      Dialect.equal ctx.Executor.dialect Dialect.Mysql_like
-      && bug ctx Bug.My_csv_engine_update_error
-      && schema.Storage.Schema.engine = Some A.E_csv
-    then
-      Error
-        (err Errors.Internal_error
-           "Got error 1 'unknown error' from storage engine CSV")
-    else Ok ()
-  in
-  let* targets =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (c, e) :: rest -> (
-          match Storage.Schema.find_column schema c with
-          | Some (i, col) -> go ((i, col, e) :: acc) rest
-          | None -> Error (err Errors.No_such_column "no such column: %s" c))
-    in
-    go [] assignments
+  if
+    Dialect.equal ctx.Executor.dialect Dialect.Mysql_like
+    && bug ctx Bug.My_csv_engine_update_error
+    && schema.Storage.Schema.engine = Some A.E_csv
+  then
+    Eval.failf Errors.Internal_error
+      "Got error 1 'unknown error' from storage engine CSV";
+  let targets =
+    List.map
+      (fun (c, e) ->
+        match Storage.Schema.find_column schema c with
+        | Some (i, col) -> (i, col, e)
+        | None -> Eval.failf Errors.No_such_column "no such column: %s" c)
+      assignments
   in
   let p = Ddl.plan ctx ts in
   let where = Option.map (Eval.compile_pred p.Ddl.env) where in
@@ -536,125 +480,110 @@ let update ctx ~table ~assignments ~where ~action =
   let unique (ip : Ddl.index_plan) = ip.Ddl.ix.Storage.Index.unique in
   let uniques = List.filter unique p.Ddl.indexes in
   let collapse = nocase_pk_collapse ctx ts (buggy_pk_index ctx ts) in
-  let update_one (row : Storage.Row.t) : (bool, Errors.t) result =
-    Ddl.set_row p row.Storage.Row.values;
-    let* matches =
-      match where with None -> Ok true | Some w -> Ddl.holds w
+  (* a failed NOT NULL or CHECK aborts the statement, or under IGNORE
+     keeps the old row *)
+  let admits new_values =
+    let check () =
+      not_null_check ctx schema new_values;
+      check_constraints ctx p schema new_values;
+      true
     in
-    if not matches then Ok false
-    else begin
-      let new_values = Array.copy row.Storage.Row.values in
-      let* () =
-        let rec apply = function
-          | [] -> Ok ()
-          | (i, col, e) :: rest ->
-              let* v = Eval.run e in
-              let* v = store_value ctx col v in
-              (* taint tracking for the injected postgres index-NULL bug *)
-              if
-                Dialect.equal ctx.Executor.dialect Dialect.Postgres_like
-                && Value.is_null row.Storage.Row.values.(i)
-                && not (Value.is_null v)
-              then schema.Storage.Schema.tainted_null_update <- true;
-              new_values.(i) <- v;
-              apply rest
-        in
-        apply targets
-      in
-      let constraint_result =
-        match not_null_check ctx schema new_values with
-        | Error e -> Error e
-        | Ok () -> check_constraints ctx p schema new_values
-      in
-      match (constraint_result, action) with
-      | Error _, A.On_conflict_ignore -> Ok false (* keep the old row *)
-      | Error e, (A.On_conflict_abort | A.On_conflict_replace) -> Error e
-      | Ok (), _ ->
-      let candidate = Storage.Row.make ~rowid:row.Storage.Row.rowid new_values in
-      let old_m = Ddl.row_entries p row in
-      let new_m = Ddl.row_entries p candidate in
-      cov ctx "dml.unique_check";
-      (* evaluate the keys the detach and the unique check need before
-         touching an index, so a key that fails to evaluate leaves the old
-         row indexed; then detach it, so self-conflicts don't count *)
-      let* () = force old_m maintained in
-      let* () = force new_m uniques in
-      ignore (detach old_m maintained);
-      let* conflicts = unique_conflicts_for ~collapse new_m in
-      match (conflicts, action) with
-      | [], _ -> (
-          ignore
-            (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
-               new_values);
-          match attach new_m maintained with
-          | Ok () -> Ok true
-          | Error e ->
-              (* atomicity: restore the previous row version *)
-              ignore (detach new_m maintained);
-              ignore
-                (Storage.Heap.insert_with_rowid heap
-                   ~rowid:row.Storage.Row.rowid row.Storage.Row.values);
-              ignore (attach old_m maintained);
-              Error e)
-      | _ :: _, A.On_conflict_ignore ->
-          (* keep the old row *)
-          let* () = attach old_m maintained in
-          Ok false
-      | (ix, _) :: _, A.On_conflict_abort ->
-          let* () = attach old_m maintained in
-          Error (unique_error ts ix)
-      | conflicts, A.On_conflict_replace ->
-          let* () = remove_victims p ts conflicts in
-          (* Listing 10: UPDATE OR REPLACE over a REAL primary key corrupts
-             the database *)
-          (if
-             Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
-             && bug ctx Bug.Sq_real_pk_or_replace_corrupt
-             &&
-             List.exists
-               (fun pk ->
-                 match Storage.Schema.find_column schema pk with
-                 | Some (_, col) ->
-                     Datatype.affinity col.Storage.Schema.ty = Datatype.A_real
-                 | None -> false)
-               schema.Storage.Schema.primary_key
-           then
-             Storage.Catalog.corrupt ctx.Executor.catalog
-               "database disk image is malformed");
-          ignore
-            (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
-               new_values);
-          let* () = attach new_m maintained in
-          Ok true
-    end
+    match action with
+    | A.On_conflict_ignore -> Eval.catch check () ~error:(fun _ -> false)
+    | A.On_conflict_abort | A.On_conflict_replace -> check ()
   in
-  let rec go n = function
-    | [] -> Ok n
-    | row :: rest ->
-        let* changed = update_one row in
-        go (if changed then n + 1 else n) rest
+  (* whether the row changed *)
+  let rec update_one (row : Storage.Row.t) =
+    Ddl.set_row p row.Storage.Row.values;
+    match where with
+    | Some w when not (Tvl.equal (w ()) Tvl.True) -> false
+    | _ -> update_matched row
+  and update_matched (row : Storage.Row.t) =
+    let new_values = Array.copy row.Storage.Row.values in
+    List.iter
+      (fun (i, col, e) ->
+        let v = store_value ctx col (e ()) in
+        (* taint tracking for the injected postgres index-NULL bug *)
+        if
+          Dialect.equal ctx.Executor.dialect Dialect.Postgres_like
+          && Value.is_null row.Storage.Row.values.(i)
+          && not (Value.is_null v)
+        then schema.Storage.Schema.tainted_null_update <- true;
+        new_values.(i) <- v)
+      targets;
+    admits new_values && replace_row row new_values
+  and replace_row (row : Storage.Row.t) new_values =
+    let candidate = Storage.Row.make ~rowid:row.Storage.Row.rowid new_values in
+    let old_m = Ddl.row_entries p row in
+    let new_m = Ddl.row_entries p candidate in
+    cov ctx "dml.unique_check";
+    (* evaluate the keys the detach and the unique check need before
+       touching an index, so a key that fails to evaluate leaves the old
+       row indexed; then detach it, so self-conflicts don't count *)
+    force old_m maintained;
+    force new_m uniques;
+    detach old_m maintained;
+    match (unique_conflicts_for ~collapse new_m, action) with
+    | [], _ ->
+        ignore
+          (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
+             new_values);
+        Eval.catch (attach new_m) maintained ~error:(fun e ->
+            (* atomicity: restore the previous row version *)
+            undo detach new_m maintained;
+            ignore
+              (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
+                 row.Storage.Row.values);
+            undo attach old_m maintained;
+            Eval.fail e);
+        true
+    | _ :: _, A.On_conflict_ignore ->
+        (* keep the old row *)
+        attach old_m maintained;
+        false
+    | (ix, _) :: _, A.On_conflict_abort ->
+        attach old_m maintained;
+        Eval.fail (unique_error ts ix)
+    | conflicts, A.On_conflict_replace ->
+        remove_victims p ts conflicts;
+        (* Listing 10: UPDATE OR REPLACE over a REAL primary key corrupts
+           the database *)
+        (if
+           Dialect.equal ctx.Executor.dialect Dialect.Sqlite_like
+           && bug ctx Bug.Sq_real_pk_or_replace_corrupt
+           && List.exists
+                (fun pk ->
+                  match Storage.Schema.find_column schema pk with
+                  | Some (_, col) ->
+                      Datatype.affinity col.Storage.Schema.ty = Datatype.A_real
+                  | None -> false)
+                schema.Storage.Schema.primary_key
+         then
+           Storage.Catalog.corrupt ctx.Executor.catalog
+             "database disk image is malformed");
+        ignore
+          (Storage.Heap.insert_with_rowid heap ~rowid:row.Storage.Row.rowid
+             new_values);
+        attach new_m maintained;
+        true
   in
-  go 0 rows
+  List.fold_left (fun n row -> if update_one row then n + 1 else n) 0 rows
 
 (* ------------------------------------------------------------------ *)
 (* DELETE                                                               *)
 
 let delete ctx ~table ~where =
   cov ctx "dml.delete";
-  let* ts = find_table ctx table in
+  let ts = find_table ctx table in
   let p = Ddl.plan ctx ts in
   let where = Option.map (Eval.compile_pred p.Ddl.env) where in
-  let rows = Storage.Heap.to_list ts.Storage.Catalog.heap in
-  let rec go n = function
-    | [] -> Ok n
-    | (row : Storage.Row.t) :: rest ->
-        Ddl.set_row p row.Storage.Row.values;
-        let* matches =
-          match where with None -> Ok true | Some w -> Ddl.holds w
-        in
-        if matches then
-          let* () = remove_row p ts row in
-          go (n + 1) rest
-        else go n rest
-  in
-  go 0 rows
+  List.fold_left
+    (fun n (row : Storage.Row.t) ->
+      Ddl.set_row p row.Storage.Row.values;
+      match where with
+      | Some w when not (Tvl.equal (w ()) Tvl.True) -> n
+      | _ ->
+          remove_row p ts row;
+          n + 1)
+    0
+    (Storage.Heap.to_list ts.Storage.Catalog.heap)

@@ -114,6 +114,7 @@ let bug env b = Bug.on env.bugs b
 exception Eval_error of Errors.t
 
 let fail e = raise_notrace (Eval_error e)
+let failf code fmt = Printf.ksprintf (fun m -> fail (Errors.make code m)) fmt
 let run f = match f () with v -> Ok v | exception Eval_error e -> Error e
 let catch f x ~error = try f x with Eval_error e -> error e
 

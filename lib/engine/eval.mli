@@ -97,6 +97,9 @@ val catch : ('a -> 'b) -> 'a -> error:(Errors.t -> 'b) -> 'b
 (** Raise an evaluation error, for the caller's {!run} to catch. *)
 val fail : Errors.t -> 'a
 
+(** {!fail} with an error of [code] and a formatted message. *)
+val failf : Errors.code -> ('a, unit, string, 'b) format4 -> 'a
+
 (** Dialect encoding of a three-valued result: INTEGER 0/1/NULL for sqlite
     and mysql, BOOLEAN/NULL for postgres. *)
 val bool_value : Dialect.t -> Tvl.t -> Value.t

@@ -1,8 +1,6 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 (* handles for the per-query profiling counters, resolved once per
    session: these fire several times per statement, so the registry
    lookup (a string-keyed hash per inc) would dominate the telemetry
@@ -426,8 +424,7 @@ let count_plan ctx path =
    batches the rows make.  The rows come back as one-binding tuples, the
    shape the SELECT pipeline's FROM loop reads. *)
 let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
-    (ts : Storage.Catalog.table_state) :
-    (Value.t array array list, Errors.t) result =
+    (ts : Storage.Catalog.table_state) : Value.t array array list =
   let schema = ts.Storage.Catalog.schema in
           let postgres = Dialect.equal ctx.dialect Dialect.Postgres_like in
           (* read only by the postgres triggers below *)
@@ -452,18 +449,14 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                  table_indexes
             && where <> None
           in
-          let* () =
-            if stats_trigger && bug ctx Bug.Pg_dup_bitmapset_crash then
-              raise
-                (Errors.Crash
-                   "segfault: negative bitmapset member in planner")
-            else if stats_trigger && bug ctx Bug.Pg_stats_expr_index_bitmapset
-            then
-              Error
-                (Errors.make Errors.Internal_error
-                   "negative bitmapset member not allowed")
-            else Ok ()
-          in
+          if stats_trigger && bug ctx Bug.Pg_dup_bitmapset_crash then
+            raise
+              (Errors.Crash "segfault: negative bitmapset member in planner")
+          else if stats_trigger && bug ctx Bug.Pg_stats_expr_index_bitmapset
+          then
+            Eval.fail
+              (Errors.make Errors.Internal_error
+                 "negative bitmapset member not allowed");
           (* postgres Listing 17 class: an index over rows whose NULLs
              were overwritten by UPDATE trips an internal error on
              ordered comparisons *)
@@ -480,20 +473,16 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                      w
                | None -> false)
           in
-          let* () =
-            if
-              null_taint_trigger
-              && (bug ctx Bug.Pg_index_null_value_error
-                 || bug ctx Bug.Pg_dup_index_null_error)
-            then
-              Error
-                (Errors.makef Errors.Internal_error
-                   "found unexpected null value in index \"%s\""
-                   (match table_indexes with
-                   | ix :: _ -> ix.Storage.Index.index_name
-                   | [] -> "?"))
-            else Ok ()
-          in
+          if
+            null_taint_trigger
+            && (bug ctx Bug.Pg_index_null_value_error
+               || bug ctx Bug.Pg_dup_index_null_error)
+          then
+            Eval.failf Errors.Internal_error
+              "found unexpected null value in index \"%s\""
+              (match table_indexes with
+              | ix :: _ -> ix.Storage.Index.index_name
+              | [] -> "?");
           (* mysql Listing 11 class: MEMORY-engine rows vanish from joins
              whose condition contains a CAST (or IFNULL for the duplicate
              report) *)
@@ -504,7 +493,7 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
             && ((bug ctx Bug.My_memory_join_cast && has_cast fctx.select)
                || (bug ctx Bug.My_dup_memory_join && has_ifnull fctx.select))
           in
-          if memory_bug then Ok []
+          if memory_bug then []
           else begin
             (match schema.Storage.Schema.engine with
             | Some A.E_memory -> cov ctx "ddl.engine_memory"
@@ -568,40 +557,31 @@ let scan_rows ctx fctx ~where ~table:name ~alias:alias_name
                 ~btree:(fst b1 - fst scan_b0, snd b1 - snd scan_b0)
                 ~t0:scan_t0 ()
             end;
-            Ok rows
+            rows
           end
 
 (* ------------------------------------------------------------------ *)
 (* Output shaping shared by the pipeline's operators                   *)
 
 let output_columns ?(named = true) (bindings_sample : Eval.binding list)
-    items : (string list, Errors.t) result =
+    items : string list =
+  let names b = Array.to_list (Array.map (fun (n, _, _) -> n) b.Eval.b_columns) in
   let item_columns = function
-    | A.Star ->
-        Ok
-          (List.concat_map
-             (fun b ->
-               Array.to_list (Array.map (fun (n, _, _) -> n) b.Eval.b_columns))
-             bindings_sample)
+    | A.Star -> List.concat_map names bindings_sample
     | A.Table_star t -> (
         let t = String.lowercase_ascii t in
         match
           List.find_opt (fun b -> b.Eval.b_alias = t) bindings_sample
         with
-        | Some b -> Ok (Array.to_list (Array.map (fun (n, _, _) -> n) b.b_columns))
-        | None -> Error (Errors.makef Errors.No_such_table "no such table: %s" t))
-    | A.Sel_expr (_, Some alias) -> Ok [ alias ]
-    | A.Sel_expr (A.Col { column; _ }, None) -> Ok [ column ]
+        | Some b -> names b
+        | None ->
+            Eval.failf Errors.No_such_table "no such table: %s" t)
+    | A.Sel_expr (_, Some alias) -> [ alias ]
+    | A.Sel_expr (A.Col { column; _ }, None) -> [ column ]
     | A.Sel_expr (e, None) ->
-        Ok [ (if named then Sqlast.Sql_printer.expr Dialect.Sqlite_like e else "") ]
+        [ (if named then Sqlast.Sql_printer.expr Dialect.Sqlite_like e else "") ]
   in
-  let rec go acc = function
-    | [] -> Ok (List.concat (List.rev acc))
-    | item :: rest ->
-        let* cols = item_columns item in
-        go (cols :: acc) rest
-  in
-  go [] items
+  List.concat_map item_columns items
 
 (* Row identity.  Bools and integral Reals are the matching Int; other
    Reals are identified by their [string_of_float] form (12 significant
@@ -804,14 +784,8 @@ let select_has_agg (s : A.select) =
 (* Aggregates                                                          *)
 
 (* The aggregation operator works over whatever tuple representation the
-   pipeline carries; [eval] evaluates an expression against one tuple,
-   raising its error to the caller's [Eval.run]. *)
-type 'tuple tuple_eval = 'tuple -> A.expr -> Value.t
-
-(* [e] over each tuple, in order *)
-let eval_over ~eval tuples e = List.map (fun tuple -> eval tuple e) tuples
-
-let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
+   pipeline carries; [eval] evaluates an expression against one tuple. *)
+let compute_agg ctx ~eval tuples (agg : A.expr) : Value.t =
   match agg with
   | A.Agg (f, arg) -> (
       (match f with
@@ -832,22 +806,25 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
             (Errors.Crash
                "segfault: stale collation sequence in aggregate comparator")
       | _ -> ());
+      (* the argument over each tuple, in order *)
+      let values name =
+        match arg with
+        | Some a -> List.map (fun tuple -> eval tuple a) tuples
+        | None ->
+            Eval.fail
+              (Errors.make Errors.Invalid_function (name ^ " requires an argument"))
+      in
       match f with
-      | A.A_count_star ->
-          Ok (Value.Int (Int64.of_int (List.length tuples)))
+      | A.A_count_star -> Value.Int (Int64.of_int (List.length tuples))
       | A.A_count -> (
           match arg with
-          | None -> Ok (Value.Int (Int64.of_int (List.length tuples)))
-          | Some a ->
-              let vs = eval_over ~eval tuples a in
+          | None -> Value.Int (Int64.of_int (List.length tuples))
+          | Some _ ->
+              let vs = values "COUNT" in
               let n = List.length (List.filter (fun v -> not (Value.is_null v)) vs) in
-              Ok (Value.Int (Int64.of_int n)))
+              Value.Int (Int64.of_int n))
       | A.A_sum | A.A_avg | A.A_total -> (
-          let* vs =
-            match arg with
-            | Some a -> Ok (eval_over ~eval tuples a)
-            | None -> Error (Errors.make Errors.Invalid_function "SUM requires an argument")
-          in
+          let vs = values "SUM" in
           let nums =
             List.filter_map
               (fun v ->
@@ -865,16 +842,16 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
                     | _ -> acc)
                   0.0 nums
               in
-              Ok (Value.Real total)
+              Value.Real total
           | A.A_sum | A.A_avg ->
-              if nums = [] then Ok Value.Null
+              if nums = [] then Value.Null
               else begin
                 let all_int =
                   List.for_all
                     (fun v -> match v with Value.Int _ -> true | _ -> false)
                     nums
                 in
-                let sum_result =
+                let s =
                   if all_int then begin
                     let overflow = ref false in
                     let s =
@@ -890,21 +867,20 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
                           | _ -> acc)
                         0L nums
                     in
-                    if !overflow then Error (Errors.make Errors.Out_of_range "integer overflow")
-                    else Ok (Value.Int s)
+                    if !overflow then
+                      Eval.fail (Errors.make Errors.Out_of_range "integer overflow")
+                    else Value.Int s
                   end
                   else
-                    Ok
-                      (Value.Real
-                         (List.fold_left
-                            (fun acc v ->
-                              match v with
-                              | Value.Int i -> acc +. Int64.to_float i
-                              | Value.Real r -> acc +. r
-                              | _ -> acc)
-                            0.0 nums))
+                    Value.Real
+                      (List.fold_left
+                         (fun acc v ->
+                           match v with
+                           | Value.Int i -> acc +. Int64.to_float i
+                           | Value.Real r -> acc +. r
+                           | _ -> acc)
+                         0.0 nums)
                 in
-                let* s = sum_result in
                 if f = A.A_avg then
                   let total =
                     match s with
@@ -912,36 +888,29 @@ let compute_agg ctx ~eval tuples (agg : A.expr) : (Value.t, Errors.t) result =
                     | Value.Real r -> r
                     | _ -> 0.0
                   in
-                  Ok (Value.Real (total /. float_of_int (List.length nums)))
-                else Ok s
+                  Value.Real (total /. float_of_int (List.length nums))
+                else s
               end
           | _ -> assert false)
       | A.A_min | A.A_max -> (
-          let* vs =
-            match arg with
-            | Some a -> Ok (eval_over ~eval tuples a)
-            | None -> Error (Errors.make Errors.Invalid_function "MIN requires an argument")
-          in
-          let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
+          let non_null = List.filter (fun v -> not (Value.is_null v)) (values "MIN") in
           match non_null with
-          | [] -> Ok Value.Null
+          | [] -> Value.Null
           | first :: rest ->
               let keep =
                 match f with
                 | A.A_min -> fun c -> c < 0
                 | _ -> fun c -> c > 0
               in
-              Ok
-                (List.fold_left
-                   (fun acc v ->
-                     if keep (Value.compare_total v acc) then v else acc)
-                   first rest)))
-  | _ -> Error (Errors.make Errors.Internal_error "compute_agg on non-aggregate")
+              List.fold_left
+                (fun acc v -> if keep (Value.compare_total v acc) then v else acc)
+                first rest))
+  | _ -> Eval.fail (Errors.make Errors.Internal_error "compute_agg on non-aggregate")
 
 let group_tuples ctx ~eval (s : A.select) tuples =
   if s.A.sel_group_by = [] then
     (* one group over everything, even when empty *)
-    Ok [ tuples ]
+    [ tuples ]
   else begin
     (* postgres Listing 15 class: inherited tables break the primary-key
        functional dependency the grouping relies on *)
@@ -994,25 +963,23 @@ let group_tuples ctx ~eval (s : A.select) tuples =
         let group = Row_tbl.find_or_add groups k (fun () -> ref []) in
         group := tuple :: !group)
       tuples;
-    Ok (Row_tbl.fold (fun _ group acc -> List.rev !group :: acc) groups [])
+    Row_tbl.fold (fun _ group acc -> List.rev !group :: acc) groups []
   end
 
-let substitute_aggs ctx ~eval group e : (A.expr, Errors.t) result =
-  let aggs = A.collect_aggs e in
-  let rec compute acc = function
-    | [] -> Ok (List.rev acc)
-    | a :: rest ->
-        let* v = compute_agg ctx ~eval group a in
-        compute ((a, v) :: acc) rest
+let substitute_aggs ctx ~eval group e =
+  (* each aggregate's value, computed in the order the walk meets them *)
+  let table =
+    List.fold_left
+      (fun acc a -> (a, compute_agg ctx ~eval group a) :: acc)
+      [] (A.collect_aggs e)
+    |> List.rev
   in
-  let* table = compute [] aggs in
-  Ok
-    (A.map_expr
-       (fun node ->
-         match node with
-         | A.Agg _ -> (
-             match List.find_opt (fun (a, _) -> A.equal_expr a node) table with
-             | Some (_, v) -> A.Lit v
-             | None -> node)
-         | _ -> node)
-       e)
+  A.map_expr
+    (fun node ->
+      match node with
+      | A.Agg _ -> (
+          match List.find_opt (fun (a, _) -> A.equal_expr a node) table with
+          | Some (_, v) -> A.Lit v
+          | None -> node)
+      | _ -> node)
+    e

@@ -4,7 +4,11 @@
     Single-table scans go through {!Planner} (honouring forced plans and
     the scan-site injected bugs) and the pipeline always re-applies the
     WHERE filter to the candidate rows.  Aggregation (GROUP BY, aggregate
-    items, HAVING) is an operator over the pipeline's tuples. *)
+    items, HAVING) is an operator over the pipeline's tuples.
+
+    Every operator returns a bare value and raises its error with
+    {!Eval.fail}; the statement's one {!Eval.run} turns the first error
+    into the statement's result. *)
 
 open Sqlval
 
@@ -55,15 +59,6 @@ type ctx = {
       (** plan-diff oracle: override the planner at matching scan sites;
           forced paths are annotated ["(forced)"] in EXPLAIN and traces *)
 }
-
-(** The forced path for a scan site, when one matches. *)
-val forced_path_for :
-  ctx ->
-  alias:string ->
-  table:string ->
-  where:Sqlast.Ast.expr option ->
-  Planner.path option
-
 
 type result_set = { rs_columns : string list; rs_rows : Value.t array list }
 
@@ -144,10 +139,10 @@ type from_ctx = { in_join : bool; select : Sqlast.Ast.select }
 
 (** The access path of one base-table scan site and whether it was
     forced: a join side ([in_join]) takes the full scan, any other site
-    the {!ctx.force} path that matches it ({!forced_path_for}), else
-    {!Planner.choose}'s default.  {!scan_rows} and EXPLAIN both take the
-    path from here, so EXPLAIN prints the path the scan takes.  Counts
-    nothing. *)
+    the {!ctx.force} path that matches it (same alias, table and WHERE),
+    else {!Planner.choose}'s default.  {!scan_rows} and EXPLAIN both take
+    the path from here, so EXPLAIN prints the path the scan takes.
+    Counts nothing. *)
 val scan_path :
   ctx ->
   in_join:bool ->
@@ -164,7 +159,7 @@ val scan_path :
     {!Planner.reads_desc_range}), and, outside a join, one
     [minidb_plan_choices_total] choice.  Returns the rows as one-binding
     tuples ([[| values |]]), the shape {!Compile}'s FROM loop reads.  The
-    SCAN event reports how many [block_size] batches the rows make. *)
+    SCAN event reports how many {!batches_of} batches the rows make. *)
 val scan_rows :
   ctx ->
   from_ctx ->
@@ -172,7 +167,7 @@ val scan_rows :
   table:string ->
   alias:string ->
   Storage.Catalog.table_state ->
-  (Sqlval.Value.t array array list, Errors.t) result
+  Sqlval.Value.t array array list
 
 (** Output column names of a SELECT item list against a sample tuple
     (empty when the scan produced no rows, which is observable: [*]
@@ -180,50 +175,41 @@ val scan_rows :
     named by its printed SQL; [~named:false], for a caller that reads
     only the width, leaves it unnamed ([""]) instead. *)
 val output_columns :
-  ?named:bool ->
-  Eval.binding list ->
-  Sqlast.Ast.select_item list ->
-  (string list, Errors.t) result
+  ?named:bool -> Eval.binding list -> Sqlast.Ast.select_item list -> string list
 
 (** Whether the SELECT uses aggregation (GROUP BY, aggregate items, or an
     aggregate HAVING). *)
 val select_has_agg : Sqlast.Ast.select -> bool
 
-(** Evaluates an expression against one tuple of the pipeline, raising
-    its error to the caller's {!Eval.run}: [group_tuples] and
-    [substitute_aggs] run inside one. *)
-type 'tuple tuple_eval = 'tuple -> Sqlast.Ast.expr -> Value.t
-
 (** The groups of an aggregate SELECT, in first-occurrence order: one
-    group per distinct GROUP BY key, or a single group over every tuple
-    (even none) without GROUP BY.  Hosts the postgres inherited-table
-    grouping bug. *)
+    group per distinct GROUP BY key ([eval] evaluates a key on a tuple),
+    or a single group over every tuple (even none) without GROUP BY.
+    Hosts the postgres inherited-table grouping bug. *)
 val group_tuples :
   ctx ->
-  eval:'tuple tuple_eval ->
+  eval:('tuple -> Sqlast.Ast.expr -> Value.t) ->
   Sqlast.Ast.select ->
   'tuple list ->
-  ('tuple list list, Errors.t) result
+  'tuple list list
 
 (** Replace every aggregate call in the expression by its value over the
-    group (as a literal).  Hosts the sqlite MIN/MAX-over-COLLATE crash. *)
+    group (as a literal), evaluating each argument on the group's tuples
+    with [eval].  Hosts the sqlite MIN/MAX-over-COLLATE crash. *)
 val substitute_aggs :
   ctx ->
-  eval:'tuple tuple_eval ->
+  eval:('tuple -> Sqlast.Ast.expr -> Value.t) ->
   'tuple list ->
   Sqlast.Ast.expr ->
-  (Sqlast.Ast.expr, Errors.t) result
+  Sqlast.Ast.expr
 
 val tracing : ctx -> bool
 
 (** A [Telemetry.Clock] reading when tracing, else [0]. *)
 val op_clock : ctx -> int
 
-(** Rows per trace batch: a count operator events report, not a unit
-    the pipeline works in (it pushes rows one at a time). *)
-val block_size : int
-
-(** The number of [block_size] batches [n] rows make (at least 1). *)
+(** The number of 64-row batches [n] rows make (at least 1): a count
+    operator events report, not a unit the pipeline works in (it pushes
+    rows one at a time). *)
 val batches_of : int -> int
 
 (** Record an operator event on the flight recorder (no-op unless

@@ -82,60 +82,54 @@ let rec query_lines ctx (q : A.query) : string list =
       in
       scans @ stages
 
-let run ctx (q : A.query) : (Executor.result_set, Errors.t) result =
-  Ok
-    {
-      Executor.rs_columns = [ "plan" ];
-      rs_rows =
-        List.map (fun l -> [| Sqlval.Value.Text l |]) (query_lines ctx q);
-    }
+(* A one-column result set of plan lines. *)
+let plan_rows lines =
+  {
+    Executor.rs_columns = [ "plan" ];
+    rs_rows = List.map (fun l -> [| Sqlval.Value.Text l |]) lines;
+  }
+
+let run ctx (q : A.query) = plan_rows (query_lines ctx q)
 
 (* EXPLAIN ANALYZE: execute the query under a private flight recorder and
    render the per-operator annotations it collected (rows in/out, batches,
    B-tree visits, wall time) as plan lines, postgres-style. *)
-let run_analyze ctx (q : A.query) :
-    (Executor.result_set, Errors.t) result =
+let run_analyze ctx (q : A.query) =
   let recorder = Trace.create ~capacity:512 () in
   Trace.begin_round recorder ~seed:0 ~dialect:ctx.Executor.dialect;
   let ctx = { ctx with Executor.recorder } in
   let t0 = Telemetry.Clock.now_ns_int () in
-  match Compile.run_query ctx q with
-  | Error e -> Error e
-  | Ok rs ->
-      let total_ns = Telemetry.Clock.now_ns_int () - t0 in
-      let ms ns = float_of_int ns /. 1e6 in
-      let op_line (e : Trace.entry) =
-        match e.Trace.event with
-        | Trace.Event.Op
-            { op; detail; rows_in; rows_out; batches; btree_nodes;
-              btree_entries; dur_ns } ->
-            let btree =
-              if btree_nodes = 0 && btree_entries = 0 then ""
-              else Printf.sprintf " btree=%d/%d" btree_nodes btree_entries
-            in
-            let batched =
-              if batches <= 0 then ""
-              else
-                Printf.sprintf " batches=%d rows/batch=%.1f" batches
-                  (float_of_int rows_out /. float_of_int batches)
-            in
-            let detail = if detail = "" then "" else " " ^ detail in
-            Some
-              (Printf.sprintf "%s%s (in=%d out=%d%s%s %.3f ms)" op detail
-                 rows_in rows_out batched btree (ms dur_ns))
-        | _ -> None
-      in
-      let lines = List.filter_map op_line (Trace.events recorder) in
-      let lines =
-        lines
-        @ [
-            Printf.sprintf "RESULT (rows=%d total=%.3f ms)"
-              (List.length rs.Executor.rs_rows)
-              (ms total_ns);
-          ]
-      in
-      Ok
-        {
-          Executor.rs_columns = [ "plan" ];
-          rs_rows = List.map (fun l -> [| Sqlval.Value.Text l |]) lines;
-        }
+  let rs = Compile.query ctx q in
+  let total_ns = Telemetry.Clock.now_ns_int () - t0 in
+  let ms ns = float_of_int ns /. 1e6 in
+  let op_line (e : Trace.entry) =
+    match e.Trace.event with
+    | Trace.Event.Op
+        { op; detail; rows_in; rows_out; batches; btree_nodes;
+          btree_entries; dur_ns } ->
+        let btree =
+          if btree_nodes = 0 && btree_entries = 0 then ""
+          else Printf.sprintf " btree=%d/%d" btree_nodes btree_entries
+        in
+        let batched =
+          if batches <= 0 then ""
+          else
+            Printf.sprintf " batches=%d rows/batch=%.1f" batches
+              (float_of_int rows_out /. float_of_int batches)
+        in
+        let detail = if detail = "" then "" else " " ^ detail in
+        Some
+          (Printf.sprintf "%s%s (in=%d out=%d%s%s %.3f ms)" op detail
+             rows_in rows_out batched btree (ms dur_ns))
+    | _ -> None
+  in
+  let lines = List.filter_map op_line (Trace.events recorder) in
+  let lines =
+    lines
+    @ [
+        Printf.sprintf "RESULT (rows=%d total=%.3f ms)"
+          (List.length rs.Executor.rs_rows)
+          (ms total_ns);
+      ]
+  in
+  plan_rows lines

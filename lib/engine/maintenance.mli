@@ -3,22 +3,16 @@
 
     The paper observed that "statements that compute or recompute table
     state were error prone" (Section 4.3); most error-oracle bug classes
-    are injected here. *)
+    are injected here.  Each statement raises its error with
+    {!Eval.fail}. *)
 
-val vacuum : Executor.ctx -> full:bool -> (unit, Errors.t) result
-val reindex : Executor.ctx -> string option -> (unit, Errors.t) result
-val analyze : Executor.ctx -> string option -> (unit, Errors.t) result
-
-val check_table :
-  Executor.ctx -> table:string -> for_upgrade:bool -> (unit, Errors.t) result
-
-val repair_table : Executor.ctx -> string -> (unit, Errors.t) result
+val vacuum : Executor.ctx -> full:bool -> unit
+val reindex : Executor.ctx -> string option -> unit
+val analyze : Executor.ctx -> string option -> unit
+val check_table : Executor.ctx -> table:string -> for_upgrade:bool -> unit
+val repair_table : Executor.ctx -> string -> unit
 
 val create_statistics :
-  Executor.ctx ->
-  name:string ->
-  table:string ->
-  columns:string list ->
-  (unit, Errors.t) result
+  Executor.ctx -> name:string -> table:string -> columns:string list -> unit
 
-val discard_all : Executor.ctx -> (unit, Errors.t) result
+val discard_all : Executor.ctx -> unit

@@ -90,8 +90,7 @@ let set t name value =
   let name = String.lowercase_ascii name in
   match Hashtbl.find_opt t.values name with
   | None ->
-      Error
-        (Errors.makef Errors.Invalid_option "unknown option or pragma: %s" name)
+      Eval.failf Errors.Invalid_option "unknown option or pragma: %s" name
   | Some current ->
       let compatible =
         match (current, value) with
@@ -104,9 +103,7 @@ let set t name value =
         | _ -> false
       in
       if not compatible then
-        Error
-          (Errors.makef Errors.Invalid_option "incorrect argument type for %s"
-             name)
+        Eval.failf Errors.Invalid_option "incorrect argument type for %s" name
       else begin
         if name = "case_sensitive_like" then t.like_pragma_touched <- true;
         if t.shared then begin
@@ -114,8 +111,7 @@ let set t name value =
           t.shared <- false
         end;
         Hashtbl.replace t.values name value;
-        sync t;
-        Ok ()
+        sync t
       end
 
 let case_sensitive_like t = t.case_sensitive_like

@@ -9,11 +9,9 @@ type t
 (** A fresh option table at the dialect's defaults. *)
 val create : Sqlval.Dialect.t -> t
 
-(** Known option names for the dialect with their default values. *)
-val known : Sqlval.Dialect.t -> (string * Sqlval.Value.t) list
-
-(** Set an option; errors on unknown names or mistyped values. *)
-val set : t -> string -> Sqlval.Value.t -> (unit, Errors.t) result
+(** Set an option; raises with {!Eval.fail} on an unknown name or a
+    mistyped value. *)
+val set : t -> string -> Sqlval.Value.t -> unit
 
 val get : t -> string -> Sqlval.Value.t option
 

@@ -1,8 +1,6 @@
 open Sqlval
 module A = Sqlast.Ast
 
-let ( let* ) = Result.bind
-
 (* kind labels of minidb_statement_seconds / minidb_statements_total;
    indexed so per-statement recording goes through pre-resolved handles *)
 let kind_names =
@@ -97,8 +95,6 @@ let view_names t = Storage.Catalog.view_names t.catalog
 let cov t point =
   match t.coverage with None -> () | Some c -> Coverage.hit c point
 
-let err code fmt = Errors.makef code fmt
-
 (* Statements that read or write the database are rejected once the
    database is corrupted (paper: 'malformed database disk image' is always
    unexpected). *)
@@ -115,12 +111,8 @@ let touches_data = function
 
 let set_option t ~global ~name ~value =
   cov t (match t.dialect with Dialect.Sqlite_like -> "maint.pragma" | _ -> "maint.set_option");
-  let* () =
-    match t.dialect with
-    | Dialect.Sqlite_like ->
-        Error (err Errors.Syntax_error "SET is not supported; use PRAGMA")
-    | Dialect.Mysql_like | Dialect.Postgres_like -> Ok ()
-  in
+  if Dialect.equal t.dialect Dialect.Sqlite_like then
+    Eval.failf Errors.Syntax_error "SET is not supported; use PRAGMA";
   (* Listing 3: SET GLOBAL key_cache_division_limit nondeterministically
      fails *)
   if
@@ -130,28 +122,18 @@ let set_option t ~global ~name ~value =
     && global
     && Random.State.int (Lazy.force t.rng) 4 = 0
   then
-    Error
-      (Errors.make Errors.Invalid_option
-         "ERROR 1210 (HY000): Incorrect arguments to SET")
+    Eval.failf Errors.Invalid_option "ERROR 1210 (HY000): Incorrect arguments to SET"
   else Options.set t.options name value
 
 let pragma t ~name ~value =
   cov t "maint.pragma";
-  let* () =
-    match t.dialect with
-    | Dialect.Sqlite_like -> Ok ()
-    | Dialect.Mysql_like | Dialect.Postgres_like ->
-        Error (err Errors.Syntax_error "PRAGMA is sqlite-specific")
-  in
+  if not (Dialect.equal t.dialect Dialect.Sqlite_like) then
+    Eval.failf Errors.Syntax_error "PRAGMA is sqlite-specific";
   match value with
-  | None -> (
-      match Options.get t.options name with
-      | Some _ -> Ok ()
-      | None -> Ok () (* unknown pragmas are silently ignored, like sqlite *))
-  | Some v -> (
-      match Options.set t.options name v with
-      | Ok () -> Ok ()
-      | Error _ -> Ok () (* sqlite ignores unknown pragmas *))
+  | None -> () (* a read; unknown pragmas are silently ignored, like sqlite *)
+  | Some v ->
+      (* sqlite ignores an unknown pragma, and a mistyped value *)
+      Eval.catch (Options.set t.options name) v ~error:ignore
 
 (* index into [kind_names], the [kind=...] dimension of
    minidb_statement_seconds / minidb_statements_total *)
@@ -170,108 +152,98 @@ let stmt_kind_index = function
   | A.Pragma _ ->
       7
 
-let execute_raw t (stmt : A.stmt) : (exec_result, Errors.t) result =
+(* One statement, raising its error with [Eval.fail]. *)
+let exec_stmt t (stmt : A.stmt) =
   let c = ctx t in
-  let* () =
-    match Storage.Catalog.corruption t.catalog with
-    | Some msg when touches_data stmt ->
-        Error (Errors.make Errors.Malformed_database msg)
-    | _ -> Ok ()
-  in
+  (match Storage.Catalog.corruption t.catalog with
+  | Some msg when touches_data stmt ->
+      Eval.fail (Errors.make Errors.Malformed_database msg)
+  | _ -> ());
   match stmt with
   | A.Create_table ct ->
-      let* () = Ddl.create_table c ct in
-      Ok Done
+      Ddl.create_table c ct;
+      Done
   | A.Drop_table { if_exists; name } ->
-      let* () = Ddl.drop_table c ~if_exists name in
-      Ok Done
+      Ddl.drop_table c ~if_exists name;
+      Done
   | A.Alter_table { table; action } ->
-      let* () = Ddl.alter_table c table action in
-      Ok Done
+      Ddl.alter_table c table action;
+      Done
   | A.Create_index ci ->
-      let* () = Ddl.create_index c ci in
-      Ok Done
+      Ddl.create_index c ci;
+      Done
   | A.Drop_index { if_exists; name } ->
-      let* () = Ddl.drop_index c ~if_exists name in
-      Ok Done
+      Ddl.drop_index c ~if_exists name;
+      Done
   | A.Reindex target ->
-      let* () = Maintenance.reindex c target in
-      Ok Done
+      Maintenance.reindex c target;
+      Done
   | A.Create_view { name; query } ->
-      let* () = Ddl.create_view c name query in
-      Ok Done
+      Ddl.create_view c name query;
+      Done
   | A.Drop_view { if_exists; name } ->
-      let* () = Ddl.drop_view c ~if_exists name in
-      Ok Done
+      Ddl.drop_view c ~if_exists name;
+      Done
   | A.Insert { table; columns; rows; action } ->
-      let* n = Dml.insert c ~table ~columns ~rows ~action in
-      Ok (Affected n)
+      Affected (Dml.insert c ~table ~columns ~rows ~action)
   | A.Update { table; assignments; where; action } ->
-      let* n = Dml.update c ~table ~assignments ~where ~action in
-      Ok (Affected n)
-  | A.Delete { table; where } ->
-      let* n = Dml.delete c ~table ~where in
-      Ok (Affected n)
-  | A.Select_stmt q ->
-      let* rs = Compile.run_query c q in
-      Ok (Rows rs)
+      Affected (Dml.update c ~table ~assignments ~where ~action)
+  | A.Delete { table; where } -> Affected (Dml.delete c ~table ~where)
+  | A.Select_stmt q -> Rows (Compile.query c q)
   | A.Vacuum { full } ->
-      let* () = Maintenance.vacuum c ~full in
-      Ok Done
+      Maintenance.vacuum c ~full;
+      Done
   | A.Analyze target ->
-      let* () = Maintenance.analyze c target in
-      Ok Done
+      Maintenance.analyze c target;
+      Done
   | A.Check_table { table; for_upgrade } ->
-      let* () = Maintenance.check_table c ~table ~for_upgrade in
-      Ok Done
+      Maintenance.check_table c ~table ~for_upgrade;
+      Done
   | A.Repair_table table ->
-      let* () = Maintenance.repair_table c table in
-      Ok Done
+      Maintenance.repair_table c table;
+      Done
   | A.Set_option { global; name; value } ->
-      let* () = set_option t ~global ~name ~value in
-      Ok Done
+      set_option t ~global ~name ~value;
+      Done
   | A.Pragma { name; value } ->
-      let* () = pragma t ~name ~value in
-      Ok Done
+      pragma t ~name ~value;
+      Done
   | A.Create_statistics { name; table; columns } ->
-      let* () = Maintenance.create_statistics c ~name ~table ~columns in
-      Ok Done
+      Maintenance.create_statistics c ~name ~table ~columns;
+      Done
   | A.Discard_all ->
-      let* () = Maintenance.discard_all c in
-      Ok Done
+      Maintenance.discard_all c;
+      Done
   | A.Begin_txn ->
       cov t "maint.begin";
       if t.txn_snapshot <> None then
-        Error (err Errors.Txn_state "cannot start a transaction within a transaction")
-      else begin
-        t.txn_snapshot <- Some (Storage.Catalog.snapshot t.catalog);
-        Ok Done
-      end
+        Eval.failf Errors.Txn_state "cannot start a transaction within a transaction";
+      t.txn_snapshot <- Some (Storage.Catalog.snapshot t.catalog);
+      Done
   | A.Commit_txn ->
       cov t "maint.commit";
       if t.txn_snapshot = None then
-        Error (err Errors.Txn_state "cannot commit - no transaction is active")
-      else begin
-        t.txn_snapshot <- None;
-        Ok Done
-      end
+        Eval.failf Errors.Txn_state "cannot commit - no transaction is active";
+      t.txn_snapshot <- None;
+      Done
   | A.Explain q ->
       cov t "admin.explain";
-      let* rs = Explain.run c q in
-      Ok (Rows rs)
+      Rows (Explain.run c q)
   | A.Explain_analyze q ->
       cov t "admin.explain_analyze";
-      let* rs = Explain.run_analyze c q in
-      Ok (Rows rs)
+      Rows (Explain.run_analyze c q)
   | A.Rollback_txn -> (
       cov t "maint.rollback";
       match t.txn_snapshot with
-      | None ->
-          Error (err Errors.Txn_state "cannot rollback - no transaction is active")
+      | None -> Eval.failf Errors.Txn_state "cannot rollback - no transaction is active"
       | Some snap ->
           Storage.Catalog.restore t.catalog snap;
           t.txn_snapshot <- None;
-          Ok Done)
+          Done)
+
+(* The one catch that makes a statement's result: the first error any
+   layer raises.  [Errors.Crash] is not caught. *)
+let execute_raw t stmt = Eval.run (fun () -> exec_stmt t stmt)
 
 (* One clock pair covers the phase histogram, the per-kind latency
    histogram and the statement counter, all through handles resolved at

@@ -544,7 +544,10 @@ let inconsistent_indexes s =
       | None -> Some (ix.Storage.Index.index_name ^ " (no table)")
       | Some ts -> (
           let rebuilt = Storage.Index.copy ix in
-          match Engine.Ddl.build_index_entries ctx ts rebuilt with
+          match
+            Engine.Eval.run (fun () ->
+                Engine.Ddl.build_index_entries ctx ts rebuilt)
+          with
           | Error e ->
               Some
                 (ix.Storage.Index.index_name ^ " (rebuild: "
