@@ -84,9 +84,9 @@ val compile_checked : env -> Sqlast.Ast.expr -> thunk * bool
 (** {!compile_pred}, with the same infallibility report. *)
 val compile_pred_checked : env -> Sqlast.Ast.expr -> pred * bool
 
-(** [run f] calls [f] and returns its result, or the first evaluation
-    error raised in it.  Callers wrap a statement's evaluation in one
-    [run]; [Errors.Crash] is not caught. *)
+(** [run f] calls [f] and returns its result, or the first error raised
+    in it.  A statement runs inside one [run]; [Errors.Crash] is not
+    caught. *)
 val run : (unit -> 'a) -> ('a, Errors.t) result
 
 (** [catch f x ~error] is [f x], or [error e] for the first evaluation
@@ -94,7 +94,10 @@ val run : (unit -> 'a) -> ('a, Errors.t) result
     neither a closure nor a result block. *)
 val catch : ('a -> 'b) -> 'a -> error:(Errors.t -> 'b) -> 'b
 
-(** Raise an evaluation error, for the caller's {!run} to catch. *)
+(** Raise an error.  This private exception is the engine's one error
+    channel: compiled closures and every statement layer above them
+    raise with it, and the statement's one {!run} ([Session.execute])
+    catches it. *)
 val fail : Errors.t -> 'a
 
 (** {!fail} with an error of [code] and a formatted message. *)

@@ -12,14 +12,14 @@ sq=$1
 ex=$2
 out=$3
 # refuse to clear a directory this script did not write
-if [ -e "$out" ] && [ ! -f "$out/.identity" ]; then
-  echo "identity: $out exists and is not an identity output" >&2
+if [ -e "$out" ] && [ -n "$(ls -A "$out")" ] &&
+  [ ! -d "$out/campaign-sqlite-default" ]; then
+  echo "identity: $out is not empty and not an identity output" >&2
   exit 2
 fi
 rm -rf "$out"
 mkdir -p "$out"
 cd "$out"
-touch .identity
 
 # run NAME CMD...: stdout to NAME.txt, then the exit status
 run() {
@@ -36,14 +36,12 @@ strip_summary() {
 }
 
 for d in sqlite mysql postgres; do
-  n=0
   for f in "" --all-bugs "--plan-diff --const-opt" \
     "--all-bugs --plan-diff --const-opt" --metamorphic \
     "--all-bugs --metamorphic" --guided "--all-bugs --guided"; do
-    n=$((n + 1))
-    c=campaign-$d-$n
+    # campaign-sqlite-default, campaign-sqlite-all-bugs+guided, ...
+    c=campaign-$d-$(echo "${f:-default}" | sed 's/^--//; s/ --/+/g')
     mkdir "$c"
-    echo "flags: $f" >"$c/flags.txt"
     # $f is split into its flags on purpose
     # shellcheck disable=SC2086
     run "$c/summary" "$sq" campaign $f -j 1 -d "$d" -s 1 --databases 500 \
