@@ -19,14 +19,5 @@ type config = {
 val default_config :
   ?seed:int -> ?bugs:Engine.Bug.set -> Sqlval.Dialect.t -> config
 
-type stats = {
-  mutable databases : int;
-  mutable statements : int;
-  mutable queries : int;
-  mutable reports : Pqs.Bug_report.t list;
-}
-
-val run : max_queries:int -> config -> stats
-
 (** First finding within the budget, if any. *)
 val hunt : config -> max_queries:int -> Pqs.Bug_report.t option

@@ -86,11 +86,6 @@ let fraction t =
   if universe_size t = 0 then 0.0
   else float_of_int (points_hit t) /. float_of_int (universe_size t)
 
-let reset t =
-  Hashtbl.reset t.counts;
-  List.iter (fun p -> Hashtbl.replace t.counts p 0) static_universe;
-  t.extra <- 0
-
 let merge_into ~dst ~src =
   Hashtbl.iter
     (fun p n ->

@@ -19,7 +19,6 @@ val hit_count : t -> string -> int
 val points_hit : t -> int
 val universe_size : t -> int
 val fraction : t -> float
-val reset : t -> unit
 
 (** Merge the hits of [src] into [dst] (used to aggregate worker runs). *)
 val merge_into : dst:t -> src:t -> unit

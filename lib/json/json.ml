@@ -189,7 +189,6 @@ let to_int = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 
 let quote s =
   let b = Buffer.create (String.length s + 2) in

@@ -35,7 +35,6 @@ val to_float : t -> float option
 
 val to_str : t -> string option
 val to_list : t -> t list option
-val to_bool : t -> bool option
 
 (** {1 Encoding} *)
 

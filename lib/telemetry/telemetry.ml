@@ -278,11 +278,6 @@ module Span = struct
             hist_observe h (Clock.now () -. t0);
             Printexc.raise_with_backtrace e bt)
 
-  type handle = hist option
-
-  let handle t ?(metric = "pqs_phase_seconds") phase =
-    match t with Noop -> None | Active st -> Some (span_hist st metric phase)
-
   let phase_hist st p =
     let i = Phase.index p in
     match Array.unsafe_get st.phases i with
@@ -297,20 +292,6 @@ module Span = struct
     | Noop -> f ()
     | Active st -> (
         let h = phase_hist st p in
-        let t0 = Clock.now () in
-        match f () with
-        | r ->
-            hist_observe h (Clock.now () -. t0);
-            r
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            hist_observe h (Clock.now () -. t0);
-            Printexc.raise_with_backtrace e bt)
-
-  let time_with h f =
-    match h with
-    | None -> f ()
-    | Some h -> (
         let t0 = Clock.now () in
         match f () with
         | r ->

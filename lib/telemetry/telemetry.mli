@@ -146,15 +146,6 @@ module Span : sig
       series through the registry's per-phase cache — the hot-path form
       used throughout the pipeline. *)
   val timed : t -> Phase.t -> (unit -> 'a) -> 'a
-
-  type handle
-  (** A span whose series has been resolved up front, for sites inside
-      tight loops.  From {!noop} the handle is inert. *)
-
-  val handle : t -> ?metric:string -> string -> handle
-
-  (** Like {!time} but through a pre-resolved {!handle}. *)
-  val time_with : handle -> (unit -> 'a) -> 'a
 end
 
 (** {1 Merging} *)

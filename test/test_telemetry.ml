@@ -213,13 +213,6 @@ let test_span_time () =
   Alcotest.(check int) "raising bodies are still timed" 2
     (Telemetry.histogram_count t
        ~labels:[ ("phase", "gen_db") ]
-       "pqs_phase_seconds");
-  (* pre-resolved span handles share the series *)
-  let h = Telemetry.Span.handle t "gen_db" in
-  Telemetry.Span.time_with h (fun () -> ());
-  Alcotest.(check int) "Span.handle shares the series" 3
-    (Telemetry.histogram_count t
-       ~labels:[ ("phase", "gen_db") ]
        "pqs_phase_seconds")
 
 let test_phase_taxonomy () =
