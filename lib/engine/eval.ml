@@ -351,6 +351,8 @@ let compare_prep env op a b : cmp_prep =
     cp_fb = fb;
   }
 
+let compare_rhs (p : cmp_prep) v = p.cp_fb v
+
 let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) : Tvl.t =
   if p.cp_oor_nullsafe then Tvl.Unknown
   else if p.cp_null_safe then begin

@@ -148,6 +148,13 @@ val compare_prep : env -> Sqlast.Ast.binop -> operand -> operand -> cmp_prep
 
 val compare_apply : env -> cmp_prep -> Value.t -> Value.t -> Tvl.t
 
+(** The value {!compare_apply} compares in place of its right operand's
+    value [v]: sqlite's affinity adjustment of that operand, the
+    identity on mysql and postgres.  The planner takes an index probe's
+    key or range bound from it, so the index path reads the rows the
+    comparison accepts. *)
+val compare_rhs : cmp_prep -> Value.t -> Value.t
+
 (** [\[NOT\] BETWEEN]. *)
 type between_prep
 

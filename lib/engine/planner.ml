@@ -135,14 +135,6 @@ let index_collation (ix : Storage.Index.t) =
   | [||] -> Collation.Binary
   | cs -> cs.(0)
 
-(* Apply the stored-key canonical conversion the way an INSERT would, so
-   probe keys align with stored keys (sqlite affinity). *)
-let probe_value env (table : Storage.Schema.table) column (v : Value.t) =
-  match Storage.Schema.find_column table column with
-  | Some (_, col) when Dialect.equal env.Eval.dialect Dialect.Sqlite_like ->
-      Coerce.apply_affinity (Datatype.affinity col.Storage.Schema.ty) v
-  | _ -> v
-
 (* A probe is sound only when index-key ordering agrees with the dialect's
    comparison semantics for this (column, literal) pair.  sqlite's affinity
    conversion makes any literal probeable; mysql and postgres coerce (or
@@ -186,13 +178,13 @@ let flip = function
   | A.Ge -> A.Le
   | op -> op
 
-(* A comparison of [col] with another operand, as (operator, operand)
-   with [col] on the left; [col OP lit] is read first, so it wins when
-   both sides name the column. *)
+(* A comparison of [col] with another operand, as (operator, column
+   operand, other operand) with [col] on the left; [col OP lit] is read
+   first, so it wins when both sides name the column. *)
 let comparison_with col = function
   | A.Binary (((A.Eq | A.Lt | A.Le | A.Gt | A.Ge) as op), a, b) ->
-      if is_column_ref col a then Some (op, b)
-      else if is_column_ref col b then Some (flip op, a)
+      if is_column_ref col a then Some (op, a, b)
+      else if is_column_ref col b then Some (flip op, b, a)
       else None
   | _ -> None
 
@@ -207,7 +199,7 @@ let conjunct_path env table (ix : Storage.Index.t) conj =
   | None -> None
   | Some col -> (
       match comparison_with col conj with
-      | Some (op, other) -> (
+      | Some (op, col_expr, other) -> (
           match const_value env other with
           | Some v
             when (not (Value.is_null v))
@@ -217,7 +209,15 @@ let conjunct_path env table (ix : Storage.Index.t) conj =
                       (Eval.comparison_collation env (A.col col) other)
                       (index_collation ix)
                  && probe_class_ok env table col v -> (
-              let v = probe_value env table col v in
+              (* the bound is the constant as the comparison compares
+                 it: sqlite's affinity adjustment, the identity on mysql
+                 and postgres *)
+              let v =
+                Eval.compare_rhs
+                  (Eval.compare_prep env op (Eval.operand env col_expr)
+                     (Eval.operand env other))
+                  v
+              in
               let range lo hi = Some (Index_range { index = ix; lo; hi }) in
               match op with
               | A.Eq -> Some (Index_eq { index = ix; key = [| v |] })

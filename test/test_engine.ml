@@ -969,6 +969,41 @@ let test_hex_golden () =
              HEX(NULL), HEX(2.0), HEX(0.1), HEX(-0.0), HEX(1.0/3)"))
     [ Dialect.Sqlite_like; Dialect.Mysql_like; Dialect.Postgres_like ]
 
+(* An index range bound is the constant as the comparison compares it:
+   against a REAL column, 9223372036854775807 stays an integer (as a
+   REAL it would round to 2^63, and the strict bound would drop the
+   row), and against a TEXT column TRUE stays TRUE.  The indexed query
+   takes the index range and returns the unindexed scan's rows. *)
+let test_range_bound_as_compared () =
+  List.iter
+    (fun (setup, q) ->
+      let run ~indexed =
+        let session = Engine.Session.create Dialect.Sqlite_like in
+        ok_all "setup"
+          (script session
+             (setup @ if indexed then [ "CREATE INDEX i0 ON t0(a)" ] else []));
+        let plan =
+          match script session [ "EXPLAIN " ^ q ] with
+          | [ Ok (Engine.Session.Rows rs) ] ->
+              List.map
+                (fun r -> Value.to_display r.(0))
+                rs.Engine.Executor.rs_rows
+          | _ -> Alcotest.fail "EXPLAIN failed"
+        in
+        (plan, row_lines session q)
+      in
+      let _, full = run ~indexed:false in
+      let plan, indexed = run ~indexed:true in
+      Alcotest.(check bool) (q ^ ": the scan finds the row") true (full <> []);
+      Alcotest.(check (list string)) (q ^ ": index range") [ "SCAN t0 USING index-range(i0)" ] plan;
+      Alcotest.(check (list string)) q full indexed)
+    [
+      ( [ "CREATE TABLE t0(a REAL)"; "INSERT INTO t0 VALUES (9223372036854775807)" ],
+        "SELECT a FROM t0 WHERE a > 9223372036854775807" );
+      ( [ "CREATE TABLE t0(a TEXT)"; "INSERT INTO t0 VALUES ('0')" ],
+        "SELECT a FROM t0 WHERE a > TRUE" );
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -981,6 +1016,8 @@ let () =
           Alcotest.test_case "unique constraints" `Quick test_unique_constraint;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "index scan equivalence" `Quick test_index_scan_equivalence;
+          Alcotest.test_case "range bound as compared" `Quick
+            test_range_bound_as_compared;
           Alcotest.test_case "rename column keeps partial index" `Quick
             test_rename_partial_index;
           Alcotest.test_case "rename column rewrites CHECK" `Quick

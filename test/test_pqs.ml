@@ -415,7 +415,7 @@ let test_reduction_golden () =
                  (List.map (Sqlast.Sql_printer.script dialect) reduced))));
       Alcotest.(check int) (name ^ " checks") checks !n)
     [
-      (Dialect.Sqlite_like, 85, "bcc0443d3598fed4837072384720b1ff", 1728);
+      (Dialect.Sqlite_like, 85, "05082f2f51774bb3999e04a893cc4374", 1726);
       (Dialect.Mysql_like, 50, "55a96fd8e86ebc36d39dabee4d7b897e", 933);
       (Dialect.Postgres_like, 34, "7a6a043ec9c7da21afc5b8f1b0998ab5", 457);
     ]
