@@ -115,7 +115,7 @@ loc:
 			| xargs -0 cat | wc -l; \
 	done
 
-# Identity battery (a few minutes): 24 campaigns with bundles, frontier
+# Identity battery (~35 s on two cores): 24 campaigns with bundles, frontier
 # snapshots and heartbeat traces, the -j 1/-j 2 determinism probe, the
 # plan-diff and const-opt 1,000-seed sweeps, lint at 5,000 seeds, the six
 # targeted-bug sweeps and `experiments.exe full table2`, written under
