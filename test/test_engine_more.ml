@@ -1268,7 +1268,9 @@ let () =
           Alcotest.test_case "write-plan invalidation" `Quick
             test_write_plan_invalidation;
         ] );
-      ( "statement outcomes",
+      (* At most 17 characters, as long as the longest suite name
+         before it, so Alcotest prints the other names unchanged. *)
+      ( "stmt outcomes",
         [
           Alcotest.test_case "errors, undo and state per statement" `Quick
             test_statement_outcomes;
