@@ -211,13 +211,20 @@ let adjust_text v =
   | Value.Int _ | Value.Real _ -> Coerce.apply_affinity Datatype.A_text v
   | _ -> v
 
+(* Which adjustment sqlite's comparison applies to one operand. *)
+type adjust = Keep | To_numeric | To_text
+
+let adjust_fn = function
+  | Keep -> Fun.id
+  | To_numeric -> adjust_numeric
+  | To_text -> adjust_text
+
 (* The affinity decision only reads operand metadata, so it can be taken
    once per (expression pair, binding layout) and reused per row — the
    query executor (Engine.Compile) does exactly that via the [*_prep]
    entry points. *)
-let sqlite_affinity_prep env a b : (Value.t -> Value.t) * (Value.t -> Value.t)
-    =
-  if bug env Bug.Sq_affinity_compare_skip then (Fun.id, Fun.id)
+let sqlite_affinity_sides env a b : adjust * adjust =
+  if bug env Bug.Sq_affinity_compare_skip then (Keep, Keep)
   else
     let affinity_of o =
       Option.map (fun (dt, _) -> Datatype.affinity dt) o.o_meta
@@ -232,11 +239,16 @@ let sqlite_affinity_prep env a b : (Value.t -> Value.t) * (Value.t -> Value.t)
     in
     let textish aff = aff = Some Datatype.A_text in
     let aa = affinity_of a and ab = affinity_of b in
-    if numericish aa && not (numericish ab) then (Fun.id, adjust_numeric)
-    else if numericish ab && not (numericish aa) then (adjust_numeric, Fun.id)
-    else if textish aa && ab = None then (Fun.id, adjust_text)
-    else if textish ab && aa = None then (adjust_text, Fun.id)
-    else (Fun.id, Fun.id)
+    if numericish aa && not (numericish ab) then (Keep, To_numeric)
+    else if numericish ab && not (numericish aa) then (To_numeric, Keep)
+    else if textish aa && ab = None then (Keep, To_text)
+    else if textish ab && aa = None then (To_text, Keep)
+    else (Keep, Keep)
+
+let sqlite_affinity_prep env a b : (Value.t -> Value.t) * (Value.t -> Value.t)
+    =
+  let ka, kb = sqlite_affinity_sides env a b in
+  (adjust_fn ka, adjust_fn kb)
 
 let text_compare env coll a b =
   if Collation.equal coll Collation.Rtrim
@@ -301,6 +313,7 @@ type cmp_prep = {
   cp_oor_nullsafe : bool;  (* mysql <=> against an out-of-range literal *)
   cp_fa : Value.t -> Value.t;  (* sqlite affinity pre-adjustment, operand a *)
   cp_fb : Value.t -> Value.t;
+  cp_a_kept : bool;  (* [cp_fa] is the identity *)
 }
 
 let compare_prep env op a b : cmp_prep =
@@ -321,10 +334,11 @@ let compare_prep env op a b : cmp_prep =
     in
     beyond a b || beyond b a
   in
-  let fa, fb =
+  let fa, fb, a_kept =
     match env.dialect with
     | Dialect.Sqlite_like -> (
-        let fa, fb = sqlite_affinity_prep env a b in
+        let ka, kb = sqlite_affinity_sides env a b in
+        let fa = adjust_fn ka and fb = adjust_fn kb and a_kept = ka = Keep in
         (* Listing-7-style folding bug: literals carry no affinity, but the
            buggy constant folder coerces a text literal compared against a
            numeric literal anyway, so 'abc' > 5 goes through 0 > 5. *)
@@ -335,12 +349,12 @@ let compare_prep env op a b : cmp_prep =
           and textish = function Value.Text _ -> true | _ -> false in
           match (a.o_expr, b.o_expr) with
           | A.Lit la, A.Lit lb when numericish la && textish lb ->
-              (fa, Coerce.to_numeric)
+              (fa, Coerce.to_numeric, a_kept)
           | A.Lit la, A.Lit lb when textish la && numericish lb ->
-              (Coerce.to_numeric, fb)
-          | _ -> (fa, fb)
-        else (fa, fb))
-    | Dialect.Mysql_like | Dialect.Postgres_like -> (Fun.id, Fun.id)
+              (Coerce.to_numeric, fb, false)
+          | _ -> (fa, fb, a_kept)
+        else (fa, fb, a_kept))
+    | Dialect.Mysql_like | Dialect.Postgres_like -> (Fun.id, Fun.id, true)
   in
   {
     cp_op = op;
@@ -349,9 +363,10 @@ let compare_prep env op a b : cmp_prep =
     cp_oor_nullsafe = out_of_range_nullsafe;
     cp_fa = fa;
     cp_fb = fb;
+    cp_a_kept = a_kept;
   }
 
-let compare_rhs (p : cmp_prep) v = p.cp_fb v
+let compare_rhs (p : cmp_prep) v = if p.cp_a_kept then Some (p.cp_fb v) else None
 
 let compare_apply env (p : cmp_prep) (va : Value.t) (vb : Value.t) : Tvl.t =
   if p.cp_oor_nullsafe then Tvl.Unknown

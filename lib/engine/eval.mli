@@ -150,10 +150,13 @@ val compare_apply : env -> cmp_prep -> Value.t -> Value.t -> Tvl.t
 
 (** The value {!compare_apply} compares in place of its right operand's
     value [v]: sqlite's affinity adjustment of that operand, the
-    identity on mysql and postgres.  The planner takes an index probe's
-    key or range bound from it, so the index path reads the rows the
+    identity on mysql and postgres.  [None] when the comparison adjusts
+    its left operand too (a TEXT column against an INTEGER-typed
+    constant), since it then compares values the left operand's stored
+    keys are not ordered by.  The planner takes an index probe's key or
+    range bound from it, so the index path reads the rows the
     comparison accepts. *)
-val compare_rhs : cmp_prep -> Value.t -> Value.t
+val compare_rhs : cmp_prep -> Value.t -> Value.t option
 
 (** [\[NOT\] BETWEEN]. *)
 type between_prep

@@ -211,30 +211,33 @@ let conjunct_path env table (ix : Storage.Index.t) conj =
                  && probe_class_ok env table col v -> (
               (* the bound is the constant as the comparison compares
                  it: sqlite's affinity adjustment, the identity on mysql
-                 and postgres *)
-              let v =
+                 and postgres; no bound when the comparison adjusts the
+                 column's value, which the index keys do not follow *)
+              match
                 Eval.compare_rhs
                   (Eval.compare_prep env op (Eval.operand env col_expr)
                      (Eval.operand env other))
                   v
-              in
-              let range lo hi = Some (Index_range { index = ix; lo; hi }) in
-              match op with
-              | A.Eq -> Some (Index_eq { index = ix; key = [| v |] })
-              | A.Gt ->
-                  if
-                    desc_leading ix
-                    && Dialect.equal env.Eval.dialect Dialect.Sqlite_like
-                    && Bug.on env.Eval.bugs Bug.Sq_desc_index_range
-                  then
-                    (* buggy: strict lower bound over a DESC index yields
-                       an empty candidate set *)
-                    range (Some (v, false)) (Some (v, false))
-                  else range (Some (v, false)) None
-              | A.Ge -> range (Some (v, true)) None
-              | A.Lt -> range None (Some (v, false))
-              | A.Le -> range None (Some (v, true))
-              | _ -> None)
+              with
+              | None -> None
+              | Some v -> (
+                let range lo hi = Some (Index_range { index = ix; lo; hi }) in
+                match op with
+                | A.Eq -> Some (Index_eq { index = ix; key = [| v |] })
+                | A.Gt ->
+                    if
+                      desc_leading ix
+                      && Dialect.equal env.Eval.dialect Dialect.Sqlite_like
+                      && Bug.on env.Eval.bugs Bug.Sq_desc_index_range
+                    then
+                      (* buggy: strict lower bound over a DESC index yields
+                         an empty candidate set *)
+                      range (Some (v, false)) (Some (v, false))
+                    else range (Some (v, false)) None
+                | A.Ge -> range (Some (v, true)) None
+                | A.Lt -> range None (Some (v, false))
+                | A.Le -> range None (Some (v, true))
+                | _ -> None))
           | _ -> None)
       | None -> (
           match conj with
