@@ -211,14 +211,10 @@ let check_constraints (ctx : Executor.ctx) (p : Ddl.plan)
       (Lazy.force p.Ddl.checks)
   end
 
-(* Coerce one value into its column, per dialect; with [null_on_error]
-   (IGNORE, as in mysql's non-strict mode) a value the column cannot
-   store becomes NULL. *)
-let store_value ?(null_on_error = false) (ctx : Executor.ctx)
-    (col : Storage.Schema.column) v =
+(* Coerce one value into its column, per dialect. *)
+let store_value (ctx : Executor.ctx) (col : Storage.Schema.column) v =
   match Coerce.store ctx.Executor.dialect col.Storage.Schema.ty v with
   | Ok v -> v
-  | Error _ when null_on_error -> Value.Null
   | Error msg -> Eval.fail (Errors.make Errors.Type_error msg)
 
 (* sqlite: a single-column INTEGER PRIMARY KEY is an alias for the rowid;
@@ -323,7 +319,14 @@ let insert ctx ~table ~columns ~rows ~action =
           | A.Lit v -> v
           | e -> Eval.compile (Lazy.force env) e ()
         in
-        let v = store_value ~null_on_error:ignore_errors ctx col raw in
+        let v =
+          match Coerce.store ctx.Executor.dialect col.Storage.Schema.ty raw with
+          | Ok v -> v
+          (* IGNORE, as in mysql's non-strict mode: a value the column
+             cannot store becomes NULL *)
+          | Error _ when ignore_errors -> Value.Null
+          | Error msg -> Eval.fail (Errors.make Errors.Type_error msg)
+        in
         (* injected (intended-class): INSERT IGNORE still errors on
            clamped out-of-range values *)
         if

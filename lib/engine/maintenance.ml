@@ -5,12 +5,6 @@ let cov (ctx : Executor.ctx) point =
   match ctx.Executor.coverage with None -> () | Some c -> Coverage.hit c point
 
 let bug (ctx : Executor.ctx) b = Bug.on ctx.Executor.bugs b
-(* Every maintenance statement but DISCARD is refused on a corrupted
-   database. *)
-let check_corruption (ctx : Executor.ctx) =
-  match Storage.Catalog.corruption ctx.Executor.catalog with
-  | Some msg -> Eval.fail (Errors.make Errors.Malformed_database msg)
-  | None -> ()
 let is_dialect (ctx : Executor.ctx) d = Dialect.equal ctx.Executor.dialect d
 
 let index_mentions_like (ix : Storage.Index.t) =
@@ -42,7 +36,6 @@ let vacuum ctx ~full =
     Eval.failf Errors.Syntax_error "VACUUM is not supported; use OPTIMIZE";
   if full && is_dialect ctx Dialect.Sqlite_like then
     Eval.failf Errors.Syntax_error "VACUUM FULL is postgres-specific";
-  check_corruption ctx;
   (* Listing 9: LIKE expression index + flipped case_sensitive_like *)
   if
     is_dialect ctx Dialect.Sqlite_like
@@ -171,7 +164,6 @@ let reindex ctx target =
   cov ctx "maint.reindex";
   if is_dialect ctx Dialect.Mysql_like then
     Eval.failf Errors.Syntax_error "REINDEX is not supported";
-  check_corruption ctx;
   if
     is_dialect ctx Dialect.Postgres_like && bug ctx Bug.Pg_reindex_deadlock
   then Eval.failf Errors.Internal_error "deadlock detected"
@@ -248,7 +240,6 @@ let reindex ctx target =
 let analyze ctx target =
   cov ctx "maint.analyze";
   ignore target;
-  check_corruption ctx;
   (* postgres crash class: extended statistics over boolean columns *)
   if
     is_dialect ctx Dialect.Postgres_like
