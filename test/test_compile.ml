@@ -1605,6 +1605,208 @@ let test_error_order () =
         error_order_dialects expected)
     error_order_golden
 
+(* Joins: the ON, WHERE, projection and FROM errors in the order the
+   engine meets them, the LEFT join's extension and layout over an empty
+   derived table, and the forced swap's row order.  [late] fails on the
+   last pair whose t1.d0 is 4, after pairs that pass. *)
+let late = "CASE WHEN t1.d0 = 4 THEN abs(-9223372036854775807 - 1) ELSE 9 END"
+
+let join_golden =
+  [
+    ( false,
+      "SELECT * FROM t0 JOIN t1 ON t0.c0 < " ^ late ^ " WHERE x9 = 1",
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+    ( false,
+      "SELECT t0.c0 + x8 FROM t0 JOIN t1 ON t0.c0 < " ^ late,
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+    ( false,
+      "SELECT * FROM t1 JOIN t0 ON (CASE WHEN t1.d0 = 4 THEN t0.c1 END) > \
+       t1.d0 OR t1.d0 < 4 WHERE t0.c0 / (t1.d0 - 1) >= 0",
+      [
+        "rows (Int 2L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 2L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 2L)|(Int 1L)|(Text \"Abc\")|(Real 0.5)|(Text \"x%\"); (Int 4L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 4L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 4L)|(Int 1L)|(Text \"Abc\")|(Real 0.5)|(Text \"x%\")";
+        "rows (Int 2L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 2L)|(Int 2L)|(Text \"abc\")|(Real -1.5)|Null; (Int 2L)|(Int 1L)|(Text \"Abc\")|(Real 0.5)|(Text \"x%\")";
+        "error [Type_error] operator does not exist: (Text \"Abc\") vs (Int 4L)";
+      ] );
+    ( false,
+      "SELECT * FROM t1 AS a JOIN t1 AS b ON CASE WHEN a.d0 = 4 AND b.d0 = 4 \
+       THEN abs(-9223372036854775807 - 1) ELSE 1 END > 0 JOIN t0 ON t0.c0 + \
+       x7 > 0",
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+    ( false,
+      "SELECT * FROM t0 JOIN t1 ON t0.c0 < " ^ late ^ ", nosuch",
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+    ( false,
+      "SELECT * FROM t0 JOIN t1 ON t0.c0 = t1.d0, nosuch",
+      [
+        "error [No_such_table] no such table: nosuch";
+        "error [No_such_table] no such table: nosuch";
+        "error [No_such_table] no such table: nosuch";
+      ] );
+    ( false,
+      "SELECT * FROM t1 LEFT JOIN (SELECT c0 FROM t0 WHERE c0 > 100) AS d ON \
+       t1.d0 = d.c0",
+      [
+        "rows (Int 1L); (Int 2L); (Int 4L)";
+        "rows (Int 1L); (Int 2L); (Int 4L)";
+        "rows (Int 1L); (Int 2L); (Int 4L)";
+      ] );
+    ( false,
+      "SELECT d.c0 FROM t1 LEFT JOIN (SELECT c0 FROM t0 WHERE c0 > 100) AS d \
+       ON t1.d0 = d.c0",
+      [
+        "error [No_such_table] no such table: d";
+        "error [No_such_table] no such table: d";
+        "error [No_such_table] no such table: d";
+      ] );
+    ( false,
+      "SELECT * FROM t1 LEFT JOIN (SELECT c0 FROM t0 WHERE c0 > 1) AS d ON \
+       t1.d0 = d.c0",
+      [
+        "rows (Int 1L)|Null; (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 4L)|Null";
+        "rows (Int 1L)|Null; (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 4L)|Null";
+        "rows (Int 1L)|Null; (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 4L)|Null";
+      ] );
+    ( false,
+      "SELECT t0.c0, t1.d0 FROM t0 JOIN t1 ON t0.c0 <= t1.d0 JOIN t1 AS b ON \
+       b.d0 < t1.d0",
+      [
+        "rows (Int 1L)|(Int 4L); (Int 1L)|(Int 4L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L); (Int -3L)|(Int 4L); (Int -3L)|(Int 4L); (Int -3L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 4L); (Int 1L)|(Int 4L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L); (Int -3L)|(Int 4L); (Int -3L)|(Int 4L); (Int -3L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 4L); (Int 1L)|(Int 4L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L); (Int -3L)|(Int 4L); (Int -3L)|(Int 4L); (Int -3L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L); (Int 2L)|(Int 2L)";
+      ] );
+    ( false,
+      "SELECT a.d0, t0.c0, t1.d0 FROM t1 AS a, t0 JOIN t1 ON t0.c0 = t1.d0 \
+       WHERE a.d0 < 4",
+      [
+        "rows (Int 1L)|(Int 1L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 1L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 1L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 1L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 1L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 1L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L)";
+      ] );
+    ( false,
+      "VALUES (2) INTERSECT SELECT t0.c0 FROM t0 JOIN t1 ON t0.c0 < " ^ late,
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+    ( false,
+      "VALUES (1, 1) INTERSECT SELECT t0.c0, t1.d0 FROM t0 JOIN t1 ON t0.c0 = \
+       t1.d0 WHERE t0.c2 < 1 AND t1.d0 + x6 > 0",
+      [
+        "error [No_such_column] no such column: x6";
+        "error [No_such_column] no such column: x6";
+        "error [No_such_column] no such column: x6";
+      ] );
+    ( false,
+      "VALUES (1, 1), (2, 4) INTERSECT SELECT t0.c0, t1.d0 FROM t0 JOIN t1 ON \
+       t0.c0 <= t1.d0",
+      [
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 4L)";
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 4L)";
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 4L)";
+      ] );
+    ( false,
+      "VALUES (-3, NULL) EXCEPT SELECT t0.c0, t1.d0 FROM t0 LEFT JOIN t1 ON \
+       t0.c0 = t1.d0",
+      [
+        "rows ";
+        "rows ";
+        "rows ";
+      ] );
+    ( true,
+      "SELECT t0.c0, t1.d0 FROM t0 JOIN t1 ON t0.c0 <= t1.d0",
+      [
+        "rows (Int -3L)|(Int 1L); (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); (Int -3L)|(Int 2L); (Int 2L)|(Int 2L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int -3L)|(Int 4L); (Int 2L)|(Int 4L); (Int 1L)|(Int 4L)";
+        "rows (Int -3L)|(Int 1L); (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); (Int -3L)|(Int 2L); (Int 2L)|(Int 2L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int -3L)|(Int 4L); (Int 2L)|(Int 4L); (Int 1L)|(Int 4L)";
+        "rows (Int -3L)|(Int 1L); (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); (Int -3L)|(Int 2L); (Int 2L)|(Int 2L); (Int 1L)|(Int 2L); (Int 2L)|(Int 4L); (Int -3L)|(Int 4L); (Int 2L)|(Int 4L); (Int 1L)|(Int 4L)";
+      ] );
+    ( true,
+      "SELECT t0.c0, t1.d0 FROM t0 CROSS JOIN t1 WHERE t0.c0 > 1",
+      [
+        "rows (Int 2L)|(Int 1L); (Int 2L)|(Int 1L); (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L)";
+        "rows (Int 2L)|(Int 1L); (Int 2L)|(Int 1L); (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L)";
+        "rows (Int 2L)|(Int 1L); (Int 2L)|(Int 1L); (Int 2L)|(Int 2L); (Int 2L)|(Int 2L); (Int 2L)|(Int 4L); (Int 2L)|(Int 4L)";
+      ] );
+    ( true,
+      "SELECT t0.c0, t1.d0 FROM t0 LEFT JOIN t1 ON t0.c0 = t1.d0",
+      [
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); Null|Null; (Int -3L)|Null; (Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); Null|Null; (Int -3L)|Null; (Int 2L)|(Int 2L)";
+        "rows (Int 1L)|(Int 1L); (Int 2L)|(Int 2L); Null|Null; (Int -3L)|Null; (Int 2L)|(Int 2L)";
+      ] );
+    ( true,
+      "SELECT t0.c0, t1.d0, b.d0 FROM t0 JOIN t1 ON t0.c0 <= t1.d0 JOIN t1 AS \
+       b ON b.d0 < t1.d0",
+      [
+        "rows (Int 1L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int -3L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int -3L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int 1L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L)";
+        "rows (Int 1L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int -3L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int -3L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int 1L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L)";
+        "rows (Int 1L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int -3L)|(Int 4L)|(Int 1L); (Int 2L)|(Int 4L)|(Int 1L); (Int 1L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int -3L)|(Int 2L)|(Int 1L); (Int 2L)|(Int 2L)|(Int 1L); (Int 1L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L)";
+      ] );
+    ( true,
+      "SELECT t0.c0, t1.d0, a.d0 FROM t0 JOIN t1 ON t0.c0 <= t1.d0, t1 AS a \
+       WHERE a.d0 > 1",
+      [
+        "rows (Int -3L)|(Int 1L)|(Int 2L); (Int 1L)|(Int 1L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int -3L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int 1L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 1L)|(Int 4L); (Int 1L)|(Int 1L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int -3L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int 1L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int -3L)|(Int 4L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int 1L)|(Int 4L)|(Int 4L)";
+        "rows (Int -3L)|(Int 1L)|(Int 2L); (Int 1L)|(Int 1L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int -3L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int 1L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 1L)|(Int 4L); (Int 1L)|(Int 1L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int -3L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int 1L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int -3L)|(Int 4L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int 1L)|(Int 4L)|(Int 4L)";
+        "rows (Int -3L)|(Int 1L)|(Int 2L); (Int 1L)|(Int 1L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int -3L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 2L)|(Int 2L); (Int 1L)|(Int 2L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 4L)|(Int 2L); (Int 2L)|(Int 4L)|(Int 2L); (Int 1L)|(Int 4L)|(Int 2L); (Int -3L)|(Int 1L)|(Int 4L); (Int 1L)|(Int 1L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int -3L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 2L)|(Int 4L); (Int 1L)|(Int 2L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int -3L)|(Int 4L)|(Int 4L); (Int 2L)|(Int 4L)|(Int 4L); (Int 1L)|(Int 4L)|(Int 4L)";
+      ] );
+    ( true,
+      "SELECT * FROM t0 JOIN t1 ON t0.c0 < " ^ late,
+      [
+        "error [Out_of_range] integer overflow";
+        "error [Out_of_range] BIGINT value is out of range";
+        "error [Out_of_range] BIGINT value is out of range";
+      ] );
+  ]
+
+let join_outcome dialect (swap, sql) =
+  let session = fixture dialect in
+  let r =
+    if swap then
+      match parse_sql sql with
+      | A.Select_stmt q ->
+          Engine.Session.query_forced session
+            ~force:{ Ex.no_force with Ex.f_swap_join = true }
+            q
+          |> Result.map (fun rs -> Engine.Session.Rows rs)
+      | _ -> Alcotest.fail ("not a query: " ^ sql)
+    else Engine.Session.execute session (parse_sql sql)
+  in
+  match r with
+  | Ok (Engine.Session.Rows rs) -> "rows " ^ show_rows rs.Ex.rs_rows
+  | Ok _ -> "not rows"
+  | Error e -> "error " ^ Engine.Errors.show e
+
+let test_join_golden () =
+  List.iter
+    (fun (swap, sql, expected) ->
+      List.iter2
+        (fun dialect want ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s%s (%s)" sql
+               (if swap then " [forced swap]" else "")
+               (Dialect.name dialect))
+            want
+            (join_outcome dialect (swap, sql)))
+        error_order_dialects expected)
+    join_golden
+
 (* ---------- a probe that meets its answer early ---------- *)
 
 (* Each statement runs on a fresh session of its dialect holding [t];
@@ -1767,6 +1969,8 @@ let () =
           Alcotest.test_case "coverage parity" `Quick test_coverage_parity;
           Alcotest.test_case "first error in evaluation order" `Quick
             test_error_order;
+          Alcotest.test_case "joins keep their outcomes" `Quick
+            test_join_golden;
           Alcotest.test_case "boolean and value contexts agree" `Quick
             test_bool_value_agreement;
           Alcotest.test_case "fallible shapes" `Quick test_fallible_cases;
