@@ -7,12 +7,16 @@
    projects each tuple WHERE accepts as soon as it does, pushing the
    row, with its ORDER BY keys, through stages built once per SELECT
    (DISTINCT, ORDER BY, LIMIT/OFFSET) into a sink: the caller's, or the
-   default one that collects the result set.  A WHERE error ends the
-   loop; the first projection or key error is held until WHERE has run
-   on every tuple, and is the SELECT's error only if WHERE raised none.
-   A set probe's SELECT stops once its answer is settled, when nothing
-   left in it can fail.  All expression semantics — every dialect quirk
-   and injected bug — live in Eval.
+   default one that collects the result set.  An explicit JOIN is a
+   level of that loop: its sides are materialized, and each pair ON
+   accepts goes straight on to WHERE.  An infallible ON runs per pair;
+   a fallible one runs over every pair before anything later, so its
+   first error stays first.  A WHERE error ends the loop; the first
+   projection or key error is held until WHERE has run on every tuple,
+   and is the SELECT's error only if WHERE raised none.  A set probe's
+   SELECT, and the join it runs, stops once its answer is settled, when
+   nothing left in it can fail.  All expression semantics — every
+   dialect quirk and injected bug — live in Eval.
 
    Every function here returns a bare value and raises its error with
    [Eval.fail], like Eval's closures: the first error raised ends the
@@ -53,7 +57,7 @@ let compile_items c items =
       (function
         | A.Star -> P_star
         | A.Table_star t -> (
-            let tl = String.lowercase_ascii t in
+            let tl = Eval.lower t in
             let rec find i = function
               | [] ->
                   ok := false;
@@ -119,51 +123,44 @@ let project tuple projs =
 (* ------------------------------------------------------------------ *)
 (* FROM and WHERE                                                      *)
 
-(* A materialized FROM item: static per-binding metadata plus the
-   tuples, one value array per binding (joins contribute the bindings
-   of both sides, concatenated in textual order). *)
-type source = {
-  src_layout : Eval.binding list;
-  src_tuples : Value.t array array list;
+(* A materialized FROM item: static per-binding metadata plus its rows,
+   one value array per binding. *)
+type source = { src_layout : Eval.binding list; src_rows : rows }
+
+(* A leaf's tuples, or an explicit JOIN whose two sides are materialized
+   and whose pairs the loop that runs it produces. *)
+and rows = Tuples of Value.t array array list | Join of join
+
+(* The outer side's tuples come in order, each with the inner tuples it
+   may pair with, last-first: every inner tuple when [j_on] runs per
+   pair, else those the ON matched up front (see [join_source]).  Each
+   side's bindings sit at its offset in the join's layout, the left
+   side's first. *)
+and join = {
+  j_outer : (Value.t array array * Value.t array array list) list;
+  j_outer_off : int;
+  j_inner_off : int;
+  j_on : Eval.pred option;
+  j_cur : Value.t array array ref;  (* the tuple [j_on] reads *)
+  j_ext : Value.t array array option;
+      (* LEFT: the NULL extension an unmatched outer tuple gets *)
+  j_detail : string;
+  j_rows_in : int;
+  j_t0 : int;
+  mutable j_pairs : int;  (* pairs (and extensions) produced *)
 }
 
-(* The FROM tuples WHERE evaluated, and those it accepted. *)
-type filter_counts = { mutable tuples : int; mutable accepted : int }
-
-(* One nested loop over the sources, in textual order except that the
-   forced join swap puts the second of a two-item comma FROM outside.
-   Each source tuple is blitted into the env's scratch tuple at its
-   bindings' offset, WHERE runs there, and [accept ()] runs on each
-   tuple WHERE accepts while it is still in the scratch.  WHERE's errors
-   raise out of the loop. *)
-let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources counts
-    ~accept =
-  let scratch = !(c.Eval.cur) in
-  let _, placed =
-    List.fold_left
-      (fun (off, acc) src ->
-        (off + List.length src.src_layout, (off, src.src_tuples) :: acc))
-      (0, []) sources
-  in
-  let loops =
-    match List.rev placed with
-    | [ a; b ] when Executor.swap_join_forced ctx -> [ b; a ]
-    | loops -> loops
-  in
-  let keep () =
-    counts.accepted <- counts.accepted + 1;
-    accept ()
-  in
+(* The nested loop over [levels], each a source's rows at its bindings'
+   offset in [scratch]: each tuple is blitted there and [k ()] runs on
+   each full tuple while it is still in the scratch.  A join level is a
+   scratch's first (offset 0), so its ON, compiled against the join's
+   own bindings, reads the scratch itself.  Each outer tuple's pairs
+   come out last-first, and only the pairs ON accepts go on to the
+   levels inside it; whatever raises out of [k] stops the join too. *)
+let nested_loop scratch levels ~k =
   let rec nest = function
-    | [] -> (
-        counts.tuples <- counts.tuples + 1;
-        match pred with
-        | None -> keep ()
-        | Some (p : Eval.pred) -> (
-            match p () with
-            | Tvl.True -> keep ()
-            | Tvl.False | Tvl.Unknown -> ()))
-    | (off, tuples) :: inner ->
+    | [] -> k ()
+    | (off, Tuples tuples) :: inner ->
         let rec each = function
           | [] -> ()
           | t :: rest ->
@@ -172,17 +169,108 @@ let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources counts
               each rest
         in
         each tuples
+    | (off, Join j) :: inner ->
+        j.j_cur := scratch;
+        let inner_off = off + j.j_inner_off in
+        let pair () =
+          j.j_pairs <- j.j_pairs + 1;
+          nest inner
+        in
+        let rec walk matched = function
+          | [] -> matched
+          | i :: more -> (
+              Array.blit i 0 scratch inner_off (Array.length i);
+              match match j.j_on with None -> Tvl.True | Some p -> p () with
+              | Tvl.True ->
+                  pair ();
+                  walk true more
+              | Tvl.False | Tvl.Unknown -> walk matched more)
+        in
+        List.iter
+          (fun (o, cands) ->
+            Array.blit o 0 scratch (off + j.j_outer_off) (Array.length o);
+            let matched = walk false cands in
+            match j.j_ext with
+            | Some ext when not matched ->
+                Array.blit ext 0 scratch inner_off (Array.length ext);
+                pair ()
+            | Some _ | None -> ())
+          j.j_outer
   in
-  nest loops
+  nest levels
 
-(* The loop's FILTER event, when there is a WHERE; [stopped] marks a
-   probe that ended at its answer. *)
-let filter_event ctx ~where ~stopped ~t0 counts =
-  if Option.is_some where && Executor.tracing ctx then
+(* A join's JOIN event, once its loop has run; [stopped] marks a probe
+   that ended at its answer. *)
+let join_event ctx j ~stopped =
+  if Executor.tracing ctx then
+    Executor.op_event ctx ~op:"JOIN"
+      ~detail:(if stopped then j.j_detail ^ " (stopped)" else j.j_detail)
+      ~rows_in:j.j_rows_in ~rows_out:j.j_pairs
+      ~batches:(batches_of j.j_pairs) ~t0:j.j_t0 ()
+
+(* [src]'s tuples.  A join's pairs are produced into a scratch tuple of
+   its own and copied out, in the order its loop makes them. *)
+let tuples_of ctx src =
+  match src.src_rows with
+  | Tuples tuples -> tuples
+  | Join j ->
+      let scratch = Array.make (List.length src.src_layout) [||] in
+      let acc = ref [] in
+      nested_loop scratch [ (0, src.src_rows) ] ~k:(fun () ->
+          acc := Array.copy scratch :: !acc);
+      join_event ctx j ~stopped:false;
+      List.rev !acc
+
+(* Raised by a probed SELECT's loop once its answer is settled and
+   nothing left in it can fail; caught right outside the loop. *)
+exception Settled
+
+(* The SELECT's loop over its sources, in textual order except that the
+   forced join swap puts the second of a two-item comma FROM outside.  A
+   join runs in the loop when it is the outermost level at offset 0;
+   any other is produced before the loop begins.  WHERE runs on each tuple in the env's
+   scratch, and [accept ()] runs on each tuple WHERE accepts while it is
+   still there.  WHERE's errors raise out of the loop, and [Settled]
+   ends it quietly.  Then the loop's JOIN event, and its FILTER event
+   when there is a WHERE. *)
+let from_where ctx (c : Eval.env) (pred : Eval.pred option) sources ~accept =
+  let t0 = Executor.op_clock ctx in
+  let _, placed =
+    List.fold_left
+      (fun (off, acc) src ->
+        (off + List.length src.src_layout, (off, src) :: acc))
+      (0, []) sources
+  in
+  let loops =
+    List.mapi
+      (fun i (off, src) ->
+        match src.src_rows with
+        | Join _ when i > 0 || off > 0 -> (off, Tuples (tuples_of ctx src))
+        | Join _ | Tuples _ -> (off, src.src_rows))
+      (match List.rev placed with
+      | [ a; b ] when Executor.swap_join_forced ctx -> [ b; a ]
+      | loops -> loops)
+  in
+  let tuples = ref 0 and accepted = ref 0 in
+  let stopped =
+    match
+      nested_loop !(c.Eval.cur) loops ~k:(fun () ->
+          incr tuples;
+          match match pred with None -> Tvl.True | Some p -> p () with
+          | Tvl.True ->
+              incr accepted;
+              accept ()
+          | Tvl.False | Tvl.Unknown -> ())
+    with
+    | () -> false
+    | exception Settled -> true
+  in
+  (match loops with (_, Join j) :: _ -> join_event ctx j ~stopped | _ -> ());
+  if Option.is_some pred && Executor.tracing ctx then
     Executor.op_event ctx ~op:"FILTER"
       ~detail:(if stopped then "WHERE (stopped)" else "WHERE")
-      ~rows_in:counts.tuples ~rows_out:counts.accepted
-      ~batches:(batches_of counts.tuples) ~t0 ()
+      ~rows_in:!tuples ~rows_out:!accepted ~batches:(batches_of !tuples) ~t0
+      ()
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
@@ -411,18 +499,18 @@ let derived_source ~alias columns rows =
     Array.of_list
       (List.map
          (fun cname ->
-           (String.lowercase_ascii cname, Datatype.Any, Collation.Binary))
+           (Eval.lower cname, Datatype.Any, Collation.Binary))
          columns)
   in
   {
     src_layout =
       [
         {
-          Eval.b_alias = String.lowercase_ascii alias;
+          Eval.b_alias = Eval.lower alias;
           b_columns = columns;
         };
       ];
-    src_tuples = List.map (fun row -> [| row |]) rows;
+    src_rows = Tuples (List.map (fun row -> [| row |]) rows);
   }
 
 (* The two shapes every dialect rejects before evaluating anything: [*]
@@ -453,10 +541,6 @@ let values_columns width =
 
 (* ------------------------------------------------------------------ *)
 (* SELECT                                                              *)
-
-(* Raised by a probed SELECT's loop once its answer is settled and
-   nothing left in it can fail; caught right outside the loop. *)
-exception Settled
 
 (* One compiled-and-executed SELECT, its rows delivered to [sink] (a
    row sink: INTERSECT and EXCEPT probe their right operand with one) or
@@ -546,13 +630,10 @@ let rec run_select ?sink ctx (s : A.select) : Executor.result_set =
       end
       else project tuple projs
     in
-    let filter_t0 = Executor.op_clock ctx in
-    let counts = { tuples = 0; accepted = 0 } in
     if Executor.select_has_agg s then begin
       let kept = ref [] in
-      from_where ctx c pred sources counts ~accept:(fun () ->
+      from_where ctx c pred sources ~accept:(fun () ->
           kept := Array.copy scratch :: !kept);
-      filter_event ctx ~where ~stopped:false ~t0:filter_t0 counts;
       Option.iter Eval.fail !held;
       let emit (gc : Eval.env) tuple projs keys =
         gc.Eval.cur := tuple;
@@ -584,12 +665,7 @@ let rec run_select ?sink ctx (s : A.select) : Executor.result_set =
       let accept () =
         if Option.is_none !held then Eval.catch project_push () ~error:hold
       in
-      let stopped =
-        match from_where ctx c pred sources counts ~accept with
-        | () -> false
-        | exception Settled -> true
-      in
-      filter_event ctx ~where ~stopped ~t0:filter_t0 counts;
+      from_where ctx c pred sources ~accept;
       Option.iter Eval.fail !held
     end;
     if s.A.sel_distinct then cov_ctx ctx "exec.distinct";
@@ -727,8 +803,8 @@ and run_compound ?sink ctx op qa qb =
         ~right_rows:!probed (marked ())
 
 (* One FROM item, materialized: scan-site bug behaviour and access paths
-   come from Executor.scan_rows; the join's ON predicate is compiled once
-   against the combined layout. *)
+   come from Executor.scan_rows; a join's sides are materialized, and
+   their tuples produced, in textual order. *)
 and materialize ctx fctx ~where (item : A.from_item) : source =
   match item with
   | A.F_table { name; alias } -> (
@@ -739,12 +815,12 @@ and materialize ctx fctx ~where (item : A.from_item) : source =
             Executor.scan_rows ctx fctx ~where ~table:name ~alias:alias_name ts
           in
           {
-              src_layout =
-                [
-                  Eval.binding_of_table ts.Storage.Catalog.schema
-                    ~alias:alias_name;
-                ];
-            src_tuples = tuples;
+            src_layout =
+              [
+                Eval.binding_of_table ts.Storage.Catalog.schema
+                  ~alias:alias_name;
+              ];
+            src_rows = Tuples tuples;
           }
       | None -> (
           match Storage.Catalog.find_view ctx.Executor.catalog name with
@@ -794,28 +870,30 @@ and materialize ctx fctx ~where (item : A.from_item) : source =
       | A.Inner -> cov_ctx ctx "exec.join_inner"
       | A.Left -> cov_ctx ctx "exec.join_left"
       | A.Cross -> cov_ctx ctx "exec.join_cross");
-      let l = materialize ctx fctx ~where:None left in
-      let r = materialize ctx fctx ~where:None right in
-      run_join ctx ~kind ~on ~right_item:right l r
+      let side item =
+        let src = materialize ctx fctx ~where:None item in
+        (src.src_layout, tuples_of ctx src)
+      in
+      let l = side left in
+      let r = side right in
+      join_source ctx ~kind ~on ~right_item:right l r
 
-(* Nested-loop join over two materialized sides.  The ON predicate is
-   compiled once against [left @ right] and evaluated against the env's
-   scratch tuple, into which the loops blit each side.  The outer loop
-   runs over the left side, or over the right under the forced join swap
-   (LEFT joins are never swapped: their NULL extension is asymmetric);
-   bindings concatenate in textual order either way.  Each outer tuple's
-   matches come out last-first. *)
-and run_join ctx ~kind ~on ~right_item (l : source) (r : source) : source =
-  let join_t0 = Executor.op_clock ctx in
-  let nl = List.length l.src_layout in
-  let full_layout = l.src_layout @ r.src_layout in
-  let con =
-    match (kind, on) with
-    | A.Cross, _ | _, None -> None
-    | _, Some cond ->
-        let c = make_env ctx full_layout in
-        Some (c, Eval.compile_pred c cond)
-  in
+(* A nested-loop join over two materialized sides, whose pairs a loop
+   produces later ([nested_loop]).  The outer loop runs over the left
+   side, or over the right under the forced join swap (LEFT joins are
+   never swapped: their NULL extension is asymmetric); bindings
+   concatenate in textual order either way.  The ON predicate is
+   compiled once against the two sides' bindings.  An ON that
+   [Eval.compile_pred_checked] marks infallible runs per pair in the
+   loop, so a probe that settles stops the join too: it cannot raise,
+   so no error moves.  A fallible ON runs here, over every pair in
+   outer-major order, before anything later in the statement, so its
+   first error is the statement's as if the pairs were collected
+   first; the loop then walks each outer tuple's matches. *)
+and join_source ctx ~kind ~on ~right_item (ll, lt) (rl, rt) : source =
+  let t0 = Executor.op_clock ctx in
+  let nl = List.length ll in
+  let full_layout = ll @ rl in
   (* the NULL-padded right extension for unmatched LEFT rows: shaped
      like the first right tuple, or built from the schemas when the
      right side is empty — where a derived table contributes nothing,
@@ -835,13 +913,13 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) : source =
     | A.F_sub _ -> []
   in
   let out_layout, ext =
-    match r.src_tuples with
+    match rt with
     | sample :: _ ->
         ( full_layout,
           Array.map (Array.map (fun (_ : Value.t) -> Value.Null)) sample )
     | [] ->
         let shape = null_shape right_item in
-        ( l.src_layout @ shape,
+        ( ll @ shape,
           Array.of_list
             (List.map
                (fun b -> Array.map (fun _ -> Value.Null) b.Eval.b_columns)
@@ -852,48 +930,56 @@ and run_join ctx ~kind ~on ~right_item (l : source) (r : source) : source =
     && match kind with A.Inner | A.Cross -> true | A.Left -> false
   in
   let (outer, outer_off), (inner, inner_off) =
-    if swap then ((r.src_tuples, nl), (l.src_tuples, 0))
-    else ((l.src_tuples, 0), (r.src_tuples, nl))
+    if swap then ((rt, nl), (lt, 0)) else ((lt, 0), (rt, nl))
   in
-  let combine o i = if swap then Array.append i o else Array.append o i in
-  (* does ON hold for the outer tuple already blitted and inner [i]? *)
-  let on_holds i =
-    match con with
-    | None -> true
-    | Some (c, p) ->
-        Array.blit i 0 !(c.Eval.cur) inner_off (Array.length i);
-        Tvl.equal (p ()) Tvl.True
+  let on_env = { (Executor.eval_env ctx) with Eval.layout = full_layout } in
+  let every p =
+    let cands = List.rev inner in
+    (p, List.map (fun o -> (o, cands)) outer)
   in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | o :: rest ->
-        (match con with
-        | Some (c, _) ->
-            Array.blit o 0 !(c.Eval.cur) outer_off (Array.length o)
-        | None -> ());
-        let rec walk matches = function
-          | [] ->
-              if matches = [] && kind = A.Left then [ Array.append o ext ]
-              else matches
-          | i :: more ->
-              walk (if on_holds i then combine o i :: matches else matches) more
-        in
-        go (List.rev_append (walk [] inner) acc) rest
+  let j_on, j_outer =
+    match (kind, on) with
+    | A.Cross, _ | _, None -> every None
+    | _, Some cond ->
+        let p, infallible = Eval.compile_pred_checked on_env cond in
+        if infallible then every (Some p)
+        else begin
+          let scratch = Array.make (List.length full_layout) [||] in
+          on_env.Eval.cur := scratch;
+          let matches o =
+            Array.blit o 0 scratch outer_off (Array.length o);
+            List.fold_left
+              (fun ms i ->
+                Array.blit i 0 scratch inner_off (Array.length i);
+                match p () with
+                | Tvl.True -> i :: ms
+                | Tvl.False | Tvl.Unknown -> ms)
+              [] inner
+          in
+          (None, List.map (fun o -> (o, matches o)) outer)
+        end
   in
-  let tuples = go [] outer in
-  if Executor.tracing ctx then
-    Executor.op_event ctx ~op:"JOIN"
-      ~detail:
-        ((match kind with
-         | A.Inner -> "INNER"
-         | A.Left -> "LEFT"
-         | A.Cross -> "CROSS")
-        ^ if swap then " (forced swap)" else "")
-      ~rows_in:(List.length l.src_tuples + List.length r.src_tuples)
-      ~rows_out:(List.length tuples)
-      ~batches:(batches_of (List.length tuples))
-      ~t0:join_t0 ();
-  { src_layout = out_layout; src_tuples = tuples }
+  let detail =
+    (match kind with A.Inner -> "INNER" | A.Left -> "LEFT" | A.Cross -> "CROSS")
+    ^ if swap then " (forced swap)" else ""
+  in
+  {
+    src_layout = out_layout;
+    src_rows =
+      Join
+        {
+          j_outer;
+          j_outer_off = outer_off;
+          j_inner_off = inner_off;
+          j_on;
+          j_cur = on_env.Eval.cur;
+          j_ext = (if kind = A.Left then Some ext else None);
+          j_detail = detail;
+          j_rows_in = List.length lt + List.length rt;
+          j_t0 = t0;
+          j_pairs = 0;
+        };
+  }
 
 (* Sinks stay internal: only the compound operators probe. *)
 let query ctx q = run_query ctx q

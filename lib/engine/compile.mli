@@ -8,7 +8,9 @@
     derived tables) that evaluates WHERE on each tuple and projects each
     tuple WHERE accepts at once, pushing the row, with its ORDER BY keys,
     through stages built once per SELECT (DISTINCT, ORDER BY,
-    OFFSET/LIMIT) into a sink.  Rows go one at a time;
+    OFFSET/LIMIT) into a sink.  An explicit JOIN's pairs are produced in
+    that loop, so ON runs per pair when it is infallible, and up front,
+    over every pair, when it can raise.  Rows go one at a time;
     {!Executor.batches_of} only sizes the [batches] count of the flight
     recorder's operator events.  Errors keep their order: a WHERE error
     ends the SELECT at once, and the first projection or ORDER BY key
@@ -18,8 +20,9 @@
     INTERSECT and EXCEPT probe their right operand against the hashed
     left rows instead of collecting it.  Once every left key is met, a
     probed SELECT whose WHERE, items and ORDER BY keys are all
-    infallible ({!Eval.compile_checked}) stops: no later row could
-    change the result or raise.  Others run to the end.
+    infallible ({!Eval.compile_checked}) stops, with the join it runs:
+    no later row could change the result or raise.  Others run to the
+    end.
 
     Value-level semantics are not duplicated: closures call the operator
     bodies in {!Eval}, so every dialect quirk and injected bug lives in

@@ -25,6 +25,10 @@ type binding = {
 
 val binding_of_table : Storage.Schema.table -> alias:string -> binding
 
+(** [s] lowercased, the rule every name lookup uses; copies only when
+    [s] has an uppercase letter. *)
+val lower : string -> string
+
 (** {1 Environments} *)
 
 type env = {

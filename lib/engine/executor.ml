@@ -96,8 +96,7 @@ let forced_path_for ctx ~alias ~table ~where =
   match ctx.force with
   | None -> None
   | Some f ->
-      let alias = String.lowercase_ascii alias
-      and table = String.lowercase_ascii table in
+      let alias = Eval.lower alias and table = Eval.lower table in
       List.find_map
         (fun s ->
           if
@@ -569,7 +568,7 @@ let output_columns ?(named = true) (bindings_sample : Eval.binding list)
   let item_columns = function
     | A.Star -> List.concat_map names bindings_sample
     | A.Table_star t -> (
-        let t = String.lowercase_ascii t in
+        let t = Eval.lower t in
         match
           List.find_opt (fun b -> b.Eval.b_alias = t) bindings_sample
         with

@@ -22,9 +22,9 @@
      DISTINCT and SORT emit no events but still hit coverage, and the
      COMPOUND event marks the probe and counts the rows probed;
    - FROM shapes: one table, comma FROMs (two and three items, with and
-     without WHERE, under the forced join swap), a LEFT JOIN and a
-     DISTINCT/ORDER BY/LIMIT chain each emit a pinned operator event
-     list;
+     without WHERE, under the forced join swap), a LEFT JOIN, a probed
+     join that stops at its answer and a DISTINCT/ORDER BY/LIMIT chain
+     each emit a pinned operator event list;
    - provenance: the per-condition (raw, verdict, rectified) triples the
      generator exposes agree with its [raw_truths]. *)
 
@@ -662,6 +662,17 @@ let test_from_shapes () =
     "inner join: the left side is the outer loop"
     [ "1|4"; "1|2"; "2|4"; "2|2"; "2|4"; "2|2"; "3|4" ]
     !rows_seen;
+  (* a probe that settles at the fourth pair stops the join there *)
+  check "probed join stops at its answer"
+    [
+      ("SCAN", "t0 USING full-scan", 4, 4, 1);
+      ("SCAN", "t2 USING full-scan", 2, 2, 1);
+      ("JOIN", "INNER (stopped)", 6, 4, 1);
+      ("COMPOUND", "INTERSECT (probe)", 5, 1, 1);
+    ]
+    (run
+       "VALUES (2, 2) INTERSECT SELECT * FROM t0 JOIN t2 ON t0.c0 <= t2.c0");
+  Alcotest.(check (list string)) "probed join rows" [ "2|2" ] !rows_seen;
   check "LEFT JOIN with an unmatched row"
     [
       ("SCAN", "t0 USING full-scan", 4, 4, 1);
